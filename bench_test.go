@@ -16,8 +16,10 @@ import (
 	"panda/internal/baseline"
 	"panda/internal/bitset"
 	"panda/internal/bounds"
+	"panda/internal/core"
 	"panda/internal/entropy"
 	"panda/internal/flow"
+	"panda/internal/plan"
 	"panda/internal/query"
 	"panda/internal/setfunc"
 	"panda/internal/wcoj"
@@ -166,10 +168,12 @@ func BenchmarkExample18PANDA(b *testing.B) {
 	for _, m := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
 			ins := workload.PathWorstCase(p, m)
+			db := Open()
+			defer db.Close()
 			b.ResetTimer()
 			var maxInt int
 			for i := 0; i < b.N; i++ {
-				res, err := EvalRule(p, ins, nil, Options{})
+				res, err := db.EvalRule(p, ins, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,16 +190,18 @@ func BenchmarkExample18PANDA(b *testing.B) {
 // tree-decomposition plan (N^{3/2} vs N²).
 func BenchmarkExample110SubwVsTree(b *testing.B) {
 	q := workload.BooleanFourCycle()
+	db := Open()
+	defer db.Close()
 	for _, m := range []int{64, 128, 256} {
 		ins := workload.CycleWorstCase(q, m)
 		b.Run(fmt.Sprintf("panda-subw/m=%d", m), func(b *testing.B) {
 			var maxInt int
 			for i := 0; i < b.N; i++ {
-				_, ans, st, err := EvalSubw(q, ins, nil, Options{})
-				if err != nil || !ans {
-					b.Fatalf("ans=%v err=%v", ans, err)
+				res, err := db.Eval(q, ins, nil, WithMode(ModeSubw))
+				if err != nil || !res.OK {
+					b.Fatalf("res=%v err=%v", res, err)
 				}
-				maxInt = st.MaxIntermediate
+				maxInt = res.Stats.MaxIntermediate
 			}
 			b.ReportMetric(float64(maxInt), "max-intermediate")
 		})
@@ -343,9 +349,10 @@ func BenchmarkTheorem59ProofConstruction(b *testing.B) {
 }
 
 // BenchmarkPreparedVsUnprepared demonstrates planning amortization on the
-// triangle and four-cycle workloads: the unprepared path re-pays the LP
-// solves and proof construction on every evaluation, the prepared path pays
-// once, and a cache-hit Prepare costs only signature canonicalization.
+// triangle and four-cycle workloads: "unprepared" is the whole facade call
+// (cache-hit planning plus execution through DB.Eval), "prepared" executes
+// an already planned QueryPlan directly, and a cache-hit Prepare costs only
+// the fingerprint lookup and the rebind.
 func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	workloads := []struct {
 		name string
@@ -357,34 +364,36 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	}
 	for _, w := range workloads {
 		ins := RandomInstance(w.seed, &w.q.Schema, 300, 30)
+		cons := CompleteConstraints(&w.q.Schema, ins, nil)
 		b.Run(w.name+"/unprepared", func(b *testing.B) {
+			db := Open()
+			defer db.Close()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := EvalFhtw(w.q, ins, nil, Options{}); err != nil {
+				if _, err := db.Eval(w.q, ins, nil, WithMode(ModeFhtw)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(w.name+"/prepared", func(b *testing.B) {
-			pl := NewPlanner(8)
-			pq, err := pl.PrepareForMode(w.q, ins, nil, ModeFhtw)
+			p, err := plan.NewPlanner(8).Prepare(w.q, cons, ModeFhtw)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := pq.Eval(ins, Options{}); err != nil {
+				if _, err := (&core.Executor{}).Execute(context.Background(), p, ins); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(w.name+"/prepare-hit", func(b *testing.B) {
-			pl := NewPlanner(8)
-			if _, err := pl.PrepareForMode(w.q, ins, nil, ModeFhtw); err != nil {
+			pl := plan.NewPlanner(8)
+			if _, err := pl.Prepare(w.q, cons, ModeFhtw); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pl.PrepareForMode(w.q, ins, nil, ModeFhtw); err != nil {
+				if _, err := pl.Prepare(w.q, cons, ModeFhtw); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -486,8 +495,10 @@ func BenchmarkWCOJTriangle(b *testing.B) {
 		}
 	})
 	b.Run("panda", func(b *testing.B) {
+		db := Open()
+		defer db.Close()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := EvalFull(q, ins, nil, Options{}); err != nil {
+			if _, err := db.Eval(q, ins, nil, WithMode(ModeFull)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -499,27 +510,20 @@ func BenchmarkWCOJTriangle(b *testing.B) {
 func BenchmarkFullFourCycleEvaluators(b *testing.B) {
 	q := workload.FourCycleQuery()
 	ins := RandomInstance(7, &q.Schema, 500, 40)
-	b.Run("EvalFull", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := EvalFull(q, ins, nil, Options{}); err != nil {
-				b.Fatal(err)
+	db := Open()
+	defer db.Close()
+	for _, arm := range []struct {
+		name string
+		mode PlanMode
+	}{{"EvalFull", ModeFull}, {"EvalFhtw", ModeFhtw}, {"EvalSubw", ModeSubw}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Eval(q, ins, nil, WithMode(arm.mode)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("EvalFhtw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := EvalFhtw(q, ins, nil, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("EvalSubw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := EvalSubw(q, ins, nil, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 	b.Run("TreePlan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, _, err := baseline.EvalTreePlan(q, ins, nil); err != nil {
@@ -527,4 +531,30 @@ func BenchmarkFullFourCycleEvaluators(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAblationBudget quantifies the Case-4b effect across sizes.
+func BenchmarkAblationBudget(b *testing.B) {
+	p := workload.PathRule()
+	db := Open()
+	defer db.Close()
+	for _, m := range []int{64, 256} {
+		ins := workload.PathWorstCase(p, m)
+		for _, arm := range []struct {
+			name string
+			off  bool
+		}{{"budget-on", false}, {"budget-off", true}} {
+			b.Run(fmt.Sprintf("%s/N=%d", arm.name, m), func(b *testing.B) {
+				var maxInt int
+				for i := 0; i < b.N; i++ {
+					res, err := db.EvalRule(p, ins, nil, WithBudgetDisabled(arm.off))
+					if err != nil {
+						b.Fatal(err)
+					}
+					maxInt = res.Stats.MaxIntermediate
+				}
+				b.ReportMetric(float64(maxInt), "max-intermediate")
+			})
+		}
+	}
 }

@@ -185,15 +185,15 @@ func cmdPlan(ctx context.Context, w io.Writer, res *query.ParseResult) error {
 		printRulePlan(w, s, 0, rp)
 		return nil
 	}
-	// Plan through a fresh session planner so the cache ops counters below
-	// describe exactly this invocation's planning work; -timeout bounds
-	// the LP solves through the context.
-	pl := panda.NewPlanner(0)
-	pq, err := pl.PrepareModeContext(ctx, res.Conj, dcs, panda.ModeAuto)
+	// Plan through a fresh session so the cache ops counters below describe
+	// exactly this invocation's planning work; -timeout bounds the LP
+	// solves through the context.
+	db := panda.Open()
+	defer db.Close()
+	p, err := db.PlanContext(ctx, res.Conj, nil, dcs)
 	if err != nil {
 		return err
 	}
-	p := pq.Plan()
 	widthName := map[panda.PlanMode]string{
 		panda.ModeFull: "polymatroid bound",
 		panda.ModeFhtw: "da-fhtw",
@@ -234,7 +234,7 @@ func cmdPlan(ctx context.Context, w io.Writer, res *query.ParseResult) error {
 	}
 	// Cache ops counters: what this plan cost (lp-solves) and what a
 	// server reusing the cache would save per hit (lp-saved accumulates).
-	fmt.Fprintf(w, "planner   : %v\n", pl.Stats())
+	fmt.Fprintf(w, "planner   : %v\n", db.PlannerStats())
 	return nil
 }
 
@@ -350,17 +350,17 @@ func cmdEval(ctx context.Context, w io.Writer, parsed *query.ParseResult, src, d
 	case res.Mode == panda.ModeFull:
 		fmt.Fprintf(w, "# |Q| = %d  (bound 2^%v, max intermediate %d)\n",
 			res.Size(), res.Bound.FloatString(3), res.Stats.MaxIntermediate)
-		printRows(w, res.Rows())
+		printRows(w, res)
 	default: // proper projection (da-subw / da-fhtw)
 		fmt.Fprintf(w, "# |Q| = %d  (%s 2^%v, max intermediate %d)\n",
 			res.Size(), res.Mode, res.Width.FloatString(3), res.Stats.MaxIntermediate)
-		printRows(w, res.Rows())
+		printRows(w, res)
 	}
 	return nil
 }
 
-func printRows(w io.Writer, rows [][]panda.Value) {
-	for _, row := range rows {
+func printRows(w io.Writer, res *panda.Result) {
+	for row := range res.Iter() {
 		strs := make([]string, len(row))
 		for i, v := range row {
 			strs[i] = strconv.FormatInt(v, 10)

@@ -1,6 +1,7 @@
 package panda
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -29,161 +30,6 @@ const fourCycleSrc = `Q(A1,A2,A3,A4) :- R12(A1,A2), R23(A2,A3), R34(A3,A4), R41(
 const booleanFourCycleSrc = `Q() :- R12(A1,A2), R23(A2,A3), R34(A3,A4), R41(A1,A4).`
 const triangleSrc = `Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`
 const pathRuleSrc = `T1(A1,A2,A3) v T2(A2,A3,A4) :- R12(A1,A2), R23(A2,A3), R34(A3,A4).`
-
-// TestDBParityFourCycle: the deprecated EvalFull wrapper, the programmatic
-// DB path and the textual catalog path agree on the paper's running
-// example — rows, bound and non-emptiness.
-func TestDBParityFourCycle(t *testing.T) {
-	q := FourCycleQuery()
-	ins := CycleWorstCase(q, 12)
-
-	out, rr, err := EvalFull(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := Open()
-	defer db.Close()
-	res, err := db.Eval(q, ins, nil, WithMode(ModeFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.SortedRows(), res.Rows()) {
-		t.Fatalf("DB.Eval diverges from EvalFull: %d vs %d rows", out.Size(), res.Size())
-	}
-	if rr.Bound.Cmp(res.Bound) != 0 || res.Width.Cmp(res.Bound) != 0 {
-		t.Fatalf("bounds diverge: %v vs %v (width %v)", rr.Bound, res.Bound, res.Width)
-	}
-	if res.Mode != ModeFull || !res.OK {
-		t.Fatalf("mode %v ok %v", res.Mode, res.OK)
-	}
-
-	loadCatalog(t, db, &q.Schema, ins)
-	tres, err := db.Query(fourCycleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.SortedRows(), tres.Rows()) {
-		t.Fatalf("db.Query diverges from EvalFull: %d vs %d rows", out.Size(), tres.Size())
-	}
-}
-
-// TestDBParityBooleanFourCycle: EvalSubw wrapper vs DB paths on the
-// Boolean variant.
-func TestDBParityBooleanFourCycle(t *testing.T) {
-	q := BooleanFourCycle()
-	ins := CycleWorstCase(q, 16)
-
-	_, ans, stats, err := EvalSubw(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := Open()
-	defer db.Close()
-	res, err := db.Eval(q, ins, nil, WithMode(ModeSubw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rel != nil || res.OK != ans || res.Mode != ModeSubw {
-		t.Fatalf("DB boolean diverges: rel=%v ok=%v mode=%v", res.Rel, res.OK, res.Mode)
-	}
-	if res.Stats.MaxIntermediate != stats.MaxIntermediate {
-		t.Fatalf("stats diverge: %d vs %d", res.Stats.MaxIntermediate, stats.MaxIntermediate)
-	}
-	loadCatalog(t, db, &q.Schema, ins)
-	tres, err := db.Query(booleanFourCycleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tres.Rel != nil || tres.OK != ans {
-		t.Fatalf("textual boolean diverges: rel=%v ok=%v", tres.Rel, tres.OK)
-	}
-}
-
-// TestDBParityTriangle: Eval and EvalFhtw wrappers vs DB paths on the
-// triangle join.
-func TestDBParityTriangle(t *testing.T) {
-	q := TriangleQuery()
-	ins := RandomInstance(8, &q.Schema, 50, 12)
-
-	want, wantOK, err := Eval(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := Open()
-	defer db.Close()
-	res, err := db.Eval(q, ins, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK != wantOK || !reflect.DeepEqual(want.SortedRows(), res.Rows()) {
-		t.Fatalf("DB.Eval diverges from Eval: %d vs %d rows", want.Size(), res.Size())
-	}
-	fw, fOK, _, err := EvalFhtw(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fres, err := db.Eval(q, ins, nil, WithMode(ModeFhtw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fres.OK != fOK || !reflect.DeepEqual(fw.SortedRows(), fres.Rows()) || fres.Mode != ModeFhtw {
-		t.Fatal("DB fhtw diverges from EvalFhtw")
-	}
-	loadCatalog(t, db, &q.Schema, ins)
-	tres, err := db.Query(triangleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.SortedRows(), tres.Rows()) {
-		t.Fatal("textual triangle diverges")
-	}
-}
-
-// TestDBParityPathRule: EvalRule wrapper vs DB paths on the Example 1.4
-// disjunctive rule — same bound, same model tables.
-func TestDBParityPathRule(t *testing.T) {
-	p := PathRule()
-	ins := RandomInstance(5, &p.Schema, 30, 6)
-
-	rr, err := EvalRule(p, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := Open()
-	defer db.Close()
-	res, err := db.EvalRule(p, ins, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeRule || res.Bound.Cmp(rr.Bound) != 0 || res.Width.Cmp(rr.Bound) != 0 {
-		t.Fatalf("rule result shape: mode=%v bound=%v want %v", res.Mode, res.Bound, rr.Bound)
-	}
-	if len(res.Tables) != len(rr.Tables) {
-		t.Fatalf("%d tables vs %d", len(res.Tables), len(rr.Tables))
-	}
-	for b, tb := range rr.Tables {
-		if !tb.Equal(res.Tables[b]) {
-			t.Fatalf("table %v diverges", b)
-		}
-	}
-	ok, err := ins.IsModel(p, res.Tables)
-	if err != nil || !ok {
-		t.Fatalf("DB rule tables are not a model: %v %v", ok, err)
-	}
-
-	loadCatalog(t, db, &p.Schema, ins)
-	tres, err := db.Query(pathRuleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tres.Mode != ModeRule || tres.Bound.Cmp(rr.Bound) != 0 {
-		t.Fatalf("textual rule bound %v, want %v", tres.Bound, rr.Bound)
-	}
-	ok, err = ins.IsModel(p, tres.Tables)
-	if err != nil || !ok {
-		t.Fatalf("textual rule tables are not a model: %v %v", ok, err)
-	}
-}
 
 // TestDBRenamedQueryCacheHit: a query that merely renames variables is
 // answered from the plan cache with zero additional LP solves.
@@ -412,7 +258,7 @@ func TestDBSentinelErrors(t *testing.T) {
 		t.Fatal("ModeFull accepted a projection query")
 	}
 	// Planning without cardinality constraints leaves the LP unbounded.
-	if _, err := NewPlanner(4).Prepare(TriangleQuery(), nil); !errors.Is(err, ErrUnboundedLP) {
+	if _, err := db.PlanContext(context.Background(), TriangleQuery(), nil, nil); !errors.Is(err, ErrUnboundedLP) {
 		t.Fatalf("unbounded LP: %v", err)
 	}
 	q := PathRule()
@@ -511,35 +357,5 @@ func TestDBConcurrent(t *testing.T) {
 	}
 	if st.Hits < 16 || st.Hits > 31 {
 		t.Fatalf("expected 16–31 plan-cache hits (db.Query path + pre-memo stmt calls): %v", st)
-	}
-}
-
-// TestDefaultPlannerLifecycle: SetDefaultPlannerCapacity resets the shared
-// cache behind the deprecated helpers, and DefaultPlannerStats observes it.
-func TestDefaultPlannerLifecycle(t *testing.T) {
-	defer SetDefaultPlannerCapacity(0) // leave a fresh default for other tests
-	SetDefaultPlannerCapacity(4)
-	if st := DefaultPlannerStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("fresh default planner has counters: %v", st)
-	}
-	q := TriangleQuery()
-	ins := RandomInstance(3, &q.Schema, 20, 6)
-	if _, _, err := Eval(q, ins, nil, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st := DefaultPlannerStats()
-	if st.Misses == 0 {
-		t.Fatalf("Eval did not go through the default planner: %v", st)
-	}
-	if _, _, err := Eval(q, ins, nil, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st2 := DefaultPlannerStats()
-	if st2.Hits != st.Hits+1 || st2.LPSolves != st.LPSolves {
-		t.Fatalf("repeat Eval was not a free cache hit: %v then %v", st, st2)
-	}
-	SetDefaultPlannerCapacity(4)
-	if st := DefaultPlannerStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("reset did not clear counters: %v", st)
 	}
 }

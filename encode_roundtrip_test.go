@@ -42,7 +42,7 @@ func conjFixtures() []struct {
 }
 
 func TestPlanRoundTripExecutionParity(t *testing.T) {
-	ex := &core.Executor{Opt: Options{Trace: true}}
+	ex := &core.Executor{Opt: core.Options{Trace: true}}
 	for _, fx := range conjFixtures() {
 		for _, mode := range []PlanMode{ModeAuto, ModeFhtw, ModeSubw} {
 			if mode == ModeFhtw && fx.q.IsBoolean() {
@@ -112,7 +112,7 @@ func TestRuleRoundTripExecutionParity(t *testing.T) {
 		{"path-rule", pathRule, workload.PathWorstCase(pathRule, 64)},
 		{"disjunctive", disjunctive, RandomInstance(9, &triangle.Schema, 80, 16)},
 	}
-	ex := &core.Executor{Opt: Options{Trace: true}}
+	ex := &core.Executor{Opt: core.Options{Trace: true}}
 	for _, fx := range fixtures {
 		cons := core.CompleteConstraints(&fx.p.Schema, fx.ins, nil)
 		pr, _, err := plan.PrepareRule(&fx.p.Schema, cons, fx.p.Targets)

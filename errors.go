@@ -31,7 +31,7 @@ var (
 	// unbounded: the constraint set does not bound every target, typically
 	// because an atom lacks a cardinality constraint. The catalog-bound
 	// Query path cannot hit it (instance cardinalities are always added);
-	// it surfaces from Planner.Prepare and RuleBound with incomplete
+	// it surfaces from DB.PlanContext and RuleBound with incomplete
 	// constraint sets.
 	ErrUnboundedLP = flow.ErrUnbounded
 

@@ -4,15 +4,7 @@
 // deadline and parallel rule execution. Size bounds and width parameters
 // round out the tour.
 //
-// Migrating from the historical free functions:
-//
-//	EvalFull(q, ins, dcs, opt) → db.Eval(q, ins, dcs, WithMode(ModeFull))
-//	EvalSubw(q, ins, dcs, opt) → db.Eval(q, ins, dcs, WithMode(ModeSubw))
-//	EvalRule(p, ins, dcs, opt) → db.EvalRule(p, ins, dcs)
-//	Prepare / PrepareFor       → db.Prepare(src) / db.Planner()
-//	Options{Trace: true}       → WithTrace(true)
-//
-// and onto the context-first surface (Query/Eval delegate to these with
+// Every call has a context-first form (Query/Eval delegate to these with
 // context.Background()):
 //
 //	db.Query(src)     → db.QueryContext(ctx, src)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"math/big"
 
 	"panda/internal/bitset"
@@ -15,10 +13,8 @@ import (
 // planning phase (LP solves, proof-sequence construction, decomposition
 // choice) lives in internal/plan and produces a reified plan.Plan; the
 // Executor in executor.go interprets that plan over a concrete instance
-// under a context. The free functions here — Execute, ExecuteRule,
-// EvalDisjunctive, EvalFull, EvalFhtw, EvalSubw — are thin wrappers that
-// run a sequential Executor under context.Background(), preserving their
-// historical signatures and behavior.
+// under a context. What lives here is what the Executor shares across
+// modes: constraint completion, the trivial answers, the ExecResult shape.
 
 // CompleteConstraints appends (∅, F, |R_F|) for every atom whose exact
 // cardinality constraint is missing — these are always true of the instance
@@ -54,23 +50,6 @@ func trivialResult() *Result {
 		Bound:  new(big.Rat),
 		Stats:  newStats(),
 	}
-}
-
-// ExecuteRule runs the data-dependent phase of one prepared disjunctive
-// rule over an instance with a sequential Executor and no cancellation; see
-// Executor.ExecuteRule for the context-aware form.
-func ExecuteRule(s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance, opt Options) (*Result, error) {
-	return (&Executor{Opt: opt}).ExecuteRule(context.Background(), s, pr, cons, ins)
-}
-
-// EvalDisjunctive runs PANDA (Algorithm 1) on a disjunctive datalog rule
-// with a sequential Executor and no cancellation; see
-// Executor.EvalDisjunctive for the context-aware form.
-//
-// Every constraint must be guarded by an atom; callers who only know
-// relation sizes can pass nil dcs (atom cardinalities are always added).
-func EvalDisjunctive(p *query.Disjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options) (*Result, error) {
-	return (&Executor{Opt: opt}).EvalDisjunctive(context.Background(), p, ins, dcs)
 }
 
 func dedupeSets(in []bitset.Set) []bitset.Set {
@@ -109,14 +88,6 @@ type ExecResult struct {
 	Timings *Timings
 }
 
-// Execute runs the data-dependent phase of a prepared plan over an instance
-// with a sequential Executor and no cancellation; see Executor.Execute for
-// the context-aware, parallel form. The plan is treated as immutable:
-// concurrent Execute calls on a shared plan are safe.
-func Execute(p *plan.Plan, ins *query.Instance, opt Options) (*ExecResult, error) {
-	return (&Executor{Opt: opt}).Execute(context.Background(), p, ins)
-}
-
 // reduceWithInputs semijoins t with every input relation sharing attributes.
 func reduceWithInputs(t *relation.Relation, ins *query.Instance) *relation.Relation {
 	for _, r := range ins.Relations {
@@ -127,65 +98,6 @@ func reduceWithInputs(t *relation.Relation, ins *query.Instance) *relation.Relat
 		}
 	}
 	return t
-}
-
-// EvalFull answers a full conjunctive query exactly (Corollary 7.10):
-// PANDA with the single target [n], then a semijoin reduction with every
-// input relation removes spurious tuples. Thin wrapper over
-// plan.Prepare(ModeFull) + Execute.
-func EvalFull(q *query.Conjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options) (*relation.Relation, *Result, error) {
-	if !q.IsFull() {
-		return nil, nil, fmt.Errorf("core: EvalFull needs a full query")
-	}
-	if len(ins.Relations) != len(q.Atoms) {
-		return nil, nil, fmt.Errorf("core: instance has %d relations for %d atoms", len(ins.Relations), len(q.Atoms))
-	}
-	p, _, err := plan.Prepare(q, CompleteConstraints(&q.Schema, ins, dcs), plan.ModeFull)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex, err := Execute(p, ins, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ex.Out, &Result{Tables: ex.Tables, Bound: ex.Bound, Stats: ex.Stats}, nil
-}
-
-// EvalFhtw evaluates a full or Boolean conjunctive query with the
-// degree-aware fractional-hypertree-width plan of Corollary 7.11: pick the
-// tree decomposition minimizing the worst per-bag polymatroid bound, run
-// PANDA once per bag, semijoin-reduce, then Yannakakis.
-// For Boolean queries the returned relation is nil and the bool is the
-// answer; for full queries the relation is the exact output.
-// Thin wrapper over plan.Prepare(ModeFhtw) + Execute.
-func EvalFhtw(q *query.Conjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options) (*relation.Relation, bool, *Stats, error) {
-	return evalPlanned(q, ins, dcs, opt, plan.ModeFhtw)
-}
-
-// EvalSubw evaluates a full or Boolean conjunctive query at the
-// degree-aware submodular width (Theorem 1.9 / Corollary 7.13): one
-// disjunctive datalog rule per inclusion-minimal bag transversal
-// (Lemma 7.12), per-bag tables unioned across rules, semijoin-reduced, and
-// every tree decomposition whose bags are all available is evaluated with
-// Yannakakis; the union of the per-tree results is exactly Q.
-// Thin wrapper over plan.Prepare(ModeSubw) + Execute.
-func EvalSubw(q *query.Conjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options) (*relation.Relation, bool, *Stats, error) {
-	return evalPlanned(q, ins, dcs, opt, plan.ModeSubw)
-}
-
-func evalPlanned(q *query.Conjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options, mode plan.Mode) (*relation.Relation, bool, *Stats, error) {
-	if len(ins.Relations) != len(q.Atoms) {
-		return nil, false, nil, fmt.Errorf("core: instance has %d relations for %d atoms", len(ins.Relations), len(q.Atoms))
-	}
-	p, _, err := plan.Prepare(q, CompleteConstraints(&q.Schema, ins, dcs), mode)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	ex, err := Execute(p, ins, opt)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	return ex.Out, ex.NonEmpty, ex.Stats, nil
 }
 
 func accumulate(dst, src *Stats) {

@@ -4,9 +4,9 @@
 // bookkeeping, monotonicity is a projection, decomposition is a heavy/light
 // degree partition spawning subproblems (Lemma 6.1), and composition is a
 // join, guarded by the 2^OBJ budget with Case-4b restarts via inequality
-// truncation (Lemma 5.11). The wrappers in eval.go lift PANDA to full and
-// Boolean conjunctive queries at the degree-aware fractional-hypertree and
-// submodular widths (Corollaries 7.10, 7.11, 7.13 / Theorem 1.9).
+// truncation (Lemma 5.11). The Executor in executor.go lifts PANDA to full
+// and Boolean conjunctive queries at the degree-aware fractional-hypertree
+// and submodular widths (Corollaries 7.10, 7.11, 7.13 / Theorem 1.9).
 package core
 
 import (

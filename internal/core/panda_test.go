@@ -1,15 +1,32 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"math/rand"
 	"testing"
 
 	"panda/internal/bitset"
+	"panda/internal/plan"
 	"panda/internal/query"
 	"panda/internal/relation"
 )
+
+// evalRule runs PANDA on a disjunctive rule with a sequential Executor.
+func evalRule(p *query.Disjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options) (*Result, error) {
+	return (&Executor{Opt: opt}).EvalDisjunctive(context.Background(), p, ins, dcs)
+}
+
+// evalMode plans q in the given mode (uncached, against the constraint set
+// completed from ins) and executes the plan with a sequential Executor.
+func evalMode(q *query.Conjunctive, ins *query.Instance, dcs []query.DegreeConstraint, mode plan.Mode) (*ExecResult, error) {
+	p, _, err := plan.Prepare(q, CompleteConstraints(&q.Schema, ins, dcs), mode)
+	if err != nil {
+		return nil, err
+	}
+	return (&Executor{}).Execute(context.Background(), p, ins)
+}
 
 // pathRuleSchema builds Example 1.4's rule:
 // T123(A1,A2,A3) ∨ T234(A2,A3,A4) ← R12(A1,A2), R23(A2,A3), R34(A3,A4).
@@ -72,7 +89,7 @@ func TestPandaPathRuleRandom(t *testing.T) {
 	p := pathRule()
 	for trial := 0; trial < 15; trial++ {
 		ins := randomPathInstance(rng, p, 20+rng.Intn(30), 6)
-		res, err := EvalDisjunctive(p, ins, nil, Options{})
+		res, err := evalRule(p, ins, nil, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -93,7 +110,7 @@ func TestPandaExample18(t *testing.T) {
 	p := pathRule()
 	for _, m := range []int{16, 64, 256} {
 		ins := worstCasePathInstance(p, m)
-		res, err := EvalDisjunctive(p, ins, nil, Options{CheckInvariants: true})
+		res, err := evalRule(p, ins, nil, Options{CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -131,7 +148,7 @@ func TestDegreeSupportInvariant(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		ins.Relations[2].Insert([]relation.Value{relation.Value(1 + i), relation.Value(i)})
 	}
-	res, err := EvalDisjunctive(p, ins, nil, Options{CheckInvariants: true})
+	res, err := evalRule(p, ins, nil, Options{CheckInvariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +161,7 @@ func TestDegreeSupportInvariant(t *testing.T) {
 func TestPandaEmptyInput(t *testing.T) {
 	p := pathRule()
 	ins := query.NewInstance(&p.Schema)
-	res, err := EvalDisjunctive(p, ins, nil, Options{})
+	res, err := evalRule(p, ins, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +174,7 @@ func TestPandaEmptyTargetTrivial(t *testing.T) {
 	p := pathRule()
 	p.Targets = append(p.Targets, 0) // Boolean-style target
 	ins := randomPathInstance(rand.New(rand.NewSource(4)), p, 10, 4)
-	res, err := EvalDisjunctive(p, ins, nil, Options{})
+	res, err := evalRule(p, ins, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +208,13 @@ func TestEvalFullTriangle(t *testing.T) {
 					relation.Value(rng.Intn(6)), relation.Value(rng.Intn(6))})
 			}
 		}
-		got, res, err := EvalFull(q, ins, nil, Options{})
+		res, err := evalMode(q, ins, nil, plan.ModeFull)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		want := ins.FullJoin()
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: PANDA %d tuples, direct join %d", trial, got.Size(), want.Size())
+		if !res.Out.Equal(want) {
+			t.Fatalf("trial %d: PANDA %d tuples, direct join %d", trial, res.Out.Size(), want.Size())
 		}
 		// AGM exponent of the triangle is 3/2.
 		wantBound := new(big.Rat).Mul(big.NewRat(3, 2), query.LogOf(int64(ins.MaxSize())))
@@ -207,7 +224,7 @@ func TestEvalFullTriangle(t *testing.T) {
 	}
 }
 
-// TestEvalFullFourCycle verifies EvalFull, EvalFhtw and EvalSubw against the
+// TestEvalFullFourCycle verifies the full, fhtw and subw plans against the
 // direct join on random 4-cycle instances.
 func TestEvalFullFourCycle(t *testing.T) {
 	q := fourCycleQuery()
@@ -221,29 +238,14 @@ func TestEvalFullFourCycle(t *testing.T) {
 			}
 		}
 		want := ins.FullJoin()
-
-		got, _, err := EvalFull(q, ins, nil, Options{})
-		if err != nil {
-			t.Fatalf("EvalFull: %v", err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("trial %d EvalFull: %d vs %d tuples", trial, got.Size(), want.Size())
-		}
-
-		gotF, _, _, err := EvalFhtw(q, ins, nil, Options{})
-		if err != nil {
-			t.Fatalf("EvalFhtw: %v", err)
-		}
-		if !gotF.Equal(want) {
-			t.Fatalf("trial %d EvalFhtw: %d vs %d tuples", trial, gotF.Size(), want.Size())
-		}
-
-		gotS, _, _, err := EvalSubw(q, ins, nil, Options{})
-		if err != nil {
-			t.Fatalf("EvalSubw: %v", err)
-		}
-		if !gotS.Equal(want) {
-			t.Fatalf("trial %d EvalSubw: %d vs %d tuples", trial, gotS.Size(), want.Size())
+		for _, mode := range []plan.Mode{plan.ModeFull, plan.ModeFhtw, plan.ModeSubw} {
+			ex, err := evalMode(q, ins, nil, mode)
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			if !ex.Out.Equal(want) {
+				t.Fatalf("trial %d %v: %d vs %d tuples", trial, mode, ex.Out.Size(), want.Size())
+			}
 		}
 	}
 }
@@ -264,16 +266,16 @@ func TestEvalBooleanFourCycleWorstCase(t *testing.T) {
 			ins.Relations[2].Insert([]relation.Value{v, 0}) // R34(A3,A4) = [m]×[1]
 			ins.Relations[3].Insert([]relation.Value{v, 0}) // R41(A4,A1) = [1]×[m]: A4=0, A1=v
 		}
-		_, ans, stats, err := EvalSubw(q, ins, nil, Options{})
+		ex, err := evalMode(q, ins, nil, plan.ModeSubw)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
-		if !ans {
+		if !ex.NonEmpty {
 			t.Fatalf("m=%d: 4-cycle exists but answer is false", m)
 		}
 		limit := 8 * int(math.Pow(float64(m), 1.5))
-		if stats.MaxIntermediate > limit {
-			t.Fatalf("m=%d: intermediate %d exceeds ~N^1.5 = %d", m, stats.MaxIntermediate, limit)
+		if ex.Stats.MaxIntermediate > limit {
+			t.Fatalf("m=%d: intermediate %d exceeds ~N^1.5 = %d", m, ex.Stats.MaxIntermediate, limit)
 		}
 	}
 }
@@ -287,19 +289,14 @@ func TestEvalBooleanFalse(t *testing.T) {
 	ins.Relations[1].Insert([]relation.Value{2, 3})
 	ins.Relations[2].Insert([]relation.Value{3, 4})
 	ins.Relations[3].Insert([]relation.Value{9, 9})
-	_, ans, _, err := EvalSubw(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans {
-		t.Fatal("no 4-cycle exists but answer is true")
-	}
-	_, ansF, _, err := EvalFhtw(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ansF {
-		t.Fatal("EvalFhtw: no 4-cycle exists but answer is true")
+	for _, mode := range []plan.Mode{plan.ModeSubw, plan.ModeFhtw} {
+		ex, err := evalMode(q, ins, nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.NonEmpty {
+			t.Fatalf("%v: no 4-cycle exists but answer is true", mode)
+		}
 	}
 }
 
@@ -324,13 +321,13 @@ func TestPandaWithFDs(t *testing.T) {
 	if err := ins.Check(&q.Schema, dcs); err != nil {
 		t.Fatalf("instance violates FDs: %v", err)
 	}
-	got, res, err := EvalFull(q, ins, dcs, Options{})
+	res, err := evalMode(q, ins, dcs, plan.ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ins.FullJoin()
-	if !got.Equal(want) {
-		t.Fatalf("FD eval: %d vs %d tuples", got.Size(), want.Size())
+	if !res.Out.Equal(want) {
+		t.Fatalf("FD eval: %d vs %d tuples", res.Out.Size(), want.Size())
 	}
 	wantBound := new(big.Rat).Mul(big.NewRat(3, 2), query.LogOf(int64(ins.MaxSize())))
 	if res.Bound.Cmp(wantBound) > 0 {
@@ -345,7 +342,7 @@ func TestPandaBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 10; trial++ {
 		ins := randomPathInstance(rng, p, 40, 8)
-		res, err := EvalDisjunctive(p, ins, nil, Options{CheckInvariants: true})
+		res, err := evalRule(p, ins, nil, Options{CheckInvariants: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +373,7 @@ func TestPandaDegreeConstraintRule(t *testing.T) {
 	if err := ins.Check(&p.Schema, dcs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalDisjunctive(p, ins, dcs, Options{CheckInvariants: true})
+	res, err := evalRule(p, ins, dcs, Options{CheckInvariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,16 +388,16 @@ func TestEvalErrors(t *testing.T) {
 	ins := query.NewInstance(&p.Schema)
 	// Guard mismatch: constraint variables outside the guard atom.
 	bad := []query.DegreeConstraint{query.Cardinality(bitset.Of(0, 3), 5, 0)}
-	if _, err := EvalDisjunctive(p, ins, bad, Options{}); err == nil {
+	if _, err := evalRule(p, ins, bad, Options{}); err == nil {
 		t.Fatal("unguardable constraint accepted")
 	}
-	if _, err := EvalDisjunctive(&query.Disjunctive{Schema: p.Schema}, ins, nil, Options{}); err == nil {
+	if _, err := evalRule(&query.Disjunctive{Schema: p.Schema}, ins, nil, Options{}); err == nil {
 		t.Fatal("rule without targets accepted")
 	}
 	q := fourCycleQuery()
-	q.Free = bitset.Of(0) // neither full nor handled by EvalFull
-	if _, _, err := EvalFull(q, query.NewInstance(&q.Schema), nil, Options{}); err == nil {
-		t.Fatal("non-full query accepted by EvalFull")
+	q.Free = bitset.Of(0) // a proper projection: ModeFull must refuse it
+	if _, err := evalMode(q, query.NewInstance(&q.Schema), nil, plan.ModeFull); err == nil {
+		t.Fatal("non-full query accepted by ModeFull")
 	}
 }
 
@@ -410,7 +407,7 @@ func TestEvalErrors(t *testing.T) {
 func TestTraceExample18(t *testing.T) {
 	p := pathRule()
 	ins := worstCasePathInstance(p, 16)
-	res, err := EvalDisjunctive(p, ins, nil, Options{Trace: true})
+	res, err := evalRule(p, ins, nil, Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

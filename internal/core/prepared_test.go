@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -39,10 +40,10 @@ func randomBinaryInstance(seed int64, s *query.Schema, n, dom int) *query.Instan
 	return ins
 }
 
-// TestPreparedMatchesUnprepared is the golden comparison of the acceptance
-// criteria: for the triangle and four-cycle workloads, prepare+execute must
-// return exactly the rows of the one-shot EvalFhtw/EvalSubw/EvalFull paths.
-func TestPreparedMatchesUnprepared(t *testing.T) {
+// TestPreparedMatchesBruteForce: for the triangle and four-cycle workloads,
+// prepare+execute in every mode returns exactly the rows of the brute-force
+// join, and ModeFull's executed bound is the plan's certificate.
+func TestPreparedMatchesBruteForce(t *testing.T) {
 	cases := []struct {
 		name string
 		q    *query.Conjunctive
@@ -54,82 +55,31 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ins := randomBinaryInstance(tc.seed, &tc.q.Schema, 60, 12)
-			cons := CompleteConstraints(&tc.q.Schema, ins, nil)
-
-			wantRel, wantOK, _, err := EvalFhtw(tc.q, ins, nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, _, err := plan.Prepare(tc.q, cons, plan.ModeFhtw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex, err := Execute(p, ins, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.NonEmpty != wantOK || !reflect.DeepEqual(ex.Out.SortedRows(), wantRel.SortedRows()) {
-				t.Fatalf("fhtw prepared path diverges: %d rows vs %d", ex.Out.Size(), wantRel.Size())
-			}
-
-			wantRel, wantOK, _, err = EvalSubw(tc.q, ins, nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, _, err = plan.Prepare(tc.q, cons, plan.ModeSubw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex, err = Execute(p, ins, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.NonEmpty != wantOK || !reflect.DeepEqual(ex.Out.SortedRows(), wantRel.SortedRows()) {
-				t.Fatalf("subw prepared path diverges: %d rows vs %d", ex.Out.Size(), wantRel.Size())
-			}
-
-			wantRel, wantRes, err := EvalFull(tc.q, ins, nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, _, err = plan.Prepare(tc.q, cons, plan.ModeFull)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex, err = Execute(p, ins, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ex.Out.SortedRows(), wantRel.SortedRows()) {
-				t.Fatalf("full prepared path diverges: %d rows vs %d", ex.Out.Size(), wantRel.Size())
-			}
-			if ex.Bound.Cmp(wantRes.Bound) != 0 {
-				t.Fatalf("full prepared bound %v ≠ %v", ex.Bound, wantRes.Bound)
-			}
-			// The ground truth: the brute-force join.
-			if want := ins.FullJoin().SortedRows(); !reflect.DeepEqual(ex.Out.SortedRows(), want) {
-				t.Fatalf("prepared output ≠ brute-force join")
+			want := ins.FullJoin().SortedRows()
+			for _, mode := range []plan.Mode{plan.ModeFhtw, plan.ModeSubw, plan.ModeFull} {
+				ex, err := evalMode(tc.q, ins, nil, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.NonEmpty != (len(want) > 0) || !reflect.DeepEqual(ex.Out.SortedRows(), want) {
+					t.Fatalf("%v plan diverges from the brute-force join: %d rows vs %d", mode, ex.Out.Size(), len(want))
+				}
+				if mode == plan.ModeFull && ex.Bound.Cmp(ex.Width) != 0 {
+					t.Fatalf("full plan executed bound %v ≠ certificate %v", ex.Bound, ex.Width)
+				}
 			}
 		})
 	}
 }
 
-// TestPreparedBooleanMatches: the Boolean four-cycle on the adversarial
-// instance, prepared vs unprepared.
+// TestPreparedBooleanMatches: the Boolean four-cycle answers non-emptiness
+// of the full join and carries no output relation.
 func TestPreparedBooleanMatches(t *testing.T) {
 	q := fourCycleQuery()
-	q.Free = 0
 	ins := randomBinaryInstance(5, &q.Schema, 40, 10)
-	cons := CompleteConstraints(&q.Schema, ins, nil)
-	_, want, _, err := EvalSubw(q, ins, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := plan.Prepare(q, cons, plan.ModeSubw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := Execute(p, ins, Options{})
+	want := ins.FullJoin().Size() > 0
+	q.Free = 0
+	ex, err := evalMode(q, ins, nil, plan.ModeSubw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +122,7 @@ func TestPreparedRenamedCacheHit(t *testing.T) {
 	if st := pl.Stats(); st.Hits != 1 {
 		t.Fatalf("renamed query did not hit the cache: %v", st)
 	}
-	ex, err := Execute(p2, ins2, Options{})
+	ex, err := (&Executor{}).Execute(context.Background(), p2, ins2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +153,7 @@ func TestPreparedConcurrentEval(t *testing.T) {
 			// Same sizes as the probe so the plan's constraints hold.
 			ins := randomBinaryInstance(int64(100+g), &q.Schema, 30, 8)
 			for i := 0; i < 3; i++ {
-				ex, err := Execute(p, ins, Options{})
+				ex, err := (&Executor{}).Execute(context.Background(), p, ins)
 				if err != nil {
 					errs <- err
 					return

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"panda/internal/bitset"
+	"panda/internal/plan"
 	"panda/internal/query"
 	"panda/internal/relation"
 )
@@ -34,12 +35,12 @@ func TestEvalSubwFiveCycle(t *testing.T) {
 			}
 		}
 		want := ins.FullJoin()
-		got, _, _, err := EvalSubw(q, ins, nil, Options{})
+		ex, err := evalMode(q, ins, nil, plan.ModeSubw)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: subw eval %d vs %d tuples", trial, got.Size(), want.Size())
+		if !ex.Out.Equal(want) {
+			t.Fatalf("trial %d: subw eval %d vs %d tuples", trial, ex.Out.Size(), want.Size())
 		}
 	}
 }
@@ -52,11 +53,11 @@ func TestEvalFhtwFiveCycleBoolean(t *testing.T) {
 	for i := range ins.Relations {
 		ins.Relations[i].Insert([]relation.Value{7, 7})
 	}
-	_, ans, _, err := EvalFhtw(q, ins, nil, Options{})
+	ex, err := evalMode(q, ins, nil, plan.ModeFhtw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ans {
+	if !ex.NonEmpty {
 		t.Fatal("self-loop 5-cycle exists")
 	}
 }
@@ -87,7 +88,7 @@ func TestEvalDisjunctiveThreeTargets(t *testing.T) {
 					relation.Value(rng.Intn(5)), relation.Value(rng.Intn(5))})
 			}
 		}
-		res, err := EvalDisjunctive(p, ins, nil, Options{CheckInvariants: true})
+		res, err := evalRule(p, ins, nil, Options{CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -103,7 +104,7 @@ func TestEvalDisjunctiveDuplicateTargets(t *testing.T) {
 	p := pathRule()
 	p.Targets = append(p.Targets, p.Targets[0])
 	ins := randomPathInstance(rand.New(rand.NewSource(81)), p, 20, 5)
-	res, err := EvalDisjunctive(p, ins, nil, Options{})
+	res, err := evalRule(p, ins, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +138,13 @@ func TestEvalFullDegreeBoundExample12b(t *testing.T) {
 	if err := ins.Check(&q.Schema, dcs); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := EvalFull(q, ins, dcs, Options{})
+	ex, err := evalMode(q, ins, dcs, plan.ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ins.FullJoin()
-	if !got.Equal(want) {
-		t.Fatalf("eval %d vs %d tuples", got.Size(), want.Size())
+	if !ex.Out.Equal(want) {
+		t.Fatalf("eval %d vs %d tuples", ex.Out.Size(), want.Size())
 	}
 	if want.Size() != d*k*k*k {
 		t.Fatalf("tight instance yields %d, want D·K³ = %d", want.Size(), d*k*k*k)

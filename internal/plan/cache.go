@@ -15,7 +15,7 @@ type Stats struct {
 	Misses     uint64 // Prepare calls that built a fresh plan
 	Evictions  uint64 // plans dropped by the LRU policy
 	LPSolves   uint64 // exact simplex solves performed across all builds
-	PlansBuilt uint64 // plans constructed (== Misses unless builds raced)
+	PlansBuilt uint64 // plans constructed; always == Misses (builds are single-flighted per signature)
 	// LPSolvesSaved is the cumulative count of exact simplex solves that
 	// cache hits avoided: each hit adds the LP cost the entry's original
 	// build paid. It is the ops-surface measure of what the cache is worth.
@@ -41,6 +41,12 @@ const maxExactsPerPlan = 16
 // Canonicalize), so steady-state hits cost one linear encoding plus the
 // rebind.
 //
+// Builds are single-flighted per signature: concurrent first sightings of
+// one shape elect a leader that pays the LP solves, the rest wait (each
+// under its own context) and are answered from the installed entry as
+// hits. A leader that is cancelled or fails hands the build to the next
+// waiter, so one plan is built per shape however the herd is scheduled.
+//
 // Eviction is cost-weighted (GreedyDual): each entry carries a priority of
 // clock + lpCost, refreshed on every hit, and the entry with the lowest
 // priority is evicted when the cache is over capacity, advancing the clock
@@ -61,7 +67,26 @@ type Planner struct {
 	ll    *list.List               // front = most recently used
 	index map[string]*list.Element // canonical Key → element; value is *entry
 	exact map[string]*exactRef     // Fingerprint → entry + its signature
-	stats Stats
+	// building holds the in-flight build of each signature key being
+	// planned right now; an entry lives from the index miss that elected
+	// its leader until that leader installs the plan or gives up.
+	building map[string]*build
+	stats    Stats
+
+	// buildStarted, when set, runs on the leader's goroutine after it has
+	// claimed a signature and before it plans; tests use it to hold a build
+	// open so the herd behind it is forced rather than hoped for.
+	buildStarted func(key string)
+}
+
+// build is one in-flight planning run. done is closed when the leader
+// finishes either way; err is then the planning failure every waiter shares
+// (planning is a function of the key alone), or nil when the plan was
+// installed or the leader merely gave up on its own context.
+type build struct {
+	done    chan struct{}
+	err     error
+	waiters int // calls parked on done (guarded by Planner.mu); tests wait on it to know the herd has formed
 }
 
 type entry struct {
@@ -87,10 +112,11 @@ func NewPlanner(capacity int) *Planner {
 		capacity = DefaultCacheSize
 	}
 	return &Planner{
-		cap:   capacity,
-		ll:    list.New(),
-		index: map[string]*list.Element{},
-		exact: map[string]*exactRef{},
+		cap:      capacity,
+		ll:       list.New(),
+		index:    map[string]*list.Element{},
+		exact:    map[string]*exactRef{},
+		building: map[string]*build{},
 	}
 }
 
@@ -153,10 +179,6 @@ func (pl *Planner) Prepare(q *query.Conjunctive, cons []query.DegreeConstraint, 
 // but a miss threads the context into the underlying planning phase so its
 // LP solves can be abandoned when the caller goes away.
 func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
-	if pl == nil {
-		p, _, err := PrepareContext(ctx, q, cons, mode)
-		return p, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -172,15 +194,9 @@ func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, con
 	fp := Fingerprint(q, cons, mode)
 	pl.mu.Lock()
 	if ref, ok := pl.exact[fp]; ok {
-		pl.ll.MoveToFront(ref.el)
-		ent := ref.el.Value.(*entry)
-		ent.pri = pl.clock + ent.lpCost
-		cached := ent.plan
-		sig := ref.sig
-		pl.stats.Hits++
-		pl.stats.LPSolvesSaved += ent.lpCost
+		cached := pl.hit(ref.el)
 		pl.mu.Unlock()
-		return cached.fromCanonical(sig, &q.Schema, q.Free), nil
+		return cached.fromCanonical(ref.sig, &q.Schema, q.Free), nil
 	}
 	pl.mu.Unlock()
 
@@ -190,45 +206,85 @@ func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, con
 	if err != nil {
 		return nil, err
 	}
-	pl.mu.Lock()
-	if el, ok := pl.index[sig.Key]; ok {
-		pl.ll.MoveToFront(el)
-		pl.registerExact(el, fp, sig)
-		ent := el.Value.(*entry)
-		ent.pri = pl.clock + ent.lpCost
-		cached := ent.plan
-		pl.stats.Hits++
-		pl.stats.LPSolvesSaved += ent.lpCost
+	for {
+		pl.mu.Lock()
+		if el, ok := pl.index[sig.Key]; ok {
+			pl.registerExact(el, fp, sig)
+			cached := pl.hit(el)
+			pl.mu.Unlock()
+			return cached.fromCanonical(sig, &q.Schema, q.Free), nil
+		}
+		b, inflight := pl.building[sig.Key]
+		if !inflight {
+			// Claim the build under the same lock hold as the index miss, so
+			// no second first-sighter can slip in between.
+			b = &build{done: make(chan struct{})}
+			pl.building[sig.Key] = b
+			pl.mu.Unlock()
+			return pl.lead(ctx, b, sig, fp, q, cons, mode)
+		}
+		b.waiters++
 		pl.mu.Unlock()
-		return cached.fromCanonical(sig, &q.Schema, q.Free), nil
+		select {
+		case <-b.done:
+			if b.err != nil {
+				return nil, b.err
+			}
+			// Installed (the next pass hits it) or abandoned (the next pass
+			// elects a new leader, possibly this call).
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	pl.stats.Misses++
-	pl.mu.Unlock()
+}
 
+// hit records a cache hit on el and returns its canonical plan; caller
+// holds pl.mu.
+func (pl *Planner) hit(el *list.Element) *Plan {
+	pl.ll.MoveToFront(el)
+	ent := el.Value.(*entry)
+	ent.pri = pl.clock + ent.lpCost
+	pl.stats.Hits++
+	pl.stats.LPSolvesSaved += ent.lpCost
+	return ent.plan
+}
+
+// lead runs the planning phase as the elected leader of b and installs the
+// plan. However it ends — installed, failed, cancelled, or a panic unwinding
+// through it — the claim is released and the waiters are woken.
+func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, fp string, q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
+	defer func() {
+		pl.mu.Lock()
+		delete(pl.building, sig.Key)
+		pl.mu.Unlock()
+		close(b.done)
+	}()
+	if pl.buildStarted != nil {
+		pl.buildStarted(sig.Key)
+	}
 	p, bs, err := PrepareContext(ctx, q, cons, mode)
 	if err != nil {
+		if ctx.Err() == nil {
+			b.err = err
+		}
 		return nil, err
 	}
 	p.Key = sig.Key
 	canon := p.toCanonical(sig)
+	cost := uint64(bs.LPSolves)
 	pl.mu.Lock()
-	pl.stats.LPSolves += uint64(bs.LPSolves)
+	defer pl.mu.Unlock()
+	pl.stats.Misses++
 	pl.stats.PlansBuilt++
-	el, ok := pl.index[sig.Key]
-	if ok {
-		// A concurrent build won the race; adopt its entry.
-		pl.ll.MoveToFront(el)
-		ent := el.Value.(*entry)
-		ent.pri = pl.clock + ent.lpCost
-	} else {
-		cost := uint64(bs.LPSolves)
+	pl.stats.LPSolves += cost
+	el, imported := pl.index[sig.Key] // a LoadCache may have installed the key while this build ran
+	if !imported {
 		pl.seq++
 		el = pl.ll.PushFront(&entry{key: sig.Key, plan: canon, lpCost: cost, pri: pl.clock + cost, gen: pl.seq})
 		pl.index[sig.Key] = el
 	}
 	pl.registerExact(el, fp, sig)
 	pl.evictOverCap()
-	pl.mu.Unlock()
 	return p, nil
 }
 

@@ -1,9 +1,15 @@
 package plan
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"panda/internal/flow"
+	"panda/internal/query"
 )
 
 // TestPlannerHitSkipsLP: the second Prepare of an identical query must be a
@@ -292,5 +298,165 @@ func TestPlannerReset(t *testing.T) {
 	pl.Reset()
 	if pl.Len() != 0 || pl.Stats() != (Stats{}) {
 		t.Fatal("Reset left state behind")
+	}
+}
+
+// herd drives the single-flight tests: it holds the first build of a planner
+// open inside the buildStarted hook, so every other first-sighter of the
+// shape is provably parked behind it before the test lets anything proceed.
+type herd struct {
+	pl      *Planner
+	started chan string   // one send per build that starts
+	release chan struct{} // close to let the held (first) build run
+}
+
+func newHerd() *herd {
+	h := &herd{pl: NewPlanner(8), started: make(chan string, 64), release: make(chan struct{})}
+	first := true // only ever touched on a leader's goroutine, one leader at a time per key
+	h.pl.buildStarted = func(key string) {
+		h.started <- key
+		if first {
+			first = false
+			<-h.release
+		}
+	}
+	return h
+}
+
+// awaitWaiters blocks until n calls are parked on key's in-flight build.
+func (h *herd) awaitWaiters(t *testing.T, key string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h.pl.mu.Lock()
+		b := h.pl.building[key]
+		parked := b != nil && b.waiters == n
+		h.pl.mu.Unlock()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d parked waiters", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// prepareAsync runs one Prepare on its own goroutine and delivers its error.
+func (h *herd) prepareAsync(ctx context.Context, q *query.Conjunctive, cons []query.DegreeConstraint) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.pl.PrepareContext(ctx, q, cons, ModeFhtw)
+		done <- err
+	}()
+	return done
+}
+
+// TestPlannerSingleFlight forces a herd of first sightings of one shape:
+// the leader's build is held open until every follower is parked behind it,
+// then released. One build, one miss, N−1 hits — and a follower cancelled
+// mid-wait gets its own ctx.Err() without disturbing anyone else.
+func TestPlannerSingleFlight(t *testing.T) {
+	const followers = 7
+	h := newHerd()
+	q, cons := cycleQuery(4, nil, nil, 100)
+	leader := h.prepareAsync(context.Background(), q, cons)
+	key := <-h.started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	quitter := h.prepareAsync(ctx, q, cons)
+	var rest []<-chan error
+	for i := 0; i < followers; i++ {
+		// Followers arrive under renamings too: the flight is per signature.
+		fq, fcons := cycleQuery(4, []int{i % 4, (i + 1) % 4, (i + 2) % 4, (i + 3) % 4}, nil, 100)
+		rest = append(rest, h.prepareAsync(context.Background(), fq, fcons))
+	}
+	h.awaitWaiters(t, key, followers+1)
+	cancel()
+	if err := <-quitter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-leader:
+		t.Fatalf("leader finished while its build was held open: %v", err)
+	default:
+	}
+	close(h.release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	for i, ch := range rest {
+		if err := <-ch; err != nil {
+			t.Fatalf("follower %d: %v", i, err)
+		}
+	}
+	st := h.pl.Stats()
+	if st.PlansBuilt != 1 || st.Misses != 1 || st.Hits != followers {
+		t.Fatalf("herd of %d: %v, want one build, one miss, %d hits", followers+1, st, followers)
+	}
+	if len(h.started) != 0 {
+		t.Fatalf("%d extra builds started", len(h.started))
+	}
+}
+
+// TestPlannerCancelledLeaderHandsOver: a leader whose context dies does not
+// poison the flight — its followers elect a new leader among themselves and
+// all succeed, still with exactly one installed build.
+func TestPlannerCancelledLeaderHandsOver(t *testing.T) {
+	const followers = 5
+	h := newHerd()
+	q, cons := cycleQuery(4, nil, nil, 100)
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := h.prepareAsync(ctx, q, cons)
+	key := <-h.started
+	var rest []<-chan error
+	for i := 0; i < followers; i++ {
+		rest = append(rest, h.prepareAsync(context.Background(), q, cons))
+	}
+	h.awaitWaiters(t, key, followers)
+	cancel()
+	close(h.release)
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+	}
+	for i, ch := range rest {
+		if err := <-ch; err != nil {
+			t.Fatalf("follower %d failed behind a cancelled leader: %v", i, err)
+		}
+	}
+	st := h.pl.Stats()
+	if st.PlansBuilt != 1 || st.Misses != 1 || st.Hits != followers-1 {
+		t.Fatalf("after hand-over: %v, want one build, one miss, %d hits", st, followers-1)
+	}
+	if got := len(h.started); got != 1 {
+		t.Fatalf("%d builds started after the cancelled one, want 1", got)
+	}
+}
+
+// TestPlannerFailedBuildIsShared: a planning failure is a property of the
+// signature, not of the caller, so the herd behind a failing leader gets
+// its error instead of re-running the doomed build one by one.
+func TestPlannerFailedBuildIsShared(t *testing.T) {
+	const followers = 4
+	h := newHerd()
+	q, _ := cycleQuery(4, nil, nil, 100) // no cardinalities: the LP is unbounded
+	leader := h.prepareAsync(context.Background(), q, nil)
+	key := <-h.started
+	var rest []<-chan error
+	for i := 0; i < followers; i++ {
+		rest = append(rest, h.prepareAsync(context.Background(), q, nil))
+	}
+	h.awaitWaiters(t, key, followers)
+	close(h.release)
+	for i, ch := range append(rest, leader) {
+		if err := <-ch; !errors.Is(err, flow.ErrUnbounded) {
+			t.Fatalf("call %d returned %v, want flow.ErrUnbounded", i, err)
+		}
+	}
+	if len(h.started) != 0 {
+		t.Fatalf("%d followers re-ran the failed build", len(h.started))
+	}
+	if st := h.pl.Stats(); st != (Stats{}) {
+		t.Fatalf("a failed build moved the counters: %v", st)
 	}
 }

@@ -7,7 +7,7 @@
 // captures everything the planning phase produces: the chosen tree
 // decomposition(s), per-bag fractional edge covers, the PANDA proof sequence
 // of every disjunctive rule, and a width certificate (the da-fhtw or da-subw
-// value as an exact rational). internal/core.Execute runs the data-dependent
+// value as an exact rational). core.Executor.Execute runs the data-dependent
 // phase against a Plan; a Planner caches Plans in a concurrency-safe LRU
 // keyed by a canonical signature of (query shape, free variables, constraint
 // set), so repeated traffic pays the (often exponential-in-query-size)
@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"strings"
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
@@ -69,6 +70,26 @@ func (m Mode) String() string {
 	default:
 		return "subw"
 	}
+}
+
+// ParseMode reads the mode spellings of the wire and CLI surfaces ("", auto,
+// full, fhtw, subw; case-insensitive). explicit is false only for the empty
+// string: "auto" asks for ModeAuto by name, which matters to callers that
+// reject any explicit mode on a disjunctive rule.
+func ParseMode(s string) (m Mode, explicit bool, err error) {
+	switch strings.ToLower(s) {
+	case "":
+		return ModeAuto, false, nil
+	case "auto":
+		return ModeAuto, true, nil
+	case "full":
+		return ModeFull, true, nil
+	case "fhtw":
+		return ModeFhtw, true, nil
+	case "subw":
+		return ModeSubw, true, nil
+	}
+	return 0, false, fmt.Errorf("unknown mode %q (want auto, full, fhtw or subw)", s)
 }
 
 // PreparedRule is the reified planning output for one disjunctive datalog

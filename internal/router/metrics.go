@@ -1,70 +1,70 @@
 package router
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
 	"sync"
-	"time"
+
+	"panda/internal/metrics"
 )
 
-// routerMetrics collects the router's own counters for /metrics: request
-// counts by endpoint and status, per-replica/per-shard routing counts,
-// failovers and retries, and the plan-shipping loop's activity. Per-shard
-// series are bounded: at most maxRoutedShapes distinct shapes get their
-// own labels, the rest roll up into shape="other".
-type routerMetrics struct {
-	mu            sync.Mutex
-	requests      map[requestKey]uint64
-	httpSum       map[string]float64 // endpoint → total seconds
-	routed        map[routeKey]uint64
-	routedShapes  map[string]bool
-	failovers     map[string]uint64 // replica → times marked down
-	quarantines   map[string]uint64 // replica → times quarantined for a lagging catalog
-	pushEntries   map[string]uint64 // replica → plan entries pushed
-	retries       uint64
-	noHealthy     uint64
-	ensures       uint64
-	pushes        uint64
-	plannerErrors uint64
+// telemetry is the router's /metrics exposition, declared in the order it
+// renders: request counts by endpoint and status, per-replica/per-shard
+// routing counts, replica health read live at scrape time, failovers and
+// retries, and the plan-shipping loop's activity.
+type telemetry struct {
+	reg           metrics.Registry
+	requests      *metrics.Requests
+	routed        *metrics.Vec[uint64] // shape, replica
+	failovers     *metrics.Vec[uint64] // replica → times marked down
+	quarantines   *metrics.Vec[uint64] // replica → times quarantined for a lagging catalog
+	pushEntries   *metrics.Vec[uint64] // replica → plan entries pushed
+	retries       *metrics.Vec[uint64]
+	noHealthy     *metrics.Vec[uint64]
+	ensures       *metrics.Vec[uint64]
+	pushes        *metrics.Vec[uint64]
+	plannerErrors *metrics.Vec[uint64]
+
+	// routedShapes bounds the per-shard label cardinality: at most
+	// maxRoutedShapes distinct shapes get their own labels, the rest roll
+	// up into shape="other".
+	shapeMu      sync.Mutex
+	routedShapes map[string]bool
 }
 
-type requestKey struct {
-	endpoint string
-	code     int
-}
-
-type routeKey struct {
-	shape   string
-	replica string
-}
-
-// maxRoutedShapes bounds the per-shard label cardinality.
 const maxRoutedShapes = 512
 
-func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{
-		requests:     map[requestKey]uint64{},
-		httpSum:      map[string]float64{},
-		routed:       map[routeKey]uint64{},
-		routedShapes: map[string]bool{},
-		failovers:    map[string]uint64{},
-		quarantines:  map[string]uint64{},
-		pushEntries:  map[string]uint64{},
+func newTelemetry(r *Router) *telemetry {
+	m := &telemetry{routedShapes: map[string]bool{}}
+	reg := &m.reg
+	m.requests = metrics.NewRequests(reg, "panda_router_requests_total", "Requests handled by the router, by endpoint and status code.")
+	m.requests.LatencyTotal(reg, "panda_router_request_seconds_total", "Cumulative request handling time, by endpoint.")
+	m.routed = metrics.Counter[uint64](reg, "panda_router_shape_routed_total", "Requests routed, by shape (canonical signature digest, or rule:<hash>) and replica; overflow shapes roll up into shape=\"other\".", "shape", "replica")
+	perReplica := func(name, help string, on func(*backend) bool) {
+		reg.Collect(func(w *metrics.Writer) {
+			w.Header(name, help, "gauge")
+			for _, b := range r.replicas {
+				v := 0
+				if on(b) {
+					v = 1
+				}
+				w.Sample(name, metrics.Labels("replica", b.name), v)
+			}
+		})
 	}
+	perReplica("panda_router_replica_healthy", "Replica health as last probed (1 healthy, 0 down).", (*backend).isHealthy)
+	perReplica("panda_router_replica_routable", "Whether traffic may be routed to the replica (1 = live and catalog in sync with the planner, 0 = down or quarantined).", (*backend).isRoutable)
+	m.failovers = metrics.Counter[uint64](reg, "panda_router_failovers_total", "Times a replica was marked down (probe failure or in-request error).", "replica")
+	m.quarantines = metrics.Counter[uint64](reg, "panda_router_quarantines_total", "Times a replica was quarantined for a catalog that lags the planning tier (missed mutation broadcast or stale restart).", "replica")
+	m.pushEntries = metrics.Counter[uint64](reg, "panda_router_push_entries_total", "Plan-cache entries pushed to each replica by the delta loop.", "replica")
+	m.retries = metrics.Counter[uint64](reg, "panda_router_retries_total", "Proxy attempts beyond the first, across all requests (bounded failover).")
+	m.noHealthy = metrics.Counter[uint64](reg, "panda_router_no_healthy_replica_total", "Requests answered 502 because no healthy replica remained.")
+	m.ensures = metrics.Counter[uint64](reg, "panda_router_shapes_ensured_total", "First-sighted shapes synchronously planned on the planning tier and shipped.")
+	m.pushes = metrics.Counter[uint64](reg, "panda_router_pushes_total", "Delta push cycles that shipped at least one plan entry.")
+	m.plannerErrors = metrics.Counter[uint64](reg, "panda_router_planner_errors_total", "Failed planner interactions (warm-ups and delta pulls).")
+	return m
 }
 
-func (m *routerMetrics) observe(endpoint string, code int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[requestKey{endpoint, code}]++
-	m.httpSum[endpoint] += d.Seconds()
-}
-
-func (m *routerMetrics) addRouted(shape, replica string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *telemetry) addRouted(shape, replica string) {
+	m.shapeMu.Lock()
 	if !m.routedShapes[shape] {
 		if len(m.routedShapes) >= maxRoutedShapes {
 			shape = "other"
@@ -72,160 +72,6 @@ func (m *routerMetrics) addRouted(shape, replica string) {
 			m.routedShapes[shape] = true
 		}
 	}
-	m.routed[routeKey{shape, replica}]++
-}
-
-func (m *routerMetrics) addFailover(replica string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failovers[replica]++
-}
-
-func (m *routerMetrics) addQuarantine(replica string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.quarantines[replica]++
-}
-
-func (m *routerMetrics) addPushEntries(replica string, n uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pushEntries[replica] += n
-}
-
-func (m *routerMetrics) addRetry()        { m.mu.Lock(); m.retries++; m.mu.Unlock() }
-func (m *routerMetrics) addNoHealthy()    { m.mu.Lock(); m.noHealthy++; m.mu.Unlock() }
-func (m *routerMetrics) addEnsure()       { m.mu.Lock(); m.ensures++; m.mu.Unlock() }
-func (m *routerMetrics) addPush()         { m.mu.Lock(); m.pushes++; m.mu.Unlock() }
-func (m *routerMetrics) addPlannerError() { m.mu.Lock(); m.plannerErrors++; m.mu.Unlock() }
-
-// write renders the Prometheus text exposition. State is snapshotted under
-// the lock and rendered after release, like pandad's collector.
-func (m *routerMetrics) write(w io.Writer, r *Router) {
-	m.mu.Lock()
-	reqs := make(map[requestKey]uint64, len(m.requests))
-	for k, v := range m.requests {
-		reqs[k] = v
-	}
-	routed := make(map[routeKey]uint64, len(m.routed))
-	for k, v := range m.routed {
-		routed[k] = v
-	}
-	failovers := make(map[string]uint64, len(m.failovers))
-	for k, v := range m.failovers {
-		failovers[k] = v
-	}
-	quarantines := make(map[string]uint64, len(m.quarantines))
-	for k, v := range m.quarantines {
-		quarantines[k] = v
-	}
-	pushEntries := make(map[string]uint64, len(m.pushEntries))
-	for k, v := range m.pushEntries {
-		pushEntries[k] = v
-	}
-	httpSum := make(map[string]float64, len(m.httpSum))
-	for k, v := range m.httpSum {
-		httpSum[k] = v
-	}
-	retries, noHealthy, ensures, pushes, plannerErrors :=
-		m.retries, m.noHealthy, m.ensures, m.pushes, m.plannerErrors
-	m.mu.Unlock()
-
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	rks := make([]requestKey, 0, len(reqs))
-	for k := range reqs {
-		rks = append(rks, k)
-	}
-	sort.Slice(rks, func(i, j int) bool {
-		if rks[i].endpoint != rks[j].endpoint {
-			return rks[i].endpoint < rks[j].endpoint
-		}
-		return rks[i].code < rks[j].code
-	})
-	fmt.Fprintf(w, "# HELP panda_router_requests_total Requests handled by the router, by endpoint and status code.\n# TYPE panda_router_requests_total counter\n")
-	for _, k := range rks {
-		fmt.Fprintf(w, "panda_router_requests_total{endpoint=%q,code=%q} %d\n", k.endpoint, strconv.Itoa(k.code), reqs[k])
-	}
-
-	eps := make([]string, 0, len(httpSum))
-	for ep := range httpSum {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	fmt.Fprintf(w, "# HELP panda_router_request_seconds_total Cumulative request handling time, by endpoint.\n# TYPE panda_router_request_seconds_total counter\n")
-	for _, ep := range eps {
-		fmt.Fprintf(w, "panda_router_request_seconds_total{endpoint=%q} %g\n", ep, httpSum[ep])
-	}
-
-	sks := make([]routeKey, 0, len(routed))
-	for k := range routed {
-		sks = append(sks, k)
-	}
-	sort.Slice(sks, func(i, j int) bool {
-		if sks[i].shape != sks[j].shape {
-			return sks[i].shape < sks[j].shape
-		}
-		return sks[i].replica < sks[j].replica
-	})
-	fmt.Fprintf(w, "# HELP panda_router_shape_routed_total Requests routed, by shape (canonical signature digest, or rule:<hash>) and replica; overflow shapes roll up into shape=\"other\".\n# TYPE panda_router_shape_routed_total counter\n")
-	for _, k := range sks {
-		fmt.Fprintf(w, "panda_router_shape_routed_total{shape=%q,replica=%q} %d\n", k.shape, k.replica, routed[k])
-	}
-
-	fmt.Fprintf(w, "# HELP panda_router_replica_healthy Replica health as last probed (1 healthy, 0 down).\n# TYPE panda_router_replica_healthy gauge\n")
-	for _, b := range r.replicas {
-		v := 0
-		if b.isHealthy() {
-			v = 1
-		}
-		fmt.Fprintf(w, "panda_router_replica_healthy{replica=%q} %d\n", b.name, v)
-	}
-
-	fmt.Fprintf(w, "# HELP panda_router_replica_routable Whether traffic may be routed to the replica (1 = live and catalog in sync with the planner, 0 = down or quarantined).\n# TYPE panda_router_replica_routable gauge\n")
-	for _, b := range r.replicas {
-		v := 0
-		if b.isRoutable() {
-			v = 1
-		}
-		fmt.Fprintf(w, "panda_router_replica_routable{replica=%q} %d\n", b.name, v)
-	}
-
-	fmt.Fprintf(w, "# HELP panda_router_failovers_total Times a replica was marked down (probe failure or in-request error).\n# TYPE panda_router_failovers_total counter\n")
-	names := make([]string, 0, len(failovers))
-	for k := range failovers {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(w, "panda_router_failovers_total{replica=%q} %d\n", k, failovers[k])
-	}
-
-	fmt.Fprintf(w, "# HELP panda_router_quarantines_total Times a replica was quarantined for a catalog that lags the planning tier (missed mutation broadcast or stale restart).\n# TYPE panda_router_quarantines_total counter\n")
-	names = names[:0]
-	for k := range quarantines {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(w, "panda_router_quarantines_total{replica=%q} %d\n", k, quarantines[k])
-	}
-
-	fmt.Fprintf(w, "# HELP panda_router_push_entries_total Plan-cache entries pushed to each replica by the delta loop.\n# TYPE panda_router_push_entries_total counter\n")
-	names = names[:0]
-	for k := range pushEntries {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(w, "panda_router_push_entries_total{replica=%q} %d\n", k, pushEntries[k])
-	}
-
-	counter("panda_router_retries_total", "Proxy attempts beyond the first, across all requests (bounded failover).", retries)
-	counter("panda_router_no_healthy_replica_total", "Requests answered 502 because no healthy replica remained.", noHealthy)
-	counter("panda_router_shapes_ensured_total", "First-sighted shapes synchronously planned on the planning tier and shipped.", ensures)
-	counter("panda_router_pushes_total", "Delta push cycles that shipped at least one plan entry.", pushes)
-	counter("panda_router_planner_errors_total", "Failed planner interactions (warm-ups and delta pulls).", plannerErrors)
+	m.shapeMu.Unlock()
+	m.routed.Add(1, shape, replica)
 }

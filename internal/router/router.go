@@ -56,6 +56,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"panda/internal/metrics"
 )
 
 // Config assembles a Router.
@@ -168,7 +170,7 @@ type Router struct {
 	timeout  time.Duration
 	logf     func(string, ...any)
 	shapes   *shapeCache
-	metrics  *routerMetrics
+	metrics  *telemetry
 	mux      *http.ServeMux
 	start    time.Time
 
@@ -242,7 +244,6 @@ func New(cfg Config) (*Router, error) {
 		timeout:    cfg.ProxyTimeout,
 		logf:       cfg.Logf,
 		shapes:     newShapeCache(0),
-		metrics:    newRouterMetrics(),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		watermarks: map[string]uint64{},
@@ -259,6 +260,7 @@ func New(cfg Config) (*Router, error) {
 		seen[name] = true
 		r.replicas = append(r.replicas, &backend{name: name, healthy: true})
 	}
+	r.metrics = newTelemetry(r)
 	r.routes()
 	r.probeAll()
 	r.wg.Add(2)
@@ -275,55 +277,24 @@ func (r *Router) Close() {
 }
 
 func (r *Router) routes() {
-	r.mux.HandleFunc("POST /v1/query", r.observed("query", r.handleQuery))
-	r.mux.HandleFunc("GET /v1/plan", r.observed("plan", r.handlePlan))
-	r.mux.HandleFunc("GET /v1/plans", r.observed("plans", r.handleExportPlans))
-	r.mux.HandleFunc("PUT /v1/plans", r.observed("plans", r.handleImportPlans))
-	r.mux.HandleFunc("GET /v1/relations", r.observed("relations", r.proxyPlannerRead))
-	r.mux.HandleFunc("GET /v1/shapes", r.observed("shapes", r.handleShapes))
-	r.mux.HandleFunc("POST /v1/relations", r.observed("relations", r.handleMutation))
-	r.mux.HandleFunc("DELETE /v1/relations/{name}", r.observed("relations", r.handleMutation))
-	r.mux.HandleFunc("POST /v1/relations/{name}/rows", r.observed("rows", r.handleMutation))
-	r.mux.HandleFunc("POST /v1/relations/{name}/csv", r.observed("csv", r.handleMutation))
-	r.mux.HandleFunc("GET /metrics", r.observed("metrics", r.handleMetrics))
-	r.mux.HandleFunc("GET /healthz", r.observed("healthz", r.handleHealthz))
-	r.mux.HandleFunc("GET /v1/info", r.observed("info", r.handleInfo))
+	// Every route is counted and timed by endpoint and status.
+	observed := r.metrics.requests.Wrap
+	r.mux.HandleFunc("POST /v1/query", observed("query", r.handleQuery))
+	r.mux.HandleFunc("GET /v1/plan", observed("plan", r.handlePlan))
+	r.mux.HandleFunc("GET /v1/plans", observed("plans", r.handleExportPlans))
+	r.mux.HandleFunc("PUT /v1/plans", observed("plans", r.handleImportPlans))
+	r.mux.HandleFunc("GET /v1/relations", observed("relations", r.proxyPlannerRead))
+	r.mux.HandleFunc("GET /v1/shapes", observed("shapes", r.handleShapes))
+	r.mux.HandleFunc("POST /v1/relations", observed("relations", r.handleMutation))
+	r.mux.HandleFunc("DELETE /v1/relations/{name}", observed("relations", r.handleMutation))
+	r.mux.HandleFunc("POST /v1/relations/{name}/rows", observed("rows", r.handleMutation))
+	r.mux.HandleFunc("POST /v1/relations/{name}/csv", observed("csv", r.handleMutation))
+	r.mux.HandleFunc("GET /metrics", observed("metrics", r.metrics.reg.ServeHTTP))
+	r.mux.HandleFunc("GET /healthz", observed("healthz", r.handleHealthz))
+	r.mux.HandleFunc("GET /v1/info", observed("info", r.handleInfo))
 }
 
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.ServeHTTP(w, req) }
-
-// observed is the metrics middleware: request counts and latency by
-// endpoint and status.
-func (r *Router) observed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, req)
-		r.metrics.observe(endpoint, sw.code, time.Since(start))
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error(), "code": code})
-}
 
 // ---- Health probing ----
 
@@ -366,7 +337,7 @@ func (r *Router) probeAll() {
 				r.logf("router: replica %s is back", b.name)
 			} else {
 				r.logf("router: replica %s is down", b.name)
-				r.metrics.addFailover(b.name)
+				r.metrics.failovers.Add(1, b.name)
 			}
 		}
 		if !healthy {
@@ -375,7 +346,7 @@ func (r *Router) probeAll() {
 		quarantined, recovered := b.setProbed(epoch, plannerEpoch)
 		if quarantined {
 			r.logf("router: replica %s is live but its catalog epoch %d lags the planner's %d; quarantined until resynced", b.name, epoch, plannerEpoch)
-			r.metrics.addQuarantine(b.name)
+			r.metrics.quarantines.Add(1, b.name)
 		}
 		if recovered {
 			r.logf("router: replica %s caught up to catalog epoch %d; back in rotation", b.name, epoch)
@@ -413,7 +384,7 @@ func (r *Router) probe(base string) (bool, uint64) {
 func (r *Router) markDown(b *backend) {
 	if b.setHealthy(false) {
 		r.logf("router: replica %s failed in-request, failing over", b.name)
-		r.metrics.addFailover(b.name)
+		r.metrics.failovers.Add(1, b.name)
 	}
 }
 
@@ -513,7 +484,7 @@ func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		r.metrics.addPlannerError()
+		r.metrics.plannerErrors.Add(1)
 		r.logf("router: planner warm-up for shape %s failed: %v", shape, err)
 		return
 	}
@@ -523,10 +494,10 @@ func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 		// The planner rejected the query (parse error, unknown relation,
 		// unbounded LP, …). The replica will reject it identically; memoize
 		// nothing and let the query through to produce the real error.
-		r.metrics.addPlannerError()
+		r.metrics.plannerErrors.Add(1)
 		return
 	}
-	r.metrics.addEnsure()
+	r.metrics.ensures.Add(1)
 	r.pushMu.Lock()
 	r.pullAndPush(ctx)
 	r.pushMu.Unlock()
@@ -577,13 +548,13 @@ func (r *Router) pullAndPushOnce(ctx context.Context) bool {
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		r.metrics.addPlannerError()
+		r.metrics.plannerErrors.Add(1)
 		return true
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBodyBytes))
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
-		r.metrics.addPlannerError()
+		r.metrics.plannerErrors.Add(1)
 		return true
 	}
 	var env struct {
@@ -591,7 +562,7 @@ func (r *Router) pullAndPushOnce(ctx context.Context) bool {
 		Entries []json.RawMessage `json:"entries"`
 	}
 	if err := json.Unmarshal(body, &env); err != nil {
-		r.metrics.addPlannerError()
+		r.metrics.plannerErrors.Add(1)
 		return true
 	}
 	if env.Clock < since {
@@ -611,7 +582,7 @@ func (r *Router) pullAndPushOnce(ctx context.Context) bool {
 		}
 		return true
 	}
-	r.metrics.addPush()
+	r.metrics.pushes.Add(1)
 	for _, b := range replicas {
 		if r.watermarks[b.name] >= env.Clock {
 			continue
@@ -633,7 +604,7 @@ func (r *Router) pullAndPushOnce(ctx context.Context) bool {
 		// failures leave the watermark behind for a retry.
 		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusUnprocessableEntity {
 			r.watermarks[b.name] = env.Clock
-			r.metrics.addPushEntries(b.name, uint64(len(env.Entries)))
+			r.metrics.pushEntries.Add(uint64(len(env.Entries)), b.name)
 			if resp.StatusCode == http.StatusUnprocessableEntity {
 				r.logf("router: replica %s imported the delta with skips", b.name)
 			}
@@ -657,9 +628,9 @@ func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", err)
+			metrics.WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large", err)
 		} else {
-			writeError(w, http.StatusBadRequest, "bad_request", err)
+			metrics.WriteError(w, http.StatusBadRequest, "bad_request", err)
 		}
 		return nil, false
 	}
@@ -721,7 +692,7 @@ func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, sha
 			continue
 		}
 		if attempts > 0 {
-			r.metrics.addRetry()
+			r.metrics.retries.Add(1)
 		}
 		attempts++
 		ok := r.proxyOnce(w, req, b, shape, body)
@@ -729,8 +700,8 @@ func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, sha
 			return
 		}
 	}
-	r.metrics.addNoHealthy()
-	writeError(w, http.StatusBadGateway, "no_healthy_replica",
+	r.metrics.noHealthy.Add(1)
+	metrics.WriteError(w, http.StatusBadGateway, "no_healthy_replica",
 		fmt.Errorf("no healthy replica for shape %s (%d attempted)", shape, attempts))
 }
 
@@ -751,7 +722,7 @@ func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, b *backend,
 	}
 	out, err := http.NewRequestWithContext(ctx, req.Method, u, rd)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "proxy_error", err)
+		metrics.WriteError(w, http.StatusInternalServerError, "proxy_error", err)
 		return true
 	}
 	if ct := req.Header.Get("Content-Type"); ct != "" {
@@ -877,7 +848,7 @@ func (r *Router) handleMutation(w http.ResponseWriter, req *http.Request) {
 func (r *Router) broadcast(w http.ResponseWriter, req *http.Request, body []byte) {
 	plannerResp, err := r.send(req, r.planner, body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "planner_unreachable", err)
+		metrics.WriteError(w, http.StatusBadGateway, "planner_unreachable", err)
 		return
 	}
 	plannerApplied := plannerResp.status < 300
@@ -912,7 +883,7 @@ func (r *Router) quarantine(b *backend, why string, diverged bool) {
 	}
 	if b.forceStale() {
 		r.logf("router: replica %s: %s; quarantined until its catalog is resynced", b.name, why)
-		r.metrics.addQuarantine(b.name)
+		r.metrics.quarantines.Add(1, b.name)
 	}
 }
 
@@ -957,7 +928,7 @@ func (r *Router) send(req *http.Request, base string, body []byte) (*sentRespons
 func (r *Router) proxyTo(w http.ResponseWriter, req *http.Request, base string, body []byte) {
 	resp, err := r.send(req, base, body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "planner_unreachable", err)
+		metrics.WriteError(w, http.StatusBadGateway, "planner_unreachable", err)
 		return
 	}
 	if ct := resp.contentType; ct != "" {
@@ -970,7 +941,7 @@ func (r *Router) proxyTo(w http.ResponseWriter, req *http.Request, base string, 
 // ---- Router introspection ----
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	metrics.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 func (r *Router) handleInfo(w http.ResponseWriter, req *http.Request) {
@@ -998,7 +969,7 @@ func (r *Router) handleInfo(w http.ResponseWriter, req *http.Request) {
 	}
 	r.pushMu.Unlock()
 	sort.Slice(reps, func(i, j int) bool { return reps[i].Name < reps[j].Name })
-	writeJSON(w, http.StatusOK, map[string]any{
+	metrics.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":                  "router",
 		"planner":               r.planner,
 		"planner_catalog_epoch": r.plannerEpoch.Load(),
@@ -1006,9 +977,4 @@ func (r *Router) handleInfo(w http.ResponseWriter, req *http.Request) {
 		"planned_shapes":        planned,
 		"uptime_seconds":        time.Since(r.start).Seconds(),
 	})
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	r.metrics.write(w, r)
 }

@@ -31,7 +31,7 @@ import (
 // ("", auto, full, fhtw, subw). The boolean reports whether the query is
 // conjunctive — only conjunctive shapes participate in plan shipping.
 func shapeOf(src, mode string) (key string, conjunctive bool, err error) {
-	m, err := parseMode(mode)
+	m, _, err := plan.ParseMode(mode)
 	if err != nil {
 		return "", false, err
 	}
@@ -49,20 +49,6 @@ func shapeOf(src, mode string) (key string, conjunctive bool, err error) {
 		return "", false, err
 	}
 	return panda.SignatureDigest(sig.Key), true, nil
-}
-
-func parseMode(s string) (plan.Mode, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return plan.ModeAuto, nil
-	case "full":
-		return plan.ModeFull, nil
-	case "fhtw":
-		return plan.ModeFhtw, nil
-	case "subw":
-		return plan.ModeSubw, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want auto, full, fhtw or subw)", s)
 }
 
 // shapeCache memoizes (query text, mode) → routing shape so steady-state

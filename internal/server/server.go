@@ -53,6 +53,8 @@ import (
 	"time"
 
 	"panda"
+	"panda/internal/metrics"
+	"panda/internal/plan"
 )
 
 // Config assembles a Server.
@@ -98,7 +100,7 @@ type Server struct {
 	timeout     time.Duration
 	parallelism int
 	stmts       *stmtCache
-	metrics     *metrics
+	metrics     *telemetry
 	mux         *http.ServeMux
 	name        string
 	start       time.Time
@@ -144,7 +146,6 @@ func New(cfg Config) *Server {
 		timeout:       cfg.Timeout,
 		parallelism:   cfg.Parallelism,
 		stmts:         newStmtCache(cfg.StmtCacheSize),
-		metrics:       newMetrics(cfg.ShapeTableSize),
 		mux:           http.NewServeMux(),
 		slowThreshold: cfg.SlowQueryThreshold,
 		slowLog:       cfg.SlowQueryLog,
@@ -152,6 +153,7 @@ func New(cfg Config) *Server {
 		start:         time.Now(),
 		drainCh:       make(chan struct{}),
 	}
+	s.metrics = newTelemetry(s, cfg.ShapeTableSize)
 	if s.slowThreshold > 0 && s.slowLog == nil {
 		s.slowLog = os.Stderr
 	}
@@ -165,7 +167,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/relations/{name}", s.wrap("relations", s.mutating(s.handleDropRelation)))
 	s.mux.HandleFunc("POST /v1/relations/{name}/rows", s.wrap("rows", s.mutating(s.handleInsertRows)))
 	s.mux.HandleFunc("POST /v1/relations/{name}/csv", s.wrap("csv", s.mutating(s.handleLoadCSV)))
-	s.mux.HandleFunc("GET /metrics", s.wrap("metrics", s.handleMetrics))
+	s.mux.HandleFunc("GET /metrics", s.wrap("metrics", s.metrics.reg.ServeHTTP))
 	s.mux.HandleFunc("GET /v1/shapes", s.wrap("shapes", s.handleShapes))
 	s.mux.HandleFunc("GET /healthz", s.wrap("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /v1/info", s.wrap("info", s.handleInfo))
@@ -208,45 +210,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// statusWriter captures the response code for the metrics middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Unwrap lets http.ResponseController reach Flusher on the underlying
-// writer through the wrapper.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 // wrap is the per-endpoint middleware: drain admission, in-flight
 // accounting, the per-request deadline, and latency/status metrics.
 func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			writeError(sw, http.StatusServiceUnavailable, "shutting_down", errors.New("server is shutting down"))
-			s.metrics.observe(endpoint, sw.code, time.Since(start))
-			return
-		}
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		defer s.inflight.Done()
+	return s.wrapStream(endpoint, func(w http.ResponseWriter, r *http.Request) {
 		if s.timeout > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		h(sw, r)
-		s.metrics.observe(endpoint, sw.code, time.Since(start))
-	}
+		h(w, r)
+	})
 }
 
 // wrapStream is wrap for endpoints that hold the connection open for as
@@ -255,21 +229,23 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 // — a standing query is supposed to outlive any sensible request timeout.
 // Streams still terminate on shutdown: they select on s.drainCh.
 func (s *Server) wrapStream(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	// Both outcomes are counted, and an admitted request is counted before
+	// it leaves the in-flight set, so a drained server's metrics are final.
+	admitted := s.metrics.requests.Wrap(endpoint, h)
+	refused := s.metrics.requests.Wrap(endpoint, func(w http.ResponseWriter, _ *http.Request) {
+		metrics.WriteError(w, http.StatusServiceUnavailable, "shutting_down", errors.New("server is shutting down"))
+	})
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
-			writeError(sw, http.StatusServiceUnavailable, "shutting_down", errors.New("server is shutting down"))
-			s.metrics.observe(endpoint, sw.code, time.Since(start))
+			refused(w, r)
 			return
 		}
 		s.inflight.Add(1)
 		s.mu.Unlock()
 		defer s.inflight.Done()
-		h(sw, r)
-		s.metrics.observe(endpoint, sw.code, time.Since(start))
+		admitted(w, r)
 	}
 }
 
@@ -280,9 +256,9 @@ func (s *Server) wrapStream(endpoint string, h http.HandlerFunc) http.HandlerFun
 // same broadcast sequence identically report identical epochs.
 func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := metrics.NewStatusWriter(w)
 		h(sw, r)
-		if sw.code < 300 {
+		if sw.Code < 300 {
 			s.catalogEpoch.Add(1)
 		}
 	}
@@ -343,20 +319,8 @@ func codeOf(err error) string {
 	}
 }
 
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error(), "code": code})
-}
-
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	writeError(w, statusOf(err), codeOf(err), err)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	metrics.WriteError(w, statusOf(err), codeOf(err), err)
 }
 
 // ---- Statements ----
@@ -374,22 +338,6 @@ func (s *Server) stmt(src string) (*panda.Stmt, error) {
 	}
 	s.stmts.put(src, st)
 	return st, nil
-}
-
-func parseMode(s string) (panda.PlanMode, bool, error) {
-	switch strings.ToLower(s) {
-	case "":
-		return panda.ModeAuto, false, nil
-	case "auto":
-		return panda.ModeAuto, true, nil
-	case "full":
-		return panda.ModeFull, true, nil
-	case "fhtw":
-		return panda.ModeFhtw, true, nil
-	case "subw":
-		return panda.ModeSubw, true, nil
-	}
-	return 0, false, fmt.Errorf("unknown mode %q (want auto, full, fhtw or subw)", s)
 }
 
 // ---- /v1/query ----
@@ -423,7 +371,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, errors.New("max_rows must be non-negative"))
 		return
 	}
-	mode, explicit, err := parseMode(req.Mode)
+	mode, explicit, err := plan.ParseMode(req.Mode)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -525,7 +473,7 @@ func (s *Server) writeResult(w http.ResponseWriter, st *panda.Stmt, res *panda.R
 	if res.Width != nil {
 		fmt.Fprintf(w, `,"width":%q`, res.Width.RatString())
 	}
-	// ResponseController reaches Flush through the statusWriter's Unwrap;
+	// ResponseController reaches Flush through the StatusWriter's Unwrap;
 	// a direct type assertion would miss it.
 	flush := http.NewResponseController(w)
 	if res.Rel != nil {
@@ -653,7 +601,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, errors.New("missing q parameter (the query text)"))
 		return
 	}
-	mode, explicit, err := parseMode(r.URL.Query().Get("mode"))
+	mode, explicit, err := plan.ParseMode(r.URL.Query().Get("mode"))
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -679,7 +627,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if info.Digest != "" {
 		resp["signature"] = info.Digest
 	}
-	writeJSON(w, http.StatusOK, resp)
+	metrics.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ---- /v1/shapes ----
@@ -710,10 +658,10 @@ func (s *Server) handleShapes(w http.ResponseWriter, r *http.Request) {
 			Total:    st.total(),
 			Rows:     st.rows,
 			Latency: latency{
-				Count:      st.exec.count,
-				SumSeconds: st.exec.sum,
-				P50Seconds: st.exec.quantile(0.50),
-				P99Seconds: st.exec.quantile(0.99),
+				Count:      st.exec.Count(),
+				SumSeconds: st.exec.Sum(),
+				P50Seconds: st.exec.Quantile(0.50),
+				P99Seconds: st.exec.Quantile(0.99),
 			},
 		}
 	}
@@ -723,13 +671,13 @@ func (s *Server) handleShapes(w http.ResponseWriter, r *http.Request) {
 	}
 	body := map[string]any{
 		"shapes":   out,
-		"capacity": s.metrics.shapeCapacity(),
+		"capacity": s.metrics.shapes.cap,
 		"evicted":  evicted,
 	}
 	if other != nil {
 		body["other"] = conv(other)
 	}
-	writeJSON(w, http.StatusOK, body)
+	metrics.WriteJSON(w, http.StatusOK, body)
 }
 
 // ---- /v1/plans (plan shipping) ----
@@ -789,10 +737,10 @@ func (s *Server) handleImportPlans(w http.ResponseWriter, r *http.Request) {
 				s.backgroundReplan(stats.SkippedKeys)
 			}
 		}
-		writeJSON(w, http.StatusUnprocessableEntity, body)
+		metrics.WriteJSON(w, http.StatusUnprocessableEntity, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	metrics.WriteJSON(w, http.StatusOK, body)
 }
 
 // backgroundReplan rebuilds the given signature keys asynchronously,
@@ -822,7 +770,7 @@ func (s *Server) backgroundReplan(keys []string) {
 // health signal. The body carries the catalog epoch so the router can tell
 // a live replica from a live replica whose catalog has diverged.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "catalog_epoch": s.catalogEpoch.Load()})
+	metrics.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "catalog_epoch": s.catalogEpoch.Load()})
 }
 
 // handleInfo reports process identity for the fleet tier: who this replica
@@ -831,12 +779,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // e2e asserts on.
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	st := s.db.PlannerStats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	metrics.WriteJSON(w, http.StatusOK, map[string]any{
 		"name":           s.name,
 		"format_version": panda.PlanFormatVersion,
 		"catalog_epoch":  s.catalogEpoch.Load(),
 		"plan_clock":     s.db.PlanClock(),
-		"plans_cached":   s.db.Planner().Len(),
+		"plans_cached":   s.db.PlanCacheLen(),
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"planner": map[string]any{
 			"hits":            st.Hits,
@@ -870,7 +818,7 @@ func (s *Server) handleListRelations(w http.ResponseWriter, r *http.Request) {
 	for i, in := range infos {
 		out[i] = rel{in.Name, in.Arity, in.Size}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"relations": out})
+	metrics.WriteJSON(w, http.StatusOK, map[string]any{"relations": out})
 }
 
 func (s *Server) handleCreateRelation(w http.ResponseWriter, r *http.Request) {
@@ -890,7 +838,7 @@ func (s *Server) handleCreateRelation(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"name": req.Name, "arity": req.Arity})
+	metrics.WriteJSON(w, http.StatusCreated, map[string]any{"name": req.Name, "arity": req.Arity})
 }
 
 func (s *Server) handleDropRelation(w http.ResponseWriter, r *http.Request) {
@@ -913,7 +861,7 @@ func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rows": len(req.Rows)})
+	metrics.WriteJSON(w, http.StatusOK, map[string]any{"rows": len(req.Rows)})
 }
 
 func (s *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
@@ -922,14 +870,7 @@ func (s *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rows": n})
-}
-
-// ---- /metrics ----
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s)
+	metrics.WriteJSON(w, http.StatusOK, map[string]any{"rows": n})
 }
 
 // decodeJSON reads one JSON value, rejecting trailing garbage and unknown

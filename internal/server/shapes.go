@@ -2,7 +2,8 @@ package server
 
 import (
 	"container/list"
-	"sort"
+
+	"panda/internal/metrics"
 )
 
 // Shape-level telemetry: every successful query is attributed to its plan
@@ -13,69 +14,6 @@ import (
 // "other" bucket, so an adversarial stream of novel shapes can never explode
 // the label space of the exposition.
 
-// bucketBounds are the fixed exponential upper bounds (seconds) shared by
-// every latency histogram in the exposition; the implicit +Inf bucket is
-// counts[len(bucketBounds)].
-var bucketBounds = [...]float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// histogram is a fixed-bucket latency histogram. It is not goroutine-safe;
-// the owning metrics struct serializes access.
-type histogram struct {
-	counts [len(bucketBounds) + 1]uint64 // per-bucket (non-cumulative); last is +Inf
-	count  uint64
-	sum    float64
-}
-
-func (h *histogram) observe(seconds float64) {
-	i := sort.SearchFloat64s(bucketBounds[:], seconds)
-	h.counts[i]++
-	h.count++
-	h.sum += seconds
-}
-
-// merge folds src into h (used when an evicted shape rolls into "other").
-func (h *histogram) merge(src *histogram) {
-	for i, c := range src.counts {
-		h.counts[i] += c
-	}
-	h.count += src.count
-	h.sum += src.sum
-}
-
-func (h *histogram) clone() *histogram {
-	c := *h
-	return &c
-}
-
-// quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// inside the bucket holding the target rank; the +Inf bucket reports the
-// largest finite bound. Zero observations report 0.
-func (h *histogram) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if float64(cum) >= rank && c > 0 {
-			if i >= len(bucketBounds) {
-				return bucketBounds[len(bucketBounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bucketBounds[i-1]
-			}
-			frac := (rank - float64(cum-c)) / float64(c)
-			return lo + frac*(bucketBounds[i]-lo)
-		}
-	}
-	return bucketBounds[len(bucketBounds)-1]
-}
-
 // otherShapeLabel is the digest label the evicted tail rolls up into.
 const otherShapeLabel = "other"
 
@@ -84,7 +22,7 @@ type shapeStat struct {
 	digest   string
 	requests map[string]uint64 // committed mode → count
 	rows     uint64
-	exec     histogram
+	exec     metrics.Histogram
 }
 
 func newShapeStat(digest string) *shapeStat {
@@ -111,7 +49,7 @@ func (s *shapeStat) clone() *shapeStat {
 
 // shapeTable is the bounded top-K shape table: an LRU keyed by signature
 // digest whose evictions fold into the "other" rollup instead of being
-// lost. Not goroutine-safe; the owning metrics struct serializes access.
+// lost. Not goroutine-safe; the owning telemetry struct serializes access.
 type shapeTable struct {
 	cap      int
 	ll       *list.List               // front = most recently observed
@@ -149,7 +87,7 @@ func (t *shapeTable) observe(digest, mode string, rows uint64, seconds float64) 
 				t.other.requests[m] += n
 			}
 			t.other.rows += ev.rows
-			t.other.exec.merge(&ev.exec)
+			t.other.exec.Merge(&ev.exec)
 			t.ll.Remove(lru)
 			delete(t.idx, ev.digest)
 			t.evicted++
@@ -163,7 +101,7 @@ func (t *shapeTable) observe(digest, mode string, rows uint64, seconds float64) 
 	s := el.Value.(*shapeStat)
 	s.requests[mode]++
 	s.rows += rows
-	s.exec.observe(seconds)
+	s.exec.Observe(seconds)
 }
 
 // snapshot deep-copies the table in most-recently-observed order plus the

@@ -77,8 +77,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer wch.Close()
-	s.metrics.watchOpened()
-	defer s.metrics.watchClosed()
+	s.metrics.watchSubs.Add(1)
+	defer s.metrics.watchSubs.Add(-1)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -106,7 +106,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			s.metrics.watchDelta(d.Resync)
+			s.metrics.watchDeltas.Add(1)
+			if d.Resync {
+				s.metrics.watchResyncs.Add(1)
+			}
 			writeWatchDelta(w, st, d)
 			flush.Flush()
 		}

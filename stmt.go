@@ -13,7 +13,7 @@ import (
 
 // Stmt is a prepared statement: a parsed query or rule whose catalog
 // bindings (relation names and arities) have been validated against the
-// session. Running it plans through the session's cached Planner — the
+// session. Running it plans through the session's plan cache — the
 // first Query pays the LP solves, every later one (from this Stmt or any
 // other statement with the same canonical signature) executes with zero
 // planning work.
@@ -80,7 +80,7 @@ func (db *DB) Prepare(src string, opts ...Option) (*Stmt, error) {
 
 // QueryContext binds the current catalog contents to the statement's
 // schema, verifies the declared constraints against the data, and runs the
-// query under ctx: cache-hit planning (via the session Planner) plus
+// query under ctx: cache-hit planning (via the session plan cache) plus
 // execution for conjunctive queries, PANDA for disjunctive rules. The
 // Result shape is the same in every case. A cancelled or expired context
 // aborts the run promptly with ctx.Err(); the engine checks cancellation
@@ -199,7 +199,7 @@ type PlanInfo struct {
 
 // ExplainContext runs only the planning phase of the statement against the
 // current catalog — cache-hit planning for conjunctive queries (sharing the
-// session Planner, so an Explain warms the cache for later queries), the
+// session plan cache, so an Explain warms it for later queries), the
 // polymatroid-bound LP for disjunctive rules — and reports the committed
 // mode and width certificate without executing anything. The instance
 // cardinalities the certificate depends on are snapshotted from the

@@ -44,7 +44,7 @@ func DaFhtw(q *Query, dcs []Constraint) (*big.Rat, error) {
 }
 
 // DaSubw computes the degree-aware submodular width of the query under the
-// given constraints (Definition 7.6), in log₂ units. PANDA's EvalSubw
+// given constraints (Definition 7.6), in log₂ units. PANDA's ModeSubw
 // runtime exponent is governed by this value (Theorem 1.9).
 func DaSubw(q *Query, dcs []Constraint) (*big.Rat, error) {
 	fdcs, err := toFlowDCs(&q.Schema, dcs)
