@@ -176,25 +176,23 @@ func cmdPlan(ctx context.Context, w io.Writer, res *query.ParseResult) error {
 		fmt.Fprintf(w, "# no cardinality declared for %s; assuming ≤ %d\n",
 			strings.Join(assumed, ", "), defaultCard)
 	}
-	if res.Conj == nil {
-		rp, err := panda.PrepareRule(res.Rule, dcs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "prepared disjunctive rule:")
-		printRulePlan(w, s, 0, rp)
-		return nil
-	}
 	// Plan through a fresh session so the cache ops counters below describe
 	// exactly this invocation's planning work; -timeout bounds the LP
 	// solves through the context.
 	db := panda.Open()
 	defer db.Close()
-	p, err := db.PlanContext(ctx, res.Conj, nil, dcs)
+	var p *panda.QueryPlan
+	var err error
+	if res.Conj == nil {
+		p, err = db.PlanRuleContext(ctx, res.Rule, nil, dcs)
+	} else {
+		p, err = db.PlanContext(ctx, res.Conj, nil, dcs)
+	}
 	if err != nil {
 		return err
 	}
 	widthName := map[panda.PlanMode]string{
+		panda.ModeRule: "polymatroid bound",
 		panda.ModeFull: "polymatroid bound",
 		panda.ModeFhtw: "da-fhtw",
 		panda.ModeSubw: "da-subw",

@@ -25,7 +25,9 @@ import (
 // unified path — db.Prepare(src) parses a query into a *Stmt, and
 // stmt.QueryContext(ctx) / db.QueryContext(ctx, src) run cache-hit planning
 // plus execution, returning a single *Result shape for full, Boolean and
-// projection conjunctive queries and disjunctive datalog rules alike. The
+// projection conjunctive queries and disjunctive datalog rules alike (a
+// rule is a plan like any other: prepare and eval below are the one
+// planning and the one execution path for both). The
 // context-free Query/Eval forms delegate with context.Background();
 // serving-grade callers should pass a context so queries honor
 // cancellation and deadlines, and may set WithParallelism to fan a plan's
@@ -34,9 +36,9 @@ import (
 // A DB is safe for concurrent use by multiple goroutines. The planning
 // phase (LP solves, proof sequences, decomposition choice) is cached in the
 // session's plan cache keyed by a renaming-invariant canonical signature, so
-// repeated traffic against an unchanged catalog — including queries that
-// merely rename variables — pays planning once and executes with zero LP
-// solves thereafter. (Mutating a relation a query reads changes its
+// repeated traffic against an unchanged catalog — including queries and
+// rules that merely rename variables — pays planning once and executes with
+// zero LP solves thereafter. (Mutating a relation a query reads changes its
 // derived cardinality constraint and therefore the plan key: the next run
 // replans against the new sizes, by design.)
 type DB struct {
@@ -724,7 +726,7 @@ func (db *DB) Query(src string, opts ...Option) (*Result, error) {
 // explicit instance under ctx, sharing the session's plan cache. Missing
 // atom cardinalities are derived from the instance; dcs may be nil.
 func (db *DB) EvalContext(ctx context.Context, q *Query, ins *Instance, dcs []Constraint, opts ...Option) (*Result, error) {
-	return db.evalConjunctive(ctx, q, ins, dcs, db.cfg(opts))
+	return db.eval(ctx, q, nil, ins, dcs, db.cfg(opts))
 }
 
 // Eval is EvalContext under context.Background().
@@ -733,14 +735,15 @@ func (db *DB) Eval(q *Query, ins *Instance, dcs []Constraint, opts ...Option) (*
 }
 
 // EvalRuleContext runs PANDA on a programmatically built disjunctive rule
-// against an explicit instance under ctx, returning the unified Result
-// shape (Mode == ModeRule; the model lives in Result.Tables). An explicit
-// WithMode in opts fails with ErrNotConjunctive.
+// against an explicit instance under ctx, through the same plan cache and
+// executor as EvalContext, returning the unified Result shape (Mode ==
+// ModeRule; the model lives in Result.Tables). An explicit WithMode in opts
+// fails with ErrNotConjunctive.
 func (db *DB) EvalRuleContext(ctx context.Context, p *Rule, ins *Instance, dcs []Constraint, opts ...Option) (*Result, error) {
 	if err := rejectExplicitMode(opts); err != nil {
 		return nil, err
 	}
-	return db.evalRule(ctx, p, ins, dcs, db.cfg(opts))
+	return db.eval(ctx, nil, p, ins, dcs, db.cfg(opts))
 }
 
 // EvalRule is EvalRuleContext under context.Background().
@@ -766,18 +769,31 @@ func (cfg config) executor() *core.Executor {
 // alone, which must then bound every atom (see DefaultCardinalities) or the
 // planning LP fails with ErrUnboundedLP.
 func (db *DB) PlanContext(ctx context.Context, q *Query, ins *Instance, dcs []Constraint, opts ...Option) (*QueryPlan, error) {
+	return db.prepare(ctx, q, nil, ins, dcs, db.cfg(opts))
+}
+
+// PlanRuleContext is PlanContext for a disjunctive rule: the ModeRule plan
+// (the rule's proof sequence as Rules[0], its polymatroid bound as Width)
+// from the session plan cache, without executing it.
+func (db *DB) PlanRuleContext(ctx context.Context, p *Rule, ins *Instance, dcs []Constraint) (*QueryPlan, error) {
+	return db.prepare(ctx, nil, p, ins, dcs, db.defaults)
+}
+
+// prepare is the one planning preamble of every execute (eval, Stmt.Watch)
+// and dry-run (PlanContext, Stmt.ExplainContext) path: cache-hit planning of
+// a conjunctive query q — or, when q is nil, of the disjunctive rule r —
+// against the instance's completed constraint set. One body keeps an explain
+// from ever diverging from the query it describes.
+func (db *DB) prepare(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs []Constraint, cfg config) (*plan.Plan, error) {
 	if db.isClosed() {
 		return nil, ErrClosed
 	}
-	return db.prepareConjunctive(ctx, q, ins, dcs, db.cfg(opts))
-}
-
-// prepareConjunctive is the shared planning preamble of the execute
-// (evalConjunctive) and dry-run (PlanContext, Stmt.ExplainContext) paths:
-// mode validation plus cache-hit planning against the instance's completed
-// constraint set. One body keeps an explain from ever diverging from the
-// query it describes.
-func (db *DB) prepareConjunctive(ctx context.Context, q *Query, ins *Instance, dcs []Constraint, cfg config) (*plan.Plan, error) {
+	if q == nil {
+		if ins != nil {
+			dcs = core.CompleteConstraints(&r.Schema, ins, dcs)
+		}
+		return db.planner.PrepareRuleContext(ctx, r, dcs)
+	}
 	if cfg.mode == ModeFull && !q.IsFull() {
 		return nil, fmt.Errorf("panda: ModeFull needs a full query (free %s)", q.VarLabel(q.Free))
 	}
@@ -797,15 +813,15 @@ func projectFree(out *Relation, free Set) *Relation {
 	return out
 }
 
-func (db *DB) evalConjunctive(ctx context.Context, q *Query, ins *Instance, dcs []Constraint, cfg config) (*Result, error) {
-	if db.isClosed() {
-		return nil, ErrClosed
-	}
+// eval plans (prepare) and executes a conjunctive query q — or, when q is
+// nil, the disjunctive rule r — and shapes the one Result: a rule's answer
+// is its model Tables, a query's its Rel over the free variables.
+func (db *DB) eval(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs []Constraint, cfg config) (*Result, error) {
 	var prepStart time.Time
 	if cfg.core.StageTimings {
 		prepStart = time.Now()
 	}
-	p, err := db.prepareConjunctive(ctx, q, ins, dcs, cfg)
+	p, err := db.prepare(ctx, q, r, ins, dcs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -825,15 +841,9 @@ func (db *DB) evalConjunctive(ctx context.Context, q *Query, ins *Instance, dcs 
 	if out != nil {
 		ok = out.Size() > 0
 	}
-	var cols []string
-	if out != nil {
-		for _, v := range p.Free.Vars() {
-			cols = append(cols, q.VarLabel(bitset.Of(v)))
-		}
-	}
 	return &Result{
 		Rel:       out,
-		Columns:   cols,
+		Columns:   columnsOf(p, out),
 		OK:        ok,
 		Width:     ex.Width,
 		Mode:      ex.Mode,
@@ -845,28 +855,15 @@ func (db *DB) evalConjunctive(ctx context.Context, q *Query, ins *Instance, dcs 
 	}, nil
 }
 
-func (db *DB) evalRule(ctx context.Context, p *Rule, ins *Instance, dcs []Constraint, cfg config) (*Result, error) {
-	if db.isClosed() {
-		return nil, ErrClosed
+// columnsOf names the output relation's columns — the plan's free variables
+// in ascending order — or nil when there is no output relation.
+func columnsOf(p *plan.Plan, out *Relation) []string {
+	if out == nil {
+		return nil
 	}
-	res, err := cfg.executor().EvalDisjunctive(ctx, p, ins, dcs)
-	if err != nil {
-		return nil, err
+	var cols []string
+	for _, v := range p.Free.Vars() {
+		cols = append(cols, p.Schema.VarLabel(bitset.Of(v)))
 	}
-	ok := false
-	for _, t := range res.Tables {
-		if t.Size() > 0 {
-			ok = true
-			break
-		}
-	}
-	return &Result{
-		OK:      ok,
-		Width:   res.Bound,
-		Mode:    ModeRule,
-		Tables:  res.Tables,
-		Bound:   res.Bound,
-		Stats:   res.Stats,
-		Timings: res.Timings,
-	}, nil
+	return cols
 }

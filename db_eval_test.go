@@ -221,7 +221,7 @@ func TestDBEvalRule(t *testing.T) {
 				}
 				verify := func(path string, res *Result) {
 					t.Helper()
-					if res.Mode != ModeRule || res.Rel != nil || res.Signature != "" {
+					if res.Mode != ModeRule || res.Rel != nil || res.Signature == "" {
 						t.Fatalf("%s: mode %v rel %v signature %q", path, res.Mode, res.Rel, res.Signature)
 					}
 					if res.Bound.Cmp(wantBound) != 0 || res.Width.Cmp(wantBound) != 0 || wantBound.Sign() <= 0 {
@@ -287,15 +287,17 @@ func TestAblationBudgetMatters(t *testing.T) {
 	}
 }
 
-// TestPrepareRule: rule planning is exposed and yields a proof sequence
-// consistent with RuleBound.
-func TestPrepareRule(t *testing.T) {
+// TestPlanRule: the rule dry run yields a ModeRule plan whose one rule has
+// a proof sequence and a bound consistent with RuleBound.
+func TestPlanRule(t *testing.T) {
 	p := PathRule()
 	var dcs []Constraint
 	for i, a := range p.Atoms {
 		dcs = append(dcs, Cardinality(a.Vars, 16, i))
 	}
-	rp, err := PrepareRule(p, dcs)
+	db := Open()
+	defer db.Close()
+	pl, err := db.PlanRuleContext(context.Background(), p, nil, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +305,11 @@ func TestPrepareRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Bound.Cmp(want) != 0 {
-		t.Fatalf("prepared rule bound %v ≠ RuleBound %v", rp.Bound, want)
+	if pl.Mode != ModeRule || len(pl.Rules) != 1 || pl.Key == "" {
+		t.Fatalf("mode %v, %d rules, key %q", pl.Mode, len(pl.Rules), pl.Key)
 	}
-	if len(rp.Seq) == 0 {
-		t.Fatal("prepared rule has no proof sequence")
+	if rp := pl.Rules[0]; rp.Bound.Cmp(want) != 0 || pl.Width.Cmp(want) != 0 || len(rp.Seq) == 0 {
+		t.Fatalf("bound %v width %v (RuleBound %v), %d proof steps", rp.Bound, pl.Width, want, len(rp.Seq))
 	}
 }
 

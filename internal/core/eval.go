@@ -70,11 +70,13 @@ func dedupeSets(in []bitset.Set) []bitset.Set {
 type ExecResult struct {
 	// Out is the output relation; nil for Boolean queries.
 	Out *relation.Relation
-	// NonEmpty answers non-emptiness in every mode.
+	// NonEmpty answers non-emptiness in every mode (for ModeRule: some
+	// target table is non-empty).
 	NonEmpty bool
-	// Tables are the raw model tables of the PANDA rule (ModeFull only).
+	// Tables are the model tables of the PANDA rule: the answer of a
+	// ModeRule plan, the raw pre-semijoin table of ModeFull, nil otherwise.
 	Tables map[bitset.Set]*relation.Relation
-	// Bound is the rule's polymatroid bound (ModeFull only).
+	// Bound is the rule's polymatroid bound (ModeRule and ModeFull only).
 	Bound *big.Rat
 	// Width is the executed plan's width certificate in log₂ units.
 	Width *big.Rat

@@ -16,8 +16,9 @@ import (
 	"panda/internal/yannakakis"
 )
 
-// Executor runs the data-dependent phase of prepared plans. It is the
-// context-first execution surface of the engine: an Executor is configured
+// Executor runs the data-dependent phase of prepared plans — conjunctive
+// plans and a disjunctive rule's ModeRule plan through the one Execute. It is
+// the context-first execution surface of the engine: an Executor is configured
 // once (parallelism, data partitioning, plus the engine tunables in
 // Options) and reused across runs, and every run takes a context.Context
 // that is checked between proof steps, between rule executions, and between
@@ -175,68 +176,11 @@ func mergeRuleResults(pr *plan.PreparedRule, ress []*Result) *Result {
 	return out
 }
 
-// EvalDisjunctive runs PANDA (Algorithm 1) on a disjunctive datalog rule:
-// it solves the polymatroid bound LP (Lemma 5.2), extracts a witness
-// (Proposition 5.4), constructs a proof sequence (Theorem 5.9), and
-// interprets it over the instance, honoring ctx throughout. With Partitions
-// > 1 the rule executes once per co-partitioned sub-instance and the model
-// tables are merged in partition order.
-//
-// This is the one-shot prepare+execute path; callers with repeated traffic
-// should use plan.PrepareRule once and ExecuteRule per instance.
-func (ex *Executor) EvalDisjunctive(ctx context.Context, p *query.Disjunctive, ins *query.Instance, dcs []query.DegreeConstraint) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(p.Targets) == 0 {
-		return nil, fmt.Errorf("core: rule has no targets")
-	}
-	if len(ins.Relations) != len(p.Atoms) {
-		return nil, fmt.Errorf("core: instance has %d relations for %d atoms", len(ins.Relations), len(p.Atoms))
-	}
-	// A target ∅ admits the trivial minimal model {()} (Section 1.3).
-	for _, b := range p.Targets {
-		if b == 0 {
-			return trivialResult(), nil
-		}
-	}
-	dcs = CompleteConstraints(&p.Schema, ins, dcs)
-	for _, c := range dcs {
-		if c.Guard < 0 || c.Guard >= len(ins.Relations) {
-			return nil, fmt.Errorf("core: constraint on %v lacks a guard atom", c.Y)
-		}
-		if !c.Y.SubsetOf(p.Atoms[c.Guard].Vars) {
-			return nil, fmt.Errorf("core: atom %s cannot guard constraint on %v",
-				p.Atoms[c.Guard].Name, c.Y)
-		}
-	}
-	var prepStart time.Time
-	if ex.Opt.StageTimings {
-		prepStart = time.Now()
-	}
-	pr, _, err := plan.PrepareRuleContext(ctx, &p.Schema, dcs, p.Targets)
-	if err != nil {
-		return nil, err
-	}
-	var prepWait time.Duration
-	if ex.Opt.StageTimings {
-		prepWait = time.Since(prepStart)
-	}
-	var res *Result
-	if subs := ex.subInstances(&p.Schema, ins); subs != nil {
-		res, err = ex.executePartitionedRule(ctx, &p.Schema, pr, dcs, subs)
-	} else {
-		res, err = ex.ExecuteRule(ctx, &p.Schema, pr, dcs, ins)
-	}
-	if err == nil && res.Timings != nil {
-		res.Timings.PrepareWait = prepWait
-	}
-	return res, err
-}
-
 // Execute runs the data-dependent phase of a prepared plan over an
-// instance. The plan is treated as immutable: concurrent Execute calls on a
-// shared plan are safe.
+// instance — every mode, a disjunctive rule's ModeRule plan included: PANDA
+// (Algorithm 1) interprets the plan's proof sequence(s), honoring ctx
+// throughout. The plan is treated as immutable: concurrent Execute calls on
+// a shared plan are safe.
 func (ex *Executor) Execute(ctx context.Context, p *plan.Plan, ins *query.Instance) (*ExecResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -338,6 +282,25 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	width, _ := p.Width.Float64()
 
 	switch p.Mode {
+	case plan.ModeRule:
+		// The rule is the whole plan: its model tables are the answer, merged
+		// in partition order when the data is split.
+		var res *Result
+		var err error
+		if subs != nil {
+			res, err = ex.executePartitionedRule(ctx, &p.Schema, p.Rules[0], p.Cons, subs)
+		} else {
+			res, err = ex.ExecuteRule(ctx, &p.Schema, p.Rules[0], p.Cons, ins)
+		}
+		if err != nil {
+			return nil, err
+		}
+		nonEmpty := false
+		for _, t := range res.Tables {
+			nonEmpty = nonEmpty || t.Size() > 0
+		}
+		return &ExecResult{NonEmpty: nonEmpty, Tables: res.Tables, Bound: res.Bound, Stats: res.Stats, Timings: res.Timings}, nil
+
 	case plan.ModeFull:
 		full := bitset.Full(p.Schema.NumVars)
 		ress := make([]*Result, nParts)

@@ -13,9 +13,15 @@ import (
 	"panda/internal/relation"
 )
 
-// evalRule runs PANDA on a disjunctive rule with a sequential Executor.
+// evalRule plans a disjunctive rule (uncached, against the constraint set
+// completed from ins) and runs PANDA on it with a sequential Executor.
 func evalRule(p *query.Disjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options) (*Result, error) {
-	return (&Executor{Opt: opt}).EvalDisjunctive(context.Background(), p, ins, dcs)
+	cons := CompleteConstraints(&p.Schema, ins, dcs)
+	pr, _, err := plan.PrepareRule(&p.Schema, cons, p.Targets)
+	if err != nil {
+		return nil, err
+	}
+	return (&Executor{Opt: opt}).ExecuteRule(context.Background(), &p.Schema, pr, cons, ins)
 }
 
 // evalMode plans q in the given mode (uncached, against the constraint set

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"panda/internal/bitset"
 	"panda/internal/query"
 )
 
@@ -31,8 +32,9 @@ const DefaultCacheSize = 128
 // take the fast path.
 const maxExactsPerPlan = 16
 
-// Planner prepares query plans through a concurrency-safe bounded cache
-// keyed by the canonical signature of (query shape, free variables,
+// Planner prepares plans — for conjunctive queries and for disjunctive
+// rules alike — through a concurrency-safe bounded cache keyed by the
+// canonical signature of (query shape, free variables or rule targets,
 // constraint set, mode). A hit performs no LP solves and no proof
 // construction — the cached canonical plan is rebound to the caller's
 // variable space, which is pure bookkeeping. Repeat traffic with
@@ -179,6 +181,20 @@ func (pl *Planner) Prepare(q *query.Conjunctive, cons []query.DegreeConstraint, 
 // but a miss threads the context into the underlying planning phase so its
 // LP solves can be abandoned when the caller goes away.
 func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
+	return pl.prepare(ctx, &q.Schema, []bitset.Set{q.Free}, cons, ResolveMode(q, mode))
+}
+
+// PrepareRuleContext is PrepareContext for a disjunctive rule: the same
+// cache, single-flight and rebind, under ModeRule. The constraint set must
+// be complete (see PrepareRule). The returned plan carries the rule as
+// Rules[0] and its polymatroid bound as Width.
+func (pl *Planner) PrepareRuleContext(ctx context.Context, r *query.Disjunctive, cons []query.DegreeConstraint) (*Plan, error) {
+	return pl.prepare(ctx, &r.Schema, r.Targets, cons, ModeRule)
+}
+
+// prepare is the one planning body. heads is the free set of a conjunctive
+// query or the targets of a rule (mode == ModeRule); mode is resolved.
+func (pl *Planner) prepare(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -187,22 +203,21 @@ func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, con
 	}
 	// Validate before encoding so cache keys only ever describe
 	// well-formed inputs.
-	if err := validateQuery(q, cons); err != nil {
+	if err := validate(s, heads, cons); err != nil {
 		return nil, err
 	}
-	mode = ResolveMode(q, mode)
-	fp := Fingerprint(q, cons, mode)
+	fp := fingerprint(s, heads, cons, mode)
 	pl.mu.Lock()
 	if ref, ok := pl.exact[fp]; ok {
 		cached := pl.hit(ref.el)
 		pl.mu.Unlock()
-		return cached.fromCanonical(ref.sig, &q.Schema, q.Free), nil
+		return cached.fromCanonical(ref.sig, s), nil
 	}
 	pl.mu.Unlock()
 
 	// First sighting of this query text: canonicalize (outside the lock —
 	// the permutation search can be expensive) and look up by signature.
-	sig, err := Canonicalize(q, cons, mode)
+	sig, err := canonicalize(s, heads, cons, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +227,7 @@ func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, con
 			pl.registerExact(el, fp, sig)
 			cached := pl.hit(el)
 			pl.mu.Unlock()
-			return cached.fromCanonical(sig, &q.Schema, q.Free), nil
+			return cached.fromCanonical(sig, s), nil
 		}
 		b, inflight := pl.building[sig.Key]
 		if !inflight {
@@ -221,7 +236,7 @@ func (pl *Planner) PrepareContext(ctx context.Context, q *query.Conjunctive, con
 			b = &build{done: make(chan struct{})}
 			pl.building[sig.Key] = b
 			pl.mu.Unlock()
-			return pl.lead(ctx, b, sig, fp, q, cons, mode)
+			return pl.lead(ctx, b, sig, fp, s, heads, cons, mode)
 		}
 		b.waiters++
 		pl.mu.Unlock()
@@ -252,7 +267,7 @@ func (pl *Planner) hit(el *list.Element) *Plan {
 // lead runs the planning phase as the elected leader of b and installs the
 // plan. However it ends — installed, failed, cancelled, or a panic unwinding
 // through it — the claim is released and the waiters are woken.
-func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, fp string, q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
+func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, fp string, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
 	defer func() {
 		pl.mu.Lock()
 		delete(pl.building, sig.Key)
@@ -262,7 +277,7 @@ func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, fp string
 	if pl.buildStarted != nil {
 		pl.buildStarted(sig.Key)
 	}
-	p, bs, err := PrepareContext(ctx, q, cons, mode)
+	p, bs, err := buildPlan(ctx, s, heads, cons, mode)
 	if err != nil {
 		if ctx.Err() == nil {
 			b.err = err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -117,6 +118,66 @@ func TestPlannerRenamedHit(t *testing.T) {
 		if a.Name != q2.Atoms[i].Name || a.Vars != q2.Atoms[i].Vars {
 			t.Fatalf("rebound schema atom %d is %+v, want %+v", i, a, q2.Atoms[i])
 		}
+	}
+}
+
+// TestPlannerRuleHit: a disjunctive rule goes through the same cache as a
+// conjunctive query. The first sighting pays its one LP solve; the same
+// rule, and a renamed/reordered spelling of it, are hits rebound into the
+// caller's space; a fresh planner rebuilds the plan from its key alone.
+func TestPlannerRuleHit(t *testing.T) {
+	ctx := context.Background()
+	pl := NewPlanner(8)
+	r, cons := pathRule(nil, nil, false, 100)
+	first, err := pl.PrepareRuleContext(ctx, r, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, bs, err := PrepareRule(&r.Schema, cons, r.Targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pl.Stats(); st.Misses != 1 || st.PlansBuilt != 1 || st.LPSolves != uint64(bs.LPSolves) || bs.LPSolves != 1 {
+		t.Fatalf("first sighting: %v (direct build: %d LP solves)", st, bs.LPSolves)
+	}
+	if first.Mode != ModeRule || len(first.Rules) != 1 || first.Key == "" || first.Width.Cmp(direct.Bound) != 0 {
+		t.Fatalf("rule plan: mode %v, %d rules, key %q, width %v (direct bound %v)", first.Mode, len(first.Rules), first.Key, first.Width, direct.Bound)
+	}
+	if _, err := pl.PrepareRuleContext(ctx, r, cons); err != nil {
+		t.Fatal(err)
+	}
+	rr, rcons := pathRule([]int{2, 0, 3, 1}, []int{2, 0, 1}, true, 100)
+	renamed, err := pl.PrepareRuleContext(ctx, rr, rcons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pl.Stats(); st.Hits != 2 || st.PlansBuilt != 1 || st.LPSolves != 1 || st.LPSolvesSaved != 2 {
+		t.Fatalf("repeat and renamed rule were not free hits: %v", st)
+	}
+	// The hit is in the renamed caller's space: its targets (as a set — the
+	// cached plan keeps the first spelling's order), its atoms, its guards.
+	got := slices.Clone(renamed.Rules[0].Targets)
+	want := slices.Clone(rr.Targets)
+	slices.Sort(got)
+	slices.Sort(want)
+	if renamed.Key != first.Key || !slices.Equal(got, want) {
+		t.Fatalf("renamed hit has targets %v, want %v (key match %t)", got, want, renamed.Key == first.Key)
+	}
+	for i, c := range renamed.Cons {
+		if !c.Y.SubsetOf(renamed.Schema.Atoms[c.Guard].Vars) || renamed.Schema.Atoms[c.Guard].Name != rr.Atoms[c.Guard].Name {
+			t.Fatalf("rebound constraint %d is not guarded by the caller's atom: %+v", i, c)
+		}
+	}
+
+	fresh := NewPlanner(8)
+	if solves, err := fresh.ReplanKey(ctx, first.Key); err != nil || solves != 1 {
+		t.Fatalf("ReplanKey of a rule key: %d LP solves, %v", solves, err)
+	}
+	if _, err := fresh.PrepareRuleContext(ctx, rr, rcons); err != nil {
+		t.Fatal(err)
+	}
+	if st := fresh.Stats(); st.Hits != 1 || st.LPSolves != 1 {
+		t.Fatalf("renamed rule after a replan from its key was not a free hit: %v", st)
 	}
 }
 
@@ -344,32 +405,57 @@ func (h *herd) awaitWaiters(t *testing.T, key string, n int) {
 
 // prepareAsync runs one Prepare on its own goroutine and delivers its error.
 func (h *herd) prepareAsync(ctx context.Context, q *query.Conjunctive, cons []query.DegreeConstraint) <-chan error {
-	done := make(chan error, 1)
-	go func() {
+	return h.async(func() error {
 		_, err := h.pl.PrepareContext(ctx, q, cons, ModeFhtw)
-		done <- err
-	}()
+		return err
+	})
+}
+
+// async runs one planner call on its own goroutine and delivers its error.
+func (h *herd) async(call func() error) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- call() }()
 	return done
 }
 
-// TestPlannerSingleFlight forces a herd of first sightings of one shape:
-// the leader's build is held open until every follower is parked behind it,
-// then released. One build, one miss, N−1 hits — and a follower cancelled
-// mid-wait gets its own ctx.Err() without disturbing anyone else.
+// TestPlannerSingleFlight forces a herd of first sightings of one shape —
+// a conjunctive query, and a disjunctive rule: the leader's build is held
+// open until every follower is parked behind it, then released. One build,
+// one miss, N−1 hits — and a follower cancelled mid-wait gets its own
+// ctx.Err() without disturbing anyone else.
 func TestPlannerSingleFlight(t *testing.T) {
+	// perm(i) is the i-th renaming the followers arrive under: the flight
+	// is per signature, not per text.
+	perm := func(i int) []int { return []int{i % 4, (i + 1) % 4, (i + 2) % 4, (i + 3) % 4} }
+	t.Run("query", func(t *testing.T) {
+		testSingleFlight(t, func(pl *Planner, ctx context.Context, i int) error {
+			q, cons := cycleQuery(4, perm(i), nil, 100)
+			_, err := pl.PrepareContext(ctx, q, cons, ModeFhtw)
+			return err
+		})
+	})
+	t.Run("rule", func(t *testing.T) {
+		testSingleFlight(t, func(pl *Planner, ctx context.Context, i int) error {
+			r, cons := pathRule(perm(i), nil, i%2 == 1, 100)
+			_, err := pl.PrepareRuleContext(ctx, r, cons)
+			return err
+		})
+	})
+}
+
+// testSingleFlight drives the herd with prepare(pl, ctx, i), the i-th
+// spelling of one shape.
+func testSingleFlight(t *testing.T, prepare func(pl *Planner, ctx context.Context, i int) error) {
 	const followers = 7
 	h := newHerd()
-	q, cons := cycleQuery(4, nil, nil, 100)
-	leader := h.prepareAsync(context.Background(), q, cons)
+	leader := h.async(func() error { return prepare(h.pl, context.Background(), 0) })
 	key := <-h.started
 
 	ctx, cancel := context.WithCancel(context.Background())
-	quitter := h.prepareAsync(ctx, q, cons)
+	quitter := h.async(func() error { return prepare(h.pl, ctx, 0) })
 	var rest []<-chan error
 	for i := 0; i < followers; i++ {
-		// Followers arrive under renamings too: the flight is per signature.
-		fq, fcons := cycleQuery(4, []int{i % 4, (i + 1) % 4, (i + 2) % 4, (i + 3) % 4}, nil, 100)
-		rest = append(rest, h.prepareAsync(context.Background(), fq, fcons))
+		rest = append(rest, h.async(func() error { return prepare(h.pl, context.Background(), i) }))
 	}
 	h.awaitWaiters(t, key, followers+1)
 	cancel()

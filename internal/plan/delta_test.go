@@ -174,6 +174,12 @@ func TestParseSignatureKeyRoundTrip(t *testing.T) {
 	q3, c3 := cycleQuery(3, nil, nil, 7)
 	qb, cb := cycleQuery(4, nil, nil, 100)
 	qb.Free = 0 // Boolean 4-cycle: stays ModeAuto under resolution
+	rule, rcons := pathRule(nil, nil, false, 100)
+	ruleSig, err := CanonicalizeRule(rule, rcons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ruleKey := ruleSig.Key
 	cases := []struct {
 		name string
 		key  string
@@ -182,14 +188,18 @@ func TestParseSignatureKeyRoundTrip(t *testing.T) {
 		{"subw-4-cycle", mustSig(t, q4, c4, ModeSubw).Key},
 		{"full-triangle", mustSig(t, q3, c3, ModeFull).Key},
 		{"auto-boolean-4-cycle", mustSig(t, qb, cb, ModeAuto).Key},
+		{"path-rule", ruleKey},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			q, cons, mode, err := ParseSignatureKey(tc.key)
+			s, heads, cons, mode, err := ParseSignatureKey(tc.key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again := mustSig(t, q, cons, mode)
+			again, err := canonicalize(s, heads, cons, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if again.Key != tc.key {
 				t.Fatalf("round trip diverged:\n in  %q\n out %q", tc.key, again.Key)
 			}
@@ -205,15 +215,18 @@ func TestParseSignatureKeyRejectsGarbage(t *testing.T) {
 	bad := []string{
 		"",
 		"not a key",
-		"m9;n4;F0000000f;A:00000003;C",  // mode out of range
-		"m2;n40;F0000000f;A:00000003;C", // variable count out of range
-		"m2;n2;F0000000f;A:00000003;C",  // free set outside universe
+		"m9;n4;F0000000f;A:00000003;C",          // mode out of range
+		"m-2;n4;F0000000f;A:00000003;C",         // mode out of range
+		"m2;n4;F00000003,0000000c;A:00000003;C", // two heads on a conjunctive key
+		"m-1;n4;F;A:00000003;C",                 // a rule with no targets
+		"m2;n40;F0000000f;A:00000003;C",         // variable count out of range
+		"m2;n2;F0000000f;A:00000003;C",          // free set outside universe
 		"m2;n4;F0000000f;A:00000003;C:00000001/00000003/5/g7",  // guard out of range
 		"m2;n4;F0000000f;A:00000003;C:00000001/00000003/-1/g0", // negative log bound
 		strings.Replace(good, ";C", "", 1),                     // missing section
 	}
 	for _, key := range bad {
-		if _, _, _, err := ParseSignatureKey(key); err == nil {
+		if _, _, _, _, err := ParseSignatureKey(key); err == nil {
 			t.Errorf("ParseSignatureKey(%q) accepted garbage", key)
 		}
 	}

@@ -344,12 +344,11 @@ func planIn(wp *wirePlan) (*Plan, error) {
 // describing an inconsistent plan (it is a checksum, not a proof).
 func validateDecoded(p *Plan) error {
 	switch p.Mode {
-	case ModeFull, ModeFhtw, ModeSubw:
+	case ModeRule, ModeFull, ModeFhtw, ModeSubw:
 	default:
 		return fmt.Errorf("plan: decode: mode %d is not a committed plan mode", int(p.Mode))
 	}
-	q := &query.Conjunctive{Schema: p.Schema, Free: p.Free}
-	if err := validateQuery(q, p.Cons); err != nil {
+	if err := validate(&p.Schema, []bitset.Set{p.Free}, p.Cons); err != nil {
 		return fmt.Errorf("plan: decode: %w", err)
 	}
 	full := bitset.Full(p.Schema.NumVars)
@@ -385,9 +384,9 @@ func validateDecoded(p *Plan) error {
 		}
 	}
 	switch p.Mode {
-	case ModeFull:
+	case ModeFull, ModeRule:
 		if len(p.Rules) != 1 {
-			return fmt.Errorf("plan: decode: ModeFull plan carries %d rules, want 1", len(p.Rules))
+			return fmt.Errorf("plan: decode: %v plan carries %d rules, want 1", p.Mode, len(p.Rules))
 		}
 	case ModeFhtw:
 		if p.Chosen < 0 {
@@ -509,9 +508,9 @@ func DecodePlan(r io.Reader) (*Plan, error) {
 	return planIn(&wp)
 }
 
-// EncodeRule writes one prepared disjunctive rule to w; the wire format and
-// integrity guarantees match EncodePlan's (rules are the "plan" of the
-// disjunctive-datalog path, which has no surrounding Plan value).
+// EncodeRule writes one prepared rule to w on its own, without a
+// surrounding Plan; the wire format and integrity guarantees match
+// EncodePlan's.
 func EncodeRule(w io.Writer, pr *PreparedRule) error {
 	wr, err := ruleOut(pr)
 	if err != nil {

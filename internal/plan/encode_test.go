@@ -2,8 +2,11 @@ package plan
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,15 +25,32 @@ func encodePlan(t *testing.T, p *Plan) []byte {
 	return buf.Bytes()
 }
 
-// TestEncodeDeterministic: encoding the same plan twice must produce
-// identical bytes (the digest and the snapshot diffing rely on it).
-func TestEncodeDeterministic(t *testing.T) {
+// codecPlans prepares one plan per committed mode: the 4-cycle under
+// ModeFull/ModeFhtw/ModeSubw and Example 1.4's rule under ModeRule.
+func codecPlans(t *testing.T) map[Mode]*Plan {
+	t.Helper()
+	out := map[Mode]*Plan{}
 	q, cons := cycleQuery(4, nil, nil, 100)
 	for _, mode := range []Mode{ModeFull, ModeFhtw, ModeSubw} {
 		p, _, err := Prepare(q, cons, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
+		out[mode] = p
+	}
+	r, rcons := pathRule(nil, nil, false, 100)
+	p, err := NewPlanner(1).PrepareRuleContext(context.Background(), r, rcons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out[ModeRule] = p
+	return out
+}
+
+// TestEncodeDeterministic: encoding the same plan twice must produce
+// identical bytes (the digest and the snapshot diffing rely on it).
+func TestEncodeDeterministic(t *testing.T) {
+	for mode, p := range codecPlans(t) {
 		a, b := encodePlan(t, p), encodePlan(t, p)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%v: two encodings of the same plan differ", mode)
@@ -41,12 +61,7 @@ func TestEncodeDeterministic(t *testing.T) {
 // TestEncodeDecodePlanFields: the decoded plan must carry every field of
 // the original, exactly.
 func TestEncodeDecodePlanFields(t *testing.T) {
-	q, cons := cycleQuery(4, nil, nil, 100)
-	for _, mode := range []Mode{ModeFull, ModeFhtw, ModeSubw} {
-		p, _, err := Prepare(q, cons, mode)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
+	for mode, p := range codecPlans(t) {
 		got, err := DecodePlan(bytes.NewReader(encodePlan(t, p)))
 		if err != nil {
 			t.Fatalf("%v: decode: %v", mode, err)
@@ -62,7 +77,7 @@ func TestEncodeDecodePlanFields(t *testing.T) {
 		}
 		for i, r := range p.Rules {
 			g := got.Rules[i]
-			if g.Bound.Cmp(r.Bound) != 0 || len(g.Seq) != len(r.Seq) ||
+			if !slices.Equal(g.Targets, r.Targets) || g.Bound.Cmp(r.Bound) != 0 || len(g.Seq) != len(r.Seq) ||
 				len(g.Lambda) != len(r.Lambda) || len(g.Delta) != len(r.Delta) {
 				t.Fatalf("%v: rule %d differs after round trip", mode, i)
 			}
@@ -254,6 +269,42 @@ func TestSaveLoadCacheWarmHit(t *testing.T) {
 	if st.LPSolvesSaved != 2*built.LPSolves {
 		t.Fatalf("lp-saved = %d, want %d (2 hits × recorded cost %d)",
 			st.LPSolvesSaved, 2*built.LPSolves, built.LPSolves)
+	}
+}
+
+// TestLoadParentCommitSnapshot: testdata/pr12-plans.json was written by the
+// commit before ModeRule became a plan mode (4-cycle fhtw, triangle full,
+// Boolean 4-cycle auto). Conjunctive keys and payloads are unchanged, so it
+// loads with zero skips and the same queries hit it without planning.
+func TestLoadParentCommitSnapshot(t *testing.T) {
+	f, err := os.Open("testdata/pr12-plans.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pl := NewPlanner(8)
+	stats, err := pl.LoadCache(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Loaded != 3 || stats.Skipped != 0 || stats.Duplicates != 0 {
+		t.Fatalf("load stats %v, want loaded=3 skipped=0", stats)
+	}
+	q4, c4 := cycleQuery(4, nil, nil, 100)
+	q3, c3 := cycleQuery(3, nil, nil, 7)
+	qb, cb := cycleQuery(4, nil, nil, 100)
+	qb.Free = 0
+	for _, tc := range []struct {
+		q    *query.Conjunctive
+		cons []query.DegreeConstraint
+		mode Mode
+	}{{q4, c4, ModeFhtw}, {q3, c3, ModeFull}, {qb, cb, ModeAuto}} {
+		if _, err := pl.Prepare(tc.q, tc.cons, tc.mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := pl.Stats(); st.Hits != 3 || st.Misses != 0 || st.LPSolves != 0 {
+		t.Fatalf("queries planned at the parent commit did not hit its snapshot: %v", st)
 	}
 }
 

@@ -7,11 +7,12 @@
 // captures everything the planning phase produces: the chosen tree
 // decomposition(s), per-bag fractional edge covers, the PANDA proof sequence
 // of every disjunctive rule, and a width certificate (the da-fhtw or da-subw
-// value as an exact rational). core.Executor.Execute runs the data-dependent
-// phase against a Plan; a Planner caches Plans in a concurrency-safe LRU
-// keyed by a canonical signature of (query shape, free variables, constraint
-// set), so repeated traffic pays the (often exponential-in-query-size)
-// planning cost once.
+// value as an exact rational). A disjunctive datalog rule — the object PANDA
+// is defined on — is the one-rule plan of ModeRule. core.Executor.Execute
+// runs the data-dependent phase against a Plan; a Planner caches Plans in a
+// concurrency-safe LRU keyed by a canonical signature of (query shape, free
+// variables or rule targets, constraint set), so repeated traffic pays the
+// (often exponential-in-query-size) planning cost once.
 //
 // This package is deliberately data-independent: it never touches
 // internal/relation, so internal/core can layer execution on top of it
@@ -53,8 +54,10 @@ const (
 	ModeSubw
 )
 
-// ModeRule marks results produced by a disjunctive datalog rule rather
-// than a conjunctive plan; it is never a valid planning mode.
+// ModeRule is the plan of a disjunctive datalog rule: one PreparedRule over
+// the rule's targets, Width = its polymatroid bound. It is not selectable
+// for a conjunctive query (ParseMode never yields it); rules enter through
+// Planner.PrepareRuleContext.
 const ModeRule Mode = -1
 
 func (m Mode) String() string {
@@ -127,7 +130,8 @@ type Plan struct {
 	// on plans that went through a Planner (direct Prepare skips
 	// canonicalization — the one-shot eval paths never need it).
 	Key string
-	// Schema and Free identify the query in the caller's variable space.
+	// Schema and Free identify the query in the caller's variable space
+	// (Free is ∅ for a ModeRule plan: its heads are Rules[0].Targets).
 	Schema query.Schema
 	Free   bitset.Set
 	// Cons is the complete, validated constraint set (every atom carries a
@@ -147,12 +151,13 @@ type Plan struct {
 	Transversals [][]int
 
 	// Rules holds one prepared rule per execution unit: the single full
-	// rule (ModeFull), one per chosen-decomposition bag (ModeFhtw), or one
-	// per transversal (ModeSubw).
+	// rule (ModeFull), the disjunctive rule itself (ModeRule), one per
+	// chosen-decomposition bag (ModeFhtw), or one per transversal (ModeSubw).
 	Rules []*PreparedRule
 	// Width is the plan's width certificate in log₂ units: the polymatroid
-	// bound (ModeFull), the worst-bag bound of the chosen decomposition
-	// (da-fhtw, ModeFhtw), or the worst rule bound (da-subw, ModeSubw).
+	// bound (ModeFull, ModeRule), the worst-bag bound of the chosen
+	// decomposition (da-fhtw, ModeFhtw), or the worst rule bound (da-subw,
+	// ModeSubw).
 	Width *big.Rat
 }
 
@@ -190,15 +195,22 @@ func validateSchema(s *query.Schema) error {
 	return nil
 }
 
-// validateQuery checks the schema, free set and constraint guards.
-func validateQuery(q *query.Conjunctive, cons []query.DegreeConstraint) error {
-	if err := validateSchema(&q.Schema); err != nil {
+// validate checks the schema, the head sets (a query's free set, a rule's
+// targets) and the constraint guards.
+func validate(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint) error {
+	if err := validateSchema(s); err != nil {
 		return err
 	}
-	if !q.Free.SubsetOf(bitset.Full(q.NumVars)) {
-		return fmt.Errorf("plan: free set %v outside the universe [%d]", q.Free, q.NumVars)
+	if len(heads) == 0 {
+		return fmt.Errorf("plan: rule has no targets")
 	}
-	return checkGuards(&q.Schema, cons)
+	full := bitset.Full(s.NumVars)
+	for _, h := range heads {
+		if !h.SubsetOf(full) {
+			return fmt.Errorf("plan: head set %v outside the universe [%d]", h, s.NumVars)
+		}
+	}
+	return checkGuards(s, cons)
 }
 
 // checkGuards validates every constraint's shape and guard against the
@@ -242,26 +254,36 @@ func PrepareRule(s *query.Schema, cons []query.DegreeConstraint, targets []bitse
 // before the LP solve, so an expired context aborts planning promptly.
 func PrepareRuleContext(ctx context.Context, s *query.Schema, cons []query.DegreeConstraint, targets []bitset.Set) (*PreparedRule, *BuildStats, error) {
 	bs := &BuildStats{}
-	if err := validateSchema(s); err != nil {
-		return nil, bs, err
-	}
-	full := bitset.Full(s.NumVars)
-	for _, b := range targets {
-		if !b.SubsetOf(full) {
-			return nil, bs, fmt.Errorf("plan: target %v outside the universe [%d]", b, s.NumVars)
-		}
-	}
-	if err := checkGuards(s, cons); err != nil {
+	if err := validate(s, targets, cons); err != nil {
 		return nil, bs, err
 	}
 	pr, err := prepareRule(ctx, s, cons, targets, bs)
 	return pr, bs, err
 }
 
-func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstraint, targets []bitset.Set, bs *BuildStats) (*PreparedRule, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("plan: rule has no targets")
+// buildPlan runs the planning phase for one planner input: PrepareContext
+// for a conjunctive query (heads is its free set), PrepareRuleContext
+// wrapped as the one-rule ModeRule plan for a disjunctive rule (heads are
+// its targets).
+func buildPlan(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, *BuildStats, error) {
+	if mode != ModeRule {
+		return PrepareContext(ctx, &query.Conjunctive{Schema: *s, Free: heads[0]}, cons, mode)
 	}
+	pr, bs, err := PrepareRuleContext(ctx, s, cons, heads)
+	if err != nil {
+		return nil, bs, err
+	}
+	return &Plan{
+		Mode:   ModeRule,
+		Schema: copySchema(s),
+		Cons:   append([]query.DegreeConstraint(nil), cons...),
+		Chosen: -1,
+		Rules:  []*PreparedRule{pr},
+		Width:  pr.Bound,
+	}, bs, nil
+}
+
+func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstraint, targets []bitset.Set, bs *BuildStats) (*PreparedRule, error) {
 	for _, b := range targets {
 		if b == 0 {
 			return &PreparedRule{Targets: targets, Trivial: true, Bound: new(big.Rat)}, nil
@@ -347,7 +369,7 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 	if err := ctx.Err(); err != nil {
 		return nil, bs, err
 	}
-	if err := validateQuery(q, cons); err != nil {
+	if err := validate(&q.Schema, []bitset.Set{q.Free}, cons); err != nil {
 		return nil, bs, err
 	}
 	p := &Plan{

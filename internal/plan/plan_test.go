@@ -250,7 +250,7 @@ func TestRebindRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Key = sig.Key
-	rt := p.toCanonical(sig).fromCanonical(sig, &q.Schema, q.Free)
+	rt := p.toCanonical(sig).fromCanonical(sig, &q.Schema)
 	if rt.Key != p.Key || rt.Mode != p.Mode || rt.Free != p.Free {
 		t.Fatal("round trip changed identity fields")
 	}

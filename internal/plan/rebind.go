@@ -118,11 +118,11 @@ func (p *Plan) toCanonical(sig *Signature) *Plan {
 
 // fromCanonical rewrites a canonical-space plan into the caller space of
 // sig, adopting the caller's schema (atom names and order, variable names).
-func (p *Plan) fromCanonical(sig *Signature, s *query.Schema, free bitset.Set) *Plan {
+func (p *Plan) fromCanonical(sig *Signature, s *query.Schema) *Plan {
 	m := invert(sig.VarPerm)
 	out := p.shell()
 	out.Schema = copySchema(s)
-	out.Free = free
+	out.Free = mapSet(p.Free, m)
 	out.Cons = make([]query.DegreeConstraint, len(p.Cons))
 	for k, c := range p.Cons {
 		c.X, c.Y = mapSet(c.X, m), mapSet(c.Y, m)

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,11 +10,13 @@ import (
 	"panda/internal/query"
 )
 
-// Signature is the canonical cache identity of a (query shape, free
-// variables, constraint set, mode) quadruple. Two queries that differ only
-// by a renaming of variables, a reordering of atoms, or a reordering of
-// constraints produce the same Key; the permutations record how to move a
-// plan between the caller's space and the canonical space.
+// Signature is the canonical cache identity of a (query shape, head,
+// constraint set, mode) quadruple, where the head is the free set of a
+// conjunctive query or the target list of a disjunctive rule (ModeRule). Two
+// inputs that differ only by a renaming of variables or a reordering of
+// atoms, constraints or rule targets produce the same Key; the permutations
+// record how to move a plan between the caller's space and the canonical
+// space.
 type Signature struct {
 	Key  string
 	Mode Mode
@@ -44,9 +47,13 @@ const permLimit = 5040 // 7!
 // with the same atom-mask multiset but different orders need different
 // rebind permutations, so they must not share a fingerprint slot.)
 func Fingerprint(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) string {
+	return fingerprint(&q.Schema, []bitset.Set{q.Free}, cons, ResolveMode(q, mode))
+}
+
+func fingerprint(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "m%d;n%d;F%08x;A", int(ResolveMode(q, mode)), q.NumVars, uint32(q.Free))
-	for _, a := range q.Atoms {
+	writeHeader(&sb, mode, s.NumVars, heads)
+	for _, a := range s.Atoms {
 		fmt.Fprintf(&sb, ":%08x", uint32(a.Vars))
 	}
 	sb.WriteString(";C")
@@ -56,18 +63,42 @@ func Fingerprint(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode)
 	return sb.String()
 }
 
+// writeHeader starts an encoding: mode, variable count, the head section —
+// one mask for a conjunctive query's free set, the comma-separated target
+// masks for a rule — and the opening of the atom section.
+func writeHeader(sb *strings.Builder, mode Mode, n int, heads []bitset.Set) {
+	fmt.Fprintf(sb, "m%d;n%d;F", int(mode), n)
+	for i, h := range heads {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(sb, "%08x", uint32(h))
+	}
+	sb.WriteString(";A")
+}
+
 // Canonicalize computes the canonical signature of (q, cons, mode).
 func Canonicalize(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Signature, error) {
-	mode = ResolveMode(q, mode)
-	n := q.NumVars
+	return canonicalize(&q.Schema, []bitset.Set{q.Free}, cons, ResolveMode(q, mode))
+}
+
+// CanonicalizeRule computes the canonical signature of a disjunctive rule:
+// the same encoding under ModeRule, with the sorted renamed target masks
+// where a conjunctive key has its free mask.
+func CanonicalizeRule(r *query.Disjunctive, cons []query.DegreeConstraint) (*Signature, error) {
+	return canonicalize(&r.Schema, r.Targets, cons, ModeRule)
+}
+
+func canonicalize(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Signature, error) {
+	n := s.NumVars
 	if n > 32 {
 		return nil, fmt.Errorf("plan: %d variables exceed the bitset universe", n)
 	}
-	classes := varClasses(q, cons)
+	classes := varClasses(s, heads, cons)
 	best := ""
 	var bestSig *Signature
 	tryPerm := func(perm []int) {
-		sig := encode(q, cons, mode, perm)
+		sig := encode(s, heads, cons, mode, perm)
 		if bestSig == nil || sig.Key < best {
 			best, bestSig = sig.Key, sig
 		}
@@ -89,18 +120,20 @@ func Canonicalize(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode
 }
 
 // varClasses partitions variables into equivalence classes by an iterated
-// structural invariant (free membership, atom arities, constraint roles,
+// structural invariant (head membership, atom arities, constraint roles,
 // then Weisfeiler–Lehman-style neighbour refinement), ordered by invariant.
-func varClasses(q *query.Conjunctive, cons []query.DegreeConstraint) [][]int {
-	n := q.NumVars
+func varClasses(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint) [][]int {
+	n := s.NumVars
 	inv := make([]string, n)
 	for v := 0; v < n; v++ {
 		var parts []string
-		if q.Free.Contains(v) {
-			parts = append(parts, "f")
+		for _, h := range heads {
+			if h.Contains(v) {
+				parts = append(parts, "f")
+			}
 		}
 		var arities []string
-		for _, a := range q.Atoms {
+		for _, a := range s.Atoms {
 			if a.Vars.Contains(v) {
 				arities = append(arities, fmt.Sprintf("a%d", a.Vars.Card()))
 			}
@@ -126,7 +159,7 @@ func varClasses(q *query.Conjunctive, cons []query.DegreeConstraint) [][]int {
 		changedShape := false
 		for v := 0; v < n; v++ {
 			var nb []string
-			for _, a := range q.Atoms {
+			for _, a := range s.Atoms {
 				if !a.Vars.Contains(v) {
 					continue
 				}
@@ -228,7 +261,7 @@ func mapSet(s bitset.Set, perm []int) bitset.Set {
 // encode builds the deterministic canonical encoding of the query under a
 // fixed variable permutation, together with the induced atom and constraint
 // orders.
-func encode(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode, perm []int) *Signature {
+func encode(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode, perm []int) *Signature {
 	// Atoms sort by renamed variable set; ties (identical atom shapes)
 	// break by the multiset of constraints each atom guards, so that e.g.
 	// two same-shape atoms with different cardinalities order canonically.
@@ -237,8 +270,8 @@ func encode(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode, perm
 		mask bitset.Set
 		tie  string
 	}
-	atoms := make([]atomKey, len(q.Atoms))
-	for i, a := range q.Atoms {
+	atoms := make([]atomKey, len(s.Atoms))
+	for i, a := range s.Atoms {
 		var guarded []string
 		for _, c := range cons {
 			if c.Guard == i {
@@ -276,8 +309,10 @@ func encode(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode, perm
 	}
 	sort.SliceStable(cks, func(a, b int) bool { return cks[a].enc < cks[b].enc })
 	consPerm := make([]int, len(cks))
+	canonHeads := remapSets(heads, perm)
+	slices.Sort(canonHeads)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "m%d;n%d;F%08x;A", int(mode), q.NumVars, uint32(mapSet(q.Free, perm)))
+	writeHeader(&sb, mode, s.NumVars, canonHeads)
 	for _, a := range atoms {
 		fmt.Fprintf(&sb, ":%08x", uint32(a.mask))
 	}

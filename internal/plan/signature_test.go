@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"panda/internal/bitset"
@@ -42,6 +43,33 @@ func cycleQuery(k int, perm []int, atomOrder []int, card int64) (*query.Conjunct
 	return q, cons
 }
 
+// pathRule builds Example 1.4's rule T(0,1,2) ∨ T(1,2,3) ← R0(0,1), R1(1,2),
+// R2(2,3) with the vertex roles renamed through perm, the atoms listed in
+// atomOrder and the two targets optionally swapped. Cardinality card is
+// attached to every atom.
+func pathRule(perm, atomOrder []int, swapTargets bool, card int64) (*query.Disjunctive, []query.DegreeConstraint) {
+	if perm == nil {
+		perm = []int{0, 1, 2, 3}
+	}
+	if atomOrder == nil {
+		atomOrder = []int{0, 1, 2}
+	}
+	r := &query.Disjunctive{
+		Schema:  query.Schema{NumVars: 4},
+		Targets: []bitset.Set{bitset.Of(perm[0], perm[1], perm[2]), bitset.Of(perm[1], perm[2], perm[3])},
+	}
+	if swapTargets {
+		r.Targets[0], r.Targets[1] = r.Targets[1], r.Targets[0]
+	}
+	var cons []query.DegreeConstraint
+	for i, j := range atomOrder {
+		vars := bitset.Of(perm[j], perm[j+1])
+		r.Atoms = append(r.Atoms, query.Atom{Name: "R" + string(rune('0'+j)), Vars: vars})
+		cons = append(cons, query.Cardinality(vars, card, i))
+	}
+	return r, cons
+}
+
 func mustSig(t *testing.T, q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) *Signature {
 	t.Helper()
 	sig, err := Canonicalize(q, cons, mode)
@@ -62,6 +90,50 @@ func TestSignatureRenameInvariant(t *testing.T) {
 	s3 := mustSig(t, q3, c3, ModeFhtw)
 	if s1.Key != s2.Key || s1.Key != s3.Key {
 		t.Fatalf("renamed 4-cycles got distinct keys:\n%s\n%s\n%s", s1.Key, s2.Key, s3.Key)
+	}
+}
+
+// TestRuleSignatureRenameInvariant: a rule's key is invariant under variable
+// renaming, atom reordering and target reordering; it differs from the
+// conjunctive key over the same body, from the same rule with another head,
+// and from the same rule under other cardinalities.
+func TestRuleSignatureRenameInvariant(t *testing.T) {
+	ruleSig := func(r *query.Disjunctive, cons []query.DegreeConstraint) *Signature {
+		t.Helper()
+		sig, err := CanonicalizeRule(r, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}
+	r1, c1 := pathRule(nil, nil, false, 100)
+	want := ruleSig(r1, c1)
+	if want.Mode != ModeRule || !strings.HasPrefix(want.Key, "m-1;n4;F") {
+		t.Fatalf("rule key %q (mode %v)", want.Key, want.Mode)
+	}
+	for _, v := range []struct {
+		perm, atoms []int
+		swap        bool
+	}{
+		{[]int{3, 2, 1, 0}, nil, false},           // the path read backwards
+		{[]int{2, 0, 3, 1}, []int{2, 0, 1}, true}, // renamed, reordered, targets swapped
+		{nil, []int{1, 2, 0}, true},
+	} {
+		r, c := pathRule(v.perm, v.atoms, v.swap, 100)
+		if got := ruleSig(r, c); got.Key != want.Key {
+			t.Fatalf("variant %+v got key\n%s\nwant\n%s", v, got.Key, want.Key)
+		}
+	}
+	q := &query.Conjunctive{Schema: r1.Schema, Free: r1.Targets[0]}
+	if mustSig(t, q, c1, ModeFhtw).Key == want.Key {
+		t.Fatal("a conjunctive query shares the rule's key")
+	}
+	other := &query.Disjunctive{Schema: r1.Schema, Targets: []bitset.Set{bitset.Of(0, 1), bitset.Of(1, 2, 3)}}
+	if ruleSig(other, c1).Key == want.Key {
+		t.Fatal("a different head shares the rule's key")
+	}
+	if r2, c2 := pathRule(nil, nil, false, 101); ruleSig(r2, c2).Key == want.Key {
+		t.Fatal("different cardinalities share the rule's key")
 	}
 }
 

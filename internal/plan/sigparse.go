@@ -12,8 +12,9 @@ import (
 )
 
 // Signature keys are a complete, self-contained encoding of a canonical
-// query: mode, variable count, free set, atom variable sets and the full
-// guarded constraint set (see encode in signature.go). That makes a key
+// query or rule: mode, variable count, head (free set, or a rule's targets),
+// atom variable sets and the full guarded constraint set (see encode in
+// signature.go). That makes a key
 // enough to REBUILD its plan from scratch — no query text, no catalog —
 // which is what the cross-version migration shim needs: when a FormatVersion
 // bump invalidates a snapshot, the skipped keys are parsed back into
@@ -21,14 +22,15 @@ import (
 // re-paying their LP solves one traffic-time cache miss at a time.
 
 // ParseSignatureKey inverts the canonical signature encoding: it rebuilds
-// the canonical query (synthetic R0, R1, … atom names, ascending argument
-// order — the same shape toCanonical stores), the guarded constraint set
-// (cardinalities carry N = 0, "log-bound only", which planning never needs
-// more than) and the resolved mode. It fails on malformed keys and on keys
-// with unguarded constraints, which no Planner-built plan can produce.
-func ParseSignatureKey(key string) (*query.Conjunctive, []query.DegreeConstraint, Mode, error) {
-	fail := func(why string) (*query.Conjunctive, []query.DegreeConstraint, Mode, error) {
-		return nil, nil, 0, fmt.Errorf("plan: signature key %q: %s", key, why)
+// the canonical schema (synthetic R0, R1, … atom names, ascending argument
+// order — the same shape toCanonical stores), the head sets (one free set,
+// or a ModeRule key's targets), the guarded constraint set (cardinalities
+// carry N = 0, "log-bound only", which planning never needs more than) and
+// the resolved mode. It fails on malformed keys and on keys with unguarded
+// constraints, which no Planner-built plan can produce.
+func ParseSignatureKey(key string) (*query.Schema, []bitset.Set, []query.DegreeConstraint, Mode, error) {
+	fail := func(why string) (*query.Schema, []bitset.Set, []query.DegreeConstraint, Mode, error) {
+		return nil, nil, nil, 0, fmt.Errorf("plan: signature key %q: %s", key, why)
 	}
 	parts := strings.Split(key, ";")
 	if len(parts) != 5 {
@@ -39,7 +41,7 @@ func ParseSignatureKey(key string) (*query.Conjunctive, []query.DegreeConstraint
 		return fail("bad mode section")
 	}
 	mode := Mode(mode64)
-	if mode < ModeAuto || mode > ModeSubw {
+	if mode < ModeRule || mode > ModeSubw {
 		return fail("mode out of range")
 	}
 	n, err := strconv.Atoi(strings.TrimPrefix(parts[1], "n"))
@@ -54,9 +56,19 @@ func ParseSignatureKey(key string) (*query.Conjunctive, []query.DegreeConstraint
 		m := bitset.Set(v)
 		return m, m.SubsetOf(bitset.Full(n))
 	}
-	free, ok := parseMask(strings.TrimPrefix(parts[2], "F"))
-	if !ok || !strings.HasPrefix(parts[2], "F") {
-		return fail("bad free-set section")
+	if !strings.HasPrefix(parts[2], "F") {
+		return fail("bad head section")
+	}
+	var heads []bitset.Set
+	for _, enc := range strings.Split(strings.TrimPrefix(parts[2], "F"), ",") {
+		h, ok := parseMask(enc)
+		if !ok {
+			return fail("bad head mask")
+		}
+		heads = append(heads, h)
+	}
+	if len(heads) != 1 && mode != ModeRule {
+		return fail("a conjunctive key has exactly one free set")
 	}
 	if !strings.HasPrefix(parts[3], "A") {
 		return fail("bad atom section")
@@ -100,29 +112,26 @@ func ParseSignatureKey(key string) (*query.Conjunctive, []query.DegreeConstraint
 			cons = append(cons, query.DegreeConstraint{X: x, Y: y, LogN: logN, Guard: guard})
 		}
 	}
-	q := &query.Conjunctive{
-		Schema: query.Schema{NumVars: n, Atoms: atoms},
-		Free:   free,
+	s := &query.Schema{NumVars: n, Atoms: atoms}
+	if err := validate(s, heads, cons); err != nil {
+		return nil, nil, nil, 0, fmt.Errorf("plan: signature key %q: %w", key, err)
 	}
-	if err := validateQuery(q, cons); err != nil {
-		return nil, nil, 0, fmt.Errorf("plan: signature key %q: %w", key, err)
-	}
-	return q, cons, mode, nil
+	return s, heads, cons, mode, nil
 }
 
 // ReplanKey rebuilds the plan a signature key describes and installs it in
 // the cache (a no-op cache hit when the key is already live). Because the
-// reconstructed query IS the canonical renaming, re-canonicalizing it lands
-// on the same key, so a later Prepare for any renaming of the original
-// query is a hit. It returns the number of LP solves the rebuild paid
+// reconstructed query (or rule) IS the canonical renaming, re-canonicalizing
+// it lands on the same key, so a later Prepare for any renaming of the
+// original is a hit. It returns the number of LP solves the rebuild paid
 // (zero when the key was already cached).
 func (pl *Planner) ReplanKey(ctx context.Context, key string) (int, error) {
-	q, cons, mode, err := ParseSignatureKey(key)
+	s, heads, cons, mode, err := ParseSignatureKey(key)
 	if err != nil {
 		return 0, err
 	}
 	before := pl.Stats().LPSolves
-	if _, err := pl.PrepareContext(ctx, q, cons, mode); err != nil {
+	if _, err := pl.prepare(ctx, s, heads, cons, mode); err != nil {
 		return 0, fmt.Errorf("plan: replan %q: %w", key, err)
 	}
 	return int(pl.Stats().LPSolves - before), nil

@@ -116,14 +116,22 @@ func httpDo(t *testing.T, method, url, body string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// mixedShapes is the traffic corpus: sixteen distinct conjunctive shapes
-// (the plain triangle, a path join, and the triangle under fourteen
+// fleetRule is the corpus's disjunctive rule; renamedFleetRule spells the
+// same shape with other variables, atom order and target order.
+const (
+	fleetRule        = `T1(A,B) v T2(B,C) :- R(A,B), S(B,C).`
+	renamedFleetRule = `U2(Y,Z) v U1(X,Y) :- S(Y,Z), R(X,Y).`
+)
+
+// mixedShapes is the traffic corpus: seventeen distinct shapes (the plain
+// triangle, a path join, a disjunctive rule, and the triangle under fourteen
 // different — sound, loose — cardinality bounds) so both replicas get
 // shards with overwhelming probability.
 func mixedShapes() []string {
 	shapes := []string{
 		`Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`,
 		`Q(X,Z) :- R(X,Y), S(Y,Z).`,
+		fleetRule,
 	}
 	for i := 0; i < 14; i++ {
 		shapes = append(shapes, fmt.Sprintf("Q(A,B,C) :- R(A,B), S(B,C), T(A,C).\n|R| <= %d", 50+5*i))
@@ -172,14 +180,15 @@ func TestFleetAmortizesPlanningAndSurvivesFailover(t *testing.T) {
 			t.Fatalf("query %q on %s: %d %s", src, base, code, body)
 		}
 		var res struct {
-			OK   bool              `json:"ok"`
-			Rows []json.RawMessage `json:"rows"`
+			OK     bool              `json:"ok"`
+			Rows   []json.RawMessage `json:"rows"`
+			Tables json.RawMessage   `json:"tables"` // a rule's answer
 		}
 		if err := json.Unmarshal([]byte(body), &res); err != nil {
 			t.Fatalf("bad response for %q: %v\n%s", src, err, body)
 		}
 		out, _ := json.Marshal(res.Rows)
-		return string(out)
+		return string(out) + string(res.Tables)
 	}
 
 	// Three rounds of the full corpus: round one plans (on the planner),
@@ -198,6 +207,17 @@ func TestFleetAmortizesPlanningAndSurvivesFailover(t *testing.T) {
 	if got, want := queryRows(t, f.front.URL, `Q(X,Y,Z) :- R(X,Y), S(Y,Z), T(X,Z).`),
 		queryRows(t, direct.ts.URL, triangleSrc); got != want {
 		t.Fatalf("renamed triangle rows %s, want %s", got, want)
+	}
+
+	// So does a renaming of the rule: the planner has nothing new to build.
+	// (Its model is the cached plan's, not the one a direct server derives
+	// from the renamed text, so only the planning is compared.)
+	missesBefore := f.planner.db.PlannerStats().Misses
+	if code, body := httpDo(t, http.MethodPost, f.front.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, renamedFleetRule)); code != http.StatusOK {
+		t.Fatalf("renamed rule: %d %s", code, body)
+	}
+	if got := f.planner.db.PlannerStats().Misses; got != missesBefore {
+		t.Fatalf("the renamed rule was planned again (%d → %d planner misses)", missesBefore, got)
 	}
 
 	// (1) Fleet-wide amortization: the planner paid every LP solve; the

@@ -37,7 +37,7 @@ func newTelemetry(r *Router) *telemetry {
 	reg := &m.reg
 	m.requests = metrics.NewRequests(reg, "panda_router_requests_total", "Requests handled by the router, by endpoint and status code.")
 	m.requests.LatencyTotal(reg, "panda_router_request_seconds_total", "Cumulative request handling time, by endpoint.")
-	m.routed = metrics.Counter[uint64](reg, "panda_router_shape_routed_total", "Requests routed, by shape (canonical signature digest, or rule:<hash>) and replica; overflow shapes roll up into shape=\"other\".", "shape", "replica")
+	m.routed = metrics.Counter[uint64](reg, "panda_router_shape_routed_total", "Requests routed, by shape (canonical signature digest) and replica; overflow shapes roll up into shape=\"other\".", "shape", "replica")
 	perReplica := func(name, help string, on func(*backend) bool) {
 		reg.Collect(func(w *metrics.Writer) {
 			w.Header(name, help, "gauge")

@@ -16,9 +16,9 @@ func corpusShapes(t testing.TB, n int) []string {
 	shapes := make([]string, 0, n)
 	seen := map[string]bool{}
 	add := func(src string) {
-		s, conj, err := shapeOf(src, "")
-		if err != nil || !conj {
-			t.Fatalf("shapeOf(%q): conj=%t err=%v", src, conj, err)
+		s, err := shapeOf(src, "")
+		if err != nil {
+			t.Fatalf("shapeOf(%q): %v", src, err)
 		}
 		if seen[s] {
 			t.Fatalf("corpus shape collision for %q", src)
@@ -126,12 +126,12 @@ func TestShapeOfRenamingInvariant(t *testing.T) {
 		`Q(X,Y,Z) :- R(X,Y), S(Y,Z), T(X,Z).`,
 		`Q(C,A,B) :- T(C,B), R(C,A), S(A,B).`,
 	}
-	want, conj, err := shapeOf(variants[0], "")
-	if err != nil || !conj {
+	want, err := shapeOf(variants[0], "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range variants[1:] {
-		got, _, err := shapeOf(v, "")
+		got, err := shapeOf(v, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,19 +140,11 @@ func TestShapeOfRenamingInvariant(t *testing.T) {
 		}
 	}
 	// A different mode is a different shape (plans are cached per mode).
-	subw, _, err := shapeOf(variants[0], "subw")
+	subw, err := shapeOf(variants[0], "subw")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if subw == want {
 		t.Fatal("mode should distinguish routing shapes")
-	}
-	// Rules route by text hash, not signature.
-	rule, conj, err := shapeOf(`T1(A) v T2(B) :- R(A,B).`, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conj || rule == "" {
-		t.Fatalf("rule shape = (%q, conj=%t), want non-conjunctive text hash", rule, conj)
 	}
 }

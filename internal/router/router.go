@@ -9,15 +9,15 @@
 //	                 │                        └─▶ replica B  (plans: pushed, LP solves: 0)
 //	                 └──new shapes──▶ planning tier (pays every LP solve once)
 //
-// Every /v1/query and /v1/plan is routed by the query's canonical shape —
-// the renaming-invariant signature computed WITHOUT catalog access or LP
-// work — so each query shape consistently lands on one replica and every
-// replica's plan/stmt caches stay hot and disjoint. The first time the
-// router sees a shape it synchronously warms the designated planning tier
-// (which pays the LP solves) and ships the resulting plans to all healthy
-// replicas via the delta export (GET /v1/plans?since=<clock> on the
-// planner, PUT /v1/plans on the replicas) before forwarding the query, so
-// replicas never plan: their lp_solves_total stays 0 while
+// Every /v1/query and /v1/plan — conjunctive query or disjunctive rule — is
+// routed by its canonical shape: the renaming-invariant signature computed
+// WITHOUT catalog access or LP work, so each shape consistently lands on one
+// replica and every replica's plan/stmt caches stay hot and disjoint. The
+// first time the router sees a shape it synchronously warms the designated
+// planning tier (which pays the LP solves) and ships the resulting plans to
+// all healthy replicas via the delta export (GET /v1/plans?since=<clock> on
+// the planner, PUT /v1/plans on the replicas) before forwarding the query,
+// so replicas never plan: their lp_solves_total stays 0 while
 // lp_solves_saved_total climbs. A background push loop repeats the
 // delta-pull/push on a timer, which is also how a replica that was briefly
 // down catches up.
@@ -429,7 +429,7 @@ func (r *Router) pushLoop(every time.Duration) {
 	}
 }
 
-// ensurePlanned makes a first-sighted conjunctive shape safe to route:
+// ensurePlanned makes a first-sighted shape — query or rule — safe to route:
 // the planning tier is warmed synchronously (it pays the LP solves on its
 // own cache miss), its fresh plans are delta-pulled and pushed to every
 // routable replica, and the shape is memoized. Replicas therefore see the
@@ -646,33 +646,27 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// replica stays the strict validator of the full body.
 	var qb queryBody
 	json.Unmarshal(body, &qb)
-	shape := qb.Query // parse failures route by raw text; the replica reports the real error
-	conjunctive := false
-	if qb.Query != "" {
-		if s, conj, err := r.shapes.shape(qb.Query, qb.Mode); err == nil {
-			shape, conjunctive = s, conj
-		}
-	}
-	if conjunctive {
-		r.ensurePlanned(req.Context(), shape, qb.Query, qb.Mode)
-	}
-	r.routeWithFailover(w, req, shape, body)
+	r.routeWithFailover(w, req, r.plannedShape(req.Context(), qb.Query, qb.Mode), body)
 }
 
 func (r *Router) handlePlan(w http.ResponseWriter, req *http.Request) {
-	src := req.URL.Query().Get("q")
-	mode := req.URL.Query().Get("mode")
-	shape := src
-	conjunctive := false
-	if src != "" {
-		if s, conj, err := r.shapes.shape(src, mode); err == nil {
-			shape, conjunctive = s, conj
-		}
+	q := req.URL.Query()
+	r.routeWithFailover(w, req, r.plannedShape(req.Context(), q.Get("q"), q.Get("mode")), nil)
+}
+
+// plannedShape names the routing shape of a query or rule text and makes it
+// safe to route (ensurePlanned). A text that does not parse routes by its
+// raw text, unplanned; the replica reports the real error.
+func (r *Router) plannedShape(ctx context.Context, src, mode string) string {
+	if src == "" {
+		return src
 	}
-	if conjunctive {
-		r.ensurePlanned(req.Context(), shape, src, mode)
+	shape, err := r.shapes.shape(src, mode)
+	if err != nil {
+		return src
 	}
-	r.routeWithFailover(w, req, shape, nil)
+	r.ensurePlanned(ctx, shape, src, mode)
+	return shape
 }
 
 // routeWithFailover forwards the request to the healthy replicas in

@@ -173,8 +173,8 @@ func postQuery(t *testing.T, base, src string) (int, string) {
 // second choice" deterministically despite httptest's random ports.
 func rankedFakes(t *testing.T, fakes ...*fakeReplica) []*fakeReplica {
 	t.Helper()
-	shape, conj, err := shapeOf(triangleSrc, "")
-	if err != nil || !conj {
+	shape, err := shapeOf(triangleSrc, "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	names := make([]string, len(fakes))
@@ -215,6 +215,44 @@ func TestRouterShapeAffinity(t *testing.T) {
 	// The planner was warmed exactly once: the shape memo absorbs repeats.
 	if got := planner.warms.Load(); got != 1 {
 		t.Fatalf("planner warmed %d times, want 1", got)
+	}
+}
+
+// TestRouterRuleShape: a disjunctive rule and an atom-reordered,
+// variable-renamed, target-swapped spelling of it are one shape — routed to
+// one replica, warmed on the planner once — distinct from the conjunctive
+// query over the same body.
+func TestRouterRuleShape(t *testing.T) {
+	const (
+		rule    = `T1(A,B,C) v T2(B,C,D) :- R(A,B), S(B,C), T(C,D).`
+		renamed = `U2(Y,Z,W) v U1(X,Y,Z) :- T(Z,W), R(X,Y), S(Y,Z).`
+		conj    = `Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).`
+	)
+	shape, err := shapeOf(rule, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := shapeOf(renamed, ""); err != nil || again != shape {
+		t.Fatalf("renamed rule has shape %q (%v), want %q", again, err, shape)
+	}
+	if other, err := shapeOf(conj, ""); err != nil || other == shape {
+		t.Fatalf("conjunctive query shares the rule's shape %q (%v)", other, err)
+	}
+
+	planner := newFakePlanner(t)
+	a, b := newFakeReplica(t), newFakeReplica(t)
+	ts := httptest.NewServer(newTestRouter(t, planner.ts.URL, a, b))
+	t.Cleanup(ts.Close)
+	for _, src := range []string{rule, renamed, rule} {
+		if code, body := postQuery(t, ts.URL, src); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", src, code, body)
+		}
+	}
+	if qa, qb := a.queries.Load(), b.queries.Load(); qa+qb != 3 || (qa != 0 && qb != 0) {
+		t.Fatalf("one rule shape was served by both replicas (%d, %d)", qa, qb)
+	}
+	if got := planner.warms.Load(); got != 1 {
+		t.Fatalf("planner warmed %d times for one rule shape, want 1", got)
 	}
 }
 

@@ -2,9 +2,6 @@ package router
 
 import (
 	"container/list"
-	"fmt"
-	"hash/fnv"
-	"strings"
 	"sync"
 
 	"panda"
@@ -23,32 +20,31 @@ import (
 // always compute the same routing key here, so each execution digest lands
 // on exactly one replica: the shard-affinity invariant the e2e asserts.
 //
-// Disjunctive rules have no canonical signature (they are planned per rule,
-// not cached by shape); they are routed by a hash of their normalized text,
-// which is still deterministic across routers and sticky per rule.
+// A disjunctive rule is canonicalized the same way (its targets where a
+// conjunctive query has its free set), so a rule and its renamings share one
+// shape and ship one plan exactly like a conjunctive query.
 
 // shapeOf computes the routing key for a query text under a mode string
-// ("", auto, full, fhtw, subw). The boolean reports whether the query is
-// conjunctive — only conjunctive shapes participate in plan shipping.
-func shapeOf(src, mode string) (key string, conjunctive bool, err error) {
+// ("", auto, full, fhtw, subw).
+func shapeOf(src, mode string) (string, error) {
 	m, _, err := plan.ParseMode(mode)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	res, err := query.Parse(src)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
+	var sig *plan.Signature
 	if res.Conj == nil {
-		h := fnv.New64a()
-		h.Write([]byte(strings.TrimSpace(src)))
-		return fmt.Sprintf("rule:%016x", h.Sum64()), false, nil
+		sig, err = plan.CanonicalizeRule(res.Rule, res.Constraints)
+	} else {
+		sig, err = plan.Canonicalize(res.Conj, res.Constraints, m)
 	}
-	sig, err := plan.Canonicalize(res.Conj, res.Constraints, m)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
-	return panda.SignatureDigest(sig.Key), true, nil
+	return panda.SignatureDigest(sig.Key), nil
 }
 
 // shapeCache memoizes (query text, mode) → routing shape so steady-state
@@ -63,9 +59,8 @@ type shapeCache struct {
 }
 
 type shapeEntry struct {
-	text        string
-	key         string
-	conjunctive bool
+	text string
+	key  string
 }
 
 // defaultShapeCacheSize bounds the router's text→shape memo table.
@@ -79,25 +74,24 @@ func newShapeCache(capacity int) *shapeCache {
 }
 
 // shape resolves src+mode through the memo table, canonicalizing on a miss.
-func (c *shapeCache) shape(src, mode string) (string, bool, error) {
+func (c *shapeCache) shape(src, mode string) (string, error) {
 	memoKey := mode + "\x00" + src
 	c.mu.Lock()
 	if el, ok := c.index[memoKey]; ok {
 		c.ll.MoveToFront(el)
-		ent := el.Value.(*shapeEntry)
-		key, conj := ent.key, ent.conjunctive
+		key := el.Value.(*shapeEntry).key
 		c.mu.Unlock()
-		return key, conj, nil
+		return key, nil
 	}
 	c.mu.Unlock()
 
-	key, conj, err := shapeOf(src, mode)
+	key, err := shapeOf(src, mode)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	c.mu.Lock()
 	if _, dup := c.index[memoKey]; !dup {
-		c.index[memoKey] = c.ll.PushFront(&shapeEntry{text: memoKey, key: key, conjunctive: conj})
+		c.index[memoKey] = c.ll.PushFront(&shapeEntry{text: memoKey, key: key})
 		for c.ll.Len() > c.cap {
 			victim := c.ll.Back()
 			c.ll.Remove(victim)
@@ -105,5 +99,5 @@ func (c *shapeCache) shape(src, mode string) (string, bool, error) {
 		}
 	}
 	c.mu.Unlock()
-	return key, conj, nil
+	return key, nil
 }

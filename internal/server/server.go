@@ -409,15 +409,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		rows, truncated = s.writeResult(w, st, res, req.MaxRows)
 	}
-	digest := res.Signature
-	if digest == "" {
-		// Disjunctive rules are planned per rule, not cached by signature;
-		// they share one shape bucket.
-		digest = "rule"
-	}
-	s.metrics.observeQuery(digest, res.Mode.String(), rows, elapsed, truncated)
+	s.metrics.observeQuery(res.Signature, res.Mode.String(), rows, elapsed, truncated)
 	if s.slowThreshold > 0 && elapsed >= s.slowThreshold {
-		s.logSlowQuery(digest, res, rows, elapsed)
+		s.logSlowQuery(res, rows, elapsed)
 	}
 }
 
@@ -436,11 +430,11 @@ type slowQueryLine struct {
 // logSlowQuery emits one structured line for a query whose execution met
 // the configured threshold. Lines are whole-record writes under a
 // dedicated mutex, so concurrent slow queries never interleave bytes.
-func (s *Server) logSlowQuery(digest string, res *panda.Result, rows int, elapsed time.Duration) {
+func (s *Server) logSlowQuery(res *panda.Result, rows int, elapsed time.Duration) {
 	line := slowQueryLine{
 		SlowQuery:      true,
 		Time:           time.Now().UTC().Format(time.RFC3339Nano),
-		Digest:         digest,
+		Digest:         res.Signature,
 		Mode:           res.Mode.String(),
 		Rows:           rows,
 		ElapsedSeconds: elapsed.Seconds(),
@@ -620,14 +614,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp := map[string]any{
-		"mode":  info.Mode.String(),
-		"width": info.Width.RatString(),
-	}
-	if info.Digest != "" {
-		resp["signature"] = info.Digest
-	}
-	metrics.WriteJSON(w, http.StatusOK, resp)
+	metrics.WriteJSON(w, http.StatusOK, map[string]any{
+		"mode":      info.Mode.String(),
+		"width":     info.Width.RatString(),
+		"signature": info.Digest,
+	})
 }
 
 // ---- /v1/shapes ----

@@ -407,8 +407,18 @@ func TestServerPlanEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Mode != "rule" || resp.Width == "" {
+	if resp.Mode != "rule" || resp.Width == "" || resp.Signature == "" {
 		t.Fatalf("rule plan response: %s", body)
+	}
+	// The dry run planned the rule through the session cache: executing it
+	// is a hit, and the answer names the same shape.
+	solves = db.PlannerStats().LPSolves
+	code, body = post(t, ts.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, pathRuleSrc))
+	if code != http.StatusOK || !strings.Contains(body, fmt.Sprintf(`,"signature":%q`, resp.Signature)) {
+		t.Fatalf("rule query after plan: %d, want signature %s in %s", code, resp.Signature, body)
+	}
+	if got := db.PlannerStats().LPSolves; got != solves {
+		t.Errorf("rule query after plan re-planned (+%d LP solves)", got-solves)
 	}
 }
 

@@ -39,16 +39,17 @@
 //	res, err := stmt.QueryContext(ctx) // or db.QueryContext(ctx, src) in one call
 //
 // Programmatically built queries and rules run against an explicit Instance
-// through db.Eval / db.EvalRule, and db.PlanContext is the dry run that
-// returns the reified QueryPlan without executing it. Full, Boolean and
+// through db.Eval / db.EvalRule, and db.PlanContext / db.PlanRuleContext are
+// the dry runs that return the reified QueryPlan without executing it (a
+// rule is planned, cached and shipped like any query). Full, Boolean and
 // projection conjunctive queries and disjunctive datalog rules all return
 // one *Result (output relation, Boolean answer, width certificate, per-rule
 // tables, stats). Errors wrap structured sentinels (ErrUnknownRelation,
 // ErrArity, ErrUnboundedLP, …) for errors.Is dispatch, and functional
 // options (WithMode, WithTrace, WithParallelism, WithPlannerCapacity, …)
-// tune a session or a single call. Repeated traffic — including queries that
-// merely rename variables — hits the session's plan cache and executes with
-// zero LP solves.
+// tune a session or a single call. Repeated traffic — including queries and
+// rules that merely rename variables — hits the session's plan cache and
+// executes with zero LP solves.
 //
 // Execution is context-first: QueryContext/EvalContext/EvalRuleContext
 // check cancellation between the engine's proof steps, so deadlines and

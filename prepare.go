@@ -9,16 +9,18 @@ import (
 // Plan vocabulary: the data-independent planning phase (exact LP solves,
 // proof-sequence construction, tree-decomposition choice) runs once per
 // query shape and is reified as a QueryPlan, which a DB caches by canonical
-// signature. The aliases below name the pieces of a plan for callers that
-// inspect one (DB.PlanContext, Stmt.ExplainContext); the functions are the
-// stateless helpers around planning.
+// signature — a disjunctive rule's plan included (ModeRule). The aliases
+// below name the pieces of a plan for callers that inspect one
+// (DB.PlanContext, DB.PlanRuleContext, Stmt.ExplainContext); the functions
+// are the stateless helpers around planning.
 
 // QueryPlan is a reified query plan: tree decomposition(s), per-bag
 // fractional edge covers, PANDA proof sequences, and an exact width
 // certificate.
 type QueryPlan = plan.Plan
 
-// RulePlan is the reified planning output for a single disjunctive rule.
+// RulePlan is the reified planning output for a single disjunctive rule:
+// an element of QueryPlan.Rules (the only one, for a ModeRule plan).
 type RulePlan = plan.PreparedRule
 
 // PlanCover is an exact fractional edge cover of one plan bag.
@@ -57,16 +59,6 @@ const (
 	StepComposition   = flow.Composition
 	StepDecomposition = flow.Decomposition
 )
-
-// PrepareRule runs the planning phase for a disjunctive rule: the
-// polymatroid-bound LP and the Theorem 5.9 proof sequence. The constraint
-// set must be complete: every constraint guarded, every atom carrying a
-// cardinality constraint (CompleteConstraints derives missing ones from an
-// instance).
-func PrepareRule(p *Rule, dcs []Constraint) (*RulePlan, error) {
-	pr, _, err := plan.PrepareRule(&p.Schema, dcs, p.Targets)
-	return pr, err
-}
 
 // CompleteConstraints appends each atom's instance cardinality to dcs when
 // missing, producing the complete constraint set the planner needs.

@@ -11,8 +11,8 @@ import (
 	"panda/internal/plan"
 )
 
-// ModeRule marks a Result produced by a disjunctive datalog rule rather
-// than one of the conjunctive plan modes.
+// ModeRule is the plan mode of a disjunctive datalog rule, and marks the
+// Result it produces.
 const ModeRule = plan.ModeRule
 
 // Result is the unified outcome of every DB query path — full, Boolean and
@@ -39,9 +39,8 @@ type Result struct {
 	Mode PlanMode
 	// Tables holds the per-target model tables of the underlying PANDA
 	// rule: every target for disjunctive rules, the raw (pre-semijoin)
-	// full table for ModeFull, nil otherwise. Reading a table through
-	// Rows/SortedRows materializes a decoded copy per call; iterate with
-	// Relation.All / AllSorted to stream instead.
+	// full table for ModeFull, nil otherwise. Iterate a table with
+	// Relation.All / AllSorted.
 	Tables map[Set]*Relation
 	// Bound is the polymatroid bound of the executed rule in log₂ units
 	// (ModeFull and rules), nil otherwise.
@@ -49,11 +48,10 @@ type Result struct {
 	// Stats accumulates the engine work across all executed rules.
 	Stats *Stats
 	// Signature is the short hex digest of the plan's canonical,
-	// renaming-invariant signature — the query's *shape* identity: two
-	// queries that differ only by variable renaming share one signature,
-	// and per-shape telemetry (pandad's shape table, slow-query log) keys
-	// on it. Empty for disjunctive rules, which are planned per rule
-	// rather than cached by signature.
+	// renaming-invariant signature — the *shape* identity of the query or
+	// rule: two texts that differ only by variable renaming share one
+	// signature, and per-shape telemetry (pandad's shape table, slow-query
+	// log) keys on it.
 	Signature string
 	// Timings attributes wall-clock time to the stages of this execution
 	// (prepare-wait, per-proof-step-kind engine time, rule fan-out,
@@ -70,7 +68,7 @@ type Timings = core.Timings
 // SignatureDigest condenses a canonical plan-signature key (PlanInfo.Key,
 // plan cache keys) into the short hex digest used everywhere a shape is
 // named: Result.Signature, the /v1/shapes table, slow-query log lines. An
-// empty key (disjunctive rules) digests to "".
+// empty key (a plan that never went through a planner) digests to "".
 func SignatureDigest(key string) string {
 	if key == "" {
 		return ""
@@ -81,13 +79,24 @@ func SignatureDigest(key string) string {
 
 // Rows returns the output tuples in deterministic sorted order; nil when
 // the result has no output relation. Each call decodes and materializes a
-// fresh copy of the whole row set (as does Tables via Relation.Rows) —
-// streaming consumers should prefer Iter.
-func (r *Result) Rows() [][]Value {
-	if r.Rel == nil {
+// fresh copy of the whole row set — streaming consumers should prefer Iter.
+func (r *Result) Rows() [][]Value { return sortedRows(r.Rel) }
+
+// sortedRows materializes rel's tuples in sorted order (nil for a nil
+// relation) off the one row-scan API: each row is copied out of AllSorted's
+// reused buffer into one flat backing array.
+func sortedRows(rel *Relation) [][]Value {
+	if rel == nil {
 		return nil
 	}
-	return r.Rel.SortedRows()
+	w := rel.Attrs().Card()
+	out := make([][]Value, 0, rel.Size())
+	flat := make([]Value, 0, rel.Size()*w)
+	for row := range rel.AllSorted() {
+		flat = append(flat, row...)
+		out = append(out, flat[len(flat)-w:len(flat):len(flat)])
+	}
+	return out
 }
 
 // Iter iterates the output tuples in the same deterministic sorted order as

@@ -6,17 +6,15 @@ import (
 	"math/big"
 	"sync"
 
-	"panda/internal/core"
-	"panda/internal/plan"
 	"panda/internal/query"
 )
 
 // Stmt is a prepared statement: a parsed query or rule whose catalog
 // bindings (relation names and arities) have been validated against the
-// session. Running it plans through the session's plan cache — the
-// first Query pays the LP solves, every later one (from this Stmt or any
-// other statement with the same canonical signature) executes with zero
-// planning work.
+// session. Running it plans through the session's plan cache — conjunctive
+// queries and disjunctive rules alike: the first Query pays the LP solves,
+// every later one (from this Stmt or any other statement with the same
+// canonical signature) executes with zero planning work.
 //
 // A Stmt is safe for concurrent Query calls. It memoizes the bound (and
 // constraint-checked) instance against the catalog's per-relation ticks, so
@@ -78,25 +76,32 @@ func (db *DB) Prepare(src string, opts ...Option) (*Stmt, error) {
 	return &Stmt{db: db, src: src, res: res, cfg: cfg}, nil
 }
 
+// config materializes the effective config for one call on the statement,
+// rejecting a per-call WithMode on a disjunctive rule.
+func (st *Stmt) config(opts []Option) (config, error) {
+	cfg := st.cfg
+	if st.res.Conj == nil {
+		if err := rejectExplicitMode(opts); err != nil {
+			return cfg, err
+		}
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg, nil
+}
+
 // QueryContext binds the current catalog contents to the statement's
 // schema, verifies the declared constraints against the data, and runs the
 // query under ctx: cache-hit planning (via the session plan cache) plus
-// execution for conjunctive queries, PANDA for disjunctive rules. The
+// execution, for conjunctive queries and disjunctive rules alike. The
 // Result shape is the same in every case. A cancelled or expired context
 // aborts the run promptly with ctx.Err(); the engine checks cancellation
 // between proof steps and between rule executions.
 func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if st.res.Conj == nil {
-		if err := rejectExplicitMode(opts); err != nil {
-			return nil, err
-		}
-	}
-	cfg := st.cfg
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := st.config(opts)
+	if err != nil {
+		return nil, err
 	}
 	ins, ver, err := st.bind()
 	if err != nil {
@@ -109,12 +114,7 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 		return res, nil
 	}
 	st.mu.Unlock()
-	var res *Result
-	if st.res.Conj != nil {
-		res, err = st.db.evalConjunctive(ctx, st.res.Conj, ins, st.res.Constraints, cfg)
-	} else {
-		res, err = st.db.evalRule(ctx, st.res.Rule, ins, st.res.Constraints, cfg)
-	}
+	res, err := st.db.eval(ctx, st.res.Conj, st.res.Rule, ins, st.res.Constraints, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -188,52 +188,33 @@ type PlanInfo struct {
 	// Width is the exact width certificate in log₂ units: the polymatroid
 	// bound (ModeFull and rules), da-fhtw (ModeFhtw) or da-subw (ModeSubw).
 	Width *big.Rat
-	// Key is the canonical plan-cache signature; empty for disjunctive
-	// rules, which are planned per rule rather than cached by signature.
+	// Key is the canonical plan-cache signature.
 	Key string
 	// Digest is SignatureDigest(Key): the short hex shape identity that
-	// Result.Signature and the server's per-shape telemetry key on; empty
-	// for disjunctive rules.
+	// Result.Signature and the server's per-shape telemetry key on.
 	Digest string
 }
 
 // ExplainContext runs only the planning phase of the statement against the
-// current catalog — cache-hit planning for conjunctive queries (sharing the
-// session plan cache, so an Explain warms it for later queries), the
-// polymatroid-bound LP for disjunctive rules — and reports the committed
-// mode and width certificate without executing anything. The instance
+// current catalog — cache-hit planning through the session plan cache, so
+// an Explain warms it for later queries — and reports the committed mode
+// and width certificate without executing anything. The instance
 // cardinalities the certificate depends on are snapshotted from the
 // catalog, exactly as QueryContext would see them.
 func (st *Stmt) ExplainContext(ctx context.Context, opts ...Option) (*PlanInfo, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if st.res.Conj == nil {
-		if err := rejectExplicitMode(opts); err != nil {
-			return nil, err
-		}
-	}
-	cfg := st.cfg
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := st.config(opts)
+	if err != nil {
+		return nil, err
 	}
 	ins, _, err := st.bind()
 	if err != nil {
 		return nil, err
 	}
-	if q := st.res.Conj; q != nil {
-		p, err := st.db.prepareConjunctive(ctx, q, ins, st.res.Constraints, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &PlanInfo{Mode: p.Mode, Width: p.Width, Key: p.Key, Digest: SignatureDigest(p.Key)}, nil
-	}
-	r := st.res.Rule
-	pr, _, err := plan.PrepareRuleContext(ctx, &r.Schema, core.CompleteConstraints(&r.Schema, ins, st.res.Constraints), r.Targets)
+	p, err := st.db.prepare(ctx, st.res.Conj, st.res.Rule, ins, st.res.Constraints, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &PlanInfo{Mode: ModeRule, Width: pr.Bound}, nil
+	return &PlanInfo{Mode: p.Mode, Width: p.Width, Key: p.Key, Digest: SignatureDigest(p.Key)}, nil
 }
 
 // Source returns the statement's query text.

@@ -3,9 +3,9 @@ package panda
 import (
 	"context"
 	"math/big"
+	"slices"
 	"sync"
 
-	"panda/internal/bitset"
 	"panda/internal/core"
 	"panda/internal/incr"
 	"panda/internal/plan"
@@ -24,8 +24,8 @@ import (
 // full re-execution and resets the materialization (emitted with Resync
 // set). Disjunctive rules are not monotone under inserts — a new body
 // tuple may shift which target covers existing tuples — so rule watches
-// re-execute in full every round and every emission carries the complete
-// model with Resync set.
+// re-execute their pinned plan in full every round and every emission
+// carries the complete model with Resync set.
 
 // DefaultWatchQueue is the delta-channel capacity a watch opens with when
 // WithWatchQueue is not given.
@@ -89,7 +89,7 @@ type Watch struct {
 	db   *DB
 	st   *Stmt
 	cfg  config
-	p    *plan.Plan // pinned at open; nil for rule watches
+	p    *plan.Plan // pinned at open
 	exec *core.Executor
 
 	deltas  chan WatchDelta
@@ -135,14 +135,9 @@ func (db *DB) Watch(src string, opts ...Option) (*Watch, error) {
 // maintenance never replans, so constraint values frozen at open govern
 // the runtime bound — not correctness — for the watch's whole life.
 func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
-	if st.res.Conj == nil {
-		if err := rejectExplicitMode(opts); err != nil {
-			return nil, err
-		}
-	}
-	cfg := st.cfg
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := st.config(opts)
+	if err != nil {
+		return nil, err
 	}
 	queue := cfg.watchQueue
 	if queue <= 0 {
@@ -193,46 +188,38 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 		tickSeen: tick,
 		tick:     tick,
 	}
-	if q := st.res.Conj; q != nil {
-		p, err := st.db.prepareConjunctive(ctx, q, ins, st.res.Constraints, cfg)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		w.p = p
-		for _, v := range p.Free.Vars() {
-			w.columns = append(w.columns, q.VarLabel(bitset.Of(v)))
-		}
-		ex, err := w.exec.Execute(ctx, p, ins)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		out := projectFree(ex.Out, p.Free)
-		w.ok = ex.NonEmpty
-		if out != nil {
-			w.ok = out.Size() > 0
-			w.mat = out // executor output is freshly built; the watch owns it
-		}
-		w.bound = ex.Bound
-	} else {
-		res, err := w.exec.EvalDisjunctive(ctx, st.res.Rule, ins, st.res.Constraints)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		w.tables = res.Tables
-		w.bound = res.Bound
-		for _, t := range res.Tables {
-			if t.Size() > 0 {
-				w.ok = true
-				break
-			}
-		}
+	w.p, err = st.db.prepare(ctx, st.res.Conj, st.res.Rule, ins, st.res.Constraints, cfg)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
+	ex, err := w.exec.Execute(ctx, w.p, ins)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	// The executor output is freshly built; the watch owns it.
+	w.mat, w.tables, w.ok = w.shape(ex)
+	w.columns = columnsOf(w.p, w.mat)
+	w.bound = ex.Bound
 	started = true
 	go w.loop(wake)
 	return w, nil
+}
+
+// shape splits an execution of the pinned plan into the watch's state: the
+// output relation over the free variables (conjunctive plans), the model
+// tables (rule plans), and the non-emptiness answer.
+func (w *Watch) shape(ex *core.ExecResult) (out *Relation, tables map[Set]*Relation, ok bool) {
+	out = projectFree(ex.Out, w.p.Free)
+	ok = ex.NonEmpty
+	if out != nil {
+		ok = out.Size() > 0
+	}
+	if w.p.Mode == ModeRule {
+		tables = ex.Tables
+	}
+	return out, tables, ok
 }
 
 // watchBind snapshots, under one read lock, everything a watch needs to
@@ -276,21 +263,17 @@ func (w *Watch) Result() *Result {
 func (w *Watch) Snapshot() (*Result, uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	res := &Result{OK: w.ok}
-	if w.st.res.Conj == nil {
-		res.Mode = ModeRule
-		res.Tables = w.tables
-		res.Width = w.bound
-		res.Bound = w.bound
-	} else {
-		res.Mode = w.p.Mode
-		res.Width = w.p.Width
-		res.Signature = SignatureDigest(w.p.Key)
-		res.Bound = w.bound
-		if w.mat != nil {
-			res.Rel = w.mat.Clone(w.mat.Name)
-			res.Columns = w.columns
-		}
+	res := &Result{
+		OK:        w.ok,
+		Mode:      w.p.Mode,
+		Width:     w.p.Width,
+		Signature: SignatureDigest(w.p.Key),
+		Bound:     w.bound,
+		Tables:    w.tables,
+	}
+	if w.mat != nil {
+		res.Rel = w.mat.Clone(w.mat.Name)
+		res.Columns = w.columns
 	}
 	return res, w.tick
 }
@@ -428,17 +411,16 @@ func (w *Watch) round() bool {
 	if snap.tick == w.tickSeen {
 		return true // coalesced or spurious wakeup; nothing new
 	}
-	if w.st.res.Conj == nil || w.cfg.watchFallback {
+	if w.p.Mode == ModeRule || w.cfg.watchFallback {
 		return w.fullRound(false)
 	}
 	return w.incrRound(snap)
 }
 
-// fullRound rebinds the catalog and re-executes from scratch: the pinned
-// plan for conjunctive watches, PANDA for rules. structural marks a
-// resync (drop/recreate recovery) — the emission replaces the consumer's
-// state; a non-structural full round (fallback mode) keeps delta
-// emission semantics.
+// fullRound rebinds the catalog and re-executes the pinned plan from
+// scratch. structural marks a resync (drop/recreate recovery, and every
+// rule round) — the emission replaces the consumer's state; a
+// non-structural full round (fallback mode) keeps delta emission semantics.
 func (w *Watch) fullRound(structural bool) bool {
 	s := &w.st.res.Rule.Schema
 	ins, tick, ptrs, err := w.db.watchBind(s)
@@ -450,40 +432,13 @@ func (w *Watch) fullRound(structural bool) bool {
 		w.fail(err)
 		return false
 	}
-
-	if w.st.res.Conj == nil {
-		res, err := w.exec.EvalDisjunctive(w.ctx, w.st.res.Rule, ins, w.st.res.Constraints)
-		if err != nil {
-			w.fail(err)
-			return false
-		}
-		ok := false
-		for _, t := range res.Tables {
-			if t.Size() > 0 {
-				ok = true
-				break
-			}
-		}
-		w.mu.Lock()
-		w.tables, w.bound, w.ok, w.tick = res.Tables, res.Bound, ok, tick
-		w.stats.FullRounds++
-		w.stats.Resyncs++
-		w.mu.Unlock()
-		w.ins, w.lastPtrs, w.tickSeen, w.needResync = ins, ptrs, tick, false
-		w.send(WatchDelta{Tick: tick, OK: ok, Resync: true, Tables: res.Tables})
-		return true
-	}
-
 	ex, err := w.exec.Execute(w.ctx, w.p, ins)
 	if err != nil {
 		w.fail(err)
 		return false
 	}
-	out := projectFree(ex.Out, w.p.Free)
-	ok := ex.NonEmpty
-	if out != nil {
-		ok = out.Size() > 0
-	}
+	out, tables, ok := w.shape(ex)
+	structural = structural || w.p.Mode == ModeRule
 
 	w.mu.Lock()
 	prev := w.mat
@@ -499,14 +454,14 @@ func (w *Watch) fullRound(structural bool) bool {
 	}
 	var added [][]Value
 	if out != nil && !structural {
-		for _, row := range out.SortedRows() {
+		for row := range out.AllSorted() {
 			if prev == nil || !prev.Contains(row) {
-				added = append(added, row)
+				added = append(added, slices.Clone(row))
 			}
 		}
 	}
 	okChanged := ok != w.ok
-	w.mat, w.ok, w.bound, w.tick = out, ok, ex.Bound, tick
+	w.mat, w.tables, w.ok, w.bound, w.tick = out, tables, ok, ex.Bound, tick
 	w.stats.FullRounds++
 	if structural {
 		w.stats.Resyncs++
@@ -516,11 +471,7 @@ func (w *Watch) fullRound(structural bool) bool {
 
 	switch {
 	case structural:
-		d := WatchDelta{Tick: tick, OK: ok, Resync: true}
-		if out != nil {
-			d.Rows = out.SortedRows()
-		}
-		w.send(d)
+		w.send(WatchDelta{Tick: tick, OK: ok, Resync: true, Rows: sortedRows(out), Tables: tables})
 	case len(added) > 0 || okChanged:
 		w.send(WatchDelta{Tick: tick, Rows: added, OK: ok})
 	}
@@ -597,11 +548,7 @@ func (w *Watch) incrRound(snap watchSnap) bool {
 	w.advance(snap)
 
 	if fresh != nil || okChanged {
-		d := WatchDelta{Tick: snap.tick, OK: ok}
-		if fresh != nil {
-			d.Rows = fresh.SortedRows()
-		}
-		w.send(d)
+		w.send(WatchDelta{Tick: snap.tick, OK: ok, Rows: sortedRows(fresh)})
 	}
 	return true
 }
@@ -652,11 +599,5 @@ func (w *Watch) send(d WatchDelta) {
 func (w *Watch) resyncDelta(tick uint64) WatchDelta {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	d := WatchDelta{Tick: tick, OK: w.ok, Resync: true}
-	if w.st.res.Conj == nil {
-		d.Tables = w.tables
-	} else if w.mat != nil {
-		d.Rows = w.mat.SortedRows()
-	}
-	return d
+	return WatchDelta{Tick: tick, OK: w.ok, Resync: true, Rows: sortedRows(w.mat), Tables: w.tables}
 }

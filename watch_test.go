@@ -207,34 +207,63 @@ func TestWatchParityProjection(t *testing.T) {
 	testWatchParity(t, `Q(A,B) :- R(A,B), S(B,C), T(A,C).`, 15)
 }
 
-// TestWatchZeroPlanningAfterOpen pins the pinned-plan guarantee: once the
-// watch is open, maintenance rounds perform no planner work at all.
+// TestWatchZeroPlanningAfterOpen pins the pinned-plan guarantee, for a
+// conjunctive query and for Example 1.4's rule alike: once the watch is
+// open, maintenance rounds perform no planner work at all. A rule watch
+// re-executes its pinned plan every round and resyncs the whole model; the
+// plan's cardinalities are the open-time ones, which bounds its runtime
+// guarantee, not its answer — every resync must still be a model of the
+// catalog at its tick.
 func TestWatchZeroPlanningAfterOpen(t *testing.T) {
-	db := Open()
-	defer db.Close()
-	res := createRelationsFor(t, db, triangleSrc)
-	rng := rand.New(rand.NewSource(21))
-	insertRandomBatch(t, db, res, rng, 10, 5)
+	for _, src := range []string{triangleSrc, pathRuleSrc} {
+		t.Run(src, func(t *testing.T) {
+			db := Open()
+			defer db.Close()
+			res := createRelationsFor(t, db, src)
+			rng := rand.New(rand.NewSource(21))
+			insertRandomBatch(t, db, res, rng, 10, 5)
 
-	w, err := db.Watch(triangleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	before := db.PlannerStats()
+			w, err := db.Watch(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			before := db.PlannerStats()
 
-	for batch := 0; batch < 5; batch++ {
-		insertRandomBatch(t, db, res, rng, 5, 5)
-		target, err := db.schemaTick(&res.Rule.Schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitTick(t, w, target)
-	}
-	after := db.PlannerStats()
-	if after.LPSolves != before.LPSolves || after.Misses != before.Misses {
-		t.Fatalf("maintenance planned: LP %d→%d, misses %d→%d",
-			before.LPSolves, after.LPSolves, before.Misses, after.Misses)
+			for batch := 0; batch < 5; batch++ {
+				insertRandomBatch(t, db, res, rng, 5, 5)
+				s := &res.Rule.Schema
+				target, err := db.schemaTick(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitTick(t, w, target)
+				if res.Conj != nil {
+					continue
+				}
+				ins, _, err := db.bindInstance(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := range w.Deltas() { // earlier ticks are mid-batch states
+					if d.Tick < target {
+						continue
+					}
+					if ok, err := ins.IsModel(res.Rule, d.Tables); !d.Resync || err != nil || !ok {
+						t.Fatalf("batch %d: resync=%v, model=%v (%v)", batch, d.Resync, ok, err)
+					}
+					break
+				}
+			}
+			after := db.PlannerStats()
+			if after.LPSolves != before.LPSolves || after.Misses != before.Misses {
+				t.Fatalf("maintenance planned: LP %d→%d, misses %d→%d",
+					before.LPSolves, after.LPSolves, before.Misses, after.Misses)
+			}
+			if st := w.Stats(); st.IncrRounds+st.FullRounds == 0 {
+				t.Fatal("watch performed no maintenance rounds")
+			}
+		})
 	}
 }
 
