@@ -5,6 +5,7 @@
 //	{
 //	  "schema": "panda-bench/v1",
 //	  "go": "go1.24.0", "goos": "linux", "goarch": "amd64", "cpu": "…",
+//	  "gomaxprocs": 8, "num_cpu": 8,
 //	  "benchmarks": [
 //	    {"pkg": "panda/internal/plan",
 //	     "name": "BenchmarkPlanDecodeVsPrepare/decode",
@@ -12,10 +13,12 @@
 //	     "metrics": {"B/op": 65536, "allocs/op": 112}}, …]
 //	}
 //
-// Every `<value> <unit>` pair after the iteration count lands in metrics
-// (ns/op additionally in the ns_per_op field), so custom b.ReportMetric
-// units like max-intermediate survive. Input order is preserved; jq can
-// diff two artifacts benchmark-by-benchmark.
+// gomaxprocs and num_cpu are this process's — benchjson runs on the machine
+// that ran the benchmarks — so a consumer can tell whether a P=NumCPU arm
+// had cores to scale onto. Every `<value> <unit>` pair after the iteration
+// count lands in metrics (ns/op additionally in the ns_per_op field), so
+// custom b.ReportMetric units like max-intermediate survive. Input order is
+// preserved; jq can diff two artifacts benchmark-by-benchmark.
 //
 // Usage: go test -bench=… ./… | benchjson [-o BENCH_PR.json]
 package main
@@ -51,6 +54,8 @@ type Report struct {
 	GOOS       string  `json:"goos"`
 	GOARCH     string  `json:"goarch"`
 	CPU        string  `json:"cpu,omitempty"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	NumCPU     int     `json:"num_cpu"`
 	Benchmarks []Bench `json:"benchmarks"`
 }
 
@@ -69,10 +74,12 @@ var (
 // tracking the pkg/cpu header lines interleaved between packages.
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{
-		Schema: SchemaID,
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
+		Schema:     SchemaID,
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 	pkg := ""
 	sc := bufio.NewScanner(r)

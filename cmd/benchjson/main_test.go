@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,10 @@ func TestParse(t *testing.T) {
 	}
 	if rep.Schema != SchemaID {
 		t.Fatalf("schema %q", rep.Schema)
+	}
+	// The core counts the CI scaling assert keys on.
+	if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || rep.NumCPU != runtime.NumCPU() {
+		t.Fatalf("header gomaxprocs=%d num_cpu=%d", rep.GOMAXPROCS, rep.NumCPU)
 	}
 	if len(rep.Benchmarks) != 5 {
 		t.Fatalf("parsed %d benchmarks, want 5", len(rep.Benchmarks))

@@ -547,10 +547,6 @@ func (db *DB) ReplanSignatures(ctx context.Context, keys []string) (replanned in
 	return replanned, lpSolves, nil
 }
 
-// PlanDir returns the plan-persistence directory configured at Open, or ""
-// when the session is not persistent.
-func (db *DB) PlanDir() string { return db.defaults.planDir }
-
 // LoadPlanDir loads the PlanSnapshotFile snapshot from the configured plan
 // directory. A missing snapshot is not an error (the directory simply has
 // not been written yet); a session without a plan directory is.
@@ -803,16 +799,6 @@ func (db *DB) prepare(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs
 	return db.planner.PrepareContext(ctx, q, dcs, cfg.mode)
 }
 
-// projectFree projects an execution output onto the query's free variables
-// when it is a proper projection (non-full, non-Boolean); full and Boolean
-// results pass through.
-func projectFree(out *Relation, free Set) *Relation {
-	if out != nil && free != 0 && free != out.Attrs() {
-		return out.Project(free)
-	}
-	return out
-}
-
 // eval plans (prepare) and executes a conjunctive query q — or, when q is
 // nil, the disjunctive rule r — and shapes the one Result: a rule's answer
 // is its model Tables, a query's its Rel over the free variables.
@@ -836,15 +822,10 @@ func (db *DB) eval(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs []
 	if ex.Timings != nil {
 		ex.Timings.PrepareWait = prepWait
 	}
-	out := projectFree(ex.Out, p.Free)
-	ok := ex.NonEmpty
-	if out != nil {
-		ok = out.Size() > 0
-	}
 	return &Result{
-		Rel:       out,
-		Columns:   columnsOf(p, out),
-		OK:        ok,
+		Rel:       ex.Out,
+		Columns:   columnsOf(p, ex.Out),
+		OK:        ex.NonEmpty,
 		Width:     ex.Width,
 		Mode:      ex.Mode,
 		Tables:    ex.Tables,

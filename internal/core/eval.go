@@ -14,7 +14,7 @@ import (
 // choice) lives in internal/plan and produces a reified plan.Plan; the
 // Executor in executor.go interprets that plan over a concrete instance
 // under a context. What lives here is what the Executor shares across
-// modes: constraint completion, the trivial answers, the ExecResult shape.
+// plans: constraint completion, the trivial answers, the ExecResult shape.
 
 // CompleteConstraints appends (∅, F, |R_F|) for every atom whose exact
 // cardinality constraint is missing — these are always true of the instance
@@ -65,18 +65,22 @@ func dedupeSets(in []bitset.Set) []bitset.Set {
 }
 
 // ExecResult is the outcome of executing a reified plan over an instance.
-// Every mode fills Out/NonEmpty/Width/Mode/Stats uniformly, so callers can
-// assemble a mode-independent answer without reaching back into the plan.
+// Every plan fills it the same way, so callers assemble an answer without
+// reaching back into the plan or re-deriving anything from Out.
 type ExecResult struct {
-	// Out is the output relation; nil for Boolean queries.
+	// Out is the answer of a plan that joins tree decompositions, already
+	// projected onto the plan's free variables (Out.Attrs() == p.Free); nil
+	// for Boolean queries and for ModeRule plans.
 	Out *relation.Relation
-	// NonEmpty answers non-emptiness in every mode (for ModeRule: some
-	// target table is non-empty).
+	// NonEmpty is the final non-emptiness answer: Out has rows, the Boolean
+	// query is satisfied, or (ModeRule) some target table is non-empty.
 	NonEmpty bool
-	// Tables are the model tables of the PANDA rule: the answer of a
-	// ModeRule plan, the raw pre-semijoin table of ModeFull, nil otherwise.
+	// Tables are the model tables of a plan that is one rule over the whole
+	// query: the answer of a ModeRule plan, and the model ModeFull computed
+	// its answer from (unpartitioned: the raw table, before the semijoin
+	// reduction). Nil otherwise.
 	Tables map[bitset.Set]*relation.Relation
-	// Bound is the rule's polymatroid bound (ModeRule and ModeFull only).
+	// Bound is that rule's polymatroid bound; nil when Tables is.
 	Bound *big.Rat
 	// Width is the executed plan's width certificate in log₂ units.
 	Width *big.Rat

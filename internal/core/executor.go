@@ -10,38 +10,45 @@ import (
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
+	"panda/internal/hypergraph"
 	"panda/internal/plan"
 	"panda/internal/query"
 	"panda/internal/relation"
 	"panda/internal/yannakakis"
 )
 
-// Executor runs the data-dependent phase of prepared plans — conjunctive
-// plans and a disjunctive rule's ModeRule plan through the one Execute. It is
-// the context-first execution surface of the engine: an Executor is configured
-// once (parallelism, data partitioning, plus the engine tunables in
-// Options) and reused across runs, and every run takes a context.Context
-// that is checked between proof steps, between rule executions, and between
-// Yannakakis passes — a cancelled or expired context aborts the run
-// promptly with ctx.Err().
+// Executor runs the data-dependent phase of prepared plans. PANDA on one
+// disjunctive rule (ExecuteRule) is the black box; every plan mode is the
+// same pipeline around it (Corollaries 7.10, 7.11, 7.13):
 //
-// When Parallelism > 1, independent work fans out across a bounded worker
-// pool: the per-bag (ModeFhtw) and per-transversal (ModeSubw) rule
-// executions, the per-partition executions of a single rule when Partitions
-// > 1, and the final per-decomposition Yannakakis passes of ModeSubw (they
-// are independent unions). The pool size is chosen per plan by a cost model
-// — task count × 2^width × total input cardinality — so cheap plans skip
-// the pool entirely. The fan-out is deterministic: results are merged in
-// rule-index-then-partition-index order (and decomposition-index order for
-// the Yannakakis passes), so the output relation, OK answer, Width and
-// Stats (including the operator trace) are byte-identical to a sequential
-// run of the same configuration. The first genuine error cancels the
-// sibling executions.
+//  1. run the plan's rules — one task per (rule × co-partitioned
+//     sub-instance) — and, when the plan answers from tree decompositions,
+//     semijoin-reduce each task's model tables with the inputs;
+//  2. merge the tasks' stats and tables in rule-then-partition order;
+//  3. join, by Yannakakis, every decomposition of plan.EvalTDs whose bags
+//     all have tables, and union the passes in decomposition order — a plan
+//     with no decompositions (ModeRule) answers with the tables themselves;
+//  4. project onto the free variables.
+//
+// The modes differ only in what the plan holds: which rules (the full rule,
+// one per bag, one per transversal, the rule itself) and which
+// decompositions. An Executor is configured once and reused across runs;
+// every run takes a context.Context that is checked between proof steps,
+// between tasks and between relational operations of a Yannakakis pass — a
+// cancelled or expired context aborts the run promptly with ctx.Err().
+//
+// When Parallelism > 1 the tasks of step 1 and the passes of step 3 go
+// through a bounded worker pool, sized per plan by a cost model — task
+// count × 2^width × total input cardinality — so cheap plans skip the pool
+// entirely. The merges ignore completion order, so the output relation, OK
+// answer, Width and Stats (including the operator trace) are byte-identical
+// to a sequential run of the same configuration. The first genuine error
+// cancels the sibling tasks.
 //
 // When Partitions > 1 (or the instance's relations carry partition hints),
-// a single rule execution's data is hash-split into co-partitioned
-// sub-instances (query.PartitionInstance): atoms covering the partition key
-// are partitioned, the rest are replicated, and the rule runs once per
+// the data is hash-split into co-partitioned sub-instances
+// (query.PartitionInstance): atoms covering the partition key are
+// partitioned, the rest are replicated, and every rule runs once per
 // partition. The merged result is exact — the final output rows, OK answer
 // and Width certificate match an unpartitioned run — though intermediate
 // model tables and Stats may differ from the K=1 shape (a partitioned proof
@@ -135,52 +142,10 @@ func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.P
 	return &Result{Tables: tables, Bound: pr.Bound, Stats: stats, Timings: timings}, nil
 }
 
-// executePartitionedRule runs one prepared rule once per co-partitioned
-// sub-instance through the worker pool and merges the per-partition model
-// tables and stats in partition-index order. The union of per-partition
-// models is a model of the full instance (every satisfying assignment lands
-// in exactly one partition), so the merged Result obeys the same contract
-// as a single ExecuteRule call.
-func (ex *Executor) executePartitionedRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, subs []*query.Instance) (*Result, error) {
-	ress := make([]*Result, len(subs))
-	bound, _ := pr.Bound.Float64()
-	workers := ex.poolSize(len(subs), fanoutCost(len(subs), bound, subs[0]))
-	err := ex.forEach(ctx, workers, len(subs), func(cctx context.Context, j int) error {
-		res, err := ex.ExecuteRule(cctx, s, pr, cons, subs[j])
-		if err != nil {
-			return err
-		}
-		ress[j] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeRuleResults(pr, ress), nil
-}
-
-// mergeRuleResults folds per-partition rule results in partition order into
-// one Result (set-semantics table unions, stats and timings accumulated).
-func mergeRuleResults(pr *plan.PreparedRule, ress []*Result) *Result {
-	out := &Result{Tables: map[bitset.Set]*relation.Relation{}, Bound: pr.Bound, Stats: newStats()}
-	for _, res := range ress {
-		accumulate(out.Stats, res.Stats)
-		mergeTables(out.Tables, res.Tables)
-		if res.Timings != nil {
-			if out.Timings == nil {
-				out.Timings = newTimings()
-			}
-			out.Timings.Accumulate(res.Timings)
-		}
-	}
-	return out
-}
-
-// Execute runs the data-dependent phase of a prepared plan over an
-// instance — every mode, a disjunctive rule's ModeRule plan included: PANDA
-// (Algorithm 1) interprets the plan's proof sequence(s), honoring ctx
-// throughout. The plan is treated as immutable: concurrent Execute calls on
-// a shared plan are safe.
+// Execute runs the data-dependent phase of a prepared plan over an instance
+// — the one pipeline of the Executor doc, whatever the plan's mode —
+// honoring ctx throughout. The plan is treated as immutable: concurrent
+// Execute calls on a shared plan are safe.
 func (ex *Executor) Execute(ctx context.Context, p *plan.Plan, ins *query.Instance) (*ExecResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -244,19 +209,18 @@ func (ex *Executor) poolSize(n int, cost float64) int {
 	return n
 }
 
+// execute is the pipeline of the Executor doc; the numbered comments below
+// are its steps.
 func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instance) (*ExecResult, error) {
 	if len(ins.Relations) != len(p.Schema.Atoms) {
 		return nil, fmt.Errorf("core: instance has %d relations for %d atoms",
 			len(ins.Relations), len(p.Schema.Atoms))
 	}
 	// Stage clocks: tick() banks the elapsed wall-clock since the previous
-	// tick and restarts the clock; a nil-safe no-op when timings are off.
+	// tick and restarts the clock; no clock calls when timings are off.
 	var t0 time.Time
 	timed := ex.Opt.StageTimings
 	tick := func() time.Duration {
-		if !timed {
-			return 0
-		}
 		d := time.Since(t0)
 		t0 = time.Now()
 		return d
@@ -264,230 +228,87 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	if timed {
 		t0 = time.Now()
 	}
-	// Data-parallel split: subs[j] is the j-th co-partitioned sub-instance;
-	// nil means one task per rule over the full instance. Every mode below
-	// fans (rule × partition) tasks out through the pool and merges in
-	// rule-index-then-partition-index order.
 	subs := ex.subInstances(&p.Schema, ins)
-	nParts := 1
-	if subs != nil {
-		nParts = len(subs)
+	if subs == nil {
+		subs = []*query.Instance{ins}
 	}
-	taskIns := func(j int) *query.Instance {
-		if subs == nil {
-			return ins
-		}
-		return subs[j]
-	}
+	tds := p.EvalTDs()
 	width, _ := p.Width.Float64()
 
-	switch p.Mode {
-	case plan.ModeRule:
-		// The rule is the whole plan: its model tables are the answer, merged
-		// in partition order when the data is split.
-		var res *Result
-		var err error
-		if subs != nil {
-			res, err = ex.executePartitionedRule(ctx, &p.Schema, p.Rules[0], p.Cons, subs)
-		} else {
-			res, err = ex.ExecuteRule(ctx, &p.Schema, p.Rules[0], p.Cons, ins)
-		}
+	// (1) One task per (rule × sub-instance). A plan that answers from
+	// decompositions semijoin-reduces its tables with every input, which
+	// removes the spurious tuples of a PANDA model (Corollary 7.10). The
+	// inputs are the full relations — reducing inside the worker is sound
+	// because ⋉ distributes over the unions of step 2.
+	n := len(p.Rules) * len(subs)
+	ress := make([]*Result, n)
+	models := make([]map[bitset.Set]*relation.Relation, n)
+	err := ex.forEach(ctx, ex.poolSize(n, fanoutCost(n, width, ins)), n, func(cctx context.Context, t int) error {
+		res, err := ex.ExecuteRule(cctx, &p.Schema, p.Rules[t/len(subs)], p.Cons, subs[t%len(subs)])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		nonEmpty := false
-		for _, t := range res.Tables {
-			nonEmpty = nonEmpty || t.Size() > 0
+		ress[t], models[t] = res, res.Tables
+		if len(tds) > 0 {
+			models[t] = make(map[bitset.Set]*relation.Relation, len(res.Tables))
+			for b, tb := range res.Tables {
+				models[t][b] = reduceWithInputs(tb, ins)
+			}
 		}
-		return &ExecResult{NonEmpty: nonEmpty, Tables: res.Tables, Bound: res.Bound, Stats: res.Stats, Timings: res.Timings}, nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 
-	case plan.ModeFull:
-		full := bitset.Full(p.Schema.NumVars)
-		ress := make([]*Result, nParts)
-		reduced := make([]*relation.Relation, nParts)
-		workers := ex.poolSize(nParts, fanoutCost(nParts, width, ins))
-		err := ex.forEach(ctx, workers, nParts, func(cctx context.Context, j int) error {
-			res, err := ex.ExecuteRule(cctx, &p.Schema, p.Rules[0], p.Cons, taskIns(j))
-			if err != nil {
-				return err
-			}
-			ress[j] = res
-			// Semijoin reduction with every input removes spurious tuples
-			// (Corollary 7.10). The inputs are the full relations — reducing
-			// inside the worker is sound because ⋉ distributes over the
-			// partition union — so the union of reduced partition tables is
-			// exactly the full join.
-			reduced[j] = reduceWithInputs(res.Tables[full], ins)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if nParts == 1 {
-			res, t := ress[0], reduced[0]
-			tm := res.Timings
-			if tm != nil {
-				tm.RuleFanout = tick()
-				tm.Merge = tick()
-			}
-			return &ExecResult{Out: t, NonEmpty: t.Size() > 0, Tables: res.Tables, Bound: res.Bound, Stats: res.Stats, Timings: tm}, nil
-		}
-		// Partitioned: merge stats in partition order; the partition outputs
-		// are disjoint (each fixes its key's hash bucket), and their union is
-		// both the exact join and — the target being the full variable set —
-		// the canonical model, so it serves as the run's model table without
-		// a serial union of the larger unreduced per-partition tables.
-		stats := newStats()
-		var tm *Timings
-		for _, res := range ress {
-			accumulate(stats, res.Stats)
-			if res.Timings != nil {
-				if tm == nil {
-					tm = newTimings()
-				}
-				tm.Accumulate(res.Timings)
-			}
-		}
-		if tm != nil {
-			tm.RuleFanout = tick()
-		}
-		t := reduced[0]
-		for j := 1; j < nParts; j++ {
-			t = t.Union(reduced[j])
-		}
-		if tm != nil {
-			tm.Merge = tick()
-		}
-		tables := map[bitset.Set]*relation.Relation{full: t}
-		return &ExecResult{Out: t, NonEmpty: t.Size() > 0, Tables: tables, Bound: ress[0].Bound, Stats: stats, Timings: tm}, nil
-
-	case plan.ModeFhtw:
-		td := p.TDs[p.Chosen]
-		// The (bag × partition) rules are independent until the Yannakakis
-		// pass: execute and semijoin-reduce them through the worker pool
-		// (the reduction distributes over the partition union), then merge
-		// stats in bag-then-partition order so the outcome matches
-		// sequential runs.
-		n := len(td.Bags) * nParts
-		ress := make([]*Result, n)
-		reduced := make([]*relation.Relation, n)
-		workers := ex.poolSize(n, fanoutCost(n, width, ins))
-		err := ex.forEach(ctx, workers, n, func(cctx context.Context, t int) error {
-			bi, pj := t/nParts, t%nParts
-			res, err := ex.ExecuteRule(cctx, &p.Schema, p.Rules[bi], p.Cons, taskIns(pj))
-			if err != nil {
-				return err
-			}
-			ress[t] = res
-			reduced[t] = reduceWithInputs(res.Tables[td.Bags[bi]], ins)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		var tm *Timings
+	// (2) Fold in rule-then-partition order, whatever order the pool ran the
+	// tasks in: stats and trace concatenate, each target's tables union (the
+	// union of per-partition models is a model of the full instance — every
+	// satisfying assignment lands in exactly one partition).
+	out := &ExecResult{Stats: newStats()}
+	if timed {
+		out.Timings = newTimings()
+		out.Timings.RuleFanout = tick()
+	}
+	tables := map[bitset.Set]*relation.Relation{}
+	for t, res := range ress {
+		accumulate(out.Stats, res.Stats)
 		if timed {
-			tm = newTimings()
-			tm.RuleFanout = tick()
+			out.Timings.Accumulate(res.Timings)
 		}
-		stats := newStats()
-		for _, res := range ress {
-			accumulate(stats, res.Stats)
-			if tm != nil {
-				tm.Accumulate(res.Timings)
-			}
+		mergeTables(tables, models[t])
+	}
+	// A plan that is one rule over the whole query — a ModeRule plan (no
+	// decompositions) and ModeFull — reports the rule's model and bound. A
+	// lone task's model is handed over as the engine produced it, which for
+	// ModeFull is the table before the semijoin reduction.
+	if len(tds) == 0 || p.Mode == plan.ModeFull {
+		out.Tables, out.Bound = tables, ress[0].Bound
+		if n == 1 {
+			out.Tables = ress[0].Tables
 		}
-		rels := make([]*relation.Relation, len(td.Bags))
-		for bi := range td.Bags {
-			t := reduced[bi*nParts]
-			for pj := 1; pj < nParts; pj++ {
-				t = t.Union(reduced[bi*nParts+pj])
-			}
-			rels[bi] = t
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if p.Free == 0 {
-			ok, err := yannakakis.NonEmptyContext(ctx, rels, td.Parent)
-			if err != nil {
-				return nil, err
-			}
-			if tm != nil {
-				tm.Merge = tick()
-			}
-			return &ExecResult{NonEmpty: ok, Stats: stats, Timings: tm}, nil
-		}
-		out, err := yannakakis.JoinContext(ctx, rels, td.Parent)
-		if err != nil {
-			return nil, err
-		}
-		if tm != nil {
-			tm.Merge = tick()
-		}
-		return &ExecResult{Out: out, NonEmpty: out.Size() > 0, Stats: stats, Timings: tm}, nil
+	}
 
-	case plan.ModeSubw:
-		// One rule per inclusion-minimal transversal × one task per
-		// partition; the tasks are independent, so they fan out, and their
-		// tables are merged in rule-index-then-partition-index order
-		// afterwards (set-semantics unions, deterministic).
-		n := len(p.Rules) * nParts
-		ress := make([]*Result, n)
-		workers := ex.poolSize(n, fanoutCost(n, width, ins))
-		err := ex.forEach(ctx, workers, n, func(cctx context.Context, t int) error {
-			ri, pj := t/nParts, t%nParts
-			res, err := ex.ExecuteRule(cctx, &p.Schema, p.Rules[ri], p.Cons, taskIns(pj))
-			if err != nil {
-				return err
-			}
-			ress[t] = res
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	// (3) No decompositions: the tables are the answer. Otherwise every
+	// decomposition whose bags all have tables gets its Yannakakis pass; the
+	// passes are independent, so they go through the pool too and are merged
+	// in decomposition order (the Boolean answer ORs, the outputs union).
+	if len(tds) == 0 {
+		for _, tb := range tables {
+			out.NonEmpty = out.NonEmpty || tb.Size() > 0
 		}
-		var tm *Timings
-		if timed {
-			tm = newTimings()
-			tm.RuleFanout = tick()
-		}
-		stats := newStats()
-		tables := map[bitset.Set]*relation.Relation{}
-		for _, res := range ress {
-			accumulate(stats, res.Stats)
-			if tm != nil {
-				tm.Accumulate(res.Timings)
-			}
-			mergeTables(tables, res.Tables)
-		}
-		// Semijoin-reduce every bag table with the full inputs.
-		for b, t := range tables {
-			tables[b] = reduceWithInputs(t, ins)
-		}
-		// Evaluate every decomposition whose bags all have tables. The
-		// per-decomposition Yannakakis passes are independent unions, so
-		// they fan out through the pool too, and are merged in
-		// decomposition-index order: the OK answer ORs and the output
-		// unions exactly as the sequential loop did.
-		type tdPass struct {
-			ti   int
-			rels []*relation.Relation
-		}
-		var passes []tdPass
-		for ti := range p.TDs {
-			rels := make([]*relation.Relation, len(p.TDs[ti].Bags))
-			ok := true
-			for i, bi := range p.TDBags[ti] {
-				t, have := tables[p.Bags[bi]]
-				if !have {
-					ok = false
-					break
+	} else {
+		var passes []*hypergraph.Decomposition
+		var rels [][]*relation.Relation
+		for _, td := range tds {
+			bagRels := make([]*relation.Relation, 0, len(td.Bags))
+			for _, b := range td.Bags {
+				if tb, ok := tables[b]; ok {
+					bagRels = append(bagRels, tb)
 				}
-				rels[i] = t
 			}
-			if ok {
-				passes = append(passes, tdPass{ti: ti, rels: rels})
+			if len(bagRels) == len(td.Bags) {
+				passes, rels = append(passes, td), append(rels, bagRels)
 			}
 		}
 		if len(passes) == 0 {
@@ -495,49 +316,38 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		}
 		answers := make([]bool, len(passes))
 		outs := make([]*relation.Relation, len(passes))
-		workers = ex.poolSize(len(passes), fanoutCost(len(passes), width, ins))
-		err = ex.forEach(ctx, workers, len(passes), func(cctx context.Context, i int) error {
-			td := p.TDs[passes[i].ti]
+		err = ex.forEach(ctx, ex.poolSize(len(passes), fanoutCost(len(passes), width, ins)), len(passes), func(cctx context.Context, i int) (err error) {
 			if p.Free == 0 {
-				ne, err := yannakakis.NonEmptyContext(cctx, passes[i].rels, td.Parent)
-				if err != nil {
-					return err
-				}
-				answers[i] = ne
-				return nil
+				answers[i], err = yannakakis.NonEmptyContext(cctx, rels[i], passes[i].Parent)
+			} else {
+				outs[i], err = yannakakis.JoinContext(cctx, rels[i], passes[i].Parent)
 			}
-			j, err := yannakakis.JoinContext(cctx, passes[i].rels, td.Parent)
-			if err != nil {
-				return err
-			}
-			outs[i] = j
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		var out *relation.Relation
-		answer := false
 		for i := range passes {
-			answer = answer || answers[i]
-			if outs[i] == nil {
-				continue
-			}
-			if out == nil {
-				out = outs[i]
-			} else {
-				out = out.Union(outs[i])
+			out.NonEmpty = out.NonEmpty || answers[i]
+			if out.Out == nil {
+				out.Out = outs[i]
+			} else if outs[i] != nil {
+				out.Out = out.Out.Union(outs[i])
 			}
 		}
-		if tm != nil {
-			tm.Merge = tick()
+		// (4) The decompositions cover every variable; the answer is over
+		// the free ones.
+		if out.Out != nil {
+			if p.Free != out.Out.Attrs() {
+				out.Out = out.Out.Project(p.Free)
+			}
+			out.NonEmpty = out.Out.Size() > 0
 		}
-		if p.Free == 0 {
-			return &ExecResult{NonEmpty: answer, Stats: stats, Timings: tm}, nil
-		}
-		return &ExecResult{Out: out, NonEmpty: out.Size() > 0, Stats: stats, Timings: tm}, nil
 	}
-	return nil, fmt.Errorf("core: plan mode %v is not executable", p.Mode)
+	if timed {
+		out.Timings.Merge = tick()
+	}
+	return out, nil
 }
 
 // forEach runs fn(ctx, i) for i in [0, n), sequentially when workers ≤ 1,

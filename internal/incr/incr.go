@@ -112,17 +112,13 @@ func Maintain(ctx context.Context, exec *core.Executor, p *plan.Plan, s *query.S
 		}
 		round.AtomsExecuted++
 		round.NonEmpty = round.NonEmpty || ex.NonEmpty
-		out := ex.Out
-		if out != nil && p.Free != 0 && p.Free != out.Attrs() {
-			out = out.Project(p.Free)
-		}
-		if out == nil {
+		if ex.Out == nil {
 			continue
 		}
 		if round.Delta == nil {
-			round.Delta = relation.New("Δ"+s.Atoms[0].Name, out.Attrs())
+			round.Delta = relation.New("Δ"+s.Atoms[0].Name, ex.Out.Attrs())
 		}
-		round.Delta.InsertAll(out)
+		round.Delta.InsertAll(ex.Out)
 	}
 	return round, nil
 }

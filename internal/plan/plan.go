@@ -301,6 +301,12 @@ func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstr
 	if err != nil {
 		return nil, err
 	}
+	return newPreparedRule(targets, res, bs)
+}
+
+// newPreparedRule turns a solved bound LP into an executable rule: the proof
+// sequence of Theorem 5.9 is constructed from the LP's witness.
+func newPreparedRule(targets []bitset.Set, res *flow.MaximinResult, bs *BuildStats) (*PreparedRule, error) {
 	seq, err := flow.ConstructProof(res.Lambda, res.Delta, res.Witness)
 	if err != nil {
 		return nil, err
@@ -513,67 +519,67 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 		p.Transversals = trs
 		p.Width = subwWidth
 		for ti, r := range trRes {
-			seq, err := flow.ConstructProof(r.Lambda, r.Delta, r.Witness)
+			pr, err := newPreparedRule(trTargets[ti], r, bs)
 			if err != nil {
 				return nil, bs, err
 			}
-			bs.ProofSteps += len(seq)
-			p.Rules = append(p.Rules, &PreparedRule{
-				Targets: trTargets[ti],
-				Bound:   r.Bound,
-				Lambda:  r.Lambda,
-				Delta:   r.Delta,
-				Seq:     seq,
-			})
+			p.Rules = append(p.Rules, pr)
 		}
 		return p, bs, nil
 	}
 
 	p.Chosen = fhtwChosen
 	p.Width = fhtwWidth
-	td := p.TDs[fhtwChosen]
-	for i, b := range td.Bags {
-		r := bagRes[p.TDBags[fhtwChosen][i]]
-		seq, err := flow.ConstructProof(r.Lambda, r.Delta, r.Witness)
+	for i, b := range p.TDs[fhtwChosen].Bags {
+		pr, err := newPreparedRule([]bitset.Set{b}, bagRes[p.TDBags[fhtwChosen][i]], bs)
 		if err != nil {
 			return nil, bs, err
 		}
-		bs.ProofSteps += len(seq)
-		p.Rules = append(p.Rules, &PreparedRule{
-			Targets: []bitset.Set{b},
-			Bound:   r.Bound,
-			Lambda:  r.Lambda,
-			Delta:   r.Delta,
-			Seq:     seq,
-		})
+		p.Rules = append(p.Rules, pr)
 	}
 	return p, bs, nil
 }
 
-// Covers computes fractional edge covers for every bag the plan touches —
-// the chosen decomposition's bags (ModeFhtw), the whole bag universe
-// (ModeSubw), or the full variable set (ModeFull). Execution never needs
-// them, so they are computed on demand (one small LP per bag) rather than
-// in Prepare; the result is not memoized.
+// EvalTDs returns the tree decompositions the plan's answer is assembled
+// from — the one mode → decompositions mapping of the system. Execution runs
+// the plan's rules and then Yannakakis over every one of these whose bags
+// the rules' model tables cover: the one-bag decomposition {[n]} for
+// ModeFull (Yannakakis over it is the identity), the chosen decomposition
+// for ModeFhtw, every decomposition for ModeSubw, and none for ModeRule,
+// whose model tables are the answer.
+func (p *Plan) EvalTDs() []*hypergraph.Decomposition {
+	switch p.Mode {
+	case ModeFull:
+		return []*hypergraph.Decomposition{{Bags: []bitset.Set{bitset.Full(p.Schema.NumVars)}, Parent: []int{-1}}}
+	case ModeFhtw:
+		return p.TDs[p.Chosen : p.Chosen+1]
+	case ModeSubw:
+		return p.TDs
+	}
+	return nil
+}
+
+// Covers computes fractional edge covers for every distinct bag of the
+// decompositions the plan answers from (EvalTDs), in first-appearance order.
+// Execution never needs them, so they are computed on demand (one small LP
+// per bag) rather than in Prepare; the result is not memoized.
 func (p *Plan) Covers() ([]Cover, error) {
 	h := p.Schema.Hypergraph()
-	var bags []bitset.Set
-	switch {
-	case p.Mode == ModeFull:
-		bags = []bitset.Set{bitset.Full(p.Schema.NumVars)}
-	case p.Chosen >= 0:
-		bags = p.TDs[p.Chosen].Bags
-	default:
-		bags = p.Bags
-	}
 	bs := &BuildStats{}
-	out := make([]Cover, 0, len(bags))
-	for _, b := range bags {
-		cov, err := fractionalCover(h, b, bs)
-		if err != nil {
-			return nil, err
+	seen := map[bitset.Set]bool{}
+	out := []Cover{}
+	for _, td := range p.EvalTDs() {
+		for _, b := range td.Bags {
+			if seen[b] {
+				continue
+			}
+			seen[b] = true
+			cov, err := fractionalCover(h, b, bs)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, cov)
 		}
-		out = append(out, cov)
 	}
 	return out, nil
 }

@@ -8,7 +8,7 @@
 // uint32 id (see Interner) and a relation holds one []uint32 vector per
 // attribute, so equality, dedup and index builds operate on machine words
 // and iteration walks contiguous memory. Values are decoded back only at
-// the read boundary (Cursor, All, Rows, SortedRows).
+// the read boundary (All, AllSorted, Rows, SortedRows).
 package relation
 
 import (

@@ -8,42 +8,6 @@ import (
 // Row is one decoded tuple in column order (sorted variable ids).
 type Row = []Value
 
-// Cursor is a zero-alloc reader over a relation's rows. The decode buffer
-// is reused: the slice returned by Row is valid only until the next call to
-// Next — copy it if it must outlive the iteration.
-//
-//	for c := r.NewCursor(); c.Next(); {
-//		use(c.Row())
-//	}
-type Cursor struct {
-	r   *Relation
-	i   int
-	buf []Value
-}
-
-// NewCursor returns a cursor positioned before the first row.
-func (r *Relation) NewCursor() Cursor {
-	return Cursor{r: r, i: -1, buf: make([]Value, len(r.cols))}
-}
-
-// Next advances to the next row; it returns false when exhausted.
-func (c *Cursor) Next() bool {
-	c.i++
-	return c.i < c.r.nrows
-}
-
-// Row decodes the current row into the cursor's reused buffer.
-func (c *Cursor) Row() Row {
-	c.r.decodeInto(c.buf, c.i)
-	return c.buf
-}
-
-// IDs copies the current row's interned ids into buf (which must have the
-// relation's arity) — for callers that stay on the id plane.
-func (c *Cursor) IDs(buf []uint32) []uint32 {
-	return c.r.rowIDs(c.i, buf)
-}
-
 // All iterates the decoded rows in storage order. One buffer is reused for
 // every yielded row: the slice is valid only for the body of the loop —
 // copy it if it must be retained.
@@ -114,8 +78,8 @@ func (r *Relation) decodeRange(from, to int) [][]Value {
 // Rows returns a decoded copy of every tuple; callers own the result.
 //
 // Deprecated: Rows materializes size×arity boxed values on every call. Hot
-// paths should iterate with All, AllSorted or NewCursor, or stay on the id
-// plane via Column/InsertIDs.
+// paths should iterate with All or AllSorted, or stay on the id plane via
+// Column/InsertIDs.
 func (r *Relation) Rows() [][]Value { return r.decodeRange(0, r.nrows) }
 
 // SortedRows returns the tuples sorted lexicographically (for deterministic

@@ -6,7 +6,7 @@ import (
 )
 
 // Tests for the interned columnar storage engine as seen through the
-// facade: the streaming cursor API must agree byte for byte with the
+// facade: the streaming iterator API must agree byte for byte with the
 // deprecated materializing accessors, and the statement-level result memo
 // must key on the referenced relations' catalog ticks.
 

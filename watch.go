@@ -208,18 +208,13 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 }
 
 // shape splits an execution of the pinned plan into the watch's state: the
-// output relation over the free variables (conjunctive plans), the model
-// tables (rule plans), and the non-emptiness answer.
+// output relation (conjunctive plans) or the model tables (rule plans), and
+// the non-emptiness answer.
 func (w *Watch) shape(ex *core.ExecResult) (out *Relation, tables map[Set]*Relation, ok bool) {
-	out = projectFree(ex.Out, w.p.Free)
-	ok = ex.NonEmpty
-	if out != nil {
-		ok = out.Size() > 0
-	}
 	if w.p.Mode == ModeRule {
-		tables = ex.Tables
+		return nil, ex.Tables, ex.NonEmpty
 	}
-	return out, tables, ok
+	return ex.Out, nil, ex.NonEmpty
 }
 
 // watchBind snapshots, under one read lock, everything a watch needs to
@@ -259,7 +254,9 @@ func (w *Watch) Result() *Result {
 
 // Snapshot returns the current materialized result together with the
 // catalog tick it reflects; a consumer that applies every delta with
-// Tick greater than the snapshot tick reconstructs the live state.
+// Tick greater than the snapshot tick reconstructs the live state. State,
+// tick and the round's delta are published together (see Tick), so no delta
+// with a greater tick was enqueued before the snapshot was taken.
 func (w *Watch) Snapshot() (*Result, uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -279,6 +276,10 @@ func (w *Watch) Snapshot() (*Result, uint64) {
 }
 
 // Tick reports the catalog tick the materialization currently reflects.
+// A maintenance round publishes its state, its tick and its delta under one
+// lock hold, so the order is a contract: once Tick() ≥ t, every delta with
+// Tick ≤ t is already in the Deltas channel (or was evicted from a full
+// queue into a later resync) and Result reflects at least tick t.
 func (w *Watch) Tick() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -463,18 +464,15 @@ func (w *Watch) fullRound(structural bool) bool {
 	okChanged := ok != w.ok
 	w.mat, w.tables, w.ok, w.bound, w.tick = out, tables, ok, ex.Bound, tick
 	w.stats.FullRounds++
-	if structural {
+	switch {
+	case structural:
 		w.stats.Resyncs++
+		w.sendLocked(WatchDelta{Tick: tick, OK: ok, Resync: true, Rows: sortedRows(out), Tables: tables})
+	case len(added) > 0 || okChanged:
+		w.sendLocked(WatchDelta{Tick: tick, Rows: added, OK: ok})
 	}
 	w.mu.Unlock()
 	w.ins, w.lastPtrs, w.tickSeen, w.needResync = ins, ptrs, tick, false
-
-	switch {
-	case structural:
-		w.send(WatchDelta{Tick: tick, OK: ok, Resync: true, Rows: sortedRows(out), Tables: tables})
-	case len(added) > 0 || okChanged:
-		w.send(WatchDelta{Tick: tick, Rows: added, OK: ok})
-	}
 	return true
 }
 
@@ -544,12 +542,11 @@ func (w *Watch) incrRound(snap watchSnap) bool {
 	okChanged := ok != w.ok
 	w.ok, w.tick = ok, snap.tick
 	w.stats.IncrRounds++
+	if fresh != nil || okChanged {
+		w.sendLocked(WatchDelta{Tick: snap.tick, OK: ok, Rows: sortedRows(fresh)})
+	}
 	w.mu.Unlock()
 	w.advance(snap)
-
-	if fresh != nil || okChanged {
-		w.send(WatchDelta{Tick: snap.tick, OK: ok, Rows: sortedRows(fresh)})
-	}
 	return true
 }
 
@@ -566,18 +563,19 @@ func (w *Watch) advance(snap watchSnap) {
 	w.mu.Unlock()
 }
 
-// send delivers a delta with bounded-queue overflow semantics: when the
-// channel is full, the oldest undelivered delta is evicted and the
-// emission is upgraded to a resync carrying the complete current state,
-// so a consumer never observes a gap it cannot recover from. The
-// maintainer is the only sender, so one eviction always frees a slot.
-func (w *Watch) send(d WatchDelta) {
+// sendLocked delivers a delta with bounded-queue overflow semantics: when
+// the channel is full, the oldest undelivered delta is evicted and the
+// emission is upgraded to a resync carrying the complete current state, so a
+// consumer never observes a gap it cannot recover from. The maintainer is
+// the only sender, so one eviction always frees a slot and no channel
+// operation here blocks. The caller holds w.mu — the same hold that
+// published the round's state and tick, which is what makes Tick's ordering
+// contract hold.
+func (w *Watch) sendLocked(d WatchDelta) {
 	for {
 		select {
 		case w.deltas <- d:
-			w.mu.Lock()
 			w.stats.DeltasEmitted++
-			w.mu.Unlock()
 			return
 		default:
 		}
@@ -586,18 +584,8 @@ func (w *Watch) send(d WatchDelta) {
 		default:
 		}
 		if !d.Resync {
-			d = w.resyncDelta(d.Tick)
+			d = WatchDelta{Tick: d.Tick, OK: w.ok, Resync: true, Rows: sortedRows(w.mat), Tables: w.tables}
 		}
-		w.mu.Lock()
 		w.stats.Resyncs++
-		w.mu.Unlock()
 	}
-}
-
-// resyncDelta builds a full-state emission from the current
-// materialization.
-func (w *Watch) resyncDelta(tick uint64) WatchDelta {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return WatchDelta{Tick: tick, OK: w.ok, Resync: true, Rows: sortedRows(w.mat), Tables: w.tables}
 }

@@ -162,7 +162,10 @@ func testWatchParity(t *testing.T, src string, seed int64, opts ...Option) {
 			}
 		}
 
-		// The delta stream must reconstruct the same state.
+		// The delta stream must reconstruct the same state. A non-blocking
+		// drain is enough, and must stay enough: Tick() ≥ target means every
+		// delta up to target is already in the channel (Watch.Tick's
+		// contract).
 		applier.drain(w)
 		if applier.ok != fresh.OK {
 			t.Fatalf("batch %d: applied OK=%v, fresh OK=%v", batch, applier.ok, fresh.OK)
