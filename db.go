@@ -318,6 +318,9 @@ func (db *DB) Insert(name string, rows ...[]Value) error {
 				ErrArity, row, len(row), name, arity)
 		}
 	}
+	if err := t.CheckRoom(len(rows)); err != nil {
+		return err
+	}
 	for _, row := range rows {
 		t.Insert(row)
 	}
@@ -414,7 +417,11 @@ func (db *DB) LoadCSVContext(ctx context.Context, name string, r io.Reader) (int
 		}
 		// A fresh relation gets the bulk path: the whole row set is known, so
 		// build into preallocated columns instead of growing insert by insert.
-		b := relation.NewBuilder(name, bitset.Full(len(rows[0])), len(rows))
+		attrs := bitset.Full(len(rows[0]))
+		if err := relation.New(name, attrs).CheckRoom(len(rows)); err != nil {
+			return 0, err
+		}
+		b := relation.NewBuilder(name, attrs, len(rows))
 		for _, row := range rows {
 			b.Add(row)
 		}
@@ -424,6 +431,9 @@ func (db *DB) LoadCSVContext(ctx context.Context, name string, r io.Reader) (int
 		if len(rows) > 0 && len(rows[0]) != t.Attrs().Card() {
 			return 0, fmt.Errorf("%w: relation %s line %d: %d fields, want %d",
 				ErrArity, name, lines[0], len(rows[0]), t.Attrs().Card())
+		}
+		if err := t.CheckRoom(len(rows)); err != nil {
+			return 0, err
 		}
 		for _, row := range rows {
 			t.Insert(row)

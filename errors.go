@@ -6,6 +6,7 @@ import (
 	"panda/internal/flow"
 	"panda/internal/plan"
 	"panda/internal/query"
+	"panda/internal/relation"
 )
 
 // Structured sentinel errors of the DB surface. Every error returned by the
@@ -26,6 +27,11 @@ var (
 	// ErrArity reports a tuple, CSV row or atom whose arity disagrees with
 	// the relation's declared arity.
 	ErrArity = query.ErrArity
+
+	// ErrTooManyRows reports an insert or CSV load that would grow a
+	// relation past the storage engine's row limit (2³¹−2 rows: row ids are
+	// int32). The batch is refused whole.
+	ErrTooManyRows = relation.ErrTooManyRows
 
 	// ErrUnboundedLP reports that planning's polymatroid-bound LP is
 	// unbounded: the constraint set does not bound every target, typically

@@ -270,14 +270,15 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		out.Timings = newTimings()
 		out.Timings.RuleFanout = tick()
 	}
-	tables := map[bitset.Set]*relation.Relation{}
+	fold := newTableFold()
 	for t, res := range ress {
 		accumulate(out.Stats, res.Stats)
 		if timed {
 			out.Timings.Accumulate(res.Timings)
 		}
-		mergeTables(tables, models[t])
+		fold.add(models[t])
 	}
+	tables := fold.tables
 	// A plan that is one rule over the whole query — a ModeRule plan (no
 	// decompositions) and ModeFull — reports the rule's model and bound. A
 	// lone task's model is handed over as the engine produced it, which for

@@ -1,0 +1,132 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"panda/internal/bitset"
+	"panda/internal/plan"
+	"panda/internal/query"
+	"panda/internal/relation"
+	"panda/internal/workload"
+)
+
+// TestFoldNeverWritesToInputs: stepDecomposition folds its children's tables
+// into an accumulator it owns only from the second table on; the first is
+// whatever the child returned, by pointer. After runs with many
+// decompositions, Case-4b restarts and base cases, every input — each one
+// guards a constraint — must hold exactly the rows it held before. Storage
+// is append-only, so an unchanged Size means no accepted insert: the
+// mutation tick has not moved either.
+func TestFoldNeverWritesToInputs(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, s *query.Schema, rules []*plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) {
+		before := make([]*relation.Relation, len(ins.Relations))
+		for i, r := range ins.Relations {
+			before[i] = r.Clone(r.Name + "@before")
+		}
+		for ri, pr := range rules {
+			res, err := (&Executor{}).ExecuteRule(ctx, s, pr, cons, ins)
+			if err != nil {
+				t.Fatalf("%s rule %d: %v", name, ri, err)
+			}
+			if res.Stats.Partitions == 0 || res.Stats.Subproblems < 2 {
+				t.Fatalf("%s rule %d: %d partitions, %d subproblems — the case must exercise the fold", name, ri, res.Stats.Partitions, res.Stats.Subproblems)
+			}
+			for i, r := range ins.Relations {
+				if r.Size() != before[i].Size() || !r.Equal(before[i]) {
+					t.Fatalf("%s rule %d: input %s changed: %d rows, was %d", name, ri, r.Name, r.Size(), before[i].Size())
+				}
+			}
+			// Every table is over its target, whoever owns it.
+			for b, tb := range res.Tables {
+				if tb.Attrs() != b {
+					t.Fatalf("%s rule %d: table for %v is over %v", name, ri, b, tb.Attrs())
+				}
+			}
+		}
+	}
+
+	rule := workload.PathRule()
+	pins := workload.PathWorstCase(rule, 64)
+	pcons := CompleteConstraints(&rule.Schema, pins, nil)
+	pr, _, err := plan.PrepareRule(&rule.Schema, pcons, rule.Targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("path-worst", &rule.Schema, []*plan.PreparedRule{pr}, pcons, pins)
+	if ok, err := pins.IsModel(rule, mustTables(t, &rule.Schema, pr, pcons, pins)); err != nil || !ok {
+		t.Fatalf("path-worst: folded tables are not a model (%v)", err)
+	}
+
+	q := workload.FourCycleQuery()
+	cins := workload.CycleWorstCase(q, 32)
+	ccons := CompleteConstraints(&q.Schema, cins, nil)
+	p, _, err := plan.Prepare(q, ccons, plan.ModeSubw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("c4-subw", &q.Schema, p.Rules, p.Cons, cins)
+}
+
+// TestFoldNeverWritesToSharedPartitions: the executor folds the per-partition
+// models with the same accumulator, and there the first table of a target
+// can be shared storage — a one-atom rule's base case returns the atom's
+// relation, which under partitioning is a memoized hash partition that later
+// runs read again.
+func TestFoldNeverWritesToSharedPartitions(t *testing.T) {
+	rule := &query.Disjunctive{
+		Schema: query.Schema{
+			NumVars:  2,
+			VarNames: []string{"A", "B"},
+			Atoms:    []query.Atom{{Name: "R", Vars: bitset.Of(0, 1)}},
+		},
+		Targets: []bitset.Set{bitset.Of(0, 1)},
+	}
+	r := relation.New("R", bitset.Of(0, 1))
+	for i := 0; i < 300; i++ {
+		r.Insert([]relation.Value{relation.Value(i % 41), relation.Value(i)})
+	}
+	ins := &query.Instance{Relations: []*relation.Relation{r}}
+	cons := CompleteConstraints(&rule.Schema, ins, nil)
+	ctx := context.Background()
+	p, err := plan.NewPlanner(1).PrepareRuleContext(ctx, rule, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	subs := query.PartitionInstance(&rule.Schema, ins, k)
+	if len(subs) != k {
+		t.Fatalf("%d sub-instances, want %d", len(subs), k)
+	}
+	before := make([]*relation.Relation, k)
+	for j, sub := range subs {
+		before[j] = sub.Relations[0].Clone("before")
+	}
+	for run := 0; run < 2; run++ {
+		ex, err := (&Executor{Partitions: k}).Execute(ctx, p, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ex.Tables[bitset.Of(0, 1)]; got == nil || !got.Equal(r) {
+			t.Fatalf("run %d: the model table is not R", run)
+		}
+		for j, sub := range query.PartitionInstance(&rule.Schema, ins, k) {
+			if part := sub.Relations[0]; part.Size() != before[j].Size() || !part.Equal(before[j]) {
+				t.Fatalf("run %d: memoized partition %d of R changed: %d rows, was %d", run, j, part.Size(), before[j].Size())
+			}
+		}
+		if r.Size() != 300 {
+			t.Fatalf("run %d: R has %d rows", run, r.Size())
+		}
+	}
+}
+
+func mustTables(t *testing.T, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) map[bitset.Set]*relation.Relation {
+	t.Helper()
+	res, err := (&Executor{}).ExecuteRule(context.Background(), s, pr, cons, ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Tables
+}

@@ -403,8 +403,9 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map
 	e.stats.Partitions++
 	e.tracef("decomposition: partition %s by deg(%s|%s) into %d buckets",
 		g.Name, e.label(y), e.label(x), len(buckets))
-	out := map[bitset.Set]*relation.Relation{}
-	for _, bk := range buckets {
+	out := newTableFold()
+	for _, b := range buckets {
+		bk := b.Rel
 		e.stats.Subproblems++
 		child := &frame{
 			cons:    make([]rtCon, len(f.cons), len(f.cons)+2),
@@ -428,12 +429,10 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map
 			return nil, err
 		}
 		child.dropIfZero(src)
-		py := bk.Project(y)
-		nx := int64(py.Project(x).Size())
-		dyx := int64(py.Degree(y, x))
-		cx := rtCon{x: 0, y: x, logN: query.LogOf(nx), guard: bk}
+		// |Π_X(bucket)| and deg_bucket(Y|X) come with the split.
+		cx := rtCon{x: 0, y: x, logN: query.LogOf(int64(b.Keys)), guard: bk}
 		cx.nFloat, _ = cx.logN.Float64()
-		cyx := rtCon{x: x, y: y, logN: query.LogOf(dyx), guard: bk}
+		cyx := rtCon{x: x, y: y, logN: query.LogOf(int64(b.Degree)), guard: bk}
 		cyx.nFloat, _ = cyx.logN.Float64()
 		child.cons = append(child.cons, cx, cyx)
 		if x != 0 {
@@ -449,10 +448,10 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map
 			st.pause()
 			return nil, err
 		}
-		mergeTables(out, res)
+		out.add(res)
 	}
 	st.pause()
-	return out, nil
+	return out.tables, nil
 }
 
 // stepComposition (Case 4): h(X) + h(Y|X) → h(Y). Within budget the join is
@@ -550,12 +549,32 @@ func (e *engine) truncateAndRestart(f *frame, step flow.Step, y bitset.Set) (*fr
 	return &frame{cons: f.cons, support: support, lambda: tr.Lambda, delta: tr.Delta, seq: seq}, nil
 }
 
-func mergeTables(dst, src map[bitset.Set]*relation.Relation) {
+// tableFold unions model tables per target as they arrive: the children of a
+// decomposition step, the (rule × partition) tasks of an execution. The
+// first table of a target is held by pointer and never written to — a base
+// case returns its guard as it is, and that can be an input relation or one
+// of its memoized partitions; the second one makes the fold copy both into
+// a relation it owns, and every later one is inserted into that. Folding k
+// tables thus hashes each row once, where a chain of k Unions re-copied and
+// re-hashed the accumulated table k times.
+type tableFold struct {
+	tables map[bitset.Set]*relation.Relation
+	owned  map[bitset.Set]bool
+}
+
+func newTableFold() *tableFold {
+	return &tableFold{tables: map[bitset.Set]*relation.Relation{}, owned: map[bitset.Set]bool{}}
+}
+
+func (f *tableFold) add(src map[bitset.Set]*relation.Relation) {
 	for b, r := range src {
-		if cur, ok := dst[b]; ok {
-			dst[b] = cur.Union(r)
-		} else {
-			dst[b] = r
+		switch cur, ok := f.tables[b]; {
+		case !ok:
+			f.tables[b] = r
+		case !f.owned[b]:
+			f.tables[b], f.owned[b] = cur.Union(r), true
+		default:
+			cur.InsertAll(r)
 		}
 	}
 }
@@ -563,69 +582,18 @@ func mergeTables(dst, src map[bitset.Set]*relation.Relation) {
 // partitionByProjDegree partitions R's tuples by the degree bucket of their
 // A_X value computed over T = Π_Y(R) (Lemma 6.1 applied to the guard
 // relation, keeping R's full schema so it can keep guarding its other
-// constraints).
-func partitionByProjDegree(r *relation.Relation, y, x bitset.Set) []*relation.Relation {
-	t := r.Project(y)
-	parts := t.PartitionByDegree(y, x)
+// constraints). Each bucket carries |Π_X| and deg(Y|X) of its part of T.
+func partitionByProjDegree(r *relation.Relation, y, x bitset.Set) []relation.DegreeBucket {
 	if x == 0 || x == y {
-		// Degenerate split: single bucket with the whole relation.
-		return []*relation.Relation{r.Clone(r.Name + "[all]")}
-	}
-	out := make([]*relation.Relation, len(parts))
-	// Assign each tuple of R to the bucket holding its Π_X value; keys stay
-	// on the interned-id plane (all relations here derive from r and share
-	// its intern table).
-	rowKeyPos := make([]int, 0, x.Card())
-	for i, c := range r.Cols() {
-		if x.Contains(c) {
-			rowKeyPos = append(rowKeyPos, i)
+		// Degenerate split: single bucket with the whole relation — one
+		// X-value of degree |T| when X = ∅, |T| X-values of degree one when
+		// X = Y (and neither when T is empty).
+		t := r.Project(y).Size()
+		keys, degree := min(t, 1), t
+		if x == y {
+			keys, degree = t, min(t, 1)
 		}
+		return []relation.DegreeBucket{{Rel: r.Clone(r.Name + "[all]"), Keys: keys, Degree: degree}}
 	}
-	bucketOf := map[string]int{}
-	for bi, p := range parts {
-		px := p.Project(x)
-		w := len(px.Cols())
-		cols := make([][]uint32, w)
-		for c := range cols {
-			cols[c] = px.Column(c)
-		}
-		buf := make([]uint32, w)
-		for i := 0; i < px.Size(); i++ {
-			for c := range cols {
-				buf[c] = cols[c][i]
-			}
-			bucketOf[idKey(buf)] = bi
-		}
-		out[bi] = relation.New(fmt.Sprintf("%s[b%d]", r.Name, bi), r.Attrs())
-	}
-	rCols := make([][]uint32, len(r.Cols()))
-	for c := range rCols {
-		rCols[c] = r.Column(c)
-	}
-	keyBuf := make([]uint32, len(rowKeyPos))
-	rowBuf := make([]uint32, len(rCols))
-	for i := 0; i < r.Size(); i++ {
-		for j, p := range rowKeyPos {
-			keyBuf[j] = rCols[p][i]
-		}
-		if bi, ok := bucketOf[idKey(keyBuf)]; ok {
-			for c := range rCols {
-				rowBuf[c] = rCols[c][i]
-			}
-			out[bi].InsertIDs(rowBuf)
-		}
-	}
-	return out
-}
-
-// idKey encodes an id-tuple as a map key.
-func idKey(ids []uint32) string {
-	b := make([]byte, 4*len(ids))
-	for i, id := range ids {
-		b[4*i] = byte(id)
-		b[4*i+1] = byte(id >> 8)
-		b[4*i+2] = byte(id >> 16)
-		b[4*i+3] = byte(id >> 24)
-	}
-	return string(b)
+	return r.SplitByDegree(y, x)
 }

@@ -65,3 +65,21 @@ func BenchmarkPartitionByDegree(b *testing.B) {
 		r.PartitionByDegree(bitset.Of(0, 1), bitset.Of(0))
 	}
 }
+
+// BenchmarkUnionFold is stepDecomposition's shape: 32 overlapping 2k-row
+// tables of one target folded into an accumulator — one Union to get a
+// relation the fold owns, InsertAll from then on.
+func BenchmarkUnionFold(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	tables := make([]*Relation, 32)
+	for i := range tables {
+		tables[i] = randomRelation(rng, bitset.Of(0, 1, 2), 2000, 30)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := tables[0].Union(tables[1])
+		for _, t := range tables[2:] {
+			acc.InsertAll(t)
+		}
+	}
+}

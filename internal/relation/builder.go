@@ -16,12 +16,8 @@ type Builder struct {
 // sizeHint rows (0 is fine).
 func NewBuilder(name string, attrs bitset.Set, sizeHint int) *Builder {
 	r := New(name, attrs)
-	if sizeHint > 0 {
-		for c := range r.data {
-			r.data[c] = make([]uint32, 0, sizeHint)
-		}
-		r.seen = make(map[uint64][]int32, sizeHint)
-	}
+	r.reserve(sizeHint)
+	r.seen.reserve(sizeHint, sizeHint)
 	return &Builder{r: r}
 }
 

@@ -9,10 +9,26 @@
 // attribute, so equality, dedup and index builds operate on machine words
 // and iteration walks contiguous memory. Values are decoded back only at
 // the read boundary (All, AllSorted, Rows, SortedRows).
+//
+// Everything that hashes rows — set-semantics dedup, the build side of Join
+// and Semijoin, the grouping under Project, Degree and the Lemma 6.1 split —
+// goes through one structure, rowTable (rowtable.go): an open-addressed
+// table over int32 row ids that stores, per row, only a 64-bit hash and a
+// chain link. It holds no pointers, allocates per doubling rather than per
+// key, and never re-hashes a row it has seen. Rows hash by an FNV-1a fold of
+// their ids closed with an avalanche step (mix): a masked table, unlike
+// Go's map, uses the low bits as they come, and the bare fold leaves them a
+// function of the ids' low bits alone. Chains run in ascending row order, so
+// the physical row order of every operator's output is a function of its
+// inputs' row order and nothing else. Operators size their outputs before
+// they write them. Row ids being int32 caps a relation at maxRows rows;
+// growing past it fails with ErrTooManyRows.
 package relation
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,9 +41,10 @@ type Value = int64
 // Relation is a finite relation with set semantics. Attribute order inside
 // tuples follows the sorted order of the schema's variable indices.
 //
-// Writes (Insert and friends) require external synchronization, as before;
-// concurrent reads — including the internally-memoized index builds — are
-// safe.
+// Writes (Insert and friends) require external synchronization against
+// everything else; concurrent reads are safe, the ones that build derived
+// state on first use — the memoized indexes and partitions, the dedup table
+// under Contains and Equal — doing so under the memo mutex.
 type Relation struct {
 	Name  string
 	attrs bitset.Set
@@ -36,12 +53,13 @@ type Relation struct {
 
 	data  [][]uint32 // one id vector per column, each of length nrows
 	nrows int
-	// seen dedups rows by the FNV hash of their id-tuple; each bucket holds
-	// candidate row indices verified by column comparison. Built lazily:
-	// operators whose output is unique by construction (Semijoin, Partition,
-	// Clone, degree buckets, snapshots) skip it until the first membership
-	// probe or dedup insert.
-	seen map[uint64][]int32
+	// seen dedups rows: table row i is stored row i, pushed with rowHash(i),
+	// so a chain holds the stored rows sharing a full 64-bit hash and a
+	// probe verifies them by column comparison. It may trail the rows —
+	// operator outputs are unique by construction and are appended without
+	// it, snapshots start without it — and ensureSeen indexes the missing
+	// suffix before the first dedup insert or membership probe.
+	seen rowTable
 
 	marks []tickMark
 	// mut counts accepted inserts; derived-structure memos are keyed by it
@@ -63,8 +81,9 @@ type Relation struct {
 	// set and invalidated by the mutation tick, so a relation that is
 	// joined, semijoin-reduced or partitioned repeatedly (standing-query
 	// rounds, per-partition rule executions) hashes its rows once instead
-	// of once per call. Guarded by its own mutex: executions share instance
-	// relations across worker goroutines.
+	// of once per call. Guarded by its own mutex, which also covers a read
+	// path catching up seen: executions share instance relations across
+	// worker goroutines.
 	memo struct {
 		sync.Mutex
 		indexes map[bitset.Set]*memoIndex
@@ -72,10 +91,12 @@ type Relation struct {
 	}
 }
 
-// memoIndex caches index(x) at a given mutation tick.
+// memoIndex caches index(x) at a given mutation tick: table row i is stored
+// row i, pushed with its hash on x's positions, so a chain lists — in
+// ascending order — the rows a probe with that hash must verify.
 type memoIndex struct {
 	mut uint64
-	idx map[uint64][]int32
+	tab rowTable
 }
 
 // partMemoKey identifies a cached hash partitioning.
@@ -100,11 +121,25 @@ type tickMark struct {
 }
 
 // FNV-1a constants; rows hash by folding 32-bit ids through the FNV-1a
-// recurrence (word-at-a-time — collisions are resolved by id comparison).
+// recurrence (word-at-a-time — collisions are resolved by id comparison)
+// and finishing with mix.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
+
+// mix is the 64-bit avalanche finaliser (MurmurHash3's fmix64) every row
+// hash ends with. The FNV multiply only carries upwards: without it, ids
+// that differ in high bits only — strided keys, a varying last column —
+// agree on the low bits a table masks by.
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
 
 // New returns an empty relation with the given schema, decoding through the
 // process-wide intern table.
@@ -148,14 +183,14 @@ func (r *Relation) SetPartitionHint(k int) {
 // PartitionHint returns the recorded partition count (0 when unset).
 func (r *Relation) PartitionHint() int { return r.partHint }
 
-// hashIDs folds an id-tuple through FNV-1a.
+// hashIDs hashes an id-tuple.
 func hashIDs(ids []uint32) uint64 {
 	h := uint64(fnvOffset64)
 	for _, id := range ids {
 		h ^= uint64(id)
 		h *= fnvPrime64
 	}
-	return h
+	return mix(h)
 }
 
 // rowHash hashes row i over all columns (the dedup key).
@@ -165,7 +200,7 @@ func (r *Relation) rowHash(i int) uint64 {
 		h ^= uint64(r.data[c][i])
 		h *= fnvPrime64
 	}
-	return h
+	return mix(h)
 }
 
 // hashRowAt hashes row i over the given tuple positions.
@@ -175,7 +210,7 @@ func (r *Relation) hashRowAt(i int, pos []int) uint64 {
 		h ^= uint64(r.data[p][i])
 		h *= fnvPrime64
 	}
-	return h
+	return mix(h)
 }
 
 // rowMatchIDs reports whether row i equals the id-tuple.
@@ -214,20 +249,62 @@ func (r *Relation) decodeInto(buf []Value, i int) {
 	}
 }
 
-// ensureSeen builds the dedup table from the stored rows if it is absent.
+// ensureSeen brings the dedup table up to date with the stored rows. It
+// mutates r: read paths call it through seenForRead.
 func (r *Relation) ensureSeen() {
-	if r.seen != nil {
+	if r.seen.rows() == r.nrows {
 		return
 	}
-	r.seen = make(map[uint64][]int32, r.nrows+1)
-	for i := 0; i < r.nrows; i++ {
-		h := r.rowHash(i)
-		r.seen[h] = append(r.seen[h], int32(i))
+	r.seen.reserve(r.nrows, r.nrows)
+	for i := r.seen.rows(); i < r.nrows; i++ {
+		r.seen.push(r.rowHash(i))
 	}
 }
 
-// appendIDs appends a row unconditionally, bumping the mutation tick.
-func (r *Relation) appendIDs(ids []uint32) {
+// seenForRead is ensureSeen for the read paths (Contains, Equal), which may
+// run concurrently on one relation: the catch-up happens under the memo
+// mutex, after which the table is only read. The write path stays
+// lock-free — writes are externally synchronized against everything.
+func (r *Relation) seenForRead() {
+	r.memo.Lock()
+	r.ensureSeen()
+	r.memo.Unlock()
+}
+
+// reserve makes room for n rows in total, so appends up to there do not
+// reallocate a column.
+func (r *Relation) reserve(n int) {
+	if extra := n - r.nrows; extra > 0 {
+		for c := range r.data {
+			r.data[c] = slices.Grow(r.data[c], extra)
+		}
+	}
+}
+
+// CheckRoom returns an ErrTooManyRows error naming r unless n more rows fit
+// under the row limit. Ingest paths ask before they insert, so bad input is
+// refused with an error.
+func (r *Relation) CheckRoom(n int) error {
+	if n > maxRows-r.nrows {
+		return fmt.Errorf("%w: relation %s holds %d rows, %d more would pass the limit of %d",
+			ErrTooManyRows, r.Name, r.nrows, n, maxRows)
+	}
+	return nil
+}
+
+// checkRoom is CheckRoom for the append paths, which have no error to
+// return: an operator whose output outgrows int32 row ids panics with the
+// error instead of wrapping around and corrupting its table.
+func (r *Relation) checkRoom(n int) {
+	if n > maxRows-r.nrows {
+		panic(r.CheckRoom(n))
+	}
+}
+
+// appendUnique appends a row the caller guarantees is not present, bumping
+// the mutation tick. The dedup table is left to trail (see seen).
+func (r *Relation) appendUnique(ids []uint32) {
+	r.checkRoom(1)
 	for c := range r.data {
 		r.data[c] = append(r.data[c], ids[c])
 	}
@@ -235,43 +312,36 @@ func (r *Relation) appendIDs(ids []uint32) {
 	r.mut++
 }
 
-// appendUnique appends a row the caller guarantees is not present.
-func (r *Relation) appendUnique(ids []uint32) {
-	if r.seen != nil {
-		h := hashIDs(ids)
-		r.seen[h] = append(r.seen[h], int32(r.nrows))
-	}
-	r.appendIDs(ids)
-}
-
 // insertIDs appends a row unless present; reports whether it was new.
 func (r *Relation) insertIDs(ids []uint32) bool {
 	r.ensureSeen()
 	h := hashIDs(ids)
-	for _, i := range r.seen[h] {
-		if r.rowMatchIDs(int(i), ids) {
+	r.seen.room()
+	slot := r.seen.slot(h)
+	for e, last := r.seen.chain(slot); e >= 0; e = r.seen.after(e, last) {
+		if r.rowMatchIDs(int(e), ids) {
 			return false
 		}
 	}
-	r.seen[h] = append(r.seen[h], int32(r.nrows))
-	r.appendIDs(ids)
+	r.appendUnique(ids)
+	r.seen.pushAt(slot, h)
 	return true
 }
 
-// containsIDs reports whether the id-tuple is present.
+// containsIDs reports whether the id-tuple is present. The dedup table must
+// be current (seenForRead).
 func (r *Relation) containsIDs(ids []uint32) bool {
-	r.ensureSeen()
-	for _, i := range r.seen[hashIDs(ids)] {
-		if r.rowMatchIDs(int(i), ids) {
+	for e, last := r.seen.lookup(hashIDs(ids)); e >= 0; e = r.seen.after(e, last) {
+		if r.rowMatchIDs(int(e), ids) {
 			return true
 		}
 	}
 	return false
 }
 
-// Insert adds a tuple given in column order (sorted variable ids);
-// duplicates are ignored. The slice is copied.
-func (r *Relation) Insert(t []Value) {
+// Insert adds a tuple given in column order (sorted variable ids) and
+// reports whether it was new; duplicates are ignored. The slice is copied.
+func (r *Relation) Insert(t []Value) bool {
 	if len(t) != len(r.cols) {
 		panic(fmt.Sprintf("relation %s: tuple arity %d, want %d", r.Name, len(t), len(r.cols)))
 	}
@@ -282,16 +352,17 @@ func (r *Relation) Insert(t []Value) {
 	for i, v := range t {
 		ids[i] = r.in.Intern(v)
 	}
-	r.insertIDs(ids)
+	return r.insertIDs(ids)
 }
 
 // InsertIDs adds a row of already-interned ids (from this relation's intern
-// table) in column order; duplicates are ignored. The slice is copied.
-func (r *Relation) InsertIDs(ids []uint32) {
+// table) in column order and reports whether it was new; duplicates are
+// ignored. The slice is copied.
+func (r *Relation) InsertIDs(ids []uint32) bool {
 	if len(ids) != len(r.cols) {
 		panic(fmt.Sprintf("relation %s: tuple arity %d, want %d", r.Name, len(ids), len(r.cols)))
 	}
-	r.insertIDs(ids)
+	return r.insertIDs(ids)
 }
 
 // InsertMap adds a tuple given as a variable→value assignment covering the
@@ -314,6 +385,8 @@ func (r *Relation) InsertAll(s *Relation) {
 		panic(fmt.Sprintf("InsertAll schema mismatch: %v vs %v", r.attrs, s.attrs))
 	}
 	sameInterner(r, s)
+	r.reserve(r.nrows + s.nrows)
+	r.seen.reserve(r.nrows+s.nrows, r.nrows+s.nrows)
 	buf := make([]uint32, len(r.cols))
 	for i := 0; i < s.nrows; i++ {
 		r.insertIDs(s.rowIDs(i, buf))
@@ -368,6 +441,7 @@ func (r *Relation) Contains(t []Value) bool {
 		}
 		ids[i] = id
 	}
+	r.seenForRead()
 	return r.containsIDs(ids)
 }
 
@@ -386,42 +460,98 @@ func (r *Relation) positions(x bitset.Set) []int {
 	return pos
 }
 
-// Project returns Π_X(r) for X ⊆ schema.
-func (r *Relation) Project(x bitset.Set) *Relation {
-	out := New(fmt.Sprintf("Π%v(%s)", x, r.Name), x)
-	pos := r.positions(x)
-	out.ensureSeen()
-	buf := make([]uint32, len(pos))
-	for i := 0; i < r.nrows; i++ {
-		for j, p := range pos {
-			buf[j] = r.data[p][i]
+// grouper assigns rows of r to groups by their projection onto pos, numbering
+// the groups in first-appearance order. Table row g is group g, pushed with
+// the hash of the projection, so a chain holds the (almost always one)
+// groups a row with that hash must be verified against.
+type grouper struct {
+	r     *Relation
+	pos   []int
+	tab   rowTable
+	first []int32 // per group: the row that opened it
+}
+
+// group returns row i's group, opening a new one if its projection is new.
+func (g *grouper) group(i int) (gi int32, fresh bool) {
+	h := g.r.hashRowAt(i, g.pos)
+	g.tab.room()
+	slot := g.tab.slot(h)
+	for e, last := g.tab.chain(slot); e >= 0; e = g.tab.after(e, last) {
+		if g.r.rowsMatchAt(int(g.first[e]), i, g.pos) {
+			return e, false
 		}
-		out.insertIDs(buf)
 	}
+	g.tab.pushAt(slot, h)
+	g.first = append(g.first, int32(i))
+	return int32(len(g.first) - 1), true
+}
+
+// gather returns a relation over attrs whose row m is r's row rows[m] at the
+// tuple positions pos (one per output column). The caller guarantees the
+// rows are distinct there. Columns are cut from one exact-size block,
+// capacity-capped so a later append to one reallocates it alone.
+func (r *Relation) gather(name string, attrs bitset.Set, pos []int, rows []int32) *Relation {
+	out := New(name, attrs)
+	n := len(rows)
+	flat := make([]uint32, n*len(pos))
+	for j, p := range pos {
+		col, src := flat[j*n:(j+1)*n:(j+1)*n], r.data[p]
+		for m, i := range rows {
+			col[m] = src[i]
+		}
+		out.data[j] = col
+	}
+	out.nrows, out.mut = n, uint64(n)
 	return out
 }
 
-// index groups row indices by the hash of their id-tuple on the attribute
-// set x (buckets may mix hash-colliding keys; probes verify by id
-// comparison). The result is memoized per attribute set against the
-// mutation tick; callers must treat it as read-only.
-func (r *Relation) index(x bitset.Set) map[uint64][]int32 {
+// allPositions returns the identity position list.
+func (r *Relation) allPositions() []int {
+	pos := make([]int, len(r.cols))
+	for i := range pos {
+		pos[i] = i
+	}
+	return pos
+}
+
+// Project returns Π_X(r) for X ⊆ schema, rows in first-appearance order. A
+// projection onto the whole schema drops nothing, so it shares r's column
+// storage like Snapshot instead of hashing every row.
+func (r *Relation) Project(x bitset.Set) *Relation {
+	name := fmt.Sprintf("Π%v(%s)", x, r.Name)
+	pos := r.positions(x)
+	if x == r.attrs {
+		return r.Snapshot(name)
+	}
+	g := grouper{r: r, pos: pos, first: make([]int32, 0, r.nrows)}
+	g.tab.reserve(r.nrows, r.nrows)
+	for i := 0; i < r.nrows; i++ {
+		g.group(i)
+	}
+	return r.gather(name, x, pos, g.first)
+}
+
+// index returns the hash index of r on the attribute set x (see memoIndex);
+// probes verify candidates by id comparison. The result is memoized per
+// attribute set against the mutation tick; callers must treat it as
+// read-only.
+func (r *Relation) index(x bitset.Set) *rowTable {
 	r.memo.Lock()
 	defer r.memo.Unlock()
 	if m, ok := r.memo.indexes[x]; ok && m.mut == r.mut {
-		return m.idx
+		return &m.tab
 	}
 	pos := r.positions(x)
-	idx := make(map[uint64][]int32, r.nrows)
+	m := &memoIndex{mut: r.mut}
+	m.tab.reserve(r.nrows, 0)
 	for i := 0; i < r.nrows; i++ {
-		h := r.hashRowAt(i, pos)
-		idx[h] = append(idx[h], int32(i))
+		m.tab.push(r.hashRowAt(i, pos))
 	}
 	if r.memo.indexes == nil {
 		r.memo.indexes = map[bitset.Set]*memoIndex{}
 	}
-	r.memo.indexes[x] = &memoIndex{mut: r.mut, idx: idx}
-	return idx
+	r.memo.indexes[x] = m
+	return &m.tab
 }
 
 // matchOn reports whether r's row i and s's row j agree position-wise on
@@ -435,7 +565,10 @@ func (r *Relation) matchOn(i int, rPos []int, s *Relation, j int, sPos []int) bo
 	return true
 }
 
-// Join returns the natural join r ⋈ s.
+// Join returns the natural join r ⋈ s: for each row of the larger side in
+// order, its matches on the smaller side in order. Both sides being sets,
+// so is the output — a joined tuple determines the pair it came from — and
+// it is written once, at its exact size, without a dedup pass.
 func (r *Relation) Join(s *Relation) *Relation {
 	sameInterner(r, s)
 	common := r.attrs.Intersect(s.attrs)
@@ -448,41 +581,35 @@ func (r *Relation) Join(s *Relation) *Relation {
 	idx := build.index(common)
 	probePos := probe.positions(common)
 	buildPos := build.positions(common)
-	// Output tuple layout: union schema, sorted ids; map positions.
-	outCols := out.cols
-	fromProbe := make([]int, len(outCols))
-	fromBuild := make([]int, len(outCols))
-	for i, c := range outCols {
-		fromProbe[i], fromBuild[i] = -1, -1
-		for j, pc := range probe.cols {
-			if pc == c {
-				fromProbe[i] = j
-			}
-		}
-		for j, bc := range build.cols {
-			if bc == c {
-				fromBuild[i] = j
-			}
-		}
-	}
-	out.ensureSeen()
-	outBuf := make([]uint32, len(outCols))
+	// The matching (probe row, build row) pairs, in output order.
+	pi := make([]int32, 0, probe.nrows)
+	bi := make([]int32, 0, probe.nrows)
 	for i := 0; i < probe.nrows; i++ {
 		h := probe.hashRowAt(i, probePos)
-		for _, bi := range idx[h] {
-			if !build.matchOn(int(bi), buildPos, probe, i, probePos) {
-				continue
+		for e, last := idx.lookup(h); e >= 0; e = idx.after(e, last) {
+			if build.matchOn(int(e), buildPos, probe, i, probePos) {
+				pi, bi = append(pi, int32(i)), append(bi, e)
 			}
-			for o := range outCols {
-				if fromProbe[o] >= 0 {
-					outBuf[o] = probe.data[fromProbe[o]][i]
-				} else {
-					outBuf[o] = build.data[fromBuild[o]][int(bi)]
-				}
-			}
-			out.insertIDs(outBuf)
 		}
 	}
+	n := len(pi)
+	out.checkRoom(n)
+	// Output tuple layout: union schema, sorted ids; each column is gathered
+	// from the side that has it (the probe side for the common ones).
+	flat := make([]uint32, n*len(out.cols))
+	for o, c := range out.cols {
+		col := flat[o*n : (o+1)*n : (o+1)*n]
+		src, rows := build, bi
+		if probe.attrs.Contains(c) {
+			src, rows = probe, pi
+		}
+		from := src.data[slices.Index(src.cols, c)]
+		for m, i := range rows {
+			col[m] = from[i]
+		}
+		out.data[o] = col
+	}
+	out.nrows, out.mut = n, uint64(n)
 	return out
 }
 
@@ -496,35 +623,30 @@ func (r *Relation) Semijoin(s *Relation) *Relation {
 	idx := s.index(common)
 	rPos := r.positions(common)
 	sPos := s.positions(common)
-	out := New(fmt.Sprintf("(%s⋉%s)", r.Name, s.Name), r.attrs)
-	buf := make([]uint32, len(r.cols))
+	keep := make([]int32, 0, r.nrows)
 	for i := 0; i < r.nrows; i++ {
 		h := r.hashRowAt(i, rPos)
-		for _, si := range idx[h] {
-			if r.matchOn(i, rPos, s, int(si), sPos) {
-				out.appendUnique(r.rowIDs(i, buf))
+		for e, last := idx.lookup(h); e >= 0; e = idx.after(e, last) {
+			if r.matchOn(i, rPos, s, int(e), sPos) {
+				keep = append(keep, int32(i))
 				break
 			}
 		}
 	}
-	return out
+	return r.gather(fmt.Sprintf("(%s⋉%s)", r.Name, s.Name), r.attrs, r.allPositions(), keep)
 }
 
-// Union returns r ∪ s; both must share the schema.
+// Union returns r ∪ s: r's rows, then the rows of s not in r. Both must
+// share the schema.
 func (r *Relation) Union(s *Relation) *Relation {
 	if r.attrs != s.attrs {
 		panic(fmt.Sprintf("union schema mismatch: %v vs %v", r.attrs, s.attrs))
 	}
-	sameInterner(r, s)
 	out := New(fmt.Sprintf("(%s∪%s)", r.Name, s.Name), r.attrs)
-	out.ensureSeen()
-	buf := make([]uint32, len(r.cols))
-	for i := 0; i < r.nrows; i++ {
-		out.appendUnique(r.rowIDs(i, buf))
-	}
-	for i := 0; i < s.nrows; i++ {
-		out.insertIDs(s.rowIDs(i, buf))
-	}
+	sameInterner(r, s)
+	out.reserve(r.nrows + s.nrows)
+	out.appendAllUnique(r)
+	out.InsertAll(s)
 	return out
 }
 
@@ -547,18 +669,41 @@ func (r *Relation) Partition(k int, on bitset.Set) []*Relation {
 		return m.parts
 	}
 	pos := r.positions(on)
-	parts := make([]*Relation, k)
-	for j := range parts {
-		parts[j] = New(fmt.Sprintf("%s[p%d/%d]", r.Name, j, k), r.attrs)
+	dest := make([]int32, r.nrows)
+	for i := range dest {
+		dest[i] = int32(r.bucketOf(i, pos, k))
 	}
-	buf := make([]uint32, len(r.cols))
-	for i := 0; i < r.nrows; i++ {
-		parts[r.bucketOf(i, pos, k)].appendUnique(r.rowIDs(i, buf))
-	}
+	parts := r.scatter(dest, k, func(j int) string { return fmt.Sprintf("%s[p%d/%d]", r.Name, j, k) })
 	if r.memo.parts == nil {
 		r.memo.parts = map[partMemoKey]*memoParts{}
 	}
 	r.memo.parts[mk] = &memoParts{mut: r.mut, parts: parts}
+	return parts
+}
+
+// scatter splits r into k relations over its schema: row i goes to part
+// dest[i] (a negative dest drops it), rows keeping their relative order.
+func (r *Relation) scatter(dest []int32, k int, name func(part int) string) []*Relation {
+	rows := make([][]int32, k)
+	counts := make([]int, k)
+	for _, d := range dest {
+		if d >= 0 {
+			counts[d]++
+		}
+	}
+	for j := range rows {
+		rows[j] = make([]int32, 0, counts[j])
+	}
+	for i, d := range dest {
+		if d >= 0 {
+			rows[d] = append(rows[d], int32(i))
+		}
+	}
+	parts := make([]*Relation, k)
+	pos := r.allPositions()
+	for j := range parts {
+		parts[j] = r.gather(name(j), r.attrs, pos, rows[j])
+	}
 	return parts
 }
 
@@ -577,49 +722,28 @@ func (r *Relation) bucketOf(i int, pos []int, k int) int {
 	return int(h % uint64(k))
 }
 
-// groupRows partitions the row indices into groups agreeing on pos, in
-// first-appearance order.
-func (r *Relation) groupRows(pos []int) [][]int32 {
-	var out [][]int32
-	m := make(map[uint64][]int32, r.nrows)
-	for i := 0; i < r.nrows; i++ {
-		h := r.hashRowAt(i, pos)
-		gi := -1
-		for _, g := range m[h] {
-			if r.rowsMatchAt(int(out[g][0]), i, pos) {
-				gi = int(g)
-				break
-			}
+// degrees groups the rows by their projection onto xPos, in first-appearance
+// order, and counts per group the distinct projections onto yPos ⊇ xPos:
+// of[i] is row i's group and deg[g] = deg_r(Y | X = x_g) (Definition 2.10).
+func (r *Relation) degrees(yPos, xPos []int) (of, deg []int32) {
+	of = make([]int32, r.nrows)
+	gx := grouper{r: r, pos: xPos}
+	gy := grouper{r: r, pos: yPos}
+	distinctOnY := len(yPos) == len(r.cols) // Y is the whole schema: every row counts
+	for i := range of {
+		g, fresh := gx.group(i)
+		of[i] = g
+		if fresh {
+			deg = append(deg, 0)
 		}
-		if gi < 0 {
-			gi = len(out)
-			out = append(out, nil)
-			m[h] = append(m[h], int32(gi))
+		if !distinctOnY {
+			_, fresh = gy.group(i)
 		}
-		out[gi] = append(out[gi], int32(i))
-	}
-	return out
-}
-
-// distinctAt counts the distinct projections of the given rows onto pos.
-func (r *Relation) distinctAt(rows []int32, pos []int) int {
-	m := make(map[uint64][]int32, len(rows))
-	n := 0
-	for _, i := range rows {
-		h := r.hashRowAt(int(i), pos)
-		dup := false
-		for _, j := range m[h] {
-			if r.rowsMatchAt(int(j), int(i), pos) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			m[h] = append(m[h], i)
-			n++
+		if distinctOnY || fresh {
+			deg[g]++
 		}
 	}
-	return n
+	return of, deg
 }
 
 // Degree returns deg_r(Y|X) = max over X-tuples t of |Π_Y(σ_{X=t}(r))|,
@@ -628,76 +752,128 @@ func (r *Relation) Degree(y, x bitset.Set) int {
 	if !x.SubsetOf(y) || !y.SubsetOf(r.attrs) {
 		panic(fmt.Sprintf("relation %s: bad degree query Y=%v X=%v schema=%v", r.Name, y, x, r.attrs))
 	}
-	xPos := r.positions(x)
-	yPos := r.positions(y)
-	best := 0
-	for _, g := range r.groupRows(xPos) {
-		if d := r.distinctAt(g, yPos); d > best {
-			best = d
+	_, deg := r.degrees(r.positions(y), r.positions(x))
+	best := int32(0)
+	for _, d := range deg {
+		best = max(best, d)
+	}
+	return int(best)
+}
+
+// DegreeBucket is one part of a Lemma 6.1 split on (Y, X): the rows whose
+// X-value fell into the bucket, the number of distinct X-values among them,
+// and the largest deg(Y | X = x) over those — so |Π_X(Rel)| and
+// deg_Rel(Y|X) come with the split instead of from three more passes.
+type DegreeBucket struct {
+	Rel    *Relation
+	Keys   int
+	Degree int
+
+	class, half int // log₂ degree class and which half of it
+}
+
+// degreeClasses is Lemma 6.1 on a degree vector: groups (X-values, in
+// first-appearance order) whose degree lies in [2^j, 2^{j+1}) form class j,
+// and each class is halved by group order so that a half has at most
+// ⌈|class|/2⌉ X-values, which is what bounds |Π_X| · deg by |Π_Y(r)|. The
+// non-empty halves are the buckets, in (j, half) order; dest maps a group
+// to its bucket.
+func degreeClasses(deg []int32) (dest []int32, buckets []DegreeBucket) {
+	var count, seen [32]int
+	for _, d := range deg {
+		count[bits.Len32(uint32(d))-1]++
+	}
+	var bucketOf [32][2]int32
+	for j, n := range count {
+		for h, size := range [2]int{(n + 1) / 2, n / 2} {
+			if size > 0 {
+				bucketOf[j][h] = int32(len(buckets))
+				buckets = append(buckets, DegreeBucket{class: j, half: h})
+			}
 		}
 	}
-	return best
+	dest = make([]int32, len(deg))
+	for g, d := range deg {
+		j, h := bits.Len32(uint32(d))-1, 0
+		if seen[j] >= (count[j]+1)/2 {
+			h = 1
+		}
+		seen[j]++
+		b := &buckets[bucketOf[j][h]]
+		b.Keys++
+		b.Degree = max(b.Degree, int(d))
+		dest[g] = bucketOf[j][h]
+	}
+	return dest, buckets
+}
+
+// SplitByDegree applies Lemma 6.1 to r itself: r's rows (whole schema, in
+// row order) are split by the degree bucket their X-value gets in Π_Y(r), so
+// each part can go on guarding everything r guarded. With T = Π_Y(r), in
+// every bucket Keys · Degree ≤ |T|, and there are at most 2·log₂|T|+2
+// buckets.
+func (r *Relation) SplitByDegree(y, x bitset.Set) []DegreeBucket {
+	of, deg := r.degrees(r.positions(y), r.positions(x))
+	dest, buckets := degreeClasses(deg)
+	for i, g := range of {
+		of[i] = dest[g]
+	}
+	parts := r.scatter(of, len(buckets), func(b int) string { return fmt.Sprintf("%s[b%d]", r.Name, b) })
+	for b := range buckets {
+		buckets[b].Rel = parts[b]
+	}
+	return buckets
 }
 
 // PartitionByDegree implements Lemma 6.1: it splits Π_Y(r) into at most
 // 2·log₂|Π_Y(r)|+2 buckets such that in bucket j,
 // |Π_X(bucket)| · max-degree(Y|X within bucket) ≤ |Π_Y(r)|.
 // Bucket j collects X-tuples whose degree lies in [2^j, 2^{j+1}), halved
-// again by X-value so that the product bound holds.
+// again by X-value so that the product bound holds. Within a bucket the
+// rows of one X-value stay together, X-values in first-appearance order.
 func (r *Relation) PartitionByDegree(y, x bitset.Set) []*Relation {
 	t := r.Project(y)
-	xPos := t.positions(x)
-	// Groups of t's rows by X-value, in first-appearance order.
-	groups := t.groupRows(xPos)
-	// log-degree bucket of each group.
-	buckets := map[int][][]int32{}
-	for _, g := range groups {
-		// Bucket j holds X-values whose degree lies in [2^j, 2^{j+1}).
-		j := 0
-		for (1 << uint(j+1)) <= len(g) {
-			j++
-		}
-		buckets[j] = append(buckets[j], g)
+	pos := t.allPositions()
+	of, deg := t.degrees(pos, t.positions(x))
+	dest, buckets := degreeClasses(deg)
+	// Bucket b's rows are its groups' rows, group after group: at[g] is where
+	// group g's next row goes.
+	size := make([]int32, len(buckets))
+	at := make([]int32, len(deg))
+	for g, b := range dest {
+		at[g] = size[b]
+		size[b] += deg[g]
 	}
-	var out []*Relation
-	var js []int
-	for j := range buckets {
-		js = append(js, j)
+	rows := make([][]int32, len(buckets))
+	for b := range rows {
+		rows[b] = make([]int32, size[b])
 	}
-	sort.Ints(js)
-	buf := make([]uint32, len(t.cols))
-	for _, j := range js {
-		gs := buckets[j]
-		// Split the groups of this bucket into two halves by X-value count
-		// so each half has ≤ ⌈|groups|/2⌉ distinct X-values.
-		half := (len(gs) + 1) / 2
-		for part := 0; part < 2; part++ {
-			lo, hi := 0, half
-			if part == 1 {
-				lo, hi = half, len(gs)
-			}
-			if lo >= hi {
-				continue
-			}
-			sub := New(fmt.Sprintf("%s[deg2^%d.%d]", r.Name, j, part), y)
-			for _, g := range gs[lo:hi] {
-				for _, ri := range g {
-					sub.appendUnique(t.rowIDs(int(ri), buf))
-				}
-			}
-			out = append(out, sub)
-		}
+	for i, g := range of {
+		rows[dest[g]][at[g]] = int32(i)
+		at[g]++
+	}
+	out := make([]*Relation, len(buckets))
+	for b, bk := range buckets {
+		out[b] = t.gather(fmt.Sprintf("%s[deg2^%d.%d]", r.Name, bk.class, bk.half), y, pos, rows[b])
 	}
 	return out
+}
+
+// appendAllUnique appends every row of s (same schema); the caller
+// guarantees none of them is present.
+func (r *Relation) appendAllUnique(s *Relation) {
+	r.checkRoom(s.nrows)
+	for c := range r.data {
+		r.data[c] = append(r.data[c], s.data[c][:s.nrows]...)
+	}
+	r.nrows += s.nrows
+	r.mut += uint64(s.nrows)
 }
 
 // Clone returns a deep copy with a new name.
 func (r *Relation) Clone(name string) *Relation {
 	out := New(name, r.attrs)
-	buf := make([]uint32, len(r.cols))
-	for i := 0; i < r.nrows; i++ {
-		out.appendUnique(r.rowIDs(i, buf))
-	}
+	out.appendAllUnique(r)
 	return out
 }
 
@@ -744,6 +920,7 @@ func (r *Relation) Equal(s *Relation) bool {
 		return false
 	}
 	sameInterner(r, s)
+	r.seenForRead()
 	buf := make([]uint32, len(r.cols))
 	for i := 0; i < s.nrows; i++ {
 		if !r.containsIDs(s.rowIDs(i, buf)) {

@@ -1,7 +1,11 @@
 package relation
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"panda/internal/bitset"
@@ -309,5 +313,125 @@ func TestTickMarksAndRowsSince(t *testing.T) {
 	}
 	if got := len(r.RowsSince(4)); got != 1 {
 		t.Fatalf("RowsSince(4) = %d rows, want 1", got)
+	}
+}
+
+// TestConcurrentContainsOnFreshSnapshot: a snapshot is born without its
+// dedup table, and the type promises that concurrent reads are safe — so the
+// first membership probes, racing from many goroutines, must build it once
+// under the lock. Run with -race.
+func TestConcurrentContainsOnFreshSnapshot(t *testing.T) {
+	r := New("R", bitset.Of(0, 1))
+	for i := 0; i < 500; i++ {
+		r.Insert([]Value{Value(i), Value(i % 7)})
+	}
+	for _, fresh := range []*Relation{r.Snapshot("S"), r.Semijoin(r), r.Partition(3, bitset.Of(0))[1], r.Project(r.Attrs())} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				other := fresh.Snapshot("other")
+				for i := 0; i < 200; i++ {
+					row := []Value{Value((i*8 + g) % 600), Value(((i*8 + g) % 600) % 7)}
+					if got, want := fresh.Contains(row), hasRow(fresh.Rows(), row); got != want {
+						t.Errorf("%s.Contains(%v) = %v, want %v", fresh.Name, row, got, want)
+						return
+					}
+				}
+				if !fresh.Equal(other) {
+					t.Errorf("%s does not equal its own snapshot", fresh.Name)
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestInsertReportsNew: Insert and InsertIDs say whether the row was new.
+func TestInsertReportsNew(t *testing.T) {
+	r := New("R", bitset.Of(0, 1))
+	if !r.Insert([]Value{1, 2}) || r.Insert([]Value{1, 2}) || !r.Insert([]Value{2, 1}) {
+		t.Fatal("Insert must report true exactly for rows not yet present")
+	}
+	ids := []uint32{r.Column(0)[0], r.Column(1)[0]}
+	if r.InsertIDs(ids) {
+		t.Fatal("InsertIDs reported a stored row as new")
+	}
+	s := r.Snapshot("S") // no dedup table yet
+	if s.Insert([]Value{2, 1}) || !s.Insert([]Value{3, 3}) || s.Size() != 3 || r.Size() != 2 {
+		t.Fatalf("insert into a snapshot: sizes %d and %d", s.Size(), r.Size())
+	}
+}
+
+// TestFullSchemaProjectShares: projecting onto the whole schema returns a
+// new relation over the same rows without copying them, and appending to
+// the source afterwards does not reach it.
+func TestFullSchemaProjectShares(t *testing.T) {
+	r := New("R", bitset.Of(0, 1))
+	for i := 0; i < 100; i++ {
+		r.Insert([]Value{Value(i), Value(i * i)})
+	}
+	p := r.Project(r.Attrs())
+	if p == r || p.Name == r.Name || &p.Column(0)[0] != &r.Column(0)[0] {
+		t.Fatalf("Project(all) must be a distinct relation sharing column storage (got %s)", p.Name)
+	}
+	want := r.Rows()
+	for i := 100; i < 400; i++ {
+		r.Insert([]Value{Value(i), -1})
+	}
+	if !reflect.DeepEqual(p.Rows(), want) || p.Size() != 100 {
+		t.Fatalf("Project(all) changed when its source grew: %d rows", p.Size())
+	}
+	p.Insert([]Value{-5, -5})
+	if r.Contains([]Value{-5, -5}) || !p.Contains([]Value{-5, -5}) || p.Insert([]Value{3, 9}) {
+		t.Fatal("writes to the projection must stay in the projection, and dedup against its shared rows")
+	}
+}
+
+// mustPanicTooManyRows runs f and checks that it panics with an
+// ErrTooManyRows error naming the relation.
+func mustPanicTooManyRows(t *testing.T, what, name string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		err, _ := recover().(error)
+		if !errors.Is(err, ErrTooManyRows) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: recovered %v, want an ErrTooManyRows naming %s", what, err, name)
+		}
+	}()
+	f()
+}
+
+// TestRowLimit: crossing the int32 row-id limit is refused by CheckRoom and
+// stops an operator with a typed panic, instead of wrapping around.
+func TestRowLimit(t *testing.T) {
+	SetMaxRows(t, 10)
+	r := New("R", bitset.Of(0, 1))
+	for i := 0; i < 10; i++ {
+		r.Insert([]Value{Value(i), 0})
+	}
+	if err := r.CheckRoom(0); err != nil {
+		t.Fatalf("a full relation has room for nothing more: %v", err)
+	}
+	if err := r.CheckRoom(1); !errors.Is(err, ErrTooManyRows) || !strings.Contains(err.Error(), "R") {
+		t.Fatalf("CheckRoom(1) on a full relation: %v", err)
+	}
+	if r.Insert([]Value{3, 0}) || r.Size() != 10 {
+		t.Fatal("a duplicate is not a new row and must still be accepted at the limit")
+	}
+	mustPanicTooManyRows(t, "Insert", "R", func() { r.Insert([]Value{10, 0}) })
+	if r.Size() != 10 || r.Contains([]Value{10, 0}) {
+		t.Fatal("the refused row must leave the relation as it was")
+	}
+	s := New("S", bitset.Of(1, 2))
+	s.Insert([]Value{0, 1})
+	s.Insert([]Value{0, 2})
+	mustPanicTooManyRows(t, "Join", "(R⋈S)", func() { r.Join(s) })
+	u := New("U", bitset.Of(0, 1))
+	u.Insert([]Value{99, 99})
+	mustPanicTooManyRows(t, "Union", "(R∪U)", func() { r.Union(u) })
+	if got := r.Union(r.Clone("R2")).Size(); got != 10 {
+		t.Fatalf("a union that fits has %d rows", got)
 	}
 }

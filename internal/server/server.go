@@ -281,6 +281,8 @@ func statusOf(err error) int {
 		return http.StatusConflict // 409
 	case errors.Is(err, panda.ErrArity):
 		return http.StatusUnprocessableEntity // 422
+	case errors.Is(err, panda.ErrTooManyRows):
+		return http.StatusRequestEntityTooLarge // 413: the batch does not fit the relation
 	case errors.Is(err, panda.ErrUnboundedLP):
 		return http.StatusFailedDependency // 424: constraint set does not bound the LP
 	case errors.Is(err, panda.ErrClosed):
@@ -304,6 +306,8 @@ func codeOf(err error) string {
 		return "relation_exists"
 	case errors.Is(err, panda.ErrArity):
 		return "arity_mismatch"
+	case errors.Is(err, panda.ErrTooManyRows):
+		return "too_many_rows"
 	case errors.Is(err, panda.ErrUnboundedLP):
 		return "unbounded_lp"
 	case errors.Is(err, panda.ErrNotConjunctive):

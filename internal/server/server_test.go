@@ -516,6 +516,7 @@ func TestServerErrorMapping(t *testing.T) {
 		{panda.ErrUnknownRelation, http.StatusNotFound},
 		{panda.ErrRelationExists, http.StatusConflict},
 		{panda.ErrArity, http.StatusUnprocessableEntity},
+		{panda.ErrTooManyRows, http.StatusRequestEntityTooLarge},
 		{panda.ErrNotConjunctive, http.StatusBadRequest},
 		{panda.ErrUnboundedLP, http.StatusFailedDependency},
 		{panda.ErrClosed, http.StatusServiceUnavailable},

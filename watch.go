@@ -526,8 +526,7 @@ func (w *Watch) incrRound(snap watchSnap) bool {
 			w.mat = relation.New("watch", round.Delta.Attrs())
 		}
 		for row := range round.Delta.All() {
-			if !w.mat.Contains(row) {
-				w.mat.Insert(row)
+			if w.mat.Insert(row) {
 				if fresh == nil {
 					fresh = relation.New("Δwatch", round.Delta.Attrs())
 				}
