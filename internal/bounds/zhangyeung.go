@@ -103,85 +103,31 @@ func ZY59(a, b, x, y, c int) Functional {
 // Shannon-type inequalities. Solved as an exact LP feasibility problem over
 // the coefficient equations.
 func ShannonEntailed(n int, target Functional, axioms []Functional) (bool, error) {
-	type sigVar struct {
-		s    bitset.Set
-		i, j int
-	}
-	type muVar struct {
-		x bitset.Set
-		i int
-	}
-	var sigs []sigVar
-	var mus []muVar
-	full := bitset.Full(n)
-	for s := bitset.Set(0); s <= full; s++ {
-		for i := 0; i < n; i++ {
-			if s.Contains(i) {
+	// Columns: t (per axiom) | σ µ (elemental generators). Row Z equates the
+	// coefficients of h(Z); the generators are written "… ≥ 0", the negation
+	// of their inflow signs.
+	sk := flow.NewElemental(n)
+	prob := lp.NewProblem(len(axioms)+sk.NumCols(), false)
+	zero := new(big.Rat)
+	var row []lp.Term
+	for z := bitset.Set(1); z <= bitset.Full(n); z++ {
+		row = row[:0]
+		for ai, ax := range axioms {
+			c, ok := ax[z]
+			if !ok || c.Sign() == 0 {
 				continue
 			}
-			mus = append(mus, muVar{x: s, i: i})
-			for j := i + 1; j < n; j++ {
-				if s.Contains(j) {
-					continue
-				}
-				sigs = append(sigs, sigVar{s: s, i: i, j: j})
+			if !c.IsInt() || !c.Num().IsInt64() {
+				return false, fmt.Errorf("bounds: axiom %d has the non-integer coefficient %v on h(%v)", ai, c, z)
 			}
+			row = append(row, lp.Term{Var: int32(ai), Coef: c.Num().Int64()})
 		}
-	}
-	offSig := len(axioms)
-	offMu := offSig + len(sigs)
-	nv := offMu + len(mus)
-	prob := lp.NewProblem(nv, false)
-	rows := map[bitset.Set]map[int]*big.Rat{}
-	addCoef := func(z bitset.Set, v int, c *big.Rat) {
-		if z == 0 || c.Sign() == 0 {
-			return
-		}
-		row, ok := rows[z]
-		if !ok {
-			row = map[int]*big.Rat{}
-			rows[z] = row
-		}
-		cur, ok := row[v]
-		if !ok {
-			cur = new(big.Rat)
-			row[v] = cur
-		}
-		cur.Add(cur, c)
-	}
-	for ai, ax := range axioms {
-		for z, c := range ax {
-			addCoef(z, ai, c)
-		}
-	}
-	one := big.NewRat(1, 1)
-	negOne := big.NewRat(-1, 1)
-	// Elemental submodularity generator: h(S∪i)+h(S∪j)−h(S∪ij)−h(S) ≥ 0.
-	for v, sv := range sigs {
-		i, j := sv.s.Add(sv.i), sv.s.Add(sv.j)
-		addCoef(i, offSig+v, one)
-		addCoef(j, offSig+v, one)
-		addCoef(i.Union(j), offSig+v, negOne)
-		addCoef(i.Intersect(j), offSig+v, negOne)
-	}
-	// Elemental monotonicity generator: h(S∪i)−h(S) ≥ 0.
-	for v, mv := range mus {
-		addCoef(mv.x.Add(mv.i), offMu+v, one)
-		addCoef(mv.x, offMu+v, negOne)
-	}
-	for z := bitset.Set(1); z <= full; z++ {
-		row := rows[z]
+		row = sk.AppendRow(row, z, len(axioms), -1)
 		b, ok := target[z]
 		if !ok {
-			b = new(big.Rat)
+			b = zero
 		}
-		if row == nil {
-			if b.Sign() != 0 {
-				return false, nil
-			}
-			continue
-		}
-		prob.AddConstraint(row, lp.Eq, b)
+		prob.AddIntConstraint(row, lp.Eq, b)
 	}
 	sol, err := prob.Solve()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"panda/internal/bitset"
 	"panda/internal/lp"
@@ -47,12 +48,12 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 		return nil, fmt.Errorf("flow: no targets")
 	}
 	full := bitset.Full(n)
-	for _, dc := range dcs {
-		if !dc.X.ProperSubsetOf(dc.Y) || !dc.Y.SubsetOf(full) {
-			return nil, fmt.Errorf("flow: bad constraint X=%v Y=%v", dc.X, dc.Y)
-		}
-		if dc.LogN == nil || dc.LogN.Sign() < 0 {
-			return nil, fmt.Errorf("flow: constraint needs LogN ≥ 0")
+	if err := validateDCs(full, dcs); err != nil {
+		return nil, err
+	}
+	for _, b := range targets {
+		if !b.SubsetOf(full) {
+			return nil, fmt.Errorf("flow: target %v outside the universe [%d]", b, n)
 		}
 	}
 	// A target ∅ forces the bound to 0: h(∅) = 0 for every polymatroid.
@@ -69,98 +70,38 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 			}, nil
 		}
 	}
-	// Deduplicate targets.
-	tset := map[bitset.Set]bool{}
-	var tlist []bitset.Set
+	var tlist []bitset.Set // deduplicated
 	for _, b := range targets {
-		if !tset[b] {
-			tset[b] = true
+		if !slices.Contains(tlist, b) {
 			tlist = append(tlist, b)
 		}
 	}
 
-	// Variable layout: δ (per constraint) | σ (elemental) | µ (elemental) | z (per target).
-	type sigVar struct {
-		s    bitset.Set
-		i, j int
-	}
-	type muVar struct {
-		x bitset.Set
-		i int
-	}
-	var sigs []sigVar
-	var mus []muVar
-	for s := bitset.Set(0); s <= full; s++ {
-		for i := 0; i < n; i++ {
-			if s.Contains(i) {
-				continue
-			}
-			mus = append(mus, muVar{x: s, i: i})
-			for j := i + 1; j < n; j++ {
-				if s.Contains(j) {
-					continue
-				}
-				sigs = append(sigs, sigVar{s: s, i: i, j: j})
-			}
-		}
-	}
+	// Variable layout: δ (per constraint) | σ µ (elemental) | z (per target).
+	sk := NewElemental(n)
 	offSig := len(dcs)
-	offMu := offSig + len(sigs)
-	offZ := offMu + len(mus)
-	nv := offZ + len(tlist)
-
-	prob := lp.NewProblem(nv, false)
+	offZ := offSig + sk.NumCols()
+	prob := lp.NewProblem(offZ+len(tlist), false)
 	for k, dc := range dcs {
 		prob.SetObj(k, dc.LogN)
 	}
-	rows := make([]map[int]*big.Rat, 1<<uint(n))
-	addCoef := func(z bitset.Set, v int, c int64) {
-		if z == 0 {
-			return
-		}
-		if rows[z] == nil {
-			rows[z] = map[int]*big.Rat{}
-		}
-		r, ok := rows[z][v]
-		if !ok {
-			r = new(big.Rat)
-			rows[z][v] = r
-		}
-		r.Add(r, big.NewRat(c, 1))
-	}
-	for k, dc := range dcs {
-		addCoef(dc.Y, k, 1)
-		addCoef(dc.X, k, -1)
-	}
-	for v, sv := range sigs {
-		i, j := sv.s.Add(sv.i), sv.s.Add(sv.j)
-		addCoef(i.Intersect(j), offSig+v, 1)
-		addCoef(i.Union(j), offSig+v, 1)
-		addCoef(i, offSig+v, -1)
-		addCoef(j, offSig+v, -1)
-	}
-	for v, mv := range mus {
-		addCoef(mv.x, offMu+v, 1)
-		addCoef(mv.x.Add(mv.i), offMu+v, -1)
-	}
-	for t, b := range tlist {
-		addCoef(b, offZ+t, -1) // inflow(B) ≥ z_B
-	}
 	zero := new(big.Rat)
 	one := big.NewRat(1, 1)
-	rowOf := make(map[bitset.Set]int)
-	for z := bitset.Set(1); z <= full; z++ {
-		row := rows[z]
-		if row == nil {
-			continue // 0 ≥ 0
+	var row []lp.Term
+	for z := bitset.Set(1); z <= full; z++ { // row z−1: inflow(Z) ≥ z_Z
+		row = sk.AppendRow(appendDCs(row[:0], dcs, z), z, offSig, 1)
+		for t, b := range tlist {
+			if b == z {
+				row = append(row, lp.Term{Var: int32(offZ + t), Coef: -1})
+			}
 		}
-		rowOf[z] = prob.AddConstraint(row, lp.Ge, zero)
+		prob.AddIntConstraint(row, lp.Ge, zero)
 	}
-	zrow := map[int]*big.Rat{}
+	row = row[:0]
 	for t := range tlist {
-		zrow[offZ+t] = one
+		row = append(row, lp.Term{Var: int32(offZ + t), Coef: 1})
 	}
-	prob.AddConstraint(zrow, lp.Ge, one) // 1ᵀz ≥ 1 (Lemma 5.3's dual row)
+	prob.AddIntConstraint(row, lp.Ge, one) // 1ᵀz ≥ 1 (Lemma 5.3's dual row)
 
 	sol, err := prob.Solve()
 	if err != nil {
@@ -176,13 +117,6 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 		return nil, fmt.Errorf("flow: unexpected LP status %v", sol.Status)
 	}
 
-	res := &MaximinResult{
-		Bound:      new(big.Rat).Set(sol.Objective),
-		Lambda:     NewVec(),
-		Delta:      NewVec(),
-		DeltaByCon: make([]*big.Rat, len(dcs)),
-		Witness:    NewWitness(),
-	}
 	// Scale so ‖λ‖₁ = 1 (the LP only enforces Σz ≥ 1; scaling everything
 	// by 1/‖z‖₁ preserves witness feasibility and only tightens Σ n·δ).
 	norm := new(big.Rat)
@@ -192,6 +126,13 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 	scale := big.NewRat(1, 1)
 	if norm.Cmp(one) > 0 {
 		scale.Inv(norm)
+	}
+	res := &MaximinResult{
+		Bound:      new(big.Rat).Set(sol.Objective),
+		Lambda:     NewVec(),
+		Delta:      NewVec(),
+		DeltaByCon: make([]*big.Rat, len(dcs)),
+		Witness:    sk.witness(sol.X[offSig:], scale),
 	}
 	for t, b := range tlist {
 		v := new(big.Rat).Mul(sol.X[offZ+t], scale)
@@ -206,121 +147,80 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 			res.Delta.Add(Pair{X: dc.X, Y: dc.Y}, v)
 		}
 	}
-	for v, sv := range sigs {
-		x := new(big.Rat).Mul(sol.X[offSig+v], scale)
-		if x.Sign() > 0 {
-			res.Witness.Sigma[Sig(sv.s.Add(sv.i), sv.s.Add(sv.j))] = x
-		}
-	}
-	for v, mv := range mus {
-		x := new(big.Rat).Mul(sol.X[offMu+v], scale)
-		if x.Sign() > 0 {
-			res.Witness.Mu[Pair{X: mv.x, Y: mv.x.Add(mv.i)}] = x
-		}
-	}
-	// h* from the exact LP duals: Dual[row Z] = h*(Z).
-	res.HStar = setfunc.New(n)
-	for z, row := range rowOf {
-		res.HStar.Set(z, sol.Dual[row])
-	}
+	res.HStar = hStar(n, sol)
 	return res, nil
+}
+
+func validateDCs(full bitset.Set, dcs []DC) error {
+	for _, dc := range dcs {
+		if !dc.X.ProperSubsetOf(dc.Y) || !dc.Y.SubsetOf(full) {
+			return fmt.Errorf("flow: bad constraint X=%v Y=%v", dc.X, dc.Y)
+		}
+		if dc.LogN == nil || dc.LogN.Sign() < 0 {
+			return fmt.Errorf("flow: constraint needs LogN ≥ 0")
+		}
+	}
+	return nil
+}
+
+// appendDCs appends the δ columns of row Z: constraint k is column k, +1 on
+// row Y and −1 on row X (Eq. 74).
+func appendDCs(row []lp.Term, dcs []DC, z bitset.Set) []lp.Term {
+	for k, dc := range dcs {
+		switch z {
+		case dc.Y:
+			row = append(row, lp.Term{Var: int32(k), Coef: 1})
+		case dc.X:
+			row = append(row, lp.Term{Var: int32(k), Coef: -1})
+		}
+	}
+	return row
+}
+
+// hStar reads the optimal polymatroid off the exact LP duals of a bound LP
+// whose row Z−1 is the inflow constraint of Z: Dual[row Z] = h*(Z).
+func hStar(n int, sol *lp.Solution) *setfunc.Func {
+	h := setfunc.New(n)
+	for z := 1; z < len(h.V); z++ {
+		h.V[z].Set(sol.Dual[z-1])
+	}
+	return h
 }
 
 // LinearBound solves max Σ_B c_B·h(B) over Γn ∩ HDC exactly — the
 // right-hand side of Lemma 5.2's Eq. (68) for a fixed λ = c. Returns the
 // optimum and the optimal polymatroid.
 func LinearBound(n int, dcs []DC, objective map[bitset.Set]*big.Rat) (*big.Rat, *setfunc.Func, error) {
-	lam := NewVec()
-	var targets []bitset.Set
+	full := bitset.Full(n)
+	if err := validateDCs(full, dcs); err != nil {
+		return nil, nil, err
+	}
+	weighted := false
 	for b, c := range objective {
 		if c.Sign() < 0 {
 			return nil, nil, fmt.Errorf("flow: negative objective weight")
 		}
-		if c.Sign() > 0 && b != 0 {
-			lam.Add(Marginal(b), c)
-			targets = append(targets, b)
-		}
+		weighted = weighted || (c.Sign() > 0 && b != 0)
 	}
-	if len(targets) == 0 {
+	if !weighted {
 		return new(big.Rat), setfunc.New(n), nil
 	}
-	// Solve via the primal formulation's dual with fixed λ: minimize Σ n·δ
-	// subject to inflow(Z) ≥ λ_Z. Reuse MaximinBound machinery by scaling:
-	// for a fixed positive combination, max Σ c_B h(B) has the same dual
-	// rows but with RHS λ instead of the z variables. We build it directly.
-	full := bitset.Full(n)
-	type sigVar struct {
-		s    bitset.Set
-		i, j int
-	}
-	type muVar struct {
-		x bitset.Set
-		i int
-	}
-	var sigs []sigVar
-	var mus []muVar
-	for s := bitset.Set(0); s <= full; s++ {
-		for i := 0; i < n; i++ {
-			if s.Contains(i) {
-				continue
-			}
-			mus = append(mus, muVar{x: s, i: i})
-			for j := i + 1; j < n; j++ {
-				if s.Contains(j) {
-					continue
-				}
-				sigs = append(sigs, sigVar{s: s, i: i, j: j})
-			}
-		}
-	}
-	offSig := len(dcs)
-	offMu := offSig + len(sigs)
-	nv := offMu + len(mus)
-	prob := lp.NewProblem(nv, false)
+	// The dual with λ = c fixed: minimize Σ n·δ subject to inflow(Z) ≥ λ_Z —
+	// MaximinBound's rows with the z columns replaced by a right-hand side.
+	sk := NewElemental(n)
+	prob := lp.NewProblem(len(dcs)+sk.NumCols(), false)
 	for k, dc := range dcs {
 		prob.SetObj(k, dc.LogN)
 	}
-	rows := make([]map[int]*big.Rat, 1<<uint(n))
-	addCoef := func(z bitset.Set, v int, c int64) {
-		if z == 0 {
-			return
-		}
-		if rows[z] == nil {
-			rows[z] = map[int]*big.Rat{}
-		}
-		r, ok := rows[z][v]
-		if !ok {
-			r = new(big.Rat)
-			rows[z][v] = r
-		}
-		r.Add(r, big.NewRat(c, 1))
-	}
-	for k, dc := range dcs {
-		addCoef(dc.Y, k, 1)
-		addCoef(dc.X, k, -1)
-	}
-	for v, sv := range sigs {
-		i, j := sv.s.Add(sv.i), sv.s.Add(sv.j)
-		addCoef(i.Intersect(j), offSig+v, 1)
-		addCoef(i.Union(j), offSig+v, 1)
-		addCoef(i, offSig+v, -1)
-		addCoef(j, offSig+v, -1)
-	}
-	for v, mv := range mus {
-		addCoef(mv.x, offMu+v, 1)
-		addCoef(mv.x.Add(mv.i), offMu+v, -1)
-	}
-	rowOf := map[bitset.Set]int{}
+	zero := new(big.Rat)
+	var row []lp.Term
 	for z := bitset.Set(1); z <= full; z++ {
-		row := rows[z]
-		b := lam.Get(Marginal(z))
-		if row == nil && b.Sign() <= 0 {
-			continue
+		row = sk.AppendRow(appendDCs(row[:0], dcs, z), z, len(dcs), 1)
+		lam := objective[z]
+		if lam == nil {
+			lam = zero
 		}
-		if row == nil {
-			row = map[int]*big.Rat{}
-		}
-		rowOf[z] = prob.AddConstraint(row, lp.Ge, b)
+		prob.AddIntConstraint(row, lp.Ge, lam)
 	}
 	sol, err := prob.Solve()
 	if err != nil {
@@ -329,9 +229,5 @@ func LinearBound(n int, dcs []DC, objective map[bitset.Set]*big.Rat) (*big.Rat, 
 	if sol.Status != lp.Optimal {
 		return nil, nil, fmt.Errorf("flow: linear bound LP %v (unbounded primal?)", sol.Status)
 	}
-	h := setfunc.New(n)
-	for z, row := range rowOf {
-		h.Set(z, sol.Dual[row])
-	}
-	return new(big.Rat).Set(sol.Objective), h, nil
+	return new(big.Rat).Set(sol.Objective), hStar(n, sol), nil
 }

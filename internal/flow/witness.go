@@ -171,99 +171,33 @@ func Tighten(lambda, delta Vec, w *Witness) {
 // obtained by exact LP, minimizing ‖σ‖₁ + ‖µ‖₁ to keep proof sequences
 // short. Returns an error when the inequality is not valid.
 func FindWitness(n int, lambda, delta Vec) (*Witness, error) {
-	type sigVar struct {
-		s    bitset.Set
-		i, j int
-	}
-	type muVar struct {
-		x bitset.Set
-		i int
-	}
-	var sigs []sigVar
-	var mus []muVar
 	full := bitset.Full(n)
-	for s := bitset.Set(0); s <= full; s++ {
-		for i := 0; i < n; i++ {
-			if s.Contains(i) {
-				continue
-			}
-			mus = append(mus, muVar{x: s, i: i})
-			for j := i + 1; j < n; j++ {
-				if s.Contains(j) {
-					continue
-				}
-				sigs = append(sigs, sigVar{s: s, i: i, j: j})
-			}
-		}
-	}
-	nv := len(sigs) + len(mus)
-	prob := lp.NewProblem(nv, false)
-	one := big.NewRat(1, 1)
-	for v := 0; v < nv; v++ {
-		prob.SetObj(v, one)
-	}
 	// Row per Z: inflow(Z) ≥ λ_Z, with the δ part moved to the RHS.
-	rows := map[bitset.Set]map[int]*big.Rat{}
-	addCoef := func(z bitset.Set, v int, c int64) {
-		if z == 0 {
-			return
+	rhs := make([]big.Rat, int(full)+1)
+	for _, vec := range []Vec{lambda, delta} {
+		for p := range vec {
+			if !p.X.Union(p.Y).SubsetOf(full) {
+				return nil, fmt.Errorf("flow: coordinate %v outside the universe [%d]", p, n)
+			}
 		}
-		row, ok := rows[z]
-		if !ok {
-			row = map[int]*big.Rat{}
-			rows[z] = row
-		}
-		r, ok := row[v]
-		if !ok {
-			r = new(big.Rat)
-			row[v] = r
-		}
-		r.Add(r, big.NewRat(c, 1))
-	}
-	for v, sv := range sigs {
-		i, j := sv.s.Add(sv.i), sv.s.Add(sv.j)
-		addCoef(i.Intersect(j), v, 1)
-		addCoef(i.Union(j), v, 1)
-		addCoef(i, v, -1)
-		addCoef(j, v, -1)
-	}
-	for v, mv := range mus {
-		x, y := mv.x, mv.x.Add(mv.i)
-		addCoef(x, len(sigs)+v, 1)
-		addCoef(y, len(sigs)+v, -1)
-	}
-	rhs := map[bitset.Set]*big.Rat{}
-	setRHS := func(z bitset.Set, v *big.Rat) {
-		r, ok := rhs[z]
-		if !ok {
-			r = new(big.Rat)
-			rhs[z] = r
-		}
-		r.Add(r, v)
 	}
 	for p, v := range lambda {
-		setRHS(p.Y, v)
+		rhs[p.Y].Add(&rhs[p.Y], v)
 	}
 	for p, v := range delta {
-		setRHS(p.Y, new(big.Rat).Neg(v))
-		if p.X != 0 {
-			setRHS(p.X, v)
-		}
+		rhs[p.Y].Sub(&rhs[p.Y], v)
+		rhs[p.X].Add(&rhs[p.X], v) // rhs[∅] is never read
 	}
+	sk := NewElemental(n)
+	prob := lp.NewProblem(sk.NumCols(), false)
+	one := big.NewRat(1, 1)
+	for v := 0; v < sk.NumCols(); v++ {
+		prob.SetObj(v, one)
+	}
+	var row []lp.Term
 	for z := bitset.Set(1); z <= full; z++ {
-		row := rows[z]
-		if row == nil {
-			row = map[int]*big.Rat{}
-		}
-		b, ok := rhs[z]
-		if !ok {
-			b = new(big.Rat)
-		}
-		// Skip trivially satisfied empty rows with b ≤ 0.
-		if len(row) == 0 && b.Sign() <= 0 {
-			continue
-		}
-		prob.AddConstraint(row, lp.Ge, b)
+		row = sk.AppendRow(row[:0], z, 0, 1)
+		prob.AddIntConstraint(row, lp.Ge, &rhs[z])
 	}
 	sol, err := prob.Solve()
 	if err != nil {
@@ -272,16 +206,5 @@ func FindWitness(n int, lambda, delta Vec) (*Witness, error) {
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("flow: no witness exists (LP %v): inequality is not a Shannon flow inequality", sol.Status)
 	}
-	w := NewWitness()
-	for v, sv := range sigs {
-		if sol.X[v].Sign() > 0 {
-			w.Sigma[Sig(sv.s.Add(sv.i), sv.s.Add(sv.j))] = new(big.Rat).Set(sol.X[v])
-		}
-	}
-	for v, mv := range mus {
-		if sol.X[len(sigs)+v].Sign() > 0 {
-			w.Mu[Pair{X: mv.x, Y: mv.x.Add(mv.i)}] = new(big.Rat).Set(sol.X[len(sigs)+v])
-		}
-	}
-	return w, nil
+	return sk.witness(sol.X, one), nil
 }

@@ -1,6 +1,6 @@
-// Package lp implements an exact linear-programming solver over rational
-// numbers (math/big.Rat) using the two-phase primal simplex method with
-// Bland's anti-cycling rule.
+// Package lp is an exact linear-programming solver: two-phase primal simplex
+// with Bland's anti-cycling rule over rational numbers, computed in machine
+// words wherever the numbers fit them.
 //
 // Exactness matters here: the Shannon-flow machinery of the paper (Section 5)
 // turns optimal *dual* solutions of polymatroid linear programs into Farkas
@@ -8,6 +8,31 @@
 // and those constructions require exact rational arithmetic — a common
 // denominator D of all dual values drives the algorithm. Floating point would
 // break both feasibility checks and termination arguments.
+//
+// The scalar. The LPs this repository solves (polymatroid bounds over the
+// elemental Shannon inequalities, fractional covers) have 0/±1 constraint
+// matrices and 0/1 right-hand sides; only the objective carries the log N
+// values with their 2³⁰-scale denominators. So a tableau cell is a value
+// type — a normalised int64 numerator/denominator pair (scalar.go) — in one
+// flat row-major array, and a pivot allocates nothing. Each operation checks
+// its word-sized intermediates through math/bits; one that overflows is
+// redone in big.Rat, and a result whose *reduced* form does not fit a word
+// pair is promoted: that one cell moves to a side table of *big.Rat and the
+// arithmetic continues exactly (it moves back as soon as a later result
+// fits). Which representation a cell is in depends on its value alone, so
+// there is one Solve, one iterate, one pivot, and the answer is the same
+// exact rational either way. The Problem/Constraint/Solution surface stays
+// *big.Rat; conversion happens once on the way in and once on the way out.
+//
+// Why Bland. Dantzig's most-negative rule was measured to blow up the
+// rational coefficient sizes on the polymatroid LPs, which here would mean
+// leaving the word path; Bland keeps fill-in small and guarantees
+// termination. It is also a contract: entering and leaving choices depend
+// only on signs and exact ratio comparisons, so the pivot sequence — and with
+// it the optimal vertex, the dual, every λ, δ, witness, proof sequence and
+// encoded plan byte — is a function of the problem, not of the scalar's
+// representation (internal/plan's TestPlanBytesGolden and the differential
+// suite against the all-big.Rat reference in reference_test.go pin that).
 //
 // The solver returns both a primal optimal solution and an exact dual
 // solution satisfying strong duality, which callers use as witnesses.
@@ -39,9 +64,18 @@ func (s Sense) String() string {
 	}
 }
 
-// Constraint is a single sparse row Σ_j Coef[j]·x_j  Sense  RHS.
+// Term is one integer coefficient of a sparse row: Coef·x_Var.
+type Term struct {
+	Var  int32
+	Coef int64
+}
+
+// Constraint is a single sparse row Σ_j a_j·x_j  Sense  RHS, its coefficients
+// given as rationals (Coef, from AddConstraint) or as machine integers
+// (Terms, from AddIntConstraint).
 type Constraint struct {
 	Coef  map[int]*big.Rat
+	Terms []Term
 	Sense Sense
 	RHS   *big.Rat
 }
@@ -59,19 +93,38 @@ func NewProblem(n int, maximize bool) *Problem {
 	return &Problem{NumVars: n, Maximize: maximize, Obj: map[int]*big.Rat{}}
 }
 
-// SetObj sets the objective coefficient of variable j.
-func (p *Problem) SetObj(j int, c *big.Rat) { p.Obj[j] = new(big.Rat).Set(c) }
+// copyRat copies c; a nil c stays nil for Solve to report.
+func copyRat(c *big.Rat) *big.Rat {
+	if c == nil {
+		return nil
+	}
+	return new(big.Rat).Set(c)
+}
 
-// AddConstraint appends a constraint with the given sparse coefficients.
-// The coefficient map is copied.
+// SetObj sets the objective coefficient of variable j.
+func (p *Problem) SetObj(j int, c *big.Rat) { p.Obj[j] = copyRat(c) }
+
+// AddConstraint appends a constraint with the given sparse coefficients and
+// returns its row index. The coefficient map is copied. Misuse — a variable
+// index outside [0, NumVars), a nil coefficient or RHS — is reported by Solve.
 func (p *Problem) AddConstraint(coef map[int]*big.Rat, sense Sense, rhs *big.Rat) int {
 	cp := make(map[int]*big.Rat, len(coef))
 	for j, c := range coef {
-		if c.Sign() != 0 {
-			cp[j] = new(big.Rat).Set(c)
+		if c == nil || c.Sign() != 0 {
+			cp[j] = copyRat(c)
 		}
 	}
-	p.Cons = append(p.Cons, Constraint{Coef: cp, Sense: sense, RHS: new(big.Rat).Set(rhs)})
+	p.Cons = append(p.Cons, Constraint{Coef: cp, Sense: sense, RHS: copyRat(rhs)})
+	return len(p.Cons) - 1
+}
+
+// AddIntConstraint appends a constraint whose coefficients are machine
+// integers — the elemental Shannon rows are all ±1 — and returns its row
+// index. terms is copied, so the caller may reuse it for the next row: a row
+// costs one allocation, not one per coefficient. A variable may appear in at
+// most one term; Solve reports a repeat.
+func (p *Problem) AddIntConstraint(terms []Term, sense Sense, rhs *big.Rat) int {
+	p.Cons = append(p.Cons, Constraint{Terms: append([]Term(nil), terms...), Sense: sense, RHS: copyRat(rhs)})
 	return len(p.Cons) - 1
 }
 
@@ -109,137 +162,167 @@ type Solution struct {
 	Dual      []*big.Rat
 }
 
-// tableau is the working state of the simplex method.
+// tableau is the working state of the simplex method: m rows of cols+1
+// cells (the last is the right-hand side) in one flat row-major array, over
+// the exact arithmetic of the embedded arith.
 type tableau struct {
-	rows     [][]*big.Rat // m active rows, each of length cols+1 (last = rhs)
-	m        int          // number of rows
-	cols     int          // number of columns excluding rhs
-	basis    []int        // basic variable per row
-	active   []bool       // rows still active (false = redundant, removed)
-	art      []bool       // per column: is artificial
-	nStruct  int          // structural variable count
-	initBase []int        // initial basis column of each row (slack or artificial)
-	sigma    []int        // ±1 sign applied to each original row
+	arith
+	a        []rat
+	m        int     // number of rows
+	cols     int     // number of columns excluding rhs
+	basis    []int   // basic variable per row
+	active   []bool  // rows still active (false = redundant, removed)
+	artStart int     // columns [artStart, cols) are the artificials
+	initBase []int   // initial basis column of each row (slack or artificial)
+	sigma    []int   // ±1 sign applied to each original row
+	nz       []int32 // scratch: non-zero columns of the current pivot row
 }
 
-var ratOne = big.NewRat(1, 1)
+func (t *tableau) row(i int) []rat { return t.a[i*(t.cols+1) : (i+1)*(t.cols+1)] }
 
 // Solve runs two-phase simplex and returns an exact optimal solution, or a
-// solution whose Status reports infeasibility/unboundedness.
+// solution whose Status reports infeasibility/unboundedness. A malformed
+// problem — a variable index out of range, a nil coefficient or right-hand
+// side — is an error naming the row and the index.
 func (p *Problem) Solve() (*Solution, error) {
-	if p.NumVars < 0 {
-		return nil, fmt.Errorf("lp: negative variable count %d", p.NumVars)
-	}
-	t := p.build()
+	sol, _, err := p.solve()
+	return sol, err
+}
 
-	// Phase 1: maximize −Σ artificials. Reduced-cost row for the phase-1
-	// objective: r_j = Σ_{rows with artificial basic} −T[i][j] − c1_j.
-	needPhase1 := false
-	for i := 0; i < t.m; i++ {
-		if t.art[t.basis[i]] {
-			needPhase1 = true
-			break
-		}
+// solve is Solve, also reporting how many results left the word path (the
+// differential tests assert that their forced-promotion cases really do).
+func (p *Problem) solve() (*Solution, int, error) {
+	t, err := p.build()
+	if err != nil {
+		return nil, 0, err
 	}
-	if needPhase1 {
-		c1 := make([]*big.Rat, t.cols)
-		for j := 0; j < t.cols; j++ {
-			if t.art[j] {
-				c1[j] = new(big.Rat).Neg(ratOne)
-			} else {
-				c1[j] = new(big.Rat)
-			}
+	// r is the reduced-cost row of the phase in progress, the objective
+	// value in its last cell.
+	r := make([]rat, t.cols+1)
+	for j := range r {
+		r[j] = ratZero
+	}
+
+	// Phase 1, if any row starts on an artificial: maximize −Σ artificials,
+	// i.e. cost −1 on every artificial.
+	if t.artStart < t.cols {
+		for j := t.artStart; j < t.cols; j++ {
+			r[j] = ratOne
 		}
-		r, z := t.reducedCosts(c1)
-		if err := t.iterate(r, z, false, nil); err != nil {
-			return nil, err
+		t.priceOut(r)
+		if err := t.iterate(r, t.cols, nil); err != nil {
+			return nil, 0, err
 		}
-		if z.Sign() < 0 {
-			return &Solution{Status: Infeasible}, nil
+		if r[t.cols].sign() < 0 {
+			return &Solution{Status: Infeasible}, t.promoted, nil
 		}
 		t.pivotOutArtificials()
 	}
 
-	// Phase 2 objective (always maximize internally).
-	c2 := make([]*big.Rat, t.cols)
-	for j := 0; j < t.cols; j++ {
-		c2[j] = new(big.Rat)
+	// Phase 2 objective (always maximize internally); artificial columns
+	// may no longer enter the basis.
+	for j := range r {
+		t.put(&r[j], ratZero)
 	}
 	for j, c := range p.Obj {
-		if j < 0 || j >= p.NumVars {
-			return nil, fmt.Errorf("lp: objective variable %d out of range", j)
-		}
-		if p.Maximize {
-			c2[j].Set(c)
-		} else {
-			c2[j].Neg(c)
-		}
+		t.set(&r[j], c, p.Maximize)
 	}
-	r, z := t.reducedCosts(c2)
+	t.priceOut(r)
 	unbounded := false
-	if err := t.iterate(r, z, true, func() { unbounded = true }); err != nil {
-		return nil, err
+	if err := t.iterate(r, t.artStart, func() { unbounded = true }); err != nil {
+		return nil, 0, err
 	}
 	if unbounded {
-		return &Solution{Status: Unbounded}, nil
+		return &Solution{Status: Unbounded}, t.promoted, nil
 	}
 
-	sol := &Solution{Status: Optimal, Objective: new(big.Rat).Set(z)}
+	// One backing array for all of the solution's numbers.
+	vals := make([]big.Rat, 1+p.NumVars+len(p.Cons))
+	sol := &Solution{Status: Optimal, Objective: &vals[0], X: make([]*big.Rat, p.NumVars), Dual: make([]*big.Rat, len(p.Cons))}
+	t.get(sol.Objective, r[t.cols])
 	if !p.Maximize {
 		sol.Objective.Neg(sol.Objective)
 	}
-	sol.X = make([]*big.Rat, p.NumVars)
 	for j := range sol.X {
-		sol.X[j] = new(big.Rat)
+		sol.X[j] = &vals[1+j]
 	}
 	for i := 0; i < t.m; i++ {
-		if !t.active[i] {
-			continue
-		}
-		if b := t.basis[i]; b < t.nStruct {
-			sol.X[b].Set(t.rows[i][t.cols])
+		if b := t.basis[i]; t.active[i] && b < p.NumVars {
+			t.get(sol.X[b], t.row(i)[t.cols])
 		}
 	}
 	// Dual values: w_i = reduced cost under the initial basis column of row
 	// i (its cost coefficient is 0 in phase 2), then undo the row sign and
 	// the min→max objective flip.
-	sol.Dual = make([]*big.Rat, len(p.Cons))
 	for i := range p.Cons {
-		d := new(big.Rat)
+		d := &vals[1+p.NumVars+i]
 		if t.active[i] {
-			d.Set(r[t.initBase[i]])
-			if t.sigma[i] < 0 {
-				d.Neg(d)
-			}
-			if !p.Maximize {
+			t.get(d, r[t.initBase[i]])
+			if (t.sigma[i] < 0) == p.Maximize {
 				d.Neg(d)
 			}
 		}
 		sol.Dual[i] = d
 	}
-	return sol, nil
+	return sol, t.promoted, nil
+}
+
+// validate reports the first malformed entry of the problem.
+func (p *Problem) validate() error {
+	if p.NumVars < 0 {
+		return fmt.Errorf("lp: negative variable count %d", p.NumVars)
+	}
+	for j, c := range p.Obj {
+		if j < 0 || j >= p.NumVars {
+			return fmt.Errorf("lp: objective variable %d out of range", j)
+		}
+		if c == nil {
+			return fmt.Errorf("lp: objective coefficient of variable %d is nil", j)
+		}
+	}
+	for i, c := range p.Cons {
+		if c.Sense < Le || c.Sense > Eq {
+			return fmt.Errorf("lp: row %d: unknown sense %d", i, int(c.Sense))
+		}
+		if c.RHS == nil {
+			return fmt.Errorf("lp: row %d: nil right-hand side", i)
+		}
+		for j, v := range c.Coef {
+			if j < 0 || j >= p.NumVars {
+				return fmt.Errorf("lp: row %d: variable %d out of range [0,%d)", i, j, p.NumVars)
+			}
+			if v == nil {
+				return fmt.Errorf("lp: row %d: coefficient of variable %d is nil", i, j)
+			}
+		}
+		for _, tm := range c.Terms {
+			if tm.Var < 0 || int(tm.Var) >= p.NumVars {
+				return fmt.Errorf("lp: row %d: variable %d out of range [0,%d)", i, tm.Var, p.NumVars)
+			}
+		}
+	}
+	return nil
 }
 
 // build canonicalizes the problem into equality form with slacks/surpluses
 // and artificials, every row having non-negative RHS and the identity as the
 // initial basis.
-func (p *Problem) build() *tableau {
+func (p *Problem) build() (*tableau, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	m := len(p.Cons)
 	t := &tableau{
 		m:        m,
-		nStruct:  p.NumVars,
 		basis:    make([]int, m),
 		active:   make([]bool, m),
 		initBase: make([]int, m),
 		sigma:    make([]int, m),
 	}
-	type rowPlan struct {
-		needSlack    bool // +1 slack (≤ after canonicalization)
-		needSurplus  bool // −1 surplus (≥ after canonicalization)
-		needArtifice bool
-	}
-	plans := make([]rowPlan, m)
+	// Per row after canonicalization: ≤ takes a +1 slack, ≥ a −1 surplus and
+	// an artificial, = an artificial.
 	sense := make([]Sense, m)
+	nSlack, nArt := 0, 0
 	for i, c := range p.Cons {
 		t.sigma[i] = 1
 		t.active[i] = true
@@ -262,121 +345,110 @@ func (p *Problem) build() *tableau {
 			t.sigma[i] = -1
 		}
 		sense[i] = s
-		switch s {
-		case Le:
-			plans[i].needSlack = true
-		case Ge:
-			plans[i].needSurplus = true
-			plans[i].needArtifice = true
-		case Eq:
-			plans[i].needArtifice = true
-		}
-	}
-	// Column layout: structural | slack/surplus | artificial.
-	nSlack := 0
-	for _, pl := range plans {
-		if pl.needSlack || pl.needSurplus {
+		if s != Eq {
 			nSlack++
 		}
-	}
-	nArt := 0
-	for _, pl := range plans {
-		if pl.needArtifice {
+		if s != Le {
 			nArt++
 		}
 	}
-	t.cols = p.NumVars + nSlack + nArt
-	t.art = make([]bool, t.cols)
-	for j := p.NumVars + nSlack; j < t.cols; j++ {
-		t.art[j] = true
+	// Column layout: structural | slack/surplus | artificial.
+	t.artStart = p.NumVars + nSlack
+	t.cols = t.artStart + nArt
+	t.a = make([]rat, m*(t.cols+1))
+	for k := range t.a {
+		t.a[k] = ratZero
 	}
-	t.rows = make([][]*big.Rat, m)
-	slackAt, artAt := p.NumVars, p.NumVars+nSlack
+	slackAt, artAt := p.NumVars, t.artStart
 	for i, c := range p.Cons {
-		row := make([]*big.Rat, t.cols+1)
-		for j := range row {
-			row[j] = new(big.Rat)
-		}
+		row := t.row(i)
+		neg := t.sigma[i] < 0
 		for j, v := range c.Coef {
-			if t.sigma[i] > 0 {
-				row[j].Set(v)
-			} else {
-				row[j].Neg(v)
+			t.set(&row[j], v, neg)
+		}
+		for _, tm := range c.Terms {
+			if row[tm.Var] != ratZero {
+				return nil, fmt.Errorf("lp: row %d: variable %d appears twice", i, tm.Var)
 			}
+			t.setInt(&row[tm.Var], tm.Coef, neg)
 		}
-		if t.sigma[i] > 0 {
-			row[t.cols].Set(c.RHS)
-		} else {
-			row[t.cols].Neg(c.RHS)
-		}
-		pl := plans[i]
-		if pl.needSlack {
-			row[slackAt].SetInt64(1)
+		t.set(&row[t.cols], c.RHS, neg)
+		switch sense[i] {
+		case Le:
+			row[slackAt] = ratOne
 			t.basis[i], t.initBase[i] = slackAt, slackAt
 			slackAt++
-		}
-		if pl.needSurplus {
-			row[slackAt].SetInt64(-1)
+		case Ge:
+			row[slackAt] = rat{-1, 1}
 			slackAt++
-		}
-		if pl.needArtifice {
-			row[artAt].SetInt64(1)
+			fallthrough
+		case Eq:
+			row[artAt] = ratOne
 			t.basis[i], t.initBase[i] = artAt, artAt
 			artAt++
 		}
-		t.rows[i] = row
 	}
-	return t
+	return t, nil
 }
 
-// reducedCosts computes r_j = c_B·B⁻¹·A_j − c_j for every column of the
-// current tableau along with the objective value z = c_B·B⁻¹·b.
-func (t *tableau) reducedCosts(c []*big.Rat) ([]*big.Rat, *big.Rat) {
-	r := make([]*big.Rat, t.cols)
-	for j := range r {
-		r[j] = new(big.Rat).Neg(c[j])
+// nonZero gathers the non-zero column indexes of row (rhs cell included)
+// into the tableau's scratch.
+func (t *tableau) nonZero(row []rat) []int32 {
+	nz := t.nz[:0]
+	for j, c := range row {
+		if c.num != 0 {
+			nz = append(nz, int32(j))
+		}
 	}
-	z := new(big.Rat)
-	tmp := new(big.Rat)
+	t.nz = nz
+	return nz
+}
+
+// eliminate subtracts row[enter]·prow from row, leaving row[enter] zero;
+// prow[enter] is 1 and nz lists prow's non-zero columns.
+func (t *tableau) eliminate(row, prow []rat, enter int, nz []int32) {
+	f := row[enter]
+	if f.num == 0 {
+		return
+	}
+	for _, j := range nz {
+		if int(j) != enter { // row[enter] holds f until the others are done
+			t.mulSub(&row[j], f, prow[j])
+		}
+	}
+	t.put(&row[enter], ratZero)
+}
+
+// priceOut turns a cost row r (holding −c_j per column, 0 as the objective
+// value) into the reduced costs r_j = c_B·B⁻¹·A_j − c_j and the objective
+// value c_B·B⁻¹·b of the current basis, by eliminating every basic column
+// from it: the basic columns of a tableau are unit vectors.
+func (t *tableau) priceOut(r []rat) {
 	for i := 0; i < t.m; i++ {
-		if !t.active[i] {
-			continue
+		if t.active[i] && r[t.basis[i]].num != 0 {
+			row := t.row(i)
+			t.eliminate(r, row, t.basis[i], t.nonZero(row))
 		}
-		cb := c[t.basis[i]]
-		if cb.Sign() == 0 {
-			continue
-		}
-		for j := 0; j < t.cols; j++ {
-			if t.rows[i][j].Sign() != 0 {
-				r[j].Add(r[j], tmp.Mul(cb, t.rows[i][j]))
-			}
-		}
-		z.Add(z, tmp.Mul(cb, t.rows[i][t.cols]))
 	}
-	return r, z
 }
 
 // iterate runs simplex pivots until optimal (all reduced costs ≥ 0) or
-// unbounded. The reduced-cost row r and objective z are updated in place.
-// When barArtificial is set, artificial columns may not enter the basis
-// (phase 2). onUnbounded, if non-nil, is invoked instead of returning an
-// error.
-func (t *tableau) iterate(r []*big.Rat, z *big.Rat, barArtificial bool, onUnbounded func()) error {
+// unbounded. The reduced-cost row r (objective value in its last cell) is
+// updated in place. Only columns below limit may enter the basis (phase 2
+// bars the artificials). onUnbounded, if non-nil, is invoked instead of
+// returning an error.
+func (t *tableau) iterate(r []rat, limit int, onUnbounded func()) error {
 	maxIter := 50000 + 200*(t.m+t.cols)
+	ratio, best := ratZero, ratZero // swapped, never copied: each may own a slot
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
 			return fmt.Errorf("lp: simplex exceeded %d iterations (cycling?)", maxIter)
 		}
 		// Bland's rule: entering = smallest index with negative reduced
-		// cost. (Dantzig's most-negative rule was measured to blow up
-		// rational coefficient sizes on the polymatroid LPs; Bland keeps
-		// fill-in small and guarantees termination.)
+		// cost (see the package comment for why not Dantzig's).
 		enter := -1
-		for j := 0; j < t.cols; j++ {
-			if barArtificial && t.art[j] {
-				continue
-			}
-			if r[j].Sign() < 0 {
+		for j := 0; j < limit; j++ {
+			if r[j].num < 0 {
 				enter = j
 				break
 			}
@@ -387,18 +459,19 @@ func (t *tableau) iterate(r []*big.Rat, z *big.Rat, barArtificial bool, onUnboun
 		// Leaving: min ratio rhs/col over positive col entries; ties broken
 		// by smallest basis variable index (Bland).
 		leave := -1
-		best := new(big.Rat)
-		ratio := new(big.Rat)
 		for i := 0; i < t.m; i++ {
-			if !t.active[i] || t.rows[i][enter].Sign() <= 0 {
+			row := t.row(i)
+			if !t.active[i] || row[enter].num <= 0 {
 				continue
 			}
-			ratio.Quo(t.rows[i][t.cols], t.rows[i][enter])
-			if leave == -1 || ratio.Cmp(best) < 0 ||
-				(ratio.Cmp(best) == 0 && t.basis[i] < t.basis[leave]) {
-				leave = i
-				best.Set(ratio)
+			t.quo(&ratio, row[t.cols], row[enter])
+			if leave != -1 {
+				if c := t.cmp(ratio, best); c > 0 || (c == 0 && t.basis[i] > t.basis[leave]) {
+					continue
+				}
 			}
+			leave = i
+			ratio, best = best, ratio
 		}
 		if leave == -1 {
 			if onUnbounded != nil {
@@ -407,48 +480,30 @@ func (t *tableau) iterate(r []*big.Rat, z *big.Rat, barArtificial bool, onUnboun
 			}
 			return fmt.Errorf("lp: unbounded")
 		}
-		t.pivot(leave, enter, r, z)
+		t.pivot(leave, enter, r)
 	}
 }
 
-// pivot makes column enter basic in row leave, updating all rows and the
-// reduced-cost row.
-func (t *tableau) pivot(leave, enter int, r []*big.Rat, z *big.Rat) {
-	prow := t.rows[leave]
-	pval := new(big.Rat).Set(prow[enter])
-	inv := new(big.Rat).Inv(pval)
-	for j := 0; j <= t.cols; j++ {
-		if prow[j].Sign() != 0 {
-			prow[j].Mul(prow[j], inv)
+// pivot makes column enter basic in row leave, updating all rows and, when
+// non-nil, the reduced-cost row. Other rows change only at the pivot row's
+// non-zero columns, gathered once.
+func (t *tableau) pivot(leave, enter int, r []rat) {
+	prow := t.row(leave)
+	pval := prow[enter]
+	nz := t.nonZero(prow)
+	for _, j := range nz {
+		if int(j) != enter { // prow[enter] holds pval until the others are done
+			t.quo(&prow[j], prow[j], pval)
 		}
 	}
-	tmp := new(big.Rat)
+	t.put(&prow[enter], ratOne)
 	for i := 0; i < t.m; i++ {
-		if i == leave || !t.active[i] {
-			continue
-		}
-		f := t.rows[i][enter]
-		if f.Sign() == 0 {
-			continue
-		}
-		fv := new(big.Rat).Set(f)
-		row := t.rows[i]
-		for j := 0; j <= t.cols; j++ {
-			if prow[j].Sign() != 0 {
-				row[j].Sub(row[j], tmp.Mul(fv, prow[j]))
-			}
+		if i != leave && t.active[i] {
+			t.eliminate(t.row(i), prow, enter, nz)
 		}
 	}
 	if r != nil {
-		f := new(big.Rat).Set(r[enter])
-		if f.Sign() != 0 {
-			for j := 0; j < t.cols; j++ {
-				if prow[j].Sign() != 0 {
-					r[j].Sub(r[j], tmp.Mul(f, prow[j]))
-				}
-			}
-			z.Sub(z, tmp.Mul(f, prow[t.cols]))
-		}
+		t.eliminate(r, prow, enter, nz)
 	}
 	t.basis[leave] = enter
 }
@@ -458,12 +513,12 @@ func (t *tableau) pivot(leave, enter int, r []*big.Rat, z *big.Rat) {
 // the row redundant.
 func (t *tableau) pivotOutArtificials() {
 	for i := 0; i < t.m; i++ {
-		if !t.active[i] || !t.art[t.basis[i]] {
+		if !t.active[i] || t.basis[i] < t.artStart {
 			continue
 		}
 		pivCol := -1
-		for j := 0; j < t.cols; j++ {
-			if !t.art[j] && t.rows[i][j].Sign() != 0 {
+		for j, c := range t.row(i)[:t.artStart] {
+			if c.num != 0 {
 				pivCol = j
 				break
 			}
@@ -473,6 +528,6 @@ func (t *tableau) pivotOutArtificials() {
 			t.active[i] = false
 			continue
 		}
-		t.pivot(i, pivCol, nil, nil)
+		t.pivot(i, pivCol, nil)
 	}
 }

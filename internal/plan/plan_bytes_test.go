@@ -1,0 +1,91 @@
+package plan
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"panda/internal/query"
+)
+
+// TestPlanBytesGolden pins the encoded bytes of every plan in the bench
+// plan-cold corpus (ten shapes over 8-row relations), of the three plans in
+// testdata/pr12-plans.json, and of the subw 4-cycle at sizes whose logs put
+// 2³⁰-scale denominators into the bound LP's objective. The golden was
+// written by the commit before internal/lp moved to machine-word rationals:
+// λ, δ, the witness and the proof sequence all come out of the LP's optimal
+// vertex and dual, so a solver that reached an equal objective through a
+// different pivot order would change these bytes.
+func TestPlanBytesGolden(t *testing.T) {
+	const (
+		tri  = "R(A,B), S(B,C), T(A,C)."
+		c4   = "R(A,B), S(B,C), T(C,D), U(D,A)."
+		path = "R(A,B), S(B,C), T(C,D)."
+	)
+	type shape struct {
+		name, src string
+		mode      Mode
+		card      int64
+	}
+	shapes := []shape{
+		{"tri-full", "Q(A,B,C) :- " + tri, ModeAuto, 8},
+		{"tri-bool", "Q() :- " + tri, ModeAuto, 8},
+		{"c4-full", "Q(A,B,C,D) :- " + c4, ModeFull, 8},
+		{"c4-fhtw", "Q(A,B,C,D) :- " + c4, ModeFhtw, 8},
+		{"c4-subw", "Q(A,B,C,D) :- " + c4, ModeSubw, 8},
+		{"c4-bool", "Q() :- " + c4, ModeSubw, 8},
+		{"path3-proj", "Q(A,D) :- " + path, ModeFhtw, 8},
+		{"rule", "T1(A,B,C) v T2(B,C,D) :- " + path, ModeAuto, 8},
+		{"c4-deg", "Q(A,B,C,D) :- " + c4 + "\ndeg(R: A,B | A) <= 8", ModeAuto, 8},
+		{"path2-proj", "Q(A,C) :- R(A,B), S(B,C).", ModeAuto, 8},
+		{"pr12-c4-fhtw", "Q(A,B,C,D) :- " + c4, ModeFhtw, 100},
+		{"pr12-tri-full", "Q(A,B,C) :- " + tri, ModeFull, 7},
+		{"pr12-c4-bool", "Q() :- " + c4, ModeAuto, 100},
+		{"c4-subw-1000", "Q(A,B,C,D) :- " + c4, ModeSubw, 1000},
+		{"c4-subw-12345", "Q(A,B,C,D) :- " + c4, ModeSubw, 12345},
+		{"c4-bool-12345", "Q() :- " + c4, ModeSubw, 12345},
+	}
+	var got strings.Builder
+	for _, sh := range shapes {
+		pr, err := query.Parse(sh.src)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		// What core.CompleteConstraints derives from sh.card-row relations.
+		cons := pr.Constraints
+		for i, a := range pr.Rule.Atoms {
+			cons = append(cons, query.Cardinality(a.Vars, sh.card, i))
+		}
+		var buf bytes.Buffer
+		if pr.Conj != nil {
+			p, _, err := Prepare(pr.Conj, cons, sh.mode)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			err = EncodePlan(&buf, p)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+		} else {
+			r, _, err := PrepareRule(&pr.Rule.Schema, cons, pr.Rule.Targets)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			err = EncodeRule(&buf, r)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+		}
+		fmt.Fprintf(&got, "%s %d %x\n", sh.name, buf.Len(), sha256.Sum256(buf.Bytes()))
+	}
+	want, err := os.ReadFile("testdata/pr15-plan-bytes.golden")
+	if err != nil {
+		t.Fatalf("%v; got:\n%s", err, got.String())
+	}
+	if got.String() != string(want) {
+		t.Errorf("encoded plans differ from testdata/pr15-plan-bytes.golden (name, length, sha256); got:\n%swant:\n%s", got.String(), want)
+	}
+}

@@ -25,8 +25,12 @@ type Interner struct {
 	chunks atomic.Pointer[[][]Value] // directory; chunk c holds ids [c<<chunkBits, …)
 }
 
+// A chunk is 32 kB: the first one is allocated with the first value, so a
+// process over a handful of values (the plan-cold benchmark's sixteen) should
+// not hold half a megabyte for them, while a million values still need only
+// a 256-entry directory.
 const (
-	chunkBits = 16
+	chunkBits = 12
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 )
