@@ -30,7 +30,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log"
 	"os"
@@ -198,7 +197,7 @@ func cmdPlan(ctx context.Context, w io.Writer, res *query.ParseResult) error {
 		panda.ModeSubw: "da-subw",
 	}[p.Mode]
 	fmt.Fprintf(w, "mode      : %v\n", p.Mode)
-	fmt.Fprintf(w, "signature : %x (%d-byte canonical key)\n", keyDigest(p.Key), len(p.Key))
+	fmt.Fprintf(w, "signature : %s (%d-byte canonical key)\n", panda.SignatureDigest(p.Key), len(p.Key))
 	fmt.Fprintf(w, "width     : %s = %s (log₂ units)\n", widthName, p.Width.FloatString(4))
 	if p.Chosen >= 0 {
 		td := p.TDs[p.Chosen]
@@ -234,13 +233,6 @@ func cmdPlan(ctx context.Context, w io.Writer, res *query.ParseResult) error {
 	// server reusing the cache would save per hit (lp-saved accumulates).
 	fmt.Fprintf(w, "planner   : %v\n", db.PlannerStats())
 	return nil
-}
-
-// keyDigest is a short stable digest for displaying signature keys.
-func keyDigest(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
 }
 
 func cmdBounds(w io.Writer, res *query.ParseResult) error {

@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"panda"
 )
 
 // writeWorkdir lays out a query file + CSV data directory in a temp dir and
@@ -105,6 +107,30 @@ planner   : hits=0 misses=1 evictions=0 lp-solves=1 lp-saved=0 plans-built=1
 `
 	if got != want {
 		t.Errorf("plan:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestPlanSignatureMatchesSessionShape: the digest `panda plan` prints is the
+// one a session reports for the same shape (Result.Signature, and with it
+// /v1/plan, /v1/shapes and /metrics), so a CLI plan can be matched to a
+// server shape: bounds.q declares |R|, |S| ≤ 4, which is what a session
+// derives from four-row relations.
+func TestPlanSignatureMatchesSessionShape(t *testing.T) {
+	dir := writeWorkdir(t)
+	m := regexp.MustCompile(`signature : ([0-9a-f]+) `).FindStringSubmatch(runCLI(t, "plan", filepath.Join(dir, "bounds.q")))
+	db := panda.Open()
+	defer db.Close()
+	for _, name := range []string{"R", "S"} {
+		if _, err := db.LoadCSV(name, strings.NewReader("1,2\n2,3\n3,4\n4,5\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.Query("Q(A,B,C) :- R(A,B), S(B,C).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m == nil || res.Signature == "" || m[1] != res.Signature {
+		t.Fatalf("panda plan printed signature %v, the session reports %q", m, res.Signature)
 	}
 }
 

@@ -243,9 +243,7 @@ func (db *DB) CreateRelation(name string, arity int) error {
 	}
 	t := relation.New(name, bitset.Full(arity))
 	db.catalog[name] = t
-	db.version++
-	t.Stamp(db.version)
-	db.notifyWatchers()
+	db.mutatedLocked(t)
 	return nil
 }
 
@@ -273,9 +271,7 @@ func (db *DB) SetPartitionHint(name string, k int) error {
 		return nil
 	}
 	t.SetPartitionHint(k)
-	db.version++
-	t.Stamp(db.version)
-	db.notifyWatchers()
+	db.mutatedLocked(t)
 	return nil
 }
 
@@ -290,13 +286,14 @@ func (db *DB) DropRelation(name string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownRelation, name)
 	}
 	delete(db.catalog, name)
-	db.version++
-	db.notifyWatchers()
+	db.mutatedLocked(nil)
 	return nil
 }
 
 // Insert adds tuples (in the relation's declared column order) with set
-// semantics; duplicates are ignored.
+// semantics; duplicates are ignored. A call that adds no new tuple — an
+// at-least-once feed re-sending a batch — is a no-op: the catalog version
+// does not advance and no watcher is woken.
 func (db *DB) Insert(name string, rows ...[]Value) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -321,13 +318,31 @@ func (db *DB) Insert(name string, rows ...[]Value) error {
 	if err := t.CheckRoom(len(rows)); err != nil {
 		return err
 	}
-	for _, row := range rows {
-		t.Insert(row)
+	if insertRows(t, rows) {
+		db.mutatedLocked(t)
 	}
-	db.version++
-	t.Stamp(db.version)
-	db.notifyWatchers()
 	return nil
+}
+
+// insertRows adds rows to t and reports whether any of them was new.
+func insertRows(t *relation.Relation, rows [][]Value) (added bool) {
+	for _, row := range rows {
+		if t.Insert(row) {
+			added = true
+		}
+	}
+	return added
+}
+
+// mutatedLocked publishes a catalog mutation: it advances the version,
+// stamps the changed relation with it (nil for a drop) and wakes the watch
+// maintainers. Callers hold db.mu.
+func (db *DB) mutatedLocked(t *relation.Relation) {
+	db.version++
+	if t != nil {
+		t.Stamp(db.version)
+	}
+	db.notifyWatchers()
 }
 
 // Relations lists the catalog, sorted by name. It fails with ErrClosed
@@ -360,8 +375,10 @@ func (db *DB) LoadCSV(name string, r io.Reader) (int, error) {
 // lines and lines starting with # are skipped. The load is atomic: on any
 // parse or arity error — or a cancelled context — nothing is inserted and
 // no relation is created. It returns the number of data rows read (before
-// set-semantics deduplication). Cancellation is checked periodically while
-// parsing, so a large ingest aborts promptly with ctx.Err().
+// set-semantics deduplication); like Insert, a load into an existing
+// relation that adds no new tuple is a no-op. Cancellation is checked
+// periodically while parsing, so a large ingest aborts promptly with
+// ctx.Err().
 func (db *DB) LoadCSVContext(ctx context.Context, name string, r io.Reader) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -427,6 +444,7 @@ func (db *DB) LoadCSVContext(ctx context.Context, name string, r io.Reader) (int
 		}
 		t = b.Build()
 		db.catalog[name] = t
+		db.mutatedLocked(t)
 	} else {
 		if len(rows) > 0 && len(rows[0]) != t.Attrs().Card() {
 			return 0, fmt.Errorf("%w: relation %s line %d: %d fields, want %d",
@@ -435,13 +453,10 @@ func (db *DB) LoadCSVContext(ctx context.Context, name string, r io.Reader) (int
 		if err := t.CheckRoom(len(rows)); err != nil {
 			return 0, err
 		}
-		for _, row := range rows {
-			t.Insert(row)
+		if insertRows(t, rows) {
+			db.mutatedLocked(t)
 		}
 	}
-	db.version++
-	t.Stamp(db.version)
-	db.notifyWatchers()
 	return len(rows), nil
 }
 

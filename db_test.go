@@ -359,3 +359,90 @@ func TestDBConcurrent(t *testing.T) {
 		t.Fatalf("expected 16–31 plan-cache hits (db.Query path + pre-memo stmt calls): %v", st)
 	}
 }
+
+// TestDuplicateOnlyWriteIsNoOp: an Insert or CSV load that adds no new tuple
+// — an at-least-once feed re-sending a batch — leaves the catalog exactly as
+// it was: the version does not advance, no watch maintainer is woken, the
+// statement memo and the watch keep their state and no delta is emitted. A
+// write with one fresh row among the duplicates still does all of it.
+func TestDuplicateOnlyWriteIsNoOp(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	if _, err := db.LoadCSV("R", strings.NewReader("1,2\n2,3\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.LoadCSV("S", strings.NewReader("2,5\n3,6\n")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Prepare(`Q(A,B,C) :- R(A,B), S(B,C).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo, err := st.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := st.Watch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	id, wake := db.registerWatcher()
+	defer db.unregisterWatcher(id)
+	version := func() uint64 {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.version
+	}
+	v0, tick0, stats0 := version(), w.Tick(), w.Stats()
+
+	if err := db.Insert("R", []Value{1, 2}, []Value{2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.LoadCSV("S", strings.NewReader("3,6\n2,5\n")); err != nil || n != 2 {
+		t.Fatalf("duplicate CSV load: %d rows, %v", n, err)
+	}
+	if err := db.Insert("R"); err != nil { // no rows at all
+		t.Fatal(err)
+	}
+	if v := version(); v != v0 {
+		t.Errorf("duplicate-only writes advanced the catalog version %d → %d", v0, v)
+	}
+	select {
+	case <-wake:
+		t.Error("duplicate-only writes woke the watch maintainers")
+	default:
+	}
+	if again, err := st.Query(); err != nil || again != memo {
+		t.Errorf("duplicate-only writes dropped the result memo (%v)", err)
+	}
+	if w.Tick() != tick0 || w.Stats() != stats0 {
+		t.Errorf("duplicate-only writes moved the watch: tick %d → %d, stats %+v → %+v", tick0, w.Tick(), stats0, w.Stats())
+	}
+	select {
+	case d := <-w.Deltas():
+		t.Errorf("duplicate-only writes emitted a delta: %+v", d)
+	default:
+	}
+
+	// One fresh row among duplicates is a real write.
+	if err := db.Insert("R", []Value{1, 2}, []Value{7, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if v := version(); v != v0+1 {
+		t.Errorf("fresh-row insert: version %d, want %d", v, v0+1)
+	}
+	select {
+	case <-wake:
+	default:
+		t.Error("fresh-row insert woke nobody")
+	}
+	fresh, err := st.Query()
+	if err != nil || fresh == memo || fresh.Size() != memo.Size()+1 {
+		t.Fatalf("fresh-row insert not visible to the statement (%v)", err)
+	}
+	waitTick(t, w, v0+1)
+	if d := <-w.Deltas(); !reflect.DeepEqual(d.Rows, [][]Value{{7, 2, 5}}) {
+		t.Errorf("delta after the fresh row: %+v, want the one new answer (7,2,5)", d)
+	}
+}

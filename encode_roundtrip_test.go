@@ -84,7 +84,7 @@ func TestPlanRoundTripExecutionParity(t *testing.T) {
 			case (got.Out == nil) != (want.Out == nil):
 				t.Fatalf("%s/%v: one execution produced rows, the other none", fx.name, mode)
 			case got.Out != nil:
-				if !reflect.DeepEqual(got.Out.SortedRows(), want.Out.SortedRows()) {
+				if !reflect.DeepEqual(sortedRows(got.Out), sortedRows(want.Out)) {
 					t.Fatalf("%s/%v: rows differ after round trip", fx.name, mode)
 				}
 			}
@@ -146,7 +146,7 @@ func TestRuleRoundTripExecutionParity(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: decoded run missing target %v", fx.name, b)
 			}
-			if !reflect.DeepEqual(gt.SortedRows(), wt.SortedRows()) {
+			if !reflect.DeepEqual(sortedRows(gt), sortedRows(wt)) {
 				t.Fatalf("%s: target %v rows differ after round trip", fx.name, b)
 			}
 		}

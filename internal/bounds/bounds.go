@@ -23,66 +23,110 @@ func VertexBound(n int, logN *big.Rat) *big.Rat {
 	return new(big.Rat).Mul(big.NewRat(int64(n), 1), logN)
 }
 
-// IntegralCoverBound returns ρ(Q, (N_F)) (Eq. 32): the cheapest integral
-// edge cover weighted by log N_F, computed by exact set-cover DP over
-// vertex subsets (edge multiplicities allowed; costs may differ per edge).
-func IntegralCoverBound(h *hypergraph.Hypergraph, logNs []*big.Rat) (*big.Rat, error) {
-	if len(logNs) != len(h.Edges) {
-		return nil, fmt.Errorf("bounds: %d edges but %d sizes", len(h.Edges), len(logNs))
+// edgeCosts validates a per-edge cost vector; nil means every edge costs 1.
+func edgeCosts(h *hypergraph.Hypergraph, costs []*big.Rat) ([]*big.Rat, error) {
+	if costs == nil {
+		one := big.NewRat(1, 1)
+		costs = make([]*big.Rat, len(h.Edges))
+		for j := range costs {
+			costs[j] = one
+		}
 	}
-	full := bitset.Full(h.N)
-	size := int(full) + 1
-	dp := make([]*big.Rat, size)
+	if len(costs) != len(h.Edges) {
+		return nil, fmt.Errorf("bounds: %d edges but %d costs", len(h.Edges), len(costs))
+	}
+	return costs, nil
+}
+
+// IntegralCover returns the cheapest integral edge cover of the vertex set b
+// by the edges' restrictions to it (Eq. 32 on H_b), edge j costing costs[j] —
+// nil costs count edges, giving ρ(H_b). Exact set-cover DP over the subsets
+// of b; an edge may be used at any multiplicity.
+func IntegralCover(h *hypergraph.Hypergraph, b bitset.Set, costs []*big.Rat) (*big.Rat, error) {
+	costs, err := edgeCosts(h, costs)
+	if err != nil {
+		return nil, err
+	}
+	dp := make([]*big.Rat, int(b)+1) // a subset of b is ≤ b as an integer
 	dp[0] = new(big.Rat)
-	for s := bitset.Set(0); s <= full; s++ {
+	c := new(big.Rat)
+	for s := bitset.Set(0); s <= b; s++ {
 		if dp[s] == nil {
 			continue
 		}
 		for j, e := range h.Edges {
-			t := s.Union(e)
-			c := new(big.Rat).Add(dp[s], logNs[j])
-			if dp[t] == nil || c.Cmp(dp[t]) < 0 {
-				dp[t] = c
+			t := s.Union(e.Intersect(b))
+			if t == s {
+				continue
+			}
+			c.Add(dp[s], costs[j])
+			if dp[t] == nil {
+				dp[t] = new(big.Rat).Set(c)
+			} else if c.Cmp(dp[t]) < 0 {
+				dp[t].Set(c)
 			}
 		}
 	}
-	if dp[full] == nil {
-		return nil, fmt.Errorf("bounds: edges do not cover all vertices")
+	if dp[b] == nil {
+		return nil, fmt.Errorf("bounds: edges do not cover %v", b)
 	}
-	return dp[full], nil
+	return dp[b], nil
+}
+
+// FractionalCover solves the fractional edge cover LP of Eq. (33) restricted
+// to the vertex set b exactly: minimize Σ_j costs[j]·x_j subject to
+// Σ_{j: v∈F_j} x_j ≥ 1 for every v ∈ b — nil costs give ρ*(H_b). It returns
+// the optimum and the per-edge weights x, aligned with h.Edges.
+func FractionalCover(h *hypergraph.Hypergraph, b bitset.Set, costs []*big.Rat) (*big.Rat, []*big.Rat, error) {
+	costs, err := edgeCosts(h, costs)
+	if err != nil {
+		return nil, nil, err
+	}
+	prob := lp.NewProblem(len(h.Edges), false)
+	for j, c := range costs {
+		prob.SetObj(j, c)
+	}
+	one := big.NewRat(1, 1)
+	var row []lp.Term
+	for _, v := range b.Vars() {
+		row = row[:0]
+		for j, e := range h.Edges {
+			if e.Contains(v) {
+				row = append(row, lp.Term{Var: int32(j), Coef: 1})
+			}
+		}
+		if len(row) == 0 {
+			return nil, nil, fmt.Errorf("bounds: vertex %d uncovered by any edge", v)
+		}
+		prob.AddIntConstraint(row, lp.Ge, one)
+	}
+	sol, err := prob.Solve()
+	if err != nil {
+		return nil, nil, err
+	}
+	if sol.Status != lp.Optimal {
+		return nil, nil, fmt.Errorf("bounds: cover LP %v", sol.Status)
+	}
+	return sol.Objective, sol.X, nil
+}
+
+// IntegralCoverBound returns ρ(Q, (N_F)) (Eq. 32): the cheapest integral
+// edge cover of all vertices, weighted by log N_F.
+func IntegralCoverBound(h *hypergraph.Hypergraph, logNs []*big.Rat) (*big.Rat, error) {
+	if len(logNs) != len(h.Edges) {
+		return nil, fmt.Errorf("bounds: %d edges but %d sizes", len(h.Edges), len(logNs))
+	}
+	return IntegralCover(h, bitset.Full(h.N), logNs)
 }
 
 // AGM returns the AGM bound ρ*(Q, (N_F)) (Eq. 33): the fractional edge
-// cover LP with per-edge weights log N_F, solved exactly.
+// cover LP over all vertices with per-edge weights log N_F.
 func AGM(h *hypergraph.Hypergraph, logNs []*big.Rat) (*big.Rat, error) {
 	if len(logNs) != len(h.Edges) {
 		return nil, fmt.Errorf("bounds: %d edges but %d sizes", len(h.Edges), len(logNs))
 	}
-	prob := lp.NewProblem(len(h.Edges), false)
-	for j, w := range logNs {
-		prob.SetObj(j, w)
-	}
-	one := big.NewRat(1, 1)
-	for v := 0; v < h.N; v++ {
-		row := map[int]*big.Rat{}
-		for j, e := range h.Edges {
-			if e.Contains(v) {
-				row[j] = one
-			}
-		}
-		if len(row) == 0 {
-			return nil, fmt.Errorf("bounds: vertex %d uncovered", v)
-		}
-		prob.AddConstraint(row, lp.Ge, one)
-	}
-	sol, err := prob.Solve()
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("bounds: AGM LP %v", sol.Status)
-	}
-	return sol.Objective, nil
+	v, _, err := FractionalCover(h, bitset.Full(h.N), logNs)
+	return v, err
 }
 
 // Polymatroid returns the degree-aware polymatroid bound DAPB(Q) of

@@ -94,7 +94,6 @@ func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.P
 	}
 	e := &engine{
 		ctx:     ctx,
-		n:       s.NumVars,
 		targets: dedupeSets(pr.Targets),
 		objLog:  pr.Bound,
 		opt:     ex.Opt,

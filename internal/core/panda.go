@@ -7,6 +7,12 @@
 // truncation (Lemma 5.11). The Executor in executor.go lifts PANDA to full
 // and Boolean conjunctive queries at the degree-aware fractional-hypertree
 // and submodular widths (Corollaries 7.10, 7.11, 7.13 / Theorem 1.9).
+//
+// Executing a plan solves no LP. Every LP belongs to planning (internal/plan);
+// the one thing a restart needs that the plan does not carry — a witness of
+// the inequality the engine is currently at — is read off the proof steps it
+// has not run yet (flow.WitnessOfProof), which prove exactly that inequality.
+// The package imports no simplex, and TestNoSimplexAtRunTime keeps it so.
 package core
 
 import (
@@ -166,7 +172,6 @@ type rtCon struct {
 
 type engine struct {
 	ctx      context.Context
-	n        int
 	targets  []bitset.Set
 	objLog   *big.Rat
 	objFloat float64
@@ -506,9 +511,11 @@ func (e *engine) stepComposition(f *frame, step flow.Step, st *stepTimer) (bool,
 	return true, out, err
 }
 
-// truncateAndRestart builds the Case-4b child frame: the inequality is
-// truncated at y (Lemma 5.11), a fresh proof sequence is constructed, and
-// the supports of the surviving δ coordinates are carried over.
+// truncateAndRestart builds the Case-4b child frame: the inequality the
+// frame is at — λ against δ after the skipped composition, proved by the
+// steps still in f.seq — is truncated at y (Lemma 5.11) with the witness read
+// off those steps, a fresh proof sequence is constructed, and the supports of
+// the surviving δ coordinates are carried over.
 func (e *engine) truncateAndRestart(f *frame, step flow.Step, y bitset.Set) (*frame, error) {
 	e.stats.Restarts++
 	e.restarts++
@@ -519,7 +526,7 @@ func (e *engine) truncateAndRestart(f *frame, step flow.Step, y bitset.Set) (*fr
 	if err := step.Apply(delta); err != nil {
 		return nil, err
 	}
-	wit, err := flow.FindWitness(e.n, f.lambda, delta)
+	wit, err := flow.WitnessOfProof(delta, f.seq)
 	if err != nil {
 		return nil, fmt.Errorf("core: case 4b witness: %w", err)
 	}

@@ -55,13 +55,13 @@ func TestPreparedMatchesBruteForce(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ins := randomBinaryInstance(tc.seed, &tc.q.Schema, 60, 12)
-			want := ins.FullJoin().SortedRows()
+			want := sortedRows(ins.FullJoin())
 			for _, mode := range []plan.Mode{plan.ModeFhtw, plan.ModeSubw, plan.ModeFull} {
 				ex, err := evalMode(tc.q, ins, nil, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ex.NonEmpty != (len(want) > 0) || !reflect.DeepEqual(ex.Out.SortedRows(), want) {
+				if ex.NonEmpty != (len(want) > 0) || !reflect.DeepEqual(sortedRows(ex.Out), want) {
 					t.Fatalf("%v plan diverges from the brute-force join: %d rows vs %d", mode, ex.Out.Size(), len(want))
 				}
 				if mode == plan.ModeFull && ex.Bound.Cmp(ex.Width) != 0 {
@@ -126,8 +126,8 @@ func TestPreparedRenamedCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ins2.FullJoin().SortedRows()
-	if !reflect.DeepEqual(ex.Out.SortedRows(), want) {
+	want := sortedRows(ins2.FullJoin())
+	if !reflect.DeepEqual(sortedRows(ex.Out), want) {
 		t.Fatalf("rebound plan answer has %d rows, brute force %d", ex.Out.Size(), len(want))
 	}
 }
@@ -158,8 +158,8 @@ func TestPreparedConcurrentEval(t *testing.T) {
 					errs <- err
 					return
 				}
-				want := ins.FullJoin().SortedRows()
-				if !reflect.DeepEqual(ex.Out.SortedRows(), want) {
+				want := sortedRows(ins.FullJoin())
+				if !reflect.DeepEqual(sortedRows(ex.Out), want) {
 					errs <- errMismatch
 					return
 				}

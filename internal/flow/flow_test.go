@@ -178,23 +178,23 @@ func TestMaximinExample14(t *testing.T) {
 		t.Fatalf("witness: %v", err)
 	}
 	// h* must be a polymatroid achieving min_B h(B) = 3/2 within constraints.
-	if !res.HStar.IsPolymatroid() {
+	if !res.HStar().IsPolymatroid() {
 		t.Fatal("h* is not a polymatroid")
 	}
 	for _, dc := range exampleC4DCs() {
-		if res.HStar.Cond(dc.Y, dc.X).Cmp(dc.LogN) > 0 {
+		if res.HStar().Cond(dc.Y, dc.X).Cmp(dc.LogN) > 0 {
 			t.Fatalf("h* violates constraint on %v", dc.Y)
 		}
 	}
 	for _, b := range targets {
-		if res.HStar.At(b).Cmp(res.Bound) < 0 {
-			t.Fatalf("h*(%v) = %v < bound", b, res.HStar.At(b))
+		if res.HStar().At(b).Cmp(res.Bound) < 0 {
+			t.Fatalf("h*(%v) = %v < bound", b, res.HStar().At(b))
 		}
 	}
 	// Potential identity (82): Σ δ·n = bound (pre-scaling ‖λ‖ was 1 here).
 	sum := new(big.Rat)
 	for k, dc := range exampleC4DCs() {
-		sum.Add(sum, new(big.Rat).Mul(res.DeltaByCon[k], dc.LogN))
+		sum.Add(sum, new(big.Rat).Mul(res.DeltaByCon()[k], dc.LogN))
 	}
 	if sum.Cmp(res.Bound) != 0 {
 		t.Fatalf("Σ δ·n = %v ≠ bound %v", sum, res.Bound)

@@ -24,17 +24,42 @@ type DC struct {
 	LogN *big.Rat
 }
 
-// MaximinResult is the full output of the Lemma 5.2 / Proposition 5.4
-// pipeline: the polymatroid bound value, the λ of the linearized objective,
-// the dual δ (per input constraint and merged by conditional pair), the
-// witness (σ,µ), and the optimal polymatroid h*.
+// MaximinResult is the output of the Lemma 5.2 / Proposition 5.4 pipeline:
+// the polymatroid bound value, the λ of the linearized objective, the dual δ
+// merged by conditional pair and the witness (σ,µ) — what a plan is built
+// from. The per-constraint δ and the optimal polymatroid h* are read off the
+// retained LP solution on demand (DeltaByCon, HStar).
 type MaximinResult struct {
-	Bound      *big.Rat   // LogSizeBound_{Γn∩HDC} = max_h min_B h(B)
-	Lambda     Vec        // ‖λ‖₁ = 1, support on targets
-	Delta      Vec        // merged by (X,Y); Σ n·δ ≤ Bound with equality pre-scaling
-	DeltaByCon []*big.Rat // δ per input constraint, aligned with dcs
-	Witness    *Witness
-	HStar      *setfunc.Func // optimal polymatroid achieving the bound
+	Bound   *big.Rat // LogSizeBound_{Γn∩HDC} = max_h min_B h(B)
+	Lambda  Vec      // ‖λ‖₁ = 1, support on targets
+	Delta   Vec      // merged by (X,Y); Σ n·δ ≤ Bound with equality pre-scaling
+	Witness *Witness
+
+	n, numDCs int
+	sol       *lp.Solution // nil when an ∅ target made the bound 0 without an LP
+	scale     *big.Rat     // the 1/‖z‖₁ applied to the solution's δ, σ, µ, z
+}
+
+// DeltaByCon returns δ per input constraint, aligned with the dcs given to
+// MaximinBound.
+func (r *MaximinResult) DeltaByCon() []*big.Rat {
+	out := make([]*big.Rat, r.numDCs)
+	for k := range out {
+		out[k] = new(big.Rat)
+		if r.sol != nil {
+			out[k].Mul(r.sol.X[k], r.scale)
+		}
+	}
+	return out
+}
+
+// HStar returns the optimal polymatroid achieving the bound, from the exact
+// LP duals.
+func (r *MaximinResult) HStar() *setfunc.Func {
+	if r.sol == nil {
+		return setfunc.New(r.n)
+	}
+	return hStar(r.n, r.sol)
 }
 
 // MaximinBound solves LogSizeBound_{Γn∩HDC}(targets) = max_{h∈Γn∩HDC}
@@ -61,12 +86,12 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 	for _, b := range targets {
 		if b == 0 {
 			return &MaximinResult{
-				Bound:      new(big.Rat),
-				Lambda:     NewVec(),
-				Delta:      NewVec(),
-				DeltaByCon: make([]*big.Rat, len(dcs)),
-				Witness:    NewWitness(),
-				HStar:      setfunc.New(n),
+				Bound:   new(big.Rat),
+				Lambda:  NewVec(),
+				Delta:   NewVec(),
+				Witness: NewWitness(),
+				n:       n,
+				numDCs:  len(dcs),
 			}, nil
 		}
 	}
@@ -128,11 +153,14 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 		scale.Inv(norm)
 	}
 	res := &MaximinResult{
-		Bound:      new(big.Rat).Set(sol.Objective),
-		Lambda:     NewVec(),
-		Delta:      NewVec(),
-		DeltaByCon: make([]*big.Rat, len(dcs)),
-		Witness:    sk.witness(sol.X[offSig:], scale),
+		Bound:   new(big.Rat).Set(sol.Objective),
+		Lambda:  NewVec(),
+		Delta:   NewVec(),
+		Witness: sk.witness(sol.X[offSig:], scale),
+		n:       n,
+		numDCs:  len(dcs),
+		sol:     sol,
+		scale:   scale,
 	}
 	for t, b := range tlist {
 		v := new(big.Rat).Mul(sol.X[offZ+t], scale)
@@ -141,13 +169,10 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 		}
 	}
 	for k, dc := range dcs {
-		v := new(big.Rat).Mul(sol.X[k], scale)
-		res.DeltaByCon[k] = v
-		if v.Sign() > 0 {
+		if v := new(big.Rat).Mul(sol.X[k], scale); v.Sign() > 0 {
 			res.Delta.Add(Pair{X: dc.X, Y: dc.Y}, v)
 		}
 	}
-	res.HStar = hStar(n, sol)
 	return res, nil
 }
 

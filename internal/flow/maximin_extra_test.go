@@ -124,9 +124,9 @@ func TestHStarAchievesMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min := res.HStar.At(targets[0])
+	min := res.HStar().At(targets[0])
 	for _, b := range targets[1:] {
-		if v := res.HStar.At(b); v.Cmp(min) < 0 {
+		if v := res.HStar().At(b); v.Cmp(min) < 0 {
 			min = v
 		}
 	}

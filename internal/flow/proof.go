@@ -94,10 +94,12 @@ func (s Step) Validate() error {
 		if !s.A.Incomparable(s.B) {
 			return fmt.Errorf("flow: submodularity needs I ⊥ J, got %v, %v", s.A, s.B)
 		}
-	default:
+	case Monotonicity, Composition, Decomposition:
 		if !s.A.ProperSubsetOf(s.B) {
 			return fmt.Errorf("flow: %v needs X ⊂ Y, got %v, %v", s.Kind, s.A, s.B)
 		}
+	default:
+		return fmt.Errorf("flow: unknown step kind %d", int(s.Kind))
 	}
 	return nil
 }

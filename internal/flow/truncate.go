@@ -26,6 +26,11 @@ type TruncateResult struct {
 // created at Y is walked down — through λ, µ, conditioned δ or σ — exactly
 // as in the paper's proof, with batched chunk sizes. Inputs are not
 // modified.
+//
+// Any valid witness will do, over general pairs σ_{I,J} and µ_{X,Y}, not only
+// elemental ones, and it is checked on the way in and on the way out. The
+// engine's Case-4b restart supplies WitnessOfProof of its remaining steps;
+// the planner's witnesses are LP duals.
 func Truncate(lambda, delta Vec, w *Witness, y bitset.Set, amount *big.Rat) (*TruncateResult, error) {
 	if amount.Sign() <= 0 {
 		return nil, fmt.Errorf("flow: truncate amount must be positive")
@@ -142,13 +147,7 @@ func Truncate(lambda, delta Vec, w *Witness, y bitset.Set, amount *big.Rat) (*Tr
 			d.Sub(d, t)
 			x := z.Intersect(j)
 			if x != j { // µ_{X,J} needs X ⊂ J; X = Z∩J ⊂ J since Z ⊥ J
-				mu := Pair{X: x, Y: j}
-				r, ok := wit.Mu[mu]
-				if !ok {
-					r = new(big.Rat)
-					wit.Mu[mu] = r
-				}
-				r.Add(r, t)
+				addTo(wit.Mu, Pair{X: x, Y: j}, t)
 			}
 			push(z.Union(j), t)
 			handled = true

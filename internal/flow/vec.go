@@ -4,6 +4,18 @@
 // construction (Theorem 5.9), proof-sequence validation, truncation
 // (Lemma 5.11), and the maximin-to-linear reformulation (Lemma 5.2) solved
 // by exact LP.
+//
+// A witness and a proof sequence are two forms of the same certificate, and
+// the package converts both ways: ConstructProof turns (σ, µ) into steps
+// (Theorem 5.9), WitnessOfProof reads (σ, µ) back off steps. That decides who
+// solves an LP and when. Planning does, once per rule: MaximinBound's dual is
+// the witness its proof sequence is built from. Execution never does: when
+// PANDA's Case 4b must truncate the inequality it is in the middle of, the
+// steps it has not run yet are that inequality's proof sequence, hence its
+// witness, and Truncate and ConstructProof take it from there. FindWitness —
+// the LP that finds a witness from (λ, δ) alone — is the paper's decision
+// procedure (Proposition 5.4) and the tests' reference; nothing on the
+// planning or execution path calls it.
 package flow
 
 import (

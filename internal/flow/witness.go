@@ -47,11 +47,12 @@ func (w *Witness) Clone() *Witness {
 	return out
 }
 
-func addTo(m map[bitset.Set]*big.Rat, z bitset.Set, v *big.Rat) {
-	r, ok := m[z]
+// addTo adds v to m[k], creating the entry on first use.
+func addTo[K comparable](m map[K]*big.Rat, k K, v *big.Rat) {
+	r, ok := m[k]
 	if !ok {
 		r = new(big.Rat)
-		m[z] = r
+		m[k] = r
 	}
 	r.Add(r, v)
 }
@@ -153,23 +154,55 @@ func Tighten(lambda, delta Vec, w *Witness) {
 		}
 		surplus := new(big.Rat).Sub(in[z], lambda.Get(Marginal(z)))
 		if surplus.Sign() > 0 {
-			p := Pair{X: 0, Y: z}
-			r, ok := w.Mu[p]
-			if !ok {
-				r = new(big.Rat)
-				w.Mu[p] = r
-			}
-			r.Add(r, surplus)
+			addTo(w.Mu, Pair{X: 0, Y: z}, surplus)
 		}
 	}
 }
 
-// FindWitness searches for a witness (σ, µ) over the elemental Shannon
-// inequalities certifying that 〈λ,h〉 ≤ 〈δ,h〉 is a Shannon flow inequality
-// on [n]. Because the elemental inequalities generate Γn, a witness exists
-// iff the inequality is valid (Farkas / Proposition 5.4); the witness is
-// obtained by exact LP, minimizing ‖σ‖₁ + ‖µ‖₁ to keep proof sequences
-// short. Returns an error when the inequality is not valid.
+// WitnessOfProof reads a witness (σ, µ) of 〈λ,h〉 ≤ 〈δ,h〉 off a proof
+// sequence for it — the easy direction of Theorem 5.9, and where PANDA's
+// Case-4b restart gets the witness of its current inequality from: the steps
+// the engine has not run yet are a proof sequence from its current δ. The
+// sequence is replayed on a copy of δ (a step that does not apply is an
+// error); a submodularity step w·s[I,J] is w units of σ_{I,J}, a monotonicity
+// step w·m[X⊂Y] is w units of µ_{X,Y} (X may be ∅), and every conditioned
+// δ_ℓ(Y|X) left at the end is dropped by µ_{X,Y}. Each of those changes
+// inflow(Z) (Eq. 74) exactly as its multiplier does — s[I,J] moves δ(I|I∩J)
+// to δ(I∪J|J): +1 at I∩J and I∪J, −1 at I and J; m[X⊂Y] moves δ(Y) to δ(X):
+// +1 at X, −1 at Y; composition and decomposition cancel out — so under the
+// result inflow(Z) = δ_ℓ(Z|∅), which is ≥ λ_Z by Definition 5.7(4): the
+// witness passes CheckWitness for every λ the sequence proves.
+func WitnessOfProof(delta Vec, seq ProofSequence) (*Witness, error) {
+	cur := delta.Clone()
+	w := NewWitness()
+	for i, s := range seq {
+		if err := s.Apply(cur); err != nil {
+			return nil, fmt.Errorf("flow: step %d: %w", i, err)
+		}
+		switch s.Kind {
+		case Submodularity:
+			addTo(w.Sigma, Sig(s.A, s.B), s.W)
+		case Monotonicity:
+			addTo(w.Mu, Pair{X: s.A, Y: s.B}, s.W)
+		}
+	}
+	for p, v := range cur {
+		if p.X != 0 {
+			addTo(w.Mu, p, v)
+		}
+	}
+	return w, nil
+}
+
+// FindWitness decides whether 〈λ,h〉 ≤ 〈δ,h〉 is a Shannon flow inequality
+// on [n] and returns a witness (σ, µ) over the elemental Shannon
+// inequalities if it is. Because the elemental inequalities generate Γn, a
+// witness exists iff the inequality is valid (Farkas / Proposition 5.4); it
+// is obtained by exact LP, minimizing ‖σ‖₁ + ‖µ‖₁. Returns an error when the
+// inequality is not valid. This is the paper's decision procedure and the
+// reference WitnessOfProof is tested against; nothing on the planning or
+// execution path calls it — the planner's witness is the dual of its bound
+// LP (MaximinBound) and a restart's is read off its remaining proof steps.
 func FindWitness(n int, lambda, delta Vec) (*Witness, error) {
 	full := bitset.Full(n)
 	// Row per Z: inflow(Z) ≥ λ_Z, with the δ part moved to the RHS.

@@ -26,9 +26,9 @@ import (
 	"strings"
 
 	"panda/internal/bitset"
+	"panda/internal/bounds"
 	"panda/internal/flow"
 	"panda/internal/hypergraph"
-	"panda/internal/lp"
 	"panda/internal/query"
 )
 
@@ -70,8 +70,10 @@ func (m Mode) String() string {
 		return "fhtw"
 	case ModeRule:
 		return "rule"
-	default:
+	case ModeSubw:
 		return "subw"
+	default:
+		return fmt.Sprintf("mode(%d)", int(m))
 	}
 }
 
@@ -321,36 +323,6 @@ func newPreparedRule(targets []bitset.Set, res *flow.MaximinResult, bs *BuildSta
 	}, nil
 }
 
-// fractionalCover solves ρ*(H_B) exactly, returning the per-edge weights.
-func fractionalCover(h *hypergraph.Hypergraph, b bitset.Set, bs *BuildStats) (Cover, error) {
-	prob := lp.NewProblem(len(h.Edges), false)
-	one := big.NewRat(1, 1)
-	for j := range h.Edges {
-		prob.SetObj(j, one)
-	}
-	for _, v := range b.Vars() {
-		row := map[int]*big.Rat{}
-		for j, e := range h.Edges {
-			if e.Contains(v) {
-				row[j] = one
-			}
-		}
-		if len(row) == 0 {
-			return Cover{}, fmt.Errorf("plan: bag vertex %d uncovered by any atom", v)
-		}
-		prob.AddConstraint(row, lp.Ge, one)
-	}
-	bs.LPSolves++
-	sol, err := prob.Solve()
-	if err != nil {
-		return Cover{}, err
-	}
-	if sol.Status != lp.Optimal {
-		return Cover{}, fmt.Errorf("plan: cover LP %v", sol.Status)
-	}
-	return Cover{Bag: b, Weights: sol.X, Value: sol.Objective}, nil
-}
-
 // Prepare runs the complete data-independent planning phase for q under the
 // given constraint set and returns the reified plan. The constraint set must
 // be complete: every constraint guarded by an atom and (for the LP to be
@@ -565,7 +537,6 @@ func (p *Plan) EvalTDs() []*hypergraph.Decomposition {
 // per bag) rather than in Prepare; the result is not memoized.
 func (p *Plan) Covers() ([]Cover, error) {
 	h := p.Schema.Hypergraph()
-	bs := &BuildStats{}
 	seen := map[bitset.Set]bool{}
 	out := []Cover{}
 	for _, td := range p.EvalTDs() {
@@ -574,11 +545,11 @@ func (p *Plan) Covers() ([]Cover, error) {
 				continue
 			}
 			seen[b] = true
-			cov, err := fractionalCover(h, b, bs)
+			value, weights, err := bounds.FractionalCover(h, b, nil)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, cov)
+			out = append(out, Cover{Bag: b, Weights: weights, Value: value})
 		}
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/big"
+	"strconv"
 	"testing"
 
 	"panda/internal/bitset"
@@ -303,6 +304,24 @@ func TestRebindRoundTrip(t *testing.T) {
 			if rt.Rules[i].Targets[j] != b {
 				t.Fatalf("rule %d target %d changed: %v → %v", i, j, b, rt.Rules[i].Targets[j])
 			}
+		}
+	}
+}
+
+// TestModeStringRoundTrip: every named mode prints the spelling ParseMode
+// reads back, and a value that is no mode says so instead of posing as subw.
+func TestModeStringRoundTrip(t *testing.T) {
+	for _, m := range []Mode{ModeAuto, ModeFull, ModeFhtw, ModeSubw} {
+		if got, _, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got := ModeRule.String(); got != "rule" {
+		t.Errorf("ModeRule prints %q", got)
+	}
+	for _, m := range []Mode{Mode(-2), Mode(17)} {
+		if got := m.String(); got != "mode("+strconv.Itoa(int(m))+")" {
+			t.Errorf("Mode(%d) prints %q", int(m), got)
 		}
 	}
 }

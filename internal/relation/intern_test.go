@@ -106,7 +106,7 @@ func TestSentinelValues(t *testing.T) {
 	if r.Size() != len(rows) {
 		t.Fatalf("Size = %d, want %d", r.Size(), len(rows))
 	}
-	got := r.SortedRows()
+	got := sortedRows(r)
 	if got[0][0] != math.MinInt64 || got[len(got)-1][0] != math.MaxInt64 {
 		t.Fatalf("sorted order wrong for sentinels: %v", got)
 	}

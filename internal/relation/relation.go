@@ -8,7 +8,7 @@
 // uint32 id (see Interner) and a relation holds one []uint32 vector per
 // attribute, so equality, dedup and index builds operate on machine words
 // and iteration walks contiguous memory. Values are decoded back only at
-// the read boundary (All, AllSorted, Rows, SortedRows).
+// the read boundary (All, AllSorted, Rows).
 //
 // Everything that hashes rows — set-semantics dedup, the build side of Join
 // and Semijoin, the grouping under Project, Degree and the Lemma 6.1 split —

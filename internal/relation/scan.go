@@ -81,18 +81,3 @@ func (r *Relation) decodeRange(from, to int) [][]Value {
 // paths should iterate with All or AllSorted, or stay on the id plane via
 // Column/InsertIDs.
 func (r *Relation) Rows() [][]Value { return r.decodeRange(0, r.nrows) }
-
-// SortedRows returns the tuples sorted lexicographically (for deterministic
-// comparison in tests and reports). Like Rows, this materializes a copy.
-func (r *Relation) SortedRows() [][]Value {
-	perm := r.sortedPerm()
-	out := make([][]Value, r.nrows)
-	w := len(r.cols)
-	flat := make([]Value, r.nrows*w)
-	for i, p := range perm {
-		buf := flat[i*w : (i+1)*w : (i+1)*w]
-		r.decodeInto(buf, int(p))
-		out[i] = buf
-	}
-	return out
-}

@@ -153,6 +153,28 @@ func TestCatalogEpoch(t *testing.T) {
 	}
 }
 
+// TestDuplicateInsertStillAdvancesEpoch: a write that adds no new tuple is a
+// no-op inside the DB, but the request was answered 2xx, and the epoch counts
+// answered mutations — every node of a fleet saw the same broadcast, so they
+// must keep agreeing on it whether or not the rows were new to them.
+func TestDuplicateInsertStillAdvancesEpoch(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	if code, body := post(t, ts.URL+"/v1/relations", `{"name":"R","arity":2}`); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	for i, want := range []uint64{2, 3} { // the second insert is all duplicates
+		if code, body := post(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[1,2],[2,3]]}`); code != http.StatusOK {
+			t.Fatalf("insert %d: %d %s", i, code, body)
+		}
+		if info := getInfo(t, ts.URL); info.CatalogEpoch != want {
+			t.Fatalf("catalog_epoch after insert %d: %d, want %d", i, info.CatalogEpoch, want)
+		}
+	}
+	if code, body := post(t, ts.URL+"/v1/query", `{"query":"Q(A,B) :- R(A,B)."}`); code != http.StatusOK || !strings.Contains(body, `[[1,2],[2,3]]`) {
+		t.Fatalf("query after duplicate insert: %d %s", code, body)
+	}
+}
+
 // TestExportPlansSince: GET /v1/plans?since=<clock> returns only the
 // entries installed after that clock, and the envelope's clock is the next
 // watermark — so a puller that chains envelope clocks sees each plan

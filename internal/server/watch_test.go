@@ -290,7 +290,7 @@ func TestServerWatchRuleStream(t *testing.T) {
 			i := 0
 			for _, b := range sortedTargets(want.Tables) {
 				tb := l.Tables[i]
-				if tb.Target != "T_"+sch.VarLabel(b) || !rowsEqual(tb.Rows, want.Tables[b].SortedRows()) {
+				if tb.Target != "T_"+sch.VarLabel(b) || !rowsEqual(tb.Rows, (&panda.Result{Rel: want.Tables[b]}).Rows()) {
 					match = false
 					break
 				}

@@ -6,6 +6,11 @@
 // runtime is Õ(AGM(Q)) — the baseline PANDA is compared against for full
 // conjunctive queries.
 //
+// The package sits on no production path: Join and Boolean are the oracle of
+// core/pipeline_test.go (they share no code with the engine) and the
+// generic-join baseline bench/ measures. Nothing the facade, the server or
+// the CLI runs reaches them.
+//
 // The join runs entirely on the interned id plane: candidate sets intersect
 // uint32 ids against the relations' column vectors and output rows are
 // emitted as id-tuples, so no value is decoded except to order candidates
@@ -13,11 +18,8 @@
 package wcoj
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"panda/internal/bitset"
 	"panda/internal/query"
@@ -182,80 +184,4 @@ func colPos(r *relation.Relation, v int) int {
 		}
 	}
 	return -1
-}
-
-// ParallelJoin computes the same natural join as Join by hash-partitioning
-// the instance on the schema's partition key (query.PartitionInstance) into
-// k co-partitioned sub-instances and running Join once per partition
-// through a bounded pool of workers. Every output tuple fixes a value for
-// the partition key, so the per-partition outputs are disjoint and their
-// union — merged in partition-index order, hence deterministic — is
-// exactly Join's output. It degrades to a single sequential Join when k ≤ 1
-// or the schema admits no partition key, and aborts early with ctx.Err()
-// on cancellation.
-func ParallelJoin(ctx context.Context, s *query.Schema, ins *query.Instance, order []int, k, workers int) (*relation.Relation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	subs := query.PartitionInstance(s, ins, k)
-	if subs == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return Join(s, ins, order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(subs) {
-		workers = len(subs)
-	}
-	outs := make([]*relation.Relation, len(subs))
-	errs := make([]error, len(subs))
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for j := range idx {
-				if err := cctx.Err(); err != nil {
-					errs[j] = err
-					continue
-				}
-				out, err := Join(s, subs[j], order)
-				if err != nil {
-					errs[j] = err
-					cancel()
-					continue
-				}
-				outs[j] = out
-			}
-		}()
-	}
-	for j := range subs {
-		idx <- j
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := relation.New("Q", bitset.Full(s.NumVars))
-	for _, part := range outs {
-		out.InsertAll(part)
-	}
-	return out, nil
 }

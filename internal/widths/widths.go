@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"panda/internal/bitset"
+	"panda/internal/bounds"
 	"panda/internal/flow"
 	"panda/internal/hypergraph"
 	"panda/internal/lp"
@@ -69,6 +70,17 @@ func newPlan(h *hypergraph.Hypergraph) (*plan, error) {
 	return p, nil
 }
 
+// over computes one width of h: f over a fresh enumeration of h's tree
+// decompositions. Summarize shares one enumeration between all of them.
+func over[T any](h *hypergraph.Hypergraph, f func(*plan) (T, error)) (T, error) {
+	p, err := newPlan(h)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return f(p)
+}
+
 // minimax computes min over decompositions of max over bags of cost.
 func (p *plan) minimax(cost func(bitset.Set) (*big.Rat, error)) (*big.Rat, error) {
 	cache := make([]*big.Rat, len(p.bags))
@@ -96,11 +108,9 @@ func (p *plan) minimax(cost func(bitset.Set) (*big.Rat, error)) (*big.Rat, error
 
 // Treewidth returns tw(H) (the classic value: max bag size − 1, minimized
 // over decompositions).
-func Treewidth(h *hypergraph.Hypergraph) (int, error) {
-	p, err := newPlan(h)
-	if err != nil {
-		return 0, err
-	}
+func Treewidth(h *hypergraph.Hypergraph) (int, error) { return over(h, (*plan).treewidth) }
+
+func (p *plan) treewidth() (int, error) {
 	v, err := p.minimax(func(b bitset.Set) (*big.Rat, error) {
 		return big.NewRat(int64(b.Card()), 1), nil
 	})
@@ -111,62 +121,17 @@ func Treewidth(h *hypergraph.Hypergraph) (int, error) {
 }
 
 // integralCover computes ρ(H_B): the minimum number of edges whose
-// restrictions to B cover B (exact bitmask set-cover DP).
-func integralCover(h *hypergraph.Hypergraph, b bitset.Set) (int, error) {
-	vars := b.Vars()
-	pos := map[int]int{}
-	for i, v := range vars {
-		pos[v] = i
-	}
-	m := len(vars)
-	var masks []uint32
-	for _, e := range h.Edges {
-		var mask uint32
-		for _, v := range e.Intersect(b).Vars() {
-			mask |= 1 << uint(pos[v])
-		}
-		if mask != 0 {
-			masks = append(masks, mask)
-		}
-	}
-	full := uint32(1<<uint(m)) - 1
-	const inf = 1 << 30
-	dp := make([]int, full+1)
-	for i := range dp {
-		dp[i] = inf
-	}
-	dp[0] = 0
-	for s := uint32(0); s <= full; s++ {
-		if dp[s] == inf {
-			continue
-		}
-		for _, mask := range masks {
-			t := s | mask
-			if dp[s]+1 < dp[t] {
-				dp[t] = dp[s] + 1
-			}
-		}
-	}
-	if dp[full] == inf {
-		return 0, fmt.Errorf("widths: bag %v not coverable by edges", b)
-	}
-	return dp[full], nil
+// restrictions to B cover B.
+func integralCover(h *hypergraph.Hypergraph, b bitset.Set) (*big.Rat, error) {
+	return bounds.IntegralCover(h, b, nil)
 }
 
 // GHTW returns the generalized hypertree width: min over decompositions of
 // max over bags of ρ(H_bag).
-func GHTW(h *hypergraph.Hypergraph) (int, error) {
-	p, err := newPlan(h)
-	if err != nil {
-		return 0, err
-	}
-	v, err := p.minimax(func(b bitset.Set) (*big.Rat, error) {
-		c, err := integralCover(h, b)
-		if err != nil {
-			return nil, err
-		}
-		return big.NewRat(int64(c), 1), nil
-	})
+func GHTW(h *hypergraph.Hypergraph) (int, error) { return over(h, (*plan).ghtw) }
+
+func (p *plan) ghtw() (int, error) {
+	v, err := p.minimax(func(b bitset.Set) (*big.Rat, error) { return integralCover(p.h, b) })
 	if err != nil {
 		return 0, err
 	}
@@ -176,58 +141,29 @@ func GHTW(h *hypergraph.Hypergraph) (int, error) {
 // FractionalCover computes ρ*(H_B) exactly: the fractional edge cover LP of
 // Eq. (33) restricted to B.
 func FractionalCover(h *hypergraph.Hypergraph, b bitset.Set) (*big.Rat, error) {
-	prob := lp.NewProblem(len(h.Edges), false)
-	one := big.NewRat(1, 1)
-	for j := range h.Edges {
-		prob.SetObj(j, one)
-	}
-	for _, v := range b.Vars() {
-		row := map[int]*big.Rat{}
-		for j, e := range h.Edges {
-			if e.Contains(v) {
-				row[j] = one
-			}
-		}
-		if len(row) == 0 {
-			return nil, fmt.Errorf("widths: vertex %d uncovered", v)
-		}
-		prob.AddConstraint(row, lp.Ge, one)
-	}
-	sol, err := prob.Solve()
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("widths: cover LP %v", sol.Status)
-	}
-	return sol.Objective, nil
+	v, _, err := bounds.FractionalCover(h, b, nil)
+	return v, err
 }
 
 // FHTW returns the fractional hypertree width fhtw(H) exactly.
-func FHTW(h *hypergraph.Hypergraph) (*big.Rat, error) {
-	p, err := newPlan(h)
-	if err != nil {
-		return nil, err
-	}
-	return p.minimax(func(b bitset.Set) (*big.Rat, error) {
-		return FractionalCover(h, b)
-	})
+func FHTW(h *hypergraph.Hypergraph) (*big.Rat, error) { return over(h, (*plan).fhtw) }
+
+func (p *plan) fhtw() (*big.Rat, error) {
+	return p.minimax(func(b bitset.Set) (*big.Rat, error) { return FractionalCover(p.h, b) })
 }
 
 // DaFhtw returns the degree-aware fractional hypertree width of
 // Definition 7.6: min over decompositions of max over bags of the exact
 // polymatroid bound max{h(B) | h ∈ Γn ∩ HDC}.
 func DaFhtw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
-	p, err := newPlan(h)
-	if err != nil {
-		return nil, err
-	}
-	return p.minimax(func(b bitset.Set) (*big.Rat, error) {
-		r, err := flow.MaximinBound(h.N, dcs, []bitset.Set{b})
-		if err != nil {
-			return nil, err
-		}
-		return r.Bound, nil
+	return over(h, func(p *plan) (*big.Rat, error) {
+		return p.minimax(func(b bitset.Set) (*big.Rat, error) {
+			r, err := flow.MaximinBound(h.N, dcs, []bitset.Set{b})
+			if err != nil {
+				return nil, err
+			}
+			return r.Bound, nil
+		})
 	})
 }
 
@@ -309,12 +245,12 @@ func Subw(h *hypergraph.Hypergraph) (*big.Rat, error) {
 
 // DaSubw returns the degree-aware submodular width of Definition 7.6.
 func DaSubw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
-	p, err := newPlan(h)
-	if err != nil {
-		return nil, err
-	}
+	return over(h, func(p *plan) (*big.Rat, error) { return p.daSubw(dcs) })
+}
+
+func (p *plan) daSubw(dcs []flow.DC) (*big.Rat, error) {
 	inner := func(targets []bitset.Set) (*big.Rat, error) {
-		r, err := flow.MaximinBound(h.N, dcs, targets)
+		r, err := flow.MaximinBound(p.h.N, dcs, targets)
 		if err != nil {
 			return nil, err
 		}
@@ -329,11 +265,10 @@ func DaSubw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
 // edge-dominated functions (Definition 2.8). For a fixed transversal the
 // inner problem is the small LP
 // max w s.t. w ≤ Σ_{v∈B} x_v (per target), Σ_{v∈F} x_v ≤ 1 (per edge).
-func Adw(h *hypergraph.Hypergraph) (*big.Rat, error) {
-	p, err := newPlan(h)
-	if err != nil {
-		return nil, err
-	}
+func Adw(h *hypergraph.Hypergraph) (*big.Rat, error) { return over(h, (*plan).adw) }
+
+func (p *plan) adw() (*big.Rat, error) {
+	h := p.h
 	one := big.NewRat(1, 1)
 	inner := func(targets []bitset.Set) (*big.Rat, error) {
 		// Variables: x_0..x_{n−1}, w at index n.
@@ -379,26 +314,27 @@ type Summary struct {
 	NumBags int
 }
 
-// Summarize computes all classic widths of h.
+// Summarize computes all classic widths of h over one enumeration of its
+// tree decompositions.
 func Summarize(h *hypergraph.Hypergraph) (*Summary, error) {
 	p, err := newPlan(h)
 	if err != nil {
 		return nil, err
 	}
 	s := &Summary{NumTDs: len(p.tds), NumBags: len(p.bags)}
-	if s.TW, err = Treewidth(h); err != nil {
+	if s.TW, err = p.treewidth(); err != nil {
 		return nil, err
 	}
-	if s.GHTW, err = GHTW(h); err != nil {
+	if s.GHTW, err = p.ghtw(); err != nil {
 		return nil, err
 	}
-	if s.FHTW, err = FHTW(h); err != nil {
+	if s.FHTW, err = p.fhtw(); err != nil {
 		return nil, err
 	}
-	if s.Subw, err = Subw(h); err != nil {
+	if s.Subw, err = p.daSubw(edDCs(h)); err != nil {
 		return nil, err
 	}
-	if s.Adw, err = Adw(h); err != nil {
+	if s.Adw, err = p.adw(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -2,11 +2,21 @@ package yannakakis
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"panda/internal/bitset"
 	"panda/internal/relation"
 )
+
+// sortedRows materializes r's tuples in value order (AllSorted reuses its
+// row buffer).
+func sortedRows(r *relation.Relation) (rows [][]relation.Value) {
+	for row := range r.AllSorted() {
+		rows = append(rows, slices.Clone(row))
+	}
+	return rows
+}
 
 func path3() ([]*relation.Relation, []int) {
 	r := relation.New("R", bitset.Of(0, 1))
@@ -47,7 +57,7 @@ func TestJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Size() != 1 || !out.Contains([]relation.Value{1, 2, 3, 4}) {
-		t.Fatalf("join = %v", out.SortedRows())
+		t.Fatalf("join = %v", sortedRows(out))
 	}
 }
 
