@@ -351,8 +351,8 @@ func BenchmarkTheorem59ProofConstruction(b *testing.B) {
 // BenchmarkPreparedVsUnprepared demonstrates planning amortization on the
 // triangle and four-cycle workloads: "unprepared" is the whole facade call
 // (cache-hit planning plus execution through DB.Eval), "prepared" executes
-// an already planned QueryPlan directly, and a cache-hit Prepare costs only
-// the fingerprint lookup and the rebind.
+// an already planned QueryPlan directly, and a cache-hit Prepare costs the
+// canonicalisation, one index lookup and the rebind.
 func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	workloads := []struct {
 		name string

@@ -87,23 +87,7 @@ func main() {
 		case err != nil:
 			log.Printf("plan warm-load from %s failed (serving cold): %v", *planDir, err)
 		case stats.Skipped > 0:
-			log.Printf("plan warm-load from %s: %v — re-planning %d skipped signatures in the background", *planDir, stats, len(stats.SkippedKeys))
-			// The cross-version migration shim: a snapshot written by an
-			// older (or newer) binary names the signatures it had to drop,
-			// and each key fully encodes its canonical query — so rebuild
-			// them off the serving path instead of re-paying their LP
-			// solves one traffic-time cache miss at a time. The key list
-			// is bounded by the load-stats cap.
-			if len(stats.SkippedKeys) > 0 {
-				go func(keys []string) {
-					n, solves, err := db.ReplanSignatures(context.Background(), keys)
-					if err != nil {
-						log.Printf("background replan: %d/%d signatures rebuilt (%d LP solves), aborted: %v", n, len(keys), solves, err)
-						return
-					}
-					log.Printf("background replan: %d signatures rebuilt (%d LP solves)", n, solves)
-				}(stats.SkippedKeys)
-			}
+			log.Printf("plan warm-load from %s: %v — skipped entries are re-planned at their first query", *planDir, stats)
 		default:
 			log.Printf("plan cache primed with %d plans from %s", stats.Loaded, *planDir)
 		}

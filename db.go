@@ -35,7 +35,8 @@ import (
 //
 // A DB is safe for concurrent use by multiple goroutines. The planning
 // phase (LP solves, proof sequences, decomposition choice) is cached in the
-// session's plan cache keyed by a renaming-invariant canonical signature, so
+// session's plan cache keyed by a renaming-invariant canonical signature
+// (the cache's only key, computed afresh by every planning call), so
 // repeated traffic against an unchanged catalog — including queries and
 // rules that merely rename variables — pays planning once and executes with
 // zero LP solves thereafter. (Mutating a relation a query reads changes its
@@ -130,9 +131,8 @@ func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n 
 // and mode match an unpartitioned run, and for a fixed n the run is fully
 // deterministic at any parallelism (intermediate Stats may differ between
 // different n — a partitioned proof does different, smaller work).
-// n = 0 (the default) falls back to per-relation partition hints recorded
-// with DB.SetPartitionHint; n = 1 forces unpartitioned execution even when
-// hints are present. Usable both as a session default at Open and per call.
+// n ≤ 1 (0 is the default) runs unpartitioned. Usable both as a session
+// default at Open and per call.
 func WithPartitions(n int) Option { return func(c *config) { c.partitions = n } }
 
 // WithPlannerCapacity sizes the session's plan-cache LRU (0 selects the
@@ -243,34 +243,6 @@ func (db *DB) CreateRelation(name string, arity int) error {
 	}
 	t := relation.New(name, bitset.Full(arity))
 	db.catalog[name] = t
-	db.mutatedLocked(t)
-	return nil
-}
-
-// SetPartitionHint records a partition count on a catalog relation: queries
-// touching the relation default to executing data-parallel over k hash
-// partitions (the largest hint among a query's relations wins; an explicit
-// WithPartitions on the session or call overrides hints entirely). k ≤ 1
-// clears the hint. The hint is metadata — it never changes query results,
-// only how the work is split — but it does bump the relation's version so
-// prepared statements re-bind and pick it up.
-func (db *DB) SetPartitionHint(name string, k int) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	t, ok := db.catalog[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownRelation, name)
-	}
-	if k <= 1 {
-		k = 0
-	}
-	if t.PartitionHint() == k {
-		return nil
-	}
-	t.SetPartitionHint(k)
 	db.mutatedLocked(t)
 	return nil
 }
@@ -548,30 +520,6 @@ func (db *DB) PlanClock() uint64 {
 	return db.planner.CacheClock()
 }
 
-// ReplanSignatures rebuilds plans from their canonical signature keys — the
-// cross-version migration shim. A signature key completely encodes its
-// canonical query shape, constraint set and mode, so the dropped entries a
-// version-mismatched snapshot reports in SkippedKeys can be re-planned here
-// (paying their LP solves once, off the traffic path) instead of lazily at
-// query time. Keys already cached are free no-ops. It returns the number of
-// plans now live for the given keys and the total LP solves paid; the first
-// unparseable or unplannable key aborts with an error (the keys come from
-// our own snapshots, so any failure is worth surfacing loudly).
-func (db *DB) ReplanSignatures(ctx context.Context, keys []string) (replanned int, lpSolves int, err error) {
-	if db.isClosed() {
-		return 0, 0, ErrClosed
-	}
-	for _, key := range keys {
-		solves, err := db.planner.ReplanKey(ctx, key)
-		if err != nil {
-			return replanned, lpSolves, err
-		}
-		replanned++
-		lpSolves += solves
-	}
-	return replanned, lpSolves, nil
-}
-
 // LoadPlanDir loads the PlanSnapshotFile snapshot from the configured plan
 // directory. A missing snapshot is not an error (the directory simply has
 // not been written yet); a session without a plan directory is.
@@ -709,15 +657,6 @@ func (db *DB) bindInstance(s *Schema) (*Instance, uint64, error) {
 		t, ok := db.catalog[name]
 		return t, ok
 	})
-	if err == nil {
-		// Bound relations are fresh copies: carry the catalog partition
-		// hints over so hint-driven data-parallel execution sees them.
-		for i, a := range s.Atoms {
-			if t, ok := db.catalog[a.Name]; ok {
-				ins.Relations[i].SetPartitionHint(t.PartitionHint())
-			}
-		}
-	}
 	return ins, db.schemaTickLocked(s), err
 }
 

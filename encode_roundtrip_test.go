@@ -115,18 +115,19 @@ func TestRuleRoundTripExecutionParity(t *testing.T) {
 	ex := &core.Executor{Opt: core.Options{Trace: true}}
 	for _, fx := range fixtures {
 		cons := core.CompleteConstraints(&fx.p.Schema, fx.ins, nil)
-		pr, _, err := plan.PrepareRule(&fx.p.Schema, cons, fx.p.Targets)
+		p, err := plan.NewPlanner(1).PrepareRuleContext(context.Background(), fx.p, cons)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
 		var buf bytes.Buffer
-		if err := plan.EncodeRule(&buf, pr); err != nil {
+		if err := plan.EncodePlan(&buf, p); err != nil {
 			t.Fatalf("%s: encode: %v", fx.name, err)
 		}
-		decoded, err := plan.DecodeRule(bytes.NewReader(buf.Bytes()))
+		dp, err := plan.DecodePlan(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", fx.name, err)
 		}
+		pr, decoded := p.Rules[0], dp.Rules[0]
 		want, err := ex.ExecuteRule(context.Background(), &fx.p.Schema, pr, cons, fx.ins)
 		if err != nil {
 			t.Fatalf("%s: execute fresh: %v", fx.name, err)

@@ -45,10 +45,9 @@ import (
 // to a sequential run of the same configuration. The first genuine error
 // cancels the sibling tasks.
 //
-// When Partitions > 1 (or the instance's relations carry partition hints),
-// the data is hash-split into co-partitioned sub-instances
-// (query.PartitionInstance): atoms covering the partition key are
-// partitioned, the rest are replicated, and every rule runs once per
+// When Partitions > 1 the data is hash-split into co-partitioned
+// sub-instances (query.PartitionInstance): atoms covering the partition key
+// are partitioned, the rest are replicated, and every rule runs once per
 // partition. The merged result is exact — the final output rows, OK answer
 // and Width certificate match an unpartitioned run — though intermediate
 // model tables and Stats may differ from the K=1 shape (a partitioned proof
@@ -63,9 +62,7 @@ type Executor struct {
 	// ≤ 1 mean sequential execution.
 	Parallelism int
 	// Partitions splits each rule execution's data into this many hash
-	// partitions. 0 (the default) consults the instance relations'
-	// recorded partition hints; 1 forces unpartitioned execution even
-	// when hints are present.
+	// partitions; values ≤ 1 mean unpartitioned execution.
 	Partitions int
 	// Opt tunes every PANDA rule execution (trace, invariant checks,
 	// budget ablation).
@@ -160,18 +157,6 @@ func (ex *Executor) Execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	return res, nil
 }
 
-// subInstances materializes the co-partitioned sub-instances one run fans
-// out over, or nil for unpartitioned execution. An explicit Partitions
-// setting wins; 0 falls back to the partition hints recorded on the
-// instance's relations (catalog entries carry them).
-func (ex *Executor) subInstances(s *query.Schema, ins *query.Instance) []*query.Instance {
-	k := ex.Partitions
-	if k == 0 {
-		k = query.PartitionHint(ins)
-	}
-	return query.PartitionInstance(s, ins, k)
-}
-
 // fanoutCost estimates the work of one fan-out in row-units for the pool
 // cost model: task count × 2^width × total input cardinality. The width
 // exponent is clamped so adversarial certificates cannot overflow.
@@ -227,7 +212,7 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	if timed {
 		t0 = time.Now()
 	}
-	subs := ex.subInstances(&p.Schema, ins)
+	subs := query.PartitionInstance(&p.Schema, ins, ex.Partitions)
 	if subs == nil {
 		subs = []*query.Instance{ins}
 	}

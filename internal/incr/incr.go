@@ -54,12 +54,6 @@ type Round struct {
 	// AtomsExecuted counts the mixed-instance plan executions performed
 	// (atoms whose delta was non-empty).
 	AtomsExecuted int
-	// Partitions sums the data-parallel fan-out of the round's mixed
-	// executions: each execution contributes the partition count it runs
-	// with (the executor's explicit setting, else the hint carried by the
-	// mixed instance) when that count exceeds 1. 0 means every execution
-	// ran unpartitioned.
-	Partitions int
 }
 
 // Maintain runs one semi-naive maintenance round: full is the bound NEW
@@ -88,22 +82,6 @@ func Maintain(ctx context.Context, exec *core.Executor, p *plan.Plan, s *query.S
 				mixed.Relations[j] = r.Semijoin(d)
 			default:
 				mixed.Relations[j] = r
-			}
-			// Delta and semijoined relations are freshly built and would
-			// otherwise carry no partition hint, leaving every mixed
-			// execution unpartitioned no matter how large the delta round
-			// is: thread the source relation's hint through so hint-driven
-			// data-parallel fan-out applies to maintenance like it does to
-			// one-shot queries.
-			if mixed.Relations[j] != r {
-				mixed.Relations[j].SetPartitionHint(r.PartitionHint())
-			}
-		}
-		if k := exec.Partitions; k > 1 {
-			round.Partitions += k
-		} else if k == 0 {
-			if h := query.PartitionHint(mixed); h > 1 {
-				round.Partitions += h
 			}
 		}
 		ex, err := exec.Execute(ctx, p, mixed)

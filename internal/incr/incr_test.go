@@ -161,22 +161,16 @@ func TestMaintainSkipsEmptyDeltas(t *testing.T) {
 	}
 }
 
-// TestMaintainThreadsPartitionHints pins the hint plumbing: the delta and
-// semijoined relations a maintenance round builds are fresh, so without
-// explicit threading they would carry no partition hint and every mixed
-// execution would run unpartitioned regardless of how the catalog is
-// configured. With hints on the full relations the round must fan out
-// (observable as per-partition engine runs) and still produce exactly the
-// delta of the unhinted round.
-func TestMaintainThreadsPartitionHints(t *testing.T) {
+// TestMaintainPartitionedParity: a maintenance round under a partitioned
+// executor produces exactly the delta of the unpartitioned round.
+func TestMaintainPartitionedParity(t *testing.T) {
 	q := workload.TriangleQuery()
 	p, _, err := plan.Prepare(q, testConstraints(q), plan.ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &q.Schema
-
-	build := func(hint int) (*query.Instance, []*relation.Relation) {
+	round := func(exec *core.Executor) *Round {
 		rng := rand.New(rand.NewSource(11))
 		full := query.NewInstance(s)
 		insertRandom(rng, full, nil, 40)
@@ -185,39 +179,18 @@ func TestMaintainThreadsPartitionHints(t *testing.T) {
 			deltas[i] = relation.New("Δ"+a.Name, a.Vars)
 		}
 		insertRandom(rng, full, deltas, 12)
-		for _, r := range full.Relations {
-			r.SetPartitionHint(hint)
+		r, err := Maintain(context.Background(), exec, p, s, full, deltas)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return full, deltas
+		return r
 	}
-
-	fullPlain, deltasPlain := build(0)
-	plain, err := Maintain(context.Background(), &core.Executor{}, p, s, fullPlain, deltasPlain)
-	if err != nil {
-		t.Fatal(err)
+	plain, split := round(&core.Executor{}), round(&core.Executor{Partitions: 3})
+	if plain.Delta == nil || plain.Delta.Size() == 0 {
+		t.Fatal("the fixture's round derives nothing: it cannot tell the two executors apart")
 	}
-	if plain.Partitions != 0 {
-		t.Fatalf("unhinted round ran %d partitioned executions, want 0", plain.Partitions)
-	}
-
-	fullHint, deltasHint := build(3)
-	hinted, err := Maintain(context.Background(), &core.Executor{}, p, s, fullHint, deltasHint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hinted.Partitions == 0 {
-		t.Fatal("hinted round ran no partitioned executions: hints were not threaded to the mixed instances")
-	}
-	if hinted.NonEmpty != plain.NonEmpty || hinted.AtomsExecuted != plain.AtomsExecuted {
-		t.Fatalf("hinted round diverged: NonEmpty %v/%v, atoms %d/%d",
-			hinted.NonEmpty, plain.NonEmpty, hinted.AtomsExecuted, plain.AtomsExecuted)
-	}
-	switch {
-	case plain.Delta == nil:
-		if hinted.Delta != nil && hinted.Delta.Size() > 0 {
-			t.Fatal("hinted round produced a delta the unhinted round did not")
-		}
-	case hinted.Delta == nil || !hinted.Delta.Equal(plain.Delta):
-		t.Fatal("hinted round's delta differs from the unhinted round's")
+	if split.NonEmpty != plain.NonEmpty || split.AtomsExecuted != plain.AtomsExecuted ||
+		split.Delta == nil || !split.Delta.Equal(plain.Delta) {
+		t.Fatal("the partitioned round's delta differs from the unpartitioned round's")
 	}
 }

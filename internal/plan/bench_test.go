@@ -51,3 +51,29 @@ func BenchmarkPlanDecodeVsPrepare(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCanonicalize is what every Prepare pays to name its plan, cache
+// hit or not: the class-permutation search over k! orderings of a k-cycle,
+// with each atom's cardinality in the key (what the planner sees) and
+// without (what the router's shapeOf sees). CI holds c4-cards to 200
+// allocs/op; formatting one key per ordering spent 2,376 there.
+func BenchmarkCanonicalize(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		k     int
+		cards bool
+	}{{"c4-cards", 4, true}, {"c4-bare", 4, false}, {"c5-cards", 5, true}, {"c7-cards", 7, true}} {
+		q, cons := cycleQuery(bc.k, nil, nil, 100)
+		if !bc.cards {
+			cons = nil
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Canonicalize(q, cons, ModeSubw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -26,22 +26,15 @@ type Stats struct {
 // DefaultCacheSize is the plan capacity of NewPlanner(0).
 const DefaultCacheSize = 128
 
-// maxExactsPerPlan bounds how many exact fingerprints (distinct query
-// texts resolving to the same canonical plan) are registered per entry; at
-// the cap the oldest fingerprint is evicted, so recently seen texts always
-// take the fast path.
-const maxExactsPerPlan = 16
-
 // Planner prepares plans — for conjunctive queries and for disjunctive
 // rules alike — through a concurrency-safe bounded cache keyed by the
 // canonical signature of (query shape, free variables or rule targets,
 // constraint set, mode). A hit performs no LP solves and no proof
 // construction — the cached canonical plan is rebound to the caller's
-// variable space, which is pure bookkeeping. Repeat traffic with
-// byte-identical query text takes an exact-fingerprint fast path that also
-// skips signature canonicalization (the permutation search of
-// Canonicalize), so steady-state hits cost one linear encoding plus the
-// rebind.
+// variable space, which is pure bookkeeping. The signature index is the
+// only map keyed by query identity: every Prepare canonicalizes (see
+// canonicalize; microseconds for the shapes in this tree) and a hit takes
+// the lock once.
 //
 // Builds are single-flighted per signature: concurrent first sightings of
 // one shape elect a leader that pays the LP solves, the rest wait (each
@@ -68,7 +61,6 @@ type Planner struct {
 	seq   uint64
 	ll    *list.List               // front = most recently used
 	index map[string]*list.Element // canonical Key → element; value is *entry
-	exact map[string]*exactRef     // Fingerprint → entry + its signature
 	// building holds the in-flight build of each signature key being
 	// planned right now; an entry lives from the index miss that elected
 	// its leader until that leader installs the plan or gives up.
@@ -93,18 +85,10 @@ type build struct {
 
 type entry struct {
 	key    string
-	plan   *Plan    // canonical space
-	exacts []string // fingerprints registered against this entry
-	lpCost uint64   // LP solves the original build paid; credited per hit
-	pri    uint64   // eviction priority: clock-at-touch + lpCost
-	gen    uint64   // cache-clock value at install; SaveCacheSince filters on it
-}
-
-// exactRef remembers the signature a fingerprint resolved to, so later
-// identical calls can rebind without re-canonicalizing.
-type exactRef struct {
-	el  *list.Element
-	sig *Signature
+	plan   *Plan  // canonical space
+	lpCost uint64 // LP solves the original build paid; credited per hit
+	pri    uint64 // eviction priority: clock-at-touch + lpCost
+	gen    uint64 // cache-clock value at install; SaveCacheSince filters on it
 }
 
 // NewPlanner returns a Planner whose cache holds up to capacity plans
@@ -117,24 +101,8 @@ func NewPlanner(capacity int) *Planner {
 		cap:      capacity,
 		ll:       list.New(),
 		index:    map[string]*list.Element{},
-		exact:    map[string]*exactRef{},
 		building: map[string]*build{},
 	}
-}
-
-// registerExact links a fingerprint to an entry, evicting the entry's
-// oldest fingerprint at the cap; caller holds pl.mu.
-func (pl *Planner) registerExact(el *list.Element, fp string, sig *Signature) {
-	ent := el.Value.(*entry)
-	if _, dup := pl.exact[fp]; dup {
-		return
-	}
-	if len(ent.exacts) >= maxExactsPerPlan {
-		delete(pl.exact, ent.exacts[0])
-		ent.exacts = ent.exacts[1:]
-	}
-	pl.exact[fp] = &exactRef{el: el, sig: sig}
-	ent.exacts = append(ent.exacts, fp)
 }
 
 // evictionScanWindow bounds how many entries (from the LRU end) one
@@ -160,9 +128,6 @@ func (pl *Planner) evictOverCap() {
 		pl.ll.Remove(victim)
 		ent := victim.Value.(*entry)
 		delete(pl.index, ent.key)
-		for _, fp := range ent.exacts {
-			delete(pl.exact, fp)
-		}
 		if ent.pri > pl.clock {
 			pl.clock = ent.pri
 		}
@@ -206,17 +171,6 @@ func (pl *Planner) prepare(ctx context.Context, s *query.Schema, heads []bitset.
 	if err := validate(s, heads, cons); err != nil {
 		return nil, err
 	}
-	fp := fingerprint(s, heads, cons, mode)
-	pl.mu.Lock()
-	if ref, ok := pl.exact[fp]; ok {
-		cached := pl.hit(ref.el)
-		pl.mu.Unlock()
-		return cached.fromCanonical(ref.sig, s), nil
-	}
-	pl.mu.Unlock()
-
-	// First sighting of this query text: canonicalize (outside the lock —
-	// the permutation search can be expensive) and look up by signature.
 	sig, err := canonicalize(s, heads, cons, mode)
 	if err != nil {
 		return nil, err
@@ -224,7 +178,6 @@ func (pl *Planner) prepare(ctx context.Context, s *query.Schema, heads []bitset.
 	for {
 		pl.mu.Lock()
 		if el, ok := pl.index[sig.Key]; ok {
-			pl.registerExact(el, fp, sig)
 			cached := pl.hit(el)
 			pl.mu.Unlock()
 			return cached.fromCanonical(sig, s), nil
@@ -236,7 +189,7 @@ func (pl *Planner) prepare(ctx context.Context, s *query.Schema, heads []bitset.
 			b = &build{done: make(chan struct{})}
 			pl.building[sig.Key] = b
 			pl.mu.Unlock()
-			return pl.lead(ctx, b, sig, fp, s, heads, cons, mode)
+			return pl.lead(ctx, b, sig, s, heads, cons, mode)
 		}
 		b.waiters++
 		pl.mu.Unlock()
@@ -267,7 +220,7 @@ func (pl *Planner) hit(el *list.Element) *Plan {
 // lead runs the planning phase as the elected leader of b and installs the
 // plan. However it ends — installed, failed, cancelled, or a panic unwinding
 // through it — the claim is released and the waiters are woken.
-func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, fp string, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
+func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
 	defer func() {
 		pl.mu.Lock()
 		delete(pl.building, sig.Key)
@@ -292,13 +245,10 @@ func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, fp string
 	pl.stats.Misses++
 	pl.stats.PlansBuilt++
 	pl.stats.LPSolves += cost
-	el, imported := pl.index[sig.Key] // a LoadCache may have installed the key while this build ran
-	if !imported {
+	if _, imported := pl.index[sig.Key]; !imported { // a LoadCache may have installed the key while this build ran
 		pl.seq++
-		el = pl.ll.PushFront(&entry{key: sig.Key, plan: canon, lpCost: cost, pri: pl.clock + cost, gen: pl.seq})
-		pl.index[sig.Key] = el
+		pl.index[sig.Key] = pl.ll.PushFront(&entry{key: sig.Key, plan: canon, lpCost: cost, pri: pl.clock + cost, gen: pl.seq})
 	}
-	pl.registerExact(el, fp, sig)
 	pl.evictOverCap()
 	return p, nil
 }
@@ -338,7 +288,6 @@ func (pl *Planner) Reset() {
 	defer pl.mu.Unlock()
 	pl.ll.Init()
 	pl.index = map[string]*list.Element{}
-	pl.exact = map[string]*exactRef{}
 	pl.stats = Stats{}
 	pl.clock = 0
 }

@@ -43,7 +43,6 @@ const FormatVersion = 1
 
 const (
 	planFormat  = "panda-plan"
-	ruleFormat  = "panda-rule"
 	cacheFormat = "panda-plan-cache"
 )
 
@@ -506,46 +505,4 @@ func DecodePlan(r io.Reader) (*Plan, error) {
 		return nil, fmt.Errorf("plan: decode: malformed plan payload: %w", err)
 	}
 	return planIn(&wp)
-}
-
-// EncodeRule writes one prepared rule to w on its own, without a
-// surrounding Plan; the wire format and integrity guarantees match
-// EncodePlan's.
-func EncodeRule(w io.Writer, pr *PreparedRule) error {
-	wr, err := ruleOut(pr)
-	if err != nil {
-		return err
-	}
-	payload, err := json.Marshal(&wr)
-	if err != nil {
-		return err
-	}
-	return encodeEnvelope(w, ruleFormat, payload)
-}
-
-// DecodeRule reads one encoded prepared rule from r with the same
-// version/digest checks as DecodePlan. The universe bound cannot be checked
-// without a schema, so targets are validated against the 32-variable codec
-// limit only; ExecuteRule re-validates against its schema.
-func DecodeRule(r io.Reader) (*PreparedRule, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := decodeEnvelope(data, ruleFormat)
-	if err != nil {
-		return nil, err
-	}
-	var wr wireRule
-	if err := json.Unmarshal(payload, &wr); err != nil {
-		return nil, fmt.Errorf("plan: decode: malformed rule payload: %w", err)
-	}
-	pr, err := ruleIn(wr, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateDecodedRule(pr, bitset.Full(32)); err != nil {
-		return nil, fmt.Errorf("plan: decode: %w", err)
-	}
-	return pr, nil
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"panda/internal/bitset"
 	"panda/internal/query"
 )
 
@@ -102,35 +101,6 @@ func TestEncodeDecodePlanFields(t *testing.T) {
 		if !bytes.Equal(encodePlan(t, got), encodePlan(t, p)) {
 			t.Fatalf("%v: re-encoding the decoded plan changed the bytes", mode)
 		}
-	}
-}
-
-// TestEncodeDecodeRule round-trips a prepared disjunctive rule.
-func TestEncodeDecodeRule(t *testing.T) {
-	s := &query.Schema{NumVars: 4, Atoms: []query.Atom{
-		{Name: "R", Vars: bitset.Of(0, 1)},
-		{Name: "S", Vars: bitset.Of(1, 2)},
-		{Name: "T", Vars: bitset.Of(2, 3)},
-	}}
-	var cons []query.DegreeConstraint
-	for i, a := range s.Atoms {
-		cons = append(cons, query.Cardinality(a.Vars, 64, i))
-	}
-	targets := []bitset.Set{bitset.Of(0, 1, 2), bitset.Of(1, 2, 3)}
-	pr, _, err := PrepareRule(s, cons, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeRule(&buf, pr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRule(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Bound.Cmp(pr.Bound) != 0 || len(got.Seq) != len(pr.Seq) || len(got.Targets) != len(pr.Targets) {
-		t.Fatalf("rule differs after round trip: %+v vs %+v", got, pr)
 	}
 }
 

@@ -58,19 +58,7 @@ type CacheLoadStats struct {
 	Duplicates int
 	// FirstErr is the rejection reason of the first skipped entry.
 	FirstErr error
-	// SkippedKeys lists the canonical signature keys of the skipped
-	// entries (capped at maxSkippedKeys). A signature key is a complete
-	// encoding of the canonical query shape and constraint set, so a
-	// caller can hand these to ReplanKey / DB.ReplanSignatures and rebuild
-	// the dropped plans in the background instead of re-paying their LP
-	// solves lazily at traffic time — the cross-version migration shim.
-	SkippedKeys []string
 }
-
-// maxSkippedKeys bounds CacheLoadStats.SkippedKeys so a hostile snapshot
-// full of junk entries cannot balloon the stats (or the background replan
-// work a caller schedules from them).
-const maxSkippedKeys = 512
 
 func (s CacheLoadStats) String() string {
 	if s.FirstErr != nil {
@@ -152,30 +140,19 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 	if env.Format != cacheFormat {
 		return stats, fmt.Errorf("plan: load cache: format %q, want %q", env.Format, cacheFormat)
 	}
-	skip := func(key string, err error) {
+	skip := func(err error) {
 		stats.Skipped++
 		if stats.FirstErr == nil {
 			stats.FirstErr = err
-		}
-		if key != "" && len(stats.SkippedKeys) < maxSkippedKeys {
-			stats.SkippedKeys = append(stats.SkippedKeys, key)
 		}
 	}
 	if env.Version != FormatVersion {
 		// A different format version makes the whole snapshot
 		// untrustworthy; skip it all (counting at least one skip even for
 		// an empty snapshot, so "nothing loaded because of a version
-		// mismatch" is never mistaken for a clean no-op). The entry KEYS
-		// are still trustworthy enough to report — a key is a plain string
-		// whose worst failure mode is an unparseable replan request — so a
-		// FormatVersion bump surfaces exactly which signatures it dropped.
+		// mismatch" is never mistaken for a clean no-op).
 		stats.Skipped = max(1, len(env.Entries))
 		stats.FirstErr = fmt.Errorf("%w: got %d, want %d", ErrCodecVersion, env.Version, FormatVersion)
-		for _, ent := range env.Entries {
-			if ent.Key != "" && len(stats.SkippedKeys) < maxSkippedKeys {
-				stats.SkippedKeys = append(stats.SkippedKeys, ent.Key)
-			}
-		}
 		return stats, nil
 	}
 	type loaded struct {
@@ -186,21 +163,21 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 	var plans []loaded
 	for i, ent := range env.Entries {
 		if digestOf(ent.Plan) != ent.Digest {
-			skip(ent.Key, fmt.Errorf("%w (entry %d)", ErrCodecDigest, i))
+			skip(fmt.Errorf("%w (entry %d)", ErrCodecDigest, i))
 			continue
 		}
 		var wp wirePlan
 		if err := json.Unmarshal(ent.Plan, &wp); err != nil {
-			skip(ent.Key, fmt.Errorf("plan: load cache entry %d: malformed payload: %w", i, err))
+			skip(fmt.Errorf("plan: load cache entry %d: malformed payload: %w", i, err))
 			continue
 		}
 		p, err := planIn(&wp)
 		if err != nil {
-			skip(ent.Key, fmt.Errorf("plan: load cache entry %d: %w", i, err))
+			skip(fmt.Errorf("plan: load cache entry %d: %w", i, err))
 			continue
 		}
 		if p.Key != ent.Key || ent.Key == "" {
-			skip(ent.Key, fmt.Errorf("plan: load cache entry %d: key disagrees with the plan's signature", i))
+			skip(fmt.Errorf("plan: load cache entry %d: key disagrees with the plan's signature", i))
 			continue
 		}
 		plans = append(plans, loaded{key: ent.Key, lpCost: ent.LPCost, plan: p})

@@ -12,7 +12,10 @@
 // runs the data-dependent phase against a Plan; a Planner caches Plans in a
 // concurrency-safe LRU keyed by a canonical signature of (query shape, free
 // variables or rule targets, constraint set), so repeated traffic pays the
-// (often exponential-in-query-size) planning cost once.
+// (often exponential-in-query-size) planning cost once. The signature is the
+// only key there is: every Prepare computes it (signature.go; the search
+// formats no string per candidate ordering, so it costs microseconds) and
+// looks it up in one map — nothing is remembered by query text.
 //
 // This package is deliberately data-independent: it never touches
 // internal/relation, so internal/core can layer execution on top of it

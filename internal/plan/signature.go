@@ -1,9 +1,12 @@
 package plan
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 
 	"panda/internal/bitset"
@@ -33,49 +36,13 @@ type Signature struct {
 // searching for the lexicographically minimal encoding. Queries whose
 // automorphism classes explode past it fall back to a deterministic (but not
 // rename-invariant) ordering — the cache stays correct, it just treats such
-// renamings as distinct. Canonicalization only runs when a Prepare's exact
-// fingerprint is unregistered (see Fingerprint and maxExactsPerPlan), so
-// this bounds a per-new-query-text cost, not a per-Prepare cost.
+// renamings as distinct. The search runs on every Prepare that no Stmt memo
+// shields, so below the cap an all-symmetric shape pays for its orderings
+// per Prepare: the 6-cycle (720) 0.15 ms and the 7-cycle (all 5040) 1.1 ms,
+// against 7 to 35 µs for the 4- and 5-cycle (BenchmarkCanonicalize, 2-core
+// Xeon @ 2.1 GHz). Nothing in the tree plans a shape over 5 variables, so
+// that cost is unmeasured on such traffic.
 const permLimit = 5040 // 7!
-
-// Fingerprint is a strictly order-sensitive encoding of (q, cons, mode):
-// the caller's exact variable numbering, atom order and constraint order,
-// with no sorting and no permutation search. Only byte-identical Prepare
-// calls share a fingerprint — any renaming OR reordering falls through to
-// Canonicalize once, after which its own fingerprint is registered against
-// the shared canonical entry. (Sorting here would be a bug: two queries
-// with the same atom-mask multiset but different orders need different
-// rebind permutations, so they must not share a fingerprint slot.)
-func Fingerprint(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) string {
-	return fingerprint(&q.Schema, []bitset.Set{q.Free}, cons, ResolveMode(q, mode))
-}
-
-func fingerprint(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) string {
-	var sb strings.Builder
-	writeHeader(&sb, mode, s.NumVars, heads)
-	for _, a := range s.Atoms {
-		fmt.Fprintf(&sb, ":%08x", uint32(a.Vars))
-	}
-	sb.WriteString(";C")
-	for _, c := range cons {
-		fmt.Fprintf(&sb, ":%08x/%08x/%s/g%d", uint32(c.X), uint32(c.Y), c.LogN.RatString(), c.Guard)
-	}
-	return sb.String()
-}
-
-// writeHeader starts an encoding: mode, variable count, the head section —
-// one mask for a conjunctive query's free set, the comma-separated target
-// masks for a rule — and the opening of the atom section.
-func writeHeader(sb *strings.Builder, mode Mode, n int, heads []bitset.Set) {
-	fmt.Fprintf(sb, "m%d;n%d;F", int(mode), n)
-	for i, h := range heads {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(sb, "%08x", uint32(h))
-	}
-	sb.WriteString(";A")
-}
 
 // Canonicalize computes the canonical signature of (q, cons, mode).
 func Canonicalize(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Signature, error) {
@@ -89,20 +56,21 @@ func CanonicalizeRule(r *query.Disjunctive, cons []query.DegreeConstraint) (*Sig
 	return canonicalize(&r.Schema, r.Targets, cons, ModeRule)
 }
 
+// canonicalize searches the class-respecting variable orderings for the one
+// whose key is smallest as bytes; among equal keys the first one visited
+// wins, so the visiting order (varClasses' class order, forEachClassPerm's
+// permutation order) is part of what a key means.
 func canonicalize(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Signature, error) {
 	n := s.NumVars
 	if n > 32 {
 		return nil, fmt.Errorf("plan: %d variables exceed the bitset universe", n)
 	}
-	classes := varClasses(s, heads, cons)
-	best := ""
-	var bestSig *Signature
-	tryPerm := func(perm []int) {
-		sig := encode(s, heads, cons, mode, perm)
-		if bestSig == nil || sig.Key < best {
-			best, bestSig = sig.Key, sig
-		}
+	logNs := make([]string, len(cons))
+	for k, c := range cons {
+		logNs[k] = c.LogN.RatString()
 	}
+	classes := varClasses(s, heads, cons, logNs)
+	sr := newSearch(s, heads, cons, logNs, mode)
 	if countPerms(classes) > permLimit {
 		perm := make([]int, n)
 		pos := 0
@@ -112,79 +80,84 @@ func canonicalize(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstr
 				pos++
 			}
 		}
-		tryPerm(perm)
+		sr.try(perm)
 	} else {
-		forEachClassPerm(classes, n, tryPerm)
+		forEachClassPerm(classes, n, sr.try)
 	}
-	return bestSig, nil
+	best := &sr.best
+	return &Signature{
+		Key:      string(best.key),
+		Mode:     mode,
+		VarPerm:  best.varPerm,
+		AtomPerm: best.atomPerm,
+		ConsPerm: best.consPerm,
+	}, nil
 }
 
 // varClasses partitions variables into equivalence classes by an iterated
 // structural invariant (head membership, atom arities, constraint roles,
 // then Weisfeiler–Lehman-style neighbour refinement), ordered by invariant.
-func varClasses(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint) [][]int {
+// logNs[k] is cons[k].LogN.RatString().
+func varClasses(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, logNs []string) [][]int {
 	n := s.NumVars
 	inv := make([]string, n)
+	var parts []string
 	for v := 0; v < n; v++ {
-		var parts []string
+		parts = parts[:0]
 		for _, h := range heads {
 			if h.Contains(v) {
 				parts = append(parts, "f")
 			}
 		}
-		var arities []string
+		arities := len(parts)
 		for _, a := range s.Atoms {
 			if a.Vars.Contains(v) {
-				arities = append(arities, fmt.Sprintf("a%d", a.Vars.Card()))
+				parts = append(parts, "a"+strconv.Itoa(a.Vars.Card()))
 			}
 		}
-		sort.Strings(arities)
-		parts = append(parts, arities...)
-		var roles []string
-		for _, c := range cons {
+		slices.Sort(parts[arities:])
+		roles := len(parts)
+		for k, c := range cons {
 			switch {
 			case c.X.Contains(v):
-				roles = append(roles, "x"+c.LogN.RatString())
+				parts = append(parts, "x"+logNs[k])
 			case c.Y.Contains(v):
-				roles = append(roles, "y"+c.LogN.RatString())
+				parts = append(parts, "y"+logNs[k])
 			}
 		}
-		sort.Strings(roles)
-		parts = append(parts, roles...)
+		slices.Sort(parts[roles:])
 		inv[v] = strings.Join(parts, ",")
 	}
 	// Refine by the multiset of co-occurring invariants until stable.
+	count := classCount(inv)
 	for round := 0; round < n; round++ {
 		next := make([]string, n)
-		changedShape := false
 		for v := 0; v < n; v++ {
-			var nb []string
+			nb := parts[:0] // the first pass is done with parts: reuse its storage
 			for _, a := range s.Atoms {
 				if !a.Vars.Contains(v) {
 					continue
 				}
-				for _, u := range a.Vars.Vars() {
-					if u != v {
-						nb = append(nb, inv[u])
-					}
+				for m := uint32(a.Vars.Remove(v)); m != 0; m &= m - 1 {
+					nb = append(nb, inv[bits.TrailingZeros32(m)])
 				}
 			}
-			sort.Strings(nb)
+			slices.Sort(nb)
 			next[v] = inv[v] + "|" + strings.Join(nb, ";")
-		}
-		if classCount(next) != classCount(inv) {
-			changedShape = true
+			parts = nb
 		}
 		inv = next
-		if !changedShape {
+		refined := classCount(inv)
+		if refined == count {
 			break
 		}
+		count = refined
 	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return inv[order[a]] < inv[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(inv[a], inv[b]) })
 	var classes [][]int
 	for i := 0; i < n; {
 		j := i
@@ -198,11 +171,13 @@ func varClasses(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstrai
 }
 
 func classCount(inv []string) int {
-	seen := map[string]bool{}
-	for _, s := range inv {
-		seen[s] = true
+	count := 0
+	for i, s := range inv {
+		if !slices.Contains(inv[:i], s) {
+			count++
+		}
 	}
-	return len(seen)
+	return count
 }
 
 func countPerms(classes [][]int) int {
@@ -222,111 +197,258 @@ func countPerms(classes [][]int) int {
 
 // forEachClassPerm enumerates every variable ordering that assigns
 // consecutive canonical positions to each class, permuting within classes.
+// It permutes the classes in place: each is back in the order it came in
+// whenever the class before it moves on, and on return.
 func forEachClassPerm(classes [][]int, n int, fn func(perm []int)) {
 	perm := make([]int, n)
-	var rec func(ci, pos int)
-	rec = func(ci, pos int) {
+	var rec func(ci, pos, k int)
+	rec = func(ci, pos, k int) {
 		if ci == len(classes) {
 			fn(perm)
 			return
 		}
-		cl := append([]int(nil), classes[ci]...)
-		var permute func(k int)
-		permute = func(k int) {
-			if k == len(cl) {
-				rec(ci+1, pos+len(cl))
-				return
-			}
-			for i := k; i < len(cl); i++ {
-				cl[k], cl[i] = cl[i], cl[k]
-				perm[cl[k]] = pos + k
-				permute(k + 1)
-				cl[k], cl[i] = cl[i], cl[k]
-			}
+		cl := classes[ci]
+		if k == len(cl) {
+			rec(ci+1, pos+len(cl), 0)
+			return
 		}
-		permute(0)
+		for i := k; i < len(cl); i++ {
+			cl[k], cl[i] = cl[i], cl[k]
+			perm[cl[k]] = pos + k
+			rec(ci, pos, k+1)
+			cl[k], cl[i] = cl[i], cl[k]
+		}
 	}
-	rec(0, 0)
+	rec(0, 0, 0)
 }
 
 // mapSet renames every element of s through perm.
 func mapSet(s bitset.Set, perm []int) bitset.Set {
 	var out bitset.Set
-	for _, v := range s.Vars() {
-		out = out.Add(perm[v])
+	for m := uint32(s); m != 0; m &= m - 1 {
+		out |= 1 << uint(perm[bits.TrailingZeros32(m)])
 	}
 	return out
 }
 
-// encode builds the deterministic canonical encoding of the query under a
-// fixed variable permutation, together with the induced atom and constraint
-// orders.
-func encode(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode, perm []int) *Signature {
-	// Atoms sort by renamed variable set; ties (identical atom shapes)
-	// break by the multiset of constraints each atom guards, so that e.g.
-	// two same-shape atoms with different cardinalities order canonically.
-	type atomKey struct {
-		idx  int
-		mask bitset.Set
-		tie  string
+// A key reads
+//
+//	m<mode>;n<vars>;F<head>,<head>…;A:<atom>:<atom>…;C:<x>/<y>/<logN>/g<guard>:…
+//
+// with every variable set as eight hex digits of its mask under the
+// candidate ordering: the heads sorted, the atoms sorted, then the
+// constraints sorted by their own x/y/logN/g<guard> bytes (logN a RatString,
+// guard the guarding atom's position among the sorted atoms, -1 for none;
+// both compare as text, never as numbers). Up to ";C" the key has one width
+// for every ordering of one input and hex digits sort like the numbers they
+// spell, so that part of two keys compares like the mask lists themselves.
+
+// candidate is one variable ordering's key and the permutations behind it.
+type candidate struct {
+	key []byte
+	// masks is the sorted head masks, then the sorted atom masks.
+	masks                       []uint32
+	varPerm, atomPerm, consPerm []int
+}
+
+// search scores the orderings canonicalize visits and keeps the first with
+// the smallest key. Scoring formats nothing: an ordering whose masks already
+// sort after the best one's is dropped on those integers, and the others are
+// written into a reused buffer and compared as bytes.
+type search struct {
+	s     *query.Schema
+	heads []bitset.Set
+	cons  []query.DegreeConstraint
+	logNs []string // cons[k].LogN.RatString()
+	head  []byte   // "m<mode>;n<vars>;F"
+
+	found      bool      // best holds a candidate
+	cand, best candidate // try swaps them when cand wins
+
+	atoms   []atomRef // the atoms under the ordering being scored, sorted
+	invAtom []int     // caller atom → its position in atoms
+	enc     rows      // enc.row(k): constraint k's x/y/logN/g<guard>
+	// tie is set when two atoms share a variable set: only then does atom
+	// order need the tie-break on the constraints each guards.
+	tie *tieBreak
+}
+
+type atomRef struct {
+	mask uint32
+	idx  int // caller atom index
+}
+
+// tieBreak is breakTies' scratch: ties.row(i) is caller atom i's tie-break,
+// joined from parts, the encodings of the constraints it guards, in order.
+type tieBreak struct {
+	ties, parts rows
+	order       []int
+}
+
+func newSearch(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, logNs []string, mode Mode) search {
+	n, na, nc := s.NumVars, len(s.Atoms), len(cons)
+	sr := search{
+		s: s, heads: heads, cons: cons, logNs: logNs,
+		head:    fmt.Appendf(nil, "m%d;n%d;F", int(mode), n),
+		atoms:   make([]atomRef, na),
+		invAtom: make([]int, na),
 	}
-	atoms := make([]atomKey, len(s.Atoms))
+	// Buffers are sized once: a constraint is :x/y/logN/g<guard> in the key,
+	// 21 bytes around logN and the guard (given three digits; a longer one
+	// grows the buffer).
+	consLen := 0
+	for _, logN := range logNs {
+		consLen += 24 + len(logN)
+	}
+	sr.enc = rows{buf: make([]byte, 0, consLen), end: make([]int, 0, nc)}
+	keyLen := len(sr.head) + 9*(len(heads)+na) + len(";A;C") + consLen
+	for _, c := range []*candidate{&sr.cand, &sr.best} {
+		ints := make([]int, n+na+nc)
+		c.varPerm, c.atomPerm, c.consPerm = ints[:n:n], ints[n:n+na:n+na], ints[n+na:]
+		c.masks = make([]uint32, len(heads)+na)
+		c.key = make([]byte, 0, keyLen)
+	}
 	for i, a := range s.Atoms {
-		var guarded []string
-		for _, c := range cons {
-			if c.Guard == i {
-				guarded = append(guarded,
-					fmt.Sprintf("%08x/%08x/%s", uint32(mapSet(c.X, perm)), uint32(mapSet(c.Y, perm)), c.LogN.RatString()))
+		if slices.ContainsFunc(s.Atoms[:i], func(b query.Atom) bool { return b.Vars == a.Vars }) {
+			sr.tie = &tieBreak{}
+			break
+		}
+	}
+	return sr
+}
+
+func byMask(a, b atomRef) int { return cmp.Compare(a.mask, b.mask) }
+
+// try scores the ordering perm (caller variable → canonical index).
+func (sr *search) try(perm []int) {
+	c := &sr.cand
+	nh := len(sr.heads)
+	for i, h := range sr.heads {
+		c.masks[i] = uint32(mapSet(h, perm))
+	}
+	slices.Sort(c.masks[:nh])
+	for i, a := range sr.s.Atoms {
+		sr.atoms[i] = atomRef{mask: uint32(mapSet(a.Vars, perm)), idx: i}
+	}
+	slices.SortStableFunc(sr.atoms, byMask)
+	for j, a := range sr.atoms {
+		c.masks[nh+j] = a.mask
+	}
+	order := -1
+	if sr.found {
+		if order = slices.Compare(c.masks, sr.best.masks); order > 0 {
+			return
+		}
+	}
+
+	if sr.tie != nil {
+		sr.breakTies(perm)
+	}
+	for j, a := range sr.atoms {
+		c.atomPerm[j] = a.idx
+		sr.invAtom[a.idx] = j
+	}
+	sr.enc.reset()
+	for k, con := range sr.cons {
+		g := -1
+		if con.Guard >= 0 && con.Guard < len(sr.invAtom) {
+			g = sr.invAtom[con.Guard]
+		}
+		b := append(sr.appendCons(sr.enc.buf, k, perm), "/g"...)
+		sr.enc.buf = strconv.AppendInt(b, int64(g), 10)
+		sr.enc.close()
+		c.consPerm[k] = k
+	}
+	slices.SortStableFunc(c.consPerm, func(a, b int) int { return bytes.Compare(sr.enc.row(a), sr.enc.row(b)) })
+
+	key := append(c.key[:0], sr.head...)
+	for i, h := range c.masks[:nh] {
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key = appendHex8(key, h)
+	}
+	key = append(key, ";A"...)
+	for _, m := range c.masks[nh:] {
+		key = appendHex8(append(key, ':'), m)
+	}
+	key = append(key, ";C"...)
+	for _, k := range c.consPerm {
+		key = append(append(key, ':'), sr.enc.row(k)...)
+	}
+	c.key = key
+	if order < 0 || bytes.Compare(c.key, sr.best.key) < 0 {
+		copy(c.varPerm, perm)
+		sr.cand, sr.best = sr.best, sr.cand
+		sr.found = true
+	}
+}
+
+// breakTies orders atoms with one variable set by the constraints each
+// guards — their x/y/logN encodings, sorted and joined by '+', compared as
+// text — so that e.g. two same-shape atoms with different cardinalities
+// order canonically. Atoms it cannot tell apart stay in caller order.
+func (sr *search) breakTies(perm []int) {
+	t := sr.tie
+	t.ties.reset()
+	for i := range sr.s.Atoms {
+		t.parts.reset()
+		t.order = t.order[:0]
+		for k, con := range sr.cons {
+			if con.Guard == i {
+				t.parts.buf = sr.appendCons(t.parts.buf, k, perm)
+				t.parts.close()
+				t.order = append(t.order, len(t.order))
 			}
 		}
-		sort.Strings(guarded)
-		atoms[i] = atomKey{idx: i, mask: mapSet(a.Vars, perm), tie: strings.Join(guarded, "+")}
-	}
-	sort.SliceStable(atoms, func(a, b int) bool {
-		if atoms[a].mask != atoms[b].mask {
-			return atoms[a].mask < atoms[b].mask
+		slices.SortFunc(t.order, func(a, b int) int { return bytes.Compare(t.parts.row(a), t.parts.row(b)) })
+		for j, p := range t.order {
+			if j > 0 {
+				t.ties.buf = append(t.ties.buf, '+')
+			}
+			t.ties.buf = append(t.ties.buf, t.parts.row(p)...)
 		}
-		return atoms[a].tie < atoms[b].tie
+		t.ties.close()
+	}
+	slices.SortStableFunc(sr.atoms, func(a, b atomRef) int {
+		if c := cmp.Compare(a.mask, b.mask); c != 0 {
+			return c
+		}
+		return bytes.Compare(t.ties.row(a.idx), t.ties.row(b.idx))
 	})
-	atomPerm := make([]int, len(atoms))
-	invAtom := make([]int, len(atoms))
-	for j, a := range atoms {
-		atomPerm[j] = a.idx
-		invAtom[a.idx] = j
+}
+
+// appendCons appends constraint k's x/y/logN under perm.
+func (sr *search) appendCons(dst []byte, k int, perm []int) []byte {
+	c := &sr.cons[k]
+	dst = append(appendHex8(dst, uint32(mapSet(c.X, perm))), '/')
+	dst = append(appendHex8(dst, uint32(mapSet(c.Y, perm))), '/')
+	return append(dst, sr.logNs[k]...)
+}
+
+// appendHex8 appends v as %08x.
+func appendHex8(dst []byte, v uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[v>>shift&15])
 	}
-	type consKey struct {
-		idx int
-		enc string
+	return dst
+}
+
+// rows is a list of byte strings laid end to end in one reused buffer: a
+// row is appended to buf, then closed.
+type rows struct {
+	buf []byte
+	end []int // end[i] is where row i stops
+}
+
+func (r *rows) reset() { r.buf, r.end = r.buf[:0], r.end[:0] }
+func (r *rows) close() { r.end = append(r.end, len(r.buf)) }
+
+func (r *rows) row(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = r.end[i-1]
 	}
-	cks := make([]consKey, len(cons))
-	for i, c := range cons {
-		g := -1
-		if c.Guard >= 0 && c.Guard < len(invAtom) {
-			g = invAtom[c.Guard]
-		}
-		cks[i] = consKey{idx: i, enc: fmt.Sprintf("%08x/%08x/%s/g%d",
-			uint32(mapSet(c.X, perm)), uint32(mapSet(c.Y, perm)), c.LogN.RatString(), g)}
-	}
-	sort.SliceStable(cks, func(a, b int) bool { return cks[a].enc < cks[b].enc })
-	consPerm := make([]int, len(cks))
-	canonHeads := remapSets(heads, perm)
-	slices.Sort(canonHeads)
-	var sb strings.Builder
-	writeHeader(&sb, mode, s.NumVars, canonHeads)
-	for _, a := range atoms {
-		fmt.Fprintf(&sb, ":%08x", uint32(a.mask))
-	}
-	sb.WriteString(";C")
-	for k, c := range cks {
-		consPerm[k] = c.idx
-		sb.WriteString(":")
-		sb.WriteString(c.enc)
-	}
-	return &Signature{
-		Key:      sb.String(),
-		Mode:     mode,
-		VarPerm:  append([]int(nil), perm...),
-		AtomPerm: atomPerm,
-		ConsPerm: consPerm,
-	}
+	return r.buf[start:r.end[i]]
 }

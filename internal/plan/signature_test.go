@@ -177,27 +177,6 @@ func TestSignatureDistinguishesShape(t *testing.T) {
 	}
 }
 
-// TestFingerprintOrderSensitive: the exact-fingerprint fast path keys on
-// byte identity. Queries with the same atom-mask multiset but a different
-// atom order need different rebind permutations, so they must NOT share a
-// fingerprint (regression: reusing the sorted canonical encoding here once
-// rebound reordered queries with the wrong signature).
-func TestFingerprintOrderSensitive(t *testing.T) {
-	q1, c1 := cycleQuery(4, nil, nil, 100)
-	q2, c2 := cycleQuery(4, nil, []int{2, 0, 3, 1}, 100)
-	if Fingerprint(q1, c1, ModeFhtw) == Fingerprint(q2, c2, ModeFhtw) {
-		t.Fatal("atom-reordered queries share a fingerprint")
-	}
-	if Fingerprint(q1, c1, ModeFhtw) != Fingerprint(q1, c1, ModeFhtw) {
-		t.Fatal("fingerprint is not deterministic")
-	}
-	// Mode resolution is part of the fingerprint, so ModeAuto and its
-	// resolution collapse to one slot.
-	if Fingerprint(q1, c1, ModeAuto) != Fingerprint(q1, c1, ModeFull) {
-		t.Fatal("ModeAuto and resolved mode fingerprint differently")
-	}
-}
-
 // TestSignaturePermutationsAreValid: the recorded permutations must be
 // bijections consistent with the caller's shapes.
 func TestSignaturePermutationsAreValid(t *testing.T) {
@@ -223,5 +202,27 @@ func TestSignaturePermutationsAreValid(t *testing.T) {
 			t.Fatalf("ConsPerm %v is not a permutation", sig.ConsPerm)
 		}
 		seen[p] = true
+	}
+}
+
+// TestCanonicalizeAllocs: scoring an ordering allocates nothing, so a
+// canonicalisation costs its set-up — buffers, the variable classes, the
+// result — however many orderings it visits. Formatting one key per
+// ordering spent 2,376 allocations on the first case and 540 on the second.
+func TestCanonicalizeAllocs(t *testing.T) {
+	q, cons := cycleQuery(4, nil, nil, 100)
+	for _, tc := range []struct {
+		name    string
+		cons    []query.DegreeConstraint
+		ceiling float64
+	}{{"4-cycle with cardinalities", cons, 200}, {"bare 4-cycle", nil, 100}} {
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := Canonicalize(q, tc.cons, ModeSubw); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs per Canonicalize, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
 	}
 }

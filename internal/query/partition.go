@@ -77,17 +77,3 @@ func PartitionInstance(s *Schema, ins *Instance, k int) []*Instance {
 	}
 	return subs
 }
-
-// PartitionHint returns the largest partition count recorded on the
-// instance's relations (see relation.SetPartitionHint) — the catalog-driven
-// default the executor falls back to when no explicit partition count is
-// configured.
-func PartitionHint(ins *Instance) int {
-	best := 0
-	for _, r := range ins.Relations {
-		if h := r.PartitionHint(); h > best {
-			best = h
-		}
-	}
-	return best
-}

@@ -173,16 +173,3 @@ func TestPartitionCoPartitioned(t *testing.T) {
 		t.Fatal("Partition(1) should return the relation itself")
 	}
 }
-
-// TestPartitionHintClamp: negative hints clamp to unset.
-func TestPartitionHintClamp(t *testing.T) {
-	r := New("R", bitset.Of(0))
-	r.SetPartitionHint(-3)
-	if r.PartitionHint() != 0 {
-		t.Fatalf("negative hint not clamped: %d", r.PartitionHint())
-	}
-	r.SetPartitionHint(8)
-	if r.PartitionHint() != 8 {
-		t.Fatalf("hint = %d, want 8", r.PartitionHint())
-	}
-}

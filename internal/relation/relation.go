@@ -67,11 +67,6 @@ type Relation struct {
 	// counts the way a cardinality check could be).
 	mut uint64
 
-	// partHint is the partition count recorded for this relation (catalog
-	// entries carry it so the executor can pick a data-parallel fan-out
-	// without an explicit per-query option); 0 means unset.
-	partHint int
-
 	// scratch is reused by Insert to intern into; writes are externally
 	// synchronized so a single buffer suffices.
 	scratch []uint32
@@ -169,19 +164,6 @@ func (r *Relation) Interner() *Interner { return r.in }
 // Column returns the id vector of tuple position i; callers must treat it
 // as read-only. Ids decode through Interner().ValueOf.
 func (r *Relation) Column(i int) []uint32 { return r.data[i][:r.nrows:r.nrows] }
-
-// SetPartitionHint records the partition count for this relation (0 clears
-// it). The executor uses the largest hint across a query's relations as the
-// data-parallel fan-out when no explicit partition option is given.
-func (r *Relation) SetPartitionHint(k int) {
-	if k < 0 {
-		k = 0
-	}
-	r.partHint = k
-}
-
-// PartitionHint returns the recorded partition count (0 when unset).
-func (r *Relation) PartitionHint() int { return r.partHint }
 
 // hashIDs hashes an id-tuple.
 func hashIDs(ids []uint32) uint64 {
@@ -882,8 +864,7 @@ func (r *Relation) Clone(name string) *Relation {
 // a catalog relation into a query instance cheap. Columns are
 // capacity-capped, so a later append to either relation reallocates rather
 // than aliasing; the snapshot rebuilds its dedup table lazily on first
-// mutation or membership probe. Ticks, marks and hints are not carried
-// over.
+// mutation or membership probe. Ticks and marks are not carried over.
 func (r *Relation) Snapshot(name string) *Relation {
 	out := &Relation{
 		Name:  name,

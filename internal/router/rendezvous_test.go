@@ -118,8 +118,8 @@ func TestRankTotalOrder(t *testing.T) {
 
 // TestShapeOfRenamingInvariant: variable renamings and atom reorderings of
 // the same query compute the same routing shape — the property that makes
-// a replica's exact-fingerprint and signature caches both hit for the
-// whole renaming class the router sends it.
+// a replica's plan cache hit for the whole renaming class the router sends
+// it.
 func TestShapeOfRenamingInvariant(t *testing.T) {
 	variants := []string{
 		`Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`,

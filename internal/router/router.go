@@ -169,7 +169,6 @@ type Router struct {
 	client   *http.Client
 	timeout  time.Duration
 	logf     func(string, ...any)
-	shapes   *shapeCache
 	metrics  *telemetry
 	mux      *http.ServeMux
 	start    time.Time
@@ -243,7 +242,6 @@ func New(cfg Config) (*Router, error) {
 		client:     cfg.Client,
 		timeout:    cfg.ProxyTimeout,
 		logf:       cfg.Logf,
-		shapes:     newShapeCache(0),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		watermarks: map[string]uint64{},
@@ -661,7 +659,7 @@ func (r *Router) plannedShape(ctx context.Context, src, mode string) string {
 	if src == "" {
 		return src
 	}
-	shape, err := r.shapes.shape(src, mode)
+	shape, err := shapeOf(src, mode)
 	if err != nil {
 		return src
 	}

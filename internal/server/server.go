@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -104,14 +103,6 @@ type Server struct {
 	mux         *http.ServeMux
 	name        string
 	start       time.Time
-
-	// Background re-planning (the cross-version migration shim): when an
-	// import drops entries for a FormatVersion mismatch, their signature
-	// keys are re-planned off the request path. replanWG is drained by
-	// Shutdown so a terminating process never abandons half a migration.
-	replanWG     sync.WaitGroup
-	replanKeys   atomic.Uint64 // signatures rebuilt in the background
-	replanSolves atomic.Uint64 // LP solves those rebuilds paid
 
 	// catalogEpoch counts the catalog mutations this process has applied
 	// (relation create/drop, row and CSV ingest over HTTP). Replicas behind
@@ -199,7 +190,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
-		s.replanWG.Wait()
 		close(done)
 	}()
 	select {
@@ -721,40 +711,10 @@ func (s *Server) handleImportPlans(w http.ResponseWriter, r *http.Request) {
 	if stats.Skipped > 0 {
 		body["error"] = stats.FirstErr.Error()
 		body["code"] = codeOf(stats.FirstErr)
-		if len(stats.SkippedKeys) > 0 {
-			body["skipped_keys"] = stats.SkippedKeys
-			// The cross-version migration shim: a FormatVersion mismatch
-			// dropped decodable keys, so rebuild them off the request path
-			// rather than letting traffic re-pay their LP solves one cold
-			// miss at a time. The key list is already bounded by the load
-			// stats cap, and Shutdown waits for the rebuild.
-			if errors.Is(stats.FirstErr, panda.ErrPlanVersion) {
-				s.backgroundReplan(stats.SkippedKeys)
-			}
-		}
 		metrics.WriteJSON(w, http.StatusUnprocessableEntity, body)
 		return
 	}
 	metrics.WriteJSON(w, http.StatusOK, body)
-}
-
-// backgroundReplan rebuilds the given signature keys asynchronously,
-// logging the outcome and counting the work into the /v1/info replan
-// stats. Keys already cached are free no-ops, so concurrent or repeated
-// imports of the same stale snapshot do not multiply LP work.
-func (s *Server) backgroundReplan(keys []string) {
-	s.replanWG.Add(1)
-	go func() {
-		defer s.replanWG.Done()
-		done, solves, err := s.db.ReplanSignatures(context.Background(), keys)
-		s.replanKeys.Add(uint64(done))
-		s.replanSolves.Add(uint64(solves))
-		if err != nil {
-			log.Printf("pandad: background replan: %d/%d signatures rebuilt (%d LP solves), aborted: %v", done, len(keys), solves, err)
-			return
-		}
-		log.Printf("pandad: background replan: %d signatures rebuilt (%d LP solves)", done, solves)
-	}()
 }
 
 // ---- /healthz and /v1/info ----
@@ -788,10 +748,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 			"lp_solves":       st.LPSolves,
 			"lp_solves_saved": st.LPSolvesSaved,
 			"plans_built":     st.PlansBuilt,
-		},
-		"replans": map[string]any{
-			"keys":      s.replanKeys.Load(),
-			"lp_solves": s.replanSolves.Load(),
 		},
 	})
 }

@@ -191,62 +191,6 @@ func TestPartitionedRuleParity(t *testing.T) {
 	}
 }
 
-// TestPartitionHintDrivesExecution: a partition hint recorded on a catalog
-// relation makes queries execute partitioned by default — byte-identical to
-// the same query with an explicit WithPartitions of the hint — and an
-// explicit WithPartitions(1) overrides the hint back to sequential.
-func TestPartitionHintDrivesExecution(t *testing.T) {
-	q := TriangleQuery()
-	db := Open(WithTrace(true))
-	defer db.Close()
-	loadCatalog(t, db, &q.Schema, RandomInstance(8, &q.Schema, 400, 24))
-
-	seq, err := db.Query(triangleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := db.Query(triangleSrc, WithPartitions(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetPartitionHint("R", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetPartitionHint("missing", 3); !errors.Is(err, ErrUnknownRelation) {
-		t.Fatalf("hint on unknown relation: got %v", err)
-	}
-	hinted, err := db.Query(triangleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(hinted.Rows(), explicit.Rows()) ||
-		hinted.Stats.MaxIntermediate != explicit.Stats.MaxIntermediate ||
-		!reflect.DeepEqual(hinted.Stats.Trace, explicit.Stats.Trace) {
-		t.Fatal("hinted run is not byte-identical to the explicit WithPartitions(3) run")
-	}
-	// An explicit partition count of 1 overrides the hint: byte-identical
-	// to the pre-hint sequential run.
-	forced, err := db.Query(triangleSrc, WithPartitions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(forced.Rows(), seq.Rows()) ||
-		!reflect.DeepEqual(forced.Stats.Trace, seq.Stats.Trace) {
-		t.Fatal("WithPartitions(1) did not override the catalog hint")
-	}
-	// Clearing the hint restores sequential-by-default.
-	if err := db.SetPartitionHint("R", 0); err != nil {
-		t.Fatal(err)
-	}
-	cleared, err := db.Query(triangleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cleared.Stats.Trace, seq.Stats.Trace) {
-		t.Fatal("clearing the hint did not restore sequential execution")
-	}
-}
-
 // TestPartitionedCancellation: cancelling mid-run aborts the per-partition
 // worker pool and surfaces ctx.Err(). The fixture is the full 4-cycle worst
 // case split across partitions — each partition still materializes a large
