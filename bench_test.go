@@ -1,6 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper (see
-// DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured values). Each benchmark is self-contained; shapes
+// Benchmarks regenerating every table and figure of the paper (the same
+// experiments cmd/experiments prints, whose usage line is the index). Each
+// benchmark is self-contained; shapes
 // (who wins, by what factor) are the reproduction target, not absolute
 // times.
 package panda

@@ -1,6 +1,8 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation-relevant content (see DESIGN.md's experiment index and
-// EXPERIMENTS.md for paper-vs-measured values).
+// evaluation-relevant content. The usage line below is the experiment
+// index — each name is the paper's own label (Table 1, Figure 9, Example
+// 7.4, Theorem 1.3, Lemma 4.4, …) — and each experiment prints the paper's
+// value next to the measured one.
 //
 // Usage:
 //

@@ -33,8 +33,10 @@
 // query at or over the threshold; -pprof mounts net/http/pprof under
 // /debug/pprof/.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, in-flight
-// queries drain, the plan cache is snapshotted, then the session closes.
+// SIGINT/SIGTERM trigger a graceful shutdown: the listener stops and, at
+// the same moment, new requests are refused and /v1/watch streams end;
+// in-flight queries drain, the plan cache is snapshotted, then the session
+// closes.
 package main
 
 import (
@@ -116,6 +118,9 @@ func main() {
 		Name:               *name,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv}
+	// The drain begins with the listener's shutdown, not after it: an open
+	// /v1/watch stream would otherwise keep hs.Shutdown waiting out -drain.
+	hs.RegisterOnShutdown(srv.BeginDrain)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

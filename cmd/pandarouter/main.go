@@ -10,17 +10,20 @@
 // (the renaming-invariant plan signature, computed on the router without
 // catalog access or LP work) via rendezvous hashing, so each query shape
 // consistently lands on one replica and the fleet's plan/stmt caches stay
-// hot and disjoint. New shapes are planned once on the designated planning
-// tier and the fresh plans are shipped to every replica (delta pulls over
-// GET /v1/plans?since=, imports over PUT /v1/plans) before the query is
-// forwarded — replicas serve with zero LP solves. Replicas are probed on
-// /healthz; a failed or draining replica is failed over with one bounded
-// retry per downed candidate, and its query shapes move wholesale to their
-// next-ranked replica (rendezvous hashing moves nothing else).
+// hot and disjoint. A new shape is planned once on the designated planning
+// tier, which names the plan by its signature key, and that plan is shipped
+// to every replica (GET /v1/plans?key= on the planner, PUT /v1/plans on the
+// replicas) before the query is forwarded — replicas serve with zero LP
+// solves. A replica that missed a shipment (down, quarantined, or there
+// before this router started) is behind until the catch-up loop has sent it
+// the planner's whole cache. Replicas are probed on /healthz; a failed or
+// draining replica is failed over with one bounded retry per downed
+// candidate, and its query shapes move wholesale to their next-ranked
+// replica (rendezvous hashing moves nothing else).
 //
 // Catalog mutations are broadcast to the planning tier and all replicas.
 // GET /metrics exposes per-replica and per-shape routing counters;
-// GET /v1/info reports replica health and push watermarks.
+// GET /v1/info reports each replica's health, quarantine and behind state.
 package main
 
 import (
@@ -45,7 +48,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs (required)")
 	planner := flag.String("planner", "", "planning-tier base URL (required)")
-	pushEvery := flag.Duration("push-every", 2*time.Second, "background plan delta push period")
+	pushEvery := flag.Duration("push-every", 2*time.Second, "catch-up period: how often replicas that are behind are sent the planner's whole plan cache")
 	probeEvery := flag.Duration("probe-every", 500*time.Millisecond, "replica health probe period")
 	proxyTimeout := flag.Duration("proxy-timeout", 30*time.Second, "per-attempt proxy deadline")
 	drain := flag.Duration("drain", 15*time.Second, "how long shutdown waits for in-flight requests")

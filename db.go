@@ -75,7 +75,7 @@ type config struct {
 	plannerCap    int
 	planDir       string
 	watchQueue    int
-	watchFallback bool
+	watchFallback bool // set by the in-package parity test only; see Watch.round
 }
 
 // Option tunes a DB (at Open) or a single query run (at Prepare / Query /
@@ -476,14 +476,17 @@ func (db *DB) LoadCSVDir(dir string) error {
 const PlanSnapshotFile = "plans.json"
 
 // SavePlans writes the session planner's cached plans to w in the
-// versioned panda-plan-cache format. Another session — a restarted server,
-// or a replica fed from a planning tier — re-seeds from it with LoadPlans
-// and answers the covered queries with zero LP solves.
-func (db *DB) SavePlans(w io.Writer) error {
+// versioned panda-plan-cache format: the whole cache, or — given keys —
+// exactly the plans under those canonical signature keys (PlanInfo.Key;
+// an unknown key exports nothing), which is how the fleet tier ships one
+// first-sighted plan. Another session — a restarted server, or a replica
+// fed from a planning tier — re-seeds from it with LoadPlans and answers the
+// covered queries with zero LP solves.
+func (db *DB) SavePlans(w io.Writer, keys ...string) error {
 	if db.isClosed() {
 		return ErrClosed
 	}
-	return db.planner.SaveCache(w)
+	return db.planner.SaveCache(w, keys...)
 }
 
 // LoadPlans imports a plan-cache snapshot into the session planner.
@@ -495,29 +498,6 @@ func (db *DB) LoadPlans(r io.Reader) (PlanCacheLoadStats, error) {
 		return PlanCacheLoadStats{}, ErrClosed
 	}
 	return db.planner.LoadCache(r)
-}
-
-// SavePlansSince writes only the plans installed after the given cache
-// clock — see DB.PlanClock. since = 0 is a full snapshot. The fleet tier
-// pulls deltas with this (via GET /v1/plans?since=) so pushes to replicas
-// stay proportional to what was planned since the last pull, not to the
-// whole cache.
-func (db *DB) SavePlansSince(w io.Writer, since uint64) error {
-	if db.isClosed() {
-		return ErrClosed
-	}
-	return db.planner.SaveCacheSince(w, since)
-}
-
-// PlanClock reports the session planner's cache clock: a monotone count of
-// plan installs (fresh builds plus imports; never reset). A consumer that
-// remembers the clock from a snapshot envelope and later calls
-// SavePlansSince with it receives exactly the plans installed in between.
-func (db *DB) PlanClock() uint64 {
-	if db.isClosed() {
-		return 0
-	}
-	return db.planner.CacheClock()
 }
 
 // LoadPlanDir loads the PlanSnapshotFile snapshot from the configured plan

@@ -33,6 +33,12 @@ var (
 	// int32). The batch is refused whole.
 	ErrTooManyRows = relation.ErrTooManyRows
 
+	// ErrTooManyValues reports an insert or CSV load whose values the
+	// process-wide intern table might have no ids left for (2³²−1 distinct
+	// values: value ids are uint32; the check counts every cell of the batch
+	// as a new value). The batch is refused whole.
+	ErrTooManyValues = relation.ErrTooManyValues
+
 	// ErrUnboundedLP reports that planning's polymatroid-bound LP is
 	// unbounded: the constraint set does not bound every target, typically
 	// because an atom lacks a cardinality constraint. The catalog-bound

@@ -42,23 +42,14 @@ const DefaultCacheSize = 128
 // hits. A leader that is cancelled or fails hands the build to the next
 // waiter, so one plan is built per shape however the herd is scheduled.
 //
-// Eviction is cost-weighted (GreedyDual): each entry carries a priority of
-// clock + lpCost, refreshed on every hit, and the entry with the lowest
-// priority is evicted when the cache is over capacity, advancing the clock
-// to the evicted priority. An expensive plan (many LP solves to rebuild)
-// therefore outlives cheaper entries that were touched more recently; when
-// build costs are equal the policy degenerates to plain LRU (ties are
-// broken toward the least recently used entry).
+// Eviction is plain LRU: a hit, a fresh build or an import puts the entry at
+// the front of one list, and the entry at the back goes when the cache is
+// over capacity. One map, no clocks: the planner counts no installs and ages
+// no entries, because a plan's signature is its only name — in the cache, in
+// a snapshot and on the wire (SaveCache exports by key).
 type Planner struct {
 	mu    sync.Mutex
 	cap   int
-	clock uint64 // GreedyDual aging clock, in LP-solve units
-	// seq is the cache clock: a monotone counter bumped once per installed
-	// entry (fresh build or import). Delta snapshots (SaveCacheSince) and
-	// the fleet push loop compare watermarks against it; unlike the
-	// GreedyDual clock it never moves backwards, not even on Reset, so a
-	// remote watermark can never be fooled into skipping new entries.
-	seq   uint64
 	ll    *list.List               // front = most recently used
 	index map[string]*list.Element // canonical Key → element; value is *entry
 	// building holds the in-flight build of each signature key being
@@ -83,12 +74,11 @@ type build struct {
 	waiters int // calls parked on done (guarded by Planner.mu); tests wait on it to know the herd has formed
 }
 
+// entry is one cached plan; it is immutable once installed.
 type entry struct {
 	key    string
 	plan   *Plan  // canonical space
 	lpCost uint64 // LP solves the original build paid; credited per hit
-	pri    uint64 // eviction priority: clock-at-touch + lpCost
-	gen    uint64 // cache-clock value at install; SaveCacheSince filters on it
 }
 
 // NewPlanner returns a Planner whose cache holds up to capacity plans
@@ -105,32 +95,12 @@ func NewPlanner(capacity int) *Planner {
 	}
 }
 
-// evictionScanWindow bounds how many entries (from the LRU end) one
-// eviction examines, keeping eviction O(1) in the cache capacity. Within
-// the window the choice is exact GreedyDual; an expensive entry outside it
-// is by definition recently used and not at risk.
-const evictionScanWindow = 32
-
-// evictOverCap drops entries beyond capacity, choosing the victim by
-// lowest GreedyDual priority (clock-at-touch + LP build cost) rather than
-// pure recency; scanning starts at the LRU end so equal-cost entries fall
-// back to LRU order. The clock advances to the victim's priority, which is
-// what ages the survivors: an untouched entry's head start shrinks with
-// every eviction until only its build cost protects it. Caller holds pl.mu.
+// evictOverCap drops the least recently used entries beyond capacity. Caller
+// holds pl.mu.
 func (pl *Planner) evictOverCap() {
 	for pl.ll.Len() > pl.cap {
-		victim := pl.ll.Back()
-		for el, n := victim.Prev(), 1; el != nil && n < evictionScanWindow; el, n = el.Prev(), n+1 {
-			if el.Value.(*entry).pri < victim.Value.(*entry).pri {
-				victim = el
-			}
-		}
-		pl.ll.Remove(victim)
-		ent := victim.Value.(*entry)
+		ent := pl.ll.Remove(pl.ll.Back()).(*entry)
 		delete(pl.index, ent.key)
-		if ent.pri > pl.clock {
-			pl.clock = ent.pri
-		}
 		pl.stats.Evictions++
 	}
 }
@@ -211,7 +181,6 @@ func (pl *Planner) prepare(ctx context.Context, s *query.Schema, heads []bitset.
 func (pl *Planner) hit(el *list.Element) *Plan {
 	pl.ll.MoveToFront(el)
 	ent := el.Value.(*entry)
-	ent.pri = pl.clock + ent.lpCost
 	pl.stats.Hits++
 	pl.stats.LPSolvesSaved += ent.lpCost
 	return ent.plan
@@ -246,8 +215,7 @@ func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, s *query.
 	pl.stats.PlansBuilt++
 	pl.stats.LPSolves += cost
 	if _, imported := pl.index[sig.Key]; !imported { // a LoadCache may have installed the key while this build ran
-		pl.seq++
-		pl.index[sig.Key] = pl.ll.PushFront(&entry{key: sig.Key, plan: canon, lpCost: cost, pri: pl.clock + cost, gen: pl.seq})
+		pl.index[sig.Key] = pl.ll.PushFront(&entry{key: sig.Key, plan: canon, lpCost: cost})
 	}
 	pl.evictOverCap()
 	return p, nil
@@ -277,29 +245,6 @@ func (pl *Planner) Keys() []string {
 		out = append(out, el.Value.(*entry).key)
 	}
 	return out
-}
-
-// Reset empties the cache and zeroes the counters. The cache clock is NOT
-// reset: it only ever moves forward, so delta watermarks held by remote
-// pushers stay sound across a Reset (the re-added entries get fresh, higher
-// generations and are exported again).
-func (pl *Planner) Reset() {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.ll.Init()
-	pl.index = map[string]*list.Element{}
-	pl.stats = Stats{}
-	pl.clock = 0
-}
-
-// CacheClock reports the cache clock: the number of entry installs (fresh
-// builds plus imports) this planner has performed. SaveCacheSince(w, c)
-// with a clock captured earlier exports exactly the entries installed in
-// between; the fleet push loop uses it as its per-replica watermark.
-func (pl *Planner) CacheClock() uint64 {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.seq
 }
 
 func (s Stats) String() string {

@@ -201,52 +201,8 @@ func TestPlannerRepeatedReorderedHit(t *testing.T) {
 	}
 }
 
-// TestPlannerCostWeightedEviction: eviction weighs the recorded LP build
-// cost, so an expensive plan outlives cheaper entries prepared after it —
-// the case pure LRU gets wrong for a server whose hot set exceeds the cap.
-func TestPlannerCostWeightedEviction(t *testing.T) {
-	pl := NewPlanner(2)
-	qE, cE := cycleQuery(4, nil, nil, 100)
-	if _, err := pl.Prepare(qE, cE, ModeSubw); err != nil {
-		t.Fatal(err)
-	}
-	costE := pl.Stats().LPSolves
-	qA, cA := cycleQuery(3, nil, nil, 4)
-	if _, err := pl.Prepare(qA, cA, ModeFull); err != nil {
-		t.Fatal(err)
-	}
-	costA := pl.Stats().LPSolves - costE
-	if costE <= costA {
-		t.Fatalf("fixture assumption broken: subw 4-cycle cost %d not above full 3-cycle cost %d", costE, costA)
-	}
-	// A third (cheap) plan forces an eviction. The expensive subw plan is
-	// the least recently used entry, but the cheap triangle plan must be
-	// the victim.
-	qB, cB := cycleQuery(3, nil, nil, 8)
-	if _, err := pl.Prepare(qB, cB, ModeFull); err != nil {
-		t.Fatal(err)
-	}
-	if ev := pl.Stats().Evictions; ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-	misses := pl.Stats().Misses
-	if _, err := pl.Prepare(qE, cE, ModeSubw); err != nil {
-		t.Fatal(err)
-	}
-	if got := pl.Stats(); got.Misses != misses {
-		t.Fatalf("expensive plan was evicted despite its cost: %v", got)
-	}
-	if _, err := pl.Prepare(qA, cA, ModeFull); err != nil {
-		t.Fatal(err)
-	}
-	if got := pl.Stats().Misses; got != misses+1 {
-		t.Fatalf("cheap plan should have been the victim (misses %d → %d)", misses, got)
-	}
-}
-
-// TestPlannerLRUEviction: with equal build costs the cost-weighted policy
-// degenerates to plain LRU — the least recently used plan is evicted first,
-// and touching a plan refreshes it.
+// TestPlannerLRUEviction: the least recently used plan is evicted first, and
+// touching a plan refreshes it.
 func TestPlannerLRUEviction(t *testing.T) {
 	pl := NewPlanner(2)
 	mk := func(card int64) (string, error) {
@@ -331,19 +287,6 @@ func TestPlannerConcurrent(t *testing.T) {
 	}
 	if st.Misses < 3 {
 		t.Fatalf("expected at least 3 misses for 3 signatures: %v", st)
-	}
-}
-
-// TestPlannerReset clears state.
-func TestPlannerReset(t *testing.T) {
-	pl := NewPlanner(2)
-	q, cons := cycleQuery(3, nil, nil, 4)
-	if _, err := pl.Prepare(q, cons, ModeFull); err != nil {
-		t.Fatal(err)
-	}
-	pl.Reset()
-	if pl.Len() != 0 || pl.Stats() != (Stats{}) {
-		t.Fatal("Reset left state behind")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Cache persistence: a Planner's contents — canonical-space plans keyed by
@@ -18,20 +19,12 @@ import (
 // LoadCache is deliberately forgiving: an entry with a version or digest
 // mismatch, a malformed payload, or an inconsistent plan is skipped — never
 // fatal — so one stale or corrupted entry cannot keep a server from warm-
-// starting on the rest. Each loaded entry re-seeds its GreedyDual eviction
-// priority from the recorded LP cost, so an expensive imported plan is as
-// eviction-resistant as it was in the donor process, and every later cache
-// hit on it credits LPSolvesSaved with that same cost.
+// starting on the rest. Each loaded entry keeps the LP cost its build paid,
+// so every later cache hit on it credits LPSolvesSaved with that same cost.
 
 type cacheEnvelope struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-	// Clock is the exporting planner's cache clock at snapshot time. A
-	// delta consumer (the router's push loop) records it as its watermark
-	// and asks for "entries newer than Clock" next time; full snapshots
-	// carry it too, so the first delta after a full import starts correct.
-	// Absent (0) in snapshots written before the field existed.
-	Clock   uint64       `json:"clock,omitempty"`
+	Format  string       `json:"format"`
+	Version int          `json:"version"`
 	Entries []cacheEntry `json:"entries"`
 }
 
@@ -67,51 +60,43 @@ func (s CacheLoadStats) String() string {
 	return fmt.Sprintf("loaded=%d skipped=%d duplicates=%d", s.Loaded, s.Skipped, s.Duplicates)
 }
 
-// SaveCache writes every cached plan to w, most recently used first, in the
-// versioned panda-plan-cache format. The snapshot is taken atomically with
-// respect to concurrent Prepare calls; the (immutable) plans are then
-// encoded outside the planner lock.
-func (pl *Planner) SaveCache(w io.Writer) error {
-	return pl.SaveCacheSince(w, 0)
-}
-
-// SaveCacheSince writes only the entries installed after the given cache
-// clock — the delta seam the fleet push loop is built on. since = 0 is a
-// full snapshot. The envelope records the planner's clock as of the
-// snapshot, taken atomically with the entry selection, so a consumer that
-// imports the delta and remembers the envelope clock sees every entry
-// exactly once across successive pulls.
-func (pl *Planner) SaveCacheSince(w io.Writer, since uint64) error {
+// SaveCache writes cached plans to w in the versioned panda-plan-cache
+// format: every plan, most recently used first, or — given keys — exactly
+// the entries under those canonical signature keys, in the order asked (a
+// key the cache does not hold exports nothing). By key is how the fleet
+// ships a plan: the router learns a shape's key from the planning tier's
+// dry run and asks for that entry alone. The selection is taken atomically
+// with respect to concurrent Prepare calls; the (immutable) entries are then
+// encoded outside the planner lock. An export does not count as a use.
+func (pl *Planner) SaveCache(w io.Writer, keys ...string) error {
 	pl.mu.Lock()
-	type snap struct {
-		key    string
-		lpCost uint64
-		plan   *Plan
-	}
-	snaps := make([]snap, 0, pl.ll.Len())
-	for el := pl.ll.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*entry)
-		if ent.gen <= since {
-			continue
+	var ents []*entry
+	if len(keys) == 0 {
+		ents = make([]*entry, 0, pl.ll.Len())
+		for el := pl.ll.Front(); el != nil; el = el.Next() {
+			ents = append(ents, el.Value.(*entry))
 		}
-		snaps = append(snaps, snap{key: ent.key, lpCost: ent.lpCost, plan: ent.plan})
 	}
-	clock := pl.seq
+	for _, k := range keys {
+		if el, ok := pl.index[k]; ok {
+			ents = append(ents, el.Value.(*entry))
+		}
+	}
 	pl.mu.Unlock()
 
-	env := cacheEnvelope{Format: cacheFormat, Version: FormatVersion, Clock: clock}
-	for _, s := range snaps {
-		wp, err := planOut(s.plan)
+	env := cacheEnvelope{Format: cacheFormat, Version: FormatVersion}
+	for _, ent := range ents {
+		wp, err := planOut(ent.plan)
 		if err != nil {
-			return fmt.Errorf("plan: save cache entry %q: %w", s.key, err)
+			return fmt.Errorf("plan: save cache entry %q: %w", ent.key, err)
 		}
 		payload, err := json.Marshal(wp)
 		if err != nil {
-			return fmt.Errorf("plan: save cache entry %q: %w", s.key, err)
+			return fmt.Errorf("plan: save cache entry %q: %w", ent.key, err)
 		}
 		env.Entries = append(env.Entries, cacheEntry{
-			Key:    s.key,
-			LPCost: s.lpCost,
+			Key:    ent.key,
+			LPCost: ent.lpCost,
 			Digest: digestOf(payload),
 			Plan:   payload,
 		})
@@ -126,7 +111,10 @@ func (pl *Planner) SaveCacheSince(w io.Writer, since uint64) error {
 // or digest mismatch, a malformed or inconsistent plan, or a key that
 // disagrees with its plan's recorded signature. A key the cache already
 // holds counts as a (benign) duplicate: live entries are never clobbered
-// by an import.
+// by an import. An import is a use: the new entries go in above the live
+// ones, in snapshot order, so a load past capacity drops the cache's own
+// least recently used plans first and then the snapshot's tail — a replica
+// at capacity keeps the plan it was just sent.
 func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 	var stats CacheLoadStats
 	data, err := io.ReadAll(r)
@@ -155,12 +143,7 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 		stats.FirstErr = fmt.Errorf("%w: got %d, want %d", ErrCodecVersion, env.Version, FormatVersion)
 		return stats, nil
 	}
-	type loaded struct {
-		key    string
-		lpCost uint64
-		plan   *Plan
-	}
-	var plans []loaded
+	var ents []*entry
 	for i, ent := range env.Entries {
 		if digestOf(ent.Plan) != ent.Digest {
 			skip(fmt.Errorf("%w (entry %d)", ErrCodecDigest, i))
@@ -180,25 +163,17 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 			skip(fmt.Errorf("plan: load cache entry %d: key disagrees with the plan's signature", i))
 			continue
 		}
-		plans = append(plans, loaded{key: ent.Key, lpCost: ent.LPCost, plan: p})
+		ents = append(ents, &entry{key: ent.Key, plan: p, lpCost: ent.LPCost})
 	}
 
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	for _, l := range plans {
-		if _, dup := pl.index[l.key]; dup {
+	for _, ent := range slices.Backward(ents) {
+		if _, dup := pl.index[ent.key]; dup {
 			stats.Duplicates++
 			continue
 		}
-		// Entries arrive most recently used first; PushBack preserves that
-		// order below any live entries, and the GreedyDual priority is
-		// re-seeded from the recorded LP cost so an expensive imported plan
-		// keeps its eviction resistance. Imports advance the cache clock
-		// like fresh builds do, so a replica's own delta exports (and its
-		// /v1/info plan clock) reflect pushed entries.
-		pl.seq++
-		el := pl.ll.PushBack(&entry{key: l.key, plan: l.plan, lpCost: l.lpCost, pri: pl.clock + l.lpCost, gen: pl.seq})
-		pl.index[l.key] = el
+		pl.index[ent.key] = pl.ll.PushFront(ent)
 		stats.Loaded++
 	}
 	pl.evictOverCap()

@@ -15,7 +15,9 @@
 // (often exponential-in-query-size) planning cost once. The signature is the
 // only key there is: every Prepare computes it (signature.go; the search
 // formats no string per candidate ordering, so it costs microseconds) and
-// looks it up in one map — nothing is remembered by query text.
+// looks it up in one map — nothing is remembered by query text, and nothing
+// by install order: a snapshot (persist.go) names its entries by the same
+// key, whole cache or a chosen few, which is how a fleet ships one plan.
 //
 // This package is deliberately data-independent: it never touches
 // internal/relation, so internal/core can layer execution on top of it

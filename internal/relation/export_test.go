@@ -9,3 +9,12 @@ func SetMaxRows(t testing.TB, n int) {
 	maxRows = n
 	t.Cleanup(func() { maxRows = old })
 }
+
+// SetMaxValues lowers the intern table's value limit for the duration of a
+// test; the table is process-wide, so a test sets it relative to
+// Global.Len().
+func SetMaxValues(t testing.TB, n int) {
+	old := maxValues
+	maxValues = uint64(n)
+	t.Cleanup(func() { maxValues = old })
+}

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -48,8 +50,29 @@ func NewInterner() *Interner {
 // space is dense per process, not per catalog.
 var Global = NewInterner()
 
+// maxValues is the most distinct values a table may hold: ids are uint32,
+// and Intern keeps the last one back as its overflow guard. A variable so
+// that tests can lower it.
+var maxValues uint64 = math.MaxUint32
+
+// ErrTooManyValues reports a batch whose values the intern table might not
+// have ids left for.
+var ErrTooManyValues = errors.New("relation: too many distinct values")
+
+// checkRoom returns an ErrTooManyValues error unless n more distinct values
+// are sure to fit.
+func (in *Interner) checkRoom(n uint64) error {
+	if have := uint64(in.Len()); have+n > maxValues {
+		return fmt.Errorf("%w: the intern table holds %d, %d more could pass the limit of %d",
+			ErrTooManyValues, have, n, maxValues)
+	}
+	return nil
+}
+
 // Intern returns the dense id for v, assigning the next free id on first
-// sight. It panics if the table exceeds 2³² distinct values.
+// sight. It panics if the table exceeds 2³² distinct values; the ingest paths
+// ask first (Relation.CheckRoom) and refuse the batch with an error, so the
+// panic is a backstop.
 func (in *Interner) Intern(v Value) uint32 {
 	in.mu.RLock()
 	id, ok := in.ids[v]

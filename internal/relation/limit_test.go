@@ -76,3 +76,74 @@ func TestRowLimitIsATypedErrorAtTheSurface(t *testing.T) {
 		t.Fatalf("|R| = %d after the refused requests", size("R"))
 	}
 }
+
+// TestValueLimitIsATypedErrorAtTheSurface: the other hard limit, the intern
+// table's 2³² ids, gets the same treatment — every ingest path refuses, whole
+// and with panda.ErrTooManyValues (413 too_many_values on the wire), the
+// batch whose cells might not all get ids, before anything is interned or
+// inserted. The count is conservative, one new value per cell. The limit is
+// lowered here rather than approached.
+func TestValueLimitIsATypedErrorAtTheSurface(t *testing.T) {
+	db := panda.Open()
+	defer db.Close()
+	if err := db.CreateRelation("R", 2); err != nil {
+		t.Fatal(err)
+	}
+	size := func(name string) int {
+		infos, err := db.Relations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range infos {
+			if in.Name == name {
+				return in.Size
+			}
+		}
+		return -1
+	}
+	// Values no other test of the package interns, and room for eight more.
+	const base = 7_000_000_000
+	relation.SetMaxValues(t, relation.Global.Len()+8)
+	if err := db.Insert("R", []panda.Value{base, base + 1}, []panda.Value{base + 2, base + 3}); err != nil {
+		t.Fatal(err)
+	}
+	interned := relation.Global.Len()
+
+	err := db.Insert("R", []panda.Value{base + 4, base + 5}, []panda.Value{base + 6, base + 7}, []panda.Value{base + 8, base + 9})
+	if !errors.Is(err, panda.ErrTooManyValues) || size("R") != 2 {
+		t.Fatalf("DB.Insert past the limit: err=%v, |R|=%d (want ErrTooManyValues and 2)", err, size("R"))
+	}
+	if _, err := db.LoadCSV("R", strings.NewReader("7000000004,7000000005\n7000000006,7000000007\n7000000008,7000000009\n")); !errors.Is(err, panda.ErrTooManyValues) || size("R") != 2 {
+		t.Fatalf("LoadCSV into an existing relation past the limit: err=%v, |R|=%d", err, size("R"))
+	}
+	if _, err := db.LoadCSV("Fresh", strings.NewReader("7000000004\n7000000005\n7000000006\n7000000007\n7000000008\n")); !errors.Is(err, panda.ErrTooManyValues) || size("Fresh") != -1 {
+		t.Fatalf("LoadCSV of a fresh relation past the limit: err=%v, |Fresh|=%d", err, size("Fresh"))
+	}
+	if got := relation.Global.Len(); got != interned {
+		t.Fatalf("a refused batch interned %d values", got-interned)
+	}
+	// A batch that fits still goes in.
+	if err := db.Insert("R", []panda.Value{base + 4, base + 5}, []panda.Value{base + 6, base + 7}); err != nil || size("R") != 4 {
+		t.Fatalf("DB.Insert up to the limit: err=%v, |R|=%d", err, size("R"))
+	}
+
+	ts := httptest.NewServer(server.New(server.Config{DB: db}))
+	defer ts.Close()
+	for path, body := range map[string]string{
+		"/v1/relations/R/rows": `{"rows":[[7000000008,7000000009]]}`,
+		"/v1/relations/R/csv":  "7000000008,7000000009\n",
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "too_many_values") {
+			t.Fatalf("POST %s past the limit: %d %s", path, resp.StatusCode, msg)
+		}
+	}
+	if size("R") != 4 {
+		t.Fatalf("|R| = %d after the refused requests", size("R"))
+	}
+}

@@ -33,7 +33,12 @@ type node struct {
 
 func newNode(t *testing.T, name string) *node {
 	t.Helper()
-	db := panda.Open(panda.WithPlannerCapacity(64))
+	return newNodeCap(t, name, 64)
+}
+
+func newNodeCap(t *testing.T, name string, plannerCap int) *node {
+	t.Helper()
+	db := panda.Open(panda.WithPlannerCapacity(plannerCap))
 	srv := server.New(server.Config{DB: db, Name: name})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
@@ -45,8 +50,13 @@ func newNode(t *testing.T, name string) *node {
 
 func newFleet(t *testing.T) *fleet {
 	t.Helper()
+	return newFleetWithPlanner(t, newNode(t, "planner"))
+}
+
+func newFleetWithPlanner(t *testing.T, planner *node) *fleet {
+	t.Helper()
 	f := &fleet{
-		planner:  newNode(t, "planner"),
+		planner:  planner,
 		replicas: []*node{newNode(t, "replica-a"), newNode(t, "replica-b")},
 	}
 	r, err := New(Config{
@@ -301,7 +311,7 @@ func TestFleetMutationInvalidatesShapes(t *testing.T) {
 	if code, body := httpDo(t, http.MethodPost, f.front.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, triangleSrc)); code != http.StatusOK {
 		t.Fatalf("pre-mutation query: %d %s", code, body)
 	}
-	clockBefore := f.planner.db.PlanClock()
+	missesBefore := f.planner.db.PlannerStats().Misses
 
 	// Grow R through the router: new cardinality, new signature.
 	if code, body := httpDo(t, http.MethodPost, f.front.URL+"/v1/relations/R/rows", `{"rows":[[997,998],[998,999]]}`); code != http.StatusOK {
@@ -310,12 +320,58 @@ func TestFleetMutationInvalidatesShapes(t *testing.T) {
 	if code, body := httpDo(t, http.MethodPost, f.front.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, triangleSrc)); code != http.StatusOK {
 		t.Fatalf("post-mutation query: %d %s", code, body)
 	}
-	if clockAfter := f.planner.db.PlanClock(); clockAfter <= clockBefore {
-		t.Fatalf("planner clock %d → %d; the mutated shape was not re-planned", clockBefore, clockAfter)
+	if missesAfter := f.planner.db.PlannerStats().Misses; missesAfter <= missesBefore {
+		t.Fatalf("planner misses %d → %d; the mutated shape was not re-planned", missesBefore, missesAfter)
 	}
 	for i, rep := range f.replicas {
 		if st := rep.db.PlannerStats(); st.LPSolves != 0 {
 			t.Fatalf("replica %d planned after the mutation: %+v", i, st)
 		}
+	}
+}
+
+// TestFleetForgetfulPlannerStillShips: the planning tier holds ONE plan, so
+// by the next shape it has forgotten the last. Shipping names a plan by its
+// signature, not by where the planner's cache has got to, so every first
+// sighting still reaches the replicas before its query does: they plan
+// nothing, through a second pass that the planner has to re-plan whole.
+func TestFleetForgetfulPlannerStillShips(t *testing.T) {
+	f := newFleetWithPlanner(t, newNodeCap(t, "planner", 1))
+	f.seed(t)
+	shapes := mixedShapes()
+	pass := func() {
+		t.Helper()
+		for _, src := range shapes {
+			if code, body := httpDo(t, http.MethodPost, f.front.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, src)); code != http.StatusOK {
+				t.Fatalf("query %q: %d %s", src, code, body)
+			}
+		}
+	}
+	pass()
+	// A write to a relation every shape reads: new cardinalities, new keys,
+	// and the router's shape memo is dropped.
+	if code, body := httpDo(t, http.MethodPost, f.front.URL+"/v1/relations/R/rows", `{"rows":[[997,998]]}`); code != http.StatusOK {
+		t.Fatalf("mutation: %d %s", code, body)
+	}
+	pass()
+
+	st := f.planner.db.PlannerStats()
+	if st.Misses < uint64(2*len(shapes)) || st.Evictions < st.Misses-1 || f.planner.db.PlanCacheLen() != 1 {
+		t.Fatalf("planner stats %+v holding %d plans, want every first sighting planned and all but one forgotten", st, f.planner.db.PlanCacheLen())
+	}
+	var served uint64
+	for i, rep := range f.replicas {
+		st := rep.db.PlannerStats()
+		if st.LPSolves != 0 || st.Misses != 0 || st.PlansBuilt != 0 {
+			t.Fatalf("replica %d did planning work: %+v", i, st)
+		}
+		served += st.Hits
+	}
+	if served < uint64(2*len(shapes)) {
+		t.Fatalf("replicas served %d plan hits, want at least %d", served, 2*len(shapes))
+	}
+	m := metricsText(t, f.front.URL)
+	if want := fmt.Sprintf("panda_router_shapes_ensured_total %d", 2*len(shapes)); !strings.Contains(m, want) {
+		t.Fatalf("router metrics missing %q:\n%s", want, m)
 	}
 }

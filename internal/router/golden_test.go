@@ -40,7 +40,7 @@ var secondsSample = regexp.MustCompile(`(?m)^(panda_router_request_seconds_total
 // TestMetricsGolden pins pandarouter's whole /metrics exposition — series
 // names, label sets, HELP/TYPE lines and order — for one scripted,
 // sequential session that moves every series: routed shapes on both
-// replicas, a rule, a shipped plan delta, unparseable text, a relayed 404, a mutation one
+// replicas, a rule, shipped plans, unparseable text, a relayed 404, a mutation one
 // replica misses (quarantine), a 503 failover with its retry and recovery,
 // and requests with nobody left to serve them.
 func TestMetricsGolden(t *testing.T) {
@@ -71,8 +71,9 @@ func TestMetricsGolden(t *testing.T) {
 		}
 	}
 
-	// Two plan entries wait on the planner: the first ensure ships them.
-	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"clock":2,"entries":[{},{}]}`)
+	// The fake planner answers every pull with two plan entries, so each
+	// ensure ships two to every replica routable at the time.
+	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{},{}]}`)
 	shapes := []string{
 		triangleSrc,
 		`P(X,Y,Z) :- R(X,Y), S(Y,Z), T(X,Z).`, // a renaming: same shape

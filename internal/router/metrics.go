@@ -9,7 +9,7 @@ import (
 // telemetry is the router's /metrics exposition, declared in the order it
 // renders: request counts by endpoint and status, per-replica/per-shard
 // routing counts, replica health read live at scrape time, failovers and
-// retries, and the plan-shipping loop's activity.
+// retries, and plan shipping.
 type telemetry struct {
 	reg           metrics.Registry
 	requests      *metrics.Requests
@@ -54,12 +54,12 @@ func newTelemetry(r *Router) *telemetry {
 	perReplica("panda_router_replica_routable", "Whether traffic may be routed to the replica (1 = live and catalog in sync with the planner, 0 = down or quarantined).", (*backend).isRoutable)
 	m.failovers = metrics.Counter[uint64](reg, "panda_router_failovers_total", "Times a replica was marked down (probe failure or in-request error).", "replica")
 	m.quarantines = metrics.Counter[uint64](reg, "panda_router_quarantines_total", "Times a replica was quarantined for a catalog that lags the planning tier (missed mutation broadcast or stale restart).", "replica")
-	m.pushEntries = metrics.Counter[uint64](reg, "panda_router_push_entries_total", "Plan-cache entries pushed to each replica by the delta loop.", "replica")
+	m.pushEntries = metrics.Counter[uint64](reg, "panda_router_push_entries_total", "Plan-cache entries pushed to each replica (first sightings by key, catch-up as whole snapshots).", "replica")
 	m.retries = metrics.Counter[uint64](reg, "panda_router_retries_total", "Proxy attempts beyond the first, across all requests (bounded failover).")
 	m.noHealthy = metrics.Counter[uint64](reg, "panda_router_no_healthy_replica_total", "Requests answered 502 because no healthy replica remained.")
 	m.ensures = metrics.Counter[uint64](reg, "panda_router_shapes_ensured_total", "First-sighted shapes synchronously planned on the planning tier and shipped.")
-	m.pushes = metrics.Counter[uint64](reg, "panda_router_pushes_total", "Delta push cycles that shipped at least one plan entry.")
-	m.plannerErrors = metrics.Counter[uint64](reg, "panda_router_planner_errors_total", "Failed planner interactions (warm-ups and delta pulls).")
+	m.pushes = metrics.Counter[uint64](reg, "panda_router_pushes_total", "Plan shipments that carried at least one entry.")
+	m.plannerErrors = metrics.Counter[uint64](reg, "panda_router_planner_errors_total", "Failed planner interactions (warm-ups and plan pulls).")
 	return m
 }
 

@@ -14,13 +14,15 @@
 // WITHOUT catalog access or LP work, so each shape consistently lands on one
 // replica and every replica's plan/stmt caches stay hot and disjoint. The
 // first time the router sees a shape it synchronously warms the designated
-// planning tier (which pays the LP solves) and ships the resulting plans to
-// all healthy replicas via the delta export (GET /v1/plans?since=<clock> on
-// the planner, PUT /v1/plans on the replicas) before forwarding the query,
-// so replicas never plan: their lp_solves_total stays 0 while
-// lp_solves_saved_total climbs. A background push loop repeats the
-// delta-pull/push on a timer, which is also how a replica that was briefly
-// down catches up.
+// planning tier (which pays the LP solves and answers with the plan's
+// signature key) and ships that one plan to every routable replica (GET
+// /v1/plans?key=<key> on the planner, PUT /v1/plans on the replicas) before
+// forwarding the query, so replicas never plan: their lp_solves_total stays
+// 0 while lp_solves_saved_total climbs. A plan is named by its content, so
+// the router keeps no record of what it shipped: a replica a shipment could
+// not reach — down, quarantined, a failed push, or any replica when the
+// router starts — is marked behind, and the push loop sends each behind
+// replica the planner's whole cache once it is routable again.
 //
 // Replicas are health-checked (GET /healthz) and failed over: a transport
 // error or 503 marks the replica down and the request retries on the next-
@@ -69,7 +71,8 @@ type Config struct {
 	// Planner is the base URL of the designated planning tier (a pandad
 	// that pays the LP solves for new shapes); required.
 	Planner string
-	// PushEvery is the background delta push period (default 2s).
+	// PushEvery is the catch-up period: how often replicas that are behind
+	// are sent the planner's whole cache (default 2s).
 	PushEvery time.Duration
 	// ProbeEvery is the replica health-probe period (default 500ms).
 	ProbeEvery time.Duration
@@ -101,6 +104,11 @@ type backend struct {
 	// planner's; at staleThreshold the replica is quarantined (live but
 	// unroutable: it missed a catalog mutation and needs a resync).
 	staleRounds int
+	// behind is set while the replica may lack a plan the fleet was shipped:
+	// from the start (the planner may hold plans from before this router),
+	// whenever it stops being routable, and when a push to it fails. The
+	// push loop clears it by sending the planner's whole cache.
+	behind bool
 }
 
 func (b *backend) isHealthy() bool {
@@ -123,6 +131,7 @@ func (b *backend) setHealthy(v bool) bool {
 	defer b.mu.Unlock()
 	changed := b.healthy != v
 	b.healthy = v
+	b.behind = b.behind || !v
 	return changed
 }
 
@@ -142,6 +151,7 @@ func (b *backend) setProbed(epoch, plannerEpoch uint64) (quarantined, recovered 
 		b.staleRounds = 0
 	}
 	after := b.staleRounds >= staleThreshold
+	b.behind = b.behind || after
 	return !before && after, before && !after
 }
 
@@ -153,13 +163,44 @@ func (b *backend) forceStale() bool {
 	defer b.mu.Unlock()
 	changed := b.staleRounds < staleThreshold
 	b.staleRounds = staleThreshold
+	b.behind = true
 	return changed
 }
 
-func (b *backend) state() (healthy bool, epoch uint64, stale bool) {
+// fallBehind records that a shipment did not reach the replica.
+func (b *backend) fallBehind() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.healthy, b.epoch, b.staleRounds >= staleThreshold
+	b.behind = true
+}
+
+// catchingUp reports whether the replica is behind and routable, and if so
+// clears the mark: the caller owes it the planner's whole cache. The mark is
+// cleared before the snapshot is pulled, not after it is pushed, so a
+// shipment the replica misses in between sets it again and is not lost.
+func (b *backend) catchingUp() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.behind || !b.healthy || b.staleRounds >= staleThreshold {
+		return false
+	}
+	b.behind = false
+	return true
+}
+
+// replicaInfo is one replica's entry in the router's /v1/info answer.
+type replicaInfo struct {
+	Name         string `json:"name"`
+	Healthy      bool   `json:"healthy"`
+	Quarantined  bool   `json:"quarantined"`
+	CatalogEpoch uint64 `json:"catalog_epoch"`
+	Behind       bool   `json:"behind"`
+}
+
+func (b *backend) info() replicaInfo {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return replicaInfo{Name: b.name, Healthy: b.healthy, Quarantined: b.staleRounds >= staleThreshold, CatalogEpoch: b.epoch, Behind: b.behind}
 }
 
 // Router is the HTTP handler. Create one with New, stop it with Close.
@@ -176,16 +217,6 @@ type Router struct {
 	// plannerEpoch is the planning tier's catalog epoch as last probed;
 	// replicas whose epoch lags it are quarantined.
 	plannerEpoch atomic.Uint64
-
-	// pushMu serializes plan-shipping cycles (first-sighting ensures and
-	// the background loop); watermarks is owned by it. It is never held
-	// across the planner warm-up HTTP call, only across the delta
-	// pull/push itself.
-	pushMu sync.Mutex
-	// watermarks maps replica name → the planner cache clock whose
-	// entries that replica has already imported; the next delta pull asks
-	// the planner for ?since=min(watermarks).
-	watermarks map[string]uint64
 
 	// plannedMu guards the planned memo and the in-flight warm-up table.
 	// It is only ever held for map operations — memoized shapes check it
@@ -244,7 +275,6 @@ func New(cfg Config) (*Router, error) {
 		logf:       cfg.Logf,
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
-		watermarks: map[string]uint64{},
 		planned:    map[string]struct{}{},
 		plannedCap: defaultPlannedCap,
 		warming:    map[string]chan struct{}{},
@@ -256,14 +286,14 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: duplicate replica %q", name)
 		}
 		seen[name] = true
-		r.replicas = append(r.replicas, &backend{name: name, healthy: true})
+		r.replicas = append(r.replicas, &backend{name: name, healthy: true, behind: true})
 	}
 	r.metrics = newTelemetry(r)
 	r.routes()
 	r.probeAll()
 	r.wg.Add(2)
-	go r.probeLoop(cfg.ProbeEvery)
-	go r.pushLoop(cfg.PushEvery)
+	go r.loop(cfg.ProbeEvery, r.probeAll)
+	go r.loop(cfg.PushEvery, r.catchUp)
 	return r, nil
 }
 
@@ -279,8 +309,8 @@ func (r *Router) routes() {
 	observed := r.metrics.requests.Wrap
 	r.mux.HandleFunc("POST /v1/query", observed("query", r.handleQuery))
 	r.mux.HandleFunc("GET /v1/plan", observed("plan", r.handlePlan))
-	r.mux.HandleFunc("GET /v1/plans", observed("plans", r.handleExportPlans))
-	r.mux.HandleFunc("PUT /v1/plans", observed("plans", r.handleImportPlans))
+	r.mux.HandleFunc("GET /v1/plans", observed("plans", r.proxyPlannerRead))
+	r.mux.HandleFunc("PUT /v1/plans", observed("plans", r.broadcast))
 	r.mux.HandleFunc("GET /v1/relations", observed("relations", r.proxyPlannerRead))
 	r.mux.HandleFunc("GET /v1/shapes", observed("shapes", r.handleShapes))
 	r.mux.HandleFunc("POST /v1/relations", observed("relations", r.handleMutation))
@@ -296,7 +326,8 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.Ser
 
 // ---- Health probing ----
 
-func (r *Router) probeLoop(every time.Duration) {
+// loop runs round every period until Close.
+func (r *Router) loop(every time.Duration, round func()) {
 	defer r.wg.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -305,7 +336,7 @@ func (r *Router) probeLoop(every time.Duration) {
 		case <-r.stop:
 			return
 		case <-t.C:
-			r.probeAll()
+			round()
 		}
 	}
 }
@@ -359,21 +390,15 @@ func (r *Router) probeAll() {
 func (r *Router) probe(base string) (bool, uint64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return false, 0
-	}
-	resp, err := r.client.Do(req)
+	resp, err := r.fetch(ctx, http.MethodGet, base+"/healthz", "", nil)
 	if err != nil {
 		return false, 0
 	}
 	var hb struct {
 		CatalogEpoch uint64 `json:"catalog_epoch"`
 	}
-	json.NewDecoder(io.LimitReader(resp.Body, 1<<12)).Decode(&hb)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK, hb.CatalogEpoch
+	json.Unmarshal(resp.body, &hb)
+	return resp.status == http.StatusOK, hb.CatalogEpoch
 }
 
 // markDown records an in-request health discovery (transport error or 503
@@ -409,32 +434,27 @@ func (r *Router) backendByName(name string) *backend {
 
 // ---- Plan shipping ----
 
-func (r *Router) pushLoop(every time.Duration) {
-	defer r.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
-			r.pushMu.Lock()
-			r.pullAndPush(ctx)
-			r.pushMu.Unlock()
-			cancel()
+// catchUp is one round of the push loop: the replicas that are behind and
+// routable again are sent the planner's whole cache. A round with nobody
+// behind talks to no one.
+func (r *Router) catchUp() {
+	var to []*backend
+	for _, b := range r.replicas {
+		if b.catchingUp() {
+			to = append(to, b)
 		}
 	}
+	r.ship(context.Background(), to)
 }
 
 // ensurePlanned makes a first-sighted shape — query or rule — safe to route:
 // the planning tier is warmed synchronously (it pays the LP solves on its
-// own cache miss), its fresh plans are delta-pulled and pushed to every
-// routable replica, and the shape is memoized. Replicas therefore see the
-// plan arrive BEFORE the query does and never plan themselves. Planner
-// trouble degrades gracefully: the query still routes (the replica would
-// plan as a last resort) and the shape stays un-memoized so the next
-// sighting retries the warm-up.
+// own cache miss) and names the plan, that plan is shipped to every routable
+// replica, and the shape is memoized. Replicas therefore see the plan arrive
+// BEFORE the query does and never plan themselves. Planner trouble degrades
+// gracefully: the query still routes (the replica would plan as a last
+// resort) and the shape stays un-memoized so the next sighting retries the
+// warm-up.
 //
 // Warm-ups are single-flighted PER SHAPE and every planner interaction
 // here runs under the router's proxy timeout, so a hung planner
@@ -476,29 +496,29 @@ func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 	if mode != "" {
 		u += "&mode=" + url.QueryEscape(mode)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return
-	}
-	resp, err := r.client.Do(req)
+	resp, err := r.fetch(ctx, http.MethodGet, u, "", nil)
 	if err != nil {
 		r.metrics.plannerErrors.Add(1)
 		r.logf("router: planner warm-up for shape %s failed: %v", shape, err)
 		return
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.status != http.StatusOK {
 		// The planner rejected the query (parse error, unknown relation,
 		// unbounded LP, …). The replica will reject it identically; memoize
 		// nothing and let the query through to produce the real error.
 		r.metrics.plannerErrors.Add(1)
 		return
 	}
+	var warmed struct {
+		Key string `json:"key"`
+	}
+	if err := json.Unmarshal(resp.body, &warmed); err != nil || warmed.Key == "" {
+		r.metrics.plannerErrors.Add(1)
+		r.logf("router: planner warm-up for shape %s named no plan key (a pandad from before by-key shipping?)", shape)
+		return
+	}
 	r.metrics.ensures.Add(1)
-	r.pushMu.Lock()
-	r.pullAndPush(ctx)
-	r.pushMu.Unlock()
+	r.ship(ctx, r.routableReplicas(), warmed.Key)
 	r.plannedMu.Lock()
 	if len(r.planned) >= r.plannedCap {
 		r.planned = map[string]struct{}{}
@@ -507,108 +527,60 @@ func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 	r.plannedMu.Unlock()
 }
 
-// pullAndPush pulls one delta from the planner (since the oldest routable
-// replica watermark) and imports it into every routable replica that is
-// behind the delta's clock. Over-delivery is harmless — imports never
-// clobber live entries and duplicates are counted, not rejected — so one
-// pull serves replicas at different watermarks. Caller holds pushMu.
+// ship pulls plans from the planner — the entries under keys, or with no key
+// its whole cache — and imports them into each replica of to. Every replica
+// of to either imports the shipment or is left behind for the push loop.
+// Imports never clobber live entries and duplicates are counted, not
+// rejected, so over-delivery is harmless and the path keeps no record of
+// what was shipped.
 //
-// The planner's cache clock is in-memory and restarts near 0, while the
-// router's watermarks only ever advance — so after a planner restart every
-// watermark exceeds the planner's clock, deltas come back empty (or get
-// skipped by the watermark guards) and newly planned shapes would never
-// ship again, silently pushing replicas back onto their own LP solves. A
-// pulled clock BELOW `since` can only mean such a restart: the watermarks
-// are reset to 0 and the pull retried once so the full cache re-ships.
-func (r *Router) pullAndPush(ctx context.Context) {
-	if done := r.pullAndPushOnce(ctx); !done {
-		r.pullAndPushOnce(ctx)
+// Known cost of that statelessness: a first sighting ships the entry its
+// warm-up named even when the planner, and so the fleet, already held it —
+// an insert into a relation the shape does not read drops the router's
+// shape memo but leaves the plan's key unchanged. Traced serve-mixed, 10 s:
+// 4 of 32 ensures, router.push_entries 56 → 64, each extra push one 2.6 kB
+// PUT per replica answered as a duplicate.
+func (r *Router) ship(ctx context.Context, to []*backend, keys ...string) {
+	if len(to) == 0 {
+		return
 	}
-}
-
-// pullAndPushOnce runs one pull/push cycle; it reports false only when a
-// planner clock regression was detected and the watermarks were reset, in
-// which case the caller retries with the fresh state.
-func (r *Router) pullAndPushOnce(ctx context.Context) bool {
-	replicas := r.routableReplicas()
-	if len(replicas) == 0 {
-		return true
-	}
-	since := r.watermarks[replicas[0].name]
-	for _, b := range replicas[1:] {
-		if w := r.watermarks[b.name]; w < since {
-			since = w
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/v1/plans?since=%d", r.planner, since), nil)
-	if err != nil {
-		return true
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		r.metrics.plannerErrors.Add(1)
-		return true
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBodyBytes))
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		r.metrics.plannerErrors.Add(1)
-		return true
+	u := r.planner + "/v1/plans"
+	if len(keys) > 0 {
+		u += "?" + url.Values{"key": keys}.Encode()
 	}
 	var env struct {
-		Clock   uint64            `json:"clock"`
 		Entries []json.RawMessage `json:"entries"`
 	}
-	if err := json.Unmarshal(body, &env); err != nil {
+	pulled, err := r.fetch(ctx, http.MethodGet, u, "", nil)
+	if err != nil || pulled.status != http.StatusOK || json.Unmarshal(pulled.body, &env) != nil {
 		r.metrics.plannerErrors.Add(1)
-		return true
-	}
-	if env.Clock < since {
-		r.logf("router: planner cache clock regressed to %d (watermarks reached %d): planner restart, re-shipping the full cache", env.Clock, since)
-		for name := range r.watermarks {
-			r.watermarks[name] = 0
+		for _, b := range to {
+			b.fallBehind()
 		}
-		return false
+		return
 	}
 	if len(env.Entries) == 0 {
-		// Nothing new: advance watermarks to the planner's clock so the
-		// next pull stays cheap.
-		for _, b := range replicas {
-			if r.watermarks[b.name] < env.Clock {
-				r.watermarks[b.name] = env.Clock
-			}
-		}
-		return true
+		return
 	}
 	r.metrics.pushes.Add(1)
-	for _, b := range replicas {
-		if r.watermarks[b.name] >= env.Clock {
-			continue
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, b.name+"/v1/plans", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.client.Do(req)
+	for _, b := range to {
+		resp, err := r.fetch(ctx, http.MethodPut, b.name+"/v1/plans", "application/json", pulled.body)
 		if err != nil {
 			r.markDown(b)
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		// 200 (clean) and 422 (partial skip, reported loudly by the
-		// replica) both mean the snapshot was processed; only transport
-		// failures leave the watermark behind for a retry.
-		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusUnprocessableEntity {
-			r.watermarks[b.name] = env.Clock
-			r.metrics.pushEntries.Add(uint64(len(env.Entries)), b.name)
-			if resp.StatusCode == http.StatusUnprocessableEntity {
-				r.logf("router: replica %s imported the delta with skips", b.name)
-			}
+		// replica) both mean the snapshot was processed, and sending it
+		// again would skip the same entries.
+		if resp.status != http.StatusOK && resp.status != http.StatusUnprocessableEntity {
+			b.fallBehind()
+			continue
+		}
+		r.metrics.pushEntries.Add(uint64(len(env.Entries)), b.name)
+		if resp.status == http.StatusUnprocessableEntity {
+			r.logf("router: replica %s imported the plans with skips", b.name)
 		}
 	}
-	return true
 }
 
 // ---- Query / plan routing ----
@@ -700,27 +672,10 @@ func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, sha
 // proxyOnce sends the request to one replica. It reports false — without
 // having written to w — when the replica should be failed over (transport
 // error, or 503: the replica is draining or closed); any other response,
-// success or error, is copied through verbatim as the request's outcome.
+// success or error, is streamed through verbatim as the request's outcome
+// (an answer can be hundreds of kilobytes; it is never buffered here).
 func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, b *backend, shape string, body []byte) bool {
-	ctx, cancel := context.WithTimeout(req.Context(), r.timeout)
-	defer cancel()
-	u := b.name + req.URL.Path
-	if req.URL.RawQuery != "" {
-		u += "?" + req.URL.RawQuery
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(ctx, req.Method, u, rd)
-	if err != nil {
-		metrics.WriteError(w, http.StatusInternalServerError, "proxy_error", err)
-		return true
-	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		out.Header.Set("Content-Type", ct)
-	}
-	resp, err := r.client.Do(out)
+	resp, err := r.call(req.Context(), req.Method, tierURL(b.name, req), req.Header.Get("Content-Type"), body)
 	if err != nil {
 		r.markDown(b)
 		return false
@@ -732,31 +687,26 @@ func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, b *backend,
 		return false
 	}
 	r.metrics.addRouted(shape, b.name)
-	copyResponse(w, resp)
-	return true
-}
-
-// copyResponse relays status, content type and body.
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
+	return true
 }
 
 // ---- Plan export/import and catalog passthrough ----
 
-// handleExportPlans proxies to the planning tier — the authoritative plan
-// cache (replicas only ever hold subsets it pushed).
-func (r *Router) handleExportPlans(w http.ResponseWriter, req *http.Request) {
-	r.proxyTo(w, req, r.planner, nil)
-}
-
-// proxyPlannerRead forwards a read-only endpoint to the planning tier,
-// which shares the fleet's catalog.
+// proxyPlannerRead forwards a read-only endpoint to the planning tier, with
+// no failover: it shares the fleet's catalog and holds the authoritative
+// plan cache (replicas only ever hold subsets it shipped).
 func (r *Router) proxyPlannerRead(w http.ResponseWriter, req *http.Request) {
-	r.proxyTo(w, req, r.planner, nil)
+	resp, err := r.send(req, r.planner, nil)
+	if err != nil {
+		metrics.WriteError(w, http.StatusBadGateway, "planner_unreachable", err)
+		return
+	}
+	resp.relay(w)
 }
 
 // handleShapes aggregates per-shape telemetry across the fleet: every
@@ -773,25 +723,15 @@ func (r *Router) handleShapes(w http.ResponseWriter, req *http.Request) {
 		if !b.isHealthy() {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(req.Context(), r.timeout)
-		sub, err := http.NewRequestWithContext(ctx, http.MethodGet, b.name+"/v1/shapes", nil)
+		resp, err := r.fetch(req.Context(), http.MethodGet, b.name+"/v1/shapes", "", nil)
 		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := r.client.Do(sub)
-		if err != nil {
-			cancel()
 			r.markDown(b)
 			continue
 		}
 		var view struct {
 			Shapes []taggedShape `json:"shapes"`
 		}
-		err = json.NewDecoder(io.LimitReader(resp.Body, maxProxyBodyBytes)).Decode(&view)
-		resp.Body.Close()
-		cancel()
-		if err != nil {
+		if err := json.Unmarshal(resp.body, &view); err != nil {
 			r.logf("router: bad /v1/shapes from %s: %v", b.name, err)
 			continue
 		}
@@ -804,40 +744,31 @@ func (r *Router) handleShapes(w http.ResponseWriter, req *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// handleImportPlans broadcasts an external snapshot to the planning tier
-// and every healthy replica, answering with the planner's verdict.
-func (r *Router) handleImportPlans(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req)
-	if !ok {
-		return
-	}
-	r.broadcast(w, req, body)
-}
-
 // handleMutation broadcasts a catalog mutation and invalidates the
 // planned-shape memo: signatures embed catalog cardinalities, so plans for
 // the new catalog state must be re-shipped shape by shape.
 func (r *Router) handleMutation(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req)
-	if !ok {
-		return
-	}
-	r.broadcast(w, req, body)
+	r.broadcast(w, req)
 	r.plannedMu.Lock()
 	r.planned = map[string]struct{}{}
 	r.plannedMu.Unlock()
 }
 
-// broadcast applies the request to the planning tier first (it must know
-// the catalog before it can plan for it), then to every routable replica,
-// and relays the planner's response. A replica that misses a mutation the
+// broadcast applies the request — a catalog mutation, or an external plan
+// snapshot (PUT /v1/plans) — to the planning tier first (it must know the
+// catalog before it can plan for it), then to every routable replica, and
+// relays the planner's response. A replica that misses a mutation the
 // planner applied — transport error, or any answer when the planner said
 // 2xx and the replica did not — is serving a diverged catalog, so it is
 // quarantined ON THE SPOT: marked down AND forced stale, which keeps the
 // probe loop from auto-rejoining it on the next 200 /healthz. Its epoch
 // stays behind the planner's, so it remains quarantined until a catalog
 // resync brings the epochs back together.
-func (r *Router) broadcast(w http.ResponseWriter, req *http.Request, body []byte) {
+func (r *Router) broadcast(w http.ResponseWriter, req *http.Request) {
+	body, ok := readBody(w, req)
+	if !ok {
+		return
+	}
 	plannerResp, err := r.send(req, r.planner, body)
 	if err != nil {
 		metrics.WriteError(w, http.StatusBadGateway, "planner_unreachable", err)
@@ -858,11 +789,7 @@ func (r *Router) broadcast(w http.ResponseWriter, req *http.Request, body []byte
 			}
 		}
 	}
-	if ct := plannerResp.contentType; ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(plannerResp.status)
-	w.Write(plannerResp.body)
+	plannerResp.relay(w)
 }
 
 // quarantine forces a replica out of rotation after a missed broadcast.
@@ -879,32 +806,73 @@ func (r *Router) quarantine(b *backend, why string, diverged bool) {
 	}
 }
 
+// ---- Talking to a tier ----
+
+// tierURL is the incoming request's path and query on another base URL.
+func tierURL(base string, req *http.Request) string {
+	u := base + req.URL.Path
+	if req.URL.RawQuery != "" {
+		u += "?" + req.URL.RawQuery
+	}
+	return u
+}
+
+// call is the one way the router sends a request to the planner or a
+// replica: method, URL, optional content type and body, under the proxy
+// timeout on top of whatever deadline ctx carries. Closing the response body
+// releases the timeout.
+func (r *Router) call(ctx context.Context, method, target, contentType string, body []byte) (*http.Response, error) {
+	ctx, cancel := context.WithTimeout(ctx, r.timeout)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, rd)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	resp.Body = cancelOnClose{resp.Body, cancel}
+	return resp, nil
+}
+
+type cancelOnClose struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (c cancelOnClose) Close() error {
+	defer c.cancel()
+	return c.ReadCloser.Close()
+}
+
+// sentResponse is a tier's answer, read whole.
 type sentResponse struct {
 	status      int
 	contentType string
 	body        []byte
 }
 
-// send replays the request against one base URL, buffering the response.
-func (r *Router) send(req *http.Request, base string, body []byte) (*sentResponse, error) {
-	ctx, cancel := context.WithTimeout(req.Context(), r.timeout)
-	defer cancel()
-	u := base + req.URL.Path
-	if req.URL.RawQuery != "" {
-		u += "?" + req.URL.RawQuery
+// relay answers w with the tier's status, content type and body.
+func (s *sentResponse) relay(w http.ResponseWriter) {
+	if s.contentType != "" {
+		w.Header().Set("Content-Type", s.contentType)
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(ctx, req.Method, u, rd)
-	if err != nil {
-		return nil, err
-	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		out.Header.Set("Content-Type", ct)
-	}
-	resp, err := r.client.Do(out)
+	w.WriteHeader(s.status)
+	w.Write(s.body)
+}
+
+// fetch is call plus a bounded read of the whole answer.
+func (r *Router) fetch(ctx context.Context, method, target, contentType string, body []byte) (*sentResponse, error) {
+	resp, err := r.call(ctx, method, target, contentType, body)
 	if err != nil {
 		return nil, err
 	}
@@ -916,18 +884,9 @@ func (r *Router) send(req *http.Request, base string, body []byte) (*sentRespons
 	return &sentResponse{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: b}, nil
 }
 
-// proxyTo forwards one request to a single base URL with no failover.
-func (r *Router) proxyTo(w http.ResponseWriter, req *http.Request, base string, body []byte) {
-	resp, err := r.send(req, base, body)
-	if err != nil {
-		metrics.WriteError(w, http.StatusBadGateway, "planner_unreachable", err)
-		return
-	}
-	if ct := resp.contentType; ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.status)
-	w.Write(resp.body)
+// send replays the request against one base URL, buffering the response.
+func (r *Router) send(req *http.Request, base string, body []byte) (*sentResponse, error) {
+	return r.fetch(req.Context(), req.Method, tierURL(base, req), req.Header.Get("Content-Type"), body)
 }
 
 // ---- Router introspection ----
@@ -937,29 +896,13 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleInfo(w http.ResponseWriter, req *http.Request) {
-	type replicaInfo struct {
-		Name         string `json:"name"`
-		Healthy      bool   `json:"healthy"`
-		Quarantined  bool   `json:"quarantined"`
-		CatalogEpoch uint64 `json:"catalog_epoch"`
-		Watermark    uint64 `json:"watermark"`
-	}
 	r.plannedMu.Lock()
 	planned := len(r.planned)
 	r.plannedMu.Unlock()
-	r.pushMu.Lock()
 	reps := make([]replicaInfo, len(r.replicas))
 	for i, b := range r.replicas {
-		healthy, epoch, stale := b.state()
-		reps[i] = replicaInfo{
-			Name:         b.name,
-			Healthy:      healthy,
-			Quarantined:  stale,
-			CatalogEpoch: epoch,
-			Watermark:    r.watermarks[b.name],
-		}
+		reps[i] = b.info()
 	}
-	r.pushMu.Unlock()
 	sort.Slice(reps, func(i, j int) bool { return reps[i].Name < reps[j].Name })
 	metrics.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":                  "router",

@@ -2,13 +2,15 @@ package router
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,11 +19,11 @@ import (
 const triangleSrc = `Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`
 
 // fakePlanner answers the planner interactions the router performs:
-// /v1/plan warm-ups (scriptably hangable), /v1/plans delta pulls
-// (scriptable body, empty by default — plan CONTENT is exercised by the
-// in-process fleet test; these unit tests isolate routing and failover)
-// and catalog mutations, which advance a catalog epoch reported on
-// /healthz like the real pandad.
+// /v1/plan warm-ups (scriptably hangable; every plan is named fakePlanKey),
+// /v1/plans pulls (scriptable body, empty by default — plan CONTENT is
+// exercised by the in-process fleet test; these unit tests isolate routing
+// and failover) and catalog mutations, which advance a catalog epoch
+// reported on /healthz like the real pandad.
 type fakePlanner struct {
 	ts    *httptest.Server
 	warms atomic.Int64
@@ -29,15 +31,26 @@ type fakePlanner struct {
 	// planMode: "ok" answers warm-ups immediately, "hang" sleeps past the
 	// router's proxy deadline.
 	planMode atomic.Value
-	// plansBody is the GET /v1/plans response, for scripting cache clocks.
+	// plansBody is the GET /v1/plans response, whatever keys are asked for.
 	plansBody atomic.Value
+	// pulls records the raw query string of every GET /v1/plans.
+	pullMu sync.Mutex
+	pulls  []string
+}
+
+const fakePlanKey = "fake/plan key"
+
+func (f *fakePlanner) pulled() []string {
+	f.pullMu.Lock()
+	defer f.pullMu.Unlock()
+	return slices.Clone(f.pulls)
 }
 
 func newFakePlanner(t *testing.T) *fakePlanner {
 	t.Helper()
 	f := &fakePlanner{}
 	f.planMode.Store("ok")
-	f.plansBody.Store(`{"format":"panda-plan-cache","version":1,"clock":0,"entries":[]}`)
+	f.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[]}`)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","catalog_epoch":%d}`, f.epoch.Load())
@@ -47,9 +60,12 @@ func newFakePlanner(t *testing.T) *fakePlanner {
 			time.Sleep(2 * time.Second)
 		}
 		f.warms.Add(1)
-		io.WriteString(w, `{"mode":"full","width":"1"}`)
+		fmt.Fprintf(w, `{"mode":"full","width":"1","key":%q}`, fakePlanKey)
 	})
 	mux.HandleFunc("GET /v1/plans", func(w http.ResponseWriter, r *http.Request) {
+		f.pullMu.Lock()
+		f.pulls = append(f.pulls, r.URL.RawQuery)
+		f.pullMu.Unlock()
 		io.WriteString(w, f.plansBody.Load().(string))
 	})
 	mux.HandleFunc("POST /v1/relations", func(w http.ResponseWriter, r *http.Request) {
@@ -485,46 +501,72 @@ func TestRouterQuarantinesStaleRestartViaProbe(t *testing.T) {
 	}
 }
 
-// TestRouterPlannerClockRegressionReships: the planner's cache clock is
-// in-memory and restarts near 0, while router watermarks only advance. A
-// pull that comes back with a clock BELOW the watermark means the planner
-// restarted — the router must reset its watermarks and re-ship, not skip
-// every delta forever (which would silently push replicas back onto their
-// own LP solves).
-func TestRouterPlannerClockRegressionReships(t *testing.T) {
+// TestRouterBehindReplicaCatchesUp: a first sighting ships its one plan by
+// key to the routable replicas; a replica that is down for it is behind, and
+// once a probe round finds it again, one round of the push loop sends it the
+// planner's whole cache — once, and nothing to the replicas in sync.
+func TestRouterBehindReplicaCatchesUp(t *testing.T) {
 	planner := newFakePlanner(t)
+	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	r := newTestRouter(t, planner.ts.URL, a, b)
-
-	push := func() {
-		r.pushMu.Lock()
-		r.pullAndPush(context.Background())
-		r.pushMu.Unlock()
-	}
-	watermark := func(f *fakeReplica) uint64 {
-		r.pushMu.Lock()
-		defer r.pushMu.Unlock()
-		return r.watermarks[f.ts.URL]
+	ts := httptest.NewServer(r)
+	t.Cleanup(ts.Close)
+	behind := func(f *fakeReplica) bool { return r.backendByName(f.ts.URL).info().Behind }
+	wantImports := func(when string, wantA, wantB int64) {
+		t.Helper()
+		if ga, gb := a.plans.Load(), b.plans.Load(); ga != wantA || gb != wantB {
+			t.Fatalf("%s: %d/%d imports, want %d/%d", when, ga, gb, wantA, wantB)
+		}
 	}
 
-	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"clock":5,"entries":[{"k":1}]}`)
-	push()
-	if a.plans.Load() != 1 || b.plans.Load() != 1 {
-		t.Fatalf("first delta: %d/%d imports, want 1/1", a.plans.Load(), b.plans.Load())
+	// A router starts with every replica behind: the planner may hold plans
+	// from before it. The first loop round clears that, the second is idle.
+	if !behind(a) || !behind(b) {
+		t.Fatal("a replica was not behind at start")
 	}
-	if w := watermark(a); w != 5 {
-		t.Fatalf("watermark %d after first delta, want 5", w)
+	r.catchUp()
+	r.catchUp()
+	wantImports("after the first loop rounds", 1, 1)
+	if got := planner.pulled(); len(got) != 1 || got[0] != "" {
+		t.Fatalf("pulls %q, want one pull of the whole cache", got)
 	}
 
-	// The planner restarts: its clock begins again at 1 with one freshly
-	// planned entry that the fleet has never seen.
-	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"clock":1,"entries":[{"k":2}]}`)
-	push()
-	if a.plans.Load() != 2 || b.plans.Load() != 2 {
-		t.Fatalf("post-restart delta was not re-shipped: %d/%d imports, want 2/2", a.plans.Load(), b.plans.Load())
+	// a is down for a first sighting: the plan goes to b alone, by key.
+	r.markDown(r.backendByName(a.ts.URL))
+	if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
+		t.Fatalf("first sighting: %d %s", code, body)
 	}
-	if w := watermark(a); w != 1 {
-		t.Fatalf("watermark %d after the planner restart, want 1", w)
+	wantImports("after the first sighting", 1, 2)
+	if got := planner.pulled(); len(got) != 2 || got[1] != "key="+url.QueryEscape(fakePlanKey) {
+		t.Fatalf("pulls %q, want the second to name the warmed plan's key", got)
+	}
+	if !behind(a) || behind(b) {
+		t.Fatalf("behind: a=%t b=%t, want only the replica that missed the shipment", behind(a), behind(b))
+	}
+	want := fmt.Sprintf(`{"name":%q,"healthy":false,"quarantined":false,"catalog_epoch":0,"behind":true}`, a.ts.URL)
+	if _, info := httpDo(t, http.MethodGet, ts.URL+"/v1/info", ""); !strings.Contains(info, want) {
+		t.Fatalf("/v1/info %s, want it to report %s", info, want)
+	}
+	r.catchUp() // a is still down: nothing to send it yet
+	wantImports("while the replica is down", 1, 2)
+
+	// A probe round finds a again; one loop round catches it up.
+	r.probeAll()
+	r.catchUp()
+	r.catchUp()
+	wantImports("after the catch-up", 2, 2)
+	if got := planner.pulled(); len(got) != 3 || got[2] != "" {
+		t.Fatalf("pulls %q, want the third to be the whole cache", got)
+	}
+	if behind(a) || behind(b) {
+		t.Fatal("a replica is still behind after the catch-up")
+	}
+	m := metricsText(t, ts.URL)
+	for _, f := range []*fakeReplica{a, b} {
+		if want := fmt.Sprintf("panda_router_push_entries_total{replica=%q} 2", f.ts.URL); !strings.Contains(m, want) {
+			t.Fatalf("metrics missing %s:\n%s", want, m)
+		}
 	}
 }
 

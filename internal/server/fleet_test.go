@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -16,7 +17,6 @@ type infoJSON struct {
 	Name          string  `json:"name"`
 	FormatVersion int     `json:"format_version"`
 	CatalogEpoch  uint64  `json:"catalog_epoch"`
-	PlanClock     uint64  `json:"plan_clock"`
 	PlansCached   int     `json:"plans_cached"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Planner       struct {
@@ -42,8 +42,8 @@ func getInfo(t *testing.T, base string) infoJSON {
 
 // TestHealthzAndInfo: the probe pair the router depends on. /healthz is 200
 // while serving and 503 once draining (the same admission gate every
-// endpoint shares); /v1/info reports identity, format version and the plan
-// clock that delta pulls are watermarked against.
+// endpoint shares); /v1/info reports identity, format version and how many
+// plans the cache holds.
 func TestHealthzAndInfo(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Name: "replica-7"})
 	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK {
@@ -57,8 +57,8 @@ func TestHealthzAndInfo(t *testing.T) {
 	if info.FormatVersion != panda.PlanFormatVersion {
 		t.Fatalf("info format_version %d, want %d", info.FormatVersion, panda.PlanFormatVersion)
 	}
-	if info.PlanClock != 0 || info.PlansCached != 0 {
-		t.Fatalf("fresh server clock=%d cached=%d, want 0/0", info.PlanClock, info.PlansCached)
+	if info.PlansCached != 0 {
+		t.Fatalf("fresh server holds %d plans, want 0", info.PlansCached)
 	}
 
 	q := panda.TriangleQuery()
@@ -68,8 +68,8 @@ func TestHealthzAndInfo(t *testing.T) {
 		t.Fatalf("query: %d %s", code, raw)
 	}
 	info = getInfo(t, ts.URL)
-	if info.PlanClock != 1 || info.PlansCached != 1 || info.Planner.Misses != 1 {
-		t.Fatalf("after one planned query: %+v, want clock=1 cached=1 misses=1", info)
+	if info.PlansCached != 1 || info.Planner.Misses != 1 {
+		t.Fatalf("after one planned query: %+v, want cached=1 misses=1", info)
 	}
 
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -170,57 +170,82 @@ func TestDuplicateInsertStillAdvancesEpoch(t *testing.T) {
 	}
 }
 
-// TestExportPlansSince: GET /v1/plans?since=<clock> returns only the
-// entries installed after that clock, and the envelope's clock is the next
-// watermark — so a puller that chains envelope clocks sees each plan
-// exactly once.
-func TestExportPlansSince(t *testing.T) {
+// TestExportPlansByKey: the "key" of a /v1/plan answer names one entry of
+// GET /v1/plans — ?key=<key> exports exactly that plan, repeated parameters
+// export several, an unknown key exports none — and another server that
+// imports the by-key export answers the shape with zero LP solves. This is
+// the round trip the router's first sighting makes.
+func TestExportPlansByKey(t *testing.T) {
 	q := panda.TriangleQuery()
 	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
 	_, ts, _ := newTestServer(t, Config{})
 	loadOverHTTP(t, ts.URL, &q.Schema, ins)
 
-	if code, raw := post(t, ts.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, triangleSrc)); code != http.StatusOK {
-		t.Fatalf("first shape: %d %s", code, raw)
-	}
-	c1 := getInfo(t, ts.URL).PlanClock
-
-	// A second, different shape (a path join) installs a second plan.
-	if code, raw := post(t, ts.URL+"/v1/query", `{"query":"Q(X,Z) :- R(X,Y), S(Y,Z)."}`); code != http.StatusOK {
-		t.Fatalf("second shape: %d %s", code, raw)
-	}
-
-	type envJSON struct {
-		Clock   uint64            `json:"clock"`
-		Entries []json.RawMessage `json:"entries"`
-	}
-	fetch := func(url string) envJSON {
+	const pathSrc = `Q(X,Z) :- R(X,Y), S(Y,Z).`
+	keyOf := func(src string) string {
 		t.Helper()
-		code, body := get(t, url)
+		code, body := get(t, ts.URL+"/v1/plan?q="+url.QueryEscape(src))
 		if code != http.StatusOK {
-			t.Fatalf("export %s: %d %s", url, code, body)
+			t.Fatalf("plan %q: %d %s", src, code, body)
 		}
-		var env envJSON
+		var info struct {
+			Key       string `json:"key"`
+			Signature string `json:"signature"`
+		}
+		if err := json.Unmarshal([]byte(body), &info); err != nil || info.Key == "" {
+			t.Fatalf("plan %q answered no key: %v\n%s", src, err, body)
+		}
+		if info.Signature != panda.SignatureDigest(info.Key) {
+			t.Fatalf("signature %q is not the digest of key %q", info.Signature, info.Key)
+		}
+		return info.Key
+	}
+	triangleKey, pathKey := keyOf(triangleSrc), keyOf(pathSrc)
+
+	export := func(query string) (string, []string) {
+		t.Helper()
+		code, body := get(t, ts.URL+"/v1/plans"+query)
+		if code != http.StatusOK {
+			t.Fatalf("export %s: %d %s", query, code, body)
+		}
+		var env struct {
+			Entries []struct {
+				Key string `json:"key"`
+			} `json:"entries"`
+		}
 		if err := json.Unmarshal([]byte(body), &env); err != nil {
 			t.Fatal(err)
 		}
-		return env
+		keys := []string{}
+		for _, ent := range env.Entries {
+			keys = append(keys, ent.Key)
+		}
+		return body, keys
 	}
-	full := fetch(ts.URL + "/v1/plans")
-	if len(full.Entries) != 2 || full.Clock != 2 {
-		t.Fatalf("full export: %d entries clock %d, want 2/2", len(full.Entries), full.Clock)
+	if _, keys := export(""); len(keys) != 2 {
+		t.Fatalf("full export carried %q, want both plans", keys)
 	}
-	delta := fetch(fmt.Sprintf("%s/v1/plans?since=%d", ts.URL, c1))
-	if len(delta.Entries) != 1 || delta.Clock != 2 {
-		t.Fatalf("delta since %d: %d entries clock %d, want 1/2", c1, len(delta.Entries), delta.Clock)
+	snapshot, keys := export("?key=" + url.QueryEscape(triangleKey))
+	if len(keys) != 1 || keys[0] != triangleKey {
+		t.Fatalf("export by key %q carried %q", triangleKey, keys)
 	}
-	empty := fetch(fmt.Sprintf("%s/v1/plans?since=%d", ts.URL, delta.Clock))
-	if len(empty.Entries) != 0 {
-		t.Fatalf("delta at the watermark returned %d entries, want 0", len(empty.Entries))
+	if _, keys := export("?" + url.Values{"key": {pathKey, triangleKey}}.Encode()); len(keys) != 2 || keys[0] != pathKey || keys[1] != triangleKey {
+		t.Fatalf("export of two keys carried %q", keys)
+	}
+	if _, keys := export("?key=nope"); len(keys) != 0 {
+		t.Fatalf("an unknown key exported %q", keys)
 	}
 
-	if code, body := get(t, ts.URL+"/v1/plans?since=banana"); code != http.StatusBadRequest {
-		t.Fatalf("bad since: %d %s, want 400", code, body)
+	_, tsB, dbB := newTestServer(t, Config{})
+	loadOverHTTP(t, tsB.URL, &q.Schema, ins)
+	if code, body := putPlans(t, tsB.URL, snapshot); code != http.StatusOK || !strings.Contains(body, `"loaded":1`) {
+		t.Fatalf("import of the by-key export: %d %s", code, body)
+	}
+	if code, raw := post(t, tsB.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, triangleSrc)); code != http.StatusOK {
+		t.Fatalf("query on the importer: %d %s", code, raw)
+	}
+	if st := dbB.PlannerStats(); st.LPSolves != 0 || st.Hits != 1 {
+		t.Fatalf("the importer planned the shipped shape: %v", st)
 	}
 }
 

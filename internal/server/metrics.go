@@ -34,7 +34,7 @@ func newTelemetry(s *Server, shapeCap int) *telemetry {
 		st := s.db.PlannerStats()
 		w.Counter("panda_planner_hits_total", "Prepare calls answered from the plan cache (zero LP solves).", st.Hits)
 		w.Counter("panda_planner_misses_total", "Prepare calls that built a fresh plan.", st.Misses)
-		w.Counter("panda_planner_evictions_total", "Plans dropped by the cost-weighted eviction policy.", st.Evictions)
+		w.Counter("panda_planner_evictions_total", "Plans dropped by the LRU eviction policy.", st.Evictions)
 		w.Counter("panda_planner_lp_solves_total", "Exact simplex solves performed across all plan builds.", st.LPSolves)
 		w.Counter("panda_planner_lp_solves_saved_total", "Simplex solves avoided by plan-cache hits.", st.LPSolvesSaved)
 		w.Counter("panda_planner_plans_built_total", "Plans constructed (misses, plus lost build races).", st.PlansBuilt)

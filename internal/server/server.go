@@ -10,8 +10,8 @@
 //
 //	POST   /v1/query                 run a query; rows stream as JSON (NDJSON with Accept: application/x-ndjson)
 //	POST   /v1/watch                 open a standing query; NDJSON stream of snapshot + deltas
-//	GET    /v1/plan?q=…[&mode=…]     dry-run prepare: committed mode + width certificate
-//	GET    /v1/plans                 export the plan cache (panda-plan-cache snapshot)
+//	GET    /v1/plan?q=…[&mode=…]     dry-run prepare: committed mode + width certificate + plan key
+//	GET    /v1/plans[?key=…]         export the plan cache, or the named entries (panda-plan-cache snapshot)
 //	PUT    /v1/plans                 import a snapshot; 422 on version/digest mismatch
 //	GET    /v1/relations             list the catalog
 //	POST   /v1/relations             create a relation {"name","arity"}
@@ -119,7 +119,7 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	inflight sync.WaitGroup
-	// drainCh is closed when Shutdown begins, so endpoints that hold a
+	// drainCh is closed when the drain begins, so endpoints that hold a
 	// connection open indefinitely (the watch stream) terminate and let the
 	// in-flight drain complete instead of wedging it.
 	drainCh chan struct{}
@@ -176,17 +176,26 @@ func New(cfg Config) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Shutdown stops admitting requests (new ones get 503) and waits for
-// in-flight ones — including long-running queries — to drain, or for ctx to
-// expire. It does not close the DB; the owner does that once Shutdown
-// returns so draining queries never observe ErrClosed.
-func (s *Server) Shutdown(ctx context.Context) error {
+// BeginDrain stops admitting requests (new ones get 503) and ends the watch
+// streams. An owner serving through an http.Server registers it there
+// (RegisterOnShutdown): net/http's Shutdown waits for open connections, and
+// a watch stream holds its connection until the drain begins, so a drain
+// that only began after the listener's shutdown would wait out its deadline.
+func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
 		close(s.drainCh)
 	}
 	s.mu.Unlock()
+}
+
+// Shutdown begins the drain (see BeginDrain) and waits for in-flight
+// requests — including long-running queries — to finish, or for ctx to
+// expire. It does not close the DB; the owner does that once Shutdown
+// returns so draining queries never observe ErrClosed.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.BeginDrain()
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -271,8 +280,8 @@ func statusOf(err error) int {
 		return http.StatusConflict // 409
 	case errors.Is(err, panda.ErrArity):
 		return http.StatusUnprocessableEntity // 422
-	case errors.Is(err, panda.ErrTooManyRows):
-		return http.StatusRequestEntityTooLarge // 413: the batch does not fit the relation
+	case errors.Is(err, panda.ErrTooManyRows), errors.Is(err, panda.ErrTooManyValues):
+		return http.StatusRequestEntityTooLarge // 413: the batch does not fit the relation, or the intern table
 	case errors.Is(err, panda.ErrUnboundedLP):
 		return http.StatusFailedDependency // 424: constraint set does not bound the LP
 	case errors.Is(err, panda.ErrClosed):
@@ -298,6 +307,8 @@ func codeOf(err error) string {
 		return "arity_mismatch"
 	case errors.Is(err, panda.ErrTooManyRows):
 		return "too_many_rows"
+	case errors.Is(err, panda.ErrTooManyValues):
+		return "too_many_values"
 	case errors.Is(err, panda.ErrUnboundedLP):
 		return "unbounded_lp"
 	case errors.Is(err, panda.ErrNotConjunctive):
@@ -612,6 +623,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		"mode":      info.Mode.String(),
 		"width":     info.Width.RatString(),
 		"signature": info.Digest,
+		"key":       info.Key,
 	})
 }
 
@@ -669,23 +681,14 @@ func (s *Server) handleShapes(w http.ResponseWriter, r *http.Request) {
 
 // handleExportPlans streams the session's plan cache as one
 // panda-plan-cache snapshot — the same bytes a pandad -plan-dir snapshot
-// writes to disk, so routers and replicas need exactly one format. An
-// optional ?since=<clock> exports only the entries installed after that
-// cache clock (see /v1/info plan_clock and the envelope's "clock" field);
-// the fleet push loop pulls successive deltas with it so each push is
-// proportional to what was planned since the last one.
+// writes to disk, so routers and replicas need exactly one format. Optional
+// ?key=<signature key> parameters (the "key" of a /v1/plan answer; repeat
+// for several) export exactly those entries; the router ships a
+// first-sighted shape that way. A key the cache does not hold exports
+// nothing.
 func (s *Server) handleExportPlans(w http.ResponseWriter, r *http.Request) {
-	var since uint64
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			s.fail(w, fmt.Errorf("bad since parameter %q: %w", raw, err))
-			return
-		}
-		since = v
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.db.SavePlansSince(w, since); err != nil {
+	if err := s.db.SavePlans(w, r.URL.Query()["key"]...); err != nil {
 		// Headers are already out; all we can do is log through the status.
 		s.fail(w, err)
 	}
@@ -729,16 +732,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInfo reports process identity for the fleet tier: who this replica
-// is, which plan wire format it speaks, how far its plan cache clock has
-// advanced (the delta-pull watermark), and the planner counters the router
-// e2e asserts on.
+// is, which plan wire format it speaks, how many plans it holds, and the
+// planner counters the router e2e asserts on.
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	st := s.db.PlannerStats()
 	metrics.WriteJSON(w, http.StatusOK, map[string]any{
 		"name":           s.name,
 		"format_version": panda.PlanFormatVersion,
 		"catalog_epoch":  s.catalogEpoch.Load(),
-		"plan_clock":     s.db.PlanClock(),
 		"plans_cached":   s.db.PlanCacheLen(),
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"planner": map[string]any{

@@ -39,10 +39,6 @@ type watchRequest struct {
 	// default. A slow subscriber that overflows it receives a resync line
 	// instead of unbounded buffering.
 	Queue int `json:"queue,omitempty"`
-	// Fallback forces full re-execution per maintenance round instead of
-	// semi-naive incremental rounds (same stream, more work per round);
-	// useful for A/B-ing the incremental path.
-	Fallback bool `json:"fallback,omitempty"`
 }
 
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -67,9 +63,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	var opts []panda.Option
 	if req.Queue > 0 {
 		opts = append(opts, panda.WithWatchQueue(req.Queue))
-	}
-	if req.Fallback {
-		opts = append(opts, panda.WithWatchFallback(true))
 	}
 	wch, err := st.Watch(opts...)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
@@ -237,6 +238,53 @@ func TestServerWatchShutdownDrain(t *testing.T) {
 	}
 	if _, raw, eof := ws.next(t); !eof {
 		t.Fatalf("stream still open after shutdown: %s", raw)
+	}
+}
+
+// TestServerWatchGracefulHTTPShutdown: behind a real http.Server, as pandad
+// runs it, an open watch stream must not hold up a graceful stop. net/http's
+// Shutdown waits for open connections and the stream keeps its connection
+// until the server's drain begins, so the drain is registered to begin with
+// the listener's shutdown: both calls return nil, promptly, and the
+// subscriber sees its stream end.
+func TestServerWatchGracefulHTTPShutdown(t *testing.T) {
+	db := panda.Open()
+	t.Cleanup(func() { db.Close() })
+	if err := db.CreateRelation("R", 2); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{DB: db})
+	hs := &http.Server{Handler: s}
+	hs.RegisterOnShutdown(s.BeginDrain)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+
+	ws := openWatch(t, "http://"+ln.Addr().String(), `{"query":"Q(A,B) :- R(A,B)."}`)
+	if snap, _, _ := ws.next(t); !snap.Snapshot {
+		t.Fatalf("bad snapshot line: %+v", snap)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := hs.Shutdown(ctx); err != nil {
+		t.Fatalf("listener shutdown with an open watch: %v (after %v)", err, time.Since(start))
+	}
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("drain with an open watch: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("graceful stop took %v with one watch subscriber", took)
+	}
+	if _, raw, eof := ws.next(t); !eof {
+		t.Fatalf("stream still open after shutdown: %s", raw)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v", err)
 	}
 }
 

@@ -16,14 +16,12 @@ import (
 // every later one (from this Stmt or any other statement with the same
 // canonical signature) executes with zero planning work.
 //
-// A Stmt is safe for concurrent Query calls. It memoizes the bound (and
-// constraint-checked) instance against the catalog's per-relation ticks, so
-// repeated queries over an unchanged catalog skip the snapshot copy as
-// well as the planning work — and, because execution over an identical
-// read-only snapshot is deterministic, it memoizes the Result itself under
-// the same key: steady-state traffic on an unchanged catalog streams a
-// cached result without re-running the engine. Any mutation to a referenced
-// relation moves its tick and invalidates both memos. A memoized Result is
+// A Stmt is safe for concurrent Query calls. Execution over an identical
+// read-only snapshot is deterministic, so it memoizes the Result against the
+// catalog's per-relation ticks: steady-state traffic on an unchanged catalog
+// streams a cached result without binding, planning or running the engine.
+// Any mutation to a referenced relation moves its tick and invalidates the
+// memo; a mutation to any other relation does not. A memoized Result is
 // returned as-is, including Timings: a memo hit reports the stage timings
 // of the execution that produced the result (timings are already excluded
 // from the determinism guarantee, and a hit runs no stages of its own).
@@ -33,13 +31,11 @@ type Stmt struct {
 	res *query.ParseResult
 	cfg config
 
-	mu       sync.Mutex
-	boundIns *Instance
-	boundVer uint64
-	memoRes  *Result
-	memoVer  uint64
-	memoCfg  config
-	memoOK   bool
+	mu      sync.Mutex
+	memoRes *Result
+	memoVer uint64
+	memoCfg config
+	memoOK  bool
 }
 
 // Prepare parses src (the textual query language of internal/query) and
@@ -103,7 +99,7 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	ins, ver, err := st.bind()
+	ver, err := st.db.schemaTick(&st.res.Rule.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -114,14 +110,18 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 		return res, nil
 	}
 	st.mu.Unlock()
+	ins, ver, err := st.bind()
+	if err != nil {
+		return nil, err
+	}
 	res, err := st.db.eval(ctx, st.res.Conj, st.res.Rule, ins, st.res.Constraints, cfg)
 	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
-	// Guard against a concurrent re-bind having moved the statement to a
-	// newer snapshot: only memoize the result of the tick we bound.
-	if st.boundVer == ver {
+	// Concurrent calls may finish out of order: keep the newest snapshot's
+	// result.
+	if !st.memoOK || ver >= st.memoVer {
 		st.memoRes, st.memoVer, st.memoCfg, st.memoOK = res, ver, cfg, true
 	}
 	st.mu.Unlock()
@@ -133,23 +133,11 @@ func (st *Stmt) Query(opts ...Option) (*Result, error) {
 	return st.QueryContext(context.Background(), opts...)
 }
 
-// bind returns the statement's schema bound to the current catalog,
-// reusing the previous snapshot (already constraint-checked) while every
-// relation the statement references is unchanged — mutations to unrelated
-// relations no longer invalidate it (per-relation tick granularity). Bound
-// instances are read-only during execution, so one snapshot may serve
-// concurrent Query calls. The second return is the schema tick the
+// bind snapshots the catalog into an instance for the statement's schema
+// and checks the declared constraints against it. Bound instances are
+// read-only during execution. The second return is the schema tick the
 // snapshot reflects — the key the result memo pairs with.
 func (st *Stmt) bind() (*Instance, uint64, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ver, err := st.db.schemaTick(&st.res.Rule.Schema)
-	if err != nil {
-		return nil, 0, err
-	}
-	if st.boundIns != nil && st.boundVer == ver {
-		return st.boundIns, ver, nil
-	}
 	s := &st.res.Rule.Schema
 	ins, ver, err := st.db.bindInstance(s)
 	if err != nil {
@@ -158,7 +146,6 @@ func (st *Stmt) bind() (*Instance, uint64, error) {
 	if err := ins.Check(s, st.res.Constraints); err != nil {
 		return nil, 0, err
 	}
-	st.boundIns, st.boundVer = ins, ver
 	return ins, ver, nil
 }
 

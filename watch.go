@@ -40,13 +40,6 @@ const DefaultWatchQueue = 64
 // materialization.
 func WithWatchQueue(n int) Option { return func(c *config) { c.watchQueue = n } }
 
-// WithWatchFallback forces every maintenance round to a full re-execution
-// of the pinned plan instead of a semi-naive delta round. Emissions keep
-// delta semantics (newly added rows only), so a fallback watch and an
-// incremental watch over the same traffic must emit identical streams —
-// the parity harness the incremental path is tested against.
-func WithWatchFallback(on bool) Option { return func(c *config) { c.watchFallback = on } }
-
 // WatchDelta is one change notification on a watch's subscription channel.
 type WatchDelta struct {
 	// Tick is the catalog tick (max per-relation tick over the statement's
@@ -412,6 +405,11 @@ func (w *Watch) round() bool {
 	if snap.tick == w.tickSeen {
 		return true // coalesced or spurious wakeup; nothing new
 	}
+	// A full re-execution per round is also the reference the incremental
+	// path is held to: emissions keep delta semantics (newly added rows
+	// only), so a watch forced onto it (config.watchFallback, which no
+	// public option sets) and an incremental watch over the same traffic
+	// must emit identical streams.
 	if w.p.Mode == ModeRule || w.cfg.watchFallback {
 		return w.fullRound(false)
 	}

@@ -191,7 +191,7 @@ func TestWatchParityTriangle(t *testing.T) {
 }
 
 func TestWatchParityTriangleFallback(t *testing.T) {
-	testWatchParity(t, triangleSrc, 11, WithWatchFallback(true))
+	testWatchParity(t, triangleSrc, 11, func(c *config) { c.watchFallback = true })
 }
 
 func TestWatchParityFourCycle(t *testing.T) {
@@ -270,9 +270,10 @@ func TestWatchZeroPlanningAfterOpen(t *testing.T) {
 	}
 }
 
-// TestWatchPerRelationInvalidation pins the satellite fix: a mutation to a
-// relation a statement does not read must not invalidate its memoized
-// snapshot, while a mutation to a referenced relation must.
+// TestWatchPerRelationInvalidation: a mutation to a relation a statement
+// does not read must not invalidate its memoized result, while a mutation to
+// a relation it reads must — seen as a caller sees it, by the identity of
+// the *Result the statement hands back.
 func TestWatchPerRelationInvalidation(t *testing.T) {
 	db := Open()
 	defer db.Close()
@@ -288,34 +289,34 @@ func TestWatchPerRelationInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins1, _, err := st.bind()
+	res1, err := st.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unrelated mutation: the snapshot must be reused.
+	// Unrelated mutation: the same result is served.
 	if err := db.Insert("A", []Value{9, 9}); err != nil {
 		t.Fatal(err)
 	}
-	ins2, _, err := st.bind()
+	res2, err := st.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins1 != ins2 {
-		t.Fatal("insert into unrelated relation invalidated the statement snapshot")
+	if res1 != res2 {
+		t.Fatal("insert into an unread relation invalidated the statement's result")
 	}
-	// Referenced mutation: the snapshot must be rebound.
+	// Referenced mutation: the query runs again, over the new rows.
 	if err := db.Insert("B", []Value{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	ins3, _, err := st.bind()
+	res3, err := st.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins3 == ins2 {
-		t.Fatal("insert into referenced relation did not invalidate the snapshot")
+	if res3 == res2 {
+		t.Fatal("insert into a read relation did not invalidate the result")
 	}
-	if got := ins3.Relations[0].Size(); got != 2 {
-		t.Fatalf("rebound snapshot has %d rows, want 2", got)
+	if got := res3.Size(); got != 2 {
+		t.Fatalf("re-run result has %d rows, want 2", got)
 	}
 }
 
