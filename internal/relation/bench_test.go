@@ -83,3 +83,35 @@ func BenchmarkUnionFold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAllSorted reads a 2-column, 20k-row relation out in value order:
+// "first" orders it (a fresh snapshot per iteration, so nothing is
+// memoized), "again" is a later pass over the same unwritten relation — the
+// permutation is there, and the pass allocates the row buffer and nothing
+// that grows with the rows.
+func BenchmarkAllSorted(b *testing.B) {
+	r := randomRelation(rand.New(rand.NewSource(6)), bitset.Of(0, 1), 20000, 400)
+	scan := func(b *testing.B, r *Relation) {
+		n := 0
+		for range r.AllSorted() {
+			n++
+		}
+		if n != r.Size() {
+			b.Fatalf("%d rows yielded, want %d", n, r.Size())
+		}
+	}
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			scan(b, r.Snapshot("S"))
+		}
+	})
+	b.Run("again", func(b *testing.B) {
+		scan(b, r)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scan(b, r)
+		}
+	})
+}

@@ -8,7 +8,11 @@
 // uint32 id (see Interner) and a relation holds one []uint32 vector per
 // attribute, so equality, dedup and index builds operate on machine words
 // and iteration walks contiguous memory. Values are decoded back only at
-// the read boundary (All, AllSorted, Rows).
+// the read boundary (All, AllSorted, Rows), and there once per row yielded:
+// value order is worked out without decoding rows — each column's distinct
+// ids are ranked by value once, the rows counting-sorted by those ranks — and
+// the resulting permutation is kept against the mutation tick, so a relation
+// that is not written to is ordered once however often it is read out.
 //
 // Everything that hashes rows — set-semantics dedup, the build side of Join
 // and Semijoin, the grouping under Project, Degree and the Lemma 6.1 split —
@@ -80,17 +84,19 @@ type Relation struct {
 	scratch []uint32
 
 	// memo caches derived read-only structures — hash indexes (the build
-	// side of Join and Semijoin) and hash partitions — keyed by attribute
-	// set and invalidated by the mutation tick, so a relation that is
-	// joined, semijoin-reduced or partitioned repeatedly (standing-query
-	// rounds, per-partition rule executions) hashes its rows once instead
-	// of once per call. Guarded by its own mutex, which also covers a read
-	// path catching up seen: executions share instance relations across
-	// worker goroutines.
+	// side of Join and Semijoin) and hash partitions, keyed by attribute
+	// set, and the sorted row permutation behind AllSorted — each
+	// invalidated by the mutation tick, so a relation that is joined,
+	// semijoin-reduced, partitioned or read out repeatedly (standing-query
+	// rounds, per-partition rule executions, a memoized answer served again)
+	// hashes or orders its rows once instead of once per call. Guarded by
+	// its own mutex, which also covers a read path catching up seen:
+	// executions share instance relations across worker goroutines.
 	memo struct {
 		sync.Mutex
 		indexes map[bitset.Set]*memoIndex
 		parts   map[partMemoKey]*memoParts
+		sorted  *memoPerm
 	}
 }
 
@@ -112,6 +118,14 @@ type partMemoKey struct {
 type memoParts struct {
 	mut   uint64
 	parts []*Relation
+}
+
+// memoPerm caches sortedPerm at a given mutation tick. The memo holds it by
+// pointer so that the many relations never read out in order pay nothing for
+// it: Relation stays inside its 256-byte allocation class.
+type memoPerm struct {
+	mut  uint64
+	perm []int32
 }
 
 // tickMark records that the relation held exactly `rows` tuples when the
@@ -888,6 +902,22 @@ func (r *Relation) Snapshot(name string) *Relation {
 		out.data[c] = r.data[c][:r.nrows:r.nrows]
 	}
 	return out
+}
+
+// Compact drops what only growing r needs, for a relation that is about to
+// be kept and read — a memoized answer: the dedup table (rebuilt lazily by
+// ensureSeen, as for a Snapshot, should anything insert or probe after all)
+// and column capacity running well past the rows, by copying such a column
+// to its size. A column shared with another relation (Snapshot) is already
+// capacity-capped and stays shared. It counts as a write: the caller must be
+// the only holder of r.
+func (r *Relation) Compact() {
+	r.seen = rowTable{}
+	for c, col := range r.data {
+		if cap(col)-len(col) > len(col)/8 {
+			r.data[c] = append([]uint32(nil), col...)
+		}
+	}
 }
 
 // SnapshotAs is Snapshot with the columns reinterpreted under a new schema

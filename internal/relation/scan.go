@@ -1,8 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"iter"
-	"sort"
+	"slices"
 )
 
 // Row is one decoded tuple in column order (sorted variable ids).
@@ -24,7 +25,10 @@ func (r *Relation) All() iter.Seq[Row] {
 }
 
 // AllSorted iterates the decoded rows in lexicographic value order, reusing
-// one buffer like All. It sorts a row permutation, not the rows themselves.
+// one buffer like All. The order is a row permutation computed once per
+// relation state (sortedPerm) and shared by every caller, read-only; a pass
+// over an unwritten relation allocates the row buffer and decodes each row
+// it yields once.
 func (r *Relation) AllSorted() iter.Seq[Row] {
 	return func(yield func(Row) bool) {
 		perm := r.sortedPerm()
@@ -38,23 +42,76 @@ func (r *Relation) AllSorted() iter.Seq[Row] {
 	}
 }
 
-// sortedPerm returns the row indices in lexicographic decoded-value order.
+// sortedPerm returns the row indices in lexicographic decoded-value order,
+// memoized against the mutation tick like index and Partition: a relation
+// that is not written to is ordered once. Rows are unique, so the order is
+// total and the permutation a function of the rows alone. Callers must
+// treat it as read-only.
 func (r *Relation) sortedPerm() []int32 {
-	perm := make([]int32, r.nrows)
+	r.memo.Lock()
+	defer r.memo.Unlock()
+	if m := r.memo.sorted; m == nil || m.mut != r.mut {
+		r.memo.sorted = &memoPerm{mut: r.mut, perm: r.rankSort()}
+	}
+	return r.memo.sorted.perm
+}
+
+// rankSort orders the rows by a stable counting sort per column, last
+// column first. A column's sort keys are the ranks of its distinct values:
+// the rows are grouped by id (ids are handed out in interning order, so id
+// order is not value order), each group's value is decoded once and the
+// groups are ordered by it — no comparison between rows ever decodes.
+func (r *Relation) rankSort() []int32 {
+	n := r.nrows
+	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		i, j := int(perm[a]), int(perm[b])
-		for c := range r.data {
-			vi, vj := r.in.ValueOf(r.data[c][i]), r.in.ValueOf(r.data[c][j])
-			if vi != vj {
-				return vi < vj
+	if n < 2 {
+		return perm
+	}
+	next := make([]int32, n) // the permutation after the column in hand
+	of := make([]int32, n)   // per row: its group in that column
+	var groups []valueGroup
+	g := grouper{r: r, pos: make([]int, 1)}
+	for c := len(r.data) - 1; c >= 0; c-- {
+		g.pos[0] = c
+		g.tab.reset()
+		g.first, groups = g.first[:0], groups[:0]
+		for i := range of {
+			gi, fresh := g.group(i)
+			if fresh {
+				groups = append(groups, valueGroup{val: r.in.ValueOf(r.data[c][i]), id: gi})
 			}
+			of[i] = gi
+			groups[gi].rows++
 		}
-		return false
-	})
+		if len(groups) == 1 {
+			continue // a constant column orders nothing
+		}
+		slices.SortFunc(groups, func(a, b valueGroup) int { return cmp.Compare(a.val, b.val) })
+		// at[g] is where group g's next row goes: the groups laid end to
+		// end in value order.
+		at, start := g.first, int32(0)
+		for _, vg := range groups {
+			at[vg.id] = start
+			start += vg.rows
+		}
+		for _, i := range perm {
+			next[at[of[i]]] = i
+			at[of[i]]++
+		}
+		perm, next = next, perm
+	}
 	return perm
+}
+
+// valueGroup is one distinct value of a column during rankSort: the rows
+// holding it form group id, numbered in first-appearance order.
+type valueGroup struct {
+	val  Value
+	id   int32
+	rows int32
 }
 
 // decodeRange materializes rows [from, to) as boxed tuples backed by one

@@ -13,13 +13,31 @@ import (
 )
 
 // BenchmarkServerQuery measures steady-state request throughput on the hot
-// path: statement-cache hit, plan-cache hit (zero LP solves), execute,
-// stream. Run with -benchtime to taste; CI runs it once as a smoke test.
+// path: statement-cache hit, result-memo hit, stream. The answer is a few
+// hundred bytes, so what it times is a request's fixed cost — it says
+// nothing about the engine (a memo hit runs none of it) or about encoding
+// (see BenchmarkServerQueryLarge). Run with -benchtime to taste; CI runs it
+// once as a smoke test.
 func BenchmarkServerQuery(b *testing.B) {
+	benchServerQuery(b, 60, 12, 0)
+}
+
+// BenchmarkServerQueryLarge is the same request with a ≈ 200 kB answer
+// (≈ 20k rows): still a result-memo hit, so per request it walks the
+// answer's kept row order, decodes and encodes every row, and hands the body
+// over a buffer at a time — the wire path, and nothing else.
+func BenchmarkServerQueryLarge(b *testing.B) {
+	benchServerQuery(b, 2000, 40, 150<<10)
+}
+
+// benchServerQuery serves the triangle query over `rows` random tuples per
+// relation drawn from [0, dom)², from parallel clients that drain the body;
+// the answer must be at least minBody bytes.
+func benchServerQuery(b *testing.B, rows, dom, minBody int) {
 	db := panda.Open()
 	defer db.Close()
 	q := panda.TriangleQuery()
-	ins := panda.RandomInstance(7, &q.Schema, 60, 12)
+	ins := panda.RandomInstance(7, &q.Schema, rows, dom)
 	for i, a := range q.Schema.Atoms {
 		if err := db.CreateRelation(a.Name, a.Vars.Card()); err != nil && !errors.Is(err, panda.ErrRelationExists) {
 			b.Fatal(err)
@@ -32,27 +50,32 @@ func BenchmarkServerQuery(b *testing.B) {
 	defer ts.Close()
 
 	body := fmt.Sprintf(`{"query":%q}`, `Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`)
-	do := func() error {
+	do := func() (int64, error) {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return err
+		n, err := io.Copy(io.Discard, resp.Body)
+		if err != nil {
+			return n, err
 		}
 		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
+			return n, fmt.Errorf("status %d", resp.StatusCode)
 		}
-		return nil
+		return n, nil
 	}
-	if err := do(); err != nil { // pay the one-time planning cost up front
+	n, err := do() // pay the one-time planning cost up front
+	if err != nil {
 		b.Fatal(err)
+	}
+	if n < int64(minBody) {
+		b.Fatalf("the answer is %d bytes, want at least %d", n, minBody)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := do(); err != nil {
+			if _, err := do(); err != nil {
 				// Fatal must not be called from a RunParallel worker.
 				b.Error(err)
 				return

@@ -44,7 +44,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -460,110 +460,182 @@ func (s *Server) logSlowQuery(res *panda.Result, rows int, elapsed time.Duration
 	s.slowMu.Unlock()
 }
 
-// writeResult streams the unified Result as one JSON object. The scalar
-// header lands first and rows are written tuple by tuple (flushed
-// periodically), so a client can start consuming a large result while the
-// tail is still being encoded. maxRows > 0 caps every streamed row array;
-// a capped response carries "truncated":true. It reports the total rows
-// streamed and whether anything was cut, for the per-shape telemetry.
+// writeResult streams the unified Result as one JSON object through a
+// wireBuf: the scalar header and the rows are encoded into one buffer that
+// is handed to net/http (written and flushed) each time it fills, so a
+// client can start consuming a large result while the tail is still being
+// encoded, and the rest — the last rows, the closing bracket, stats,
+// signature, timings — goes out as one final write. maxRows > 0 caps every
+// streamed row array; a capped response carries "truncated":true. It reports
+// the total rows streamed and whether anything was cut, for the per-shape
+// telemetry. A client that hangs up mid-answer ends the encode at the
+// buffer in hand: the remaining rows, tables and the tail are skipped.
+//
+// Stats and the sorted target list are pure functions of a memoized Result
+// that are still worked out per request: keeping them would take a field on
+// Result or Stmt.
 func (s *Server) writeResult(w http.ResponseWriter, st *panda.Stmt, res *panda.Result, maxRows int) (rows int, truncated bool) {
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
-	if res.Width != nil {
-		fmt.Fprintf(w, `,"width":%q`, res.Width.RatString())
-	}
 	// ResponseController reaches Flush through the StatusWriter's Unwrap;
 	// a direct type assertion would miss it.
-	flush := http.NewResponseController(w)
+	b := newWireBuf(w, http.NewResponseController(w))
+	defer b.close()
+	b.buf = fmt.Appendf(b.buf, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
+	if res.Width != nil {
+		b.buf = fmt.Appendf(b.buf, `,"width":%q`, res.Width.RatString())
+	}
 	if res.Rel != nil {
 		cols, _ := json.Marshal(res.Columns)
-		fmt.Fprintf(w, `,"columns":%s,"rows":`, cols)
-		n, cut := streamRows(w, flush, res.Iter(), maxRows)
-		rows += n
-		truncated = truncated || cut
+		b.buf = fmt.Appendf(b.buf, `,"columns":%s,"rows":`, cols)
+		rows, truncated = streamRows(b, res.Iter(), maxRows)
 	}
 	if res.Mode == panda.ModeRule {
-		n, cut := writeTables(w, flush, st, res.Tables, maxRows)
+		n, cut := writeTables(b, st, res.Tables, maxRows)
 		rows += n
 		truncated = truncated || cut
 	}
+	if b.err != nil {
+		return rows, truncated
+	}
 	if truncated {
-		io.WriteString(w, `,"truncated":true`)
+		b.buf = append(b.buf, `,"truncated":true`...)
 	}
 	if res.Stats != nil {
 		stats, err := json.Marshal(res.Stats)
 		if err == nil {
-			fmt.Fprintf(w, `,"stats":%s`, stats)
+			b.buf = append(append(b.buf, `,"stats":`...), stats...)
 		}
 	}
 	// Shape identity and wall-clock stage timings land after stats: the
 	// deterministic prefix of the body (everything through stats) stays
 	// byte-stable across runs, while the timings tail is allowed to vary.
 	if res.Signature != "" {
-		fmt.Fprintf(w, `,"signature":%q`, res.Signature)
+		b.buf = fmt.Appendf(b.buf, `,"signature":%q`, res.Signature)
 	}
 	if res.Timings != nil {
 		if t, err := json.Marshal(res.Timings.Seconds()); err == nil {
-			fmt.Fprintf(w, `,"timings":%s`, t)
+			b.buf = append(append(b.buf, `,"timings":`...), t...)
 		}
 	}
-	io.WriteString(w, "}\n")
+	b.buf = append(b.buf, "}\n"...)
 	return rows, truncated
+}
+
+// wireBufSize is how much of a body is encoded before net/http sees any of
+// it. One Write per row costs a third of serve-read's throughput in
+// net/http's per-Write bookkeeping (its connection mutex alone was 16% of a
+// profile); 32 kB is a few hundred to a few thousand rows.
+const wireBufSize = 32 << 10
+
+// wireBuf batches an encoded body: callers append to buf, call spill after
+// each row and stop encoding once err is set; close sends what is left. The
+// buffers are pooled — a request owns one from newWireBuf to close.
+type wireBuf struct {
+	w     io.Writer
+	flush *http.ResponseController // nil: the caller flushes (a watch line)
+	buf   []byte
+	err   error // the first failed Write; nothing is written after it
+}
+
+var wireBufs = sync.Pool{New: func() any {
+	// Room for the row that crosses the mark.
+	return &wireBuf{buf: make([]byte, 0, wireBufSize+1024)}
+}}
+
+func newWireBuf(w io.Writer, flush *http.ResponseController) *wireBuf {
+	b := wireBufs.Get().(*wireBuf)
+	b.w, b.flush = w, flush
+	return b
+}
+
+// send writes the buffer out and empties it.
+func (b *wireBuf) send() {
+	if b.err == nil && len(b.buf) > 0 {
+		_, b.err = b.w.Write(b.buf)
+	}
+	b.buf = b.buf[:0]
+}
+
+// spill hands the buffer to the writer, and flushes it through, once it has
+// reached wireBufSize.
+func (b *wireBuf) spill() {
+	if len(b.buf) < wireBufSize {
+		return
+	}
+	b.send()
+	if b.flush != nil && b.err == nil {
+		// A writer that cannot flush is fine; one whose flush fails is gone.
+		if err := b.flush.Flush(); !errors.Is(err, http.ErrNotSupported) {
+			b.err = err
+		}
+	}
+}
+
+// close sends what is left and returns the buffer to the pool.
+func (b *wireBuf) close() {
+	b.send()
+	*b = wireBuf{buf: b.buf}
+	wireBufs.Put(b)
 }
 
 // writeTables renders a rule result's per-target tables as the
 // `,"tables":[{"target":…,"size":…,"rows":[…]},…]` fragment, sorted by
 // target variable set — shared by /v1/query responses and watch-stream
 // lines so both wire formats agree byte for byte.
-func writeTables(w io.Writer, flush *http.ResponseController, st *panda.Stmt, tables map[panda.Set]*panda.Relation, maxRows int) (rows int, truncated bool) {
+func writeTables(b *wireBuf, st *panda.Stmt, tables map[panda.Set]*panda.Relation, maxRows int) (rows int, truncated bool) {
 	targets := make([]panda.Set, 0, len(tables))
-	for b := range tables {
-		targets = append(targets, b)
+	for t := range tables {
+		targets = append(targets, t)
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+	slices.Sort(targets)
 	sch := st.Schema()
-	io.WriteString(w, `,"tables":[`)
-	for i, b := range targets {
+	b.buf = append(b.buf, `,"tables":[`...)
+	for i, t := range targets {
 		if i > 0 {
-			io.WriteString(w, ",")
+			b.buf = append(b.buf, ',')
 		}
-		fmt.Fprintf(w, `{"target":%q,"size":%d,"rows":`, "T_"+sch.VarLabel(b), tables[b].Size())
-		n, cut := streamRows(w, flush, tables[b].AllSorted(), maxRows)
+		b.buf = append(b.buf, `{"target":`...)
+		b.buf = strconv.AppendQuote(b.buf, "T_"+sch.VarLabel(t))
+		b.buf = append(b.buf, `,"size":`...)
+		b.buf = strconv.AppendInt(b.buf, int64(tables[t].Size()), 10)
+		b.buf = append(b.buf, `,"rows":`...)
+		n, cut := streamRows(b, tables[t].AllSorted(), maxRows)
 		rows += n
 		truncated = truncated || cut
-		io.WriteString(w, "}")
+		if b.err != nil {
+			return rows, truncated
+		}
+		b.buf = append(b.buf, '}')
 	}
-	io.WriteString(w, "]")
+	b.buf = append(b.buf, ']')
 	return rows, truncated
 }
 
-// streamRows writes a JSON array of tuples, flushing every few thousand
-// rows so large results reach the client incrementally. Rows arrive as an
-// iterator so the columnar storage decodes straight into the encoder — the
-// hot path never materializes a [][]Value copy of the result. max > 0 stops
-// after max rows; the second return reports whether rows were dropped.
-func streamRows(w io.Writer, flush *http.ResponseController, rows iter.Seq[[]panda.Value], max int) (int, bool) {
-	io.WriteString(w, "[")
+// streamRows encodes a JSON array of tuples into b, which goes out a
+// buffer at a time. Rows arrive as an iterator so the columnar storage
+// decodes straight into the encoder — the hot path never materializes a
+// [][]Value copy of the result — and the iterator is abandoned at the first
+// failed write. max > 0 stops after max rows; the second return reports
+// whether rows were dropped.
+func streamRows(b *wireBuf, rows iter.Seq[[]panda.Value], max int) (int, bool) {
+	b.buf = append(b.buf, '[')
 	written := 0
 	truncated := false
-	buf := make([]byte, 0, 64)
 	for row := range rows {
 		if max > 0 && written >= max {
 			truncated = true
 			break
 		}
-		buf = buf[:0]
 		if written > 0 {
-			buf = append(buf, ',')
+			b.buf = append(b.buf, ',')
 		}
-		buf = appendRow(buf, row)
-		w.Write(buf)
+		b.buf = appendRow(b.buf, row)
 		written++
-		if flush != nil && written%4096 == 0 {
-			flush.Flush()
+		if b.spill(); b.err != nil {
+			break
 		}
 	}
-	io.WriteString(w, "]")
+	b.buf = append(b.buf, ']')
 	return written, truncated
 }
 

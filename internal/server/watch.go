@@ -111,41 +111,46 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 // writeWatchSnapshot renders the stream's opening line: the complete
 // materialized result plus the catalog tick it reflects. Field spellings
-// match the /v1/query body, so one decoder serves both.
+// match the /v1/query body, so one decoder serves both. The line's last
+// bytes leave with its newline; the caller flushes.
 func writeWatchSnapshot(w io.Writer, st *panda.Stmt, res *panda.Result, tick uint64) {
-	fmt.Fprintf(w, `{"snapshot":true,"tick":%d,"mode":%q,"ok":%t`, tick, res.Mode.String(), res.OK)
+	b := newWireBuf(w, nil)
+	defer b.close()
+	b.buf = fmt.Appendf(b.buf, `{"snapshot":true,"tick":%d,"mode":%q,"ok":%t`, tick, res.Mode.String(), res.OK)
 	if res.Width != nil {
-		fmt.Fprintf(w, `,"width":%q`, res.Width.RatString())
+		b.buf = fmt.Appendf(b.buf, `,"width":%q`, res.Width.RatString())
 	}
 	if res.Signature != "" {
-		fmt.Fprintf(w, `,"signature":%q`, res.Signature)
+		b.buf = fmt.Appendf(b.buf, `,"signature":%q`, res.Signature)
 	}
 	if res.Rel != nil {
 		cols, _ := json.Marshal(res.Columns)
-		fmt.Fprintf(w, `,"columns":%s,"rows":`, cols)
-		streamRows(w, nil, res.Iter(), 0)
+		b.buf = fmt.Appendf(b.buf, `,"columns":%s,"rows":`, cols)
+		streamRows(b, res.Iter(), 0)
 	}
 	if res.Mode == panda.ModeRule {
-		writeTables(w, nil, st, res.Tables, 0)
+		writeTables(b, st, res.Tables, 0)
 	}
-	io.WriteString(w, "}\n")
+	b.buf = append(b.buf, "}\n"...)
 }
 
 // writeWatchDelta renders one maintenance delta as a stream line.
 func writeWatchDelta(w io.Writer, st *panda.Stmt, d panda.WatchDelta) {
-	fmt.Fprintf(w, `{"tick":%d,"ok":%t`, d.Tick, d.OK)
+	b := newWireBuf(w, nil)
+	defer b.close()
+	b.buf = fmt.Appendf(b.buf, `{"tick":%d,"ok":%t`, d.Tick, d.OK)
 	if d.Resync {
-		io.WriteString(w, `,"resync":true`)
+		b.buf = append(b.buf, `,"resync":true`...)
 	}
 	if d.Tables != nil {
-		writeTables(w, nil, st, d.Tables, 0)
+		writeTables(b, st, d.Tables, 0)
 	} else if d.Rows != nil || d.Resync {
 		// A resync line always spells out rows (possibly empty): the
 		// consumer replaces its state with exactly what is printed.
-		io.WriteString(w, `,"rows":`)
-		streamRows(w, nil, rowSeq(d.Rows), 0)
+		b.buf = append(b.buf, `,"rows":`...)
+		streamRows(b, rowSeq(d.Rows), 0)
 	}
-	io.WriteString(w, "}\n")
+	b.buf = append(b.buf, "}\n"...)
 }
 
 // ---- NDJSON /v1/query ----
@@ -160,52 +165,49 @@ func wantsNDJSON(r *http.Request) bool {
 // header line with the scalar fields and columns, one line per row (a bare
 // JSON array), and a trailer line with the row count, truncation flag and
 // stats. Line-oriented output lets `curl -N … | jq` and log shippers
-// consume large results without buffering the whole body.
+// consume large results without buffering the whole body; lines leave a
+// wireBuf at a time, like writeResult's rows.
 func (s *Server) writeResultNDJSON(w http.ResponseWriter, res *panda.Result, maxRows int) (rows int, truncated bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flush := http.NewResponseController(w)
-	fmt.Fprintf(w, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
+	b := newWireBuf(w, http.NewResponseController(w))
+	defer b.close()
+	b.buf = fmt.Appendf(b.buf, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
 	if res.Width != nil {
-		fmt.Fprintf(w, `,"width":%q`, res.Width.RatString())
+		b.buf = fmt.Appendf(b.buf, `,"width":%q`, res.Width.RatString())
 	}
 	if res.Rel != nil {
 		cols, _ := json.Marshal(res.Columns)
-		fmt.Fprintf(w, `,"columns":%s`, cols)
+		b.buf = fmt.Appendf(b.buf, `,"columns":%s`, cols)
 	}
 	if res.Signature != "" {
-		fmt.Fprintf(w, `,"signature":%q`, res.Signature)
+		b.buf = fmt.Appendf(b.buf, `,"signature":%q`, res.Signature)
 	}
-	io.WriteString(w, "}\n")
-	if res.Rel != nil {
-		buf := make([]byte, 0, 64)
-		for row := range res.Iter() {
-			if maxRows > 0 && rows >= maxRows {
-				truncated = true
-				break
-			}
-			buf = appendRow(buf[:0], row)
-			buf = append(buf, '\n')
-			w.Write(buf)
-			rows++
-			if rows%4096 == 0 {
-				flush.Flush()
-			}
+	b.buf = append(b.buf, "}\n"...)
+	for row := range res.Iter() {
+		if maxRows > 0 && rows >= maxRows {
+			truncated = true
+			break
+		}
+		b.buf = append(appendRow(b.buf, row), '\n')
+		rows++
+		if b.spill(); b.err != nil {
+			return rows, truncated
 		}
 	}
-	fmt.Fprintf(w, `{"rows":%d`, rows)
+	b.buf = fmt.Appendf(b.buf, `{"rows":%d`, rows)
 	if truncated {
-		io.WriteString(w, `,"truncated":true`)
+		b.buf = append(b.buf, `,"truncated":true`...)
 	}
 	if res.Stats != nil {
-		if b, err := json.Marshal(res.Stats); err == nil {
-			fmt.Fprintf(w, `,"stats":%s`, b)
+		if stats, err := json.Marshal(res.Stats); err == nil {
+			b.buf = append(append(b.buf, `,"stats":`...), stats...)
 		}
 	}
 	if res.Timings != nil {
-		if b, err := json.Marshal(res.Timings.Seconds()); err == nil {
-			fmt.Fprintf(w, `,"timings":%s`, b)
+		if t, err := json.Marshal(res.Timings.Seconds()); err == nil {
+			b.buf = append(append(b.buf, `,"timings":`...), t...)
 		}
 	}
-	io.WriteString(w, "}\n")
+	b.buf = append(b.buf, "}\n"...)
 	return rows, truncated
 }

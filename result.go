@@ -79,7 +79,8 @@ func SignatureDigest(key string) string {
 
 // Rows returns the output tuples in deterministic sorted order; nil when
 // the result has no output relation. Each call decodes and materializes a
-// fresh copy of the whole row set — streaming consumers should prefer Iter.
+// fresh copy of the whole row set (the order itself is kept, see Iter) —
+// streaming consumers should prefer Iter.
 func (r *Result) Rows() [][]Value { return sortedRows(r.Rel) }
 
 // sortedRows materializes rel's tuples in sorted order (nil for a nil
@@ -102,13 +103,26 @@ func sortedRows(rel *Relation) [][]Value {
 // Iter iterates the output tuples in the same deterministic sorted order as
 // Rows without materializing them: rows decode out of the columnar storage
 // into one reused buffer, so the yielded slice is valid only for the body
-// of the loop — copy it if it must be retained. The sequence is empty when
-// the result has no output relation.
+// of the loop — copy it if it must be retained. The order is worked out by
+// the first pass and kept with the relation (shared, read-only), so
+// iterating a memoized Result again sorts nothing. The sequence is empty
+// when the result has no output relation.
 func (r *Result) Iter() iter.Seq[[]Value] {
 	if r.Rel == nil {
 		return func(func([]Value) bool) {}
 	}
 	return r.Rel.AllSorted()
+}
+
+// compact trims the result's relations to what reading them takes (see
+// Relation.Compact). The caller must still be the result's only holder.
+func (r *Result) compact() {
+	if r.Rel != nil {
+		r.Rel.Compact()
+	}
+	for _, t := range r.Tables {
+		t.Compact()
+	}
 }
 
 // Size returns |Rel|, or 0 when the result has no output relation.

@@ -25,6 +25,14 @@ import (
 // returned as-is, including Timings: a memo hit reports the stage timings
 // of the execution that produced the result (timings are already excluded
 // from the determinism guarantee, and a hit runs no stages of its own).
+//
+// What the memo holds is what a reader needs: the scalar fields and, for Rel
+// and every table, the rows at their size — the dedup table and the spare
+// column capacity the engine built them with are dropped before the Result
+// is published (Relation.Compact). A relation rebuilds on demand what a
+// reader turns out to want: the dedup table on the first Contains, Equal or
+// Insert, the sorted row order on the first Iter, Rows or AllSorted — the
+// latter kept with the relation, so later hits walk it without sorting.
 type Stmt struct {
 	db  *DB
 	src string
@@ -118,6 +126,8 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	// Still private to this call: once it is in the memo, readers share it.
+	res.compact()
 	st.mu.Lock()
 	// Concurrent calls may finish out of order: keep the newest snapshot's
 	// result.

@@ -137,3 +137,92 @@ func TestStmtResultMemo(t *testing.T) {
 		t.Fatal("duplicate-only insert invalidated the result memo")
 	}
 }
+
+// TestMemoizedResultIsCompact: what a Stmt memoizes is trimmed to what
+// reading it takes, and still answers like any relation. A rule answered by
+// its base case returns a table that *is* the bound snapshot of a catalog
+// relation — trimming it must not reach the catalog's storage, and the
+// catalog must go on deduplicating.
+func TestMemoizedResultIsCompact(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	for _, name := range []string{"R", "S"} {
+		if err := db.CreateRelation(name, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		if err := db.Insert("R", []Value{Value(i), Value(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 7; j++ {
+		if err := db.Insert("S", []Value{Value(j), Value(j + 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catalogColumn := &db.catalog["R"].Column(0)[0]
+
+	rule, err := db.Prepare("T1(A,B) v T2(B,C) :- R(A,B), S(B,C).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rule.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.BaseCases != 1 {
+		t.Fatalf("precondition: the rule should be answered by its base case, stats %+v", res.Stats)
+	}
+	var shared *Relation
+	for _, tab := range res.Tables {
+		if tab.Size() == 300 && &tab.Column(0)[0] == catalogColumn {
+			shared = tab
+		}
+	}
+	if shared == nil {
+		t.Fatal("precondition: no table of the rule's model shares the catalog relation's storage")
+	}
+	if &db.catalog["R"].Column(0)[0] != catalogColumn {
+		t.Fatal("memoizing the result moved the catalog relation's column")
+	}
+	if again, _ := rule.Query(); again != res {
+		t.Fatal("result was not memoized")
+	}
+	// The catalog still knows its rows (a dropped dedup table would accept
+	// the duplicate), and the memoized table does not see the new one.
+	if err := db.Insert("R", []Value{5, 5}, []Value{-1, -1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.catalog["R"].Size(); n != 301 {
+		t.Fatalf("catalog relation has %d rows after a duplicate and a fresh insert, want 301", n)
+	}
+	if shared.Size() != 300 || shared.Contains([]Value{-1, -1}) || !shared.Contains([]Value{5, 5}) {
+		t.Fatal("the memoized table changed with the catalog")
+	}
+
+	// A computed answer: every read path is still right after the trim
+	// (internal/relation's TestCompact checks what the trim frees).
+	st, err := db.Prepare("Q(A,B,C) :- R(A,B), S(B,C).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = st.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size() != 301-1 { // (-1,-1) joins nothing
+		t.Fatalf("join has %d rows, want 300", res.Size())
+	}
+	rows := res.Rows()
+	if !res.Rel.Contains(rows[17]) || res.Rel.Contains([]Value{-1, -1, -1}) {
+		t.Fatal("Contains wrong on a memoized result")
+	}
+	clone := res.Rel.Clone("clone")
+	if !res.Rel.Equal(clone) || !clone.Equal(res.Rel) {
+		t.Fatal("Equal wrong on a memoized result")
+	}
+	if u := res.Rel.Union(clone); u.Size() != res.Size() {
+		t.Fatalf("Union with itself has %d rows, want %d", u.Size(), res.Size())
+	}
+}
