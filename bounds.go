@@ -6,7 +6,6 @@ import (
 
 	"panda/internal/bounds"
 	"panda/internal/flow"
-	"panda/internal/query"
 )
 
 // BoundReport collects the size-bound hierarchy of a query under given
@@ -112,5 +111,3 @@ func CheckInstance(s *Schema, ins *Instance, dcs []Constraint) error {
 func ZhangYeungGap() (polymatroid, entropic *big.Rat, err error) {
 	return bounds.Theorem13Gap()
 }
-
-var _ = query.LogOf // keep the query package linked for its documentation

@@ -68,14 +68,13 @@ type DB struct {
 // config carries the tunables of a DB and of one query run; Open sets
 // session defaults and each Query/Eval call may override them.
 type config struct {
-	mode          PlanMode
-	core          core.Options
-	parallelism   int
-	partitions    int
-	plannerCap    int
-	planDir       string
-	watchQueue    int
-	watchFallback bool // set by the in-package parity test only; see Watch.round
+	mode        PlanMode
+	core        core.Options
+	parallelism int
+	partitions  int
+	plannerCap  int
+	planDir     string
+	watchQueue  int
 }
 
 // Option tunes a DB (at Open) or a single query run (at Prepare / Query /
@@ -587,21 +586,6 @@ func (db *DB) notifyWatchers() {
 	}
 }
 
-// schemaTickLocked returns the max per-relation catalog tick over the
-// schema's referenced relations (0 when none are present). Callers hold
-// db.mu.
-func (db *DB) schemaTickLocked(s *Schema) uint64 {
-	var max uint64
-	for _, a := range s.Atoms {
-		if t, ok := db.catalog[a.Name]; ok {
-			if tk := t.Tick(); tk > max {
-				max = tk
-			}
-		}
-	}
-	return max
-}
-
 // schemaTick reports the catalog tick a statement over s depends on: the
 // max per-relation tick across the relations the schema actually
 // references. Mutations to unrelated relations leave it unchanged, so a
@@ -615,29 +599,63 @@ func (db *DB) schemaTick(s *Schema) (uint64, error) {
 	if db.closed {
 		return 0, ErrClosed
 	}
+	var tick uint64
 	for _, a := range s.Atoms {
-		if _, ok := db.catalog[a.Name]; !ok {
+		t, ok := db.catalog[a.Name]
+		if !ok {
 			return 0, fmt.Errorf("%w: %s", ErrUnknownRelation, a.Name)
 		}
+		tick = max(tick, t.Tick())
 	}
-	return db.schemaTickLocked(s), nil
+	return tick, nil
 }
 
-// bindInstance snapshots the catalog into an Instance for the schema,
-// returning the schema tick (max referenced-relation tick) the snapshot
-// reflects; the read lock is held for the duration of the copy (an O(arity)
-// column snapshot per atom on the common path — see query.BindInstance).
-func (db *DB) bindInstance(s *Schema) (*Instance, uint64, error) {
+// binding is one consistent read of the catalog for a schema.
+type binding struct {
+	ins  *Instance // the catalog bound to the schema
+	tick uint64    // the schema tick ins reflects
+	// rels is the catalog relation each atom read, in atom order: a later
+	// read finding another pointer is how a watch detects drop+recreate.
+	rels []*relation.Relation
+	// delta is the rows stamped after the tick the caller named, bound like
+	// ins; nil when no tick was named.
+	delta *Instance
+}
+
+// bind is the one path from the catalog to an instance: under a single
+// read-lock hold it binds the catalog to the schema (an O(arity) column
+// snapshot per atom on the common path — see query.BindInstance) and, when
+// since is non-nil, binds the rows that arrived after tick *since the same
+// way, over each relation's column suffix (Relation.Since), so the two
+// instances describe one catalog state.
+func (db *DB) bind(s *Schema, since *uint64) (*binding, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
-		return nil, 0, ErrClosed
+		return nil, ErrClosed
 	}
 	ins, err := query.BindInstance(s, func(name string) (*relation.Relation, bool) {
 		t, ok := db.catalog[name]
 		return t, ok
 	})
-	return ins, db.schemaTickLocked(s), err
+	if err != nil {
+		return nil, err
+	}
+	b := &binding{ins: ins, rels: make([]*relation.Relation, len(s.Atoms))}
+	for i, a := range s.Atoms {
+		b.rels[i] = db.catalog[a.Name]
+		b.tick = max(b.tick, b.rels[i].Tick())
+	}
+	if since != nil {
+		// Every name resolved a moment ago, under this same hold.
+		b.delta, err = query.BindInstance(s, func(name string) (*relation.Relation, bool) {
+			return db.catalog[name].Since(*since), true
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // ---- Query paths ----

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"panda/internal/bitset"
 	"panda/internal/relation"
 )
 
@@ -40,9 +41,9 @@ func (s *Schema) Arity(i int) int { return len(s.ArgOrder(i)) }
 // in the declared argument order of the atoms naming the relation.
 type Lookup func(name string) (*relation.Relation, bool)
 
-// RowsLookup resolves a relation name to decoded rows and an arity — the
-// slow-plane variant of Lookup for callers that hold materialized deltas
-// (standing-query rounds) rather than live relations.
+// RowsLookup resolves a relation name to decoded rows (in declared argument
+// order) and an arity — the variant of Lookup for callers that hold boxed
+// tuples rather than relations.
 type RowsLookup func(name string) (rows [][]relation.Value, arity int, ok bool)
 
 // BindInstance builds an Instance for s from named tables: each atom's
@@ -126,48 +127,24 @@ func identityOrder(order, vars []int) bool {
 	return true
 }
 
-// BindInstanceRows is BindInstance over materialized rows: same permutation
-// and repeated-variable semantics, sourced from decoded tuples. Each atom's
-// row set is known up front, so relations are built in bulk through a
-// relation.Builder sized to the delta.
+// BindInstanceRows is BindInstance over materialized rows: each named row set
+// is stored once as a catalog-shaped relation (column k ↔ argument k, shared
+// by the atoms naming it) and bound like any other table.
 func BindInstanceRows(s *Schema, lookup RowsLookup) (*Instance, error) {
-	ins := NewInstance(s)
-	for i, a := range s.Atoms {
-		rows, arity, ok := lookup(a.Name)
+	tables := map[string]*relation.Relation{}
+	return BindInstance(s, func(name string) (*relation.Relation, bool) {
+		if t, ok := tables[name]; ok {
+			return t, true
+		}
+		rows, arity, ok := lookup(name)
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownRelation, a.Name)
+			return nil, false
 		}
-		order := s.ArgOrder(i)
-		if arity != len(order) {
-			return nil, fmt.Errorf("%w: relation %s has arity %d, atom %s needs %d",
-				ErrArity, a.Name, arity, a.Name, len(order))
-		}
-		vars := a.Vars.Vars()
-		pos := make(map[int]int, len(vars))
-		for j, v := range vars {
-			pos[v] = j
-		}
-		b := relation.NewBuilder(a.Name, a.Vars, len(rows))
-		t := make([]relation.Value, len(vars))
-		set := make([]bool, len(vars))
+		b := relation.NewBuilder(name, bitset.Full(arity), len(rows))
 		for _, row := range rows {
-			for j := range set {
-				set[j] = false
-			}
-			match := true
-			for k, v := range order {
-				j := pos[v]
-				if set[j] && t[j] != row[k] {
-					match = false // repeated variable with unequal values
-					break
-				}
-				t[j], set[j] = row[k], true
-			}
-			if match {
-				b.Add(t)
-			}
+			b.Add(row)
 		}
-		ins.Relations[i] = b.Build()
-	}
-	return ins, nil
+		tables[name] = b.Build()
+		return tables[name], true
+	})
 }

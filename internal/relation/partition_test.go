@@ -10,9 +10,10 @@ import (
 // TestRowsCappedAgainstCallerAppend is the regression test for the live-
 // slice bug: Rows() used to return the internal slice with spare capacity,
 // so a caller append wrote into the same backing array the insert log's
-// RowsSince subslices alias and the next Insert appends to. With the capped
+// delta subslices aliased and the next Insert appended to. With the capped
 // three-index slice, a caller append must reallocate: neither the caller's
-// appended row nor a concurrently-held delta view may be clobbered.
+// appended row nor a concurrently-held delta view may be clobbered. (Storage
+// is columnar now and a delta is Since's column suffix; the assertions stand.)
 func TestRowsCappedAgainstCallerAppend(t *testing.T) {
 	r := New("R", bitset.Of(0, 1))
 	r.Insert([]Value{1, 1})
@@ -34,13 +35,13 @@ func TestRowsCappedAgainstCallerAppend(t *testing.T) {
 		t.Fatalf("Insert clobbered a caller-appended row: %v", scratch[3])
 	}
 	// The delta view sees exactly the inserted row, not the caller's junk.
-	delta := r.RowsSince(1)
+	delta := r.Since(1).Rows()
 	if len(delta) != 1 || !reflect.DeepEqual(delta[0], []Value{4, 4}) {
-		t.Fatalf("RowsSince(1) = %v, want [[4 4]]", delta)
+		t.Fatalf("Since(1) = %v, want [[4 4]]", delta)
 	}
 	// And the reverse direction: appending to a held delta view must not
 	// leak into rows the relation inserts afterwards.
-	held := r.RowsSince(1)
+	held := r.Since(1).Rows()
 	_ = append(held, []Value{77, 77})
 	r.Insert([]Value{5, 5})
 	if got := r.Rows()[4]; !reflect.DeepEqual(got, []Value{5, 5}) {

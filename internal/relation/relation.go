@@ -130,8 +130,8 @@ type memoPerm struct {
 
 // tickMark records that the relation held exactly `rows` tuples when the
 // catalog tick `tick` was stamped. Because row storage is append-only, the
-// prefix [:rows] is immutable and RowsSince can answer "what arrived after
-// tick T" by decoding the suffix.
+// prefix [:rows] is immutable and Since can answer "what arrived after tick
+// T" with the column suffix.
 type tickMark struct {
 	tick uint64
 	rows int
@@ -371,20 +371,6 @@ func (r *Relation) InsertIDs(ids []uint32) bool {
 	return r.insertIDs(ids)
 }
 
-// InsertMap adds a tuple given as a variable→value assignment covering the
-// schema.
-func (r *Relation) InsertMap(m map[int]Value) {
-	t := make([]Value, len(r.cols))
-	for i, c := range r.cols {
-		v, ok := m[c]
-		if !ok {
-			panic(fmt.Sprintf("relation %s: missing attribute %d", r.Name, c))
-		}
-		t[i] = v
-	}
-	r.Insert(t)
-}
-
 // InsertAll merges every row of s (same schema, same intern table) into r.
 func (r *Relation) InsertAll(s *Relation) {
 	if r.attrs != s.attrs {
@@ -401,8 +387,8 @@ func (r *Relation) InsertAll(s *Relation) {
 
 // Stamp records that the relation's current contents correspond to the
 // monotone catalog tick. Ticks must be stamped in increasing order. A
-// re-stamp at an unchanged row count is a no-op: RowsSince for any tick at
-// or past the existing mark already answers "nothing new", and keeping the
+// re-stamp at an unchanged row count is a no-op: Since for any tick at or
+// past the existing mark already answers "nothing new", and keeping the
 // older tick keeps Tick() stable across content-preserving mutations
 // (duplicate-only inserts), so statement memoization survives them.
 func (r *Relation) Stamp(tick uint64) {
@@ -420,18 +406,19 @@ func (r *Relation) Tick() uint64 {
 	return 0
 }
 
-// RowsSince returns the tuples inserted strictly after catalog tick `tick`
-// was stamped: everything past the newest mark with mark.tick ≤ tick, or
-// all rows when no such mark exists. The result is a freshly decoded copy —
-// it stays valid, and stops growing, even as the relation keeps growing.
-func (r *Relation) RowsSince(tick uint64) [][]Value {
+// Since returns the tuples inserted strictly after catalog tick `tick` was
+// stamped — everything past the newest mark with mark.tick ≤ tick, or all
+// rows when no such mark exists — as a suffix Snapshot: it shares r's column
+// storage from that row on, costs O(arity), and stops growing when taken even
+// as the relation keeps growing.
+func (r *Relation) Since(tick uint64) *Relation {
 	// Binary search: first mark with mark.tick > tick.
 	i := sort.Search(len(r.marks), func(i int) bool { return r.marks[i].tick > tick })
 	from := 0
 	if i > 0 {
 		from = r.marks[i-1].rows
 	}
-	return r.decodeRange(from, r.nrows)
+	return r.snapshotFrom(r.Name, from)
 }
 
 // Contains reports whether the tuple (in column order) is present.
@@ -889,17 +876,20 @@ func (r *Relation) Clone(name string) *Relation {
 // capacity-capped, so a later append to either relation reallocates rather
 // than aliasing; the snapshot rebuilds its dedup table lazily on first
 // mutation or membership probe. Ticks and marks are not carried over.
-func (r *Relation) Snapshot(name string) *Relation {
+func (r *Relation) Snapshot(name string) *Relation { return r.snapshotFrom(name, 0) }
+
+// snapshotFrom is Snapshot restricted to the rows from row `from` on.
+func (r *Relation) snapshotFrom(name string, from int) *Relation {
 	out := &Relation{
 		Name:  name,
 		attrs: r.attrs,
 		cols:  r.cols,
 		in:    r.in,
 		data:  make([][]uint32, len(r.data)),
-		nrows: r.nrows,
+		nrows: r.nrows - from,
 	}
 	for c := range r.data {
-		out.data[c] = r.data[c][:r.nrows:r.nrows]
+		out.data[c] = r.data[c][from:r.nrows:r.nrows]
 	}
 	return out
 }

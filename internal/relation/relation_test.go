@@ -46,14 +46,6 @@ func TestInsertDedup(t *testing.T) {
 	}
 }
 
-func TestInsertMap(t *testing.T) {
-	r := New("R", bitset.Of(2, 5))
-	r.InsertMap(map[int]Value{5: 7, 2: 3})
-	if !r.Contains([]Value{3, 7}) {
-		t.Fatal("InsertMap stored wrong layout (cols must be sorted)")
-	}
-}
-
 func TestProject(t *testing.T) {
 	r := pairs("R", 0, 1, [][2]Value{{1, 10}, {1, 20}, {2, 10}})
 	p := r.Project(bitset.Of(0))
@@ -278,13 +270,13 @@ func TestSemijoinIsProjectionOfJoin(t *testing.T) {
 	}
 }
 
-func TestTickMarksAndRowsSince(t *testing.T) {
+func TestTickMarksAndSince(t *testing.T) {
 	r := New("R", bitset.Of(0, 1))
 	if r.Tick() != 0 {
 		t.Fatalf("fresh relation tick = %d, want 0", r.Tick())
 	}
-	if got := len(r.RowsSince(0)); got != 0 {
-		t.Fatalf("RowsSince(0) on empty = %d rows", got)
+	if got := len(r.Since(0).Rows()); got != 0 {
+		t.Fatalf("Since(0) on empty = %d rows", got)
 	}
 	r.Stamp(1) // creation stamp at zero rows
 	r.Insert([]Value{1, 2})
@@ -298,31 +290,75 @@ func TestTickMarksAndRowsSince(t *testing.T) {
 		t.Fatalf("tick = %d, want 3", r.Tick())
 	}
 	// Since tick 1: everything after the creation stamp.
-	if got := len(r.RowsSince(1)); got != 3 {
-		t.Fatalf("RowsSince(1) = %d rows, want 3", got)
+	if got := len(r.Since(1).Rows()); got != 3 {
+		t.Fatalf("Since(1) = %d rows, want 3", got)
 	}
 	// Since tick 2: only the third insert.
-	d := r.RowsSince(2)
+	d := r.Since(2).Rows()
 	if len(d) != 1 || d[0][0] != 5 || d[0][1] != 6 {
-		t.Fatalf("RowsSince(2) = %v, want [[5 6]]", d)
+		t.Fatalf("Since(2) = %v, want [[5 6]]", d)
 	}
 	// Since ticks 3 and 4 (merged mark): empty either way.
-	if len(r.RowsSince(3)) != 0 || len(r.RowsSince(4)) != 0 {
-		t.Fatal("RowsSince past the newest mark should be empty")
+	if len(r.Since(3).Rows()) != 0 || len(r.Since(4).Rows()) != 0 {
+		t.Fatal("Since past the newest mark should be empty")
 	}
 	// A tick older than every mark returns all rows.
-	if got := len(r.RowsSince(0)); got != 3 {
-		t.Fatalf("RowsSince(0) = %d rows, want 3", got)
+	if got := len(r.Since(0).Rows()); got != 3 {
+		t.Fatalf("Since(0) = %d rows, want 3", got)
 	}
-	// The delta subslice must not observe later growth (capped capacity).
-	d = r.RowsSince(2)
+	// The delta must not observe later growth (capped capacity).
+	held := r.Since(2)
 	r.Insert([]Value{7, 8})
 	r.Stamp(5)
-	if len(d) != 1 {
-		t.Fatalf("delta subslice grew to %d rows", len(d))
+	if d := held.Rows(); len(d) != 1 || d[0][0] != 5 || d[0][1] != 6 {
+		t.Fatalf("held delta became %v after the relation grew", d)
 	}
-	if got := len(r.RowsSince(4)); got != 1 {
-		t.Fatalf("RowsSince(4) = %d rows, want 1", got)
+	if got := len(r.Since(4).Rows()); got != 1 {
+		t.Fatalf("Since(4) = %d rows, want 1", got)
+	}
+}
+
+// TestSinceSharesColumnStorage: Since is a suffix of the relation's own
+// columns — no row is copied — that stops where the relation stood when it
+// was taken, and writing to either side leaves the other alone.
+func TestSinceSharesColumnStorage(t *testing.T) {
+	r := New("R", bitset.Of(0, 1))
+	for i := Value(0); i < 5; i++ {
+		r.Insert([]Value{i, i + 10})
+	}
+	r.Stamp(1)
+	for i := Value(5); i < 8; i++ {
+		r.Insert([]Value{i, i + 10})
+	}
+	r.Stamp(2)
+	d := r.Since(1)
+	if d.Size() != 3 || d.Attrs() != r.Attrs() {
+		t.Fatalf("Since(1) = %v, want the 3 rows after the mark", d)
+	}
+	for c := range r.Cols() {
+		if &d.Column(c)[0] != &r.Column(c)[5] {
+			t.Fatalf("column %d of the delta is a copy, not r's storage from row 5 on", c)
+		}
+		if col := d.Column(c); cap(col) != len(col) {
+			t.Fatalf("column %d of the delta has spare capacity %d: an append would write into r", c, cap(col)-len(col))
+		}
+	}
+	// The relation grows; the delta taken before does not.
+	r.Insert([]Value{8, 18})
+	r.Stamp(3)
+	if want := [][]Value{{5, 15}, {6, 16}, {7, 17}}; !reflect.DeepEqual(d.Rows(), want) {
+		t.Fatalf("held delta = %v, want %v", d.Rows(), want)
+	}
+	// The delta is a relation like any other: it dedups against its own rows
+	// and an insert into it reallocates instead of writing into r.
+	if d.Insert([]Value{6, 16}) || !d.Insert([]Value{99, 99}) {
+		t.Fatal("delta dedup is wrong")
+	}
+	if got := r.Rows()[8]; !reflect.DeepEqual(got, []Value{8, 18}) {
+		t.Fatalf("insert into the delta clobbered r's row 8: %v", got)
+	}
+	if got := r.Since(2).Rows(); !reflect.DeepEqual(got, [][]Value{{8, 18}}) {
+		t.Fatalf("Since(2) = %v, want [[8 18]]", got)
 	}
 }
 

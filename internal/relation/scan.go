@@ -114,27 +114,19 @@ type valueGroup struct {
 	rows int32
 }
 
-// decodeRange materializes rows [from, to) as boxed tuples backed by one
-// flat allocation.
-func (r *Relation) decodeRange(from, to int) [][]Value {
-	n := to - from
-	if n < 0 {
-		n = 0
-	}
-	out := make([][]Value, n)
-	w := len(r.cols)
-	flat := make([]Value, n*w)
-	for i := 0; i < n; i++ {
-		buf := flat[i*w : (i+1)*w : (i+1)*w]
-		r.decodeInto(buf, from+i)
-		out[i] = buf
-	}
-	return out
-}
-
-// Rows returns a decoded copy of every tuple; callers own the result.
+// Rows returns a decoded copy of every tuple, in storage order, backed by one
+// flat allocation; callers own the result.
 //
 // Deprecated: Rows materializes size×arity boxed values on every call. Hot
 // paths should iterate with All or AllSorted, or stay on the id plane via
 // Column/InsertIDs.
-func (r *Relation) Rows() [][]Value { return r.decodeRange(0, r.nrows) }
+func (r *Relation) Rows() [][]Value {
+	out := make([][]Value, r.nrows)
+	w := len(r.cols)
+	flat := make([]Value, r.nrows*w)
+	for i := range out {
+		out[i] = flat[i*w : (i+1)*w : (i+1)*w]
+		r.decodeInto(out[i], i)
+	}
+	return out
+}

@@ -265,74 +265,60 @@ func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
 
 // ---- Error mapping ----
 
-// statusOf maps the structured panda sentinels and context errors to
-// distinct HTTP statuses; anything else (parse errors, malformed bodies) is
-// a plain 400.
-func statusOf(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout // 504
-	case errors.Is(err, context.Canceled):
-		return 499 // client closed request (nginx convention)
-	case errors.Is(err, panda.ErrUnknownRelation):
-		return http.StatusNotFound // 404
-	case errors.Is(err, panda.ErrRelationExists):
-		return http.StatusConflict // 409
-	case errors.Is(err, panda.ErrArity):
-		return http.StatusUnprocessableEntity // 422
-	case errors.Is(err, panda.ErrTooManyRows), errors.Is(err, panda.ErrTooManyValues):
-		return http.StatusRequestEntityTooLarge // 413: the batch does not fit the relation, or the intern table
-	case errors.Is(err, panda.ErrUnboundedLP):
-		return http.StatusFailedDependency // 424: constraint set does not bound the LP
-	case errors.Is(err, panda.ErrClosed):
-		return http.StatusServiceUnavailable // 503
-	default:
-		return http.StatusBadRequest // 400
-	}
+// errorTable maps the structured panda sentinels and the context errors to
+// an HTTP status and the stable token the JSON error body names them by, so
+// clients dispatch on that instead of message text. The first row an error
+// matches (errors.Is) decides both; anything else (parse errors, malformed
+// bodies) is a plain 400 "bad_request".
+var errorTable = []struct {
+	is     error
+	status int
+	code   string
+}{
+	{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded"},
+	{context.Canceled, 499, "canceled"}, // client closed request (nginx convention)
+	{panda.ErrUnknownRelation, http.StatusNotFound, "unknown_relation"},
+	{panda.ErrRelationExists, http.StatusConflict, "relation_exists"},
+	{panda.ErrArity, http.StatusUnprocessableEntity, "arity_mismatch"},
+	// 413: the batch does not fit the relation, or the intern table.
+	{panda.ErrTooManyRows, http.StatusRequestEntityTooLarge, "too_many_rows"},
+	{panda.ErrTooManyValues, http.StatusRequestEntityTooLarge, "too_many_values"},
+	// 424: the constraint set does not bound the LP.
+	{panda.ErrUnboundedLP, http.StatusFailedDependency, "unbounded_lp"},
+	{panda.ErrNotConjunctive, http.StatusBadRequest, "not_conjunctive"},
+	{panda.ErrClosed, http.StatusServiceUnavailable, "closed"},
+	{panda.ErrPlanVersion, http.StatusBadRequest, "plan_version"},
+	{panda.ErrPlanDigest, http.StatusBadRequest, "plan_digest"},
 }
 
-// codeOf names the sentinel for the JSON error body, so clients dispatch on
-// a stable token instead of message text.
-func codeOf(err error) string {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline_exceeded"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	case errors.Is(err, panda.ErrUnknownRelation):
-		return "unknown_relation"
-	case errors.Is(err, panda.ErrRelationExists):
-		return "relation_exists"
-	case errors.Is(err, panda.ErrArity):
-		return "arity_mismatch"
-	case errors.Is(err, panda.ErrTooManyRows):
-		return "too_many_rows"
-	case errors.Is(err, panda.ErrTooManyValues):
-		return "too_many_values"
-	case errors.Is(err, panda.ErrUnboundedLP):
-		return "unbounded_lp"
-	case errors.Is(err, panda.ErrNotConjunctive):
-		return "not_conjunctive"
-	case errors.Is(err, panda.ErrClosed):
-		return "closed"
-	case errors.Is(err, panda.ErrPlanVersion):
-		return "plan_version"
-	case errors.Is(err, panda.ErrPlanDigest):
-		return "plan_digest"
-	default:
-		return "bad_request"
+// classify looks err up in errorTable.
+func classify(err error) (status int, code string) {
+	for _, e := range errorTable {
+		if errors.Is(err, e.is) {
+			return e.status, e.code
+		}
 	}
+	return http.StatusBadRequest, "bad_request"
+}
+
+// codeOf is the token alone, for an error reported inside a body that has
+// its own status.
+func codeOf(err error) string {
+	_, code := classify(err)
+	return code
 }
 
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	metrics.WriteError(w, statusOf(err), codeOf(err), err)
+	status, code := classify(err)
+	metrics.WriteError(w, status, code, err)
 }
 
 // ---- Statements ----
 
 // stmt resolves query text through the bounded statement cache, preparing
-// on a miss. Prepared statements rebind automatically after catalog
-// mutations, so a hit can never serve stale data.
+// on a miss. A statement binds the catalog on every run that its result memo
+// (keyed by the referenced relations' ticks) does not answer, so a hit can
+// never serve stale data.
 func (s *Server) stmt(src string) (*panda.Stmt, error) {
 	if st, ok := s.stmts.get(src); ok {
 		return st, nil

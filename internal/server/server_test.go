@@ -505,27 +505,45 @@ func TestServerErrorMapping(t *testing.T) {
 		t.Errorf("plan without q: %d %s", code, b)
 	}
 
-	// The full sentinel table, including the ones the catalog-bound HTTP
-	// path cannot reach (ErrUnboundedLP needs an incomplete constraint
-	// set; ErrClosed needs a closed session) — the mapping must still be
-	// distinct for them.
+}
+
+// TestErrorTable: every sentinel of the facade's errors.go and the two
+// context errors map — wrapped, as handlers see them — to one status and one
+// code, including the ones the catalog-bound HTTP path cannot reach
+// (ErrUnboundedLP needs an incomplete constraint set; ErrClosed a closed
+// session); anything else is a plain bad request.
+func TestErrorTable(t *testing.T) {
 	for _, tc := range []struct {
 		err    error
 		status int
+		code   string
 	}{
-		{panda.ErrUnknownRelation, http.StatusNotFound},
-		{panda.ErrRelationExists, http.StatusConflict},
-		{panda.ErrArity, http.StatusUnprocessableEntity},
-		{panda.ErrTooManyRows, http.StatusRequestEntityTooLarge},
-		{panda.ErrNotConjunctive, http.StatusBadRequest},
-		{panda.ErrUnboundedLP, http.StatusFailedDependency},
-		{panda.ErrClosed, http.StatusServiceUnavailable},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout},
-		{context.Canceled, 499},
+		{panda.ErrClosed, http.StatusServiceUnavailable, "closed"},
+		{panda.ErrUnknownRelation, http.StatusNotFound, "unknown_relation"},
+		{panda.ErrRelationExists, http.StatusConflict, "relation_exists"},
+		{panda.ErrArity, http.StatusUnprocessableEntity, "arity_mismatch"},
+		{panda.ErrTooManyRows, http.StatusRequestEntityTooLarge, "too_many_rows"},
+		{panda.ErrTooManyValues, http.StatusRequestEntityTooLarge, "too_many_values"},
+		{panda.ErrUnboundedLP, http.StatusFailedDependency, "unbounded_lp"},
+		{panda.ErrNotConjunctive, http.StatusBadRequest, "not_conjunctive"},
+		{panda.ErrPlanVersion, http.StatusBadRequest, "plan_version"},
+		{panda.ErrPlanDigest, http.StatusBadRequest, "plan_digest"},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded"},
+		{context.Canceled, 499, "canceled"},
+		{errors.New("no sentinel"), http.StatusBadRequest, "bad_request"},
 	} {
-		if got := statusOf(fmt.Errorf("wrapped: %w", tc.err)); got != tc.status {
-			t.Errorf("statusOf(%v) = %d, want %d", tc.err, got, tc.status)
+		err := fmt.Errorf("wrapped: %w", tc.err)
+		if status, code := classify(err); status != tc.status || code != tc.code {
+			t.Errorf("classify(%v) = %d %q, want %d %q", tc.err, status, code, tc.status, tc.code)
 		}
+		if got := codeOf(err); got != tc.code {
+			t.Errorf("codeOf(%v) = %q, want %q", tc.err, got, tc.code)
+		}
+	}
+	// A deadline that expires inside a catalog call is still a deadline.
+	both := fmt.Errorf("%w: %w", panda.ErrUnknownRelation, context.DeadlineExceeded)
+	if status, code := classify(both); status != http.StatusGatewayTimeout || code != "deadline_exceeded" {
+		t.Errorf("classify(%v) = %d %q: the table is ordered, context errors first", both, status, code)
 	}
 }
 

@@ -13,11 +13,12 @@ const DefaultStmtCacheSize = 256
 
 // stmtCache is a bounded LRU of prepared statements keyed by raw query
 // text. It sits above the planner's signature cache: a stmt hit skips
-// parsing and catalog validation, and the Stmt it returns memoizes its
-// bound catalog snapshot, so steady-state request handling is parse-free
-// and plan-free. Statements self-invalidate against catalog mutations (the
-// Stmt rebinds when the catalog version moves), so entries never serve
-// stale data and need no explicit invalidation here.
+// parsing and catalog validation, and the Stmt it returns memoizes its last
+// Result against the ticks of the relations it reads, so steady-state request
+// handling on an unchanged catalog is parse-free, bind-free and plan-free.
+// Once a referenced relation's tick moves, the statement's next run binds the
+// catalog afresh, so entries never serve stale data and need no explicit
+// invalidation here.
 type stmtCache struct {
 	mu           sync.Mutex
 	cap          int

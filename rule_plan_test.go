@@ -66,10 +66,11 @@ func TestRulesTakeThePlanningPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := &pr.Rule.Schema
-		ins, _, err := db.bindInstance(s)
+		b, err := db.bind(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ins := b.ins
 		cons := core.CompleteConstraints(s, ins, pr.Constraints)
 		rule, _, err := plan.PrepareRule(s, cons, pr.Rule.Targets)
 		if err != nil {

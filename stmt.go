@@ -118,11 +118,11 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 		return res, nil
 	}
 	st.mu.Unlock()
-	ins, ver, err := st.bind()
+	b, err := st.bind()
 	if err != nil {
 		return nil, err
 	}
-	res, err := st.db.eval(ctx, st.res.Conj, st.res.Rule, ins, st.res.Constraints, cfg)
+	res, err := st.db.eval(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +131,8 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 	st.mu.Lock()
 	// Concurrent calls may finish out of order: keep the newest snapshot's
 	// result.
-	if !st.memoOK || ver >= st.memoVer {
-		st.memoRes, st.memoVer, st.memoCfg, st.memoOK = res, ver, cfg, true
+	if !st.memoOK || b.tick >= st.memoVer {
+		st.memoRes, st.memoVer, st.memoCfg, st.memoOK = res, b.tick, cfg, true
 	}
 	st.mu.Unlock()
 	return res, nil
@@ -143,20 +143,20 @@ func (st *Stmt) Query(opts ...Option) (*Result, error) {
 	return st.QueryContext(context.Background(), opts...)
 }
 
-// bind snapshots the catalog into an instance for the statement's schema
-// and checks the declared constraints against it. Bound instances are
-// read-only during execution. The second return is the schema tick the
-// snapshot reflects — the key the result memo pairs with.
-func (st *Stmt) bind() (*Instance, uint64, error) {
+// bind reads the catalog for the statement's schema (DB.bind) and checks the
+// declared constraints against the bound instance. Bound instances are
+// read-only during execution; the binding's tick is the key the result memo
+// pairs with.
+func (st *Stmt) bind() (*binding, error) {
 	s := &st.res.Rule.Schema
-	ins, ver, err := st.db.bindInstance(s)
+	b, err := st.db.bind(s, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if err := ins.Check(s, st.res.Constraints); err != nil {
-		return nil, 0, err
+	if err := b.ins.Check(s, st.res.Constraints); err != nil {
+		return nil, err
 	}
-	return ins, ver, nil
+	return b, nil
 }
 
 // rejectExplicitMode fails with ErrNotConjunctive when the per-call
@@ -203,11 +203,11 @@ func (st *Stmt) ExplainContext(ctx context.Context, opts ...Option) (*PlanInfo, 
 	if err != nil {
 		return nil, err
 	}
-	ins, _, err := st.bind()
+	b, err := st.bind()
 	if err != nil {
 		return nil, err
 	}
-	p, err := st.db.prepare(ctx, st.res.Conj, st.res.Rule, ins, st.res.Constraints, cfg)
+	p, err := st.db.prepare(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package panda
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"slices"
 	"sync"
@@ -9,23 +10,25 @@ import (
 	"panda/internal/core"
 	"panda/internal/incr"
 	"panda/internal/plan"
-	"panda/internal/query"
 	"panda/internal/relation"
 )
 
 // Standing queries: a Watch owns a materialized result for one statement
 // and keeps it current as the catalog mutates, pushing row-deltas to a
-// subscription channel. Maintenance is semi-naive (internal/incr): the plan
-// is prepared once when the watch opens and pinned — every maintenance
-// round executes that same plan over per-atom insert deltas with zero
-// planning work, so a server full of hot watches performs no LP solves
-// after warm-up. Insert-only growth is maintained incrementally; a
-// DropRelation or drop+recreate of a referenced relation falls back to a
-// full re-execution and resets the materialization (emitted with Resync
-// set). Disjunctive rules are not monotone under inserts — a new body
-// tuple may shift which target covers existing tuples — so rule watches
-// re-execute their pinned plan in full every round and every emission
-// carries the complete model with Resync set.
+// subscription channel. The plan is prepared once when the watch opens and
+// pinned — every maintenance round executes that same plan with zero planning
+// work, so a server full of hot watches performs no LP solves after warm-up.
+// A round is one statement bind (DB.bind): the catalog as it stands and, from
+// the same lock hold, the rows that arrived since the previous round — each
+// relation's column suffix, bound like the full instance. Insert-only growth
+// is maintained semi-naively over that delta (internal/incr); a drop+recreate
+// of a referenced relation re-executes in full and replaces the
+// materialization (emitted with Resync set). Disjunctive rules are not
+// monotone under inserts — a new body tuple may shift which target covers
+// existing tuples — so a rule watch asks for no delta, re-executes its pinned
+// plan in full every round, and every emission carries the complete model
+// with Resync set. Between rounds a watch holds its materialization, its
+// pinned plan and one catalog pointer per atom — no copy of what it reads.
 
 // DefaultWatchQueue is the delta-channel capacity a watch opens with when
 // WithWatchQueue is not given.
@@ -65,8 +68,8 @@ type WatchDelta struct {
 type WatchStats struct {
 	// IncrRounds counts semi-naive maintenance rounds.
 	IncrRounds uint64
-	// FullRounds counts full re-executions (rule rounds, fallback rounds,
-	// structural resyncs).
+	// FullRounds counts full re-executions (rule rounds, structural
+	// resyncs).
 	FullRounds uint64
 	// Resyncs counts full-state emissions (structural, overflow, rule).
 	Resyncs uint64
@@ -81,7 +84,6 @@ type WatchStats struct {
 type Watch struct {
 	db   *DB
 	st   *Stmt
-	cfg  config
 	p    *plan.Plan // pinned at open
 	exec *core.Executor
 
@@ -95,13 +97,14 @@ type Watch struct {
 
 	columns []string
 
-	// Maintainer-private state (only the loop goroutine touches these).
-	ins        *query.Instance
-	lastPtrs   map[string]*relation.Relation
-	tickSeen   uint64
+	// Maintainer-private state (only the loop goroutine touches these): the
+	// catalog relation each atom last read, and whether a relation went
+	// missing since.
+	rels       []*relation.Relation
 	needResync bool
 
-	// Shared state, guarded by mu.
+	// Shared state, guarded by mu. The maintainer is its only writer, so it
+	// reads tick and ok without the lock.
 	mu     sync.Mutex
 	mat    *relation.Relation
 	ok     bool
@@ -155,38 +158,31 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 		}
 	}()
 
-	s := &st.res.Rule.Schema
-	ins, tick, ptrs, err := st.db.watchBind(s)
+	b, err := st.bind()
 	if err != nil {
-		return nil, err
-	}
-	if err := ins.Check(s, st.res.Constraints); err != nil {
 		return nil, err
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Watch{
-		db:       st.db,
-		st:       st,
-		cfg:      cfg,
-		exec:     cfg.executor(),
-		deltas:   make(chan WatchDelta, queue),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		ctx:      ctx,
-		cancel:   cancel,
-		watchID:  id,
-		ins:      ins,
-		lastPtrs: ptrs,
-		tickSeen: tick,
-		tick:     tick,
+		db:      st.db,
+		st:      st,
+		exec:    cfg.executor(),
+		deltas:  make(chan WatchDelta, queue),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		ctx:     ctx,
+		cancel:  cancel,
+		watchID: id,
+		rels:    b.rels,
+		tick:    b.tick,
 	}
-	w.p, err = st.db.prepare(ctx, st.res.Conj, st.res.Rule, ins, st.res.Constraints, cfg)
+	w.p, err = st.db.prepare(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	ex, err := w.exec.Execute(ctx, w.p, ins)
+	ex, err := w.exec.Execute(ctx, w.p, b.ins)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -208,30 +204,6 @@ func (w *Watch) shape(ex *core.ExecResult) (out *Relation, tables map[Set]*Relat
 		return nil, ex.Tables, ex.NonEmpty
 	}
 	return ex.Out, nil, ex.NonEmpty
-}
-
-// watchBind snapshots, under one read lock, everything a watch needs to
-// start or resync: the bound instance, the schema tick it reflects, and
-// the catalog relation pointers (a later pointer change is how the
-// maintainer detects drop+recreate).
-func (db *DB) watchBind(s *query.Schema) (*query.Instance, uint64, map[string]*relation.Relation, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, 0, nil, ErrClosed
-	}
-	ins, err := query.BindInstance(s, func(name string) (*relation.Relation, bool) {
-		t, ok := db.catalog[name]
-		return t, ok
-	})
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	ptrs := make(map[string]*relation.Relation, len(s.Atoms))
-	for _, a := range s.Atoms {
-		ptrs[a.Name] = db.catalog[a.Name]
-	}
-	return ins, db.schemaTickLocked(s), ptrs, nil
 }
 
 // Deltas is the subscription channel. It is closed when the watch
@@ -340,184 +312,77 @@ func (w *Watch) fail(err error) {
 	w.mu.Unlock()
 }
 
-// watchNameSnap is one referenced relation's state captured under the
-// catalog read lock: the live pointer, and the rows stamped after the
-// maintainer's last seen tick (decoded under the lock into a fresh copy —
-// safe to read outside it).
-type watchNameSnap struct {
-	ptr   *relation.Relation
-	rows  [][]Value
-	arity int
-}
-
-type watchSnap struct {
-	closed    bool
-	missing   bool
-	recreated bool
-	tick      uint64
-	names     map[string]watchNameSnap
-}
-
-func (w *Watch) snapshot() watchSnap {
-	db := w.db
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return watchSnap{closed: true}
-	}
-	s := &w.st.res.Rule.Schema
-	snap := watchSnap{names: make(map[string]watchNameSnap, len(s.Atoms))}
-	for _, a := range s.Atoms {
-		t, ok := db.catalog[a.Name]
-		if !ok {
-			snap.missing = true
-			continue
-		}
-		if w.lastPtrs[a.Name] != t {
-			snap.recreated = true
-		}
-		snap.names[a.Name] = watchNameSnap{ptr: t, rows: t.RowsSince(w.tickSeen), arity: t.Attrs().Card()}
-		if tk := t.Tick(); tk > snap.tick {
-			snap.tick = tk
-		}
-	}
-	return snap
-}
-
-// round processes one wakeup; it returns false when the watch must
-// terminate.
+// round processes one wakeup with one read of the catalog; it returns false
+// when the watch must terminate.
 func (w *Watch) round() bool {
-	snap := w.snapshot()
-	if snap.closed {
-		w.fail(ErrClosed)
-		return false
+	rule := w.p.Mode == ModeRule
+	var since *uint64
+	if !rule { // a rule round re-executes in full: no delta to bind
+		since = &w.tick
 	}
-	if snap.missing {
+	b, err := w.db.bind(&w.st.res.Rule.Schema, since)
+	switch {
+	case errors.Is(err, ErrUnknownRelation):
 		// A referenced relation is gone. Queries would fail now, but the
 		// drop may be the first half of a drop+recreate reload: keep the
 		// last materialization and resync when the catalog is whole again.
 		w.needResync = true
 		return true
-	}
-	if snap.recreated || w.needResync {
-		return w.fullRound(true)
-	}
-	if snap.tick == w.tickSeen {
+	case err != nil:
+		w.fail(err)
+		return false
+	case w.needResync || !slices.Equal(b.rels, w.rels):
+		return w.fullRound(b)
+	case b.tick == w.tick:
 		return true // coalesced or spurious wakeup; nothing new
+	case rule:
+		return w.fullRound(b)
 	}
-	// A full re-execution per round is also the reference the incremental
-	// path is held to: emissions keep delta semantics (newly added rows
-	// only), so a watch forced onto it (config.watchFallback, which no
-	// public option sets) and an incremental watch over the same traffic
-	// must emit identical streams.
-	if w.p.Mode == ModeRule || w.cfg.watchFallback {
-		return w.fullRound(false)
-	}
-	return w.incrRound(snap)
+	return w.incrRound(b)
 }
 
-// fullRound rebinds the catalog and re-executes the pinned plan from
-// scratch. structural marks a resync (drop/recreate recovery, and every
-// rule round) — the emission replaces the consumer's state; a
-// non-structural full round (fallback mode) keeps delta emission semantics.
-func (w *Watch) fullRound(structural bool) bool {
-	s := &w.st.res.Rule.Schema
-	ins, tick, ptrs, err := w.db.watchBind(s)
-	if err != nil {
+// fullRound re-executes the pinned plan from scratch over the bound catalog
+// and replaces the materialization: the recovery from a drop+recreate, and
+// every rule round. The emission is a resync — the consumer replaces its
+// state too.
+func (w *Watch) fullRound(b *binding) bool {
+	if err := b.ins.Check(&w.st.res.Rule.Schema, w.st.res.Constraints); err != nil {
 		w.fail(err)
 		return false
 	}
-	if err := ins.Check(s, w.st.res.Constraints); err != nil {
-		w.fail(err)
-		return false
-	}
-	ex, err := w.exec.Execute(w.ctx, w.p, ins)
+	ex, err := w.exec.Execute(w.ctx, w.p, b.ins)
 	if err != nil {
 		w.fail(err)
 		return false
 	}
 	out, tables, ok := w.shape(ex)
-	structural = structural || w.p.Mode == ModeRule
-
 	w.mu.Lock()
-	prev := w.mat
-	// Insert-only fallback rounds only ever add rows; anything vanishing
-	// means the catalog changed shape underneath us — resync.
-	if !structural && prev != nil && out != nil {
-		for row := range prev.All() {
-			if !out.Contains(row) {
-				structural = true
-				break
-			}
-		}
-	}
-	var added [][]Value
-	if out != nil && !structural {
-		for row := range out.AllSorted() {
-			if prev == nil || !prev.Contains(row) {
-				added = append(added, slices.Clone(row))
-			}
-		}
-	}
-	okChanged := ok != w.ok
-	w.mat, w.tables, w.ok, w.bound, w.tick = out, tables, ok, ex.Bound, tick
+	w.mat, w.tables, w.ok, w.bound, w.tick = out, tables, ok, ex.Bound, b.tick
 	w.stats.FullRounds++
-	switch {
-	case structural:
-		w.stats.Resyncs++
-		w.sendLocked(WatchDelta{Tick: tick, OK: ok, Resync: true, Rows: sortedRows(out), Tables: tables})
-	case len(added) > 0 || okChanged:
-		w.sendLocked(WatchDelta{Tick: tick, Rows: added, OK: ok})
-	}
+	w.sendLocked(WatchDelta{Tick: b.tick, OK: ok, Resync: true, Rows: sortedRows(out), Tables: tables})
 	w.mu.Unlock()
-	w.ins, w.lastPtrs, w.tickSeen, w.needResync = ins, ptrs, tick, false
+	w.rels, w.needResync = b.rels, false
 	return true
 }
 
-// incrRound is the semi-naive path: bind only the delta rows, extend the
-// maintained instance, execute the pinned plan per delta atom, and merge
-// the genuinely new output rows into the materialization.
-func (w *Watch) incrRound(snap watchSnap) bool {
-	s := &w.st.res.Rule.Schema
-
-	// A satisfied Boolean watch stays satisfied under inserts: skip the
-	// execution entirely and just advance the tick.
-	if w.p.Free == 0 {
-		w.mu.Lock()
-		satisfied := w.ok
-		if satisfied {
-			w.stats.IncrRounds++
+// incrRound is the semi-naive path: execute the pinned plan per delta atom
+// over the freshly bound instance, and merge the genuinely new output rows
+// into the materialization.
+func (w *Watch) incrRound(b *binding) bool {
+	// A satisfied Boolean watch stays satisfied under inserts: the round
+	// executes nothing and only advances the tick.
+	round := &incr.Round{}
+	if w.p.Free != 0 || !w.ok {
+		var err error
+		round, err = incr.Maintain(w.ctx, w.exec, w.p, &w.st.res.Rule.Schema, b.ins, b.delta.Relations)
+		if err != nil {
+			w.fail(err)
+			return false
 		}
-		w.mu.Unlock()
-		if satisfied {
-			w.advance(snap)
-			return true
-		}
-	}
-
-	deltaIns, err := query.BindInstanceRows(s, func(name string) ([][]Value, int, bool) {
-		nd, ok := snap.names[name]
-		if !ok {
-			return nil, 0, false
-		}
-		return nd.rows, nd.arity, true
-	})
-	if err != nil {
-		w.fail(err)
-		return false
-	}
-	// Extend the maintained full instance first: semi-naive needs full
-	// NEW extensions at the non-delta atoms.
-	for i, d := range deltaIns.Relations {
-		w.ins.Relations[i].InsertAll(d)
-	}
-	round, err := incr.Maintain(w.ctx, w.exec, w.p, s, w.ins, deltaIns.Relations)
-	if err != nil {
-		w.fail(err)
-		return false
 	}
 
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	var fresh *relation.Relation
 	if round.Delta != nil {
 		if w.mat == nil {
@@ -537,27 +402,12 @@ func (w *Watch) incrRound(snap watchSnap) bool {
 		ok = w.mat.Size() > 0
 	}
 	okChanged := ok != w.ok
-	w.ok, w.tick = ok, snap.tick
+	w.ok, w.tick = ok, b.tick
 	w.stats.IncrRounds++
 	if fresh != nil || okChanged {
-		w.sendLocked(WatchDelta{Tick: snap.tick, OK: ok, Rows: sortedRows(fresh)})
+		w.sendLocked(WatchDelta{Tick: b.tick, OK: ok, Rows: sortedRows(fresh)})
 	}
-	w.mu.Unlock()
-	w.advance(snap)
 	return true
-}
-
-// advance moves the maintainer's bookkeeping past a processed snapshot.
-func (w *Watch) advance(snap watchSnap) {
-	for name, nd := range snap.names {
-		w.lastPtrs[name] = nd.ptr
-	}
-	w.tickSeen = snap.tick
-	w.mu.Lock()
-	if snap.tick > w.tick {
-		w.tick = snap.tick
-	}
-	w.mu.Unlock()
 }
 
 // sendLocked delivers a delta with bounded-queue overflow semantics: when
@@ -573,6 +423,9 @@ func (w *Watch) sendLocked(d WatchDelta) {
 		select {
 		case w.deltas <- d:
 			w.stats.DeltasEmitted++
+			if d.Resync {
+				w.stats.Resyncs++ // once per full-state emission, whatever made it one
+			}
 			return
 		default:
 		}
@@ -583,6 +436,5 @@ func (w *Watch) sendLocked(d WatchDelta) {
 		if !d.Resync {
 			d = WatchDelta{Tick: d.Tick, OK: w.ok, Resync: true, Rows: sortedRows(w.mat), Tables: w.tables}
 		}
-		w.stats.Resyncs++
 	}
 }
