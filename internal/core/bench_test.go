@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"panda/internal/plan"
@@ -31,6 +32,38 @@ func BenchmarkRestartC4BoolWorst(b *testing.B) {
 		}
 		if res.Stats.Restarts != 5 || !res.NonEmpty {
 			b.Fatalf("restarts = %d, non-empty = %v; want 5, true", res.Stats.Restarts, res.NonEmpty)
+		}
+	}
+}
+
+// BenchmarkExecuteC4Subw executes the full 4-cycle at its submodular width on
+// a random 120-row instance over an 18-value domain — the bench module's
+// `c4-subw` item: every bag's rule decomposes several levels deep, the
+// subproblems' tables travel up as lists and are unioned once per rule, and
+// each bag table is reduced by the four inputs in one pass. It carries CI's
+// allocs/op ceiling for the fold and the reduction: a union per recursion
+// level or a copy of the table per input creeping back shows here.
+func BenchmarkExecuteC4Subw(b *testing.B) {
+	q := workload.FourCycleQuery()
+	ins := workload.RandomBinary(rand.New(rand.NewSource(1)), &q.Schema, 120, 18)
+	p, _, err := plan.Prepare(q, CompleteConstraints(&q.Schema, ins, nil), plan.ModeSubw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	ex := &Executor{}
+	want := -1
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := ex.Execute(ctx, p, ins)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if want < 0 {
+			want = res.Out.Size()
+		}
+		if res.Stats.Subproblems < 8 || res.Out.Size() != want {
+			b.Fatalf("subproblems = %d, |out| = %d; want ≥ 8, %d", res.Stats.Subproblems, res.Out.Size(), want)
 		}
 	}
 }

@@ -94,16 +94,18 @@ type ExecResult struct {
 	Timings *Timings
 }
 
-// reduceWithInputs semijoins t with every input relation sharing attributes.
+// reduceWithInputs semijoins t with every input relation sharing attributes,
+// in one pass over t (Corollary 7.10's reduction).
 func reduceWithInputs(t *relation.Relation, ins *query.Instance) *relation.Relation {
+	sides := make([]*relation.Relation, 0, len(ins.Relations))
 	for _, r := range ins.Relations {
 		if t.Attrs().Intersect(r.Attrs()) != 0 {
-			t = t.Semijoin(r)
+			sides = append(sides, r)
 		} else if r.Size() == 0 {
 			return relation.New(t.Name, t.Attrs()) // empty input empties Q
 		}
 	}
-	return t
+	return t.Semijoin(sides...)
 }
 
 func accumulate(dst, src *Stats) {

@@ -24,10 +24,13 @@ import (
 //  1. run the plan's rules — one task per (rule × co-partitioned
 //     sub-instance) — and, when the plan answers from tree decompositions,
 //     semijoin-reduce each task's model tables with the inputs;
-//  2. merge the tasks' stats and tables in rule-then-partition order;
+//  2. merge the tasks' stats in rule-then-partition order, list each
+//     target's tables in that order and union each list once (a lone table
+//     is handed over as it is);
 //  3. join, by Yannakakis, every decomposition of plan.EvalTDs whose bags
-//     all have tables, and union the passes in decomposition order — a plan
-//     with no decompositions (ModeRule) answers with the tables themselves;
+//     all have tables, and union the passes' outputs, in decomposition
+//     order, in one multiway union — a plan with no decompositions
+//     (ModeRule) answers with the tables themselves;
 //  4. project onto the free variables.
 //
 // The modes differ only in what the plan holds: which rules (the full rule,
@@ -104,7 +107,7 @@ func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.P
 	f := &frame{
 		cons:    make([]rtCon, len(cons)),
 		support: map[flow.Pair]int{},
-		lambda:  pr.Lambda.Clone(),
+		lambda:  pr.Lambda,
 		delta:   pr.Delta.Clone(),
 		seq:     pr.Seq,
 	}
@@ -125,11 +128,13 @@ func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.P
 			return nil, fmt.Errorf("core: initial δ%v has no matching constraint", p0)
 		}
 	}
-	tables, err := e.run(f)
+	fold, err := e.run(f)
 	if err != nil {
 		return nil, err
 	}
-	// Present every target, empty when no subproblem delivered it.
+	// The one place a rule's subproblem tables are unioned. Present every
+	// target, empty when no subproblem delivered it.
+	tables := fold.union()
 	for _, b := range e.targets {
 		if _, ok := tables[b]; !ok {
 			tables[b] = relation.New(fmt.Sprintf("T_%s", s.VarLabel(b)), b)
@@ -246,23 +251,26 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	}
 
 	// (2) Fold in rule-then-partition order, whatever order the pool ran the
-	// tasks in: stats and trace concatenate, each target's tables union (the
-	// union of per-partition models is a model of the full instance — every
-	// satisfying assignment lands in exactly one partition).
+	// tasks in: stats and trace concatenate, each target's tables are listed
+	// and then unioned once (the union of per-partition models is a model of
+	// the full instance — every satisfying assignment lands in exactly one
+	// partition).
 	out := &ExecResult{Stats: newStats()}
 	if timed {
 		out.Timings = newTimings()
 		out.Timings.RuleFanout = tick()
 	}
-	fold := newTableFold()
+	fold := tableFold{}
 	for t, res := range ress {
 		accumulate(out.Stats, res.Stats)
 		if timed {
 			out.Timings.Accumulate(res.Timings)
 		}
-		fold.add(models[t])
+		for b, tb := range models[t] {
+			fold[b] = append(fold[b], tb)
+		}
 	}
-	tables := fold.tables
+	tables := fold.union()
 	// A plan that is one rule over the whole query — a ModeRule plan (no
 	// decompositions) and ModeFull — reports the rule's model and bound. A
 	// lone task's model is handed over as the engine produced it, which for
@@ -277,7 +285,7 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	// (3) No decompositions: the tables are the answer. Otherwise every
 	// decomposition whose bags all have tables gets its Yannakakis pass; the
 	// passes are independent, so they go through the pool too and are merged
-	// in decomposition order (the Boolean answer ORs, the outputs union).
+	// in decomposition order (the Boolean answer ORs, the outputs union once).
 	if len(tds) == 0 {
 		for _, tb := range tables {
 			out.NonEmpty = out.NonEmpty || tb.Size() > 0
@@ -312,13 +320,11 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		if err != nil {
 			return nil, err
 		}
-		for i := range passes {
-			out.NonEmpty = out.NonEmpty || answers[i]
-			if out.Out == nil {
-				out.Out = outs[i]
-			} else if outs[i] != nil {
-				out.Out = out.Out.Union(outs[i])
-			}
+		for _, ok := range answers {
+			out.NonEmpty = out.NonEmpty || ok
+		}
+		if p.Free != 0 {
+			out.Out = outs[0].Union(outs[1:]...)
 		}
 		// (4) The decompositions cover every variable; the answer is over
 		// the free ones.

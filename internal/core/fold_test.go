@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"panda/internal/bitset"
@@ -11,13 +12,14 @@ import (
 	"panda/internal/workload"
 )
 
-// TestFoldNeverWritesToInputs: stepDecomposition folds its children's tables
-// into an accumulator it owns only from the second table on; the first is
-// whatever the child returned, by pointer. After runs with many
-// decompositions, Case-4b restarts and base cases, every input — each one
-// guards a constraint — must hold exactly the rows it held before. Storage
-// is append-only, so an unchanged Size means no accepted insert: the
-// mutation tick has not moved either.
+// TestFoldNeverWritesToInputs: a run hands its subproblems' tables up in
+// lists, by pointer — a base case's table is its guard, which can be an input
+// — and ExecuteRule unions each list into a relation of its own, or hands a
+// lone table over as it is. After runs with many decompositions, Case-4b
+// restarts and base cases, every input — each one guards a constraint — must
+// hold exactly the rows it held before. Storage is append-only, so an
+// unchanged Size means no accepted insert: the mutation tick has not moved
+// either.
 func TestFoldNeverWritesToInputs(t *testing.T) {
 	ctx := context.Background()
 	check := func(name string, s *query.Schema, rules []*plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) {
@@ -69,11 +71,10 @@ func TestFoldNeverWritesToInputs(t *testing.T) {
 	check("c4-subw", &q.Schema, p.Rules, p.Cons, cins)
 }
 
-// TestFoldNeverWritesToSharedPartitions: the executor folds the per-partition
-// models with the same accumulator, and there the first table of a target
-// can be shared storage — a one-atom rule's base case returns the atom's
-// relation, which under partitioning is a memoized hash partition that later
-// runs read again.
+// TestFoldNeverWritesToSharedPartitions: the executor collects the
+// per-partition models in the same lists, and there a table can be shared
+// storage — a one-atom rule's base case returns the atom's relation, which
+// under partitioning is a memoized hash partition that later runs read again.
 func TestFoldNeverWritesToSharedPartitions(t *testing.T) {
 	rule := &query.Disjunctive{
 		Schema: query.Schema{
@@ -118,6 +119,53 @@ func TestFoldNeverWritesToSharedPartitions(t *testing.T) {
 		}
 		if r.Size() != 300 {
 			t.Fatalf("run %d: R has %d rows", run, r.Size())
+		}
+	}
+}
+
+// TestExecutionsNeverWriteToInputs runs the whole digest matrix — every mode,
+// adversarial and skewed inputs, hundreds of Case-4b restarts — under
+// partitioning and the worker pool (run it with -race: workers share the
+// inputs and their memoized indexes and partitions) and checks after every
+// execution that no input relation gained a row. Row storage is append-only
+// and the mutation tick counts accepted rows, so an unchanged Size is an
+// unchanged tick; the rows are compared once per case at the end.
+func TestExecutionsNeverWriteToInputs(t *testing.T) {
+	ctx := context.Background()
+	for i, tc := range digestMatrix() {
+		if testing.Short() && i%5 != 0 { // coprime to the matrix's periods: every shape still comes up
+			continue
+		}
+		var p *plan.Plan
+		var err error
+		if tc.rule != nil {
+			p, err = plan.NewPlanner(1).PrepareRuleContext(ctx, tc.rule, CompleteConstraints(&tc.rule.Schema, tc.ins, nil))
+		} else {
+			p, _, err = plan.Prepare(tc.q, CompleteConstraints(&tc.q.Schema, tc.ins, nil), tc.mode)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		before := make([]*relation.Relation, len(tc.ins.Relations))
+		for j, r := range tc.ins.Relations {
+			before[j] = r.Clone(r.Name + "@before")
+		}
+		for _, parts := range []int{1, 4} {
+			for _, par := range []int{1, 4} {
+				if _, err := (&Executor{Partitions: parts, Parallelism: par}).Execute(ctx, p, tc.ins); err != nil {
+					t.Fatalf("%s K=%d P=%d: %v", tc.name, parts, par, err)
+				}
+				for j, r := range tc.ins.Relations {
+					if r.Size() != before[j].Size() {
+						t.Fatalf("%s K=%d P=%d: input %s has %d rows, had %d", tc.name, parts, par, r.Name, r.Size(), before[j].Size())
+					}
+				}
+			}
+		}
+		for j, r := range tc.ins.Relations {
+			if !reflect.DeepEqual(r.Rows(), before[j].Rows()) {
+				t.Fatalf("%s: the rows of input %s changed", tc.name, r.Name)
+			}
 		}
 	}
 }

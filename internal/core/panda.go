@@ -8,6 +8,14 @@
 // and Boolean conjunctive queries at the degree-aware fractional-hypertree
 // and submodular widths (Corollaries 7.10, 7.11, 7.13 / Theorem 1.9).
 //
+// Algorithm 1 returns, from a decomposition, "the union of the sub-problems'
+// tables", and Theorem 1.7 charges that union nothing. Here it costs one pass:
+// the recursion hands lists of tables up (tableFold) — a decomposition step
+// concatenates its children's lists and touches no row — and ExecuteRule
+// unions each target's list once, into a relation sized before it is written,
+// so a model row is hashed once on its way to the answer however many levels
+// of buckets it came through.
+//
 // Executing a plan solves no LP. Every LP belongs to planning (internal/plan);
 // the one thing a restart needs that the plan does not carry — a witness of
 // the inequality the engine is currently at — is read off the proof steps it
@@ -193,10 +201,11 @@ type frame struct {
 
 const budgetSlack = 1e-6
 
+// tracef records one trace line. Call it under `if e.opt.Trace`: the check
+// sits at the call site so that a run without tracing builds no label and
+// boxes no argument.
 func (e *engine) tracef(format string, args ...interface{}) {
-	if e.opt.Trace {
-		e.stats.Trace = append(e.stats.Trace, fmt.Sprintf(format, args...))
-	}
+	e.stats.Trace = append(e.stats.Trace, fmt.Sprintf(format, args...))
 }
 
 func (e *engine) note(r *relation.Relation) *relation.Relation {
@@ -263,9 +272,9 @@ func (e *engine) checkInvariants(f *frame) error {
 	return nil
 }
 
-// run executes the proof sequence on the given frame, returning tables per
-// target whose union (across sibling subproblems) models the rule.
-func (e *engine) run(f *frame) (map[bitset.Set]*relation.Relation, error) {
+// run executes the proof sequence on the given frame, returning per target
+// the tables whose union (with those of sibling subproblems) models the rule.
+func (e *engine) run(f *frame) (tableFold, error) {
 	for {
 		// Cancellation is checked between proof steps: each step is one
 		// relational operation, so a cancelled context aborts before the
@@ -284,8 +293,10 @@ func (e *engine) run(f *frame) (map[bitset.Set]*relation.Relation, error) {
 			for _, c := range f.cons {
 				if c.guard != nil && c.guard.Attrs() == b {
 					e.stats.BaseCases++
-					e.tracef("base: return %s as T_%s", c.guard.Name, e.label(b))
-					return map[bitset.Set]*relation.Relation{b: c.guard}, nil
+					if e.opt.Trace {
+						e.tracef("base: return %s as T_%s", c.guard.Name, e.label(b))
+					}
+					return tableFold{b: {c.guard}}, nil
 				}
 			}
 		}
@@ -326,7 +337,7 @@ func (e *engine) run(f *frame) (map[bitset.Set]*relation.Relation, error) {
 // finish handles an exhausted proof sequence: by Definition 5.7(4),
 // δ_ℓ ≥ λ, so every target with λ_B > 0 holds a supported marginal whose
 // guard projects onto the target.
-func (e *engine) finish(f *frame) (map[bitset.Set]*relation.Relation, error) {
+func (e *engine) finish(f *frame) (tableFold, error) {
 	for _, b := range e.targets {
 		if f.lambda.Get(flow.Marginal(b)).Sign() <= 0 {
 			continue
@@ -338,8 +349,10 @@ func (e *engine) finish(f *frame) (map[bitset.Set]*relation.Relation, error) {
 		g := f.cons[ci].guard
 		t := e.note(g.Project(b))
 		e.stats.BaseCases++
-		e.tracef("finish: return Π_%s(%s) as T_%s", e.label(b), g.Name, e.label(b))
-		return map[bitset.Set]*relation.Relation{b: t}, nil
+		if e.opt.Trace {
+			e.tracef("finish: return Π_%s(%s) as T_%s", e.label(b), g.Name, e.label(b))
+		}
+		return tableFold{b: {t}}, nil
 	}
 	return nil, fmt.Errorf("core: proof sequence exhausted with no deliverable target (λ = %v, δ = %v)",
 		f.lambda, f.delta)
@@ -360,7 +373,9 @@ func (e *engine) stepSubmodularity(f *frame, step flow.Step) error {
 	tgt := flow.Pair{X: j, Y: i.Union(j)}
 	f.setSupport(tgt, ci, f.cons)
 	f.dropIfZero(src)
-	e.tracef("submodularity: %v → %v (guard %s)", src, tgt, f.cons[ci].guard.Name)
+	if e.opt.Trace {
+		e.tracef("submodularity: %v → %v (guard %s)", src, tgt, f.cons[ci].guard.Name)
+	}
 	return nil
 }
 
@@ -378,7 +393,9 @@ func (e *engine) stepMonotonicity(f *frame, step flow.Step) error {
 	f.dropIfZero(src)
 	if x == 0 {
 		// h(Y) → h(∅): the term is discarded; nothing to materialize.
-		e.tracef("monotonicity: drop %v", src)
+		if e.opt.Trace {
+			e.tracef("monotonicity: drop %v", src)
+		}
 		return nil
 	}
 	g := f.cons[ci].guard
@@ -388,14 +405,16 @@ func (e *engine) stepMonotonicity(f *frame, step flow.Step) error {
 	nc.nFloat, _ = nc.logN.Float64()
 	f.cons = append(f.cons, nc)
 	f.setSupport(flow.Marginal(x), len(f.cons)-1, f.cons)
-	e.tracef("monotonicity: %s := Π_%s(%s), |%s| = %d", p.Name, e.label(x), g.Name, p.Name, p.Size())
+	if e.opt.Trace {
+		e.tracef("monotonicity: %s := Π_%s(%s), |%s| = %d", p.Name, e.label(x), g.Name, p.Name, p.Size())
+	}
 	return nil
 }
 
 // stepDecomposition (Case 3): h(Y) → h(X) + h(Y|X) partitions the guard by
-// X-degree (Lemma 6.1) and spawns one subproblem per bucket; results are
-// unioned per target.
-func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map[bitset.Set]*relation.Relation, error) {
+// X-degree (Lemma 6.1) and spawns one subproblem per bucket; their tables are
+// handed up target by target, in bucket order, not unioned here.
+func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (tableFold, error) {
 	x, y := step.A, step.B
 	src := flow.Marginal(y)
 	ci, ok := f.support[src]
@@ -406,16 +425,25 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map
 	g := f.cons[ci].guard
 	buckets := partitionByProjDegree(g, y, x)
 	e.stats.Partitions++
-	e.tracef("decomposition: partition %s by deg(%s|%s) into %d buckets",
-		g.Name, e.label(y), e.label(x), len(buckets))
-	out := newTableFold()
+	if e.opt.Trace {
+		e.tracef("decomposition: partition %s by deg(%s|%s) into %d buckets",
+			g.Name, e.label(y), e.label(x), len(buckets))
+	}
+	// The step moves δ the same way in every subproblem: apply it once — this
+	// frame ends here — and give each child a copy of the result. λ is only
+	// ever read, so the children share it.
+	if err := step.Apply(f.delta); err != nil {
+		st.pause()
+		return nil, err
+	}
+	out := tableFold{}
 	for _, b := range buckets {
 		bk := b.Rel
 		e.stats.Subproblems++
 		child := &frame{
 			cons:    make([]rtCon, len(f.cons), len(f.cons)+2),
 			support: make(map[flow.Pair]int, len(f.support)+2),
-			lambda:  f.lambda.Clone(),
+			lambda:  f.lambda,
 			delta:   f.delta.Clone(),
 			seq:     f.seq,
 		}
@@ -429,9 +457,6 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map
 			if child.cons[k].guard == g {
 				child.cons[k].guard = bk
 			}
-		}
-		if err := step.Apply(child.delta); err != nil {
-			return nil, err
 		}
 		child.dropIfZero(src)
 		// |Π_X(bucket)| and deg_bucket(Y|X) come with the split.
@@ -456,13 +481,13 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (map
 		out.add(res)
 	}
 	st.pause()
-	return out.tables, nil
+	return out, nil
 }
 
 // stepComposition (Case 4): h(X) + h(Y|X) → h(Y). Within budget the join is
 // materialized (4a); over budget the inequality is truncated and the proof
 // sequence rebuilt (4b).
-func (e *engine) stepComposition(f *frame, step flow.Step, st *stepTimer) (bool, map[bitset.Set]*relation.Relation, error) {
+func (e *engine) stepComposition(f *frame, step flow.Step, st *stepTimer) (bool, tableFold, error) {
 	x, y := step.A, step.B
 	srcX := flow.Marginal(x)
 	srcYX := flow.Pair{X: x, Y: y}
@@ -493,15 +518,19 @@ func (e *engine) stepComposition(f *frame, step flow.Step, st *stepTimer) (bool,
 		f.setSupport(flow.Marginal(y), len(f.cons)-1, f.cons)
 		f.dropIfZero(srcX)
 		f.dropIfZero(srcYX)
-		e.tracef("composition: %s := Π_%s(%s) ⋈ Π_%s(%s), |T| = %d",
-			t.Name, e.label(x), r.Name, e.label(cy.y), s.Name, t.Size())
+		if e.opt.Trace {
+			e.tracef("composition: %s := Π_%s(%s) ⋈ Π_%s(%s), |T| = %d",
+				t.Name, e.label(x), r.Name, e.label(cy.y), s.Name, t.Size())
+		}
 		return false, nil, nil
 	}
 	// Case 4b: the join would blow the budget; truncate and restart. The
 	// restart's own steps account for themselves, so the timer stops once
 	// the truncated child frame is built.
-	e.tracef("composition: skip join on %v (n=%.3f+%.3f > OBJ=%.3f); truncate at %v",
-		y, cx.nFloat, cy.nFloat, e.objFloat, e.label(y))
+	if e.opt.Trace {
+		e.tracef("composition: skip join on %v (n=%.3f+%.3f > OBJ=%.3f); truncate at %v",
+			y, cx.nFloat, cy.nFloat, e.objFloat, e.label(y))
+	}
 	child, err := e.truncateAndRestart(f, step, y)
 	st.pause()
 	if err != nil {
@@ -556,34 +585,33 @@ func (e *engine) truncateAndRestart(f *frame, step flow.Step, y bitset.Set) (*fr
 	return &frame{cons: f.cons, support: support, lambda: tr.Lambda, delta: tr.Delta, seq: seq}, nil
 }
 
-// tableFold unions model tables per target as they arrive: the children of a
-// decomposition step, the (rule × partition) tasks of an execution. The
-// first table of a target is held by pointer and never written to — a base
-// case returns its guard as it is, and that can be an input relation or one
-// of its memoized partitions; the second one makes the fold copy both into
-// a relation it owns, and every later one is inserted into that. Folding k
-// tables thus hashes each row once, where a chain of k Unions re-copied and
-// re-hashed the accumulated table k times.
-type tableFold struct {
-	tables map[bitset.Set]*relation.Relation
-	owned  map[bitset.Set]bool
-}
+// tableFold is what a run hands back: per target, the model tables its
+// subproblems delivered, in the order they ran. Nothing is unioned on the way
+// up — a decomposition step appends its children's lists to its own and
+// touches no row, the executor does the same across its (rule × partition)
+// tasks — and whoever needs one table per target calls union once, at the
+// top, so a model row is hashed once on its way to the answer however deep
+// the recursion that produced it. The tables in the lists are never written
+// to: a base case returns its guard as it is, and that can be an input
+// relation or one of its memoized partitions.
+type tableFold map[bitset.Set][]*relation.Relation
 
-func newTableFold() *tableFold {
-	return &tableFold{tables: map[bitset.Set]*relation.Relation{}, owned: map[bitset.Set]bool{}}
-}
-
-func (f *tableFold) add(src map[bitset.Set]*relation.Relation) {
-	for b, r := range src {
-		switch cur, ok := f.tables[b]; {
-		case !ok:
-			f.tables[b] = r
-		case !f.owned[b]:
-			f.tables[b], f.owned[b] = cur.Union(r), true
-		default:
-			cur.InsertAll(r)
-		}
+// add appends src's lists to f's, target by target.
+func (f tableFold) add(src tableFold) {
+	for b, ts := range src {
+		f[b] = append(f[b], ts...)
 	}
+}
+
+// union materializes one table per target (relation.Union: a lone table comes
+// back by pointer, several become one new relation sized before it is
+// written).
+func (f tableFold) union() map[bitset.Set]*relation.Relation {
+	out := make(map[bitset.Set]*relation.Relation, len(f))
+	for b, ts := range f {
+		out[b] = ts[0].Union(ts[1:]...)
+	}
+	return out
 }
 
 // partitionByProjDegree partitions R's tuples by the degree bucket of their

@@ -30,14 +30,34 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkSemijoin: "one" reduces a 2-column table by one side; "multi" is
+// the Corollary 7.10 reduction's shape — one 3-column table against four
+// 2-column sides, every row probed against each side's memoized index until
+// one misses, the survivors gathered once.
 func BenchmarkSemijoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	r := randomRelation(rng, bitset.Of(0, 1), 10000, 500)
-	s := randomRelation(rng, bitset.Of(1, 2), 10000, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Semijoin(s)
-	}
+	b.Run("one", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(2))
+		r := randomRelation(rng, bitset.Of(0, 1), 10000, 500)
+		s := randomRelation(rng, bitset.Of(1, 2), 10000, 500)
+		b.ReportAllocs()
+		for b.Loop() {
+			r.Semijoin(s)
+		}
+	})
+	b.Run("multi", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(7))
+		r := randomRelation(rng, bitset.Of(0, 1, 2), 20000, 60)
+		sides := []*Relation{
+			randomRelation(rng, bitset.Of(0, 1), 3000, 60),
+			randomRelation(rng, bitset.Of(1, 2), 3000, 60),
+			randomRelation(rng, bitset.Of(2, 3), 3000, 60),
+			randomRelation(rng, bitset.Of(0, 3), 3000, 60),
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			r.Semijoin(sides...)
+		}
+	})
 }
 
 func BenchmarkProject(b *testing.B) {
@@ -66,21 +86,25 @@ func BenchmarkPartitionByDegree(b *testing.B) {
 	}
 }
 
-// BenchmarkUnionFold is stepDecomposition's shape: 32 overlapping 2k-row
-// tables of one target folded into an accumulator — one Union to get a
-// relation the fold owns, InsertAll from then on.
+// BenchmarkUnionFold is the engine's fold: 32 overlapping 2k-row tables of
+// one target reach the top of a rule execution as four decompositions' lists
+// of eight, concatenated on the way up without touching a row, and are
+// unioned there once.
 func BenchmarkUnionFold(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	tables := make([]*Relation, 32)
-	for i := range tables {
-		tables[i] = randomRelation(rng, bitset.Of(0, 1, 2), 2000, 30)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc := tables[0].Union(tables[1])
-		for _, t := range tables[2:] {
-			acc.InsertAll(t)
+	groups := make([][]*Relation, 4)
+	for g := range groups {
+		for i := 0; i < 8; i++ {
+			groups[g] = append(groups[g], randomRelation(rng, bitset.Of(0, 1, 2), 2000, 30))
 		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		var list []*Relation
+		for _, g := range groups {
+			list = append(list, g...)
+		}
+		list[0].Union(list[1:]...)
 	}
 }
 

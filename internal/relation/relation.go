@@ -25,7 +25,11 @@
 // function of the ids' low bits alone. Chains run in ascending row order, so
 // the physical row order of every operator's output is a function of its
 // inputs' row order and nothing else. Operators size their outputs before
-// they write them. Row ids being int32 caps a relation at maxRows rows;
+// they write them, the multiway ones included: Union reserves its columns and
+// dedup table once for all its parts and hashes each row once, Semijoin
+// probes a row against every side and gathers the survivors once — the
+// engine's fold of subproblem tables and its Corollary 7.10 reduction are one
+// call each. Row ids being int32 caps a relation at maxRows rows;
 // growing past it fails with ErrTooManyRows. Value ids being uint32 caps the
 // intern table at 2³²−1 distinct values; a batch that might pass it fails
 // with ErrTooManyValues.
@@ -42,6 +46,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"panda/internal/bitset"
@@ -379,7 +384,12 @@ func (r *Relation) InsertAll(s *Relation) {
 	sameInterner(r, s)
 	r.reserve(r.nrows + s.nrows)
 	r.seen.reserve(r.nrows+s.nrows, r.nrows+s.nrows)
-	buf := make([]uint32, len(r.cols))
+	r.insertRows(s, make([]uint32, len(r.cols)))
+}
+
+// insertRows inserts every row of s (same schema and intern table) that r
+// does not hold, copying each through buf (of r's arity).
+func (r *Relation) insertRows(s *Relation, buf []uint32) {
 	for i := 0; i < s.nrows; i++ {
 		r.insertIDs(s.rowIDs(i, buf))
 	}
@@ -606,40 +616,86 @@ func (r *Relation) Join(s *Relation) *Relation {
 	return out
 }
 
-// Semijoin returns r ⋉ s: tuples of r matching some tuple of s on the
-// common attributes. The index over s is memoized (see index), so reducing
-// many relations against one shared side — the ModeFull semijoin loop,
-// incremental-maintenance rounds — hashes s once, not once per call.
-func (r *Relation) Semijoin(s *Relation) *Relation {
-	sameInterner(r, s)
-	common := r.attrs.Intersect(s.attrs)
-	idx := s.index(common)
-	rPos := r.positions(common)
-	sPos := s.positions(common)
-	keep := make([]int32, 0, r.nrows)
-	for i := 0; i < r.nrows; i++ {
-		h := r.hashRowAt(i, rPos)
-		for e, last := idx.lookup(h); e >= 0; e = idx.after(e, last) {
-			if r.matchOn(i, rPos, s, int(e), sPos) {
-				keep = append(keep, int32(i))
-				break
-			}
-		}
+// Semijoin returns r reduced by every side, ((r ⋉ s₁) ⋉ s₂) ⋉ …, in one pass:
+// a row of r is kept when on each side some tuple matches it on the attributes
+// that side shares with r — the sides are tried in order and the first one
+// without a match drops the row — and the survivors are gathered once, in r's
+// row order, under the name the chain of one-sided semijoins would have. A
+// side sharing no attribute keeps every row unless it is empty; with no side
+// at all the result is r itself, by pointer. Each side's index is memoized
+// (see index), so reducing many relations against shared sides — the
+// Corollary 7.10 reduction, incremental-maintenance rounds — hashes a side
+// once, not once per call.
+func (r *Relation) Semijoin(ss ...*Relation) *Relation {
+	if len(ss) == 0 {
+		return r
 	}
-	return r.gather(fmt.Sprintf("(%s⋉%s)", r.Name, s.Name), r.attrs, r.allPositions(), keep)
+	type side struct {
+		s          *Relation
+		idx        *rowTable
+		rPos, sPos []int
+	}
+	sides := make([]side, len(ss))
+	var name strings.Builder
+	name.WriteString(strings.Repeat("(", len(ss)))
+	name.WriteString(r.Name)
+	for k, s := range ss {
+		sameInterner(r, s)
+		common := r.attrs.Intersect(s.attrs)
+		sides[k] = side{s: s, idx: s.index(common), rPos: r.positions(common), sPos: s.positions(common)}
+		name.WriteString("⋉")
+		name.WriteString(s.Name)
+		name.WriteString(")")
+	}
+	keep := make([]int32, 0, r.nrows)
+rows:
+	for i := 0; i < r.nrows; i++ {
+	sides:
+		for k := range sides {
+			sd := &sides[k]
+			for e, last := sd.idx.lookup(r.hashRowAt(i, sd.rPos)); e >= 0; e = sd.idx.after(e, last) {
+				if r.matchOn(i, sd.rPos, sd.s, int(e), sd.sPos) {
+					continue sides
+				}
+			}
+			continue rows
+		}
+		keep = append(keep, int32(i))
+	}
+	return r.gather(name.String(), r.attrs, r.allPositions(), keep)
 }
 
-// Union returns r ∪ s: r's rows, then the rows of s not in r. Both must
-// share the schema.
-func (r *Relation) Union(s *Relation) *Relation {
-	if r.attrs != s.attrs {
-		panic(fmt.Sprintf("union schema mismatch: %v vs %v", r.attrs, s.attrs))
+// Union returns the union of r and every s, all over one schema: r's rows,
+// then the rows of each s in turn that no earlier part held. With no s the
+// result is r itself, by pointer and untouched — the caller must not write to
+// it. Otherwise the result is a new relation sharing no storage with a part:
+// its columns and dedup table are reserved once at the parts' total size, r is
+// appended as it is (a set already), and every later row is hashed and probed
+// once. It is named after its first two parts.
+func (r *Relation) Union(ss ...*Relation) *Relation {
+	if len(ss) == 0 {
+		return r
 	}
-	out := New(fmt.Sprintf("(%s∪%s)", r.Name, s.Name), r.attrs)
-	sameInterner(r, s)
-	out.reserve(r.nrows + s.nrows)
+	total := r.nrows
+	for _, s := range ss {
+		if r.attrs != s.attrs {
+			panic(fmt.Sprintf("union schema mismatch: %v vs %v", r.attrs, s.attrs))
+		}
+		sameInterner(r, s)
+		total += s.nrows
+	}
+	name := "(" + r.Name + "∪" + ss[0].Name
+	if len(ss) > 1 {
+		name += "∪…"
+	}
+	out := New(name+")", r.attrs)
+	out.reserve(total)
+	out.seen.reserve(total, total)
 	out.appendAllUnique(r)
-	out.InsertAll(s)
+	buf := make([]uint32, len(r.cols))
+	for _, s := range ss {
+		out.insertRows(s, buf)
+	}
 	return out
 }
 
