@@ -39,10 +39,11 @@ func BenchmarkRestartC4BoolWorst(b *testing.B) {
 // BenchmarkExecuteC4Subw executes the full 4-cycle at its submodular width on
 // a random 120-row instance over an 18-value domain — the bench module's
 // `c4-subw` item: every bag's rule decomposes several levels deep, the
-// subproblems' tables travel up as lists and are unioned once per rule, and
-// each bag table is reduced by the four inputs in one pass. It carries CI's
-// allocs/op ceiling for the fold and the reduction: a union per recursion
-// level or a copy of the table per input creeping back shows here.
+// subproblems' tables travel up as lists, and each bag's lists from every
+// rule are filtered by the four inputs and unioned in one pass. It carries
+// CI's allocs/op and B/op ceilings for the fold and the reduction: a union per
+// recursion level, a copy of the table per input, or a union of the rows the
+// inputs drop creeping back shows here.
 func BenchmarkExecuteC4Subw(b *testing.B) {
 	q := workload.FourCycleQuery()
 	ins := workload.RandomBinary(rand.New(rand.NewSource(1)), &q.Schema, 120, 18)

@@ -43,15 +43,6 @@ func unitRelation() *relation.Relation {
 	return r
 }
 
-// trivialResult is the Section 1.3 answer for a rule with an ∅ target.
-func trivialResult() *Result {
-	return &Result{
-		Tables: map[bitset.Set]*relation.Relation{0: unitRelation()},
-		Bound:  new(big.Rat),
-		Stats:  newStats(),
-	}
-}
-
 func dedupeSets(in []bitset.Set) []bitset.Set {
 	seen := map[bitset.Set]bool{}
 	var out []bitset.Set
@@ -77,8 +68,9 @@ type ExecResult struct {
 	NonEmpty bool
 	// Tables are the model tables of a plan that is one rule over the whole
 	// query: the answer of a ModeRule plan, and the model ModeFull computed
-	// its answer from (unpartitioned: the raw table, before the semijoin
-	// reduction). Nil otherwise.
+	// its answer from — unpartitioned, the raw table the engine produced,
+	// before the semijoin reduction; partitioned, the bag table, the union
+	// of the per-partition models reduced by the inputs. Nil otherwise.
 	Tables map[bitset.Set]*relation.Relation
 	// Bound is that rule's polymatroid bound; nil when Tables is.
 	Bound *big.Rat
@@ -92,20 +84,6 @@ type ExecResult struct {
 	// engine time, rule fan-out, merge); nil unless Options.StageTimings
 	// was set. Unlike Stats, timings vary run to run.
 	Timings *Timings
-}
-
-// reduceWithInputs semijoins t with every input relation sharing attributes,
-// in one pass over t (Corollary 7.10's reduction).
-func reduceWithInputs(t *relation.Relation, ins *query.Instance) *relation.Relation {
-	sides := make([]*relation.Relation, 0, len(ins.Relations))
-	for _, r := range ins.Relations {
-		if t.Attrs().Intersect(r.Attrs()) != 0 {
-			sides = append(sides, r)
-		} else if r.Size() == 0 {
-			return relation.New(t.Name, t.Attrs()) // empty input empties Q
-		}
-	}
-	return t.Semijoin(sides...)
 }
 
 func accumulate(dst, src *Stats) {

@@ -78,6 +78,44 @@ func digestMatrix() []digestCase {
 	return cases
 }
 
+// prepare plans the case the way TestExecDigestGolden does.
+func (tc digestCase) prepare(ctx context.Context) (*plan.Plan, error) {
+	if tc.rule != nil {
+		return plan.NewPlanner(1).PrepareRuleContext(ctx, tc.rule, CompleteConstraints(&tc.rule.Schema, tc.ins, nil))
+	}
+	p, _, err := plan.Prepare(tc.q, CompleteConstraints(&tc.q.Schema, tc.ins, nil), tc.mode)
+	return p, err
+}
+
+// TestParallelDigestParity: every execution of digestMatrix digests the same
+// at Parallelism 1 and 4. The pool runs the rule tasks, the per-bag
+// reductions and the Yannakakis passes, and no merge may see the order they
+// finished in. Run it with -race: the workers share the inputs and their
+// memoized indexes.
+func TestParallelDigestParity(t *testing.T) {
+	ctx := context.Background()
+	for i, tc := range digestMatrix() {
+		if testing.Short() && i%5 != 0 { // coprime to the matrix's periods: every shape still comes up
+			continue
+		}
+		p, err := tc.prepare(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var digests [2]string
+		for k, par := range []int{1, 4} {
+			ex, err := (&Executor{Partitions: tc.parts, Parallelism: par, Opt: Options{Trace: true}}).Execute(ctx, p, tc.ins)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", tc.name, par, err)
+			}
+			digests[k] = execDigest(ex)
+		}
+		if digests[0] != digests[1] {
+			t.Errorf("%s: digest %s at P=1, %s at P=4", tc.name, digests[0], digests[1])
+		}
+	}
+}
+
 // skewedBinary fills every binary atom with up to n tuples whose first
 // column ranges over [dom] and whose second ranges over [dom²].
 func skewedBinary(seed int64, s *query.Schema, n, dom int) *query.Instance {

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"math/big"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,11 +25,15 @@ import (
 // same pipeline around it (Corollaries 7.10, 7.11, 7.13):
 //
 //  1. run the plan's rules — one task per (rule × co-partitioned
-//     sub-instance) — and, when the plan answers from tree decompositions,
-//     semijoin-reduce each task's model tables with the inputs;
-//  2. merge the tasks' stats in rule-then-partition order, list each
-//     target's tables in that order and union each list once (a lone table
-//     is handed over as it is);
+//     sub-instance) — each handing back its model as lists of subproblem
+//     tables, unioned nowhere;
+//  2. merge the tasks' stats in rule-then-partition order and list each
+//     target's tables in that order; then make one pass over each list: a
+//     plan without decompositions unions it (a lone table is handed over as
+//     it is), a plan that answers from tree decompositions unions and
+//     semijoin-reduces it by the inputs in one relation.Reduce, which drops
+//     a PANDA model's spurious rows (Corollary 7.10) before it hashes a row
+//     into the bag's dedup table;
 //  3. join, by Yannakakis, every decomposition of plan.EvalTDs whose bags
 //     all have tables, and union the passes' outputs, in decomposition
 //     order, in one multiway union — a plan with no decompositions
@@ -40,13 +47,13 @@ import (
 // between tasks and between relational operations of a Yannakakis pass — a
 // cancelled or expired context aborts the run promptly with ctx.Err().
 //
-// When Parallelism > 1 the tasks of step 1 and the passes of step 3 go
-// through a bounded worker pool, sized per plan by a cost model — task
-// count × 2^width × total input cardinality — so cheap plans skip the pool
-// entirely. The merges ignore completion order, so the output relation, OK
-// answer, Width and Stats (including the operator trace) are byte-identical
-// to a sequential run of the same configuration. The first genuine error
-// cancels the sibling tasks.
+// When Parallelism > 1 the tasks of step 1, the per-bag reductions of step 2
+// and the passes of step 3 go through a bounded worker pool, sized per plan
+// by a cost model — task count × 2^width × total input cardinality — so
+// cheap plans skip the pool entirely. The merges ignore completion order, so
+// the output relation, OK answer, Width and Stats (including the operator
+// trace) are byte-identical to a sequential run of the same configuration.
+// The first genuine error cancels the sibling tasks.
 //
 // When Partitions > 1 the data is hash-split into co-partitioned
 // sub-instances (query.PartitionInstance): atoms covering the partition key
@@ -78,14 +85,27 @@ type Executor struct {
 // relations as guards, checking ctx between steps. The prepared rule is not
 // mutated, so one rule may be executed concurrently by many goroutines.
 func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) (*Result, error) {
+	fold, res, err := ex.runRule(ctx, s, pr, cons, ins)
+	if err != nil {
+		return nil, err
+	}
+	res.Tables = fold.union()
+	return res, nil
+}
+
+// runRule is ExecuteRule short of the union: the rule's model comes back as a
+// tableFold with a list for every target — a target no subproblem delivered
+// lists one empty table — and the Result carries everything but Tables.
+func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) (tableFold, *Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(ins.Relations) != len(s.Atoms) {
-		return nil, fmt.Errorf("core: instance has %d relations for %d atoms", len(ins.Relations), len(s.Atoms))
+		return nil, nil, fmt.Errorf("core: instance has %d relations for %d atoms", len(ins.Relations), len(s.Atoms))
 	}
 	if pr.Trivial {
-		return trivialResult(), nil
+		// Section 1.3: an ∅ target is answered by the unit table alone.
+		return tableFold{0: {unitRelation()}}, &Result{Bound: new(big.Rat), Stats: newStats()}, nil
 	}
 	stats := newStats()
 	var timings *Timings
@@ -113,7 +133,7 @@ func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.P
 	}
 	for i, c := range cons {
 		if c.Guard < 0 || c.Guard >= len(ins.Relations) {
-			return nil, fmt.Errorf("core: constraint on %v lacks a guard atom", c.Y)
+			return nil, nil, fmt.Errorf("core: constraint on %v lacks a guard atom", c.Y)
 		}
 		f.cons[i] = rtCon{x: c.X, y: c.Y, logN: c.LogN, guard: ins.Relations[c.Guard]}
 		f.cons[i].nFloat, _ = c.LogN.Float64()
@@ -125,22 +145,19 @@ func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.P
 			}
 		}
 		if _, ok := f.support[p0]; !ok {
-			return nil, fmt.Errorf("core: initial δ%v has no matching constraint", p0)
+			return nil, nil, fmt.Errorf("core: initial δ%v has no matching constraint", p0)
 		}
 	}
 	fold, err := e.run(f)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// The one place a rule's subproblem tables are unioned. Present every
-	// target, empty when no subproblem delivered it.
-	tables := fold.union()
 	for _, b := range e.targets {
-		if _, ok := tables[b]; !ok {
-			tables[b] = relation.New(fmt.Sprintf("T_%s", s.VarLabel(b)), b)
+		if _, ok := fold[b]; !ok {
+			fold[b] = []*relation.Relation{relation.New(fmt.Sprintf("T_%s", s.VarLabel(b)), b)}
 		}
 	}
-	return &Result{Tables: tables, Bound: pr.Bound, Stats: stats, Timings: timings}, nil
+	return fold, &Result{Bound: pr.Bound, Stats: stats, Timings: timings}, nil
 }
 
 // Execute runs the data-dependent phase of a prepared plan over an instance
@@ -217,69 +234,55 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	if timed {
 		t0 = time.Now()
 	}
-	subs := query.PartitionInstance(&p.Schema, ins, ex.Partitions)
-	if subs == nil {
-		subs = []*query.Instance{ins}
-	}
 	tds := p.EvalTDs()
 	width, _ := p.Width.Float64()
 
-	// (1) One task per (rule × sub-instance). A plan that answers from
-	// decompositions semijoin-reduces its tables with every input, which
-	// removes the spurious tuples of a PANDA model (Corollary 7.10). The
-	// inputs are the full relations — reducing inside the worker is sound
-	// because ⋉ distributes over the unions of step 2.
-	n := len(p.Rules) * len(subs)
-	ress := make([]*Result, n)
-	models := make([]map[bitset.Set]*relation.Relation, n)
-	err := ex.forEach(ctx, ex.poolSize(n, fanoutCost(n, width, ins)), n, func(cctx context.Context, t int) error {
-		res, err := ex.ExecuteRule(cctx, &p.Schema, p.Rules[t/len(subs)], p.Cons, subs[t%len(subs)])
-		if err != nil {
-			return err
-		}
-		ress[t], models[t] = res, res.Tables
-		if len(tds) > 0 {
-			models[t] = make(map[bitset.Set]*relation.Relation, len(res.Tables))
-			for b, tb := range res.Tables {
-				models[t][b] = reduceWithInputs(tb, ins)
-			}
-		}
-		return nil
-	})
+	// (1) One task per (rule × sub-instance), each handing back its model as
+	// lists of subproblem tables.
+	ress, fold, err := ex.runRules(ctx, p, ins, width)
 	if err != nil {
 		return nil, err
 	}
 
-	// (2) Fold in rule-then-partition order, whatever order the pool ran the
-	// tasks in: stats and trace concatenate, each target's tables are listed
-	// and then unioned once (the union of per-partition models is a model of
-	// the full instance — every satisfying assignment lands in exactly one
-	// partition).
+	// (2) Merge in rule-then-partition order, whatever order the pool ran the
+	// tasks in: stats and trace concatenate, as the lists of tables did.
 	out := &ExecResult{Stats: newStats()}
 	if timed {
 		out.Timings = newTimings()
 		out.Timings.RuleFanout = tick()
 	}
-	fold := tableFold{}
-	for t, res := range ress {
+	for _, res := range ress {
 		accumulate(out.Stats, res.Stats)
 		if timed {
 			out.Timings.Accumulate(res.Timings)
 		}
-		for b, tb := range models[t] {
-			fold[b] = append(fold[b], tb)
+	}
+	// A plan that is one rule over the whole query — a ModeRule plan (no
+	// decompositions) and ModeFull — reports the rule's model and bound: the
+	// union of each target's list. The exception is the lone ModeFull task,
+	// whose model is reported as the engine produced it — unioned, then
+	// reduced like any bag's tables. A partitioned ModeFull run reports its
+	// bag table, the reduced union of the per-partition models.
+	var tables map[bitset.Set]*relation.Relation
+	if len(tds) == 0 {
+		tables = fold.union()
+		out.Tables = tables
+	} else {
+		if p.Mode == plan.ModeFull && len(ress) == 1 {
+			out.Tables = fold.union()
+			for b, tb := range out.Tables {
+				fold[b] = []*relation.Relation{tb}
+			}
+		}
+		if tables, err = ex.reduceBags(ctx, fold, ins, width); err != nil {
+			return nil, err
+		}
+		if p.Mode == plan.ModeFull && out.Tables == nil {
+			out.Tables = tables
 		}
 	}
-	tables := fold.union()
-	// A plan that is one rule over the whole query — a ModeRule plan (no
-	// decompositions) and ModeFull — reports the rule's model and bound. A
-	// lone task's model is handed over as the engine produced it, which for
-	// ModeFull is the table before the semijoin reduction.
-	if len(tds) == 0 || p.Mode == plan.ModeFull {
-		out.Tables, out.Bound = tables, ress[0].Bound
-		if n == 1 {
-			out.Tables = ress[0].Tables
-		}
+	if out.Tables != nil {
+		out.Bound = ress[0].Bound
 	}
 
 	// (3) No decompositions: the tables are the answer. Otherwise every
@@ -339,6 +342,65 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 		out.Timings.Merge = tick()
 	}
 	return out, nil
+}
+
+// runRules is step 1: one PANDA run per (rule × co-partitioned sub-instance),
+// through the pool. It returns the runs' Results in rule-then-partition order
+// and, target by target, their lists of tables concatenated in that order —
+// together a model of the full instance, since every satisfying assignment
+// lands in exactly one partition.
+func (ex *Executor) runRules(ctx context.Context, p *plan.Plan, ins *query.Instance, width float64) ([]*Result, tableFold, error) {
+	subs := query.PartitionInstance(&p.Schema, ins, ex.Partitions)
+	if subs == nil {
+		subs = []*query.Instance{ins}
+	}
+	n := len(p.Rules) * len(subs)
+	ress := make([]*Result, n)
+	folds := make([]tableFold, n)
+	err := ex.forEach(ctx, ex.poolSize(n, fanoutCost(n, width, ins)), n, func(cctx context.Context, t int) (err error) {
+		folds[t], ress[t], err = ex.runRule(cctx, &p.Schema, p.Rules[t/len(subs)], p.Cons, subs[t%len(subs)])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	fold := tableFold{}
+	for _, f := range folds {
+		fold.add(f)
+	}
+	return ress, fold, nil
+}
+
+// reduceBags is Corollary 7.10's reduction: each bag's tables, from every
+// rule and partition, are unioned and semijoin-reduced by the inputs sharing
+// an attribute with the bag in one relation.Reduce, which drops a PANDA
+// model's spurious rows before it hashes a row into the bag's dedup table.
+// The sides are the full inputs, which is sound for a partitioned run too (⋉
+// distributes over ∪); an empty input sharing nothing with the bag empties Q,
+// and is a side so that it drops every row. The bags go through the pool
+// under the same cost model as the runs.
+func (ex *Executor) reduceBags(ctx context.Context, fold tableFold, ins *query.Instance, width float64) (map[bitset.Set]*relation.Relation, error) {
+	bags := slices.Sorted(maps.Keys(fold))
+	reduced := make([]*relation.Relation, len(bags))
+	err := ex.forEach(ctx, ex.poolSize(len(bags), fanoutCost(len(bags), width, ins)), len(bags), func(_ context.Context, i int) error {
+		b := bags[i]
+		sides := make([]*relation.Relation, 0, len(ins.Relations))
+		for _, r := range ins.Relations {
+			if b.Intersect(r.Attrs()) != 0 || r.Size() == 0 {
+				sides = append(sides, r)
+			}
+		}
+		reduced[i] = relation.Reduce(b, fold[b], sides...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tables := make(map[bitset.Set]*relation.Relation, len(bags))
+	for i, b := range bags {
+		tables[b] = reduced[i]
+	}
+	return tables, nil
 }
 
 // forEach runs fn(ctx, i) for i in [0, n), sequentially when workers ≤ 1,

@@ -136,13 +136,7 @@ func TestExecutionsNeverWriteToInputs(t *testing.T) {
 		if testing.Short() && i%5 != 0 { // coprime to the matrix's periods: every shape still comes up
 			continue
 		}
-		var p *plan.Plan
-		var err error
-		if tc.rule != nil {
-			p, err = plan.NewPlanner(1).PrepareRuleContext(ctx, tc.rule, CompleteConstraints(&tc.rule.Schema, tc.ins, nil))
-		} else {
-			p, _, err = plan.Prepare(tc.q, CompleteConstraints(&tc.q.Schema, tc.ins, nil), tc.mode)
-		}
+		p, err := tc.prepare(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -12,9 +12,13 @@
 // tables", and Theorem 1.7 charges that union nothing. Here it costs one pass:
 // the recursion hands lists of tables up (tableFold) — a decomposition step
 // concatenates its children's lists and touches no row — and ExecuteRule
-// unions each target's list once, into a relation sized before it is written,
-// so a model row is hashed once on its way to the answer however many levels
-// of buckets it came through.
+// unions each target's list once, into a relation sized before it is written.
+// A plan that answers from tree decompositions does not even union a rule's
+// tables on their own: the Executor lists each bag's tables from every rule
+// and partition and semijoin-reduces them by the inputs in the same pass
+// (Corollary 7.10), so a model row is hashed into a dedup table at most once
+// on its way to the answer, however many levels of buckets it came through,
+// and never when the inputs drop it.
 //
 // Executing a plan solves no LP. Every LP belongs to planning (internal/plan);
 // the one thing a restart needs that the plan does not carry — a witness of
@@ -69,11 +73,14 @@ type Timings struct {
 	// themselves.
 	Steps map[string]time.Duration
 	// RuleFanout is the wall-clock of the rule fan-out phase: every
-	// per-bag / per-transversal rule execution, including pool scheduling.
-	// Under parallelism this is wall time, not the sum of per-rule work.
+	// per-bag / per-transversal PANDA run, including pool scheduling, up to
+	// the lists of tables it hands back — the union and reduction of those
+	// are the merge's. Under parallelism this is wall time, not the sum of
+	// per-rule work.
 	RuleFanout time.Duration
 	// Merge is the wall-clock of the post-fan-out merge: stats
-	// accumulation, semijoin reductions and Yannakakis passes.
+	// accumulation, the union and semijoin reduction of each bag's tables,
+	// and the Yannakakis passes.
 	Merge time.Duration
 }
 
@@ -589,11 +596,14 @@ func (e *engine) truncateAndRestart(f *frame, step flow.Step, y bitset.Set) (*fr
 // subproblems delivered, in the order they ran. Nothing is unioned on the way
 // up — a decomposition step appends its children's lists to its own and
 // touches no row, the executor does the same across its (rule × partition)
-// tasks — and whoever needs one table per target calls union once, at the
-// top, so a model row is hashed once on its way to the answer however deep
-// the recursion that produced it. The tables in the lists are never written
-// to: a base case returns its guard as it is, and that can be an input
-// relation or one of its memoized partitions.
+// tasks — and whoever needs one table per target makes one pass over the
+// list at the top: ExecuteRule and a plan without decompositions call union,
+// a plan that answers from decompositions reduces each bag's list by the
+// inputs in the same pass (Executor.reduceBags), so a model row is hashed
+// into a dedup table at most once however deep the recursion that produced
+// it, and not at all when the inputs drop it. The tables in the lists are
+// never written to: a base case returns its guard as it is, and that can be
+// an input relation or one of its memoized partitions.
 type tableFold map[bitset.Set][]*relation.Relation
 
 // add appends src's lists to f's, target by target.

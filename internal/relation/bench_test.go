@@ -33,7 +33,9 @@ func BenchmarkHashJoin(b *testing.B) {
 // BenchmarkSemijoin: "one" reduces a 2-column table by one side; "multi" is
 // the Corollary 7.10 reduction's shape — one 3-column table against four
 // 2-column sides, every row probed against each side's memoized index until
-// one misses, the survivors gathered once.
+// one misses, the survivors gathered once; "drop-last" passes the side that
+// drops nine rows in ten last, behind three that keep every row — the sieve
+// tries it first from the first dropped row on.
 func BenchmarkSemijoin(b *testing.B) {
 	b.Run("one", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(2))
@@ -58,6 +60,55 @@ func BenchmarkSemijoin(b *testing.B) {
 			r.Semijoin(sides...)
 		}
 	})
+	b.Run("drop-last", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(8))
+		r := randomRelation(rng, bitset.Of(0, 1, 2), 20000, 60)
+		sides := []*Relation{
+			fullPairs(bitset.Of(0, 1), 60, 60),
+			fullPairs(bitset.Of(1, 2), 60, 60),
+			fullPairs(bitset.Of(0, 2), 60, 60),
+			fullPairs(bitset.Of(2, 3), 6, 60), // A2 < 6: keeps one row in ten
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			r.Semijoin(sides...)
+		}
+	})
+}
+
+// fullPairs returns the relation over the two attributes of attrs holding
+// every pair in [n]×[m].
+func fullPairs(attrs bitset.Set, n, m int) *Relation {
+	r := New("F", attrs)
+	for x := 0; x < n; x++ {
+		for y := 0; y < m; y++ {
+			r.Insert([]Value{Value(x), Value(y)})
+		}
+	}
+	return r
+}
+
+// BenchmarkReduce is the executor's per-bag reduce: eight overlapping
+// 3-column tables of one bag, from as many rule runs, against the four
+// inputs, one of which drops about half the rows. Only the survivors are
+// counted, written and hashed into the result's dedup table; allocs/op counts
+// slices, not rows — CI holds it to a ceiling.
+func BenchmarkReduce(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	parts := make([]*Relation, 8)
+	for k := range parts {
+		parts[k] = randomRelation(rng, bitset.Of(0, 1, 2), 2000, 30)
+	}
+	sides := []*Relation{
+		fullPairs(bitset.Of(0, 1), 30, 30),
+		fullPairs(bitset.Of(1, 2), 30, 30),
+		fullPairs(bitset.Of(2, 3), 30, 30),
+		fullPairs(bitset.Of(0, 3), 15, 30), // A0 < 15: keeps half the rows
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		Reduce(bitset.Of(0, 1, 2), parts, sides...)
+	}
 }
 
 func BenchmarkProject(b *testing.B) {

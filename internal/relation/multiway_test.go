@@ -152,3 +152,146 @@ func TestSemijoinMultiway(t *testing.T) {
 		sameRows(t, tag+" r afterwards", r, before)
 	}
 }
+
+// TestReduceMultiway holds Reduce(attrs, parts, sides...) to
+// Union(parts...).Semijoin(sides...) worked out by nested loops: the same rows
+// in the same physical order, over generated part lists — none to six parts,
+// empty parts, a part listed twice, rows shared across parts, sides sharing no
+// attribute (empty or not), empty sides, the empty schema. With one part it is
+// Semijoin, name included, and builds no dedup table; no part is written to.
+func TestReduceMultiway(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 400; trial++ {
+		var attrs bitset.Set
+		if trial%7 != 0 { // every seventh trial is over the empty schema
+			attrs = randomAttrs(rng)
+		}
+		dom := 2 + rng.Intn(4)
+		parts := make([]*Relation, rng.Intn(7))
+		for k := range parts {
+			switch {
+			case k > 0 && rng.Intn(5) == 0:
+				parts[k] = parts[rng.Intn(k)] // a part repeated
+			case rng.Intn(5) == 0:
+				parts[k] = New(fmt.Sprintf("P%d", k), attrs) // an empty part
+			default:
+				parts[k] = randomRelation(rng, attrs, rng.Intn(40), dom)
+				parts[k].Name = fmt.Sprintf("P%d", k)
+			}
+			if rng.Intn(3) == 0 {
+				parts[k] = parts[k].Snapshot(parts[k].Name)
+			}
+		}
+		sides := make([]*Relation, rng.Intn(5))
+		for k := range sides {
+			sa := randomAttrs(rng)
+			if rng.Intn(5) == 0 {
+				sa = bitset.Of(5, 6) // shares nothing with the parts
+			}
+			n := 1 + rng.Intn(40)
+			if rng.Intn(6) == 0 {
+				n = 0
+			}
+			sides[k] = randomRelation(rng, sa, n, dom)
+			sides[k].Name = fmt.Sprintf("S%d", k)
+		}
+		tag := fmt.Sprintf("trial %d %v ×%d ⋉%d", trial, attrs, len(parts), len(sides))
+
+		type state struct {
+			mut  uint64
+			seen int
+		}
+		before := make([]state, len(parts))
+		want := refRel{cols: attrs.Vars(), rows: [][]Value{}}
+		for k, p := range parts {
+			before[k] = state{mut: p.mut, seen: p.seen.rows()}
+			want.rows = refUnion(want, refOf(p))
+		}
+		for _, s := range sides {
+			want.rows = refSemijoin(want, refOf(s), attrs.Intersect(s.Attrs()))
+		}
+
+		got := Reduce(attrs, parts, sides...)
+		sameRows(t, tag+" Reduce", got, want.rows)
+		if got.Attrs() != attrs {
+			t.Fatalf("%s: reduced over %v", tag, got.Attrs())
+		}
+		switch {
+		case len(parts) == 1 && len(sides) == 0:
+			if got != parts[0] {
+				t.Fatalf("%s: a lone part and no side must come back by pointer", tag)
+			}
+		case len(parts) == 1:
+			sj := parts[0].Semijoin(sides...)
+			if got.Name != sj.Name {
+				t.Fatalf("%s: named %q, Semijoin is named %q", tag, got.Name, sj.Name)
+			}
+			if got.seen.rows() != 0 {
+				t.Fatalf("%s: one part built a dedup table of %d rows", tag, got.seen.rows())
+			}
+			fallthrough
+		default:
+			for k, p := range parts {
+				if got == p || sharesStorage(got, p) {
+					t.Fatalf("%s: the result shares storage with part %d", tag, k)
+				}
+			}
+		}
+		for k, p := range parts {
+			if p.mut != before[k].mut || p.seen.rows() != before[k].seen {
+				t.Fatalf("%s: part %d was written to", tag, k)
+			}
+		}
+	}
+}
+
+// TestSemijoinSideOrder: a row is kept only if every side matches it, so the
+// order the sides are tried in — the sieve moves the side that last dropped a
+// row to the front — decides cost alone. Every permutation of the sides gives
+// the same rows, in the same order, under the same name.
+func TestSemijoinSideOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	names := []string{"U", "R", "T", "S"} // passed out of name order
+	for trial := 0; trial < 40; trial++ {
+		r := randomRelation(rng, bitset.Of(0, 1, 2), 30+rng.Intn(80), 5)
+		r.Name = "Q"
+		sides := make([]*Relation, len(names))
+		for k := range sides {
+			sides[k] = randomRelation(rng, randomAttrs(rng), 1+rng.Intn(30), 5)
+			sides[k].Name = names[k]
+		}
+		want := refOf(r)
+		for _, s := range sides {
+			want.rows = refSemijoin(want, refOf(s), r.Attrs().Intersect(s.Attrs()))
+		}
+		first := r.Semijoin(sides...)
+		sameRows(t, fmt.Sprintf("trial %d", trial), first, want.rows)
+		for _, perm := range permutations(len(sides)) {
+			ps := make([]*Relation, len(perm))
+			for i, k := range perm {
+				ps[i] = sides[k]
+			}
+			got := r.Semijoin(ps...)
+			tag := fmt.Sprintf("trial %d sides %v", trial, perm)
+			sameRows(t, tag, got, want.rows)
+			if got.Name != first.Name {
+				t.Fatalf("%s: named %q, the first order named it %q", tag, got.Name, first.Name)
+			}
+		}
+	}
+}
+
+// permutations lists every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int{}, p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}

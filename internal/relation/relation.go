@@ -25,14 +25,16 @@
 // function of the ids' low bits alone. Chains run in ascending row order, so
 // the physical row order of every operator's output is a function of its
 // inputs' row order and nothing else. Operators size their outputs before
-// they write them, the multiway ones included: Union reserves its columns and
-// dedup table once for all its parts and hashes each row once, Semijoin
-// probes a row against every side and gathers the survivors once — the
-// engine's fold of subproblem tables and its Corollary 7.10 reduction are one
-// call each. Row ids being int32 caps a relation at maxRows rows;
-// growing past it fails with ErrTooManyRows. Value ids being uint32 caps the
-// intern table at 2³²−1 distinct values; a batch that might pass it fails
-// with ErrTooManyValues.
+// they write them. Semijoin, Union and the executor's per-bag reduce
+// (Corollary 7.10: a bag's tables from every rule and partition, unioned and
+// semijoin-reduced by the inputs) are one multiway kernel, Reduce, that
+// filters before it dedups: each row of each part is probed against the
+// sides, trying first the side that last dropped a row, and only the
+// survivors are counted, written and hashed into the dedup table — a row the
+// sides drop never reaches it. Row ids being int32 caps a relation at maxRows
+// rows; growing past it fails with ErrTooManyRows. Value ids being uint32
+// caps the intern table at 2³²−1 distinct values; a batch that might pass it
+// fails with ErrTooManyValues.
 //
 // Interning stays (ablation at PR 19: an identity interner over []int64
 // columns, every test and the executor digest golden green, read exec-large
@@ -232,6 +234,16 @@ func (r *Relation) rowMatchIDs(i int, ids []uint32) bool {
 	return true
 }
 
+// sameRow reports whether r's row i equals s's row j (same schema).
+func (r *Relation) sameRow(i int, s *Relation, j int) bool {
+	for c := range r.data {
+		if r.data[c][i] != s.data[c][j] {
+			return false
+		}
+	}
+	return true
+}
+
 // rowsMatchAt reports whether rows i and j agree on the given positions.
 func (r *Relation) rowsMatchAt(i, j int, pos []int) bool {
 	for _, p := range pos {
@@ -384,15 +396,30 @@ func (r *Relation) InsertAll(s *Relation) {
 	sameInterner(r, s)
 	r.reserve(r.nrows + s.nrows)
 	r.seen.reserve(r.nrows+s.nrows, r.nrows+s.nrows)
-	r.insertRows(s, make([]uint32, len(r.cols)))
+	r.ensureSeen()
+	for i := 0; i < s.nrows; i++ {
+		r.insertFrom(s, i)
+	}
 }
 
-// insertRows inserts every row of s (same schema and intern table) that r
-// does not hold, copying each through buf (of r's arity).
-func (r *Relation) insertRows(s *Relation, buf []uint32) {
-	for i := 0; i < s.nrows; i++ {
-		r.insertIDs(s.rowIDs(i, buf))
+// insertFrom appends row i of s (same schema and intern table) unless r
+// holds it. The dedup table must be current (ensureSeen).
+func (r *Relation) insertFrom(s *Relation, i int) {
+	h := s.rowHash(i)
+	r.seen.room()
+	slot := r.seen.slot(h)
+	for e, last := r.seen.chain(slot); e >= 0; e = r.seen.after(e, last) {
+		if r.sameRow(int(e), s, i) {
+			return
+		}
 	}
+	r.checkRoom(1)
+	for c := range r.data {
+		r.data[c] = append(r.data[c], s.data[c][i])
+	}
+	r.nrows++
+	r.mut++
+	r.seen.pushAt(slot, h)
 }
 
 // Stamp records that the relation's current contents correspond to the
@@ -616,87 +643,189 @@ func (r *Relation) Join(s *Relation) *Relation {
 	return out
 }
 
-// Semijoin returns r reduced by every side, ((r ⋉ s₁) ⋉ s₂) ⋉ …, in one pass:
-// a row of r is kept when on each side some tuple matches it on the attributes
-// that side shares with r — the sides are tried in order and the first one
-// without a match drops the row — and the survivors are gathered once, in r's
-// row order, under the name the chain of one-sided semijoins would have. A
-// side sharing no attribute keeps every row unless it is empty; with no side
-// at all the result is r itself, by pointer. Each side's index is memoized
-// (see index), so reducing many relations against shared sides — the
-// Corollary 7.10 reduction, incremental-maintenance rounds — hashes a side
-// once, not once per call.
+// Semijoin returns r reduced by every side, ((r ⋉ s₁) ⋉ s₂) ⋉ …: Reduce with
+// r as the one part. A row of r is kept when on each side some tuple matches
+// it on the attributes that side shares with r, and the survivors are
+// gathered once, in r's row order; no dedup table is built. A side sharing no
+// attribute keeps every row unless it is empty; with no side at all the
+// result is r itself, by pointer.
 func (r *Relation) Semijoin(ss ...*Relation) *Relation {
-	if len(ss) == 0 {
-		return r
+	return Reduce(r.attrs, []*Relation{r}, ss...)
+}
+
+// Union returns the union of r and every s, all over one schema: Reduce with
+// no side. The result holds r's rows, then the rows of each s in turn that no
+// earlier part held. With no s it is r itself, by pointer and untouched — the
+// caller must not write to it. Otherwise it is a new relation sharing no
+// storage with a part, named after its first two parts.
+func (r *Relation) Union(ss ...*Relation) *Relation {
+	return Reduce(r.attrs, append([]*Relation{r}, ss...))
+}
+
+// Reduce returns (p₁ ∪ p₂ ∪ …) ⋉ s₁ ⋉ s₂ ⋉ … for parts all over attrs, in one
+// pass that filters before it dedups. Every row of every part, in part
+// order, is probed against the sides (see sieve), and only the rows every
+// side matches are written: the first part's survivors as they are (a part is
+// a set), every later survivor hashed and probed once against the rows
+// written before it. A row is kept or dropped by its values alone and the
+// first occurrence wins, so the rows and their physical order are those of
+// parts[0].Union(parts[1:]...).Semijoin(sides...), without hashing a row the
+// sides drop.
+//
+// Storage is sized before it is written: the survivors are counted first,
+// and the columns and the dedup table reserved at that count. With one part
+// the survivors are gathered and no dedup table is built; with one part and
+// no side the result is that part itself, by pointer; with no part it is
+// empty. Otherwise the result is a new relation sharing no storage with a
+// part. Each side's index is memoized (see index), so reducing many
+// relations against shared sides — the Corollary 7.10 reduction,
+// incremental-maintenance rounds — hashes a side once, not once per call.
+// The result is named after the parts and the sides, the sides sorted by
+// name, so the order they are passed in changes nothing about it.
+func Reduce(attrs bitset.Set, parts []*Relation, sides ...*Relation) *Relation {
+	for _, p := range parts {
+		if p.attrs != attrs {
+			panic(fmt.Sprintf("union schema mismatch: %v vs %v", attrs, p.attrs))
+		}
+		sameInterner(parts[0], p)
 	}
-	type side struct {
-		s          *Relation
-		idx        *rowTable
-		rPos, sPos []int
+	name := reducedName(parts, sides)
+	switch {
+	case len(parts) == 0:
+		return New(name, attrs)
+	case len(parts) == 1 && len(sides) == 0:
+		return parts[0]
 	}
-	sides := make([]side, len(ss))
-	var name strings.Builder
-	name.WriteString(strings.Repeat("(", len(ss)))
-	name.WriteString(r.Name)
+	// keep[k] lists the rows of part k every side matches; nil keep (no side)
+	// keeps every row.
+	var keep [][]int32
+	total := 0
+	for _, p := range parts {
+		total += p.nrows
+	}
+	if len(sides) > 0 {
+		sv := newSieve(parts[0], sides)
+		keep = make([][]int32, len(parts))
+		flat := make([]int32, 0, total)
+		for k, p := range parts {
+			from := len(flat)
+			flat = sv.filter(p, flat)
+			keep[k] = flat[from:len(flat):len(flat)]
+		}
+		total = len(flat)
+		if len(parts) == 1 {
+			return parts[0].gather(name, attrs, parts[0].allPositions(), keep[0])
+		}
+	}
+	out := New(name, attrs)
+	out.reserve(total)
+	for k, p := range parts {
+		var rows []int32
+		n := p.nrows
+		if keep != nil {
+			rows, n = keep[k], len(keep[k])
+		}
+		switch {
+		case n == 0:
+		case out.nrows == 0:
+			out.appendRows(p, rows)
+		default:
+			if out.seen.rows() < out.nrows {
+				out.seen.reserve(total, total)
+				out.ensureSeen()
+			}
+			for m := 0; m < n; m++ {
+				i := m
+				if rows != nil {
+					i = int(rows[m])
+				}
+				out.insertFrom(p, i)
+			}
+		}
+	}
+	return out
+}
+
+// reducedName names Reduce's result the way a chain of binary operators
+// would be named: the union of the parts (named after its first two), then
+// one ⋉ per side, the sides in name order.
+func reducedName(parts, sides []*Relation) string {
+	var b strings.Builder
+	b.WriteString(strings.Repeat("(", len(sides)))
+	switch len(parts) {
+	case 0:
+		b.WriteString("∅")
+	case 1:
+		b.WriteString(parts[0].Name)
+	default:
+		b.WriteString("(" + parts[0].Name + "∪" + parts[1].Name)
+		if len(parts) > 2 {
+			b.WriteString("∪…")
+		}
+		b.WriteString(")")
+	}
+	names := make([]string, len(sides))
+	for k, s := range sides {
+		names[k] = s.Name
+	}
+	slices.Sort(names)
+	for _, n := range names {
+		b.WriteString("⋉")
+		b.WriteString(n)
+		b.WriteString(")")
+	}
+	return b.String()
+}
+
+// sieve holds the sides of a semijoin, set up to probe the rows of
+// relations over one schema. A row is kept only if every side matches it, so
+// the order the sides are tried in decides what a row costs, never whether it
+// is kept: filter swaps the side that drops a row to the front, so the side
+// that drops most rows — wherever it was passed — is usually the one a
+// dropped row is probed against, and often the only one.
+type sieve []sieveSide
+
+// sieveSide is one side with its memoized index on the attributes it shares
+// with the rows probed, and the tuple positions of those attributes in a
+// probed row (rPos) and in the side (sPos).
+type sieveSide struct {
+	s          *Relation
+	idx        *rowTable
+	rPos, sPos []int
+}
+
+// newSieve sets up the sides for probing rows laid out like r.
+func newSieve(r *Relation, ss []*Relation) sieve {
+	sv := make(sieve, len(ss))
 	for k, s := range ss {
 		sameInterner(r, s)
 		common := r.attrs.Intersect(s.attrs)
-		sides[k] = side{s: s, idx: s.index(common), rPos: r.positions(common), sPos: s.positions(common)}
-		name.WriteString("⋉")
-		name.WriteString(s.Name)
-		name.WriteString(")")
+		sv[k] = sieveSide{s: s, idx: s.index(common), rPos: r.positions(common), sPos: s.positions(common)}
 	}
-	keep := make([]int32, 0, r.nrows)
+	return sv
+}
+
+// filter appends to keep the rows of r that every side matches on the
+// attributes it shares with them, in r's row order.
+func (sv sieve) filter(r *Relation, keep []int32) []int32 {
 rows:
 	for i := 0; i < r.nrows; i++ {
-	sides:
-		for k := range sides {
-			sd := &sides[k]
+	probe:
+		for k := range sv {
+			sd := &sv[k]
 			for e, last := sd.idx.lookup(r.hashRowAt(i, sd.rPos)); e >= 0; e = sd.idx.after(e, last) {
 				if r.matchOn(i, sd.rPos, sd.s, int(e), sd.sPos) {
-					continue sides
+					continue probe
 				}
+			}
+			if k > 0 {
+				sv[0], sv[k] = sv[k], sv[0]
 			}
 			continue rows
 		}
 		keep = append(keep, int32(i))
 	}
-	return r.gather(name.String(), r.attrs, r.allPositions(), keep)
-}
-
-// Union returns the union of r and every s, all over one schema: r's rows,
-// then the rows of each s in turn that no earlier part held. With no s the
-// result is r itself, by pointer and untouched — the caller must not write to
-// it. Otherwise the result is a new relation sharing no storage with a part:
-// its columns and dedup table are reserved once at the parts' total size, r is
-// appended as it is (a set already), and every later row is hashed and probed
-// once. It is named after its first two parts.
-func (r *Relation) Union(ss ...*Relation) *Relation {
-	if len(ss) == 0 {
-		return r
-	}
-	total := r.nrows
-	for _, s := range ss {
-		if r.attrs != s.attrs {
-			panic(fmt.Sprintf("union schema mismatch: %v vs %v", r.attrs, s.attrs))
-		}
-		sameInterner(r, s)
-		total += s.nrows
-	}
-	name := "(" + r.Name + "∪" + ss[0].Name
-	if len(ss) > 1 {
-		name += "∪…"
-	}
-	out := New(name+")", r.attrs)
-	out.reserve(total)
-	out.seen.reserve(total, total)
-	out.appendAllUnique(r)
-	buf := make([]uint32, len(r.cols))
-	for _, s := range ss {
-		out.insertRows(s, buf)
-	}
-	return out
+	return keep
 }
 
 // Partition hash-partitions r into k buckets by the FNV-1a hash of each
@@ -906,6 +1035,25 @@ func (r *Relation) PartitionByDegree(y, x bitset.Set) []*Relation {
 		out[b] = t.gather(fmt.Sprintf("%s[deg2^%d.%d]", r.Name, bk.class, bk.half), y, pos, rows[b])
 	}
 	return out
+}
+
+// appendRows appends the listed rows of s (same schema), or every row of s
+// when rows is nil; the caller guarantees none of them is present.
+func (r *Relation) appendRows(s *Relation, rows []int32) {
+	if rows == nil {
+		r.appendAllUnique(s)
+		return
+	}
+	r.checkRoom(len(rows))
+	for c := range r.data {
+		col, src := r.data[c], s.data[c]
+		for _, i := range rows {
+			col = append(col, src[i])
+		}
+		r.data[c] = col
+	}
+	r.nrows += len(rows)
+	r.mut += uint64(len(rows))
 }
 
 // appendAllUnique appends every row of s (same schema); the caller

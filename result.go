@@ -38,8 +38,10 @@ type Result struct {
 	// disjunctive rules).
 	Mode PlanMode
 	// Tables holds the per-target model tables of the underlying PANDA
-	// rule: every target for disjunctive rules, the raw (pre-semijoin)
-	// full table for ModeFull, nil otherwise. Iterate a table with
+	// rule: every target for disjunctive rules; for ModeFull the full
+	// table — unpartitioned, the raw model before the semijoin reduction,
+	// and under WithPartitions the union of the per-partition models
+	// reduced by the inputs; nil otherwise. Iterate a table with
 	// Relation.All / AllSorted.
 	Tables map[Set]*Relation
 	// Bound is the polymatroid bound of the executed rule in log₂ units
