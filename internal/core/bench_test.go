@@ -68,3 +68,34 @@ func BenchmarkExecuteC4Subw(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExecuteTriFull executes the triangle under ModeFull on a random
+// 1,024-row instance over a 128-value domain, sequentially: one rule whose
+// model's tables go straight to the bag's one relation.Reduce, which hashes
+// only the rows the inputs keep. It carries CI's B/op ceiling: unioning the
+// raw model before the reduction, as the executor did while Tables exported
+// it, copies and hashes every model row, the ones the inputs drop included.
+func BenchmarkExecuteTriFull(b *testing.B) {
+	q := workload.TriangleQuery()
+	ins := workload.RandomBinary(rand.New(rand.NewSource(1)), &q.Schema, 1024, 128)
+	p, _, err := plan.Prepare(q, CompleteConstraints(&q.Schema, ins, nil), plan.ModeFull)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	ex := &Executor{}
+	want := -1
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := ex.Execute(ctx, p, ins)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if want < 0 {
+			want = res.Out.Size()
+		}
+		if res.Tables != nil || res.Out.Size() != want {
+			b.Fatalf("tables = %v, |out| = %d; want none, %d", res.Tables != nil, res.Out.Size(), want)
+		}
+	}
+}

@@ -66,13 +66,12 @@ type ExecResult struct {
 	// NonEmpty is the final non-emptiness answer: Out has rows, the Boolean
 	// query is satisfied, or (ModeRule) some target table is non-empty.
 	NonEmpty bool
-	// Tables are the model tables of a plan that is one rule over the whole
-	// query: the answer of a ModeRule plan, and the model ModeFull computed
-	// its answer from — unpartitioned, the raw table the engine produced,
-	// before the semijoin reduction; partitioned, the bag table, the union
-	// of the per-partition models reduced by the inputs. Nil otherwise.
+	// Tables are the answer of a ModeRule plan, its rule's model tables per
+	// target; nil for every other plan, whose answer is Out (a model ModeFull
+	// computes is an intermediate of the semijoin reduction, not an answer).
 	Tables map[bitset.Set]*relation.Relation
-	// Bound is that rule's polymatroid bound; nil when Tables is.
+	// Bound is the polymatroid bound of a plan that is one rule over the whole
+	// query — ModeRule and ModeFull, where it equals Width; nil otherwise.
 	Bound *big.Rat
 	// Width is the executed plan's width certificate in log₂ units.
 	Width *big.Rat

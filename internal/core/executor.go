@@ -29,11 +29,11 @@ import (
 //     tables, unioned nowhere;
 //  2. merge the tasks' stats in rule-then-partition order and list each
 //     target's tables in that order; then make one pass over each list: a
-//     plan without decompositions unions it (a lone table is handed over as
-//     it is), a plan that answers from tree decompositions unions and
-//     semijoin-reduces it by the inputs in one relation.Reduce, which drops
-//     a PANDA model's spurious rows (Corollary 7.10) before it hashes a row
-//     into the bag's dedup table;
+//     ModeRule plan unions it (a lone table is handed over as it is), and
+//     every plan that answers from tree decompositions — ModeFull's one bag
+//     included — unions and semijoin-reduces it by the inputs in one
+//     relation.Reduce, which drops a PANDA model's spurious rows (Corollary
+//     7.10) before it hashes a row into the bag's dedup table;
 //  3. join, by Yannakakis, every decomposition of plan.EvalTDs whose bags
 //     all have tables, and union the passes' outputs, in decomposition
 //     order, in one multiway union — a plan with no decompositions
@@ -257,31 +257,18 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 			out.Timings.Accumulate(res.Timings)
 		}
 	}
-	// A plan that is one rule over the whole query — a ModeRule plan (no
-	// decompositions) and ModeFull — reports the rule's model and bound: the
-	// union of each target's list. The exception is the lone ModeFull task,
-	// whose model is reported as the engine produced it — unioned, then
-	// reduced like any bag's tables. A partitioned ModeFull run reports its
-	// bag table, the reduced union of the per-partition models.
+	// A ModeRule plan (no decompositions) answers with its rule's model, the
+	// union of each target's list; every other plan reduces each bag's list by
+	// the inputs. A plan that is one rule over the whole query — ModeRule and
+	// ModeFull — reports that rule's bound.
 	var tables map[bitset.Set]*relation.Relation
 	if len(tds) == 0 {
 		tables = fold.union()
 		out.Tables = tables
-	} else {
-		if p.Mode == plan.ModeFull && len(ress) == 1 {
-			out.Tables = fold.union()
-			for b, tb := range out.Tables {
-				fold[b] = []*relation.Relation{tb}
-			}
-		}
-		if tables, err = ex.reduceBags(ctx, fold, ins, width); err != nil {
-			return nil, err
-		}
-		if p.Mode == plan.ModeFull && out.Tables == nil {
-			out.Tables = tables
-		}
+	} else if tables, err = ex.reduceBags(ctx, fold, ins, width); err != nil {
+		return nil, err
 	}
-	if out.Tables != nil {
+	if len(tds) == 0 || p.Mode == plan.ModeFull {
 		out.Bound = ress[0].Bound
 	}
 

@@ -133,30 +133,28 @@ func TestOnePipeline(t *testing.T) {
 					} else if wantOut && ex.Out.Attrs() != p.Free {
 						t.Fatalf("%s: Out over %v, free variables %v", name, ex.Out.Attrs(), p.Free)
 					}
+					if (ex.Tables != nil) != (mode == plan.ModeRule) {
+						t.Fatalf("%s: Tables set=%v, want %v", name, ex.Tables != nil, mode == plan.ModeRule)
+					}
 					oneRule := mode == plan.ModeRule || mode == plan.ModeFull
-					if (ex.Tables != nil) != oneRule || (ex.Bound != nil) != oneRule {
-						t.Fatalf("%s: Tables set=%v Bound set=%v, want both %v", name, ex.Tables != nil, ex.Bound != nil, oneRule)
+					if (ex.Bound != nil) != oneRule {
+						t.Fatalf("%s: Bound set=%v, want %v", name, ex.Bound != nil, oneRule)
 					}
 					if oneRule && ex.Bound.Cmp(p.Rules[0].Bound) != 0 {
 						t.Fatalf("%s: Bound %v, rule bound %v", name, ex.Bound, p.Rules[0].Bound)
 					}
 					if mode == plan.ModeFull && parts == 1 {
-						// Tables holds the model as the engine produced it, row
-						// for row, not the semijoin-reduced relation the answer is.
 						raw, err := (&Executor{}).ExecuteRule(ctx, s, p.Rules[0], p.Cons, ins)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if ex.Tables[full] == ex.Out || !reflect.DeepEqual(ex.Tables[full].Rows(), raw.Tables[full].Rows()) {
-							t.Fatalf("%s: Tables[%v] is not the unreduced model table", name, full)
-						}
-						spurious += ex.Tables[full].Size() - ex.Out.Size()
+						spurious += raw.Tables[full].Size() - ex.Out.Size()
 					}
 				}
 			}
 		}
 	}
 	if spurious == 0 {
-		t.Fatal("no ModeFull model held a spurious tuple: the cases cannot tell a raw table from a reduced one")
+		t.Fatal("no ModeFull model held a spurious tuple: the cases leave the Corollary 7.10 reduction nothing to drop")
 	}
 }

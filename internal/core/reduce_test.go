@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"panda/internal/baseline"
@@ -137,57 +136,5 @@ func checkBagsCover(t *testing.T, tag string, p *plan.Plan, answer *relation.Rel
 		if !covered {
 			t.Fatalf("%s: no decomposition's bags all hold the answer tuple %v", tag, row)
 		}
-	}
-}
-
-// TestModeFullTables pins what ExecResult.Tables holds for ModeFull.
-// Unpartitioned, it is the rule's model as the engine produced it, before the
-// reduction — on this triangle instance it holds rows no input triple joins
-// to. Partitioned, it is the bag table: the per-partition models unioned and
-// reduced by the inputs, which for a full query is the answer itself.
-func TestModeFullTables(t *testing.T) {
-	ctx := context.Background()
-	q := workload.TriangleQuery()
-	ins := workload.RandomBinary(rand.New(rand.NewSource(4)), &q.Schema, 200, 14)
-	p, _, err := plan.Prepare(q, CompleteConstraints(&q.Schema, ins, nil), plan.ModeFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := bitset.Full(3)
-
-	one, err := (&Executor{}).Execute(ctx, p, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := (&Executor{}).ExecuteRule(ctx, &p.Schema, p.Rules[0], p.Cons, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one.Tables[full].Rows(), raw.Tables[full].Rows()) {
-		t.Fatal("unpartitioned: Tables is not the rule's model as the engine produced it")
-	}
-	if one.Tables[full].Size() <= one.Out.Size() {
-		t.Fatalf("unpartitioned: the model has %d rows and the answer %d; the instance must leave the reduction work", one.Tables[full].Size(), one.Out.Size())
-	}
-
-	const k = 3
-	three, err := (&Executor{Partitions: k}).Execute(ctx, p, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reduced []*relation.Relation
-	for _, sub := range query.PartitionInstance(&p.Schema, ins, k) {
-		res, err := (&Executor{}).ExecuteRule(ctx, &p.Schema, p.Rules[0], p.Cons, sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reduced = append(reduced, res.Tables[full].Semijoin(ins.Relations...))
-	}
-	want := reduced[0].Union(reduced[1:]...)
-	if !reflect.DeepEqual(three.Tables[full].Rows(), want.Rows()) {
-		t.Fatal("partitioned: Tables is not the union of the reduced per-partition models")
-	}
-	if !three.Tables[full].Equal(three.Out) || !three.Out.Equal(one.Out) {
-		t.Fatal("partitioned: the reduced model of a full query must be its answer")
 	}
 }

@@ -37,12 +37,9 @@ type Result struct {
 	// Mode is the strategy that produced the result (ModeRule for
 	// disjunctive rules).
 	Mode PlanMode
-	// Tables holds the per-target model tables of the underlying PANDA
-	// rule: every target for disjunctive rules; for ModeFull the full
-	// table — unpartitioned, the raw model before the semijoin reduction,
-	// and under WithPartitions the union of the per-partition models
-	// reduced by the inputs; nil otherwise. Iterate a table with
-	// Relation.All / AllSorted.
+	// Tables holds a disjunctive rule's answer, its model table per target;
+	// nil for every conjunctive query, whose answer is Rel. Iterate a table
+	// with Relation.All / AllSorted.
 	Tables map[Set]*Relation
 	// Bound is the polymatroid bound of the executed rule in log₂ units
 	// (ModeFull and rules), nil otherwise.

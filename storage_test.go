@@ -84,6 +84,12 @@ func TestStmtResultMemo(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("repeat query over an unchanged catalog re-executed instead of serving the memoized result")
 	}
+	// A full query's answer is Rel alone: PANDA's model is an intermediate of
+	// the semijoin reduction, so the memoized Result holds none of it.
+	if r2.Mode != ModeFull || r2.Tables != nil || r2.Bound == nil || r2.Bound.Cmp(r2.Width) != 0 {
+		t.Fatalf("memoized full-query result: mode %v, %d tables, bound %v, width %v; want ModeFull, no tables, bound = width",
+			r2.Mode, len(r2.Tables), r2.Bound, r2.Width)
+	}
 	// A different option set must not be served from the other entry's memo.
 	r3, err := st.Query(WithTrace(true))
 	if err != nil {

@@ -187,23 +187,13 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 		cancel()
 		return nil, err
 	}
-	// The executor output is freshly built; the watch owns it.
-	w.mat, w.tables, w.ok = w.shape(ex)
+	// The executor output is freshly built; the watch owns it: the output
+	// relation of a conjunctive plan or the model tables of a rule.
+	w.mat, w.tables, w.ok, w.bound = ex.Out, ex.Tables, ex.NonEmpty, ex.Bound
 	w.columns = columnsOf(w.p, w.mat)
-	w.bound = ex.Bound
 	started = true
 	go w.loop(wake)
 	return w, nil
-}
-
-// shape splits an execution of the pinned plan into the watch's state: the
-// output relation (conjunctive plans) or the model tables (rule plans), and
-// the non-emptiness answer.
-func (w *Watch) shape(ex *core.ExecResult) (out *Relation, tables map[Set]*Relation, ok bool) {
-	if w.p.Mode == ModeRule {
-		return nil, ex.Tables, ex.NonEmpty
-	}
-	return ex.Out, nil, ex.NonEmpty
 }
 
 // Deltas is the subscription channel. It is closed when the watch
@@ -355,11 +345,10 @@ func (w *Watch) fullRound(b *binding) bool {
 		w.fail(err)
 		return false
 	}
-	out, tables, ok := w.shape(ex)
 	w.mu.Lock()
-	w.mat, w.tables, w.ok, w.bound, w.tick = out, tables, ok, ex.Bound, b.tick
+	w.mat, w.tables, w.ok, w.bound, w.tick = ex.Out, ex.Tables, ex.NonEmpty, ex.Bound, b.tick
 	w.stats.FullRounds++
-	w.sendLocked(WatchDelta{Tick: b.tick, OK: ok, Resync: true, Rows: sortedRows(out), Tables: tables})
+	w.sendLocked(WatchDelta{Tick: b.tick, OK: ex.NonEmpty, Resync: true, Rows: sortedRows(ex.Out), Tables: ex.Tables})
 	w.mu.Unlock()
 	w.rels, w.needResync = b.rels, false
 	return true
