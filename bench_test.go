@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -401,6 +402,79 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 			if st.Hits != uint64(b.N) {
 				b.Fatalf("expected %d cache hits, got %v", b.N, st)
 			}
+		})
+	}
+}
+
+// BenchmarkStmtRequeryAfterInsert times a prepared statement's Query right
+// after one fresh row lands in a relation it reads: serve-mixed's cold read
+// without the wire, over 80 random rows per relation on 20 values. The
+// statement's memo only grew, so Query plans against the new catalog and
+// advances the memo by one semi-naive round; a memo thrown away on every
+// write re-executes the whole query and allocates several times the bytes
+// (CI holds B/op under a ceiling between the two). c4-dense is the 4-cycle
+// over 320 rows per relation, whose answer (reported as answer-rows) is some
+// 200 times what one insert adds: publishing old ∪ Δ copies and rehashes the
+// whole answer, so there the round's share of the cost is smallest. The
+// catalog is rebuilt, outside the timer, every 64 iterations, so the
+// relations stay near their starting size however long the run.
+func BenchmarkStmtRequeryAfterInsert(b *testing.B) {
+	const c4, dom, rebuildEvery = `Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A).`, 20, 64
+	for _, sh := range []struct {
+		name, src string
+		rows      int
+	}{
+		{"c4-full", c4, 80},
+		{"tri-full", triangleSrc, 80},
+		{"c4-dense", c4, 320},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			var db *DB
+			var st *Stmt
+			var answer int      // rows of the answer over the starting catalog
+			var fresh [][]Value // rows R does not hold, one per iteration
+			rebuild := func() {
+				if db != nil {
+					db.Close()
+				}
+				db = Open()
+				res := createRelationsFor(b, db, sh.src)
+				insertRandomBatch(b, db, res, rand.New(rand.NewSource(7)), sh.rows, dom)
+				var err error
+				if st, err = db.Prepare(sh.src); err != nil {
+					b.Fatal(err)
+				}
+				start, err := st.Query()
+				if err != nil {
+					b.Fatal(err)
+				}
+				answer = start.Rel.Size()
+				rng, seen := rand.New(rand.NewSource(8)), map[[2]Value]bool{}
+				fresh = fresh[:0]
+				for len(fresh) < rebuildEvery {
+					row := [2]Value{Value(rng.Intn(dom)), Value(rng.Intn(dom))}
+					if !seen[row] && !db.catalog["R"].Contains(row[:]) {
+						seen[row] = true
+						fresh = append(fresh, row[:])
+					}
+				}
+			}
+			defer func() { db.Close() }()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%rebuildEvery == 0 {
+					b.StopTimer()
+					rebuild()
+					b.StartTimer()
+				}
+				if err := db.Insert("R", fresh[i%rebuildEvery]); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := st.Query(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(answer), "answer-rows")
 		})
 	}
 }

@@ -614,9 +614,11 @@ func (db *DB) schemaTick(s *Schema) (uint64, error) {
 type binding struct {
 	ins  *Instance // the catalog bound to the schema
 	tick uint64    // the schema tick ins reflects
-	// rels is the catalog relation each atom read, in atom order: a later
-	// read finding another pointer is how a watch detects drop+recreate.
-	rels []*relation.Relation
+	// born is the creation tick (Relation.Born) of the catalog relation each
+	// atom read, in atom order: a later read finding another is how a watch
+	// or a statement's memo detects drop+recreate. A tick, not the relation:
+	// what is kept of a read must not keep a dropped relation's rows alive.
+	born []uint64
 	// delta is the rows stamped after the tick the caller named, bound like
 	// ins; nil when no tick was named.
 	delta *Instance
@@ -641,10 +643,11 @@ func (db *DB) bind(s *Schema, since *uint64) (*binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &binding{ins: ins, rels: make([]*relation.Relation, len(s.Atoms))}
+	b := &binding{ins: ins, born: make([]uint64, len(s.Atoms))}
 	for i, a := range s.Atoms {
-		b.rels[i] = db.catalog[a.Name]
-		b.tick = max(b.tick, b.rels[i].Tick())
+		t := db.catalog[a.Name]
+		b.born[i] = t.Born()
+		b.tick = max(b.tick, t.Tick())
 	}
 	if since != nil {
 		// Every name resolved a moment ago, under this same hold.
@@ -761,21 +764,26 @@ func (db *DB) prepare(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs
 	return db.planner.PrepareContext(ctx, q, dcs, cfg.mode)
 }
 
+// prepareTimed is prepare for a call that answers: it also reports how long
+// the call waited for its plan, the Timings.PrepareWait stage, when the
+// configuration records stage timings (and makes no clock call otherwise).
+func (db *DB) prepareTimed(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs []Constraint, cfg config) (*plan.Plan, time.Duration, error) {
+	if !cfg.core.StageTimings {
+		p, err := db.prepare(ctx, q, r, ins, dcs, cfg)
+		return p, 0, err
+	}
+	start := time.Now()
+	p, err := db.prepare(ctx, q, r, ins, dcs, cfg)
+	return p, time.Since(start), err
+}
+
 // eval plans (prepare) and executes a conjunctive query q — or, when q is
 // nil, the disjunctive rule r — and shapes the one Result: a rule's answer
 // is its model Tables, a query's its Rel over the free variables.
 func (db *DB) eval(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs []Constraint, cfg config) (*Result, error) {
-	var prepStart time.Time
-	if cfg.core.StageTimings {
-		prepStart = time.Now()
-	}
-	p, err := db.prepare(ctx, q, r, ins, dcs, cfg)
+	p, prepWait, err := db.prepareTimed(ctx, q, r, ins, dcs, cfg)
 	if err != nil {
 		return nil, err
-	}
-	var prepWait time.Duration
-	if cfg.core.StageTimings {
-		prepWait = time.Since(prepStart)
 	}
 	ex, err := cfg.executor().Execute(ctx, p, ins)
 	if err != nil {

@@ -71,7 +71,8 @@ type ExecResult struct {
 	// computes is an intermediate of the semijoin reduction, not an answer).
 	Tables map[bitset.Set]*relation.Relation
 	// Bound is the polymatroid bound of a plan that is one rule over the whole
-	// query — ModeRule and ModeFull, where it equals Width; nil otherwise.
+	// query — ModeRule and ModeFull, where it equals Width; nil otherwise
+	// (plan.Plan.Bound).
 	Bound *big.Rat
 	// Width is the executed plan's width certificate in log₂ units.
 	Width *big.Rat
@@ -85,18 +86,21 @@ type ExecResult struct {
 	Timings *Timings
 }
 
-func accumulate(dst, src *Stats) {
+// Accumulate folds src into s: counts add, the largest intermediate wins, and
+// src's trace follows s's. It is the one merge of Stats — the executor's over
+// its tasks, a maintenance round's over its executions.
+func (s *Stats) Accumulate(src *Stats) {
 	for k, v := range src.StepsByKind {
-		dst.StepsByKind[k] += v
+		s.StepsByKind[k] += v
 	}
-	dst.Joins += src.Joins
-	dst.Projections += src.Projections
-	dst.Partitions += src.Partitions
-	dst.Subproblems += src.Subproblems
-	dst.Restarts += src.Restarts
-	dst.BaseCases += src.BaseCases
-	if src.MaxIntermediate > dst.MaxIntermediate {
-		dst.MaxIntermediate = src.MaxIntermediate
+	s.Joins += src.Joins
+	s.Projections += src.Projections
+	s.Partitions += src.Partitions
+	s.Subproblems += src.Subproblems
+	s.Restarts += src.Restarts
+	s.BaseCases += src.BaseCases
+	if src.MaxIntermediate > s.MaxIntermediate {
+		s.MaxIntermediate = src.MaxIntermediate
 	}
-	dst.Trace = append(dst.Trace, src.Trace...)
+	s.Trace = append(s.Trace, src.Trace...)
 }

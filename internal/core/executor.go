@@ -105,12 +105,12 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 	}
 	if pr.Trivial {
 		// Section 1.3: an ∅ target is answered by the unit table alone.
-		return tableFold{0: {unitRelation()}}, &Result{Bound: new(big.Rat), Stats: newStats()}, nil
+		return tableFold{0: {unitRelation()}}, &Result{Bound: new(big.Rat), Stats: NewStats()}, nil
 	}
-	stats := newStats()
+	stats := NewStats()
 	var timings *Timings
 	if ex.Opt.StageTimings {
-		timings = newTimings()
+		timings = NewTimings()
 	}
 	e := &engine{
 		ctx:     ctx,
@@ -246,21 +246,20 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 
 	// (2) Merge in rule-then-partition order, whatever order the pool ran the
 	// tasks in: stats and trace concatenate, as the lists of tables did.
-	out := &ExecResult{Stats: newStats()}
+	out := &ExecResult{Stats: NewStats()}
 	if timed {
-		out.Timings = newTimings()
+		out.Timings = NewTimings()
 		out.Timings.RuleFanout = tick()
 	}
 	for _, res := range ress {
-		accumulate(out.Stats, res.Stats)
+		out.Stats.Accumulate(res.Stats)
 		if timed {
 			out.Timings.Accumulate(res.Timings)
 		}
 	}
 	// A ModeRule plan (no decompositions) answers with its rule's model, the
 	// union of each target's list; every other plan reduces each bag's list by
-	// the inputs. A plan that is one rule over the whole query — ModeRule and
-	// ModeFull — reports that rule's bound.
+	// the inputs.
 	var tables map[bitset.Set]*relation.Relation
 	if len(tds) == 0 {
 		tables = fold.union()
@@ -268,9 +267,7 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	} else if tables, err = ex.reduceBags(ctx, fold, ins, width); err != nil {
 		return nil, err
 	}
-	if len(tds) == 0 || p.Mode == plan.ModeFull {
-		out.Bound = ress[0].Bound
-	}
+	out.Bound = p.Bound()
 
 	// (3) No decompositions: the tables are the answer. Otherwise every
 	// decomposition whose bags all have tables gets its Yannakakis pass; the

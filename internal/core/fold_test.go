@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"math/big"
 	"reflect"
 	"testing"
 
@@ -161,6 +163,73 @@ func TestExecutionsNeverWriteToInputs(t *testing.T) {
 				t.Fatalf("%s: the rows of input %s changed", tc.name, r.Name)
 			}
 		}
+	}
+}
+
+// TestExecutionsNeverWriteToPlans runs the digest matrix — every mode,
+// hundreds of Case-4b restarts — on decoded plans, sequentially, through the
+// pool and partitioned, and requires each plan to encode to the same bytes
+// after its executions as before. A decoded plan shares its commonest
+// rationals with every other decoded plan (plan.DecodePlan), so a write to
+// one would reach them all: the test also checks that those shared values are
+// still shared, and still what they were.
+func TestExecutionsNeverWriteToPlans(t *testing.T) {
+	ctx := context.Background()
+	encode := func(p *plan.Plan) []byte {
+		var buf bytes.Buffer
+		if err := plan.EncodePlan(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var halves []*big.Rat // every 1/2 the decoded plans hold
+	restarts := 0
+	for i, tc := range digestMatrix() {
+		if testing.Short() && i%5 != 0 { // coprime to the matrix's periods: every shape still comes up
+			continue
+		}
+		prepared, err := tc.prepare(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		before := encode(prepared)
+		p, err := plan.DecodePlan(bytes.NewReader(before))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, parts := range []int{1, 4} {
+			for _, par := range []int{1, 4} {
+				ex, err := (&Executor{Partitions: parts, Parallelism: par}).Execute(ctx, p, tc.ins)
+				if err != nil {
+					t.Fatalf("%s K=%d P=%d: %v", tc.name, parts, par, err)
+				}
+				restarts += ex.Stats.Restarts
+			}
+		}
+		if after := encode(p); !bytes.Equal(after, before) {
+			t.Fatalf("%s: executing the decoded plan changed its encoding", tc.name)
+		}
+		for _, r := range p.Rules {
+			for _, s := range r.Seq {
+				if s.W.RatString() == "1/2" {
+					halves = append(halves, s.W)
+				}
+			}
+		}
+	}
+	if restarts == 0 {
+		t.Fatal("no execution restarted: the matrix is meant to exercise Case-4b")
+	}
+	if len(halves) < 2 {
+		t.Fatalf("the decoded plans hold %d proof steps of weight 1/2; the check needs some", len(halves))
+	}
+	for _, h := range halves {
+		if h != halves[0] {
+			t.Fatal("two decoded plans hold distinct 1/2s: decoding no longer shares them")
+		}
+	}
+	if halves[0].Cmp(big.NewRat(1, 2)) != 0 {
+		t.Fatalf("the shared 1/2 now reads %v", halves[0])
 	}
 }
 

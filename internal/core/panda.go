@@ -53,7 +53,8 @@ type Stats struct {
 	Trace           []string
 }
 
-func newStats() *Stats { return &Stats{StepsByKind: map[string]int{}} }
+// NewStats returns the Stats of a run that has done nothing yet.
+func NewStats() *Stats { return &Stats{StepsByKind: map[string]int{}} }
 
 // Timings attributes wall-clock time to the stages of one execution:
 // planning wait, per-proof-step-kind engine work, the rule fan-out, and the
@@ -84,7 +85,8 @@ type Timings struct {
 	Merge time.Duration
 }
 
-func newTimings() *Timings { return &Timings{Steps: map[string]time.Duration{}} }
+// NewTimings returns the Timings of a run that has spent nothing yet.
+func NewTimings() *Timings { return &Timings{Steps: map[string]time.Duration{}} }
 
 // Accumulate folds src into t (per-step sums; stage sums).
 func (t *Timings) Accumulate(src *Timings) {

@@ -17,12 +17,15 @@
 // variables), which makes a maintenance round cost proportional to the
 // delta and its join neighborhood instead of the total data size.
 //
-// The plan is treated as immutable and is NOT re-prepared: maintenance
-// executes the same pinned plan the standing query was planned with, so a
-// maintenance round performs zero LP solves. Executing a plan whose
-// cardinality constraints are stale is sound — PANDA's model-hood is
-// data-independent; the constraints only govern the runtime bound — which
-// the parity tests pin down.
+// The plan is treated as immutable and is NOT re-prepared: a round executes
+// the plan it is handed — a standing query's pinned plan, or a prepared
+// statement's plan for the current catalog — and performs zero LP solves.
+// Executing a plan whose cardinality constraints are stale is sound —
+// PANDA's model-hood is data-independent; the constraints only govern the
+// runtime bound — which the parity tests pin down. A plan whose constraints
+// bound the NEW instance also bounds every mixed instance of the round (each
+// relation of one is a subset of the NEW one's, and degree constraints are
+// upper bounds), so its runtime guarantee holds there too.
 //
 // Insert-only soundness is the contract: deletions and relation
 // drop/recreate are outside this package and must be handled by the caller
@@ -54,6 +57,33 @@ type Round struct {
 	// AtomsExecuted counts the mixed-instance plan executions performed
 	// (atoms whose delta was non-empty).
 	AtomsExecuted int
+	// Stats merges the engine work of those executions in atom order; it is
+	// empty when none ran.
+	Stats *core.Stats
+	// Timings sums their stage timings; nil unless the executor records
+	// them (core.Options.StageTimings), and empty when none ran.
+	Timings *core.Timings
+}
+
+// newRound is the round that has executed nothing.
+func newRound(exec *core.Executor) *Round {
+	round := &Round{Stats: core.NewStats()}
+	if exec.Opt.StageTimings {
+		round.Timings = core.NewTimings()
+	}
+	return round
+}
+
+// Advance is the one maintenance step of an answer that only grew — a
+// standing query's round, a prepared statement's memo: ok is the answer's
+// non-emptiness before the deltas. A satisfied Boolean plan stays satisfied
+// under inserts, so its round executes nothing and is empty; any other
+// answer gets a Maintain round.
+func Advance(ctx context.Context, exec *core.Executor, p *plan.Plan, s *query.Schema, full *query.Instance, deltas []*relation.Relation, ok bool) (*Round, error) {
+	if p.Free == 0 && ok {
+		return newRound(exec), nil
+	}
+	return Maintain(ctx, exec, p, s, full, deltas)
 }
 
 // Maintain runs one semi-naive maintenance round: full is the bound NEW
@@ -66,7 +96,7 @@ func Maintain(ctx context.Context, exec *core.Executor, p *plan.Plan, s *query.S
 		return nil, fmt.Errorf("incr: instance has %d relations and %d deltas for %d atoms",
 			len(full.Relations), len(deltas), len(s.Atoms))
 	}
-	round := &Round{}
+	round := newRound(exec)
 	for i, d := range deltas {
 		if d == nil || d.Size() == 0 {
 			continue
@@ -90,6 +120,10 @@ func Maintain(ctx context.Context, exec *core.Executor, p *plan.Plan, s *query.S
 		}
 		round.AtomsExecuted++
 		round.NonEmpty = round.NonEmpty || ex.NonEmpty
+		round.Stats.Accumulate(ex.Stats)
+		if round.Timings != nil {
+			round.Timings.Accumulate(ex.Timings)
+		}
 		if ex.Out == nil {
 			continue
 		}

@@ -3,6 +3,7 @@ package incr
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"panda/internal/core"
@@ -158,6 +159,50 @@ func TestMaintainSkipsEmptyDeltas(t *testing.T) {
 	}
 	if round.AtomsExecuted != 0 || round.Delta != nil || round.NonEmpty {
 		t.Fatalf("empty round executed %d atoms, delta %v", round.AtomsExecuted, round.Delta)
+	}
+}
+
+// TestAdvance pins the one maintenance step both callers take: a Boolean
+// answer already satisfied executes nothing and reports an empty round, and
+// every other answer gets Maintain's round, whose Stats and Timings are the
+// merge of its executions'.
+func TestAdvance(t *testing.T) {
+	q := workload.BooleanFourCycle()
+	p, _, err := plan.Prepare(q, testConstraints(q), plan.ModeAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &q.Schema
+	rng := rand.New(rand.NewSource(6))
+	full := query.NewInstance(s)
+	insertRandom(rng, full, nil, 20)
+	deltas := make([]*relation.Relation, len(s.Atoms))
+	for i, a := range s.Atoms {
+		deltas[i] = relation.New("Δ"+a.Name, a.Vars)
+	}
+	insertRandom(rng, full, deltas, 6)
+	exec := &core.Executor{Opt: core.Options{StageTimings: true}}
+	ctx := context.Background()
+
+	satisfied, err := Advance(ctx, exec, p, s, full, deltas, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if satisfied.AtomsExecuted != 0 || satisfied.NonEmpty || satisfied.Delta != nil ||
+		!reflect.DeepEqual(satisfied.Stats, core.NewStats()) || !reflect.DeepEqual(satisfied.Timings, core.NewTimings()) {
+		t.Fatalf("a satisfied Boolean round executed: %+v", satisfied)
+	}
+
+	round, err := Advance(ctx, exec, p, s, full, deltas, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round.AtomsExecuted != len(s.Atoms) || round.Stats.Joins == 0 || len(round.Timings.Steps) == 0 {
+		t.Fatalf("an unsatisfied round executed %d atoms, %d joins, timings %+v", round.AtomsExecuted, round.Stats.Joins, round.Timings)
+	}
+	if plain, err := Maintain(ctx, &core.Executor{}, p, s, full, deltas); err != nil || plain.Timings != nil ||
+		!reflect.DeepEqual(plain.Stats, round.Stats) {
+		t.Fatalf("without stage timings: err %v, timings %+v, stats equal %v", err, plain.Timings, reflect.DeepEqual(plain.Stats, round.Stats))
 	}
 }
 

@@ -536,6 +536,16 @@ func (p *Plan) EvalTDs() []*hypergraph.Decomposition {
 	return nil
 }
 
+// Bound is the polymatroid bound, in log₂ units, of a plan that is one rule
+// over the whole query — ModeRule and ModeFull, where it equals Width — and
+// nil for a plan that answers from several rules.
+func (p *Plan) Bound() *big.Rat {
+	if p.Mode == ModeRule || p.Mode == ModeFull {
+		return p.Rules[0].Bound
+	}
+	return nil
+}
+
 // Covers computes fractional edge covers for every distinct bag of the
 // decompositions the plan answers from (EvalTDs), in first-appearance order.
 // Execution never needs them, so they are computed on demand (one small LP

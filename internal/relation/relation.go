@@ -443,6 +443,17 @@ func (r *Relation) Tick() uint64 {
 	return 0
 }
 
+// Born returns the first stamped catalog tick (0 if never stamped). A
+// catalog stamps a relation when it creates it, each time with a newer tick,
+// so Born tells a relation from one dropped and recreated under its name
+// without holding on to either.
+func (r *Relation) Born() uint64 {
+	if len(r.marks) > 0 {
+		return r.marks[0].tick
+	}
+	return 0
+}
+
 // Since returns the tuples inserted strictly after catalog tick `tick` was
 // stamped — everything past the newest mark with mark.tick ≤ tick, or all
 // rows when no such mark exists — as a suffix Snapshot: it shares r's column

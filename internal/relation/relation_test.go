@@ -272,8 +272,8 @@ func TestSemijoinIsProjectionOfJoin(t *testing.T) {
 
 func TestTickMarksAndSince(t *testing.T) {
 	r := New("R", bitset.Of(0, 1))
-	if r.Tick() != 0 {
-		t.Fatalf("fresh relation tick = %d, want 0", r.Tick())
+	if r.Tick() != 0 || r.Born() != 0 {
+		t.Fatalf("fresh relation tick = %d, born = %d, want 0", r.Tick(), r.Born())
 	}
 	if got := len(r.Since(0).Rows()); got != 0 {
 		t.Fatalf("Since(0) on empty = %d rows", got)
@@ -288,6 +288,9 @@ func TestTickMarksAndSince(t *testing.T) {
 	r.Stamp(4) // no new rows: a no-op, Tick stays at the last real mark
 	if r.Tick() != 3 {
 		t.Fatalf("tick = %d, want 3", r.Tick())
+	}
+	if r.Born() != 1 {
+		t.Fatalf("born = %d, want the creation stamp 1", r.Born())
 	}
 	// Since tick 1: everything after the creation stamp.
 	if got := len(r.Since(1).Rows()); got != 3 {

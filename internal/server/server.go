@@ -492,8 +492,12 @@ func (s *Server) writeResult(w http.ResponseWriter, st *panda.Stmt, res *panda.R
 			b.buf = append(append(b.buf, `,"stats":`...), stats...)
 		}
 	}
-	// Shape identity and wall-clock stage timings land after stats: the
-	// deterministic prefix of the body (everything through stats) stays
+	// Shape identity and wall-clock stage timings land after stats. Mode,
+	// ok, width, columns and rows are a function of the catalog; stats
+	// describe the work of the call that produced the answer — a full
+	// execution, or a maintenance round when the statement's memo only grew
+	// — so the same query over the same catalog may report other stats on
+	// another replica. Over one history of calls everything through stats is
 	// byte-stable across runs, while the timings tail is allowed to vary.
 	if res.Signature != "" {
 		b.buf = fmt.Appendf(b.buf, `,"signature":%q`, res.Signature)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 
+	"panda/internal/incr"
 	"panda/internal/query"
 )
 
@@ -20,11 +22,29 @@ import (
 // read-only snapshot is deterministic, so it memoizes the Result against the
 // catalog's per-relation ticks: steady-state traffic on an unchanged catalog
 // streams a cached result without binding, planning or running the engine.
-// Any mutation to a referenced relation moves its tick and invalidates the
-// memo; a mutation to any other relation does not. A memoized Result is
-// returned as-is, including Timings: a memo hit reports the stage timings
-// of the execution that produced the result (timings are already excluded
-// from the determinism guarantee, and a hit runs no stages of its own).
+// A mutation to a relation the statement does not read leaves the memo as
+// it is. A memoized Result is returned as-is, including Stats and Timings: a
+// memo hit reports the work of the call that produced the result (a hit runs
+// no stages of its own).
+//
+// Inserts into a relation the statement reads make the memo stale, not
+// useless: a conjunctive query is monotone, so Q(I ∪ Δ) = Q(I) ∪ ⋃ᵢ Q(R₁′, …,
+// Δᵢ, …, R_k′). When the option set is the same and every atom still reads
+// the same catalog relation, the next Query binds the catalog together with
+// the rows stamped since the memo's tick (one DB.bind), plans against the
+// catalog as it stands — the plan a fresh run would take, through the same
+// plan cache — and runs one semi-naive round with it (incr.Advance, the step a
+// Watch's round takes; a satisfied Boolean query executes nothing). The
+// answer is the memo's rows ∪ the round's, in one Union, with Mode, Width,
+// Signature and Bound from the current plan: everything the answer is made
+// of equals a fresh run's. The Union copies and rehashes the memo's rows, so
+// the round saves least where the answer dwarfs what the inserts add. Stats
+// and Timings are this call's — the round's and its planning wait — not those
+// of the execution the round replaced. The plan's constraints bound the new
+// catalog and so every mixed instance of the round, and the 2^OBJ budget
+// stays on. A disjunctive rule (not monotone under inserts), a drop+recreate
+// of a referenced relation, another option set and the first Query execute
+// in full.
 //
 // What the memo holds is what a reader needs: the scalar fields and, for Rel
 // and every table, the rows at their size — the dedup table and the spare
@@ -39,11 +59,18 @@ type Stmt struct {
 	res *query.ParseResult
 	cfg config
 
-	mu      sync.Mutex
-	memoRes *Result
-	memoVer uint64
-	memoCfg config
-	memoOK  bool
+	mu   sync.Mutex
+	memo *memo // nil until a Query succeeds
+}
+
+// memo is a published answer and the catalog state it answers: the schema
+// tick, the option set, and the creation tick of the catalog relation each
+// atom read (a tick, so a memo keeps no dropped relation alive).
+type memo struct {
+	res  *Result
+	tick uint64
+	cfg  config
+	born []uint64
 }
 
 // Prepare parses src (the textual query language of internal/query) and
@@ -98,43 +125,93 @@ func (st *Stmt) config(opts []Option) (config, error) {
 // QueryContext binds the current catalog contents to the statement's
 // schema, verifies the declared constraints against the data, and runs the
 // query under ctx: cache-hit planning (via the session plan cache) plus
-// execution, for conjunctive queries and disjunctive rules alike. The
-// Result shape is the same in every case. A cancelled or expired context
-// aborts the run promptly with ctx.Err(); the engine checks cancellation
-// between proof steps and between rule executions.
+// execution — or, for a memo that only grew, a maintenance round (see Stmt)
+// — for conjunctive queries and disjunctive rules alike. The Result shape is
+// the same in every case. A cancelled or expired context aborts the run
+// promptly with ctx.Err(); the engine checks cancellation between proof
+// steps and between rule executions.
 func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, error) {
 	cfg, err := st.config(opts)
 	if err != nil {
 		return nil, err
 	}
-	ver, err := st.db.schemaTick(&st.res.Rule.Schema)
+	tick, err := st.db.schemaTick(&st.res.Rule.Schema)
 	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
-	if st.memoOK && st.memoVer == ver && st.memoCfg == cfg {
-		res := st.memoRes
-		st.mu.Unlock()
-		return res, nil
-	}
+	m := st.memo
 	st.mu.Unlock()
-	b, err := st.bind()
+	if m != nil && m.tick == tick && m.cfg == cfg {
+		return m.res, nil
+	}
+	// A conjunctive memo under the same options may only have grown: bind the
+	// rows since its tick as well, and advance it if every atom still reads
+	// the relation it read.
+	var since *uint64
+	if m != nil && m.cfg == cfg && st.res.Conj != nil {
+		since = &m.tick
+	}
+	b, err := st.bind(since)
 	if err != nil {
 		return nil, err
 	}
-	res, err := st.db.eval(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
+	var res *Result
+	if since != nil && slices.Equal(b.born, m.born) {
+		res, err = st.advance(ctx, m.res, b, cfg)
+	} else {
+		res, err = st.db.eval(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
+		if err == nil {
+			// Still private to this call: once it is in the memo, readers
+			// share it.
+			res.compact()
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Still private to this call: once it is in the memo, readers share it.
-	res.compact()
 	st.mu.Lock()
 	// Concurrent calls may finish out of order: keep the newest snapshot's
 	// result.
-	if !st.memoOK || b.tick >= st.memoVer {
-		st.memoRes, st.memoVer, st.memoCfg, st.memoOK = res, b.tick, cfg, true
+	if st.memo == nil || b.tick >= st.memo.tick {
+		st.memo = &memo{res: res, tick: b.tick, cfg: cfg, born: b.born}
 	}
 	st.mu.Unlock()
+	return res, nil
+}
+
+// advance answers for a memo that only grew: old is the memoized answer as of
+// the tick b's delta starts after. It plans against b's catalog, runs one
+// maintenance round with that plan (incr.Advance) and publishes old ∪ Δ; see
+// Stmt for what the Result holds.
+func (st *Stmt) advance(ctx context.Context, old *Result, b *binding, cfg config) (*Result, error) {
+	p, prepWait, err := st.db.prepareTimed(ctx, st.res.Conj, nil, b.ins, st.res.Constraints, cfg)
+	if err != nil {
+		return nil, err
+	}
+	round, err := incr.Advance(ctx, cfg.executor(), p, &st.res.Rule.Schema, b.ins, b.delta.Relations, old.OK)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Rel:       old.Rel,
+		Columns:   old.Columns,
+		OK:        old.OK || round.NonEmpty,
+		Width:     p.Width,
+		Mode:      p.Mode,
+		Bound:     p.Bound(),
+		Stats:     round.Stats,
+		Signature: SignatureDigest(p.Key),
+		Timings:   round.Timings,
+	}
+	if res.Timings != nil {
+		res.Timings.PrepareWait = prepWait
+	}
+	if round.Delta != nil && round.Delta.Size() > 0 { // nil for a Boolean query
+		// A new relation, private to this call until it is published.
+		res.Rel = old.Rel.Union(round.Delta)
+		res.Rel.Compact()
+	}
 	return res, nil
 }
 
@@ -143,13 +220,13 @@ func (st *Stmt) Query(opts ...Option) (*Result, error) {
 	return st.QueryContext(context.Background(), opts...)
 }
 
-// bind reads the catalog for the statement's schema (DB.bind) and checks the
-// declared constraints against the bound instance. Bound instances are
-// read-only during execution; the binding's tick is the key the result memo
-// pairs with.
-func (st *Stmt) bind() (*binding, error) {
+// bind reads the catalog for the statement's schema (DB.bind, with the rows
+// stamped after *since when since is non-nil) and checks the declared
+// constraints against the bound instance. Bound instances are read-only
+// during execution; the binding's tick is the key the result memo pairs with.
+func (st *Stmt) bind(since *uint64) (*binding, error) {
 	s := &st.res.Rule.Schema
-	b, err := st.db.bind(s, nil)
+	b, err := st.db.bind(s, since)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +280,7 @@ func (st *Stmt) ExplainContext(ctx context.Context, opts ...Option) (*PlanInfo, 
 	if err != nil {
 		return nil, err
 	}
-	b, err := st.bind()
+	b, err := st.bind(nil)
 	if err != nil {
 		return nil, err
 	}

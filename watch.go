@@ -20,15 +20,17 @@ import (
 // work, so a server full of hot watches performs no LP solves after warm-up.
 // A round is one statement bind (DB.bind): the catalog as it stands and, from
 // the same lock hold, the rows that arrived since the previous round — each
-// relation's column suffix, bound like the full instance. Insert-only growth
-// is maintained semi-naively over that delta (internal/incr); a drop+recreate
-// of a referenced relation re-executes in full and replaces the
-// materialization (emitted with Resync set). Disjunctive rules are not
-// monotone under inserts — a new body tuple may shift which target covers
-// existing tuples — so a rule watch asks for no delta, re-executes its pinned
-// plan in full every round, and every emission carries the complete model
-// with Resync set. Between rounds a watch holds its materialization, its
-// pinned plan and one catalog pointer per atom — no copy of what it reads.
+// relation's column suffix, bound like the full instance; a wakeup whose
+// write touched no relation the statement reads binds nothing. Insert-only
+// growth is maintained semi-naively over that delta (incr.Advance, the step a
+// Stmt's memo takes too); a drop+recreate of a referenced relation
+// re-executes in full and replaces the materialization (emitted with Resync
+// set). Disjunctive rules are not monotone under inserts — a new body tuple
+// may shift which target covers existing tuples — so a rule watch asks for no
+// delta, re-executes its pinned plan in full every round, and every emission
+// carries the complete model with Resync set. Between rounds a watch holds
+// its materialization, its pinned plan and one catalog pointer per atom — no
+// copy of what it reads.
 
 // DefaultWatchQueue is the delta-channel capacity a watch opens with when
 // WithWatchQueue is not given.
@@ -98,9 +100,9 @@ type Watch struct {
 	columns []string
 
 	// Maintainer-private state (only the loop goroutine touches these): the
-	// catalog relation each atom last read, and whether a relation went
-	// missing since.
-	rels       []*relation.Relation
+	// creation tick of the catalog relation each atom last read, and whether
+	// a relation went missing since.
+	born       []uint64
 	needResync bool
 
 	// Shared state, guarded by mu. The maintainer is its only writer, so it
@@ -158,7 +160,7 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 		}
 	}()
 
-	b, err := st.bind()
+	b, err := st.bind(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +176,7 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 		watchID: id,
-		rels:    b.rels,
+		born:    b.born,
 		tick:    b.tick,
 	}
 	w.p, err = st.db.prepare(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
@@ -303,14 +305,21 @@ func (w *Watch) fail(err error) {
 }
 
 // round processes one wakeup with one read of the catalog; it returns false
-// when the watch must terminate.
+// when the watch must terminate. A wakeup by a write to a relation the watch
+// does not read is told apart by the schema tick alone, before anything is
+// bound (a recreate stamps a newer tick, so it is never mistaken for one).
 func (w *Watch) round() bool {
+	s := &w.st.res.Rule.Schema
+	tick, err := w.db.schemaTick(s)
+	if err == nil && tick == w.tick && !w.needResync {
+		return true // coalesced, spurious or unrelated wakeup; nothing new
+	}
 	rule := w.p.Mode == ModeRule
 	var since *uint64
 	if !rule { // a rule round re-executes in full: no delta to bind
 		since = &w.tick
 	}
-	b, err := w.db.bind(&w.st.res.Rule.Schema, since)
+	b, err := w.db.bind(s, since)
 	switch {
 	case errors.Is(err, ErrUnknownRelation):
 		// A referenced relation is gone. Queries would fail now, but the
@@ -321,10 +330,8 @@ func (w *Watch) round() bool {
 	case err != nil:
 		w.fail(err)
 		return false
-	case w.needResync || !slices.Equal(b.rels, w.rels):
+	case w.needResync || !slices.Equal(b.born, w.born):
 		return w.fullRound(b)
-	case b.tick == w.tick:
-		return true // coalesced or spurious wakeup; nothing new
 	case rule:
 		return w.fullRound(b)
 	}
@@ -350,24 +357,18 @@ func (w *Watch) fullRound(b *binding) bool {
 	w.stats.FullRounds++
 	w.sendLocked(WatchDelta{Tick: b.tick, OK: ex.NonEmpty, Resync: true, Rows: sortedRows(ex.Out), Tables: ex.Tables})
 	w.mu.Unlock()
-	w.rels, w.needResync = b.rels, false
+	w.born, w.needResync = b.born, false
 	return true
 }
 
-// incrRound is the semi-naive path: execute the pinned plan per delta atom
-// over the freshly bound instance, and merge the genuinely new output rows
-// into the materialization.
+// incrRound is the semi-naive path: advance the materialization by the
+// bound delta with the pinned plan (incr.Advance, the step a Stmt's memo
+// takes too), and merge the genuinely new output rows into it.
 func (w *Watch) incrRound(b *binding) bool {
-	// A satisfied Boolean watch stays satisfied under inserts: the round
-	// executes nothing and only advances the tick.
-	round := &incr.Round{}
-	if w.p.Free != 0 || !w.ok {
-		var err error
-		round, err = incr.Maintain(w.ctx, w.exec, w.p, &w.st.res.Rule.Schema, b.ins, b.delta.Relations)
-		if err != nil {
-			w.fail(err)
-			return false
-		}
+	round, err := incr.Advance(w.ctx, w.exec, w.p, &w.st.res.Rule.Schema, b.ins, b.delta.Relations, w.ok)
+	if err != nil {
+		w.fail(err)
+		return false
 	}
 
 	w.mu.Lock()

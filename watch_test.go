@@ -338,6 +338,41 @@ func TestWatchPerRelationInvalidation(t *testing.T) {
 	}
 }
 
+// TestWatchUnrelatedWriteBindsNothing: a write to a relation a watch does
+// not read still wakes its maintainer, and the round that wakeup runs reads
+// one tick per atom, sees nothing new and binds nothing — it allocates
+// nothing, and leaves the watch as it was. The maintainer is stopped first,
+// so the rounds the test runs are the only ones.
+func TestWatchUnrelatedWriteBindsNothing(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	res := createRelationsFor(t, db, triangleSrc)
+	insertRandomBatch(t, db, res, rand.New(rand.NewSource(23)), 10, 5)
+	if err := db.CreateRelation("W", 2); err != nil {
+		t.Fatal(err)
+	}
+	w, err := db.Watch(triangleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if err := db.Insert("W", []Value{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	tick, stats := w.Tick(), w.Stats()
+	allocs := testing.AllocsPerRun(100, func() {
+		if !w.round() {
+			t.Fatalf("the round ended the watch: %v", w.Err())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a round woken by an unrelated write allocates %.0f times; it should bind nothing", allocs)
+	}
+	if w.Tick() != tick || w.Stats() != stats {
+		t.Errorf("the round moved the watch: tick %d → %d, stats %+v → %+v", tick, w.Tick(), stats, w.Stats())
+	}
+}
+
 // TestWatchOverflowResync fills a 1-slot delta queue without consuming:
 // the maintainer must evict and upgrade to a resync, and the consumer
 // must find the complete state in the final emission.
