@@ -406,6 +406,29 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	}
 }
 
+// c4Src is the 4-cycle over R, S, T and U that the after-insert benchmarks
+// write to.
+const c4Src = `Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A).`
+
+// growingCatalog opens the session the after-insert benchmarks write to:
+// src's relations hold rows random rows each on 20 values, and fresh lists n
+// rows R does not hold, one per write.
+func growingCatalog(tb testing.TB, src string, rows, n int) (db *DB, fresh [][]Value) {
+	const dom = 20
+	db = Open()
+	res := createRelationsFor(tb, db, src)
+	insertRandomBatch(tb, db, res, rand.New(rand.NewSource(7)), rows, dom)
+	rng, seen := rand.New(rand.NewSource(8)), map[[2]Value]bool{}
+	for len(fresh) < n {
+		row := [2]Value{Value(rng.Intn(dom)), Value(rng.Intn(dom))}
+		if !seen[row] && !db.catalog["R"].Contains(row[:]) {
+			seen[row] = true
+			fresh = append(fresh, row[:])
+		}
+	}
+	return db, fresh
+}
+
 // BenchmarkStmtRequeryAfterInsert times a prepared statement's Query right
 // after one fresh row lands in a relation it reads: serve-mixed's cold read
 // without the wire, over 80 random rows per relation on 20 values. The
@@ -419,14 +442,14 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 // catalog is rebuilt, outside the timer, every 64 iterations, so the
 // relations stay near their starting size however long the run.
 func BenchmarkStmtRequeryAfterInsert(b *testing.B) {
-	const c4, dom, rebuildEvery = `Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A).`, 20, 64
+	const rebuildEvery = 64
 	for _, sh := range []struct {
 		name, src string
 		rows      int
 	}{
-		{"c4-full", c4, 80},
+		{"c4-full", c4Src, 80},
 		{"tri-full", triangleSrc, 80},
-		{"c4-dense", c4, 320},
+		{"c4-dense", c4Src, 320},
 	} {
 		b.Run(sh.name, func(b *testing.B) {
 			var db *DB
@@ -437,9 +460,7 @@ func BenchmarkStmtRequeryAfterInsert(b *testing.B) {
 				if db != nil {
 					db.Close()
 				}
-				db = Open()
-				res := createRelationsFor(b, db, sh.src)
-				insertRandomBatch(b, db, res, rand.New(rand.NewSource(7)), sh.rows, dom)
+				db, fresh = growingCatalog(b, sh.src, sh.rows, rebuildEvery)
 				var err error
 				if st, err = db.Prepare(sh.src); err != nil {
 					b.Fatal(err)
@@ -449,15 +470,6 @@ func BenchmarkStmtRequeryAfterInsert(b *testing.B) {
 					b.Fatal(err)
 				}
 				answer = start.Rel.Size()
-				rng, seen := rand.New(rand.NewSource(8)), map[[2]Value]bool{}
-				fresh = fresh[:0]
-				for len(fresh) < rebuildEvery {
-					row := [2]Value{Value(rng.Intn(dom)), Value(rng.Intn(dom))}
-					if !seen[row] && !db.catalog["R"].Contains(row[:]) {
-						seen[row] = true
-						fresh = append(fresh, row[:])
-					}
-				}
 			}
 			defer func() { db.Close() }()
 			b.ResetTimer()
@@ -475,6 +487,65 @@ func BenchmarkStmtRequeryAfterInsert(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(answer), "answer-rows")
+		})
+	}
+}
+
+// BenchmarkWatchAfterInsert is BenchmarkStmtRequeryAfterInsert for a
+// standing query: one fresh row into R, timed until the watch reflects it,
+// with a subscriber that keeps up. A round merges its delta into the
+// relation the watch grows, in place, and publishes an O(arity) snapshot of
+// it; on c4-dense a round that copied the 14k-row materialization instead
+// (old ∪ Δ, as a Stmt's memo does) allocates several times the bytes (CI
+// holds B/op under a ceiling between the two).
+func BenchmarkWatchAfterInsert(b *testing.B) {
+	const rebuildEvery = 64
+	for _, sh := range []struct {
+		name string
+		rows int
+	}{
+		{"c4-full", 80},
+		{"c4-dense", 320},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			var db *DB
+			var w *Watch
+			var fresh [][]Value // rows R does not hold, one per iteration
+			rebuild := func() {
+				if db != nil {
+					w.Close()
+					db.Close()
+				}
+				db, fresh = growingCatalog(b, c4Src, sh.rows, rebuildEvery)
+				var err error
+				if w, err = db.Watch(c4Src); err != nil {
+					b.Fatal(err)
+				}
+				go func(w *Watch) {
+					for range w.Deltas() {
+					}
+				}(w)
+			}
+			defer func() {
+				w.Close()
+				db.Close()
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%rebuildEvery == 0 {
+					b.StopTimer()
+					rebuild()
+					b.StartTimer()
+				}
+				if err := db.Insert("R", fresh[i%rebuildEvery]); err != nil {
+					b.Fatal(err)
+				}
+				target, err := db.schemaTick(w.st.Schema())
+				if err != nil {
+					b.Fatal(err)
+				}
+				waitTick(b, w, target)
+			}
 		})
 	}
 }

@@ -778,13 +778,19 @@ func (db *DB) prepareTimed(ctx context.Context, q *Query, r *Rule, ins *Instance
 }
 
 // eval plans (prepare) and executes a conjunctive query q — or, when q is
-// nil, the disjunctive rule r — and shapes the one Result: a rule's answer
-// is its model Tables, a query's its Rel over the free variables.
+// nil, the disjunctive rule r.
 func (db *DB) eval(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs []Constraint, cfg config) (*Result, error) {
 	p, prepWait, err := db.prepareTimed(ctx, q, r, ins, dcs, cfg)
 	if err != nil {
 		return nil, err
 	}
+	return execute(ctx, p, ins, cfg, prepWait)
+}
+
+// execute runs p over ins in full and shapes the one Result: a rule's answer
+// is its model Tables, a query's its Rel over the free variables. prepWait is
+// what planning p cost the call (Timings.PrepareWait).
+func execute(ctx context.Context, p *plan.Plan, ins *Instance, cfg config, prepWait time.Duration) (*Result, error) {
 	ex, err := cfg.executor().Execute(ctx, p, ins)
 	if err != nil {
 		return nil, err

@@ -466,7 +466,7 @@ func (r *Relation) Since(tick uint64) *Relation {
 	if i > 0 {
 		from = r.marks[i-1].rows
 	}
-	return r.snapshotFrom(r.Name, from)
+	return r.SnapshotFrom(r.Name, from)
 }
 
 // Contains reports whether the tuple (in column order) is present.
@@ -1091,10 +1091,12 @@ func (r *Relation) Clone(name string) *Relation {
 // capacity-capped, so a later append to either relation reallocates rather
 // than aliasing; the snapshot rebuilds its dedup table lazily on first
 // mutation or membership probe. Ticks and marks are not carried over.
-func (r *Relation) Snapshot(name string) *Relation { return r.snapshotFrom(name, 0) }
+func (r *Relation) Snapshot(name string) *Relation { return r.SnapshotFrom(name, 0) }
 
-// snapshotFrom is Snapshot restricted to the rows from row `from` on.
-func (r *Relation) snapshotFrom(name string, from int) *Relation {
+// SnapshotFrom is Snapshot restricted to the rows from row `from` on: rows
+// are append-only, so after an insert the rows past the old Size are exactly
+// the new ones.
+func (r *Relation) SnapshotFrom(name string, from int) *Relation {
 	out := &Relation{
 		Name:  name,
 		attrs: r.attrs,

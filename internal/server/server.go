@@ -65,9 +65,6 @@ type Config struct {
 	// A query that overruns it is cancelled between proof steps and
 	// reported as 504 with the context error.
 	Timeout time.Duration
-	// Parallelism is the default per-query executor fan-out; a request
-	// may override it. 0 leaves the session default in force.
-	Parallelism int
 	// StmtCacheSize bounds the prepared-statement cache (0 selects
 	// DefaultStmtCacheSize).
 	StmtCacheSize int
@@ -95,14 +92,13 @@ type Config struct {
 // Server is the HTTP handler. Create one with New; it is safe for
 // concurrent use.
 type Server struct {
-	db          *panda.DB
-	timeout     time.Duration
-	parallelism int
-	stmts       *stmtCache
-	metrics     *telemetry
-	mux         *http.ServeMux
-	name        string
-	start       time.Time
+	db      *panda.DB
+	timeout time.Duration
+	stmts   *stmtCache
+	metrics *telemetry
+	mux     *http.ServeMux
+	name    string
+	start   time.Time
 
 	// catalogEpoch counts the catalog mutations this process has applied
 	// (relation create/drop, row and CSV ingest over HTTP). Replicas behind
@@ -135,7 +131,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		db:            cfg.DB,
 		timeout:       cfg.Timeout,
-		parallelism:   cfg.Parallelism,
 		stmts:         newStmtCache(cfg.StmtCacheSize),
 		mux:           http.NewServeMux(),
 		slowThreshold: cfg.SlowQueryThreshold,
@@ -378,8 +373,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Parallelism > 0 {
 		opts = append(opts, panda.WithParallelism(req.Parallelism))
-	} else if s.parallelism > 0 {
-		opts = append(opts, panda.WithParallelism(s.parallelism))
 	}
 	if s.queryStarted != nil {
 		s.queryStarted()

@@ -6,8 +6,10 @@ import (
 	"math/big"
 	"slices"
 	"sync"
+	"time"
 
 	"panda/internal/incr"
+	"panda/internal/plan"
 	"panda/internal/query"
 )
 
@@ -33,18 +35,20 @@ import (
 // the same catalog relation, the next Query binds the catalog together with
 // the rows stamped since the memo's tick (one DB.bind), plans against the
 // catalog as it stands — the plan a fresh run would take, through the same
-// plan cache — and runs one semi-naive round with it (incr.Advance, the step a
-// Watch's round takes; a satisfied Boolean query executes nothing). The
-// answer is the memo's rows ∪ the round's, in one Union, with Mode, Width,
-// Signature and Bound from the current plan: everything the answer is made
-// of equals a fresh run's. The Union copies and rehashes the memo's rows, so
-// the round saves least where the answer dwarfs what the inserts add. Stats
-// and Timings are this call's — the round's and its planning wait — not those
-// of the execution the round replaced. The plan's constraints bound the new
-// catalog and so every mixed instance of the round, and the 2^OBJ budget
-// stays on. A disjunctive rule (not monotone under inserts), a drop+recreate
-// of a referenced relation, another option set and the first Query execute
-// in full.
+// plan cache — and runs one semi-naive round with it (a satisfied Boolean
+// query executes nothing). That choice, the round and the full execution
+// otherwise are one refresh step, the one a Watch's round takes with its
+// pinned plan. The answer is the memo's rows ∪ the round's, in one Union,
+// with Mode, Width, Signature and Bound from the current plan: everything the
+// answer is made of equals a fresh run's. The Union copies and rehashes the
+// memo's rows — readers share them, so they are not grown in place as a
+// watch's are — and the round saves least where the answer dwarfs what the
+// inserts add. Stats and Timings are this call's — the round's and its
+// planning wait — not those of the execution the round replaced. The plan's
+// constraints bound the new catalog and so every mixed instance of the round,
+// and the 2^OBJ budget stays on. A disjunctive rule (not monotone under
+// inserts), a drop+recreate of a referenced relation, another option set and
+// the first Query execute in full.
 //
 // What the memo holds is what a reader needs: the scalar fields and, for Rel
 // and every table, the rows at their size — the dedup table and the spare
@@ -65,7 +69,8 @@ type Stmt struct {
 
 // memo is a published answer and the catalog state it answers: the schema
 // tick, the option set, and the creation tick of the catalog relation each
-// atom read (a tick, so a memo keeps no dropped relation alive).
+// atom read (a tick, so a memo keeps no dropped relation alive). A Stmt and a
+// Watch each keep one.
 type memo struct {
 	res  *Result
 	tick uint64
@@ -146,8 +151,7 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 		return m.res, nil
 	}
 	// A conjunctive memo under the same options may only have grown: bind the
-	// rows since its tick as well, and advance it if every atom still reads
-	// the relation it read.
+	// rows since its tick as well, so refresh can advance it.
 	var since *uint64
 	if m != nil && m.cfg == cfg && st.res.Conj != nil {
 		since = &m.tick
@@ -156,47 +160,63 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
-	if since != nil && slices.Equal(b.born, m.born) {
-		res, err = st.advance(ctx, m.res, b, cfg)
-	} else {
-		res, err = st.db.eval(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
-		if err == nil {
-			// Still private to this call: once it is in the memo, readers
-			// share it.
-			res.compact()
-		}
-	}
+	next, round, err := st.refresh(ctx, m, b, cfg, nil)
 	if err != nil {
 		return nil, err
+	}
+	// Still private to this call: once it is in the memo, readers share it.
+	if round == nil {
+		next.res.compact()
+	} else if round.Delta != nil && round.Delta.Size() > 0 { // nil for a Boolean query
+		next.res.Rel = m.res.Rel.Union(round.Delta)
+		next.res.Rel.Compact()
 	}
 	st.mu.Lock()
 	// Concurrent calls may finish out of order: keep the newest snapshot's
 	// result.
-	if st.memo == nil || b.tick >= st.memo.tick {
-		st.memo = &memo{res: res, tick: b.tick, cfg: cfg, born: b.born}
+	if st.memo == nil || next.tick >= st.memo.tick {
+		st.memo = next
 	}
 	st.mu.Unlock()
-	return res, nil
+	return next.res, nil
 }
 
-// advance answers for a memo that only grew: old is the memoized answer as of
-// the tick b's delta starts after. It plans against b's catalog, runs one
-// maintenance round with that plan (incr.Advance) and publishes old ∪ Δ; see
-// Stmt for what the Result holds.
-func (st *Stmt) advance(ctx context.Context, old *Result, b *binding, cfg config) (*Result, error) {
-	p, prepWait, err := st.db.prepareTimed(ctx, st.res.Conj, nil, b.ins, st.res.Constraints, cfg)
-	if err != nil {
-		return nil, err
+// refresh is the one step that takes an answer to the answer at b's catalog
+// state, for a statement's memo and a watch alike. old is the answer at an
+// earlier state (nil when there is none); p is the plan to run, nil to plan
+// against b's catalog (a watch hands in its pinned plan). When old only grew
+// — b carries the rows since old's tick and every atom reads the relation old
+// read — it runs one semi-naive round (incr.Advance) and returns it with an
+// answer whose every field is set but Rel, still old's: the caller merges the
+// round's Delta into it. Otherwise it executes p in full and returns no round.
+func (st *Stmt) refresh(ctx context.Context, old *memo, b *binding, cfg config, p *plan.Plan) (*memo, *incr.Round, error) {
+	var prepWait time.Duration
+	if p == nil {
+		var err error
+		if p, prepWait, err = st.db.prepareTimed(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg); err != nil {
+			return nil, nil, err
+		}
 	}
-	round, err := incr.Advance(ctx, cfg.executor(), p, &st.res.Rule.Schema, b.ins, b.delta.Relations, old.OK)
-	if err != nil {
-		return nil, err
+	next := &memo{tick: b.tick, cfg: cfg, born: b.born}
+	if old == nil || b.delta == nil || !slices.Equal(b.born, old.born) {
+		res, err := execute(ctx, p, b.ins, cfg, prepWait)
+		if err != nil {
+			return nil, nil, err
+		}
+		next.res = res
+		return next, nil, nil
 	}
-	res := &Result{
-		Rel:       old.Rel,
-		Columns:   old.Columns,
-		OK:        old.OK || round.NonEmpty,
+	round, err := incr.Advance(ctx, cfg.executor(), p, &st.res.Rule.Schema, b.ins, b.delta.Relations, old.res.OK)
+	if err != nil {
+		return nil, nil, err
+	}
+	if round.Timings != nil {
+		round.Timings.PrepareWait = prepWait
+	}
+	next.res = &Result{
+		Rel:       old.res.Rel,
+		Columns:   old.res.Columns,
+		OK:        old.res.OK || round.NonEmpty,
 		Width:     p.Width,
 		Mode:      p.Mode,
 		Bound:     p.Bound(),
@@ -204,15 +224,7 @@ func (st *Stmt) advance(ctx context.Context, old *Result, b *binding, cfg config
 		Signature: SignatureDigest(p.Key),
 		Timings:   round.Timings,
 	}
-	if res.Timings != nil {
-		res.Timings.PrepareWait = prepWait
-	}
-	if round.Delta != nil && round.Delta.Size() > 0 { // nil for a Boolean query
-		// A new relation, private to this call until it is published.
-		res.Rel = old.Rel.Union(round.Delta)
-		res.Rel.Compact()
-	}
-	return res, nil
+	return next, round, nil
 }
 
 // Query is QueryContext under context.Background().

@@ -3,34 +3,30 @@ package panda
 import (
 	"context"
 	"errors"
-	"math/big"
-	"slices"
 	"sync"
 
-	"panda/internal/core"
-	"panda/internal/incr"
 	"panda/internal/plan"
 	"panda/internal/relation"
 )
 
-// Standing queries: a Watch owns a materialized result for one statement
-// and keeps it current as the catalog mutates, pushing row-deltas to a
+// Standing queries: a Watch is a statement's memo with a subscriber. It keeps
+// one answer current as the catalog mutates and pushes row-deltas to a
 // subscription channel. The plan is prepared once when the watch opens and
 // pinned — every maintenance round executes that same plan with zero planning
 // work, so a server full of hot watches performs no LP solves after warm-up.
-// A round is one statement bind (DB.bind): the catalog as it stands and, from
-// the same lock hold, the rows that arrived since the previous round — each
-// relation's column suffix, bound like the full instance; a wakeup whose
-// write touched no relation the statement reads binds nothing. Insert-only
-// growth is maintained semi-naively over that delta (incr.Advance, the step a
-// Stmt's memo takes too); a drop+recreate of a referenced relation
-// re-executes in full and replaces the materialization (emitted with Resync
-// set). Disjunctive rules are not monotone under inserts — a new body tuple
-// may shift which target covers existing tuples — so a rule watch asks for no
-// delta, re-executes its pinned plan in full every round, and every emission
-// carries the complete model with Resync set. Between rounds a watch holds
-// its materialization, its pinned plan and one catalog pointer per atom — no
-// copy of what it reads.
+// A round is the step a Stmt's Query takes (Stmt.bind, then Stmt.refresh):
+// one read of the catalog and, from the same lock hold, the rows that arrived
+// since the previous round, with the declared constraints checked against the
+// catalog; a wakeup whose write touched no relation the statement reads binds
+// nothing. Insert-only growth is maintained semi-naively over that delta; a
+// drop+recreate of a referenced relation stamps a newer creation tick, so the
+// round after it re-executes in full and replaces the materialization
+// (emitted with Resync set). Disjunctive rules are not monotone under inserts
+// — a new body tuple may shift which target covers existing tuples — so a
+// rule watch asks for no delta, re-executes its pinned plan in full every
+// round, and every emission carries the complete model with Resync set.
+// Between rounds a watch holds its materialization, its pinned plan and the
+// creation tick of the relation each atom read — no copy of what it reads.
 
 // DefaultWatchQueue is the delta-channel capacity a watch opens with when
 // WithWatchQueue is not given.
@@ -82,39 +78,32 @@ type WatchStats struct {
 // Watch is a standing query: a live materialized result plus a
 // subscription channel of row-deltas. Open one with DB.Watch or
 // Stmt.Watch; Close tears the maintainer down and closes the channel.
-// A Watch is safe for concurrent use.
+// A round that finds the catalog violating a declared constraint ends the
+// watch: Deltas closes and Err wraps the error db.Query reports for the same
+// text. A Watch is safe for concurrent use.
 type Watch struct {
-	db   *DB
-	st   *Stmt
-	p    *plan.Plan // pinned at open
-	exec *core.Executor
+	db  *DB
+	st  *Stmt
+	p   *plan.Plan // pinned at open
+	cfg config
 
 	deltas  chan WatchDelta
-	stop    chan struct{}
 	done    chan struct{}
-	ctx     context.Context
+	ctx     context.Context // cancelled by Close alone
 	cancel  context.CancelFunc
 	watchID uint64
-	once    sync.Once
 
-	columns []string
-
-	// Maintainer-private state (only the loop goroutine touches these): the
-	// creation tick of the catalog relation each atom last read, and whether
-	// a relation went missing since.
-	born       []uint64
-	needResync bool
+	// mat is the relation a conjunctive watch grows round by round (nil for
+	// a Boolean query or a rule). Only the maintainer touches it; readers get
+	// capacity-capped snapshots of it, which its appends never write into.
+	mat *relation.Relation
 
 	// Shared state, guarded by mu. The maintainer is its only writer, so it
-	// reads tick and ok without the lock.
-	mu     sync.Mutex
-	mat    *relation.Relation
-	ok     bool
-	tables map[Set]*Relation
-	bound  *big.Rat
-	tick   uint64
-	err    error
-	stats  WatchStats
+	// reads memo without the lock.
+	mu    sync.Mutex
+	memo  *memo // the published answer; its Rel is a snapshot of mat
+	err   error
+	stats WatchStats
 }
 
 // Watch opens a standing query over src: Prepare plus Stmt.Watch in one
@@ -164,35 +153,28 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 	if err != nil {
 		return nil, err
 	}
-
+	p, err := st.db.prepare(context.Background(), st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m, _, err := st.refresh(context.Background(), nil, b, cfg, p)
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Watch{
 		db:      st.db,
 		st:      st,
-		exec:    cfg.executor(),
+		p:       p,
+		cfg:     cfg,
 		deltas:  make(chan WatchDelta, queue),
-		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		ctx:     ctx,
 		cancel:  cancel,
 		watchID: id,
-		born:    b.born,
-		tick:    b.tick,
 	}
-	w.p, err = st.db.prepare(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	ex, err := w.exec.Execute(ctx, w.p, b.ins)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	// The executor output is freshly built; the watch owns it: the output
-	// relation of a conjunctive plan or the model tables of a rule.
-	w.mat, w.tables, w.ok, w.bound = ex.Out, ex.Tables, ex.NonEmpty, ex.Bound
-	w.columns = columnsOf(w.p, w.mat)
+	w.own(m)
+	w.memo = m
 	started = true
 	go w.loop(wake)
 	return w, nil
@@ -202,34 +184,25 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 // terminates (Close, DB.Close, or a maintenance error — see Err).
 func (w *Watch) Deltas() <-chan WatchDelta { return w.deltas }
 
-// Result returns the current materialized result. The row data is copied,
-// so the caller's Result stays stable while maintenance continues.
+// Result returns the current materialized result. It is a snapshot view, not
+// a copy: its Rel shares the watch's row storage up to the rows it holds,
+// and stays stable while maintenance appends past them. Stats and Timings
+// are those of the round that produced it, as for a Stmt's memo hit. The
+// caller must not write to it.
 func (w *Watch) Result() *Result {
 	res, _ := w.Snapshot()
 	return res
 }
 
-// Snapshot returns the current materialized result together with the
-// catalog tick it reflects; a consumer that applies every delta with
-// Tick greater than the snapshot tick reconstructs the live state. State,
-// tick and the round's delta are published together (see Tick), so no delta
-// with a greater tick was enqueued before the snapshot was taken.
+// Snapshot returns the current materialized result (see Result) together
+// with the catalog tick it reflects; a consumer that applies every delta
+// with Tick greater than the snapshot tick reconstructs the live state.
+// State, tick and the round's delta are published together (see Tick), so
+// no delta with a greater tick was enqueued before the snapshot was taken.
 func (w *Watch) Snapshot() (*Result, uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	res := &Result{
-		OK:        w.ok,
-		Mode:      w.p.Mode,
-		Width:     w.p.Width,
-		Signature: SignatureDigest(w.p.Key),
-		Bound:     w.bound,
-		Tables:    w.tables,
-	}
-	if w.mat != nil {
-		res.Rel = w.mat.Clone(w.mat.Name)
-		res.Columns = w.columns
-	}
-	return res, w.tick
+	return w.memo.res, w.memo.tick
 }
 
 // Tick reports the catalog tick the materialization currently reflects.
@@ -240,7 +213,7 @@ func (w *Watch) Snapshot() (*Result, uint64) {
 func (w *Watch) Tick() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.tick
+	return w.memo.tick
 }
 
 // Stats snapshots the watch's maintenance counters.
@@ -252,8 +225,8 @@ func (w *Watch) Stats() WatchStats {
 
 // Err reports why the watch terminated: nil after a clean Close (or
 // while still running), ErrClosed when the session was closed underneath
-// it, or the maintenance error that killed it. Meaningful once Deltas is
-// closed.
+// it, or the maintenance error that killed it — a violated declared
+// constraint among them. Meaningful once Deltas is closed.
 func (w *Watch) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -263,10 +236,7 @@ func (w *Watch) Err() error {
 // Close stops the maintainer, waits for it to finish, and closes the
 // delta channel. Closing twice is a no-op.
 func (w *Watch) Close() error {
-	w.once.Do(func() {
-		close(w.stop)
-		w.cancel()
-	})
+	w.cancel()
 	<-w.done
 	return nil
 }
@@ -281,7 +251,7 @@ func (w *Watch) loop(wake chan struct{}) {
 	}()
 	for {
 		select {
-		case <-w.stop:
+		case <-w.ctx.Done():
 			return
 		case <-wake:
 			if !w.round() {
@@ -294,14 +264,21 @@ func (w *Watch) loop(wake chan struct{}) {
 // fail records a terminal maintenance error — unless the watch is being
 // closed, in which case the error is just the teardown echoing back.
 func (w *Watch) fail(err error) {
-	select {
-	case <-w.stop:
+	if w.ctx.Err() != nil {
 		return
-	default:
 	}
 	w.mu.Lock()
 	w.err = err
 	w.mu.Unlock()
+}
+
+// own makes a fully executed answer the watch's: its output relation becomes
+// the one the maintainer grows, and the answer reads a snapshot of it.
+func (w *Watch) own(m *memo) {
+	w.mat = m.res.Rel
+	if w.mat != nil {
+		m.res.Rel = w.mat.Snapshot(w.mat.Name)
+	}
 }
 
 // round processes one wakeup with one read of the catalog; it returns false
@@ -309,93 +286,58 @@ func (w *Watch) fail(err error) {
 // does not read is told apart by the schema tick alone, before anything is
 // bound (a recreate stamps a newer tick, so it is never mistaken for one).
 func (w *Watch) round() bool {
-	s := &w.st.res.Rule.Schema
-	tick, err := w.db.schemaTick(s)
-	if err == nil && tick == w.tick && !w.needResync {
+	old := w.memo
+	tick, err := w.db.schemaTick(&w.st.res.Rule.Schema)
+	if err == nil && tick == old.tick {
 		return true // coalesced, spurious or unrelated wakeup; nothing new
 	}
-	rule := w.p.Mode == ModeRule
 	var since *uint64
-	if !rule { // a rule round re-executes in full: no delta to bind
-		since = &w.tick
+	if w.p.Mode != ModeRule { // a rule round re-executes in full: no delta to bind
+		since = &old.tick
 	}
-	b, err := w.db.bind(s, since)
-	switch {
-	case errors.Is(err, ErrUnknownRelation):
+	b, err := w.st.bind(since)
+	if errors.Is(err, ErrUnknownRelation) {
 		// A referenced relation is gone. Queries would fail now, but the
 		// drop may be the first half of a drop+recreate reload: keep the
-		// last materialization and resync when the catalog is whole again.
-		w.needResync = true
+		// last materialization. The recreate stamps a newer tick and
+		// creation tick, so the round it wakes re-executes in full.
 		return true
-	case err != nil:
-		w.fail(err)
-		return false
-	case w.needResync || !slices.Equal(b.born, w.born):
-		return w.fullRound(b)
-	case rule:
-		return w.fullRound(b)
 	}
-	return w.incrRound(b)
-}
-
-// fullRound re-executes the pinned plan from scratch over the bound catalog
-// and replaces the materialization: the recovery from a drop+recreate, and
-// every rule round. The emission is a resync — the consumer replaces its
-// state too.
-func (w *Watch) fullRound(b *binding) bool {
-	if err := b.ins.Check(&w.st.res.Rule.Schema, w.st.res.Constraints); err != nil {
-		w.fail(err)
-		return false
-	}
-	ex, err := w.exec.Execute(w.ctx, w.p, b.ins)
 	if err != nil {
 		w.fail(err)
 		return false
 	}
-	w.mu.Lock()
-	w.mat, w.tables, w.ok, w.bound, w.tick = ex.Out, ex.Tables, ex.NonEmpty, ex.Bound, b.tick
-	w.stats.FullRounds++
-	w.sendLocked(WatchDelta{Tick: b.tick, OK: ex.NonEmpty, Resync: true, Rows: sortedRows(ex.Out), Tables: ex.Tables})
-	w.mu.Unlock()
-	w.born, w.needResync = b.born, false
-	return true
-}
-
-// incrRound is the semi-naive path: advance the materialization by the
-// bound delta with the pinned plan (incr.Advance, the step a Stmt's memo
-// takes too), and merge the genuinely new output rows into it.
-func (w *Watch) incrRound(b *binding) bool {
-	round, err := incr.Advance(w.ctx, w.exec, w.p, &w.st.res.Rule.Schema, b.ins, b.delta.Relations, w.ok)
+	m, round, err := w.st.refresh(w.ctx, old, b, w.cfg, w.p)
 	if err != nil {
 		w.fail(err)
 		return false
 	}
-
+	d := WatchDelta{Tick: m.tick, OK: m.res.OK}
+	if round == nil {
+		// A full execution replaces the materialization; the consumer
+		// replaces its state too.
+		w.own(m)
+		d.Resync, d.Rows, d.Tables = true, sortedRows(m.res.Rel), m.res.Tables
+	} else if round.Delta != nil {
+		// Merge the round into the materialization in place: the rows it
+		// appends are the genuinely new ones.
+		n := w.mat.Size()
+		w.mat.InsertAll(round.Delta)
+		if w.mat.Size() > n {
+			d.Rows = sortedRows(w.mat.SnapshotFrom(w.mat.Name, n))
+			m.res.Rel = w.mat.Snapshot(w.mat.Name)
+		}
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var fresh *relation.Relation
-	if round.Delta != nil {
-		if w.mat == nil {
-			w.mat = relation.New("watch", round.Delta.Attrs())
-		}
-		for row := range round.Delta.All() {
-			if w.mat.Insert(row) {
-				if fresh == nil {
-					fresh = relation.New("Δwatch", round.Delta.Attrs())
-				}
-				fresh.Insert(row)
-			}
-		}
+	w.memo = m
+	if round == nil {
+		w.stats.FullRounds++
+	} else {
+		w.stats.IncrRounds++
 	}
-	ok := w.ok || round.NonEmpty
-	if w.mat != nil {
-		ok = w.mat.Size() > 0
-	}
-	okChanged := ok != w.ok
-	w.ok, w.tick = ok, b.tick
-	w.stats.IncrRounds++
-	if fresh != nil || okChanged {
-		w.sendLocked(WatchDelta{Tick: b.tick, OK: ok, Rows: sortedRows(fresh)})
+	if d.Resync || d.Rows != nil || d.OK != old.res.OK {
+		w.sendLocked(d)
 	}
 	return true
 }
@@ -424,7 +366,8 @@ func (w *Watch) sendLocked(d WatchDelta) {
 		default:
 		}
 		if !d.Resync {
-			d = WatchDelta{Tick: d.Tick, OK: w.ok, Resync: true, Rows: sortedRows(w.mat), Tables: w.tables}
+			res := w.memo.res
+			d = WatchDelta{Tick: d.Tick, OK: res.OK, Resync: true, Rows: sortedRows(res.Rel), Tables: res.Tables}
 		}
 	}
 }

@@ -610,6 +610,91 @@ func TestWatchDBCloseTerminates(t *testing.T) {
 	}
 }
 
+// TestWatchEndsOnViolatedConstraint: a watch checks the declared constraints
+// every round, as a query does. Once the catalog violates one, the watch ends
+// — its channel closes — with the error a fresh db.Query reports.
+func TestWatchEndsOnViolatedConstraint(t *testing.T) {
+	const src = "Q(A,B,C) :- R(A,B), S(B,C).\n|R| <= 2"
+	db := Open()
+	defer db.Close()
+	createRelationsFor(t, db, src)
+	if err := db.Insert("R", []Value{1, 2}, []Value{2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("S", []Value{2, 5}, []Value{3, 6}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := db.Watch(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := db.Insert("R", []Value{3, 2}, []Value{4, 3}); err != nil {
+		t.Fatal(err)
+	}
+	_, qerr := db.Query(src)
+	if qerr == nil {
+		t.Fatal("db.Query accepted a catalog violating |R| <= 2")
+	}
+	timeout := time.After(10 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-w.Deltas():
+		case <-timeout:
+			t.Fatalf("the watch kept running over a violated constraint (tick %d)", w.Tick())
+		}
+	}
+	if werr := w.Err(); werr == nil || werr.Error() != qerr.Error() {
+		t.Fatalf("watch ended with %v, want the query's error %v", werr, qerr)
+	}
+}
+
+// TestWatchResultIsASnapshotView: Result hands out the watch's answer as a
+// snapshot of the relation it grows, not a copy of its rows — so reading it
+// costs O(arity) whatever the answer's size — and a snapshot taken before a
+// round keeps its rows while the round appends the new ones.
+func TestWatchResultIsASnapshotView(t *testing.T) {
+	db, fresh := growingCatalog(t, c4Src, 320, 1)
+	defer db.Close()
+	w, err := db.Watch(c4Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	before := w.Result()
+	rows := before.Rows()
+
+	const calls = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < calls; i++ {
+		w.Result()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per > 1024 {
+		t.Errorf("Result allocates %d B per call over a %d-row answer; it should not copy the rows", per, len(rows))
+	}
+
+	if err := db.Insert("R", fresh[0]); err != nil {
+		t.Fatal(err)
+	}
+	target, err := db.schemaTick(w.st.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTick(t, w, target)
+	after, err := db.Query(c4Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w.Result().Rows(), after.Rows()) || after.Size() <= len(rows) {
+		t.Fatalf("after the insert: watch %d rows, fresh %d, before %d", w.Result().Size(), after.Size(), len(rows))
+	}
+	if !reflect.DeepEqual(before.Rows(), rows) {
+		t.Fatal("a Result taken before the round changed under it")
+	}
+}
+
 // TestWatchConcurrentStress hammers a watch with parallel inserters while
 // a consumer applies the delta stream; run under -race in CI. After the
 // dust settles the applied stream and the materialization must both equal
