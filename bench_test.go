@@ -437,10 +437,11 @@ func growingCatalog(tb testing.TB, src string, rows, n int) (db *DB, fresh [][]V
 // write re-executes the whole query and allocates several times the bytes
 // (CI holds B/op under a ceiling between the two). c4-dense is the 4-cycle
 // over 320 rows per relation, whose answer (reported as answer-rows) is some
-// 200 times what one insert adds: publishing old ∪ Δ copies and rehashes the
-// whole answer, so there the round's share of the cost is smallest. The
-// catalog is rebuilt, outside the timer, every 64 iterations, so the
-// relations stay near their starting size however long the run.
+// 200 times what one insert adds: the round's rows are inserted into the
+// relation the memo grows, so the answer is neither copied nor rehashed per
+// write (CI holds that B/op under a ceiling below what publishing old ∪ Δ
+// cost). The catalog is rebuilt, outside the timer, every 64 iterations, so
+// the relations stay near their starting size however long the run.
 func BenchmarkStmtRequeryAfterInsert(b *testing.B) {
 	const rebuildEvery = 64
 	for _, sh := range []struct {
@@ -495,8 +496,8 @@ func BenchmarkStmtRequeryAfterInsert(b *testing.B) {
 // standing query: one fresh row into R, timed until the watch reflects it,
 // with a subscriber that keeps up. A round merges its delta into the
 // relation the watch grows, in place, and publishes an O(arity) snapshot of
-// it; on c4-dense a round that copied the 14k-row materialization instead
-// (old ∪ Δ, as a Stmt's memo does) allocates several times the bytes (CI
+// it, as a Stmt's memo does; on c4-dense a round that copied the 14k-row
+// materialization instead (old ∪ Δ) allocates several times the bytes (CI
 // holds B/op under a ceiling between the two).
 func BenchmarkWatchAfterInsert(b *testing.B) {
 	const rebuildEvery = 64

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"panda/internal/incr"
 	"panda/internal/plan"
 	"panda/internal/query"
+	"panda/internal/relation"
 )
 
 // Stmt is a prepared statement: a parsed query or rule whose catalog
@@ -38,44 +39,73 @@ import (
 // plan cache — and runs one semi-naive round with it (a satisfied Boolean
 // query executes nothing). That choice, the round and the full execution
 // otherwise are one refresh step, the one a Watch's round takes with its
-// pinned plan. The answer is the memo's rows ∪ the round's, in one Union,
-// with Mode, Width, Signature and Bound from the current plan: everything the
-// answer is made of equals a fresh run's. The Union copies and rehashes the
-// memo's rows — readers share them, so they are not grown in place as a
-// watch's are — and the round saves least where the answer dwarfs what the
-// inserts add. Stats and Timings are this call's — the round's and its
-// planning wait — not those of the execution the round replaced. The plan's
-// constraints bound the new catalog and so every mixed instance of the round,
-// and the 2^OBJ budget stays on. A disjunctive rule (not monotone under
-// inserts), a drop+recreate of a referenced relation, another option set and
-// the first Query execute in full.
+// pinned plan. The round's rows are inserted in place into the relation the
+// memo grows, and the answer reads a capacity-capped snapshot of it, with
+// Mode, Width, Signature and Bound from the current plan: everything the
+// answer is made of equals a fresh run's, and an answer published earlier
+// never sees the rows appended after it. Stats and Timings are this call's —
+// the round's and its planning wait — not those of the execution the round
+// replaced. The plan's constraints bound the new catalog and so every mixed
+// instance of the round, and the 2^OBJ budget stays on. A disjunctive rule
+// (not monotone under inserts), a drop+recreate of a referenced relation,
+// another option set and the first Query execute in full.
 //
-// What the memo holds is what a reader needs: the scalar fields and, for Rel
-// and every table, the rows at their size — the dedup table and the spare
-// column capacity the engine built them with are dropped before the Result
-// is published (Relation.Compact). A relation rebuilds on demand what a
-// reader turns out to want: the dedup table on the first Contains, Equal or
-// Insert, the sorted row order on the first Iter, Rows or AllSorted — the
-// latter kept with the relation, so later hits walk it without sorting.
+// One refresh is in flight per statement: callers that find the memo stale
+// at once — N readers of a shape right after one insert — run one round, and
+// the ones that waited return the answer it published.
+//
+// What a full execution leaves in the memo is what a reader needs: the scalar
+// fields and, for Rel and every table, the rows at their size — the dedup
+// table and the spare column capacity the engine built them with are dropped
+// (Relation.Compact). A relation rebuilds on demand what a reader turns out
+// to want: the dedup table on the first Contains, Equal or Insert (the first
+// round rebuilds the grown relation's), the sorted row order on the first
+// Iter, Rows or AllSorted — the latter kept with the relation, so later hits
+// walk it without sorting.
 type Stmt struct {
 	db  *DB
 	src string
 	res *query.ParseResult
 	cfg config
 
-	mu   sync.Mutex
-	memo *memo // nil until a Query succeeds
+	flight chan struct{}        // holds the one refresh in flight
+	memo   atomic.Pointer[memo] // nil until a Query succeeds; stored by the flight's holder
 }
 
-// memo is a published answer and the catalog state it answers: the schema
-// tick, the option set, and the creation tick of the catalog relation each
-// atom read (a tick, so a memo keeps no dropped relation alive). A Stmt and a
-// Watch each keep one.
+// memo is a published answer, the plan and options that produced it, and the
+// catalog state it answers: the schema tick and the creation tick of the
+// catalog relation each atom read (a tick, so a memo keeps no dropped
+// relation alive). A Stmt and a Watch each keep one, and each advances it one
+// refresh at a time.
 type memo struct {
 	res  *Result
-	tick uint64
+	plan *plan.Plan
 	cfg  config
+	tick uint64
 	born []uint64
+	// rows is the relation the answer grows in (nil for a Boolean query or a
+	// rule); res.Rel is a capacity-capped snapshot of it. A memo a round
+	// advanced shares it with the memo it came from, and only the refresh in
+	// flight writes it.
+	rows *relation.Relation
+}
+
+// grow is the one merge of a refresh: rows becomes the relation m's answer
+// grows in, with delta — a round's rows, nil for none — inserted into it in
+// place. The answer reads a new snapshot of it when it read none yet (a full
+// execution's) or the merge added rows; a merge that adds nothing keeps the
+// published snapshot, and with it any row order a reader worked out.
+func (m *memo) grow(rows, delta *relation.Relation) {
+	m.rows = rows
+	if rows == nil {
+		return
+	}
+	if delta != nil {
+		rows.InsertAll(delta)
+	}
+	if m.res.Rel == rows || rows.Size() > m.res.Rel.Size() {
+		m.res.Rel = rows.Snapshot(rows.Name)
+	}
 }
 
 // Prepare parses src (the textual query language of internal/query) and
@@ -109,7 +139,7 @@ func (db *DB) Prepare(src string, opts ...Option) (*Stmt, error) {
 				ErrArity, a.Name, got, a.Name, want)
 		}
 	}
-	return &Stmt{db: db, src: src, res: res, cfg: cfg}, nil
+	return &Stmt{db: db, src: src, res: res, cfg: cfg, flight: make(chan struct{}, 1)}, nil
 }
 
 // config materializes the effective config for one call on the statement,
@@ -132,7 +162,9 @@ func (st *Stmt) config(opts []Option) (config, error) {
 // query under ctx: cache-hit planning (via the session plan cache) plus
 // execution — or, for a memo that only grew, a maintenance round (see Stmt)
 // — for conjunctive queries and disjunctive rules alike. The Result shape is
-// the same in every case. A cancelled or expired context aborts the run
+// the same in every case. A call that finds the memo stale while another
+// refreshes it waits for that refresh, then returns its answer when no write
+// landed since. A cancelled or expired context aborts the wait or the run
 // promptly with ctx.Err(); the engine checks cancellation between proof
 // steps and between rule executions.
 func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, error) {
@@ -140,75 +172,82 @@ func (st *Stmt) QueryContext(ctx context.Context, opts ...Option) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	tick, err := st.db.schemaTick(&st.res.Rule.Schema)
+	if _, res, err := st.current(cfg); res != nil || err != nil {
+		return res, err
+	}
+	select {
+	case st.flight <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-st.flight }()
+	// The refresh this call waited for may have published the answer it wants.
+	m, res, err := st.current(cfg)
+	if res != nil || err != nil {
+		return res, err
+	}
+	next, _, err := st.refresh(ctx, m, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	m := st.memo
-	st.mu.Unlock()
-	if m != nil && m.tick == tick && m.cfg == cfg {
-		return m.res, nil
-	}
-	// A conjunctive memo under the same options may only have grown: bind the
-	// rows since its tick as well, so refresh can advance it.
-	var since *uint64
-	if m != nil && m.cfg == cfg && st.res.Conj != nil {
-		since = &m.tick
-	}
-	b, err := st.bind(since)
-	if err != nil {
-		return nil, err
-	}
-	next, round, err := st.refresh(ctx, m, b, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Still private to this call: once it is in the memo, readers share it.
-	if round == nil {
-		next.res.compact()
-	} else if round.Delta != nil && round.Delta.Size() > 0 { // nil for a Boolean query
-		next.res.Rel = m.res.Rel.Union(round.Delta)
-		next.res.Rel.Compact()
-	}
-	st.mu.Lock()
-	// Concurrent calls may finish out of order: keep the newest snapshot's
-	// result.
-	if st.memo == nil || next.tick >= st.memo.tick {
-		st.memo = next
-	}
-	st.mu.Unlock()
+	st.memo.Store(next)
 	return next.res, nil
 }
 
-// refresh is the one step that takes an answer to the answer at b's catalog
-// state, for a statement's memo and a watch alike. old is the answer at an
-// earlier state (nil when there is none); p is the plan to run, nil to plan
-// against b's catalog (a watch hands in its pinned plan). When old only grew
-// — b carries the rows since old's tick and every atom reads the relation old
-// read — it runs one semi-naive round (incr.Advance) and returns it with an
-// answer whose every field is set but Rel, still old's: the caller merges the
-// round's Delta into it. Otherwise it executes p in full and returns no round.
-func (st *Stmt) refresh(ctx context.Context, old *memo, b *binding, cfg config, p *plan.Plan) (*memo, *incr.Round, error) {
+// current reads the statement's schema tick and returns the memo together
+// with its answer when that answers the tick under cfg (nil otherwise).
+func (st *Stmt) current(cfg config) (*memo, *Result, error) {
+	tick, err := st.db.schemaTick(&st.res.Rule.Schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := st.memo.Load()
+	if m != nil && m.tick == tick && m.cfg == cfg {
+		return m, m.res, nil
+	}
+	return m, nil, nil
+}
+
+// refresh is the one step that takes an answer to the answer at the catalog
+// as it stands, for a statement's memo and a watch alike; the caller holds
+// the one refresh in flight on old, the answer at an earlier state (nil when
+// there is none). It binds the catalog (Stmt.bind) — with the rows stamped
+// since old's tick when old is a conjunctive answer under the same options,
+// which may only have grown — and runs p, or when p is nil the plan for the
+// bound catalog (a watch hands in the plan it pinned at open). When old only
+// grew — the rows since its tick are bound and every atom reads the relation
+// old read — it runs one semi-naive round (incr.Advance), merges it into the
+// relation old grows and reports that it advanced. Otherwise it executes the
+// plan in full.
+func (st *Stmt) refresh(ctx context.Context, old *memo, cfg config, p *plan.Plan) (*memo, bool, error) {
+	var since *uint64
+	if old != nil && old.cfg == cfg && st.res.Conj != nil {
+		since = &old.tick
+	}
+	b, err := st.bind(since)
+	if err != nil {
+		return nil, false, err
+	}
 	var prepWait time.Duration
 	if p == nil {
-		var err error
 		if p, prepWait, err = st.db.prepareTimed(ctx, st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg); err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
 	}
-	next := &memo{tick: b.tick, cfg: cfg, born: b.born}
-	if old == nil || b.delta == nil || !slices.Equal(b.born, old.born) {
+	next := &memo{tick: b.tick, cfg: cfg, born: b.born, plan: p}
+	if b.delta == nil || !slices.Equal(b.born, old.born) {
 		res, err := execute(ctx, p, b.ins, cfg, prepWait)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
+		res.compact()
 		next.res = res
-		return next, nil, nil
+		next.grow(res.Rel, nil)
+		return next, false, nil
 	}
 	round, err := incr.Advance(ctx, cfg.executor(), p, &st.res.Rule.Schema, b.ins, b.delta.Relations, old.res.OK)
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
 	if round.Timings != nil {
 		round.Timings.PrepareWait = prepWait
@@ -224,7 +263,8 @@ func (st *Stmt) refresh(ctx context.Context, old *memo, b *binding, cfg config, 
 		Signature: SignatureDigest(p.Key),
 		Timings:   round.Timings,
 	}
-	return next, round, nil
+	next.grow(old.rows, round.Delta)
+	return next, true, nil
 }
 
 // Query is QueryContext under context.Background().

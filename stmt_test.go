@@ -1,6 +1,8 @@
 package panda
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 	"weak"
 
 	"panda/internal/core"
@@ -239,6 +242,75 @@ func TestStmtMemoKeepsNoDroppedRelation(t *testing.T) {
 	if !reflect.DeepEqual(got.Stats, fresh.Stats) {
 		t.Fatalf("the query over the reloaded relation was maintained (stats %+v), not executed in full (%+v)", got.Stats, fresh.Stats)
 	}
+}
+
+// TestStmtOneRefreshInFlight: eight goroutines that query one Stmt right
+// after one insert run one refresh between them — one plan lookup and one
+// maintenance round — and all return the answer it published. A caller
+// waiting for the refresh in flight gives up when its context does.
+func TestStmtOneRefreshInFlight(t *testing.T) {
+	db := Open()
+	defer db.Close()
+	res := createRelationsFor(t, db, triangleSrc)
+	insertRandomBatch(t, db, res, rand.New(rand.NewSource(12)), 60, 10)
+	st, err := db.Prepare(triangleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Query(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("R", []Value{0, 11}, []Value{11, 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := db.PlannerStats()
+	const callers = 8
+	got := make([]*Result, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			r, err := st.Query()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = r
+		}()
+	}
+	close(start)
+	wg.Wait()
+	after := db.PlannerStats()
+	if n := after.Hits + after.Misses - before.Hits - before.Misses; n != 1 {
+		t.Fatalf("%d callers after one insert planned %d times: want one refresh", callers, n)
+	}
+	for i, r := range got {
+		if r != got[0] {
+			t.Fatalf("caller %d got another answer than caller 0", i)
+		}
+	}
+	fresh, err := db.Query(triangleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFreshAnswer(t, "after the insert", got[0], fresh)
+	if reflect.DeepEqual(got[0].Stats, fresh.Stats) {
+		t.Fatalf("the refresh executed in full (stats %+v): want a maintenance round", got[0].Stats)
+	}
+
+	if err := db.Insert("S", []Value{11, 12}); err != nil {
+		t.Fatal(err)
+	}
+	st.flight <- struct{}{} // a refresh in flight
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := st.QueryContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiting for a refresh in flight past the deadline: %v, want %v", err, context.DeadlineExceeded)
+	}
+	<-st.flight
 }
 
 // TestStmtAdvanceConcurrent runs readers of one Stmt against a writer (run it

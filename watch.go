@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-
-	"panda/internal/plan"
-	"panda/internal/relation"
 )
 
 // Standing queries: a Watch is a statement's memo with a subscriber. It keeps
@@ -18,7 +15,8 @@ import (
 // one read of the catalog and, from the same lock hold, the rows that arrived
 // since the previous round, with the declared constraints checked against the
 // catalog; a wakeup whose write touched no relation the statement reads binds
-// nothing. Insert-only growth is maintained semi-naively over that delta; a
+// nothing. Insert-only growth is maintained semi-naively over that delta and
+// merged into the answer in place, as a statement's memo merges it; a
 // drop+recreate of a referenced relation stamps a newer creation tick, so the
 // round after it re-executes in full and replaces the materialization
 // (emitted with Resync set). Disjunctive rules are not monotone under inserts
@@ -82,10 +80,8 @@ type WatchStats struct {
 // watch: Deltas closes and Err wraps the error db.Query reports for the same
 // text. A Watch is safe for concurrent use.
 type Watch struct {
-	db  *DB
-	st  *Stmt
-	p   *plan.Plan // pinned at open
-	cfg config
+	db *DB
+	st *Stmt
 
 	deltas  chan WatchDelta
 	done    chan struct{}
@@ -93,15 +89,10 @@ type Watch struct {
 	cancel  context.CancelFunc
 	watchID uint64
 
-	// mat is the relation a conjunctive watch grows round by round (nil for
-	// a Boolean query or a rule). Only the maintainer touches it; readers get
-	// capacity-capped snapshots of it, which its appends never write into.
-	mat *relation.Relation
-
-	// Shared state, guarded by mu. The maintainer is its only writer, so it
-	// reads memo without the lock.
+	// Shared state, guarded by mu. The maintainer is its only writer — the
+	// one refresh in flight on memo — so it reads memo without the lock.
 	mu    sync.Mutex
-	memo  *memo // the published answer; its Rel is a snapshot of mat
+	memo  *memo // the published answer; its plan and options are pinned at open
 	err   error
 	stats WatchStats
 }
@@ -149,15 +140,7 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 		}
 	}()
 
-	b, err := st.bind(nil)
-	if err != nil {
-		return nil, err
-	}
-	p, err := st.db.prepare(context.Background(), st.res.Conj, st.res.Rule, b.ins, st.res.Constraints, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, _, err := st.refresh(context.Background(), nil, b, cfg, p)
+	m, _, err := st.refresh(context.Background(), nil, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -165,16 +148,13 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 	w := &Watch{
 		db:      st.db,
 		st:      st,
-		p:       p,
-		cfg:     cfg,
 		deltas:  make(chan WatchDelta, queue),
 		done:    make(chan struct{}),
 		ctx:     ctx,
 		cancel:  cancel,
 		watchID: id,
+		memo:    m,
 	}
-	w.own(m)
-	w.memo = m
 	started = true
 	go w.loop(wake)
 	return w, nil
@@ -272,15 +252,6 @@ func (w *Watch) fail(err error) {
 	w.mu.Unlock()
 }
 
-// own makes a fully executed answer the watch's: its output relation becomes
-// the one the maintainer grows, and the answer reads a snapshot of it.
-func (w *Watch) own(m *memo) {
-	w.mat = m.res.Rel
-	if w.mat != nil {
-		m.res.Rel = w.mat.Snapshot(w.mat.Name)
-	}
-}
-
 // round processes one wakeup with one read of the catalog; it returns false
 // when the watch must terminate. A wakeup by a write to a relation the watch
 // does not read is told apart by the schema tick alone, before anything is
@@ -291,11 +262,7 @@ func (w *Watch) round() bool {
 	if err == nil && tick == old.tick {
 		return true // coalesced, spurious or unrelated wakeup; nothing new
 	}
-	var since *uint64
-	if w.p.Mode != ModeRule { // a rule round re-executes in full: no delta to bind
-		since = &old.tick
-	}
-	b, err := w.st.bind(since)
+	m, advanced, err := w.st.refresh(w.ctx, old, old.cfg, old.plan)
 	if errors.Is(err, ErrUnknownRelation) {
 		// A referenced relation is gone. Queries would fail now, but the
 		// drop may be the first half of a drop+recreate reload: keep the
@@ -307,34 +274,23 @@ func (w *Watch) round() bool {
 		w.fail(err)
 		return false
 	}
-	m, round, err := w.st.refresh(w.ctx, old, b, w.cfg, w.p)
-	if err != nil {
-		w.fail(err)
-		return false
-	}
 	d := WatchDelta{Tick: m.tick, OK: m.res.OK}
-	if round == nil {
+	if !advanced {
 		// A full execution replaces the materialization; the consumer
 		// replaces its state too.
-		w.own(m)
 		d.Resync, d.Rows, d.Tables = true, sortedRows(m.res.Rel), m.res.Tables
-	} else if round.Delta != nil {
-		// Merge the round into the materialization in place: the rows it
-		// appends are the genuinely new ones.
-		n := w.mat.Size()
-		w.mat.InsertAll(round.Delta)
-		if w.mat.Size() > n {
-			d.Rows = sortedRows(w.mat.SnapshotFrom(w.mat.Name, n))
-			m.res.Rel = w.mat.Snapshot(w.mat.Name)
-		}
+	} else if n := old.res.Size(); m.res.Size() > n {
+		// The round grew the answer in place: the rows past the old answer's
+		// are the genuinely new ones.
+		d.Rows = sortedRows(m.res.Rel.SnapshotFrom(m.res.Rel.Name, n))
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.memo = m
-	if round == nil {
-		w.stats.FullRounds++
-	} else {
+	if advanced {
 		w.stats.IncrRounds++
+	} else {
+		w.stats.FullRounds++
 	}
 	if d.Resync || d.Rows != nil || d.OK != old.res.OK {
 		w.sendLocked(d)
