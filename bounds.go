@@ -6,6 +6,7 @@ import (
 
 	"panda/internal/bounds"
 	"panda/internal/flow"
+	"panda/internal/plan"
 )
 
 // BoundReport collects the size-bound hierarchy of a query under given
@@ -18,23 +19,11 @@ type BoundReport struct {
 	Polymatroid   *big.Rat // DAPB(Q): max h([n]) over Γn ∩ HDC
 }
 
-// toFlowDCs converts public constraints, validating them.
-func toFlowDCs(s *Schema, dcs []Constraint) ([]flow.DC, error) {
-	out := make([]flow.DC, len(dcs))
-	for i, c := range dcs {
-		if err := c.Validate(s.NumVars); err != nil {
-			return nil, err
-		}
-		out[i] = flow.DC{X: c.X, Y: c.Y, LogN: c.LogN}
-	}
-	return out, nil
-}
-
 // Bounds computes the size-bound hierarchy for a full conjunctive query.
 // Cardinality-only bounds (AGM, integral cover) are computed when every
 // constraint is a cardinality constraint.
 func Bounds(q *Query, dcs []Constraint) (*BoundReport, error) {
-	fdcs, err := toFlowDCs(&q.Schema, dcs)
+	fdcs, err := plan.FlowDCs(&q.Schema, dcs)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +73,7 @@ func Bounds(q *Query, dcs []Constraint) (*BoundReport, error) {
 // RuleBound computes the polymatroid bound LogSizeBound_{Γn∩HDC}(P) of a
 // disjunctive datalog rule (Theorem 1.5's Eq. 9), exactly.
 func RuleBound(p *Rule, dcs []Constraint) (*big.Rat, error) {
-	fdcs, err := toFlowDCs(&p.Schema, dcs)
+	fdcs, err := plan.FlowDCs(&p.Schema, dcs)
 	if err != nil {
 		return nil, err
 	}

@@ -49,14 +49,10 @@ type DB struct {
 	version  uint64                        // bumped on every catalog mutation
 	defaults config
 	closed   bool
-
-	// Watch maintainers register a wakeup channel here; every catalog
-	// mutation (and Close) pokes each one with a non-blocking send. The
-	// registry is guarded by its own mutex so notification never contends
-	// with the catalog lock.
-	watchMu   sync.Mutex
-	watchers  map[uint64]chan struct{}
-	nextWatch uint64
+	// changed is closed, and replaced, at every version bump, and closed for
+	// good by Close: a watch that read it before looking at the catalog
+	// wakes on the first write after that look (see changes).
+	changed chan struct{}
 
 	// planLoad records what Open's WithPlanDir warm-load did, so embedders
 	// (pandad's boot log) can surface skipped or failed snapshots instead
@@ -157,6 +153,7 @@ func Open(opts ...Option) *DB {
 		planner:  plan.NewPlanner(cfg.plannerCap),
 		catalog:  map[string]*relation.Relation{},
 		defaults: cfg,
+		changed:  make(chan struct{}),
 	}
 	if cfg.planDir != "" {
 		// Warm-load is best-effort by design: a fresh directory has no
@@ -180,13 +177,14 @@ func (db *DB) PlanLoadResult() (PlanCacheLoadStats, error) {
 // return ErrClosed. Closing an already-closed DB is a no-op.
 func (db *DB) Close() error {
 	db.mu.Lock()
+	defer db.mu.Unlock()
+	if !db.closed {
+		// Wake every watch so it observes the closed session and ends
+		// instead of waiting for a write that will never come.
+		close(db.changed)
+	}
 	db.closed = true
 	db.catalog = nil
-	db.mu.Unlock()
-	// Wake every watch maintainer so it observes the closed session and
-	// terminates instead of blocking until the next mutation (which will
-	// never come).
-	db.notifyWatchers()
 	return nil
 }
 
@@ -306,14 +304,25 @@ func insertRows(t *relation.Relation, rows [][]Value) (added bool) {
 }
 
 // mutatedLocked publishes a catalog mutation: it advances the version,
-// stamps the changed relation with it (nil for a drop) and wakes the watch
-// maintainers. Callers hold db.mu.
+// stamps the changed relation with it (nil for a drop) and wakes every watch
+// by closing the change channel, installing a fresh one for the next write.
+// Callers hold db.mu.
 func (db *DB) mutatedLocked(t *relation.Relation) {
 	db.version++
 	if t != nil {
 		t.Stamp(db.version)
 	}
-	db.notifyWatchers()
+	close(db.changed)
+	db.changed = make(chan struct{})
+}
+
+// changes returns the channel the next catalog mutation (or Close) closes.
+// Reading it before a look at the catalog is what makes a wakeup sound: any
+// write after the look closes the channel read before it.
+func (db *DB) changes() <-chan struct{} {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.changed
 }
 
 // Relations lists the catalog, sorted by name. It fails with ErrClosed
@@ -395,38 +404,26 @@ func (db *DB) LoadCSVContext(ctx context.Context, name string, r io.Reader) (int
 	if db.closed {
 		return 0, ErrClosed
 	}
-	t := db.catalog[name]
-	if t == nil {
+	t, exists := db.catalog[name]
+	if !exists {
 		if len(rows) == 0 {
 			return 0, fmt.Errorf("relation %s: no rows to infer an arity from", name)
 		}
 		if err := checkArity(len(rows[0])); err != nil {
 			return 0, fmt.Errorf("relation %s line %d: %w", name, lines[0], err)
 		}
-		// A fresh relation gets the bulk path: the whole row set is known, so
-		// build into preallocated columns instead of growing insert by insert.
-		attrs := bitset.Full(len(rows[0]))
-		if err := relation.New(name, attrs).CheckRoom(len(rows)); err != nil {
-			return 0, err
-		}
-		b := relation.NewBuilder(name, attrs, len(rows))
-		for _, row := range rows {
-			b.Add(row)
-		}
-		t = b.Build()
-		db.catalog[name] = t
+		// A fresh relation is preallocated for the whole row set.
+		t = relation.NewBuilder(name, bitset.Full(len(rows[0])), len(rows)).Build()
+	} else if len(rows) > 0 && len(rows[0]) != t.Attrs().Card() {
+		return 0, fmt.Errorf("%w: relation %s line %d: %d fields, want %d",
+			ErrArity, name, lines[0], len(rows[0]), t.Attrs().Card())
+	}
+	if err := t.CheckRoom(len(rows)); err != nil {
+		return 0, err
+	}
+	if insertRows(t, rows) {
+		db.catalog[name] = t // a fresh relation enters the catalog here
 		db.mutatedLocked(t)
-	} else {
-		if len(rows) > 0 && len(rows[0]) != t.Attrs().Card() {
-			return 0, fmt.Errorf("%w: relation %s line %d: %d fields, want %d",
-				ErrArity, name, lines[0], len(rows[0]), t.Attrs().Card())
-		}
-		if err := t.CheckRoom(len(rows)); err != nil {
-			return 0, err
-		}
-		if insertRows(t, rows) {
-			db.mutatedLocked(t)
-		}
 	}
 	return len(rows), nil
 }
@@ -547,44 +544,7 @@ func (db *DB) SnapshotPlans() error {
 	return os.Rename(tmp.Name(), filepath.Join(dir, PlanSnapshotFile))
 }
 
-// ---- Mutation notification & per-relation ticks ----
-
-// registerWatcher adds a wakeup channel to the notification registry and
-// returns its id. The channel has capacity 1 and is poked with non-blocking
-// sends, so a slow consumer coalesces bursts instead of backing up mutators.
-func (db *DB) registerWatcher() (uint64, chan struct{}) {
-	ch := make(chan struct{}, 1)
-	db.watchMu.Lock()
-	defer db.watchMu.Unlock()
-	if db.watchers == nil {
-		db.watchers = map[uint64]chan struct{}{}
-	}
-	db.nextWatch++
-	id := db.nextWatch
-	db.watchers[id] = ch
-	return id, ch
-}
-
-// unregisterWatcher removes a wakeup channel from the registry.
-func (db *DB) unregisterWatcher(id uint64) {
-	db.watchMu.Lock()
-	defer db.watchMu.Unlock()
-	delete(db.watchers, id)
-}
-
-// notifyWatchers pokes every registered watch maintainer. Sends are
-// non-blocking: a maintainer that has not yet drained its previous poke
-// already knows it must re-examine the catalog.
-func (db *DB) notifyWatchers() {
-	db.watchMu.Lock()
-	defer db.watchMu.Unlock()
-	for _, ch := range db.watchers {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
+// ---- Per-relation ticks ----
 
 // schemaTick reports the catalog tick a statement over s depends on: the
 // max per-relation tick across the relations the schema actually
@@ -787,40 +747,42 @@ func (db *DB) eval(ctx context.Context, q *Query, r *Rule, ins *Instance, dcs []
 	return execute(ctx, p, ins, cfg, prepWait)
 }
 
-// execute runs p over ins in full and shapes the one Result: a rule's answer
-// is its model Tables, a query's its Rel over the free variables. prepWait is
-// what planning p cost the call (Timings.PrepareWait).
+// execute runs p over ins in full; prepWait is what planning p cost the call.
 func execute(ctx context.Context, p *plan.Plan, ins *Instance, cfg config, prepWait time.Duration) (*Result, error) {
 	ex, err := cfg.executor().Execute(ctx, p, ins)
 	if err != nil {
 		return nil, err
 	}
+	return answer(p, ex, prepWait), nil
+}
+
+// answer shapes the one Result of every path that answers — a full execution
+// and a maintenance round alike: Width, Mode, Bound, Signature and the names
+// of Rel's columns (the plan's free variables in ascending order) come from
+// p, the plan that answered; the rows (a rule's model Tables, a query's Rel
+// over the free variables), OK and the work done from ex. prepWait is what
+// planning p cost the call (Timings.PrepareWait).
+func answer(p *plan.Plan, ex *core.ExecResult, prepWait time.Duration) *Result {
 	if ex.Timings != nil {
 		ex.Timings.PrepareWait = prepWait
 	}
+	var cols []string
+	if ex.Out != nil {
+		cols = make([]string, 0, p.Free.Card())
+		for _, v := range p.Free.Vars() {
+			cols = append(cols, p.Schema.VarLabel(bitset.Of(v)))
+		}
+	}
 	return &Result{
 		Rel:       ex.Out,
-		Columns:   columnsOf(p, ex.Out),
+		Columns:   cols,
 		OK:        ex.NonEmpty,
-		Width:     ex.Width,
-		Mode:      ex.Mode,
+		Width:     p.Width,
+		Mode:      p.Mode,
 		Tables:    ex.Tables,
-		Bound:     ex.Bound,
+		Bound:     p.Bound(),
 		Stats:     ex.Stats,
 		Signature: SignatureDigest(p.Key),
 		Timings:   ex.Timings,
-	}, nil
-}
-
-// columnsOf names the output relation's columns — the plan's free variables
-// in ascending order — or nil when there is no output relation.
-func columnsOf(p *plan.Plan, out *Relation) []string {
-	if out == nil {
-		return nil
 	}
-	var cols []string
-	for _, v := range p.Free.Vars() {
-		cols = append(cols, p.Schema.VarLabel(bitset.Of(v)))
-	}
-	return cols
 }

@@ -387,8 +387,7 @@ func TestDuplicateOnlyWriteIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	id, wake := db.registerWatcher()
-	defer db.unregisterWatcher(id)
+	wake := db.changes()
 	version := func() uint64 {
 		db.mu.RLock()
 		defer db.mu.RUnlock()

@@ -30,9 +30,6 @@ func Singleton(v int) Set { return 1 << uint(v) }
 // Card returns |s|.
 func (s Set) Card() int { return bits.OnesCount32(uint32(s)) }
 
-// Empty reports whether s = ∅.
-func (s Set) Empty() bool { return s == 0 }
-
 // Contains reports whether v ∈ s.
 func (s Set) Contains(v int) bool { return s&(1<<uint(v)) != 0 }
 
@@ -78,19 +75,6 @@ func (s Set) Min() int {
 		return -1
 	}
 	return bits.TrailingZeros32(uint32(s))
-}
-
-// Subsets calls fn on every subset of s (including ∅ and s itself).
-// Enumeration is in increasing mask order restricted to s.
-func (s Set) Subsets(fn func(Set)) {
-	sub := Set(0)
-	for {
-		fn(sub)
-		if sub == s {
-			return
-		}
-		sub = (sub - s) & s
-	}
 }
 
 // String renders s using the default variable names A0, A1, ….

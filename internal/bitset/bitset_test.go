@@ -84,33 +84,6 @@ func TestAddRemoveContains(t *testing.T) {
 	}
 }
 
-func TestSubsetsEnumeration(t *testing.T) {
-	s := Of(0, 2, 3)
-	var count int
-	seen := map[Set]bool{}
-	s.Subsets(func(sub Set) {
-		count++
-		if !sub.SubsetOf(s) {
-			t.Errorf("enumerated non-subset %v of %v", sub, s)
-		}
-		if seen[sub] {
-			t.Errorf("duplicate subset %v", sub)
-		}
-		seen[sub] = true
-	})
-	if count != 8 {
-		t.Fatalf("enumerated %d subsets, want 8", count)
-	}
-}
-
-func TestSubsetsOfEmpty(t *testing.T) {
-	var count int
-	Set(0).Subsets(func(Set) { count++ })
-	if count != 1 {
-		t.Fatalf("∅ has %d subsets, want 1", count)
-	}
-}
-
 func TestMin(t *testing.T) {
 	if Set(0).Min() != -1 {
 		t.Errorf("Min(∅) = %d", Set(0).Min())

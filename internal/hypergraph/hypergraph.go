@@ -25,21 +25,6 @@ func New(n int, edges ...bitset.Set) *Hypergraph {
 	return &Hypergraph{N: n, Edges: append([]bitset.Set(nil), edges...)}
 }
 
-// Vertices returns the full vertex set [n].
-func (h *Hypergraph) Vertices() bitset.Set { return bitset.Full(h.N) }
-
-// Restrict returns H_B = (B, {F ∩ B | F ∈ E}) per Definition 2.7, with
-// empty intersections dropped.
-func (h *Hypergraph) Restrict(b bitset.Set) *Hypergraph {
-	r := &Hypergraph{N: h.N}
-	for _, e := range h.Edges {
-		if x := e.Intersect(b); x != 0 {
-			r.Edges = append(r.Edges, x)
-		}
-	}
-	return r
-}
-
 // CoversAll reports whether every vertex of [n] appears in some edge.
 func (h *Hypergraph) CoversAll() bool {
 	var u bitset.Set
@@ -102,17 +87,6 @@ func (d *Decomposition) Validate(h *Hypergraph) error {
 		}
 	}
 	return nil
-}
-
-// Width returns max over bags of g(bag) for a caller-supplied bag cost.
-func (d *Decomposition) Width(g func(bitset.Set) float64) float64 {
-	best := 0.0
-	for _, b := range d.Bags {
-		if w := g(b); w > best {
-			best = w
-		}
-	}
-	return best
 }
 
 // key returns a canonical identifier of the decomposition's bag set.
@@ -322,53 +296,6 @@ func (h *Hypergraph) AllDecompositions() ([]*Decomposition, error) {
 		}
 	}
 	return out, nil
-}
-
-// JoinTree builds a join tree over the given relation schemas if they form
-// an α-acyclic hypergraph, using GYO elimination. Parent[i] = −1 marks the
-// root. Returns an error when the schema set is cyclic.
-func JoinTree(schemas []bitset.Set) ([]int, error) {
-	n := len(schemas)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	removed := make([]bool, n)
-	remaining := n
-	for remaining > 1 {
-		progress := false
-		for i := 0; i < n && remaining > 1; i++ {
-			if removed[i] {
-				continue
-			}
-			// Vertices of i appearing in other remaining schemas.
-			var shared bitset.Set
-			for j := 0; j < n; j++ {
-				if j == i || removed[j] {
-					continue
-				}
-				shared = shared.Union(schemas[i].Intersect(schemas[j]))
-			}
-			// i is an ear if its shared part fits inside a single other
-			// remaining schema, which becomes its parent ("witness").
-			for j := 0; j < n; j++ {
-				if j == i || removed[j] {
-					continue
-				}
-				if shared.SubsetOf(schemas[j]) {
-					parent[i] = j
-					removed[i] = true
-					remaining--
-					progress = true
-					break
-				}
-			}
-		}
-		if !progress {
-			return nil, fmt.Errorf("hypergraph: schemas are not α-acyclic")
-		}
-	}
-	return parent, nil
 }
 
 // maxTransversals bounds the output of MinimalTransversals.

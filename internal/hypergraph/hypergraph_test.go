@@ -19,20 +19,6 @@ func triangle() *Hypergraph {
 	return New(3, bitset.Of(0, 1), bitset.Of(1, 2), bitset.Of(0, 2))
 }
 
-func TestRestrict(t *testing.T) {
-	h := fourCycle()
-	r := h.Restrict(bitset.Of(0, 1, 2))
-	want := []bitset.Set{bitset.Of(0, 1), bitset.Of(1, 2), bitset.Of(2), bitset.Of(0)}
-	if len(r.Edges) != len(want) {
-		t.Fatalf("Restrict edges = %v", r.Edges)
-	}
-	for i := range want {
-		if r.Edges[i] != want[i] {
-			t.Fatalf("Restrict edges = %v, want %v", r.Edges, want)
-		}
-	}
-}
-
 func TestFromOrderingValid(t *testing.T) {
 	h := fourCycle()
 	d := h.FromOrdering([]int{0, 1, 2, 3})
@@ -113,55 +99,6 @@ func TestSixCycleDecompositionCount(t *testing.T) {
 				t.Fatalf("non-triangle bag %v", b)
 			}
 		}
-	}
-}
-
-func TestWidth(t *testing.T) {
-	d := &Decomposition{Bags: []bitset.Set{bitset.Of(0, 1, 2), bitset.Of(2, 3)}, Parent: []int{-1, 0}}
-	w := d.Width(func(b bitset.Set) float64 { return float64(b.Card()) })
-	if w != 3 {
-		t.Fatalf("Width = %v, want 3", w)
-	}
-}
-
-func TestJoinTreeAcyclic(t *testing.T) {
-	// A path schema is acyclic.
-	schemas := []bitset.Set{bitset.Of(0, 1), bitset.Of(1, 2), bitset.Of(2, 3)}
-	parent, err := JoinTree(schemas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := 0
-	for i, p := range parent {
-		if p == -1 {
-			roots++
-		} else if p == i {
-			t.Fatalf("self-parent at %d", i)
-		}
-	}
-	if roots != 1 {
-		t.Fatalf("join tree has %d roots, want 1: %v", roots, parent)
-	}
-}
-
-func TestJoinTreeCyclic(t *testing.T) {
-	if _, err := JoinTree(triangle().Edges); err == nil {
-		t.Fatal("triangle schemas should not have a join tree")
-	}
-	if _, err := JoinTree(fourCycle().Edges); err == nil {
-		t.Fatal("4-cycle schemas should not have a join tree")
-	}
-}
-
-func TestJoinTreeBags(t *testing.T) {
-	// Bags of a 4-cycle tree decomposition are acyclic.
-	schemas := []bitset.Set{bitset.Of(0, 1, 2), bitset.Of(0, 2, 3)}
-	parent, err := JoinTree(schemas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parent) != 2 {
-		t.Fatalf("parent = %v", parent)
 	}
 }
 

@@ -238,7 +238,9 @@ func checkGuards(s *query.Schema, cons []query.DegreeConstraint) error {
 	return nil
 }
 
-func toFlowDCs(s *query.Schema, dcs []query.DegreeConstraint) ([]flow.DC, error) {
+// FlowDCs validates degree constraints over s and converts them to the
+// flow package's form, the one conversion every bound and plan LP reads.
+func FlowDCs(s *query.Schema, dcs []query.DegreeConstraint) ([]flow.DC, error) {
 	out := make([]flow.DC, len(dcs))
 	for i, c := range dcs {
 		if err := c.Validate(s.NumVars); err != nil {
@@ -296,7 +298,7 @@ func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstr
 			return &PreparedRule{Targets: targets, Trivial: true, Bound: new(big.Rat)}, nil
 		}
 	}
-	fdcs, err := toFlowDCs(s, cons)
+	fdcs, err := FlowDCs(s, cons)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +407,7 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 		}
 		p.TDBags = append(p.TDBags, idxs)
 	}
-	fdcs, err := toFlowDCs(&q.Schema, cons)
+	fdcs, err := FlowDCs(&q.Schema, cons)
 	if err != nil {
 		return nil, bs, err
 	}

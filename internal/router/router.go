@@ -78,7 +78,8 @@ type Config struct {
 	ProbeEvery time.Duration
 	// ProxyTimeout caps each proxied attempt (default 30s).
 	ProxyTimeout time.Duration
-	// Client overrides the HTTP client (tests inject one).
+	// Client overrides the HTTP client (tests inject one). The default
+	// keeps maxIdleConnsPerTier idle connections per tier.
 	Client *http.Client
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
@@ -241,6 +242,12 @@ type Router struct {
 // ingest bodies are the big ones and 64 MiB matches pandad's import cap).
 const maxProxyBodyBytes = 64 << 20
 
+// maxIdleConnsPerTier is how many idle connections the default client keeps
+// open to each replica and to the planner. http.DefaultTransport keeps 2, so
+// past two concurrent reads to one replica every read would dial a
+// connection and close it afterwards.
+const maxIdleConnsPerTier = 64
+
 // defaultPlannedCap bounds the planned-shape memo.
 const defaultPlannedCap = 1 << 16
 
@@ -263,7 +270,9 @@ func New(cfg Config) (*Router, error) {
 		cfg.ProxyTimeout = 30 * time.Second
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = maxIdleConnsPerTier
+		cfg.Client = &http.Client{Transport: tr}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}

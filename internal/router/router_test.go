@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -642,4 +643,69 @@ func TestRouterMemoizedShapeUnaffectedByHungWarmup(t *testing.T) {
 		t.Fatalf("memoized query during warm-up: %d", resp.StatusCode)
 	}
 	<-stalled
+}
+
+// TestRouterReusesReplicaConnections: the router built without a Config.Client
+// keeps enough idle connections per replica that rounds of concurrent reads
+// reuse the connections the first round dialled. With two idle connections
+// per host (http.DefaultTransport's), every round past the first would dial
+// all but two of its reads afresh.
+func TestRouterReusesReplicaConnections(t *testing.T) {
+	const readers, rounds = 8, 5
+	planner := newFakePlanner(t)
+	var dials atomic.Int64
+	replica := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			time.Sleep(20 * time.Millisecond) // keep the round's reads in flight together
+		}
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, `{"status":"ok","catalog_epoch":0}`)
+	}))
+	replica.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	replica.Start()
+	t.Cleanup(replica.Close)
+	r, err := New(Config{
+		Replicas:   []string{replica.URL},
+		Planner:    planner.ts.URL,
+		PushEvery:  time.Hour,
+		ProbeEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	front := httptest.NewServer(r)
+	t.Cleanup(front.Close)
+
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(front.URL+"/v1/query", "application/json",
+					strings.NewReader(fmt.Sprintf(`{"query":%q}`, triangleSrc)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("round %d: status %d", round, resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// The first round dials at most one connection per reader; later rounds
+	// may each lose a connection to a race with its return to the idle pool.
+	if got := dials.Load(); got > readers+rounds {
+		t.Fatalf("%d rounds of %d concurrent reads dialled the replica %d times, want at most %d",
+			rounds, readers, got, readers+rounds)
+	}
 }

@@ -322,8 +322,7 @@ func (s *Server) stmt(src string) (*panda.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stmts.put(src, st)
-	return st, nil
+	return s.stmts.put(src, st), nil
 }
 
 // ---- /v1/query ----

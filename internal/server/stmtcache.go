@@ -53,17 +53,17 @@ func (c *stmtCache) get(src string) (*panda.Stmt, bool) {
 	return el.Value.(*stmtEntry).stmt, true
 }
 
-// put caches a statement, evicting the least recently used entry beyond
-// capacity. Concurrent misses for the same text may both prepare and put;
-// the second put wins, which is harmless — both statements plan through
-// the same session planner.
-func (c *stmtCache) put(src string, st *panda.Stmt) {
+// put caches a statement and returns the one the cache holds for src,
+// evicting the least recently used entry beyond capacity. Concurrent misses
+// for the same text may both prepare and put; the first put wins and every
+// caller gets its statement, so one text has one result memo and one refresh
+// in flight.
+func (c *stmtCache) put(src string, st *panda.Stmt) *panda.Stmt {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.index[src]; ok {
-		el.Value.(*stmtEntry).stmt = st
 		c.ll.MoveToFront(el)
-		return
+		return el.Value.(*stmtEntry).stmt
 	}
 	c.index[src] = c.ll.PushFront(&stmtEntry{src: src, stmt: st})
 	for c.ll.Len() > c.cap {
@@ -71,6 +71,7 @@ func (c *stmtCache) put(src string, st *panda.Stmt) {
 		c.ll.Remove(back)
 		delete(c.index, back.Value.(*stmtEntry).src)
 	}
+	return st
 }
 
 // snapshot reports (entries, hits, misses) for the metrics endpoint.

@@ -48,15 +48,9 @@ func order(parent []int) ([]int, error) {
 	return out, nil
 }
 
-// FullReduce runs the two semijoin passes over the join tree, returning
-// globally consistent copies of the relations. rels[i]'s parent is
-// rels[parent[i]]; parent[root] = −1. It is FullReduceContext without
-// cancellation.
-func FullReduce(rels []*relation.Relation, parent []int) ([]*relation.Relation, error) {
-	return FullReduceContext(context.Background(), rels, parent)
-}
-
-// FullReduceContext is FullReduce checking ctx between semijoins, so a
+// FullReduceContext runs the two semijoin passes over the join tree,
+// returning globally consistent copies of the relations. rels[i]'s parent is
+// rels[parent[i]]; parent[root] = −1. It checks ctx between semijoins, so a
 // cancelled context aborts a large reduction between relational operations
 // rather than only at pass boundaries.
 func FullReduceContext(ctx context.Context, rels []*relation.Relation, parent []int) ([]*relation.Relation, error) {
@@ -91,7 +85,7 @@ func FullReduceContext(ctx context.Context, rels []*relation.Relation, parent []
 	return out, nil
 }
 
-// Join computes the full acyclic join: FullReduce then bottom-up joins.
+// Join computes the full acyclic join: FullReduceContext then bottom-up joins.
 // With the reducer applied first, every intermediate result stays within
 // input + output size (Yannakakis's guarantee). It is JoinContext without
 // cancellation.

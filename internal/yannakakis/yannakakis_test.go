@@ -1,6 +1,7 @@
 package yannakakis
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -33,7 +34,7 @@ func path3() ([]*relation.Relation, []int) {
 
 func TestFullReduce(t *testing.T) {
 	rels, parent := path3()
-	red, err := FullReduce(rels, parent)
+	red, err := FullReduceContext(context.Background(), rels, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestFullReduce(t *testing.T) {
 	}
 	// Originals untouched.
 	if rels[0].Size() != 2 {
-		t.Fatal("FullReduce mutated input")
+		t.Fatal("FullReduceContext mutated input")
 	}
 }
 
@@ -79,13 +80,13 @@ func TestNonEmpty(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	rels, _ := path3()
-	if _, err := FullReduce(rels, []int{-1, 0}); err == nil {
+	if _, err := FullReduceContext(context.Background(), rels, []int{-1, 0}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := FullReduce(rels, []int{1, 2, 1}); err == nil {
+	if _, err := FullReduceContext(context.Background(), rels, []int{1, 2, 1}); err == nil {
 		t.Fatal("cycle accepted (no root)")
 	}
-	if _, err := FullReduce(rels, []int{-1, 2, 1}); err == nil {
+	if _, err := FullReduceContext(context.Background(), rels, []int{-1, 2, 1}); err == nil {
 		t.Fatal("unreachable cycle accepted")
 	}
 }
@@ -125,7 +126,7 @@ func TestIntermediateSizesBounded(t *testing.T) {
 	}
 	r.Insert([]relation.Value{0, 1})
 	s.Insert([]relation.Value{1, 5})
-	red, err := FullReduce([]*relation.Relation{r, s}, []int{1, -1})
+	red, err := FullReduceContext(context.Background(), []*relation.Relation{r, s}, []int{1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"panda/internal/core"
 	"panda/internal/incr"
 	"panda/internal/plan"
 	"panda/internal/query"
@@ -76,7 +77,8 @@ type Stmt struct {
 // catalog state it answers: the schema tick and the creation tick of the
 // catalog relation each atom read (a tick, so a memo keeps no dropped
 // relation alive). A Stmt and a Watch each keep one, and each advances it one
-// refresh at a time.
+// refresh at a time; a Watch also wakes on the catalog's change channel to
+// take that refresh, where a Stmt takes it when a caller finds the memo stale.
 type memo struct {
 	res  *Result
 	plan *plan.Plan
@@ -218,7 +220,9 @@ func (st *Stmt) current(cfg config) (*memo, *Result, error) {
 // grew — the rows since its tick are bound and every atom reads the relation
 // old read — it runs one semi-naive round (incr.Advance), merges it into the
 // relation old grows and reports that it advanced. Otherwise it executes the
-// plan in full.
+// plan in full. Either way the answer is shaped by answer, the one Result
+// constructor, from the plan that ran: a round's Mode, Width, Bound,
+// Signature and Columns are a full execution's by construction.
 func (st *Stmt) refresh(ctx context.Context, old *memo, cfg config, p *plan.Plan) (*memo, bool, error) {
 	var since *uint64
 	if old != nil && old.cfg == cfg && st.res.Conj != nil {
@@ -249,20 +253,12 @@ func (st *Stmt) refresh(ctx context.Context, old *memo, cfg config, p *plan.Plan
 	if err != nil {
 		return nil, false, err
 	}
-	if round.Timings != nil {
-		round.Timings.PrepareWait = prepWait
-	}
-	next.res = &Result{
-		Rel:       old.res.Rel,
-		Columns:   old.res.Columns,
-		OK:        old.res.OK || round.NonEmpty,
-		Width:     p.Width,
-		Mode:      p.Mode,
-		Bound:     p.Bound(),
-		Stats:     round.Stats,
-		Signature: SignatureDigest(p.Key),
-		Timings:   round.Timings,
-	}
+	next.res = answer(p, &core.ExecResult{
+		Out:      old.res.Rel,
+		NonEmpty: old.res.OK || round.NonEmpty,
+		Stats:    round.Stats,
+		Timings:  round.Timings,
+	}, prepWait)
 	next.grow(old.rows, round.Delta)
 	return next, true, nil
 }

@@ -25,6 +25,13 @@ import (
 // round, and every emission carries the complete model with Resync set.
 // Between rounds a watch holds its materialization, its pinned plan and the
 // creation tick of the relation each atom read — no copy of what it reads.
+//
+// A watch wakes on the catalog's change channel (DB.changes), which every
+// write that advances the catalog version closes and replaces, and Close
+// closes for good. The watch reads the channel before each look at the
+// catalog — before its open-time refresh and before every round — so a write
+// after a look always wakes a round, a burst of writes wakes one, and a write
+// that adds no tuple wakes none. The DB keeps no list of watches.
 
 // DefaultWatchQueue is the delta-channel capacity a watch opens with when
 // WithWatchQueue is not given.
@@ -83,11 +90,10 @@ type Watch struct {
 	db *DB
 	st *Stmt
 
-	deltas  chan WatchDelta
-	done    chan struct{}
-	ctx     context.Context // cancelled by Close alone
-	cancel  context.CancelFunc
-	watchID uint64
+	deltas chan WatchDelta
+	done   chan struct{}
+	ctx    context.Context // cancelled by Close alone
+	cancel context.CancelFunc
 
 	// Shared state, guarded by mu. The maintainer is its only writer — the
 	// one refresh in flight on memo — so it reads memo without the lock.
@@ -129,34 +135,25 @@ func (st *Stmt) Watch(opts ...Option) (*Watch, error) {
 	// what plan pinning means), correctness is not.
 	cfg.core.DisableBudget = true
 
-	// Register for mutation wakeups before snapshotting, so a mutation
-	// landing between the snapshot and the loop start still pokes the
-	// (buffered) wake channel and the first round catches it up.
-	id, wake := st.db.registerWatcher()
-	started := false
-	defer func() {
-		if !started {
-			st.db.unregisterWatcher(id)
-		}
-	}()
-
+	// The wakeup is the catalog's change channel, read before the catalog
+	// is: a write that lands after the open-time refresh looked has closed
+	// this channel, so the first round catches it up.
+	changed := st.db.changes()
 	m, _, err := st.refresh(context.Background(), nil, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Watch{
-		db:      st.db,
-		st:      st,
-		deltas:  make(chan WatchDelta, queue),
-		done:    make(chan struct{}),
-		ctx:     ctx,
-		cancel:  cancel,
-		watchID: id,
-		memo:    m,
+		db:     st.db,
+		st:     st,
+		deltas: make(chan WatchDelta, queue),
+		done:   make(chan struct{}),
+		ctx:    ctx,
+		cancel: cancel,
+		memo:   m,
 	}
-	started = true
-	go w.loop(wake)
+	go w.loop(changed)
 	return w, nil
 }
 
@@ -223,9 +220,12 @@ func (w *Watch) Close() error {
 
 // ---- Maintainer ----
 
-func (w *Watch) loop(wake chan struct{}) {
+// loop runs a round each time the catalog changes, until Close or a round
+// ends the watch. It reads the next change channel before the round looks at
+// the catalog, so writes during a round wake the next one, and a burst of
+// writes wakes one round.
+func (w *Watch) loop(changed <-chan struct{}) {
 	defer func() {
-		w.db.unregisterWatcher(w.watchID)
 		close(w.deltas)
 		close(w.done)
 	}()
@@ -233,7 +233,8 @@ func (w *Watch) loop(wake chan struct{}) {
 		select {
 		case <-w.ctx.Done():
 			return
-		case <-wake:
+		case <-changed:
+			changed = w.db.changes()
 			if !w.round() {
 				return
 			}

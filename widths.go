@@ -3,6 +3,7 @@ package panda
 import (
 	"math/big"
 
+	"panda/internal/plan"
 	"panda/internal/widths"
 )
 
@@ -36,7 +37,7 @@ func Widths(q *Query) (*WidthReport, error) {
 // DaFhtw computes the degree-aware fractional hypertree width of the query
 // under the given constraints (Definition 7.6), in log₂ units.
 func DaFhtw(q *Query, dcs []Constraint) (*big.Rat, error) {
-	fdcs, err := toFlowDCs(&q.Schema, dcs)
+	fdcs, err := plan.FlowDCs(&q.Schema, dcs)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +48,7 @@ func DaFhtw(q *Query, dcs []Constraint) (*big.Rat, error) {
 // given constraints (Definition 7.6), in log₂ units. PANDA's ModeSubw
 // runtime exponent is governed by this value (Theorem 1.9).
 func DaSubw(q *Query, dcs []Constraint) (*big.Rat, error) {
-	fdcs, err := toFlowDCs(&q.Schema, dcs)
+	fdcs, err := plan.FlowDCs(&q.Schema, dcs)
 	if err != nil {
 		return nil, err
 	}
