@@ -12,9 +12,11 @@ import (
 // BenchmarkRestartC4BoolWorst executes the Boolean 4-cycle at its submodular
 // width on Example 1.10's adversarial input (m = 256): five Case-4b restarts
 // per execution, each a witness read off the remaining proof steps, a
-// truncation and a rebuilt sequence. It carries CI's allocs/op ceiling — when
-// the restart solved an LP for its witness this was 7,263 allocs/op; an LP
-// creeping back into the execution path blows the ceiling.
+// truncation and a rebuilt sequence, compiled once per rule run for every
+// sibling that restarts at the same step. It carries CI's allocs/op ceiling —
+// when the restart solved an LP for its witness this was 7,263 allocs/op, and
+// 4,874 while every sibling compiled its own child; either creeping back
+// blows the ceiling.
 func BenchmarkRestartC4BoolWorst(b *testing.B) {
 	q := workload.BooleanFourCycle()
 	ins := workload.CycleWorstCase(q, 256)
@@ -41,9 +43,10 @@ func BenchmarkRestartC4BoolWorst(b *testing.B) {
 // `c4-subw` item: every bag's rule decomposes several levels deep, the
 // subproblems' tables travel up as lists, and each bag's lists from every
 // rule are filtered by the four inputs and unioned in one pass. It carries
-// CI's allocs/op and B/op ceilings for the fold and the reduction: a union per
-// recursion level, a copy of the table per input, or a union of the rows the
-// inputs drop creeping back shows here.
+// CI's allocs/op and B/op ceilings for the engine, the fold and the
+// reduction: δ back on the frame (a clone per bucket, big.Rat arithmetic per
+// step), a union per recursion level, a copy of the table per input, or a
+// union of the rows the inputs drop creeping back shows here.
 func BenchmarkExecuteC4Subw(b *testing.B) {
 	q := workload.FourCycleQuery()
 	ins := workload.RandomBinary(rand.New(rand.NewSource(1)), &q.Schema, 120, 18)

@@ -122,14 +122,15 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 		schema:  s,
 	}
 	e.objFloat, _ = pr.Bound.Float64()
+	if len(pr.Zeroed) != len(pr.Seq) {
+		return nil, nil, fmt.Errorf("core: rule has %d zero masks for %d proof steps", len(pr.Zeroed), len(pr.Seq))
+	}
 	// Initial frame: constraints with their guards; supports for the δ
 	// coordinates pick the smallest bound among matching constraints.
 	f := &frame{
 		cons:    make([]rtCon, len(cons)),
 		support: map[flow.Pair]int{},
-		lambda:  pr.Lambda,
-		delta:   pr.Delta.Clone(),
-		seq:     pr.Seq,
+		prog:    &program{lambda: pr.Lambda, delta: pr.Delta, seq: pr.Seq, zeroed: pr.Zeroed},
 	}
 	for i, c := range cons {
 		if c.Guard < 0 || c.Guard >= len(ins.Relations) {
@@ -138,7 +139,7 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 		f.cons[i] = rtCon{x: c.X, y: c.Y, logN: c.LogN, guard: ins.Relations[c.Guard]}
 		f.cons[i].nFloat, _ = c.LogN.Float64()
 	}
-	for p0 := range f.delta {
+	for p0 := range pr.Delta {
 		for i, c := range f.cons {
 			if c.x == p0.X && c.y == p0.Y {
 				f.setSupport(p0, i, f.cons)

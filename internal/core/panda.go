@@ -20,11 +20,16 @@
 // on its way to the answer, however many levels of buckets it came through,
 // and never when the inputs drop it.
 //
-// Executing a plan solves no LP. Every LP belongs to planning (internal/plan);
-// the one thing a restart needs that the plan does not carry — a witness of
-// the inequality the engine is currently at — is read off the proof steps it
-// has not run yet (flow.WitnessOfProof), which prove exactly that inequality.
-// The package imports no simplex, and TestNoSimplexAtRunTime keeps it so.
+// Executing a plan solves no LP, and does no rational arithmetic per step.
+// Every LP belongs to planning (internal/plan), and so does δ's path along a
+// proof sequence: how a step moves δ is fixed by its weight, not by the data,
+// so the engine follows the masks the plan carries (PreparedRule.Zeroed)
+// instead of keeping δ. Only a Case-4b restart needs δ itself; it replays the
+// steps run so far, reads the one thing the plan does not carry — a witness of
+// the inequality the engine is at — off the steps it has not run yet
+// (flow.WitnessOfProof), which prove exactly that inequality, and compiles the
+// truncated child once per rule run for every subproblem that reaches it. The
+// package imports no simplex, and TestNoSimplexAtRunTime keeps it so.
 package core
 
 import (
@@ -196,16 +201,40 @@ type engine struct {
 	stats    *Stats
 	timings  *Timings // nil unless opt.StageTimings
 	schema   *query.Schema
-	restarts int
+	// restarts holds the Case-4b children compiled in this rule run, by the
+	// step that hit them: every subproblem that goes over budget at the same
+	// step of the same program restarts into the same child. It dies with
+	// the run.
+	restarts map[restartSite]*program
 }
 
-// frame is the state of one subproblem.
+// program is a proof sequence ready to interpret: the inequality 〈λ,h〉 ≤
+// 〈δ,h〉 it proves, its steps, and per step which of the coordinates it
+// consumes it leaves at zero (flow.ValidateProof). A rule's program is its
+// PreparedRule's; a Case-4b restart compiles a new one. Frames share programs
+// and never write to them.
+type program struct {
+	lambda, delta flow.Vec
+	seq           flow.ProofSequence
+	zeroed        []uint8
+}
+
+// restartSite is a Case-4b restart's key: the composition step, by program
+// and index, that went over budget.
+type restartSite struct {
+	prog *program
+	step int
+}
+
+// frame is the state of one subproblem: its constraints, the constraint
+// supporting each positive coordinate of δ, and how far into its program it
+// is. δ itself is not kept — the position in the program fixes it, and the
+// program's masks answer all the engine asks of it.
 type frame struct {
 	cons    []rtCon
 	support map[flow.Pair]int // positive δ coordinate → supporting constraint
-	lambda  flow.Vec
-	delta   flow.Vec
-	seq     flow.ProofSequence
+	prog    *program
+	next    int // index in prog.seq of the next step to run
 }
 
 const budgetSlack = 1e-6
@@ -240,17 +269,36 @@ func (f *frame) setSupport(p flow.Pair, con int, cons []rtCon) {
 	f.support[p] = con
 }
 
-func (f *frame) dropIfZero(p flow.Pair) {
-	if f.delta.Get(p).Sign() == 0 {
+// drop forgets p's support when the step just run left δ_p at zero, which
+// the step's mask tells by the given bit.
+func (f *frame) drop(zeroed, bit uint8, p flow.Pair) {
+	if zeroed&bit != 0 {
 		delete(f.support, p)
 	}
+}
+
+// deltaAfter replays the program's first n steps on a copy of its δ: the δ of
+// every frame that has run them. Only a Case-4b restart and the
+// CheckInvariants option need δ itself.
+func (p *program) deltaAfter(n int) (flow.Vec, error) {
+	delta := p.delta.Clone()
+	for _, s := range p.seq[:n] {
+		if err := s.Apply(delta); err != nil {
+			return nil, err
+		}
+	}
+	return delta, nil
 }
 
 // checkInvariants verifies the degree-support invariant (Fig. 8) and the
 // potential inequality (85) exactly.
 func (e *engine) checkInvariants(f *frame) error {
+	delta, err := f.prog.deltaAfter(f.next)
+	if err != nil {
+		return err
+	}
 	potential := new(big.Rat)
-	for p, v := range f.delta {
+	for p, v := range delta {
 		if v.Sign() <= 0 {
 			continue
 		}
@@ -267,7 +315,7 @@ func (e *engine) checkInvariants(f *frame) error {
 		}
 		potential.Add(potential, new(big.Rat).Mul(v, c.logN))
 	}
-	budget := new(big.Rat).Mul(f.lambda.L1(), e.objLog)
+	budget := new(big.Rat).Mul(f.prog.lambda.L1(), e.objLog)
 	if potential.Cmp(budget) > 0 {
 		// Allow the slack introduced by dyadic log rounding.
 		diff, _ := new(big.Rat).Sub(potential, budget).Float64()
@@ -275,7 +323,7 @@ func (e *engine) checkInvariants(f *frame) error {
 			return fmt.Errorf("core: potential %v exceeds ‖λ‖·OBJ = %v", potential, budget)
 		}
 	}
-	if l1 := f.lambda.L1(); l1.Sign() <= 0 || l1.Cmp(big.NewRat(1, 1)) > 0 {
+	if l1 := f.prog.lambda.L1(); l1.Sign() <= 0 || l1.Cmp(big.NewRat(1, 1)) > 0 {
 		return fmt.Errorf("core: invariant (84) violated: ‖λ‖ = %v", l1)
 	}
 	return nil
@@ -309,30 +357,30 @@ func (e *engine) run(f *frame) (tableFold, error) {
 				}
 			}
 		}
-		if len(f.seq) == 0 {
+		if f.next == len(f.prog.seq) {
 			return e.finish(f)
 		}
-		step := f.seq[0]
-		f.seq = f.seq[1:]
+		step, zeroed := f.prog.seq[f.next], f.prog.zeroed[f.next]
+		f.next++
 		e.stats.StepsByKind[step.Kind.String()]++
 		st := e.startStep(step.Kind.String())
 		switch step.Kind {
 		case flow.Submodularity:
-			err := e.stepSubmodularity(f, step)
+			err := e.stepSubmodularity(f, step, zeroed)
 			st.pause()
 			if err != nil {
 				return nil, err
 			}
 		case flow.Monotonicity:
-			err := e.stepMonotonicity(f, step)
+			err := e.stepMonotonicity(f, step, zeroed)
 			st.pause()
 			if err != nil {
 				return nil, err
 			}
 		case flow.Decomposition:
-			return e.stepDecomposition(f, step, st)
+			return e.stepDecomposition(f, step, zeroed, st)
 		case flow.Composition:
-			done, out, err := e.stepComposition(f, step, st)
+			done, out, err := e.stepComposition(f, step, zeroed, st)
 			if err != nil {
 				return nil, err
 			}
@@ -348,7 +396,7 @@ func (e *engine) run(f *frame) (tableFold, error) {
 // guard projects onto the target.
 func (e *engine) finish(f *frame) (tableFold, error) {
 	for _, b := range e.targets {
-		if f.lambda.Get(flow.Marginal(b)).Sign() <= 0 {
+		if f.prog.lambda.Get(flow.Marginal(b)).Sign() <= 0 {
 			continue
 		}
 		ci, ok := f.support[flow.Marginal(b)]
@@ -363,25 +411,21 @@ func (e *engine) finish(f *frame) (tableFold, error) {
 		}
 		return tableFold{b: {t}}, nil
 	}
-	return nil, fmt.Errorf("core: proof sequence exhausted with no deliverable target (λ = %v, δ = %v)",
-		f.lambda, f.delta)
+	return nil, fmt.Errorf("core: proof sequence exhausted with no deliverable target (λ = %v)", f.prog.lambda)
 }
 
 // stepSubmodularity (Case 1): pure bookkeeping — the relation associated
 // with h(I|I∩J) becomes associated with h(I∪J|J); same supporting guard.
-func (e *engine) stepSubmodularity(f *frame, step flow.Step) error {
+func (e *engine) stepSubmodularity(f *frame, step flow.Step, zeroed uint8) error {
 	i, j := step.A, step.B
 	src := flow.Pair{X: i.Intersect(j), Y: i}
 	ci, ok := f.support[src]
 	if !ok {
 		return fmt.Errorf("core: submodularity step %v lacks support for %v", step, src)
 	}
-	if err := step.Apply(f.delta); err != nil {
-		return err
-	}
 	tgt := flow.Pair{X: j, Y: i.Union(j)}
 	f.setSupport(tgt, ci, f.cons)
-	f.dropIfZero(src)
+	f.drop(zeroed, 1, src)
 	if e.opt.Trace {
 		e.tracef("submodularity: %v → %v (guard %s)", src, tgt, f.cons[ci].guard.Name)
 	}
@@ -389,17 +433,14 @@ func (e *engine) stepSubmodularity(f *frame, step flow.Step) error {
 }
 
 // stepMonotonicity (Case 2): h(Y) → h(X) materializes Π_X(guard).
-func (e *engine) stepMonotonicity(f *frame, step flow.Step) error {
+func (e *engine) stepMonotonicity(f *frame, step flow.Step, zeroed uint8) error {
 	x, y := step.A, step.B
 	src := flow.Marginal(y)
 	ci, ok := f.support[src]
 	if !ok {
 		return fmt.Errorf("core: monotonicity step %v lacks support for %v", step, src)
 	}
-	if err := step.Apply(f.delta); err != nil {
-		return err
-	}
-	f.dropIfZero(src)
+	f.drop(zeroed, 1, src)
 	if x == 0 {
 		// h(Y) → h(∅): the term is discarded; nothing to materialize.
 		if e.opt.Trace {
@@ -423,7 +464,7 @@ func (e *engine) stepMonotonicity(f *frame, step flow.Step) error {
 // stepDecomposition (Case 3): h(Y) → h(X) + h(Y|X) partitions the guard by
 // X-degree (Lemma 6.1) and spawns one subproblem per bucket; their tables are
 // handed up target by target, in bucket order, not unioned here.
-func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (tableFold, error) {
+func (e *engine) stepDecomposition(f *frame, step flow.Step, zeroed uint8, st *stepTimer) (tableFold, error) {
 	x, y := step.A, step.B
 	src := flow.Marginal(y)
 	ci, ok := f.support[src]
@@ -438,13 +479,7 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (tab
 		e.tracef("decomposition: partition %s by deg(%s|%s) into %d buckets",
 			g.Name, e.label(y), e.label(x), len(buckets))
 	}
-	// The step moves δ the same way in every subproblem: apply it once — this
-	// frame ends here — and give each child a copy of the result. λ is only
-	// ever read, so the children share it.
-	if err := step.Apply(f.delta); err != nil {
-		st.pause()
-		return nil, err
-	}
+	// Every subproblem goes on with the rest of the same program.
 	out := tableFold{}
 	for _, b := range buckets {
 		bk := b.Rel
@@ -452,9 +487,8 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (tab
 		child := &frame{
 			cons:    make([]rtCon, len(f.cons), len(f.cons)+2),
 			support: make(map[flow.Pair]int, len(f.support)+2),
-			lambda:  f.lambda,
-			delta:   f.delta.Clone(),
-			seq:     f.seq,
+			prog:    f.prog,
+			next:    f.next,
 		}
 		copy(child.cons, f.cons)
 		for p, c := range f.support {
@@ -467,7 +501,7 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (tab
 				child.cons[k].guard = bk
 			}
 		}
-		child.dropIfZero(src)
+		child.drop(zeroed, 1, src)
 		// |Π_X(bucket)| and deg_bucket(Y|X) come with the split.
 		cx := rtCon{x: 0, y: x, logN: query.LogOf(int64(b.Keys)), guard: bk}
 		cx.nFloat, _ = cx.logN.Float64()
@@ -496,7 +530,7 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, st *stepTimer) (tab
 // stepComposition (Case 4): h(X) + h(Y|X) → h(Y). Within budget the join is
 // materialized (4a); over budget the inequality is truncated and the proof
 // sequence rebuilt (4b).
-func (e *engine) stepComposition(f *frame, step flow.Step, st *stepTimer) (bool, tableFold, error) {
+func (e *engine) stepComposition(f *frame, step flow.Step, zeroed uint8, st *stepTimer) (bool, tableFold, error) {
 	x, y := step.A, step.B
 	srcX := flow.Marginal(x)
 	srcYX := flow.Pair{X: x, Y: y}
@@ -518,15 +552,12 @@ func (e *engine) stepComposition(f *frame, step flow.Step, st *stepTimer) (bool,
 		if t.Attrs() != y {
 			return false, nil, fmt.Errorf("core: join schema %v ≠ %v", t.Attrs(), y)
 		}
-		if err := step.Apply(f.delta); err != nil {
-			return false, nil, err
-		}
 		nc := rtCon{x: 0, y: y, logN: query.LogOf(int64(t.Size())), guard: t}
 		nc.nFloat, _ = nc.logN.Float64()
 		f.cons = append(f.cons, nc)
 		f.setSupport(flow.Marginal(y), len(f.cons)-1, f.cons)
-		f.dropIfZero(srcX)
-		f.dropIfZero(srcYX)
+		f.drop(zeroed, 1, srcX)
+		f.drop(zeroed, 2, srcYX)
 		if e.opt.Trace {
 			e.tracef("composition: %s := Π_%s(%s) ⋈ Π_%s(%s), |T| = %d",
 				t.Name, e.label(x), r.Name, e.label(cy.y), s.Name, t.Size())
@@ -540,7 +571,7 @@ func (e *engine) stepComposition(f *frame, step flow.Step, st *stepTimer) (bool,
 		e.tracef("composition: skip join on %v (n=%.3f+%.3f > OBJ=%.3f); truncate at %v",
 			y, cx.nFloat, cy.nFloat, e.objFloat, e.label(y))
 	}
-	child, err := e.truncateAndRestart(f, step, y)
+	child, err := e.restart(f)
 	st.pause()
 	if err != nil {
 		return false, nil, err
@@ -549,26 +580,59 @@ func (e *engine) stepComposition(f *frame, step flow.Step, st *stepTimer) (bool,
 	return true, out, err
 }
 
-// truncateAndRestart builds the Case-4b child frame: the inequality the
-// frame is at — λ against δ after the skipped composition, proved by the
-// steps still in f.seq — is truncated at y (Lemma 5.11) with the witness read
-// off those steps, a fresh proof sequence is constructed, and the supports of
-// the surviving δ coordinates are carried over.
-func (e *engine) truncateAndRestart(f *frame, step flow.Step, y bitset.Set) (*frame, error) {
+// restart builds the Case-4b child frame of f, which has just skipped the
+// composition step f.next−1: the frame starts the child program of that
+// step and carries over the supports of the surviving δ coordinates. The
+// child program depends on the step alone, not on the data, so a rule run
+// compiles it once (program.truncate) and every sibling subproblem that
+// reaches the step over budget shares it.
+func (e *engine) restart(f *frame) (*frame, error) {
 	e.stats.Restarts++
-	e.restarts++
-	if e.restarts > 10000 {
+	if e.stats.Restarts > 10000 {
 		return nil, fmt.Errorf("core: too many Case-4b restarts")
 	}
-	delta := f.delta.Clone()
-	if err := step.Apply(delta); err != nil {
+	site := restartSite{prog: f.prog, step: f.next - 1}
+	child, ok := e.restarts[site]
+	if !ok {
+		var err error
+		if child, err = f.prog.truncate(site.step); err != nil {
+			return nil, err
+		}
+		if e.restarts == nil {
+			e.restarts = map[restartSite]*program{}
+		}
+		e.restarts[site] = child
+	}
+	support := make(map[flow.Pair]int, len(child.delta))
+	for p, v := range child.delta {
+		if v.Sign() <= 0 {
+			continue
+		}
+		ci, ok := f.support[p]
+		if !ok {
+			return nil, fmt.Errorf("core: truncated δ%v lost its support", p)
+		}
+		support[p] = ci
+	}
+	return &frame{cons: f.cons, support: support, prog: child}, nil
+}
+
+// truncate compiles the Case-4b child of composition step i: the inequality
+// a frame is at once it skips the step — λ against δ after it, proved by the
+// steps after it — is truncated at the step's Y (Lemma 5.11) with the witness
+// read off those steps, and a fresh proof sequence is constructed for what is
+// left.
+func (p *program) truncate(i int) (*program, error) {
+	step := p.seq[i]
+	delta, err := p.deltaAfter(i + 1)
+	if err != nil {
 		return nil, err
 	}
-	wit, err := flow.WitnessOfProof(delta, f.seq)
+	wit, err := flow.WitnessOfProof(delta, p.seq[i+1:])
 	if err != nil {
 		return nil, fmt.Errorf("core: case 4b witness: %w", err)
 	}
-	tr, err := flow.Truncate(f.lambda, delta, wit, y, step.W)
+	tr, err := flow.Truncate(p.lambda, delta, wit, step.B, step.W)
 	if err != nil {
 		return nil, fmt.Errorf("core: case 4b truncate: %w", err)
 	}
@@ -579,19 +643,11 @@ func (e *engine) truncateAndRestart(f *frame, step flow.Step, y bitset.Set) (*fr
 	if err != nil {
 		return nil, fmt.Errorf("core: case 4b proof: %w", err)
 	}
-	// Rebuild supports for the surviving coordinates.
-	support := map[flow.Pair]int{}
-	for p, v := range tr.Delta {
-		if v.Sign() <= 0 {
-			continue
-		}
-		if ci, ok := f.support[p]; ok {
-			support[p] = ci
-		} else {
-			return nil, fmt.Errorf("core: truncated δ%v lost its support", p)
-		}
+	zeroed, err := flow.ValidateProof(tr.Lambda, tr.Delta, seq)
+	if err != nil {
+		return nil, fmt.Errorf("core: case 4b proof: %w", err)
 	}
-	return &frame{cons: f.cons, support: support, lambda: tr.Lambda, delta: tr.Delta, seq: seq}, nil
+	return &program{lambda: tr.Lambda, delta: tr.Delta, seq: seq, zeroed: zeroed}, nil
 }
 
 // tableFold is what a run hands back: per target, the model tables its

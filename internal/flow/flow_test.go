@@ -11,6 +11,39 @@ import (
 
 func rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
 
+// mustProve validates seq as a proof of 〈λ,h〉 ≤ 〈δ,h〉 and checks the masks
+// ValidateProof returns against a replay one step at a time that reads, after
+// each step, the coordinates the step consumed off δ.
+func mustProve(t *testing.T, lambda, delta Vec, seq ProofSequence) {
+	t.Helper()
+	zeroed, err := ValidateProof(lambda, delta, seq)
+	if err != nil {
+		t.Fatalf("ValidateProof: %v", err)
+	}
+	cur := delta.Clone()
+	for i, s := range seq {
+		if err := s.Apply(cur); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		consumed := []Pair{Marginal(s.B)}
+		switch s.Kind {
+		case Submodularity:
+			consumed = []Pair{{X: s.A.Intersect(s.B), Y: s.A}}
+		case Composition:
+			consumed = []Pair{Marginal(s.A), {X: s.A, Y: s.B}}
+		}
+		var want uint8
+		for k, p := range consumed {
+			if cur.Get(p).Sign() == 0 {
+				want |= 1 << k
+			}
+		}
+		if zeroed[i] != want {
+			t.Fatalf("step %d (%v): mask %02b, δ reads %02b", i, s, zeroed[i], want)
+		}
+	}
+}
+
 // exampleC4DCs builds the cardinality constraints of Example 1.4: three
 // binary relations of size ≤ N, normalized to log N = 1.
 // Variables A1..A4 = 0..3.
@@ -110,9 +143,7 @@ func TestExample18ProofSequence(t *testing.T) {
 	if len(seq) == 0 {
 		t.Fatal("empty proof sequence for a non-trivial inequality")
 	}
-	if _, err := ValidateProof(lam, del, seq); err != nil {
-		t.Fatalf("ValidateProof: %v", err)
-	}
+	mustProve(t, lam, del, seq)
 	// The paper's hand-built sequence (Example 1.8) has 5 steps; ours may
 	// differ but must stay short.
 	if len(seq) > 12 {
@@ -298,9 +329,7 @@ func TestProofFromMaximin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateProof(res.Lambda, res.Delta, seq); err != nil {
-		t.Fatal(err)
-	}
+	mustProve(t, res.Lambda, res.Delta, seq)
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		h := setfunc.RandomCoverage(rng, 4, 5)
@@ -360,9 +389,7 @@ func TestProofSequenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: ConstructProof: %v", trial, err)
 		}
-		if _, err := ValidateProof(res.Lambda, res.Delta, seq); err != nil {
-			t.Fatalf("trial %d: ValidateProof: %v", trial, err)
-		}
+		mustProve(t, res.Lambda, res.Delta, seq)
 		for k := 0; k < 5; k++ {
 			h := setfunc.RandomCoverage(rng, n, 5)
 			if !HoldsOn(res.Lambda, res.Delta, h) {
@@ -416,9 +443,7 @@ func TestTruncate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("proof of truncated inequality: %v", err)
 		}
-		if _, err := ValidateProof(tr.Lambda, tr.Delta, seq); err != nil {
-			t.Fatal(err)
-		}
+		mustProve(t, tr.Lambda, tr.Delta, seq)
 	}
 }
 

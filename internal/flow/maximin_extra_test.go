@@ -28,9 +28,7 @@ func TestMaximinTriangleAGM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateProof(res.Lambda, res.Delta, seq); err != nil {
-		t.Fatal(err)
-	}
+	mustProve(t, res.Lambda, res.Delta, seq)
 }
 
 // TestMaximinDuplicateTargets: duplicates must not change the bound.

@@ -71,16 +71,30 @@ func (s Step) Moves() (consumed, produced []Pair) {
 		}
 		return out
 	}
+	consumed = keep(s.consumes())
 	switch s.Kind {
 	case Submodularity:
-		i, j := s.A, s.B
-		return keep(Pair{X: i.Intersect(j), Y: i}), keep(Pair{X: j, Y: i.Union(j)})
+		return consumed, keep(Pair{X: s.B, Y: s.A.Union(s.B)})
 	case Monotonicity:
-		return keep(Marginal(s.B)), keep(Marginal(s.A))
+		return consumed, keep(Marginal(s.A))
 	case Composition:
-		return keep(Marginal(s.A), Pair{X: s.A, Y: s.B}), keep(Marginal(s.B))
+		return consumed, keep(Marginal(s.B))
 	default: // Decomposition
-		return keep(Marginal(s.B)), keep(Marginal(s.A), Pair{X: s.A, Y: s.B})
+		return consumed, keep(Marginal(s.A), Pair{X: s.A, Y: s.B})
+	}
+}
+
+// consumes returns the coordinates the step consumes, first and second in the
+// order of ValidateProof's bits; second is the zero Pair, h(∅), unless the
+// step is a composition. Unlike Moves it keeps h(∅), which δ never holds.
+func (s Step) consumes() (first, second Pair) {
+	switch s.Kind {
+	case Submodularity:
+		return Pair{X: s.A.Intersect(s.B), Y: s.A}, Pair{}
+	case Composition:
+		return Marginal(s.A), Pair{X: s.A, Y: s.B}
+	default:
+		return Marginal(s.B), Pair{}
 	}
 }
 
@@ -145,20 +159,46 @@ func (s Step) EvalDrop(h *setfunc.Func) *big.Rat {
 // ProofSequence is a sequence of weighted steps (Definition 5.7).
 type ProofSequence []Step
 
-// ValidateProof checks that seq is a proof sequence for 〈λ,h〉 ≤ 〈δ,h〉:
-// starting from δ, every prefix stays non-negative and the final vector
-// dominates λ. Returns the final vector δ_ℓ.
-func ValidateProof(lambda, delta Vec, seq ProofSequence) (Vec, error) {
+// StepError is the error ValidateProof returns when step Index of a
+// sequence is malformed or consumes more of δ than the steps before it left.
+type StepError struct {
+	Index int
+	Err   error
+}
+
+func (e *StepError) Error() string { return fmt.Sprintf("flow: step %d: %v", e.Index, e.Err) }
+
+func (e *StepError) Unwrap() error { return e.Err }
+
+// ValidateProof checks that seq is a proof sequence for 〈λ,h〉 ≤ 〈δ,h〉
+// (Definition 5.7): starting from δ, every step is well formed and leaves
+// every coordinate non-negative, and the final vector dominates λ. A failing
+// step is reported as a *StepError.
+//
+// The replay also yields all that an interpreter of the sequence ever asks of
+// δ, which is fixed by the weights and not by the data: zeroed[i] tells which
+// of the coordinates step i consumes it leaves at zero. Bit 0 stands for the
+// step's first consumed term — h(I|I∩J) of s[I,J], h(Y) of m[X⊂Y] and of
+// d[Y,X], h(X) of c[X,Y] — and bit 1 for the second, h(Y|X) of c[X,Y].
+func ValidateProof(lambda, delta Vec, seq ProofSequence) (zeroed []uint8, err error) {
 	cur := delta.Clone()
+	zeroed = make([]uint8, len(seq))
 	for i, s := range seq {
 		if err := s.Apply(cur); err != nil {
-			return nil, fmt.Errorf("flow: step %d: %w", i, err)
+			return nil, &StepError{Index: i, Err: err}
+		}
+		first, second := s.consumes()
+		if _, ok := cur[first]; !ok {
+			zeroed[i] |= 1
+		}
+		if _, ok := cur[second]; !ok && s.Kind == Composition {
+			zeroed[i] |= 2
 		}
 	}
 	if !cur.GE(lambda) {
 		return nil, fmt.Errorf("flow: final δ_ℓ = %v does not dominate λ = %v", cur, lambda)
 	}
-	return cur, nil
+	return zeroed, nil
 }
 
 // Eval computes 〈v, h〉 = Σ_p v_p·h(Y_p|X_p) exactly.

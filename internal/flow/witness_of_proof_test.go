@@ -83,9 +83,7 @@ func TestWitnessOfProofEveryPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: prefix %d: %v", tc.name, k, err)
 			}
-			if _, err := ValidateProof(res.Lambda, cur, again); err != nil {
-				t.Fatalf("%s: prefix %d: rebuilt sequence: %v", tc.name, k, err)
-			}
+			mustProve(t, res.Lambda, cur, again)
 			if k < len(seq) {
 				if err := seq[k].Apply(cur); err != nil {
 					t.Fatalf("%s: step %d: %v", tc.name, k, err)

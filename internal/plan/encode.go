@@ -136,16 +136,32 @@ func ratOut(r *big.Rat) string {
 	return r.RatString()
 }
 
-// ratOne and ratHalf are what decoding hands back for "1" and "1/2", the
-// texts that make up most of a plan's rationals: an LP vertex over small
+// ratOne and ratHalf are what decoding hands back for "1" and "1/2", and what
+// a freshly prepared rule holds for them (shareRat in newPreparedRule), the
+// values that make up most of a plan's rationals: an LP vertex over small
 // hypergraphs is mostly 1s and 1/2s (2,903 of the 3,688 rationals in the 124
 // plans of the four serve shapes over 80-row relations and 40 inserts; every
 // other text is a log-size and occurs a handful of times). The plans a
-// replica holds share these two values rather than a copy per occurrence.
+// process holds share these two values rather than a copy per occurrence.
 // They are never written; nothing may write to a plan's rationals anyway,
 // since a cache hit's rebound plan shares them with the cached one
 // (rebind.go).
 var ratOne, ratHalf = big.NewRat(1, 1), big.NewRat(1, 2)
+
+// shareRat is ratIn for a rational already in hand: ratOne or ratHalf in
+// place of a value equal to it, r otherwise. It reads the numerator and
+// denominator in place, where big.Rat.Cmp would allocate.
+func shareRat(r *big.Rat) *big.Rat {
+	if n := r.Num(); n.IsInt64() && n.Int64() == 1 {
+		if r.IsInt() {
+			return ratOne
+		}
+		if d := r.Denom(); d.IsInt64() && d.Int64() == 2 {
+			return ratHalf
+		}
+	}
+	return r
+}
 
 func ratIn(s, field string) (*big.Rat, error) {
 	switch s {
@@ -417,39 +433,50 @@ func validateDecoded(p *Plan) error {
 		}
 	}
 	for i, r := range p.Rules {
-		if err := validateDecodedRule(r, full); err != nil {
-			return fmt.Errorf("plan: decode: rule %d: %w", i, err)
+		if err := validateDecodedRule(r, i, full); err != nil {
+			return fmt.Errorf("plan: decode: %w", err)
 		}
 	}
 	return nil
 }
 
-func validateDecodedRule(pr *PreparedRule, full bitset.Set) error {
+// validateDecodedRule checks decoded rule i and fills in its Zeroed masks.
+// They come from replaying the proof sequence from δ, so a rule whose steps
+// are malformed, overdraw δ or end short of λ — anything that is not a proof
+// of its own inequality — is refused here, naming the step, rather than
+// failing mid-execution.
+func validateDecodedRule(pr *PreparedRule, i int, full bitset.Set) error {
 	if len(pr.Targets) == 0 {
-		return errors.New("no targets")
+		return fmt.Errorf("rules[%d]: no targets", i)
 	}
 	for _, t := range pr.Targets {
 		if !t.SubsetOf(full) {
-			return fmt.Errorf("target %v outside the universe", t)
+			return fmt.Errorf("rules[%d]: target %v outside the universe", i, t)
 		}
 	}
 	if pr.Bound == nil {
-		return errors.New("missing bound")
+		return fmt.Errorf("rules[%d]: missing bound", i)
 	}
 	if pr.Trivial {
 		return nil
 	}
 	if len(pr.Lambda) == 0 || len(pr.Delta) == 0 {
-		return errors.New("non-trivial rule with empty witness vectors")
+		return fmt.Errorf("rules[%d]: non-trivial rule with empty witness vectors", i)
 	}
-	for _, s := range pr.Seq {
-		if s.W == nil {
-			return errors.New("proof step with nil weight")
-		}
+	for j, s := range pr.Seq {
 		if !s.A.SubsetOf(full) || !s.B.SubsetOf(full) {
-			return errors.New("proof step outside the universe")
+			return fmt.Errorf("rules[%d].seq[%d]: proof step outside the universe", i, j)
 		}
 	}
+	zeroed, err := flow.ValidateProof(pr.Lambda, pr.Delta, pr.Seq)
+	var se *flow.StepError
+	switch {
+	case errors.As(err, &se):
+		return fmt.Errorf("rules[%d].seq[%d]: %w", i, se.Index, se.Err)
+	case err != nil:
+		return fmt.Errorf("rules[%d].seq: %w", i, err)
+	}
+	pr.Zeroed = zeroed
 	return nil
 }
 

@@ -5,11 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
+	"math/big"
 	"os"
 	"slices"
 	"strings"
 	"testing"
 
+	"panda/internal/flow"
 	"panda/internal/query"
 )
 
@@ -77,7 +81,7 @@ func TestEncodeDecodePlanFields(t *testing.T) {
 		for i, r := range p.Rules {
 			g := got.Rules[i]
 			if !slices.Equal(g.Targets, r.Targets) || g.Bound.Cmp(r.Bound) != 0 || len(g.Seq) != len(r.Seq) ||
-				len(g.Lambda) != len(r.Lambda) || len(g.Delta) != len(r.Delta) {
+				len(g.Lambda) != len(r.Lambda) || len(g.Delta) != len(r.Delta) || !slices.Equal(g.Zeroed, r.Zeroed) {
 				t.Fatalf("%v: rule %d differs after round trip", mode, i)
 			}
 			for p0, w := range r.Lambda {
@@ -176,6 +180,58 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 			t.Fatal("format-tag mismatch decoded without error")
 		}
 	})
+	// A digest-valid rule that is not a proof of its own inequality must be
+	// refused at decode, naming the step, and not panic mid-execution.
+	withRule := func(edit func(r *PreparedRule)) []byte {
+		r := *p.Rules[0]
+		r.Seq = slices.Clone(r.Seq)
+		r.Lambda = maps.Clone(r.Lambda)
+		edit(&r)
+		bad := *p
+		bad.Rules = append([]*PreparedRule{&r}, p.Rules[1:]...)
+		return encodePlan(t, &bad)
+	}
+	firstOf := func(r *PreparedRule, keep func(flow.Step) bool) int {
+		for j, s := range r.Seq {
+			if keep(s) {
+				return j
+			}
+		}
+		t.Fatal("rule 0 has no step of the kind the case needs")
+		return -1
+	}
+	for _, bad := range []struct {
+		name string
+		edit func(r *PreparedRule) (want string)
+	}{
+		{"zero-weight", func(r *PreparedRule) string {
+			r.Seq[1].W = new(big.Rat)
+			return "rules[0].seq[1]: flow: step weight must be positive"
+		}},
+		{"overdrawn-weight", func(r *PreparedRule) string {
+			r.Seq[0].W = new(big.Rat).Add(r.Delta.L1(), big.NewRat(1, 1))
+			return "rules[0].seq[0]: flow: step"
+		}},
+		{"a-not-subset-of-b", func(r *PreparedRule) string {
+			j := firstOf(r, func(s flow.Step) bool { return s.Kind != flow.Submodularity })
+			r.Seq[j].A, r.Seq[j].B = r.Seq[j].B, r.Seq[j].A
+			return fmt.Sprintf("rules[0].seq[%d]: flow: %v needs X ⊂ Y", j, r.Seq[j].Kind)
+		}},
+		{"final-delta-below-lambda", func(r *PreparedRule) string {
+			b := r.Targets[0]
+			r.Lambda[flow.Marginal(b)] = new(big.Rat).Add(r.Lambda.Get(flow.Marginal(b)), r.Delta.L1())
+			return "rules[0].seq: flow: final δ_ℓ"
+		}},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			var want string
+			data := withRule(func(r *PreparedRule) { want = bad.edit(r) })
+			_, err := DecodePlan(bytes.NewReader(data))
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want one naming %q", err, want)
+			}
+		})
+	}
 	t.Run("inconsistent-plan", func(t *testing.T) {
 		// A digest-valid payload describing an out-of-range chosen
 		// decomposition must fail semantic validation.

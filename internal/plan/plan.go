@@ -103,9 +103,9 @@ func ParseMode(s string) (m Mode, explicit bool, err error) {
 }
 
 // PreparedRule is the reified planning output for one disjunctive datalog
-// rule: the polymatroid bound, the λ/δ pair of Lemma 5.2, and the proof
-// sequence of Theorem 5.9. Execution clones Lambda and Delta before
-// mutating, so a PreparedRule may be shared by concurrent executions.
+// rule: the polymatroid bound, the λ/δ pair of Lemma 5.2, the proof sequence
+// of Theorem 5.9, and the path δ takes along it. Execution only reads it, so a
+// PreparedRule may be shared by concurrent executions.
 type PreparedRule struct {
 	// Targets are the rule heads ⋁ T_B.
 	Targets []bitset.Set
@@ -118,6 +118,12 @@ type PreparedRule struct {
 	Lambda, Delta flow.Vec
 	// Seq is the proof sequence interpreted by the execution engine.
 	Seq flow.ProofSequence
+	// Zeroed is, per step of Seq, which of the coordinates the step consumes
+	// it leaves at zero (flow.ValidateProof): all the engine asks of δ, so it
+	// does no rational arithmetic per step. It indexes steps, not variables,
+	// so every renaming of the rule shares it; it is not encoded — decoding
+	// recomputes it by the same replay, which checks the proof.
+	Zeroed []uint8
 }
 
 // Cover is an exact fractional edge cover of one bag: the classic ρ*(H_B)
@@ -314,11 +320,25 @@ func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstr
 }
 
 // newPreparedRule turns a solved bound LP into an executable rule: the proof
-// sequence of Theorem 5.9 is constructed from the LP's witness.
+// sequence of Theorem 5.9 is constructed from the LP's witness and replayed
+// once for the path δ takes along it. The rule's 1s and 1/2s become the
+// shared values a decoded plan holds (shareRat).
 func newPreparedRule(targets []bitset.Set, res *flow.MaximinResult, bs *BuildStats) (*PreparedRule, error) {
 	seq, err := flow.ConstructProof(res.Lambda, res.Delta, res.Witness)
 	if err != nil {
 		return nil, err
+	}
+	zeroed, err := flow.ValidateProof(res.Lambda, res.Delta, seq)
+	if err != nil {
+		return nil, err
+	}
+	for i := range seq {
+		seq[i].W = shareRat(seq[i].W)
+	}
+	for _, v := range []flow.Vec{res.Lambda, res.Delta} {
+		for p, r := range v {
+			v[p] = shareRat(r)
+		}
 	}
 	bs.ProofSteps += len(seq)
 	return &PreparedRule{
@@ -327,6 +347,7 @@ func newPreparedRule(targets []bitset.Set, res *flow.MaximinResult, bs *BuildSta
 		Lambda:  res.Lambda,
 		Delta:   res.Delta,
 		Seq:     seq,
+		Zeroed:  zeroed,
 	}, nil
 }
 

@@ -325,3 +325,40 @@ func TestModeStringRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedRulesShareCommonRationals: a freshly prepared rule holds the
+// decoder's one 1 and one 1/2 wherever its weights, λ or δ take those values,
+// and every other rational as it came.
+func TestPreparedRulesShareCommonRationals(t *testing.T) {
+	q, cons := cycleQuery(4, nil, nil, 100)
+	shared := 0
+	for _, mode := range []Mode{ModeFull, ModeSubw} {
+		p, _, err := Prepare(q, cons, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, r *big.Rat) {
+			t.Helper()
+			switch {
+			case r == ratOne || r == ratHalf:
+				shared++
+			case r.Cmp(ratOne) == 0 || r.Cmp(ratHalf) == 0:
+				t.Fatalf("%v: %s %v is a copy, not the shared value", mode, what, r)
+			}
+		}
+		for _, r := range p.Rules {
+			for _, s := range r.Seq {
+				check("weight", s.W)
+			}
+			for _, v := range r.Lambda {
+				check("λ", v)
+			}
+			for _, v := range r.Delta {
+				check("δ", v)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no prepared rational is 1 or 1/2: the check needs some")
+	}
+}

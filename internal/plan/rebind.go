@@ -12,8 +12,9 @@ import (
 // The plan cache stores plans in canonical variable space so that a query
 // that is a renaming of a cached one can reuse its plan. toCanonical and
 // fromCanonical translate a Plan across the permutations recorded in a
-// Signature. Immutable leaves (*big.Rat values, Parent slices) are shared;
-// everything carrying variable or atom identity is rebuilt.
+// Signature. Immutable leaves (*big.Rat values, Parent slices, a rule's
+// per-step Zeroed masks) are shared; everything carrying variable or atom
+// identity is rebuilt.
 
 func invert(perm []int) []int {
 	out := make([]int, len(perm))
@@ -55,6 +56,7 @@ func remapRule(pr *PreparedRule, m []int) *PreparedRule {
 		Lambda:  remapVec(pr.Lambda, m),
 		Delta:   remapVec(pr.Delta, m),
 		Seq:     remapSeq(pr.Seq, m),
+		Zeroed:  pr.Zeroed,
 	}
 }
 
