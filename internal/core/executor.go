@@ -83,14 +83,35 @@ type Executor struct {
 // rule over an instance: the proof sequence is interpreted step by step by
 // the PANDA engine, with the constraint set bound to the instance's
 // relations as guards, checking ctx between steps. The prepared rule is not
-// mutated, so one rule may be executed concurrently by many goroutines.
-func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) (*Result, error) {
+// mutated, so one rule may be executed concurrently by many goroutines. An
+// operator output past a relation's limits fails the run with
+// relation.ErrTooManyRows or ErrTooManyValues (see recoverLimit).
+func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) (_ *Result, err error) {
+	defer recoverLimit(&err)
 	fold, res, err := ex.runRule(ctx, s, pr, cons, ins)
 	if err != nil {
 		return nil, err
 	}
 	res.Tables = fold.union()
 	return res, nil
+}
+
+// recoverLimit is deferred at every boundary where execution hands back an
+// error — ExecuteRule, Execute and each task of forEach. The relational
+// operators have no error to return, so one whose output would pass the row
+// limit or the intern table's value limit panics with an error wrapping
+// relation.ErrTooManyRows or ErrTooManyValues; recoverLimit turns that panic
+// into the returned error. Any other panic is a bug and goes on.
+func recoverLimit(err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	if e, ok := v.(error); ok && (errors.Is(e, relation.ErrTooManyRows) || errors.Is(e, relation.ErrTooManyValues)) {
+		*err = e
+		return
+	}
+	panic(v)
 }
 
 // runRule is ExecuteRule short of the union: the rule's model comes back as a
@@ -136,8 +157,8 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 		if c.Guard < 0 || c.Guard >= len(ins.Relations) {
 			return nil, nil, fmt.Errorf("core: constraint on %v lacks a guard atom", c.Y)
 		}
-		f.cons[i] = rtCon{x: c.X, y: c.Y, logN: c.LogN, guard: ins.Relations[c.Guard]}
-		f.cons[i].nFloat, _ = c.LogN.Float64()
+		f.cons[i] = rtCon{x: c.X, y: c.Y, guard: ins.Relations[c.Guard]}
+		f.cons[i].logN, _ = c.LogN.Float64()
 	}
 	for p0 := range pr.Delta {
 		for i, c := range f.cons {
@@ -164,8 +185,11 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 // Execute runs the data-dependent phase of a prepared plan over an instance
 // — the one pipeline of the Executor doc, whatever the plan's mode —
 // honoring ctx throughout. The plan is treated as immutable: concurrent
-// Execute calls on a shared plan are safe.
-func (ex *Executor) Execute(ctx context.Context, p *plan.Plan, ins *query.Instance) (*ExecResult, error) {
+// Execute calls on a shared plan are safe. An operator output past a
+// relation's limits fails the run with relation.ErrTooManyRows or
+// ErrTooManyValues (see recoverLimit).
+func (ex *Executor) Execute(ctx context.Context, p *plan.Plan, ins *query.Instance) (_ *ExecResult, err error) {
+	defer recoverLimit(&err)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -389,7 +413,9 @@ func (ex *Executor) reduceBags(ctx context.Context, fold tableFold, ins *query.I
 }
 
 // forEach runs fn(ctx, i) for i in [0, n), sequentially when workers ≤ 1,
-// and through a bounded worker pool otherwise. The first genuine error
+// and through a bounded worker pool otherwise. A task that passes a
+// relation's limits fails with the error (recoverLimit), in a worker
+// goroutine as on the caller's. The first genuine error
 // cancels the sibling executions; the error returned is deterministic — the
 // lowest-index genuine failure wins over the cancellations it propagated,
 // and the parent context's error wins when the run as a whole was cancelled
@@ -403,7 +429,7 @@ func (ex *Executor) forEach(ctx context.Context, workers, n int, fn func(ctx con
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(ctx, i); err != nil {
+			if err := runTask(ctx, i, fn); err != nil {
 				return err
 			}
 		}
@@ -423,7 +449,7 @@ func (ex *Executor) forEach(ctx context.Context, workers, n int, fn func(ctx con
 					errs[i] = err
 					continue
 				}
-				if err := fn(cctx, i); err != nil {
+				if err := runTask(cctx, i, fn); err != nil {
 					errs[i] = err
 					cancel()
 				}
@@ -451,4 +477,10 @@ func (ex *Executor) forEach(ctx context.Context, workers, n int, fn func(ctx con
 		return err
 	}
 	return first
+}
+
+// runTask runs one task of forEach, recovering a limit panic into its error.
+func runTask(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+	defer recoverLimit(&err)
+	return fn(ctx, i)
 }

@@ -20,16 +20,18 @@
 // on its way to the answer, however many levels of buckets it came through,
 // and never when the inputs drop it.
 //
-// Executing a plan solves no LP, and does no rational arithmetic per step.
-// Every LP belongs to planning (internal/plan), and so does δ's path along a
-// proof sequence: how a step moves δ is fixed by its weight, not by the data,
-// so the engine follows the masks the plan carries (PreparedRule.Zeroed)
-// instead of keeping δ. Only a Case-4b restart needs δ itself; it replays the
-// steps run so far, reads the one thing the plan does not carry — a witness of
-// the inequality the engine is at — off the steps it has not run yet
-// (flow.WitnessOfProof), which prove exactly that inequality, and compiles the
-// truncated child once per rule run for every subproblem that reaches it. The
-// package imports no simplex, and TestNoSimplexAtRunTime keeps it so.
+// Executing a plan solves no LP, and does no rational arithmetic per step:
+// the bound a subproblem derives from a relation's size is a float64 (see
+// rtCon), which holds query.LogOf's dyadic value exactly. Every LP belongs to
+// planning (internal/plan), and so does δ's path along a proof sequence: how
+// a step moves δ is fixed by its weight, not by the data, so the engine
+// follows the masks the plan carries (PreparedRule.Zeroed) instead of keeping
+// δ. Only a Case-4b restart needs δ itself; it replays the steps run so far,
+// reads the one thing the plan does not carry — a witness of the inequality
+// the engine is at — off the steps it has not run yet (flow.WitnessOfProof),
+// which prove exactly that inequality, and compiles the truncated child once
+// per rule run for every subproblem that reaches it. The package imports no
+// simplex, and TestNoSimplexAtRunTime keeps it so.
 package core
 
 import (
@@ -184,12 +186,16 @@ type Result struct {
 	Timings *Timings
 }
 
-// rtCon is a runtime degree constraint (Z, W, N_{W|Z}) with its guard.
+// rtCon is a runtime degree constraint (Z, W, N_{W|Z}) with its guard. Its
+// bound log₂ N is a float64: the engine decides Case 4a/4b on floats, and a
+// bound it derives from a relation's size is query.Log2's dyadic value, which
+// a float64 holds exactly. A bound taken over from the plan's constraints is
+// query.LogOf's, the same value, unless a caller built the constraint with a
+// rational of its own; that one is rounded to the nearest float64.
 type rtCon struct {
-	x, y   bitset.Set
-	logN   *big.Rat
-	nFloat float64
-	guard  *relation.Relation
+	x, y  bitset.Set
+	logN  float64
+	guard *relation.Relation
 }
 
 type engine struct {
@@ -261,9 +267,10 @@ func (e *engine) label(s bitset.Set) string {
 }
 
 // setSupport records con as support for pair p if it is better (smaller
-// bound) than the current one.
+// bound) than the current one. The bounds are compared as floats, which is
+// exact on the dyadic values of query.Log2: a tie keeps the current support.
 func (f *frame) setSupport(p flow.Pair, con int, cons []rtCon) {
-	if cur, ok := f.support[p]; ok && cons[cur].logN.Cmp(cons[con].logN) <= 0 {
+	if cur, ok := f.support[p]; ok && cons[cur].logN <= cons[con].logN {
 		return
 	}
 	f.support[p] = con
@@ -291,7 +298,9 @@ func (p *program) deltaAfter(n int) (flow.Vec, error) {
 }
 
 // checkInvariants verifies the degree-support invariant (Fig. 8) and the
-// potential inequality (85) exactly.
+// potential inequality (85) exactly for dyadic bounds: each support's float64
+// bound is lifted to a big.Rat by SetFloat64, which loses nothing, and the
+// potential is summed in rationals.
 func (e *engine) checkInvariants(f *frame) error {
 	delta, err := f.prog.deltaAfter(f.next)
 	if err != nil {
@@ -313,7 +322,7 @@ func (e *engine) checkInvariants(f *frame) error {
 		if c.guard == nil || !c.y.SubsetOf(c.guard.Attrs()) {
 			return fmt.Errorf("core: support for %v has no usable guard", p)
 		}
-		potential.Add(potential, new(big.Rat).Mul(v, c.logN))
+		potential.Add(potential, new(big.Rat).Mul(v, new(big.Rat).SetFloat64(c.logN)))
 	}
 	budget := new(big.Rat).Mul(f.prog.lambda.L1(), e.objLog)
 	if potential.Cmp(budget) > 0 {
@@ -451,9 +460,7 @@ func (e *engine) stepMonotonicity(f *frame, step flow.Step, zeroed uint8) error 
 	g := f.cons[ci].guard
 	p := e.note(g.Project(x))
 	e.stats.Projections++
-	nc := rtCon{x: 0, y: x, logN: query.LogOf(int64(p.Size())), guard: p}
-	nc.nFloat, _ = nc.logN.Float64()
-	f.cons = append(f.cons, nc)
+	f.cons = append(f.cons, rtCon{x: 0, y: x, logN: query.Log2(int64(p.Size())), guard: p})
 	f.setSupport(flow.Marginal(x), len(f.cons)-1, f.cons)
 	if e.opt.Trace {
 		e.tracef("monotonicity: %s := Π_%s(%s), |%s| = %d", p.Name, e.label(x), g.Name, p.Name, p.Size())
@@ -503,11 +510,9 @@ func (e *engine) stepDecomposition(f *frame, step flow.Step, zeroed uint8, st *s
 		}
 		child.drop(zeroed, 1, src)
 		// |Π_X(bucket)| and deg_bucket(Y|X) come with the split.
-		cx := rtCon{x: 0, y: x, logN: query.LogOf(int64(b.Keys)), guard: bk}
-		cx.nFloat, _ = cx.logN.Float64()
-		cyx := rtCon{x: x, y: y, logN: query.LogOf(int64(b.Degree)), guard: bk}
-		cyx.nFloat, _ = cyx.logN.Float64()
-		child.cons = append(child.cons, cx, cyx)
+		child.cons = append(child.cons,
+			rtCon{x: 0, y: x, logN: query.Log2(int64(b.Keys)), guard: bk},
+			rtCon{x: x, y: y, logN: query.Log2(int64(b.Degree)), guard: bk})
 		if x != 0 {
 			child.setSupport(flow.Marginal(x), len(child.cons)-2, child.cons)
 		}
@@ -542,7 +547,7 @@ func (e *engine) stepComposition(f *frame, step flow.Step, zeroed uint8, st *ste
 			step, srcX, okX, srcYX, okY)
 	}
 	cx, cy := f.cons[cxi], f.cons[cyi]
-	if e.opt.DisableBudget || cx.nFloat+cy.nFloat <= e.objFloat+budgetSlack {
+	if e.opt.DisableBudget || cx.logN+cy.logN <= e.objFloat+budgetSlack {
 		// Case 4a: perform the join T(A_Y) := Π_X(R) ⋈ Π_W(S) with
 		// W = cy.y; the support invariant gives X ∪ W = Y.
 		defer st.pause()
@@ -552,9 +557,7 @@ func (e *engine) stepComposition(f *frame, step flow.Step, zeroed uint8, st *ste
 		if t.Attrs() != y {
 			return false, nil, fmt.Errorf("core: join schema %v ≠ %v", t.Attrs(), y)
 		}
-		nc := rtCon{x: 0, y: y, logN: query.LogOf(int64(t.Size())), guard: t}
-		nc.nFloat, _ = nc.logN.Float64()
-		f.cons = append(f.cons, nc)
+		f.cons = append(f.cons, rtCon{x: 0, y: y, logN: query.Log2(int64(t.Size())), guard: t})
 		f.setSupport(flow.Marginal(y), len(f.cons)-1, f.cons)
 		f.drop(zeroed, 1, srcX)
 		f.drop(zeroed, 2, srcYX)
@@ -569,7 +572,7 @@ func (e *engine) stepComposition(f *frame, step flow.Step, zeroed uint8, st *ste
 	// the truncated child frame is built.
 	if e.opt.Trace {
 		e.tracef("composition: skip join on %v (n=%.3f+%.3f > OBJ=%.3f); truncate at %v",
-			y, cx.nFloat, cy.nFloat, e.objFloat, e.label(y))
+			y, cx.logN, cy.logN, e.objFloat, e.label(y))
 	}
 	child, err := e.restart(f)
 	st.pause()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"sort"
 
 	"panda/internal/bitset"
@@ -114,24 +115,26 @@ func (c DegreeConstraint) Validate(n int) error {
 	return nil
 }
 
-// LogOf returns an exact-or-over-approximating rational for log₂ n.
-// Powers of two are exact; other values are rounded up by ~1e-9, which only
-// relaxes upper bounds (they remain sound).
-func LogOf(n int64) *big.Rat {
+// Log2 returns an exact-or-over-approximating value for log₂ n, a dyadic
+// rational with denominator dividing 2³⁰. Powers of two are exact; other
+// values are rounded up by ~1e-9, which only relaxes upper bounds (they
+// remain sound). The numerator stays below 2⁵³, so the float64 holds the
+// value exactly and LogOf is the same number as a big.Rat.
+func Log2(n int64) float64 {
 	if n <= 1 {
-		return new(big.Rat)
+		return 0
 	}
 	if n&(n-1) == 0 { // power of two: exact
-		e := 0
-		for m := n; m > 1; m >>= 1 {
-			e++
-		}
-		return big.NewRat(int64(e), 1)
+		return float64(bits.Len64(uint64(n)) - 1)
 	}
 	const denom = 1 << 30
 	v := math.Log2(float64(n))
-	num := int64(math.Ceil(v*denom)) + 1
-	return big.NewRat(num, denom)
+	return float64(int64(math.Ceil(v*denom))+1) / denom
+}
+
+// LogOf returns Log2(n) as an exact rational.
+func LogOf(n int64) *big.Rat {
+	return new(big.Rat).SetFloat64(Log2(n))
 }
 
 // Cardinality builds the cardinality constraint (∅, Y, N) guarded by atom g.

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"math/big"
 	"testing"
 
@@ -45,6 +46,40 @@ func TestLogOf(t *testing.T) {
 	lo, hi := big.NewRat(9965784, 1000000), big.NewRat(9965790, 1000000)
 	if l.Cmp(lo) < 0 || l.Cmp(hi) > 0 {
 		t.Fatalf("log2 1000 = %v, want ≈ 9.9657843", l)
+	}
+}
+
+// TestLogOfIsTheRationalFormula holds LogOf, now the float64 Log2 lifted to a
+// big.Rat, to the rational it was built as before: ⌈log₂n·2³⁰⌉+1 over 2³⁰,
+// exact for powers of two. The two must agree to the bit — plan bytes and
+// signature keys print these rationals.
+func TestLogOfIsTheRationalFormula(t *testing.T) {
+	ref := func(n int64) *big.Rat {
+		if n <= 1 {
+			return new(big.Rat)
+		}
+		if n&(n-1) == 0 {
+			e := int64(0)
+			for m := n; m > 1; m >>= 1 {
+				e++
+			}
+			return big.NewRat(e, 1)
+		}
+		const denom = 1 << 30
+		return big.NewRat(int64(math.Ceil(math.Log2(float64(n))*denom))+1, denom)
+	}
+	ns := []int64{-1, 0, 1, 2, 3, 5, 7, 100, 1000, 1 << 20, 1_000_000_000, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		ns = append(ns, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, n := range ns {
+		got, want := LogOf(n), ref(n)
+		if got.Cmp(want) != 0 || got.RatString() != want.RatString() {
+			t.Fatalf("LogOf(%d) = %s, want %s", n, got.RatString(), want.RatString())
+		}
+		if f, exact := want.Float64(); !exact || f != Log2(n) {
+			t.Fatalf("Log2(%d) = %v, want %s exactly", n, Log2(n), want.RatString())
+		}
 	}
 }
 

@@ -18,3 +18,12 @@ func SetMaxValues(t testing.TB, n int) {
 	maxValues = uint64(n)
 	t.Cleanup(func() { maxValues = old })
 }
+
+// SetHashBits narrows every row hash to its low n bits for the duration of a
+// test, so that distinct rows share a hash and each probe's verification of
+// its chain has candidates to turn away.
+func SetHashBits(t testing.TB, n int) {
+	old := hashMask
+	hashMask = 1<<n - 1
+	t.Cleanup(func() { hashMask = old })
+}

@@ -75,6 +75,41 @@ func TestRowLimitIsATypedErrorAtTheSurface(t *testing.T) {
 	if size("R") != 5 {
 		t.Fatalf("|R| = %d after the refused requests", size("R"))
 	}
+
+	// An operator output past the limit — here a cross product of 20 × 20
+	// rows under a limit of 64 — fails the query with the same error instead
+	// of panicking, on the caller's goroutine and in the executor's worker
+	// pool alike (four partitions make four tasks, costly enough for the
+	// pool), and the DB goes on answering.
+	relation.SetMaxRows(t, 64)
+	for _, name := range []string{"A", "B"} {
+		if err := db.CreateRelation(name, 1); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < 20; v++ {
+			if err := db.Insert(name, []panda.Value{panda.Value(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const cross = "Q(X,Y) :- A(X), B(Y)."
+	for _, opts := range [][]panda.Option{nil, {panda.WithParallelism(4)}, {panda.WithParallelism(4), panda.WithPartitions(4)}} {
+		if _, err := db.Query(cross, opts...); !errors.Is(err, panda.ErrTooManyRows) {
+			t.Fatalf("a 400-row join under a limit of 64 (%d options): err = %v, want ErrTooManyRows", len(opts), err)
+		}
+	}
+	if res, err := db.Query("Q(X) :- A(X), B(X)."); err != nil || res.Rel.Size() != 20 {
+		t.Fatalf("the DB after a query past the limit: err=%v", err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"query":"`+cross+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "too_many_rows") {
+		t.Fatalf("POST /v1/query past the limit: %d %s", resp.StatusCode, msg)
+	}
 }
 
 // TestValueLimitIsATypedErrorAtTheSurface: the other hard limit, the intern

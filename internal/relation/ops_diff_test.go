@@ -311,3 +311,42 @@ func TestOperatorsAgainstNestedLoops(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinOrderAgainstNestedLoops pins Join's output order to the nested
+// loop that lists the matching pairs by probe row, then by build row: a
+// cartesian product, a fan-out of many matches per key and a selective join,
+// each with either input as the smaller (build) side and in both argument
+// orders.
+func TestJoinOrderAgainstNestedLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, tc := range []struct {
+		name         string
+		ra, sa       bitset.Set
+		rDom, sDom   int // values per column
+		small, large int // row counts
+	}{
+		{"cartesian", bitset.Of(0, 1), bitset.Of(2, 3), 20, 20, 15, 60},
+		{"fan-out", bitset.Of(0, 1), bitset.Of(1, 2), 3, 3, 7, 9},
+		{"fan-out-wide", bitset.Of(0, 1, 2), bitset.Of(1, 2, 3), 2, 6, 8, 60},
+		{"selective", bitset.Of(0, 1), bitset.Of(1, 2), 200, 200, 40, 150},
+		{"same-schema", bitset.Of(0, 1), bitset.Of(0, 1), 8, 8, 30, 50},
+	} {
+		for _, rSmall := range []bool{true, false} {
+			nr, ns := tc.large, tc.small
+			if rSmall {
+				nr, ns = tc.small, tc.large
+			}
+			r := randomRelation(rng, tc.ra, nr, tc.rDom)
+			s := randomRelation(rng, tc.sa, ns, tc.sDom)
+			r.Name, s.Name = "R", "S"
+			rr, sr := refOf(r), refOf(s)
+			tag := fmt.Sprintf("%s |R|=%d |S|=%d", tc.name, r.Size(), s.Size())
+			want := refJoin(rr, sr, tc.ra, tc.sa)
+			if len(want) == 0 {
+				t.Fatalf("%s: the case joins nothing", tag)
+			}
+			sameRows(t, tag+" R⋈S", r.Join(s), want)
+			sameRows(t, tag+" S⋈R", s.Join(r), refJoin(sr, rr, tc.sa, tc.ra))
+		}
+	}
+}

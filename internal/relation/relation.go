@@ -9,10 +9,10 @@
 // attribute, so equality, dedup and index builds operate on machine words
 // and iteration walks contiguous memory. Values are decoded back only at
 // the read boundary (All, AllSorted, Rows), and there once per row yielded:
-// value order is worked out without decoding rows — each column's distinct
-// ids are ranked by value once, the rows counting-sorted by those ranks — and
-// the resulting permutation is kept against the mutation tick, so a relation
-// that is not written to is ordered once however often it is read out.
+// value order is worked out without comparing rows — an LSD radix sort on
+// the decoded values, each cell decoded once per sort — and the resulting
+// permutation is kept against the mutation tick, so a relation that is not
+// written to is ordered once however often it is read out.
 //
 // Everything that hashes rows — set-semantics dedup, the build side of Join
 // and Semijoin, the grouping under Project, Degree and the Lemma 6.1 split —
@@ -127,9 +127,10 @@ type memoParts struct {
 	parts []*Relation
 }
 
-// memoPerm caches sortedPerm at a given mutation tick. The memo holds it by
-// pointer so that the many relations never read out in order pay nothing for
-// it: Relation stays inside its 256-byte allocation class.
+// memoPerm caches sortedPerm — the radix sort's permutation — at a given
+// mutation tick. The memo holds it by pointer so that the many relations
+// never read out in order pay nothing for it: Relation stays inside its
+// 256-byte allocation class.
 type memoPerm struct {
 	mut  uint64
 	perm []int32
@@ -162,8 +163,12 @@ func mix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
-	return h
+	return h & hashMask
 }
+
+// hashMask keeps the row-hash bits in use: all of them. A variable only so
+// that tests can narrow it and make rows collide.
+var hashMask = ^uint64(0)
 
 // New returns an empty relation with the given schema, decoding through the
 // process-wide intern table.
@@ -610,6 +615,13 @@ func (r *Relation) matchOn(i int, rPos []int, s *Relation, j int, sPos []int) bo
 // order, its matches on the smaller side in order. Both sides being sets,
 // so is the output — a joined tuple determines the pair it came from — and
 // it is written once, at its exact size, without a dedup pass.
+//
+// It makes two passes over the probe side. The first looks each row's chain
+// up in the build side's index once, keeps the chain's ends and counts the
+// matches; the output is then checked against the row limit and allocated
+// at that count. The second walks the kept chains and writes every output
+// column straight off them, verifying a chain entry again only if the first
+// pass met one that did not match (a 64-bit hash collision).
 func (r *Relation) Join(s *Relation) *Relation {
 	sameInterner(r, s)
 	common := r.attrs.Intersect(s.attrs)
@@ -622,36 +634,59 @@ func (r *Relation) Join(s *Relation) *Relation {
 	idx := build.index(common)
 	probePos := probe.positions(common)
 	buildPos := build.positions(common)
-	// The matching (probe row, build row) pairs, in output order.
-	pi := make([]int32, 0, probe.nrows)
-	bi := make([]int32, 0, probe.nrows)
+	// Pass 1: chains[2i], chains[2i+1] are the ends of probe row i's chain.
+	chains := make([]int32, 2*probe.nrows)
+	n, collided := 0, false
 	for i := 0; i < probe.nrows; i++ {
-		h := probe.hashRowAt(i, probePos)
-		for e, last := idx.lookup(h); e >= 0; e = idx.after(e, last) {
+		first, last := idx.lookup(probe.hashRowAt(i, probePos))
+		chains[2*i], chains[2*i+1] = first, last
+		for e := first; e >= 0; e = idx.after(e, last) {
 			if build.matchOn(int(e), buildPos, probe, i, probePos) {
-				pi, bi = append(pi, int32(i)), append(bi, e)
+				n++
+			} else {
+				collided = true
 			}
 		}
 	}
-	n := len(pi)
 	out.checkRoom(n)
-	// Output tuple layout: union schema, sorted ids; each column is gathered
+	// Output tuple layout: union schema, sorted ids; each column is written
 	// from the side that has it (the probe side for the common ones).
+	var fromProbe, fromBuild []joinCol
 	flat := make([]uint32, n*len(out.cols))
 	for o, c := range out.cols {
 		col := flat[o*n : (o+1)*n : (o+1)*n]
-		src, rows := build, bi
-		if probe.attrs.Contains(c) {
-			src, rows = probe, pi
-		}
-		from := src.data[slices.Index(src.cols, c)]
-		for m, i := range rows {
-			col[m] = from[i]
-		}
 		out.data[o] = col
+		if k := slices.Index(probe.cols, c); k >= 0 {
+			fromProbe = append(fromProbe, joinCol{dst: col, src: probe.data[k]})
+		} else {
+			fromBuild = append(fromBuild, joinCol{dst: col, src: build.data[slices.Index(build.cols, c)]})
+		}
+	}
+	// Pass 2: the matches in probe-row, then build-row order.
+	m := 0
+	for i := 0; i < probe.nrows; i++ {
+		last := chains[2*i+1]
+		for e := chains[2*i]; e >= 0; e = idx.after(e, last) {
+			if collided && !build.matchOn(int(e), buildPos, probe, i, probePos) {
+				continue
+			}
+			for _, jc := range fromProbe {
+				jc.dst[m] = jc.src[i]
+			}
+			for _, jc := range fromBuild {
+				jc.dst[m] = jc.src[e]
+			}
+			m++
+		}
 	}
 	out.nrows, out.mut = n, uint64(n)
 	return out
+}
+
+// joinCol is one output column of Join and the input column it is written
+// from.
+type joinCol struct {
+	dst, src []uint32
 }
 
 // Semijoin returns r reduced by every side, ((r ⋉ s₁) ⋉ s₂) ⋉ …: Reduce with

@@ -65,12 +65,6 @@ func (t *rowTable) reserve(rows, chains int) {
 	}
 }
 
-// reset empties the table, keeping its storage for the next use.
-func (t *rowTable) reset() {
-	clear(t.slots)
-	t.hash, t.next, t.chains = t.hash[:0], t.next[:0], 0
-}
-
 // rehash moves every chain into a fresh slot array of the given size. Only
 // the chains move: a chain's hash is its newest row's.
 func (t *rowTable) rehash(size int) {

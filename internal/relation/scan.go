@@ -1,10 +1,6 @@
 package relation
 
-import (
-	"cmp"
-	"iter"
-	"slices"
-)
+import "iter"
 
 // Row is one decoded tuple in column order (sorted variable ids).
 type Row = []Value
@@ -26,9 +22,9 @@ func (r *Relation) All() iter.Seq[Row] {
 
 // AllSorted iterates the decoded rows in lexicographic value order, reusing
 // one buffer like All. The order is a row permutation computed once per
-// relation state (sortedPerm) and shared by every caller, read-only; a pass
-// over an unwritten relation allocates the row buffer and decodes each row
-// it yields once.
+// relation state (sortedPerm, by radixSort) and shared by every caller,
+// read-only; a pass over an unwritten relation allocates the row buffer and
+// decodes each row it yields once.
 func (r *Relation) AllSorted() iter.Seq[Row] {
 	return func(yield func(Row) bool) {
 		perm := r.sortedPerm()
@@ -51,17 +47,19 @@ func (r *Relation) sortedPerm() []int32 {
 	r.memo.Lock()
 	defer r.memo.Unlock()
 	if m := r.memo.sorted; m == nil || m.mut != r.mut {
-		r.memo.sorted = &memoPerm{mut: r.mut, perm: r.rankSort()}
+		r.memo.sorted = &memoPerm{mut: r.mut, perm: r.radixSort()}
 	}
 	return r.memo.sorted.perm
 }
 
-// rankSort orders the rows by a stable counting sort per column, last
-// column first. A column's sort keys are the ranks of its distinct values:
-// the rows are grouped by id (ids are handed out in interning order, so id
-// order is not value order), each group's value is decoded once and the
-// groups are ordered by it — no comparison between rows ever decodes.
-func (r *Relation) rankSort() []int32 {
+// radixSort orders the rows by an LSD radix sort on their decoded values,
+// last column first. A cell's key is its value with the sign bit flipped,
+// uint64(v) ^ 1<<63, so that unsigned key order is signed value order. Per
+// column one pass decodes every cell once and notes which of the eight key
+// bytes vary; then each varying byte, least significant first, gets a count
+// and one stable scatter. A byte every row shares orders nothing and costs
+// nothing. No two rows are compared.
+func (r *Relation) radixSort() []int32 {
 	n := r.nrows
 	perm := make([]int32, n)
 	for i := range perm {
@@ -70,48 +68,39 @@ func (r *Relation) rankSort() []int32 {
 	if n < 2 {
 		return perm
 	}
-	next := make([]int32, n) // the permutation after the column in hand
-	of := make([]int32, n)   // per row: its group in that column
-	var groups []valueGroup
-	g := grouper{r: r, pos: make([]int, 1)}
+	next := make([]int32, n)  // the scatter's destination
+	keys := make([]uint64, n) // per row: its key in the column in hand
+	dir := *r.in.chunks.Load()
 	for c := len(r.data) - 1; c >= 0; c-- {
-		g.pos[0] = c
-		g.tab.reset()
-		g.first, groups = g.first[:0], groups[:0]
-		for i := range of {
-			gi, fresh := g.group(i)
-			if fresh {
-				groups = append(groups, valueGroup{val: r.in.ValueOf(r.data[c][i]), id: gi})
+		var varies uint64 // the bits in which some key differs from row 0's
+		for i, id := range r.data[c][:n] {
+			keys[i] = uint64(dir[id>>chunkBits][id&chunkMask]) ^ 1<<63
+			varies |= keys[i] ^ keys[0]
+		}
+		for shift := 0; varies>>shift != 0; shift += 8 {
+			if byte(varies>>shift) == 0 {
+				continue
 			}
-			of[i] = gi
-			groups[gi].rows++
+			// at[d] is where the next row with byte d goes: the byte values
+			// laid end to end in order.
+			var at [256]int32
+			for _, k := range keys {
+				at[byte(k>>shift)]++
+			}
+			start := int32(0)
+			for d, cnt := range at {
+				at[d] = start
+				start += cnt
+			}
+			for _, i := range perm {
+				d := byte(keys[i] >> shift)
+				next[at[d]] = i
+				at[d]++
+			}
+			perm, next = next, perm
 		}
-		if len(groups) == 1 {
-			continue // a constant column orders nothing
-		}
-		slices.SortFunc(groups, func(a, b valueGroup) int { return cmp.Compare(a.val, b.val) })
-		// at[g] is where group g's next row goes: the groups laid end to
-		// end in value order.
-		at, start := g.first, int32(0)
-		for _, vg := range groups {
-			at[vg.id] = start
-			start += vg.rows
-		}
-		for _, i := range perm {
-			next[at[of[i]]] = i
-			at[of[i]]++
-		}
-		perm, next = next, perm
 	}
 	return perm
-}
-
-// valueGroup is one distinct value of a column during rankSort: the rows
-// holding it form group id, numbered in first-appearance order.
-type valueGroup struct {
-	val  Value
-	id   int32
-	rows int32
 }
 
 // Rows returns a decoded copy of every tuple, in storage order, backed by one

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,10 +12,10 @@ import (
 	"panda/internal/bitset"
 )
 
-// refSortedPerm is sortedPerm as it was before the ranked sort: a comparison
-// sort of the row indices that decodes both rows on every comparison. Rows
-// are unique, so the order is total and any correct sort must produce
-// exactly this permutation.
+// refSortedPerm is sortedPerm as it was before the ranked and radix sorts: a
+// comparison sort of the row indices that decodes both rows on every
+// comparison. Rows are unique, so the order is total and any correct sort
+// must produce exactly this permutation.
 func refSortedPerm(r *Relation) []int32 {
 	perm := make([]int32, r.nrows)
 	for i := range perm {
@@ -72,6 +73,66 @@ func TestAllSortedMatchesReference(t *testing.T) {
 					t.Fatalf("arity %d, %d rows over ±%d: AllSorted yields %v, want %v", arity, r.Size(), dom, got, rows)
 				}
 			}
+		}
+	}
+	t.Run("key-bytes", testAllSortedKeyBytes)
+}
+
+// testAllSortedKeyBytes runs the radix sort over values chosen for their
+// bytes: the ends of int64 and the values around zero, where the sign bit
+// flips; values that differ only in their top byte, or only in byte 3; a
+// constant column between two varying ones; and a relation of thousands of
+// rows over values spread across all of int64. Every key byte is the one
+// that varies somewhere, and somewhere every byte of a column is shared.
+func testAllSortedKeyBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	ends := []Value{math.MinInt64, math.MinInt64 + 1, -1 << 32, -256, -1, 0, 1, 255, 1 << 32, math.MaxInt64 - 1, math.MaxInt64}
+	top := []Value{5, 0x01<<56 | 5, 0x02<<56 | 5, 0x7f<<56 | 5, math.MinInt64 | 5, -1<<56 | 5}
+	byte3 := []Value{0x11, 0x01<<24 | 0x11, 0x80<<24 | 0x11, 0xff<<24 | 0x11}
+	spread := make([]Value, 4000)
+	for i := range spread {
+		spread[i] = Value(rng.Uint64())
+		if i%4 == 0 {
+			spread[i] = Value(rng.Intn(512) - 256)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		pools [][]Value // per column; a one-value pool is a constant column
+		n     int
+	}{
+		{"ends", [][]Value{ends, ends}, 100},
+		{"ends-3", [][]Value{ends, ends, ends}, 1000},
+		{"top-byte", [][]Value{top, top}, 30},
+		{"byte-3", [][]Value{byte3, top}, 24},
+		{"constant-middle", [][]Value{ends, {math.MinInt64}, byte3}, 40},
+		{"constant-middle-zero", [][]Value{top, {0}, ends}, 60},
+		{"all-constant", [][]Value{{-1}, {7}}, 1},
+		{"thousands", [][]Value{spread, spread}, 5000},
+		{"thousands-narrow", [][]Value{spread[:40], {3}, spread[:200]}, 4000},
+	} {
+		r := New("R", bitset.Full(len(tc.pools)))
+		r.in = NewInterner()
+		var all []Value
+		for _, pool := range tc.pools {
+			all = append(all, pool...)
+		}
+		slices.Sort(all)
+		for i := len(all) - 1; i >= 0; i-- { // larger values get smaller ids
+			r.in.Intern(all[i])
+		}
+		row := make([]Value, len(tc.pools))
+		for tries := 0; r.Size() < tc.n && tries < 100*tc.n; tries++ {
+			for c, pool := range tc.pools {
+				row[c] = pool[rng.Intn(len(pool))]
+			}
+			r.Insert(row)
+		}
+		if r.Size() < min(tc.n, 2) {
+			t.Fatalf("%s: only %d rows drawn", tc.name, r.Size())
+		}
+		if got, want := r.sortedPerm(), refSortedPerm(r); !slices.Equal(got, want) {
+			t.Fatalf("%s, %d rows: permutation differs from the reference comparator\n got %v\nwant %v", tc.name, r.Size(), got, want)
 		}
 	}
 }
