@@ -365,7 +365,7 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	}
 	for _, w := range workloads {
 		ins := RandomInstance(w.seed, &w.q.Schema, 300, 30)
-		cons := CompleteConstraints(&w.q.Schema, ins, nil)
+		cons := core.CompleteConstraints(&w.q.Schema, ins, nil)
 		b.Run(w.name+"/unprepared", func(b *testing.B) {
 			db := Open()
 			defer db.Close()

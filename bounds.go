@@ -84,16 +84,6 @@ func RuleBound(p *Rule, dcs []Constraint) (*big.Rat, error) {
 	return res.Bound, nil
 }
 
-// InstanceCardinalities derives cardinality constraints from an instance.
-func InstanceCardinalities(s *Schema, ins *Instance) []Constraint {
-	return ins.CardinalityConstraints(s)
-}
-
-// CheckInstance verifies that an instance satisfies the constraints.
-func CheckInstance(s *Schema, ins *Instance, dcs []Constraint) error {
-	return ins.Check(s, dcs)
-}
-
 // ZhangYeungGap returns Theorem 1.3's two bounds for the Zhang–Yeung query
 // in log N units: the polymatroid bound (4) and the certified entropic
 // upper bound (43/11).

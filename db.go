@@ -89,10 +89,6 @@ func WithMode(m PlanMode) Option { return func(c *config) { c.mode = m } }
 // WithTrace records one line per relational operation in Result.Stats.Trace.
 func WithTrace(on bool) Option { return func(c *config) { c.core.Trace = on } }
 
-// WithCheckInvariants validates the degree-support invariant and the
-// potential inequality before every engine step (slow; exact arithmetic).
-func WithCheckInvariants(on bool) Option { return func(c *config) { c.core.CheckInvariants = on } }
-
 // WithBudgetDisabled turns off the 2^OBJ composition budget (the ablation
 // switch): outputs stay correct but the runtime guarantee is forfeited.
 func WithBudgetDisabled(on bool) Option { return func(c *config) { c.core.DisableBudget = on } }

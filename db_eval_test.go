@@ -215,7 +215,7 @@ func TestDBEvalRule(t *testing.T) {
 	for _, in := range instances {
 		for _, budgetOff := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/budget-off=%v", in.name, budgetOff), func(t *testing.T) {
-				wantBound, err := RuleBound(p, InstanceCardinalities(&p.Schema, in.ins))
+				wantBound, err := RuleBound(p, in.ins.CardinalityConstraints(&p.Schema))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -83,7 +83,7 @@ func main() {
 	// Size bounds under the instance's cardinality constraints, and the
 	// Figure 4 width hierarchy — the analysis side of the facade.
 	q := panda.FourCycleQuery()
-	dcs := panda.InstanceCardinalities(&q.Schema, panda.CycleWorstCase(q, m))
+	dcs := panda.CycleWorstCase(q, m).CardinalityConstraints(&q.Schema)
 	rep, err := panda.Bounds(q, dcs)
 	if err != nil {
 		log.Fatal(err)

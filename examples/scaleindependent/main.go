@@ -55,7 +55,7 @@ func main() {
 			panda.Degree(panda.Vars(0), panda.Vars(0, 1), maxFollows, 1),
 			panda.Degree(panda.Vars(1), panda.Vars(1, 2), maxPosts, 2),
 		}
-		if err := panda.CheckInstance(&s, ins, dcs); err != nil {
+		if err := ins.Check(&s, dcs); err != nil {
 			log.Fatal(err)
 		}
 		res, err := db.Eval(q, ins, dcs, panda.WithMode(panda.ModeFull))

@@ -21,19 +21,7 @@ import (
 // and can only tighten the bound. The result is a complete constraint set
 // suitable for plan.Prepare.
 func CompleteConstraints(s *query.Schema, ins *query.Instance, dcs []query.DegreeConstraint) []query.DegreeConstraint {
-	have := map[bitset.Set]bool{}
-	for _, c := range dcs {
-		if c.IsCardinality() {
-			have[c.Y] = true
-		}
-	}
-	out := append([]query.DegreeConstraint(nil), dcs...)
-	for i, a := range s.Atoms {
-		if !have[a.Vars] {
-			out = append(out, query.Cardinality(a.Vars, int64(ins.Relations[i].Size()), i))
-		}
-	}
-	return out
+	return query.CompleteCardinalities(s, dcs, func(i int) int64 { return int64(ins.Relations[i].Size()) })
 }
 
 // unitRelation returns the nullary relation {()}.

@@ -116,6 +116,39 @@ func TestParallelDigestParity(t *testing.T) {
 	}
 }
 
+// TestExecuteRuleIsTheRulePlan: ExecuteRule runs a prepared rule as the
+// planner's own ModeRule plan, so for every rule case of digestMatrix it
+// digests the same as Execute of that plan, under each Partitions ×
+// Parallelism an Executor takes.
+func TestExecuteRuleIsTheRulePlan(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range digestMatrix() {
+		if tc.rule == nil || tc.parts != 1 { // the K=3 cases repeat the K=1 instances
+			continue
+		}
+		p, err := tc.prepare(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, parts := range []int{1, 4} {
+			for _, par := range []int{1, 4} {
+				ex := &Executor{Partitions: parts, Parallelism: par, Opt: Options{Trace: true}}
+				want, err := ex.Execute(ctx, p, tc.ins)
+				if err != nil {
+					t.Fatalf("%s K=%d P=%d: Execute: %v", tc.name, parts, par, err)
+				}
+				got, err := ex.ExecuteRule(ctx, &tc.rule.Schema, p.Rules[0], p.Cons, tc.ins)
+				if err != nil {
+					t.Fatalf("%s K=%d P=%d: ExecuteRule: %v", tc.name, parts, par, err)
+				}
+				if g, w := execDigest(got), execDigest(want); g != w {
+					t.Errorf("%s K=%d P=%d: ExecuteRule digests %s, Execute of the rule plan %s", tc.name, parts, par, g, w)
+				}
+			}
+		}
+	}
+}
+
 // skewedBinary fills every binary atom with up to n tuples whose first
 // column ranges over [dom] and whose second ranges over [dom²].
 func skewedBinary(seed int64, s *query.Schema, n, dom int) *query.Instance {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/big"
 	"slices"
 	"sync"
 	"time"
@@ -21,8 +20,9 @@ import (
 )
 
 // Executor runs the data-dependent phase of prepared plans. PANDA on one
-// disjunctive rule (ExecuteRule) is the black box; every plan mode is the
-// same pipeline around it (Corollaries 7.10, 7.11, 7.13):
+// disjunctive rule (runRule) is the black box; every plan mode — a rule on
+// its own (ModeRule, ExecuteRule) included — is the same pipeline around it
+// (Corollaries 7.10, 7.11, 7.13):
 //
 //  1. run the plan's rules — one task per (rule × co-partitioned
 //     sub-instance) — each handing back its model as lists of subproblem
@@ -80,53 +80,26 @@ type Executor struct {
 }
 
 // ExecuteRule runs the data-dependent phase of one prepared disjunctive
-// rule over an instance: the proof sequence is interpreted step by step by
-// the PANDA engine, with the constraint set bound to the instance's
-// relations as guards, checking ctx between steps. The prepared rule is not
-// mutated, so one rule may be executed concurrently by many goroutines. An
-// operator output past a relation's limits fails the run with
-// relation.ErrTooManyRows or ErrTooManyValues (see recoverLimit).
-func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) (_ *Result, err error) {
-	defer recoverLimit(&err)
-	fold, res, err := ex.runRule(ctx, s, pr, cons, ins)
-	if err != nil {
-		return nil, err
-	}
-	res.Tables = fold.union()
-	return res, nil
+// rule over an instance: it is Execute on the rule's one-rule ModeRule plan
+// (plan.NewRulePlan, the plan the planner builds for a rule), so the rule
+// runs under the executor's Partitions and Parallelism and reports its
+// stage timings like any plan. cons is the complete constraint set the rule
+// was planned against. The prepared rule is not mutated, so one rule may be
+// executed concurrently by many goroutines.
+func (ex *Executor) ExecuteRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) (*ExecResult, error) {
+	return ex.Execute(ctx, plan.NewRulePlan(s, cons, pr), ins)
 }
 
-// recoverLimit is deferred at every boundary where execution hands back an
-// error — ExecuteRule, Execute and each task of forEach. The relational
-// operators have no error to return, so one whose output would pass the row
-// limit or the intern table's value limit panics with an error wrapping
-// relation.ErrTooManyRows or ErrTooManyValues; recoverLimit turns that panic
-// into the returned error. Any other panic is a bug and goes on.
-func recoverLimit(err *error) {
-	v := recover()
-	if v == nil {
-		return
-	}
-	if e, ok := v.(error); ok && (errors.Is(e, relation.ErrTooManyRows) || errors.Is(e, relation.ErrTooManyValues)) {
-		*err = e
-		return
-	}
-	panic(v)
-}
-
-// runRule is ExecuteRule short of the union: the rule's model comes back as a
-// tableFold with a list for every target — a target no subproblem delivered
-// lists one empty table — and the Result carries everything but Tables.
-func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) (tableFold, *Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(ins.Relations) != len(s.Atoms) {
-		return nil, nil, fmt.Errorf("core: instance has %d relations for %d atoms", len(ins.Relations), len(s.Atoms))
-	}
+// runRule runs PANDA on one rule of a plan: the proof sequence is
+// interpreted step by step by the engine, with the constraint set bound to
+// the instance's relations as guards, checking ctx between steps. The
+// rule's model comes back as a tableFold with a list for every target — a
+// target no subproblem delivered lists one empty table — together with the
+// run's Stats and Timings (nil unless Options.StageTimings).
+func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.PreparedRule, cons []query.DegreeConstraint, ins *query.Instance) (tableFold, *Stats, *Timings, error) {
 	if pr.Trivial {
 		// Section 1.3: an ∅ target is answered by the unit table alone.
-		return tableFold{0: {unitRelation()}}, &Result{Bound: new(big.Rat), Stats: NewStats()}, nil
+		return tableFold{0: {unitRelation()}}, NewStats(), nil, nil
 	}
 	stats := NewStats()
 	var timings *Timings
@@ -144,7 +117,7 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 	}
 	e.objFloat, _ = pr.Bound.Float64()
 	if len(pr.Zeroed) != len(pr.Seq) {
-		return nil, nil, fmt.Errorf("core: rule has %d zero masks for %d proof steps", len(pr.Zeroed), len(pr.Seq))
+		return nil, nil, nil, fmt.Errorf("core: rule has %d zero masks for %d proof steps", len(pr.Zeroed), len(pr.Seq))
 	}
 	// Initial frame: constraints with their guards; supports for the δ
 	// coordinates pick the smallest bound among matching constraints.
@@ -155,7 +128,7 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 	}
 	for i, c := range cons {
 		if c.Guard < 0 || c.Guard >= len(ins.Relations) {
-			return nil, nil, fmt.Errorf("core: constraint on %v lacks a guard atom", c.Y)
+			return nil, nil, nil, fmt.Errorf("core: constraint on %v lacks a guard atom", c.Y)
 		}
 		f.cons[i] = rtCon{x: c.X, y: c.Y, guard: ins.Relations[c.Guard]}
 		f.cons[i].logN, _ = c.LogN.Float64()
@@ -167,19 +140,19 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 			}
 		}
 		if _, ok := f.support[p0]; !ok {
-			return nil, nil, fmt.Errorf("core: initial δ%v has no matching constraint", p0)
+			return nil, nil, nil, fmt.Errorf("core: initial δ%v has no matching constraint", p0)
 		}
 	}
 	fold, err := e.run(f)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for _, b := range e.targets {
 		if _, ok := fold[b]; !ok {
 			fold[b] = []*relation.Relation{relation.New(fmt.Sprintf("T_%s", s.VarLabel(b)), b)}
 		}
 	}
-	return fold, &Result{Bound: pr.Bound, Stats: stats, Timings: timings}, nil
+	return fold, stats, timings, nil
 }
 
 // Execute runs the data-dependent phase of a prepared plan over an instance
@@ -187,9 +160,9 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 // honoring ctx throughout. The plan is treated as immutable: concurrent
 // Execute calls on a shared plan are safe. An operator output past a
 // relation's limits fails the run with relation.ErrTooManyRows or
-// ErrTooManyValues (see recoverLimit).
+// ErrTooManyValues (relation.RecoverLimit, deferred here and in every task).
 func (ex *Executor) Execute(ctx context.Context, p *plan.Plan, ins *query.Instance) (_ *ExecResult, err error) {
-	defer recoverLimit(&err)
+	defer relation.RecoverLimit(&err)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -263,28 +236,21 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 	width, _ := p.Width.Float64()
 
 	// (1) One task per (rule × sub-instance), each handing back its model as
-	// lists of subproblem tables.
-	ress, fold, err := ex.runRules(ctx, p, ins, width)
+	// lists of subproblem tables, merged in rule-then-partition order whatever
+	// order the pool ran the tasks in: stats and trace concatenate, as the
+	// lists of tables do.
+	fold, stats, timings, err := ex.runRules(ctx, p, ins, width)
 	if err != nil {
 		return nil, err
 	}
-
-	// (2) Merge in rule-then-partition order, whatever order the pool ran the
-	// tasks in: stats and trace concatenate, as the lists of tables did.
-	out := &ExecResult{Stats: NewStats()}
+	out := &ExecResult{Stats: stats, Timings: timings}
 	if timed {
-		out.Timings = NewTimings()
 		out.Timings.RuleFanout = tick()
 	}
-	for _, res := range ress {
-		out.Stats.Accumulate(res.Stats)
-		if timed {
-			out.Timings.Accumulate(res.Timings)
-		}
-	}
-	// A ModeRule plan (no decompositions) answers with its rule's model, the
-	// union of each target's list; every other plan reduces each bag's list by
-	// the inputs.
+
+	// (2) A ModeRule plan (no decompositions) answers with its rule's model,
+	// the union of each target's list; every other plan reduces each bag's
+	// list by the inputs.
 	var tables map[bitset.Set]*relation.Relation
 	if len(tds) == 0 {
 		tables = fold.union()
@@ -354,30 +320,39 @@ func (ex *Executor) execute(ctx context.Context, p *plan.Plan, ins *query.Instan
 }
 
 // runRules is step 1: one PANDA run per (rule × co-partitioned sub-instance),
-// through the pool. It returns the runs' Results in rule-then-partition order
-// and, target by target, their lists of tables concatenated in that order —
-// together a model of the full instance, since every satisfying assignment
-// lands in exactly one partition.
-func (ex *Executor) runRules(ctx context.Context, p *plan.Plan, ins *query.Instance, width float64) ([]*Result, tableFold, error) {
+// through the pool. It returns, target by target, the runs' lists of tables
+// concatenated in rule-then-partition order — together a model of the full
+// instance, since every satisfying assignment lands in exactly one partition
+// — and their Stats and Timings merged in the same order.
+func (ex *Executor) runRules(ctx context.Context, p *plan.Plan, ins *query.Instance, width float64) (tableFold, *Stats, *Timings, error) {
 	subs := query.PartitionInstance(&p.Schema, ins, ex.Partitions)
 	if subs == nil {
 		subs = []*query.Instance{ins}
 	}
 	n := len(p.Rules) * len(subs)
-	ress := make([]*Result, n)
 	folds := make([]tableFold, n)
+	stats := make([]*Stats, n)
+	times := make([]*Timings, n)
 	err := ex.forEach(ctx, ex.poolSize(n, fanoutCost(n, width, ins)), n, func(cctx context.Context, t int) (err error) {
-		folds[t], ress[t], err = ex.runRule(cctx, &p.Schema, p.Rules[t/len(subs)], p.Cons, subs[t%len(subs)])
+		folds[t], stats[t], times[t], err = ex.runRule(cctx, &p.Schema, p.Rules[t/len(subs)], p.Cons, subs[t%len(subs)])
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	fold := tableFold{}
-	for _, f := range folds {
+	fold, merged := tableFold{}, NewStats()
+	var timings *Timings
+	if ex.Opt.StageTimings {
+		timings = NewTimings()
+	}
+	for t, f := range folds {
 		fold.add(f)
+		merged.Accumulate(stats[t])
+		if timings != nil {
+			timings.Accumulate(times[t])
+		}
 	}
-	return ress, fold, nil
+	return fold, merged, timings, nil
 }
 
 // reduceBags is Corollary 7.10's reduction: each bag's tables, from every
@@ -414,7 +389,7 @@ func (ex *Executor) reduceBags(ctx context.Context, fold tableFold, ins *query.I
 
 // forEach runs fn(ctx, i) for i in [0, n), sequentially when workers ≤ 1,
 // and through a bounded worker pool otherwise. A task that passes a
-// relation's limits fails with the error (recoverLimit), in a worker
+// relation's limits fails with the error (relation.RecoverLimit), in a worker
 // goroutine as on the caller's. The first genuine error
 // cancels the sibling executions; the error returned is deterministic — the
 // lowest-index genuine failure wins over the cancellations it propagated,
@@ -481,6 +456,6 @@ func (ex *Executor) forEach(ctx context.Context, workers, n int, fn func(ctx con
 
 // runTask runs one task of forEach, recovering a limit panic into its error.
 func runTask(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
-	defer recoverLimit(&err)
+	defer relation.RecoverLimit(&err)
 	return fn(ctx, i)
 }

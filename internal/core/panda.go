@@ -11,7 +11,7 @@
 // Algorithm 1 returns, from a decomposition, "the union of the sub-problems'
 // tables", and Theorem 1.7 charges that union nothing. Here it costs one pass:
 // the recursion hands lists of tables up (tableFold) — a decomposition step
-// concatenates its children's lists and touches no row — and ExecuteRule
+// concatenates its children's lists and touches no row — and a ModeRule plan
 // unions each target's list once, into a relation sized before it is written.
 // A plan that answers from tree decompositions does not even union a rule's
 // tables on their own: the Executor lists each bag's tables from every rule
@@ -82,13 +82,13 @@ type Timings struct {
 	Steps map[string]time.Duration
 	// RuleFanout is the wall-clock of the rule fan-out phase: every
 	// per-bag / per-transversal PANDA run, including pool scheduling, up to
-	// the lists of tables it hands back — the union and reduction of those
-	// are the merge's. Under parallelism this is wall time, not the sum of
+	// the lists of tables and the Stats they hand back, concatenated in
+	// rule-then-partition order — the union and reduction of the lists are
+	// the merge's. Under parallelism this is wall time, not the sum of
 	// per-rule work.
 	RuleFanout time.Duration
-	// Merge is the wall-clock of the post-fan-out merge: stats
-	// accumulation, the union and semijoin reduction of each bag's tables,
-	// and the Yannakakis passes.
+	// Merge is the wall-clock of the post-fan-out merge: the union and
+	// semijoin reduction of each bag's tables, and the Yannakakis passes.
 	Merge time.Duration
 }
 
@@ -167,23 +167,9 @@ type Options struct {
 	// benchmarks.
 	DisableBudget bool
 	// StageTimings records wall-clock stage timings (per-step-kind engine
-	// time, rule fan-out, merge) into Result.Timings / ExecResult.Timings.
+	// time, rule fan-out, merge) into ExecResult.Timings.
 	// Off by default: the disabled path makes no clock calls.
 	StageTimings bool
-}
-
-// Result is the outcome of a disjunctive-rule evaluation.
-type Result struct {
-	// Tables maps every target B to a computed table T_B; their union over
-	// targets is a model of the rule.
-	Tables map[bitset.Set]*relation.Relation
-	// Bound is the exact polymatroid bound LogSizeBound_{Γn∩HDC}(P) in
-	// log₂ units.
-	Bound *big.Rat
-	Stats *Stats
-	// Timings holds per-stage wall-clock timings; nil unless
-	// Options.StageTimings was set.
-	Timings *Timings
 }
 
 // rtCon is a runtime degree constraint (Z, W, N_{W|Z}) with its guard. Its
@@ -658,7 +644,7 @@ func (p *program) truncate(i int) (*program, error) {
 // up — a decomposition step appends its children's lists to its own and
 // touches no row, the executor does the same across its (rule × partition)
 // tasks — and whoever needs one table per target makes one pass over the
-// list at the top: ExecuteRule and a plan without decompositions call union,
+// list at the top: a plan without decompositions (ModeRule) calls union,
 // a plan that answers from decompositions reduces each bag's list by the
 // inputs in the same pass (Executor.reduceBags), so a model row is hashed
 // into a dedup table at most once however deep the recursion that produced

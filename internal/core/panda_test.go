@@ -15,7 +15,7 @@ import (
 
 // evalRule plans a disjunctive rule (uncached, against the constraint set
 // completed from ins) and runs PANDA on it with a sequential Executor.
-func evalRule(p *query.Disjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options) (*Result, error) {
+func evalRule(p *query.Disjunctive, ins *query.Instance, dcs []query.DegreeConstraint, opt Options) (*ExecResult, error) {
 	cons := CompleteConstraints(&p.Schema, ins, dcs)
 	pr, _, err := plan.PrepareRule(&p.Schema, cons, p.Targets)
 	if err != nil {
@@ -189,6 +189,41 @@ func TestPandaEmptyTargetTrivial(t *testing.T) {
 	}
 	if res.Bound.Sign() != 0 {
 		t.Fatalf("bound should be 0, got %v", res.Bound)
+	}
+}
+
+// TestPandaFinishProjectsTheGuard: a proof sequence can run out before any
+// base case fires. Under the declared (∅, {A}, 3) the target of T(A) :- R(A,B)
+// needs no step at all — δ already covers λ — and R's schema is not the
+// target, so the engine's finish hands back the supported marginal's guard
+// projected onto A.
+func TestPandaFinishProjectsTheGuard(t *testing.T) {
+	rule := &query.Disjunctive{
+		Schema: query.Schema{
+			NumVars:  2,
+			VarNames: []string{"A", "B"},
+			Atoms:    []query.Atom{{Name: "R", Vars: bitset.Of(0, 1)}},
+		},
+		Targets: []bitset.Set{bitset.Of(0)},
+	}
+	ins := query.NewInstance(&rule.Schema)
+	for a := 0; a < 3; a++ {
+		for b := 0; b < 5; b++ {
+			ins.Relations[0].Insert([]relation.Value{relation.Value(a), relation.Value(b)})
+		}
+	}
+	res, err := evalRule(rule, ins, []query.DegreeConstraint{query.Cardinality(bitset.Of(0), 3, 0)}, Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ins.IsModel(rule, res.Tables); err != nil || !ok {
+		t.Fatalf("model check: %v %v", ok, err)
+	}
+	if tr := res.Stats.Trace; len(tr) != 1 || tr[0] != "finish: return Π_A(R) as T_A" || res.Stats.BaseCases != 1 {
+		t.Fatalf("want one finish projecting R, got %d base cases and trace %q", res.Stats.BaseCases, tr)
+	}
+	if n := res.Tables[bitset.Of(0)].Size(); n != 3 {
+		t.Fatalf("T_A has %d rows, want the 3 values of A", n)
 	}
 }
 

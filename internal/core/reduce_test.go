@@ -71,7 +71,7 @@ func TestBagTablesHoldTheAnswer(t *testing.T) {
 				for _, parts := range []int{1, 3} {
 					tag := fmt.Sprintf("%s seed %d %v K=%d", name, seed, mode, parts)
 					ex := &Executor{Partitions: parts}
-					_, fold, err := ex.runRules(ctx, p, ins, width)
+					fold, _, _, err := ex.runRules(ctx, p, ins, width)
 					if err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}

@@ -90,8 +90,10 @@ func Advance(ctx context.Context, exec *core.Executor, p *plan.Plan, s *query.Sc
 // instance (deltas already appended), deltas[i] the per-atom delta relation
 // (nil or empty to skip atom i; same schema as full.Relations[i]). The
 // prepared plan p must belong to the schema s and is executed as-is — no
-// replanning, no LP solves.
-func Maintain(ctx context.Context, exec *core.Executor, p *plan.Plan, s *query.Schema, full *query.Instance, deltas []*relation.Relation) (*Round, error) {
+// replanning, no LP solves. A round whose delta would pass the row limit
+// fails with relation.ErrTooManyRows.
+func Maintain(ctx context.Context, exec *core.Executor, p *plan.Plan, s *query.Schema, full *query.Instance, deltas []*relation.Relation) (_ *Round, err error) {
+	defer relation.RecoverLimit(&err)
 	if len(full.Relations) != len(s.Atoms) || len(deltas) != len(s.Atoms) {
 		return nil, fmt.Errorf("incr: instance has %d relations and %d deltas for %d atoms",
 			len(full.Relations), len(deltas), len(s.Atoms))

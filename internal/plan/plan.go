@@ -288,6 +288,14 @@ func buildPlan(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []
 	if err != nil {
 		return nil, bs, err
 	}
+	return NewRulePlan(s, cons, pr), bs, nil
+}
+
+// NewRulePlan wraps a prepared disjunctive rule over s, planned against the
+// complete constraint set cons, as its one-rule ModeRule plan: Width is the
+// rule's polymatroid bound. It is the one way a rule becomes a Plan, for the
+// planner and core.Executor.ExecuteRule alike.
+func NewRulePlan(s *query.Schema, cons []query.DegreeConstraint, pr *PreparedRule) *Plan {
 	return &Plan{
 		Mode:   ModeRule,
 		Schema: copySchema(s),
@@ -295,7 +303,7 @@ func buildPlan(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []
 		Chosen: -1,
 		Rules:  []*PreparedRule{pr},
 		Width:  pr.Bound,
-	}, bs, nil
+	}
 }
 
 func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstraint, targets []bitset.Set, bs *BuildStats) (*PreparedRule, error) {

@@ -178,14 +178,32 @@ func (ins *Instance) MaxSize() int {
 	return best
 }
 
+// CompleteCardinalities returns dcs followed by (∅, F, size(i)), guarded by
+// atom i, for every atom i over F that dcs has no cardinality constraint on,
+// in atom order. It is the one way a constraint set gets a cardinality per
+// atom, as the planning LP needs: from an instance's relation sizes
+// (CardinalityConstraints, core.CompleteConstraints) or from an assumed
+// default.
+func CompleteCardinalities(s *Schema, dcs []DegreeConstraint, size func(atom int) int64) []DegreeConstraint {
+	have := map[bitset.Set]bool{}
+	for _, c := range dcs {
+		if c.IsCardinality() {
+			have[c.Y] = true
+		}
+	}
+	out := append([]DegreeConstraint(nil), dcs...)
+	for i, a := range s.Atoms {
+		if !have[a.Vars] {
+			out = append(out, Cardinality(a.Vars, size(i), i))
+		}
+	}
+	return out
+}
+
 // CardinalityConstraints derives (∅, F, |R_F|) for every atom from the
 // instance, the constraints used when only relation sizes are known.
 func (ins *Instance) CardinalityConstraints(s *Schema) []DegreeConstraint {
-	out := make([]DegreeConstraint, len(s.Atoms))
-	for i, a := range s.Atoms {
-		out[i] = Cardinality(a.Vars, int64(ins.Relations[i].Size()), i)
-	}
-	return out
+	return CompleteCardinalities(s, nil, func(i int) int64 { return int64(ins.Relations[i].Size()) })
 }
 
 // Check verifies that the instance satisfies every guarded constraint,

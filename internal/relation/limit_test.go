@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"panda"
 	"panda/internal/relation"
@@ -109,6 +110,104 @@ func TestRowLimitIsATypedErrorAtTheSurface(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "too_many_rows") {
 		t.Fatalf("POST /v1/query past the limit: %d %s", resp.StatusCode, msg)
+	}
+
+	// A statement's memo grows in place by each round's rows, outside any
+	// execution: an answer that outgrows the limit that way fails the Query,
+	// and the watch over the same text, with the same error. Every relation
+	// and every execution stays far below the limit; only the answer, a
+	// product, passes it. A round whose rows the memo already holds goes
+	// through however close to the limit the answer is.
+	const prod = "Q(X,Y) :- C(X), F(Y,Z)."
+	if err := db.CreateRelation("C", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateRelation("F", 2); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 6; v++ {
+		if err := db.Insert("C", []panda.Value{panda.Value(v)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("F", []panda.Value{panda.Value(v), 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := db.Prepare(prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := st.Query(); err != nil || res.Rel.Size() != 36 {
+		t.Fatalf("the 6 × 6 product: err=%v", err)
+	}
+	w, err := db.Watch(prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, step := range []struct {
+		atom string
+		row  []panda.Value
+		want int
+	}{
+		{"C", []panda.Value{6}, 42}, {"C", []panda.Value{7}, 48}, {"C", []panda.Value{8}, 54}, {"C", []panda.Value{9}, 60},
+		{"F", []panda.Value{0, 1}, 60}, // ten rows the memo holds, past 64 if counted again
+	} {
+		if err := db.Insert(step.atom, step.row); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := st.Query(); err != nil || res.Rel.Size() != step.want {
+			t.Fatalf("after %s%v: err=%v, want %d rows", step.atom, step.row, err, step.want)
+		}
+	}
+	if err := db.Insert("F", []panda.Value{6, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Query(); !errors.Is(err, panda.ErrTooManyRows) {
+		t.Fatalf("a memo grown to 70 rows under a limit of 64: err = %v, want ErrTooManyRows", err)
+	}
+	// Two atoms' rows of one round can pass the limit together before the
+	// merge, each of the round's executions under it: 4 × 2 and 64 × 1 rows
+	// make 68 new ones.
+	for _, name := range []string{"G", "H"} {
+		if err := db.CreateRelation(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 0; v < 60; v++ {
+		if err := db.Insert("G", []panda.Value{panda.Value(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Insert("H", []panda.Value{0}); err != nil {
+		t.Fatal(err)
+	}
+	both, err := db.Prepare("P(X,Y) :- G(X), H(Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := both.Query(); err != nil || res.Rel.Size() != 60 {
+		t.Fatalf("the 60 × 1 product: err=%v", err)
+	}
+	if err := db.Insert("G", []panda.Value{60}, []panda.Value{61}, []panda.Value{62}, []panda.Value{63}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("H", []panda.Value{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := both.Query(); !errors.Is(err, panda.ErrTooManyRows) {
+		t.Fatalf("a round of 68 new rows under a limit of 64: err = %v, want ErrTooManyRows", err)
+	}
+
+	for deadline, open := time.After(30*time.Second), true; open; {
+		select {
+		case _, open = <-w.Deltas():
+		case <-deadline:
+			t.Fatal("the watch over a memo grown past the limit is still running")
+		}
+	}
+	if err := w.Err(); !errors.Is(err, panda.ErrTooManyRows) {
+		t.Fatalf("the watch over a memo grown past the limit ended with %v, want ErrTooManyRows", err)
 	}
 }
 

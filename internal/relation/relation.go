@@ -44,6 +44,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -327,6 +328,24 @@ func (r *Relation) checkRoom(n int) {
 	if n > maxRows-r.nrows {
 		panic(r.CheckRoom(n))
 	}
+}
+
+// RecoverLimit is deferred at every boundary that hands back an error for
+// work the operators do — the executor's runs and tasks, a memo's merge.
+// The operators have no error to return, so one whose output would pass the
+// row limit or the intern table's value limit panics with an error wrapping
+// ErrTooManyRows or ErrTooManyValues; RecoverLimit turns that panic into
+// *err. Any other panic is a bug and goes on.
+func RecoverLimit(err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	if e, ok := v.(error); ok && (errors.Is(e, ErrTooManyRows) || errors.Is(e, ErrTooManyValues)) {
+		*err = e
+		return
+	}
+	panic(v)
 }
 
 // appendUnique appends a row the caller guarantees is not present, bumping

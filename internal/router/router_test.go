@@ -69,6 +69,9 @@ func newFakePlanner(t *testing.T) *fakePlanner {
 		f.pullMu.Unlock()
 		io.WriteString(w, f.plansBody.Load().(string))
 	})
+	mux.HandleFunc("GET /v1/relations", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"relations":[{"name":"R","arity":2,"size":0}]}`)
+	})
 	mux.HandleFunc("POST /v1/relations", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		f.epoch.Add(1)
@@ -94,8 +97,9 @@ type fakeReplica struct {
 	// mode: "ok" answers 200 with the replica's URL in the body, "busy"
 	// answers 503, "hang" sleeps past any proxy deadline.
 	mode atomic.Value
-	// mutMode: "ok" applies catalog mutations (epoch advances), "fail"
-	// answers 500 without applying — the replica misses the broadcast.
+	// mutMode: "ok" applies catalog mutations (epoch advances) and plan
+	// imports, "fail" answers 500 without applying — the replica misses the
+	// broadcast or the shipment.
 	mutMode atomic.Value
 }
 
@@ -110,8 +114,16 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 	})
 	mux.HandleFunc("PUT /v1/plans", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
+		if f.mutMode.Load() == "fail" {
+			w.WriteHeader(http.StatusInternalServerError)
+			io.WriteString(w, `{"error":"disk on fire","code":"internal"}`)
+			return
+		}
 		f.plans.Add(1)
 		io.WriteString(w, `{"loaded":0,"skipped":0,"duplicates":0}`)
+	})
+	mux.HandleFunc("GET /v1/shapes", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"shapes":[{"digest":%q,"queries":1}]}`, f.ts.URL)
 	})
 	mutation := func(w http.ResponseWriter, r *http.Request, created bool) {
 		io.Copy(io.Discard, r.Body)
@@ -707,5 +719,123 @@ func TestRouterReusesReplicaConnections(t *testing.T) {
 	if got := dials.Load(); got > readers+rounds {
 		t.Fatalf("%d rounds of %d concurrent reads dialled the replica %d times, want at most %d",
 			rounds, readers, got, readers+rounds)
+	}
+}
+
+// TestRouterShapesTagsReplicas: GET /v1/shapes concatenates the replicas'
+// shape tables, each entry tagged with the replica that serves it (the fake
+// names its one digest after itself). A replica known to be down is not
+// asked, and one that fails to answer is marked down and left out: the view
+// degrades instead of failing.
+func TestRouterShapesTagsReplicas(t *testing.T) {
+	planner := newFakePlanner(t)
+	a, b, down, gone := newFakeReplica(t), newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)
+	r := newTestRouter(t, planner.ts.URL, a, down, b, gone)
+	ts := httptest.NewServer(r)
+	t.Cleanup(ts.Close)
+	r.markDown(r.backendByName(down.ts.URL))
+	gone.ts.Close()
+
+	code, body := httpDo(t, http.MethodGet, ts.URL+"/v1/shapes", "")
+	if code != http.StatusOK {
+		t.Fatalf("/v1/shapes: %d %s", code, body)
+	}
+	var view struct {
+		Shapes []struct {
+			Digest  string `json:"digest"`
+			Queries int    `json:"queries"`
+			Replica string `json:"replica"`
+		} `json:"shapes"`
+	}
+	if err := json.Unmarshal([]byte(body), &view); err != nil {
+		t.Fatalf("/v1/shapes body: %v\n%s", err, body)
+	}
+	if len(view.Shapes) != 2 {
+		t.Fatalf("/v1/shapes %s, want the entries of the two live replicas", body)
+	}
+	for i, f := range []*fakeReplica{a, b} {
+		if sh := view.Shapes[i]; sh.Replica != f.ts.URL || sh.Digest != f.ts.URL || sh.Queries != 1 {
+			t.Fatalf("/v1/shapes entry %d is %+v, want %s's own entry tagged with it", i, sh, f.ts.URL)
+		}
+	}
+	if r.backendByName(gone.ts.URL).isHealthy() {
+		t.Fatal("the replica that did not answer /v1/shapes is still marked healthy")
+	}
+}
+
+// TestRouterPlannerReads: GET /v1/relations and GET /v1/plans are the
+// planning tier's to answer — its query string passed on, its answer relayed
+// as it is — and with the planner gone both answer 502 planner_unreachable.
+// The router's own /healthz still answers 200: it speaks for the router
+// process, not for the tiers behind it.
+func TestRouterPlannerReads(t *testing.T) {
+	planner := newFakePlanner(t)
+	a := newFakeReplica(t)
+	r := newTestRouter(t, planner.ts.URL, a)
+	ts := httptest.NewServer(r)
+	t.Cleanup(ts.Close)
+
+	if code, body := httpDo(t, http.MethodGet, ts.URL+"/v1/relations", ""); code != http.StatusOK || !strings.Contains(body, `"name":"R"`) {
+		t.Fatalf("/v1/relations: %d %s, want the planner's catalog", code, body)
+	}
+	pulls := len(planner.pulled())
+	if code, body := httpDo(t, http.MethodGet, ts.URL+"/v1/plans?key=k1", ""); code != http.StatusOK || body != planner.plansBody.Load().(string) {
+		t.Fatalf("/v1/plans: %d %s, want the planner's snapshot", code, body)
+	}
+	if got := planner.pulled(); len(got) != pulls+1 || got[pulls] != "key=k1" {
+		t.Fatalf("planner pulls %q, want one more, for key=k1", got)
+	}
+
+	planner.ts.Close()
+	for _, path := range []string{"/v1/relations", "/v1/plans"} {
+		if code, body := httpDo(t, http.MethodGet, ts.URL+path, ""); code != http.StatusBadGateway || !strings.Contains(body, "planner_unreachable") {
+			t.Fatalf("%s with the planner gone: %d %s, want 502 planner_unreachable", path, code, body)
+		}
+	}
+	if code, body := httpDo(t, http.MethodGet, ts.URL+"/healthz", ""); code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
+		t.Fatalf("the router's own /healthz: %d %s", code, body)
+	}
+}
+
+// TestRouterFailedShipmentLeavesReplicaBehind: a replica that refuses the
+// by-key shipment of a first sighting is reported behind on /v1/info, while
+// the one that took it is not, until a round of the push loop sends it the
+// planner's whole cache.
+func TestRouterFailedShipmentLeavesReplicaBehind(t *testing.T) {
+	planner := newFakePlanner(t)
+	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
+	a, b := newFakeReplica(t), newFakeReplica(t)
+	r := newTestRouter(t, planner.ts.URL, a, b)
+	ts := httptest.NewServer(r)
+	t.Cleanup(ts.Close)
+	r.catchUp() // a router starts with every replica behind
+	info := func(f *fakeReplica, behind bool) string {
+		return fmt.Sprintf(`{"name":%q,"healthy":true,"quarantined":false,"catalog_epoch":0,"behind":%t}`, f.ts.URL, behind)
+	}
+	wantInfo := func(when string, wants ...string) {
+		t.Helper()
+		_, got := httpDo(t, http.MethodGet, ts.URL+"/v1/info", "")
+		for _, want := range wants {
+			if !strings.Contains(got, want) {
+				t.Fatalf("%s: /v1/info %s, want it to report %s", when, got, want)
+			}
+		}
+	}
+	wantInfo("in sync", info(a, false), info(b, false))
+
+	a.mutMode.Store("fail")
+	if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
+		t.Fatalf("first sighting: %d %s", code, body)
+	}
+	wantInfo("after the refused shipment", info(a, true), info(b, false))
+	if a.plans.Load() != 1 || b.plans.Load() != 2 {
+		t.Fatalf("imports %d/%d, want only b's by-key one on top of the start", a.plans.Load(), b.plans.Load())
+	}
+
+	a.mutMode.Store("ok")
+	r.catchUp()
+	wantInfo("after the catch-up", info(a, false), info(b, false))
+	if a.plans.Load() != 2 || b.plans.Load() != 2 {
+		t.Fatalf("imports %d/%d after the catch-up, want the whole cache sent to a alone", a.plans.Load(), b.plans.Load())
 	}
 }

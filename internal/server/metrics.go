@@ -37,7 +37,7 @@ func newTelemetry(s *Server, shapeCap int) *telemetry {
 		w.Counter("panda_planner_evictions_total", "Plans dropped by the LRU eviction policy.", st.Evictions)
 		w.Counter("panda_planner_lp_solves_total", "Exact simplex solves performed across all plan builds.", st.LPSolves)
 		w.Counter("panda_planner_lp_solves_saved_total", "Simplex solves avoided by plan-cache hits.", st.LPSolvesSaved)
-		w.Counter("panda_planner_plans_built_total", "Plans constructed (misses, plus lost build races).", st.PlansBuilt)
+		w.Counter("panda_planner_plans_built_total", "Plans constructed; builds are single-flighted per signature, so always equal to misses.", st.PlansBuilt)
 		w.Gauge("panda_planner_cache_plans", "Plans currently held by the signature cache (including warm-loaded ones).", s.db.PlanCacheLen())
 		entries, hits, misses := s.stmts.snapshot()
 		w.Gauge("panda_stmt_cache_entries", "Prepared statements currently cached.", entries)

@@ -115,9 +115,6 @@ type Stats = core.Stats
 // NewInstance allocates empty relations for a schema.
 func NewInstance(s *Schema) *Instance { return query.NewInstance(s) }
 
-// NewRelation creates an empty relation over the given attributes.
-func NewRelation(name string, attrs Set) *Relation { return relation.New(name, attrs) }
-
 // Cardinality builds the constraint |R_Y| ≤ n guarded by atom g.
 func Cardinality(y Set, n int64, guard int) Constraint { return query.Cardinality(y, n, guard) }
 

@@ -1,9 +1,9 @@
 package panda
 
 import (
-	"panda/internal/core"
 	"panda/internal/flow"
 	"panda/internal/plan"
+	"panda/internal/query"
 )
 
 // Plan vocabulary: the data-independent planning phase (exact LP solves,
@@ -60,30 +60,15 @@ const (
 	StepDecomposition = flow.Decomposition
 )
 
-// CompleteConstraints appends each atom's instance cardinality to dcs when
-// missing, producing the complete constraint set the planner needs.
-func CompleteConstraints(s *Schema, ins *Instance, dcs []Constraint) []Constraint {
-	return core.CompleteConstraints(s, ins, dcs)
-}
-
 // DefaultCardinalities appends |R| ≤ n for every atom lacking a declared
 // cardinality constraint, so data-independent planning (panda plan, Bounds)
 // has a bounded LP even before any data exists. It returns the completed
 // set and the names of the atoms the default was assumed for.
 func DefaultCardinalities(s *Schema, dcs []Constraint, n int64) ([]Constraint, []string) {
-	have := map[Set]bool{}
-	for _, c := range dcs {
-		if c.IsCardinality() {
-			have[c.Y] = true
-		}
-	}
-	out := append([]Constraint(nil), dcs...)
+	out := query.CompleteCardinalities(s, dcs, func(int) int64 { return n })
 	var assumed []string
-	for i, a := range s.Atoms {
-		if !have[a.Vars] {
-			out = append(out, Cardinality(a.Vars, n, i))
-			assumed = append(assumed, a.Name)
-		}
+	for _, c := range out[len(dcs):] {
+		assumed = append(assumed, s.Atoms[c.Guard].Name)
 	}
 	return out, assumed
 }

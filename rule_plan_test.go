@@ -59,7 +59,7 @@ func TestRulesTakeThePlanningPath(t *testing.T) {
 	}
 	ctx := context.Background()
 	// direct plans and executes src with no planner in between.
-	direct := func(t *testing.T, src string) (*Rule, *Instance, *core.Result) {
+	direct := func(t *testing.T, src string) (*Rule, *Instance, *core.ExecResult) {
 		t.Helper()
 		pr, err := query.Parse(src)
 		if err != nil {

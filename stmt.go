@@ -96,11 +96,15 @@ type memo struct {
 // grows in, with delta — a round's rows, nil for none — inserted into it in
 // place. The answer reads a new snapshot of it when it read none yet (a full
 // execution's) or the merge added rows; a merge that adds nothing keeps the
-// published snapshot, and with it any row order a reader worked out.
-func (m *memo) grow(rows, delta *relation.Relation) {
+// published snapshot, and with it any row order a reader worked out. A merge
+// whose new rows would pass the row limit fails with ErrTooManyRows; the rows
+// it inserted before are answer rows the published snapshot does not show,
+// and the next merge into rows finds them there.
+func (m *memo) grow(rows, delta *relation.Relation) (err error) {
+	defer relation.RecoverLimit(&err)
 	m.rows = rows
 	if rows == nil {
-		return
+		return nil
 	}
 	if delta != nil {
 		rows.InsertAll(delta)
@@ -108,6 +112,7 @@ func (m *memo) grow(rows, delta *relation.Relation) {
 	if m.res.Rel == rows || rows.Size() > m.res.Rel.Size() {
 		m.res.Rel = rows.Snapshot(rows.Name)
 	}
+	return nil
 }
 
 // Prepare parses src (the textual query language of internal/query) and
@@ -246,7 +251,7 @@ func (st *Stmt) refresh(ctx context.Context, old *memo, cfg config, p *plan.Plan
 		}
 		res.compact()
 		next.res = res
-		next.grow(res.Rel, nil)
+		_ = next.grow(res.Rel, nil) // no delta, so nothing to insert and nothing to fail
 		return next, false, nil
 	}
 	round, err := incr.Advance(ctx, cfg.executor(), p, &st.res.Rule.Schema, b.ins, b.delta.Relations, old.res.OK)
@@ -259,7 +264,9 @@ func (st *Stmt) refresh(ctx context.Context, old *memo, cfg config, p *plan.Plan
 		Stats:    round.Stats,
 		Timings:  round.Timings,
 	}, prepWait)
-	next.grow(old.rows, round.Delta)
+	if err := next.grow(old.rows, round.Delta); err != nil {
+		return nil, false, err
+	}
 	return next, true, nil
 }
 

@@ -203,7 +203,8 @@ func (w *Watch) Stats() WatchStats {
 // Err reports why the watch terminated: nil after a clean Close (or
 // while still running), ErrClosed when the session was closed underneath
 // it, or the maintenance error that killed it — a violated declared
-// constraint among them. Meaningful once Deltas is closed.
+// constraint, or ErrTooManyRows for an answer grown past the row limit,
+// among them. Meaningful once Deltas is closed.
 func (w *Watch) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
