@@ -11,17 +11,18 @@
 // catalog access or LP work) via rendezvous hashing, so each query shape
 // consistently lands on one replica and the fleet's plan/stmt caches stay
 // hot and disjoint. A new shape is planned once on the designated planning
-// tier, which names the plan by its signature key, and that plan is shipped
-// to every replica (GET /v1/plans?key= on the planner, PUT /v1/plans on the
-// replicas) before the query is forwarded — replicas serve with zero LP
-// solves. A replica that missed a shipment (down, quarantined, or there
-// before this router started) is behind until the catch-up loop has sent it
-// the planner's whole cache. Replicas are probed on /healthz; a failed or
-// draining replica is failed over with one bounded retry per downed
-// candidate, and its query shapes move wholesale to their next-ranked
-// replica (rendezvous hashing moves nothing else).
+// tier, which answers with that one plan (GET /v1/plans?q=<text>), and the
+// plan is shipped to every replica at once (PUT /v1/plans) before the query
+// is forwarded — replicas serve with zero LP solves. A replica that missed
+// a shipment (down, quarantined, or there before this router started) is
+// behind until the catch-up loop has sent it the planner's whole cache.
+// Replicas are probed on /healthz; a failed or draining replica is failed
+// over with one bounded retry per downed candidate, and its query shapes
+// move wholesale to their next-ranked replica (rendezvous hashing moves
+// nothing else).
 //
-// Catalog mutations are broadcast to the planning tier and all replicas.
+// Catalog mutations are broadcast to the planning tier, then to all
+// replicas at once.
 // GET /metrics exposes per-replica and per-shape routing counters;
 // GET /v1/info reports each replica's health, quarantine and behind state.
 package main

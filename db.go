@@ -470,15 +470,24 @@ const PlanSnapshotFile = "plans.json"
 // SavePlans writes the session planner's cached plans to w in the
 // versioned panda-plan-cache format: the whole cache, or — given keys —
 // exactly the plans under those canonical signature keys (PlanInfo.Key;
-// an unknown key exports nothing), which is how the fleet tier ships one
-// first-sighted plan. Another session — a restarted server, or a replica
-// fed from a planning tier — re-seeds from it with LoadPlans and answers the
-// covered queries with zero LP solves.
+// an unknown key exports nothing). Another session — a restarted server, or
+// a replica fed from a planning tier — re-seeds from it with LoadPlans and
+// answers the covered queries with zero LP solves.
 func (db *DB) SavePlans(w io.Writer, keys ...string) error {
 	if db.isClosed() {
 		return ErrClosed
 	}
 	return db.planner.SaveCache(w, keys...)
+}
+
+// SavePlan writes a snapshot holding the one plan under key, which is how
+// the fleet tier ships a first-sighted plan. When the cache no longer holds
+// key (evicted since it was planned) it writes nothing and reports false.
+func (db *DB) SavePlan(w io.Writer, key string) (bool, error) {
+	if db.isClosed() {
+		return false, ErrClosed
+	}
+	return db.planner.SavePlan(w, key)
 }
 
 // LoadPlans imports a plan-cache snapshot into the session planner.

@@ -135,3 +135,35 @@ func TestLoadCacheIsAUse(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
 }
+
+// TestSavePlanReportsEviction: SavePlan writes exactly what SaveCache writes
+// for the one key while the cache holds it; once the key is evicted it
+// writes nothing and reports false, so a caller never sends a snapshot that
+// lacks the plan it asked for.
+func TestSavePlanReportsEviction(t *testing.T) {
+	pl := NewPlanner(1)
+	qa, ca := cycleQuery(4, nil, nil, 100)
+	pa, err := pl.Prepare(qa, ca, ModeFhtw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var one, byKey bytes.Buffer
+	if saved, err := pl.SavePlan(&one, pa.Key); err != nil || !saved {
+		t.Fatalf("SavePlan of a cached key: %t, %v", saved, err)
+	}
+	if err := pl.SaveCache(&byKey, pa.Key); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(one.Bytes(), byKey.Bytes()) {
+		t.Fatalf("SavePlan wrote\n%s\nSaveCache by key wrote\n%s", one.Bytes(), byKey.Bytes())
+	}
+
+	qb, cb := cycleQuery(3, nil, nil, 50)
+	if _, err := pl.Prepare(qb, cb, ModeFhtw); err != nil { // evicts pa
+		t.Fatal(err)
+	}
+	var gone bytes.Buffer
+	if saved, err := pl.SavePlan(&gone, pa.Key); err != nil || saved || gone.Len() != 0 {
+		t.Fatalf("SavePlan of an evicted key: %t, %v, wrote %q", saved, err, gone.Bytes())
+	}
+}

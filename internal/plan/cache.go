@@ -46,7 +46,7 @@ const DefaultCacheSize = 128
 // the front of one list, and the entry at the back goes when the cache is
 // over capacity. One map, no clocks: the planner counts no installs and ages
 // no entries, because a plan's signature is its only name — in the cache, in
-// a snapshot and on the wire (SaveCache exports by key).
+// a snapshot and on the wire (SaveCache and SavePlan export by key).
 type Planner struct {
 	mu    sync.Mutex
 	cap   int

@@ -63,11 +63,10 @@ func (s CacheLoadStats) String() string {
 // SaveCache writes cached plans to w in the versioned panda-plan-cache
 // format: every plan, most recently used first, or — given keys — exactly
 // the entries under those canonical signature keys, in the order asked (a
-// key the cache does not hold exports nothing). By key is how the fleet
-// ships a plan: the router learns a shape's key from the planning tier's
-// dry run and asks for that entry alone. The selection is taken atomically
-// with respect to concurrent Prepare calls; the (immutable) entries are then
-// encoded outside the planner lock. An export does not count as a use.
+// key the cache does not hold exports nothing). The selection is taken
+// atomically with respect to concurrent Prepare calls; the (immutable)
+// entries are then encoded outside the planner lock. An export does not
+// count as a use.
 func (pl *Planner) SaveCache(w io.Writer, keys ...string) error {
 	pl.mu.Lock()
 	var ents []*entry
@@ -83,7 +82,30 @@ func (pl *Planner) SaveCache(w io.Writer, keys ...string) error {
 		}
 	}
 	pl.mu.Unlock()
+	return writeCache(w, ents)
+}
 
+// SavePlan is SaveCache of the one entry under key, for a caller that must
+// not send a snapshot without it: when the cache does not hold key (it was
+// evicted since the caller planned it) SavePlan writes nothing and reports
+// false. This is how the fleet ships a plan: the planning tier plans a
+// first-sighted query and answers with its entry alone.
+func (pl *Planner) SavePlan(w io.Writer, key string) (bool, error) {
+	pl.mu.Lock()
+	el, ok := pl.index[key]
+	var ent *entry
+	if ok {
+		ent = el.Value.(*entry)
+	}
+	pl.mu.Unlock()
+	if !ok {
+		return false, nil
+	}
+	return true, writeCache(w, []*entry{ent})
+}
+
+// writeCache encodes ents as one panda-plan-cache snapshot.
+func writeCache(w io.Writer, ents []*entry) error {
 	env := cacheEnvelope{Format: cacheFormat, Version: FormatVersion}
 	for _, ent := range ents {
 		wp, err := planOut(ent.plan)

@@ -13,12 +13,12 @@
 // routed by its canonical shape: the renaming-invariant signature computed
 // WITHOUT catalog access or LP work, so each shape consistently lands on one
 // replica and every replica's plan/stmt caches stay hot and disjoint. The
-// first time the router sees a shape it synchronously warms the designated
-// planning tier (which pays the LP solves and answers with the plan's
-// signature key) and ships that one plan to every routable replica (GET
-// /v1/plans?key=<key> on the planner, PUT /v1/plans on the replicas) before
-// forwarding the query, so replicas never plan: their lp_solves_total stays
-// 0 while lp_solves_saved_total climbs. A plan is named by its content, so
+// first time the router sees a shape it makes one request to the designated
+// planning tier, GET /v1/plans?q=<text>, which pays the LP solves and
+// answers with a snapshot holding that one plan, and PUTs the snapshot to
+// every routable replica at once (PUT /v1/plans) before forwarding the
+// query, so replicas never plan: their lp_solves_total stays 0 while
+// lp_solves_saved_total climbs. A plan is named by its content, so
 // the router keeps no record of what it shipped: a replica a shipment could
 // not reach — down, quarantined, a failed push, or any replica when the
 // router starts — is marked behind, and the push loop sends each behind
@@ -32,15 +32,16 @@
 // answers 502 with the stable code "no_healthy_replica".
 //
 // Catalog mutations (relation create/drop, row/CSV ingest) are broadcast —
-// planning tier first, then every replica — because plan signatures embed
-// catalog cardinalities: after a mutation the planned-shape memo is
-// dropped and the next query per shape re-warms and re-ships. A replica
-// that misses a broadcast (down at the time, transport error, or a
-// non-planner answer) has a diverged catalog and MUST NOT silently rejoin:
-// every pandad counts its applied mutations as a catalog epoch reported on
-// /healthz, and the probe loop quarantines any live replica whose epoch
-// lags the planning tier's until it catches up (i.e. until an operator
-// resyncs it — the resync mechanism itself is a recorded ROADMAP seam).
+// planning tier first, then every replica at once — because plan signatures
+// embed catalog cardinalities: after a mutation the planner applied, the
+// planned-shape memo is dropped and the next query per shape re-warms and
+// re-ships. A replica that misses a broadcast (down at the time, transport
+// error, or a non-planner answer) has a diverged catalog and MUST NOT
+// silently rejoin: every pandad counts its applied mutations as a catalog
+// epoch reported on /healthz, and the probe loop quarantines any live
+// replica whose epoch lags the planning tier's until it catches up (i.e.
+// until an operator resyncs it — the resync mechanism itself is a recorded
+// ROADMAP seam).
 // A broadcast failure quarantines the replica immediately, without waiting
 // for the next probe round.
 package router
@@ -319,7 +320,7 @@ func (r *Router) routes() {
 	r.mux.HandleFunc("POST /v1/query", observed("query", r.handleQuery))
 	r.mux.HandleFunc("GET /v1/plan", observed("plan", r.handlePlan))
 	r.mux.HandleFunc("GET /v1/plans", observed("plans", r.proxyPlannerRead))
-	r.mux.HandleFunc("PUT /v1/plans", observed("plans", r.broadcast))
+	r.mux.HandleFunc("PUT /v1/plans", observed("plans", r.handleImport))
 	r.mux.HandleFunc("GET /v1/relations", observed("relations", r.proxyPlannerRead))
 	r.mux.HandleFunc("GET /v1/shapes", observed("shapes", r.handleShapes))
 	r.mux.HandleFunc("POST /v1/relations", observed("relations", r.handleMutation))
@@ -453,17 +454,31 @@ func (r *Router) catchUp() {
 			to = append(to, b)
 		}
 	}
-	r.ship(context.Background(), to)
+	if len(to) == 0 {
+		return
+	}
+	ctx := context.Background()
+	cache, entries, err := r.pull(ctx, r.planner+"/v1/plans")
+	if err != nil || cache.status != http.StatusOK {
+		r.metrics.plannerErrors.Add(1)
+		for _, b := range to {
+			b.fallBehind()
+		}
+		return
+	}
+	r.push(ctx, to, cache.body, entries)
 }
 
-// ensurePlanned makes a first-sighted shape — query or rule — safe to route:
-// the planning tier is warmed synchronously (it pays the LP solves on its
-// own cache miss) and names the plan, that plan is shipped to every routable
-// replica, and the shape is memoized. Replicas therefore see the plan arrive
-// BEFORE the query does and never plan themselves. Planner trouble degrades
-// gracefully: the query still routes (the replica would plan as a last
-// resort) and the shape stays un-memoized so the next sighting retries the
-// warm-up.
+// ensurePlanned makes a first-sighted shape — query or rule — safe to route.
+// One request to the planning tier (GET /v1/plans?q=) plans the text there,
+// paying the LP solves on the planner's own cache miss, and answers with a
+// snapshot holding that plan; the snapshot goes to every routable replica
+// unchanged, and the shape is memoized. Replicas therefore see the plan
+// arrive BEFORE the query does and never plan themselves. Planner trouble
+// degrades gracefully: a failed request, a non-200 answer or a snapshot
+// without an entry counts as a planner error, the query still routes (the
+// replica would plan as a last resort) and the shape stays un-memoized so
+// the next sighting retries the warm-up.
 //
 // Warm-ups are single-flighted PER SHAPE and every planner interaction
 // here runs under the router's proxy timeout, so a hung planner
@@ -471,6 +486,13 @@ func (r *Router) catchUp() {
 // — memoized shapes take the fast path without waiting behind any HTTP
 // work, and concurrent sightings of the warming shape give up at their
 // deadline instead of queueing behind the client's disconnect.
+//
+// Known cost of keeping no record of what was shipped: a first sighting
+// ships its plan even when the fleet already holds it — an insert into a
+// relation the shape does not read drops the router's shape memo but leaves
+// the plan's key unchanged. Traced serve-mixed, 10 s: 4 of 32 ensures,
+// router.push_entries 56 → 64, each extra push one 2.6 kB PUT per replica
+// answered as a duplicate.
 func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 	ctx, cancel := context.WithTimeout(ctx, r.timeout)
 	defer cancel()
@@ -501,33 +523,26 @@ func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 		close(ch)
 	}()
 
-	u := r.planner + "/v1/plan?q=" + url.QueryEscape(src)
+	q := url.Values{"q": {src}}
 	if mode != "" {
-		u += "&mode=" + url.QueryEscape(mode)
+		q.Set("mode", mode)
 	}
-	resp, err := r.fetch(ctx, http.MethodGet, u, "", nil)
-	if err != nil {
+	snapshot, entries, err := r.pull(ctx, r.planner+"/v1/plans?"+q.Encode())
+	if err != nil || snapshot.status != http.StatusOK || entries == 0 {
+		// A rejection (parse error, unknown relation, unbounded LP, …) is
+		// the client's to see: the replica will reject the query
+		// identically. Anything else is logged. Either way memoize nothing
+		// and let the query through.
 		r.metrics.plannerErrors.Add(1)
-		r.logf("router: planner warm-up for shape %s failed: %v", shape, err)
-		return
-	}
-	if resp.status != http.StatusOK {
-		// The planner rejected the query (parse error, unknown relation,
-		// unbounded LP, …). The replica will reject it identically; memoize
-		// nothing and let the query through to produce the real error.
-		r.metrics.plannerErrors.Add(1)
-		return
-	}
-	var warmed struct {
-		Key string `json:"key"`
-	}
-	if err := json.Unmarshal(resp.body, &warmed); err != nil || warmed.Key == "" {
-		r.metrics.plannerErrors.Add(1)
-		r.logf("router: planner warm-up for shape %s named no plan key (a pandad from before by-key shipping?)", shape)
+		if err != nil {
+			r.logf("router: planner warm-up for shape %s failed: %v", shape, err)
+		} else if snapshot.status == http.StatusOK {
+			r.logf("router: planner warm-up for shape %s answered a snapshot without its plan", shape)
+		}
 		return
 	}
 	r.metrics.ensures.Add(1)
-	r.ship(ctx, r.routableReplicas(), warmed.Key)
+	r.push(ctx, r.routableReplicas(), snapshot.body, entries)
 	r.plannedMu.Lock()
 	if len(r.planned) >= r.plannedCap {
 		r.planned = map[string]struct{}{}
@@ -536,60 +551,68 @@ func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 	r.plannedMu.Unlock()
 }
 
-// ship pulls plans from the planner — the entries under keys, or with no key
-// its whole cache — and imports them into each replica of to. Every replica
-// of to either imports the shipment or is left behind for the push loop.
-// Imports never clobber live entries and duplicates are counted, not
-// rejected, so over-delivery is harmless and the path keeps no record of
-// what was shipped.
-//
-// Known cost of that statelessness: a first sighting ships the entry its
-// warm-up named even when the planner, and so the fleet, already held it —
-// an insert into a relation the shape does not read drops the router's
-// shape memo but leaves the plan's key unchanged. Traced serve-mixed, 10 s:
-// 4 of 32 ensures, router.push_entries 56 → 64, each extra push one 2.6 kB
-// PUT per replica answered as a duplicate.
-func (r *Router) ship(ctx context.Context, to []*backend, keys ...string) {
-	if len(to) == 0 {
-		return
-	}
-	u := r.planner + "/v1/plans"
-	if len(keys) > 0 {
-		u += "?" + url.Values{"key": keys}.Encode()
+// pull GETs a plan-cache snapshot from the planning tier. The entries of a
+// 200 answer are counted; any other answer is returned as it is, with none.
+func (r *Router) pull(ctx context.Context, target string) (*sentResponse, int, error) {
+	resp, err := r.fetch(ctx, http.MethodGet, target, "", nil)
+	if err != nil || resp.status != http.StatusOK {
+		return resp, 0, err
 	}
 	var env struct {
-		Entries []json.RawMessage `json:"entries"`
+		Entries []struct{} `json:"entries"` // counted; the replicas decode them
 	}
-	pulled, err := r.fetch(ctx, http.MethodGet, u, "", nil)
-	if err != nil || pulled.status != http.StatusOK || json.Unmarshal(pulled.body, &env) != nil {
-		r.metrics.plannerErrors.Add(1)
-		for _, b := range to {
-			b.fallBehind()
-		}
-		return
+	if err := json.Unmarshal(resp.body, &env); err != nil {
+		return nil, 0, fmt.Errorf("malformed snapshot: %w", err)
 	}
-	if len(env.Entries) == 0 {
+	return resp, len(env.Entries), nil
+}
+
+// push imports a snapshot into every replica of to at once and returns when
+// each has answered. Every replica of to either imports it or is left behind
+// for the push loop. Imports never clobber live entries and duplicates are
+// counted, not rejected, so over-delivery is harmless and the path keeps no
+// record of what was shipped.
+func (r *Router) push(ctx context.Context, to []*backend, snapshot []byte, entries int) {
+	if len(to) == 0 || entries == 0 {
 		return
 	}
 	r.metrics.pushes.Add(1)
-	for _, b := range to {
-		resp, err := r.fetch(ctx, http.MethodPut, b.name+"/v1/plans", "application/json", pulled.body)
+	fanOut(to, func(b *backend) {
+		resp, err := r.fetch(ctx, http.MethodPut, b.name+"/v1/plans", "application/json", snapshot)
 		if err != nil {
 			r.markDown(b)
-			continue
+			return
 		}
 		// 200 (clean) and 422 (partial skip, reported loudly by the
 		// replica) both mean the snapshot was processed, and sending it
 		// again would skip the same entries.
 		if resp.status != http.StatusOK && resp.status != http.StatusUnprocessableEntity {
 			b.fallBehind()
-			continue
+			return
 		}
-		r.metrics.pushEntries.Add(uint64(len(env.Entries)), b.name)
+		r.metrics.pushEntries.Add(uint64(entries), b.name)
 		if resp.status == http.StatusUnprocessableEntity {
 			r.logf("router: replica %s imported the plans with skips", b.name)
 		}
+	})
+}
+
+// fanOut runs leg for every replica of to at once, the first on the calling
+// goroutine, and returns when every leg has returned.
+func fanOut(to []*backend, leg func(*backend)) {
+	if len(to) == 0 {
+		return
 	}
+	var wg sync.WaitGroup
+	wg.Add(len(to) - 1)
+	for _, b := range to[1:] {
+		go func() {
+			defer wg.Done()
+			leg(b)
+		}()
+	}
+	leg(to[0])
+	wg.Wait()
 }
 
 // ---- Query / plan routing ----
@@ -753,43 +776,51 @@ func (r *Router) handleShapes(w http.ResponseWriter, req *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// handleMutation broadcasts a catalog mutation and invalidates the
-// planned-shape memo: signatures embed catalog cardinalities, so plans for
-// the new catalog state must be re-shipped shape by shape.
+// handleMutation broadcasts a catalog mutation and, when the planning tier
+// applied it, invalidates the planned-shape memo: signatures embed catalog
+// cardinalities, so plans for the new catalog state must be re-shipped shape
+// by shape. A mutation the planner rejected changed nothing.
 func (r *Router) handleMutation(w http.ResponseWriter, req *http.Request) {
-	r.broadcast(w, req)
+	if !r.broadcast(w, req) {
+		return
+	}
 	r.plannedMu.Lock()
 	r.planned = map[string]struct{}{}
 	r.plannedMu.Unlock()
 }
 
+// handleImport broadcasts an external plan snapshot. It changes no catalog,
+// so the planned-shape memo stays.
+func (r *Router) handleImport(w http.ResponseWriter, req *http.Request) { r.broadcast(w, req) }
+
 // broadcast applies the request — a catalog mutation, or an external plan
 // snapshot (PUT /v1/plans) — to the planning tier first (it must know the
-// catalog before it can plan for it), then to every routable replica, and
-// relays the planner's response. A replica that misses a mutation the
-// planner applied — transport error, or any answer when the planner said
-// 2xx and the replica did not — is serving a diverged catalog, so it is
-// quarantined ON THE SPOT: marked down AND forced stale, which keeps the
-// probe loop from auto-rejoining it on the next 200 /healthz. Its epoch
-// stays behind the planner's, so it remains quarantined until a catalog
-// resync brings the epochs back together.
-func (r *Router) broadcast(w http.ResponseWriter, req *http.Request) {
+// catalog before it can plan for it), then to every routable replica at
+// once, relays the planner's response once every replica has answered, and
+// reports whether the planner applied it (a 2xx). A replica that misses a
+// mutation the planner applied — transport error, or any answer when the
+// planner said 2xx and the replica did not — is serving a diverged catalog,
+// so it is quarantined ON THE SPOT: marked down AND forced stale, which
+// keeps the probe loop from auto-rejoining it on the next 200 /healthz. Its
+// epoch stays behind the planner's, so it remains quarantined until a
+// catalog resync brings the epochs back together.
+func (r *Router) broadcast(w http.ResponseWriter, req *http.Request) bool {
 	body, ok := readBody(w, req)
 	if !ok {
-		return
+		return false
 	}
 	plannerResp, err := r.send(req, r.planner, body)
 	if err != nil {
 		metrics.WriteError(w, http.StatusBadGateway, "planner_unreachable", err)
-		return
+		return false
 	}
 	plannerApplied := plannerResp.status < 300
-	for _, b := range r.routableReplicas() {
+	fanOut(r.routableReplicas(), func(b *backend) {
 		resp, err := r.send(req, b.name, body)
 		if err != nil {
 			r.markDown(b)
 			r.quarantine(b, fmt.Sprintf("broadcast %s %s failed: %v", req.Method, req.URL.Path, err), plannerApplied)
-			continue
+			return
 		}
 		if resp.status != plannerResp.status {
 			r.logf("router: broadcast %s %s: %s answered %d, planner %d", req.Method, req.URL.Path, b.name, resp.status, plannerResp.status)
@@ -797,8 +828,9 @@ func (r *Router) broadcast(w http.ResponseWriter, req *http.Request) {
 				r.quarantine(b, fmt.Sprintf("broadcast %s %s answered %d while the planner applied it", req.Method, req.URL.Path, resp.status), true)
 			}
 		}
-	}
+	})
 	plannerResp.relay(w)
+	return plannerApplied
 }
 
 // quarantine forces a replica out of rotation after a missed broadcast.

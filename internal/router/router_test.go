@@ -20,11 +20,11 @@ import (
 const triangleSrc = `Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`
 
 // fakePlanner answers the planner interactions the router performs:
-// /v1/plan warm-ups (scriptably hangable; every plan is named fakePlanKey),
-// /v1/plans pulls (scriptable body, empty by default — plan CONTENT is
-// exercised by the in-process fleet test; these unit tests isolate routing
-// and failover) and catalog mutations, which advance a catalog epoch
-// reported on /healthz like the real pandad.
+// GET /v1/plans warm-ups (?q=…; scriptably hangable) and catch-up pulls of
+// the whole cache, both answered with a scriptable body holding one opaque
+// entry by default — plan CONTENT is exercised by the in-process fleet test;
+// these unit tests isolate routing and failover — and catalog mutations,
+// which advance a catalog epoch reported on /healthz like the real pandad.
 type fakePlanner struct {
 	ts    *httptest.Server
 	warms atomic.Int64
@@ -32,14 +32,12 @@ type fakePlanner struct {
 	// planMode: "ok" answers warm-ups immediately, "hang" sleeps past the
 	// router's proxy deadline.
 	planMode atomic.Value
-	// plansBody is the GET /v1/plans response, whatever keys are asked for.
+	// plansBody is the GET /v1/plans response, whatever is asked for.
 	plansBody atomic.Value
 	// pulls records the raw query string of every GET /v1/plans.
 	pullMu sync.Mutex
 	pulls  []string
 }
-
-const fakePlanKey = "fake/plan key"
 
 func (f *fakePlanner) pulled() []string {
 	f.pullMu.Lock()
@@ -51,22 +49,21 @@ func newFakePlanner(t *testing.T) *fakePlanner {
 	t.Helper()
 	f := &fakePlanner{}
 	f.planMode.Store("ok")
-	f.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[]}`)
+	f.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","catalog_epoch":%d}`, f.epoch.Load())
-	})
-	mux.HandleFunc("GET /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		if f.planMode.Load() == "hang" {
-			time.Sleep(2 * time.Second)
-		}
-		f.warms.Add(1)
-		fmt.Fprintf(w, `{"mode":"full","width":"1","key":%q}`, fakePlanKey)
 	})
 	mux.HandleFunc("GET /v1/plans", func(w http.ResponseWriter, r *http.Request) {
 		f.pullMu.Lock()
 		f.pulls = append(f.pulls, r.URL.RawQuery)
 		f.pullMu.Unlock()
+		if r.URL.Query().Has("q") {
+			if f.planMode.Load() == "hang" {
+				time.Sleep(2 * time.Second)
+			}
+			f.warms.Add(1)
+		}
 		io.WriteString(w, f.plansBody.Load().(string))
 	})
 	mux.HandleFunc("GET /v1/relations", func(w http.ResponseWriter, r *http.Request) {
@@ -80,6 +77,11 @@ func newFakePlanner(t *testing.T) *fakePlanner {
 	})
 	mux.HandleFunc("POST /v1/relations/{name}/rows", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
+		if r.PathValue("name") != "R" { // the catalog holds R alone
+			w.WriteHeader(http.StatusNotFound)
+			io.WriteString(w, `{"error":"unknown relation","code":"unknown_relation"}`)
+			return
+		}
 		f.epoch.Add(1)
 		io.WriteString(w, `{"rows":1}`)
 	})
@@ -514,13 +516,13 @@ func TestRouterQuarantinesStaleRestartViaProbe(t *testing.T) {
 	}
 }
 
-// TestRouterBehindReplicaCatchesUp: a first sighting ships its one plan by
-// key to the routable replicas; a replica that is down for it is behind, and
-// once a probe round finds it again, one round of the push loop sends it the
-// planner's whole cache — once, and nothing to the replicas in sync.
+// TestRouterBehindReplicaCatchesUp: a first sighting ships its one plan,
+// pulled by query text, to the routable replicas; a replica that is down for
+// it is behind, and once a probe round finds it again, one round of the push
+// loop sends it the planner's whole cache — once, and nothing to the
+// replicas in sync.
 func TestRouterBehindReplicaCatchesUp(t *testing.T) {
 	planner := newFakePlanner(t)
-	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	r := newTestRouter(t, planner.ts.URL, a, b)
 	ts := httptest.NewServer(r)
@@ -545,14 +547,14 @@ func TestRouterBehindReplicaCatchesUp(t *testing.T) {
 		t.Fatalf("pulls %q, want one pull of the whole cache", got)
 	}
 
-	// a is down for a first sighting: the plan goes to b alone, by key.
+	// a is down for a first sighting: the plan goes to b alone.
 	r.markDown(r.backendByName(a.ts.URL))
 	if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
 		t.Fatalf("first sighting: %d %s", code, body)
 	}
 	wantImports("after the first sighting", 1, 2)
-	if got := planner.pulled(); len(got) != 2 || got[1] != "key="+url.QueryEscape(fakePlanKey) {
-		t.Fatalf("pulls %q, want the second to name the warmed plan's key", got)
+	if got := planner.pulled(); len(got) != 2 || got[1] != "q="+url.QueryEscape(triangleSrc) {
+		t.Fatalf("pulls %q, want the second to be the warm-up of the query's text", got)
 	}
 	if !behind(a) || behind(b) {
 		t.Fatalf("behind: a=%t b=%t, want only the replica that missed the shipment", behind(a), behind(b))
@@ -798,12 +800,11 @@ func TestRouterPlannerReads(t *testing.T) {
 }
 
 // TestRouterFailedShipmentLeavesReplicaBehind: a replica that refuses the
-// by-key shipment of a first sighting is reported behind on /v1/info, while
-// the one that took it is not, until a round of the push loop sends it the
-// planner's whole cache.
+// shipment of a first sighting is reported behind on /v1/info, while the one
+// that took it is not, until a round of the push loop sends it the planner's
+// whole cache.
 func TestRouterFailedShipmentLeavesReplicaBehind(t *testing.T) {
 	planner := newFakePlanner(t)
-	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	r := newTestRouter(t, planner.ts.URL, a, b)
 	ts := httptest.NewServer(r)
@@ -829,7 +830,7 @@ func TestRouterFailedShipmentLeavesReplicaBehind(t *testing.T) {
 	}
 	wantInfo("after the refused shipment", info(a, true), info(b, false))
 	if a.plans.Load() != 1 || b.plans.Load() != 2 {
-		t.Fatalf("imports %d/%d, want only b's by-key one on top of the start", a.plans.Load(), b.plans.Load())
+		t.Fatalf("imports %d/%d, want only b's first-sighting one on top of the start", a.plans.Load(), b.plans.Load())
 	}
 
 	a.mutMode.Store("ok")
@@ -837,5 +838,174 @@ func TestRouterFailedShipmentLeavesReplicaBehind(t *testing.T) {
 	wantInfo("after the catch-up", info(a, false), info(b, false))
 	if a.plans.Load() != 2 || b.plans.Load() != 2 {
 		t.Fatalf("imports %d/%d after the catch-up, want the whole cache sent to a alone", a.plans.Load(), b.plans.Load())
+	}
+}
+
+// TestRouterEntrylessWarmupIsNotMemoized: a warm-up answered 200 with a
+// snapshot that holds no plan ships nothing. It counts as a planner error and
+// leaves the shape un-memoized, so the next sighting warms it again; once the
+// planner answers with the plan, the shape is ensured and memoized.
+func TestRouterEntrylessWarmupIsNotMemoized(t *testing.T) {
+	planner := newFakePlanner(t)
+	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[]}`)
+	a, b := newFakeReplica(t), newFakeReplica(t)
+	ts := httptest.NewServer(newTestRouter(t, planner.ts.URL, a, b))
+	t.Cleanup(ts.Close)
+	wantCounts := func(when string, warms int64, ensured, errs int) {
+		t.Helper()
+		if got := planner.warms.Load(); got != warms {
+			t.Fatalf("%s: planner warmed %d times, want %d", when, got, warms)
+		}
+		m := metricsText(t, ts.URL)
+		for _, want := range []string{
+			fmt.Sprintf("panda_router_shapes_ensured_total %d\n", ensured),
+			fmt.Sprintf("panda_router_planner_errors_total %d\n", errs),
+		} {
+			if !strings.Contains(m, want) {
+				t.Fatalf("%s: metrics missing %q:\n%s", when, want, m)
+			}
+		}
+	}
+
+	for i := 0; i < 2; i++ {
+		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
+			t.Fatalf("query %d: %d %s", i, code, body)
+		}
+	}
+	wantCounts("after two entry-less warm-ups", 2, 0, 2)
+	if ga, gb := a.plans.Load(), b.plans.Load(); ga != 0 || gb != 0 {
+		t.Fatalf("an entry-less snapshot was pushed (%d/%d imports)", ga, gb)
+	}
+
+	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
+	for i := 0; i < 2; i++ {
+		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
+			t.Fatalf("query %d with the plan: %d %s", i, code, body)
+		}
+	}
+	wantCounts("once the planner answers with the plan", 3, 1, 2)
+}
+
+// TestRouterRejectedMutationKeepsShapes: a mutation the planning tier
+// rejects changed no catalog and no plan key, so the planned-shape memo
+// stays and the next read of a memoized shape ships nothing; a mutation the
+// planner applied drops the memo.
+func TestRouterRejectedMutationKeepsShapes(t *testing.T) {
+	planner := newFakePlanner(t)
+	a, b := newFakeReplica(t), newFakeReplica(t)
+	ts := httptest.NewServer(newTestRouter(t, planner.ts.URL, a, b))
+	t.Cleanup(ts.Close)
+	readThenWantEnsured := func(when string, want int) {
+		t.Helper()
+		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
+			t.Fatalf("%s: query %d %s", when, code, body)
+		}
+		if m, line := metricsText(t, ts.URL), fmt.Sprintf("panda_router_shapes_ensured_total %d\n", want); !strings.Contains(m, line) {
+			t.Fatalf("%s: metrics missing %q:\n%s", when, line, m)
+		}
+	}
+
+	readThenWantEnsured("first sighting", 1)
+	if code, body := postRaw(t, ts.URL+"/v1/relations/Nope/rows", `{"rows":[[1,2]]}`); code != http.StatusNotFound {
+		t.Fatalf("insert into an unknown relation: %d %s, want the planner's 404", code, body)
+	}
+	readThenWantEnsured("after the rejected insert", 1)
+	if code, body := postRaw(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[1,2]]}`); code != http.StatusOK {
+		t.Fatalf("insert: %d %s", code, body)
+	}
+	readThenWantEnsured("after the applied insert", 2)
+}
+
+// meeting lets two requests wait for each other: meet returns true once a
+// second caller has arrived, or false if none arrives within the bound (the
+// waiter then leaves and the next arrival starts over).
+type meeting struct {
+	mu sync.Mutex
+	ch chan struct{} // nil while nobody waits
+}
+
+func (m *meeting) meet(bound time.Duration) bool {
+	m.mu.Lock()
+	if ch := m.ch; ch != nil {
+		m.ch = nil
+		m.mu.Unlock()
+		close(ch)
+		return true
+	}
+	ch := make(chan struct{})
+	m.ch = ch
+	m.mu.Unlock()
+	select {
+	case <-ch:
+		return true
+	case <-time.After(bound):
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.ch == ch {
+			m.ch = nil
+			return false
+		}
+		return true // the other arrived as the bound ran out
+	}
+}
+
+// TestRouterFanOutsOverlap: the router sends a shipment's PUTs and a
+// broadcast's replica legs to all replicas at once. Each of the two replicas
+// below holds its plan import and its row insert until the other replica's
+// request of the same kind has arrived, so a router that sent them one after
+// another would leave the first waiting out its bound.
+func TestRouterFanOutsOverlap(t *testing.T) {
+	const bound = time.Second
+	planner := newFakePlanner(t)
+	var imports, inserts meeting
+	var met, missed atomic.Int64
+	replica := func() string {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, `{"status":"ok","catalog_epoch":0}`)
+		})
+		gated := func(m *meeting, answer string) http.HandlerFunc {
+			return func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				if m.meet(bound) {
+					met.Add(1)
+				} else {
+					missed.Add(1)
+				}
+				io.WriteString(w, answer)
+			}
+		}
+		mux.HandleFunc("PUT /v1/plans", gated(&imports, `{"loaded":1,"skipped":0,"duplicates":0}`))
+		mux.HandleFunc("POST /v1/relations/{name}/rows", gated(&inserts, `{"rows":1}`))
+		mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, `{"ok":true}`)
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	r, err := New(Config{
+		Replicas:     []string{replica(), replica()},
+		Planner:      planner.ts.URL,
+		PushEvery:    time.Hour,
+		ProbeEvery:   time.Hour,
+		ProxyTimeout: 10 * bound,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	ts := httptest.NewServer(r)
+	t.Cleanup(ts.Close)
+
+	r.catchUp() // both replicas start behind: the whole cache to each
+	if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
+		t.Fatalf("first sighting: %d %s", code, body)
+	}
+	if code, body := postRaw(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[1,2]]}`); code != http.StatusOK {
+		t.Fatalf("insert: %d %s", code, body)
+	}
+	if m, n := missed.Load(), met.Load(); m != 0 || n != 6 {
+		t.Fatalf("%d replica requests waited out their bound and %d met their pair, want 0 and 6: the fan-outs ran one replica at a time", m, n)
 	}
 }

@@ -173,8 +173,7 @@ func TestDuplicateInsertStillAdvancesEpoch(t *testing.T) {
 // TestExportPlansByKey: the "key" of a /v1/plan answer names one entry of
 // GET /v1/plans — ?key=<key> exports exactly that plan, repeated parameters
 // export several, an unknown key exports none — and another server that
-// imports the by-key export answers the shape with zero LP solves. This is
-// the round trip the router's first sighting makes.
+// imports the by-key export answers the shape with zero LP solves.
 func TestExportPlansByKey(t *testing.T) {
 	q := panda.TriangleQuery()
 	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
@@ -245,6 +244,80 @@ func TestExportPlansByKey(t *testing.T) {
 		t.Fatalf("query on the importer: %d %s", code, raw)
 	}
 	if st := dbB.PlannerStats(); st.LPSolves != 0 || st.Hits != 1 {
+		t.Fatalf("the importer planned the shipped shape: %v", st)
+	}
+}
+
+// TestExportPlansByQuery: GET /v1/plans?q=<text>[&mode=…] plans the text as
+// GET /v1/plan does and answers with a snapshot of that one plan — the key
+// /v1/plan names, for a query, a rule and a forced mode — and fails with the
+// same statuses: 400 for a parse error or a bad mode, 404 for an unknown
+// relation, and 400 for q together with key. Another server that imports
+// the answer runs the query as a zero-LP hit. This is the one request of the
+// router's warm-up.
+func TestExportPlansByQuery(t *testing.T) {
+	q := panda.TriangleQuery()
+	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
+	_, ts, _ := newTestServer(t, Config{})
+	loadOverHTTP(t, ts.URL, &q.Schema, ins)
+
+	const ruleSrc = `T1(A,B) v T2(B,C) :- R(A,B), S(B,C).`
+	var triangleSnapshot string
+	for _, c := range []struct{ src, mode string }{{triangleSrc, ""}, {ruleSrc, ""}, {triangleSrc, "subw"}} {
+		params := url.Values{"q": {c.src}}
+		if c.mode != "" {
+			params.Set("mode", c.mode)
+		}
+		code, body := get(t, ts.URL+"/v1/plan?"+params.Encode())
+		if code != http.StatusOK {
+			t.Fatalf("plan %q mode %q: %d %s", c.src, c.mode, code, body)
+		}
+		var info struct {
+			Key string `json:"key"`
+		}
+		if err := json.Unmarshal([]byte(body), &info); err != nil || info.Key == "" {
+			t.Fatalf("plan %q mode %q answered no key: %v\n%s", c.src, c.mode, err, body)
+		}
+		code, body = get(t, ts.URL+"/v1/plans?"+params.Encode())
+		if code != http.StatusOK {
+			t.Fatalf("export %q mode %q: %d %s", c.src, c.mode, code, body)
+		}
+		var env cacheSnapshotJSON
+		if err := json.Unmarshal([]byte(body), &env); err != nil {
+			t.Fatal(err)
+		}
+		if len(env.Entries) != 1 || env.Entries[0].Key != info.Key {
+			t.Fatalf("export %q mode %q holds %d entries, want the one under /v1/plan's key %q:\n%s", c.src, c.mode, len(env.Entries), info.Key, body)
+		}
+		if c.src == triangleSrc && c.mode == "" {
+			triangleSnapshot = body
+		}
+	}
+
+	for _, c := range []struct {
+		query string
+		code  int
+	}{
+		{"?" + url.Values{"q": {"not a query"}}.Encode(), http.StatusBadRequest},
+		{"?" + url.Values{"q": {triangleSrc}, "mode": {"bogus"}}.Encode(), http.StatusBadRequest},
+		{"?" + url.Values{"q": {triangleSrc}, "key": {"k"}}.Encode(), http.StatusBadRequest},
+		{"?q=", http.StatusBadRequest},
+		{"?" + url.Values{"q": {`Q(A,B) :- Nope(A,B).`}}.Encode(), http.StatusNotFound},
+	} {
+		if code, body := get(t, ts.URL+"/v1/plans"+c.query); code != c.code {
+			t.Fatalf("export %s: %d %s, want %d", c.query, code, body, c.code)
+		}
+	}
+
+	_, tsB, dbB := newTestServer(t, Config{})
+	loadOverHTTP(t, tsB.URL, &q.Schema, ins)
+	if code, body := putPlans(t, tsB.URL, triangleSnapshot); code != http.StatusOK || !strings.Contains(body, `"loaded":1`) {
+		t.Fatalf("import of the by-query export: %d %s", code, body)
+	}
+	if code, raw := post(t, tsB.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, triangleSrc)); code != http.StatusOK {
+		t.Fatalf("query on the importer: %d %s", code, raw)
+	}
+	if st := dbB.PlannerStats(); st.LPSolves != 0 || st.Misses != 0 || st.Hits != 1 {
 		t.Fatalf("the importer planned the shipped shape: %v", st)
 	}
 }

@@ -11,7 +11,7 @@
 //	POST   /v1/query                 run a query; rows stream as JSON (NDJSON with Accept: application/x-ndjson)
 //	POST   /v1/watch                 open a standing query; NDJSON stream of snapshot + deltas
 //	GET    /v1/plan?q=…[&mode=…]     dry-run prepare: committed mode + width certificate + plan key
-//	GET    /v1/plans[?key=…]         export the plan cache, or the named entries (panda-plan-cache snapshot)
+//	GET    /v1/plans[?key=…|?q=…]    export the plan cache, the named entries, or the plan of a query text (panda-plan-cache snapshot)
 //	PUT    /v1/plans                 import a snapshot; 422 on version/digest mismatch
 //	GET    /v1/relations             list the catalog
 //	POST   /v1/relations             create a relation {"name","arity"}
@@ -648,27 +648,33 @@ func rowSeq(rows [][]panda.Value) iter.Seq[[]panda.Value] {
 
 // ---- /v1/plan ----
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	src := r.URL.Query().Get("q")
+// explain plans the ?q=…[&mode=…] text of a request through the statement
+// cache, exactly as a query of it would plan: GET /v1/plan answers with the
+// outcome and GET /v1/plans?q= with the plan itself, so the two name the
+// same plan and fail with the same statuses.
+func (s *Server) explain(r *http.Request) (*panda.PlanInfo, error) {
+	params := r.URL.Query()
+	src := params.Get("q")
 	if strings.TrimSpace(src) == "" {
-		s.fail(w, errors.New("missing q parameter (the query text)"))
-		return
+		return nil, errors.New("missing q parameter (the query text)")
 	}
-	mode, explicit, err := plan.ParseMode(r.URL.Query().Get("mode"))
+	mode, explicit, err := plan.ParseMode(params.Get("mode"))
 	if err != nil {
-		s.fail(w, err)
-		return
+		return nil, err
 	}
 	st, err := s.stmt(src)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return nil, err
 	}
 	var opts []panda.Option
 	if explicit {
 		opts = append(opts, panda.WithMode(mode))
 	}
-	info, err := st.ExplainContext(r.Context(), opts...)
+	return st.ExplainContext(r.Context(), opts...)
+}
+
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+	info, err := s.explain(r)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -733,18 +739,43 @@ func (s *Server) handleShapes(w http.ResponseWriter, r *http.Request) {
 
 // ---- /v1/plans (plan shipping) ----
 
-// handleExportPlans streams the session's plan cache as one
-// panda-plan-cache snapshot — the same bytes a pandad -plan-dir snapshot
-// writes to disk, so routers and replicas need exactly one format. Optional
-// ?key=<signature key> parameters (the "key" of a /v1/plan answer; repeat
-// for several) export exactly those entries; the router ships a
-// first-sighted shape that way. A key the cache does not hold exports
-// nothing.
+// handleExportPlans streams plans as one panda-plan-cache snapshot — the
+// same bytes a pandad -plan-dir snapshot writes to disk, so routers and
+// replicas need exactly one format. With no parameter it exports the whole
+// cache. ?key=<signature key> parameters (the "key" of a /v1/plan answer;
+// repeat for several) export exactly those entries; a key the cache does not
+// hold exports nothing. ?q=<text>[&mode=…] plans the text as GET /v1/plan
+// does and exports that plan's entry: the router warms and ships a
+// first-sighted shape with this one request. A 200 answer always holds the
+// entry; one evicted between planning and export answers 503.
 func (s *Server) handleExportPlans(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query()
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.db.SavePlans(w, r.URL.Query()["key"]...); err != nil {
-		// Headers are already out; all we can do is log through the status.
+	if !params.Has("q") {
+		if err := s.db.SavePlans(w, params["key"]...); err != nil {
+			// Headers are already out; all we can do is log through the status.
+			s.fail(w, err)
+		}
+		return
+	}
+	if params.Has("key") {
+		s.fail(w, errors.New("q and key cannot be combined: export a query's plan or named entries"))
+		return
+	}
+	info, err := s.explain(r)
+	if err != nil {
 		s.fail(w, err)
+		return
+	}
+	saved, err := s.db.SavePlan(w, info.Key)
+	switch {
+	case err != nil:
+		s.fail(w, err)
+	case !saved:
+		// Only a cache churning through its whole capacity between the two
+		// calls gets here; the router counts the 503 and warms again later.
+		metrics.WriteError(w, http.StatusServiceUnavailable, "plan_evicted",
+			errors.New("the plan was evicted before it could be exported"))
 	}
 }
 
