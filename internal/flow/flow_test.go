@@ -85,7 +85,7 @@ func TestCommonDenominator(t *testing.T) {
 	v.Add(Marginal(bitset.Of(0)), rat(1, 6))
 	w := NewVec()
 	w.Add(Marginal(bitset.Of(1)), rat(3, 4))
-	d := CommonDenominator(v, w)
+	d := commonDenominator(v, w)
 	if d.Cmp(big.NewInt(12)) != 0 {
 		t.Fatalf("D = %v, want 12", d)
 	}
@@ -154,11 +154,11 @@ func TestExample18ProofSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 25; trial++ {
 		h := setfunc.RandomCoverage(rng, 4, 6)
-		if !HoldsOn(lam, del, h) {
+		if !holdsOn(lam, del, h) {
 			t.Fatalf("inequality fails on a polymatroid")
 		}
 		for _, s := range seq {
-			if s.EvalDrop(h).Sign() < 0 {
+			if evalDrop(s, h).Sign() < 0 {
 				t.Fatalf("step %v increases 〈δ,h〉 on a polymatroid", s)
 			}
 		}
@@ -224,8 +224,8 @@ func TestMaximinExample14(t *testing.T) {
 	}
 	// Potential identity (82): Σ δ·n = bound (pre-scaling ‖λ‖ was 1 here).
 	sum := new(big.Rat)
-	for k, dc := range exampleC4DCs() {
-		sum.Add(sum, new(big.Rat).Mul(res.DeltaByCon()[k], dc.LogN))
+	for _, dc := range exampleC4DCs() { // one constraint per pair
+		sum.Add(sum, new(big.Rat).Mul(res.Delta.Get(Pair{X: dc.X, Y: dc.Y}), dc.LogN))
 	}
 	if sum.Cmp(res.Bound) != 0 {
 		t.Fatalf("Σ δ·n = %v ≠ bound %v", sum, res.Bound)
@@ -333,7 +333,7 @@ func TestProofFromMaximin(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		h := setfunc.RandomCoverage(rng, 4, 5)
-		if !HoldsOn(res.Lambda, res.Delta, h) {
+		if !holdsOn(res.Lambda, res.Delta, h) {
 			t.Fatal("maximin inequality fails on polymatroid")
 		}
 	}
@@ -392,7 +392,7 @@ func TestProofSequenceRandom(t *testing.T) {
 		mustProve(t, res.Lambda, res.Delta, seq)
 		for k := 0; k < 5; k++ {
 			h := setfunc.RandomCoverage(rng, n, 5)
-			if !HoldsOn(res.Lambda, res.Delta, h) {
+			if !holdsOn(res.Lambda, res.Delta, h) {
 				t.Fatalf("trial %d: inequality fails on polymatroid", trial)
 			}
 		}

@@ -53,11 +53,11 @@ func TestProofLengthBound(t *testing.T) {
 		bound := new(big.Rat).Mul(big.NewRat(3, 1), l1Sigma(res.Witness))
 		bound.Add(bound, res.Delta.L1())
 		bound.Add(bound, l1Mu(res.Witness))
-		d := CommonDenominator(res.Lambda, res.Delta)
+		d := commonDenominator(res.Lambda, res.Delta)
 		for _, v := range res.Witness.Sigma {
 			one := NewVec()
 			one.Add(Marginal(bitset.Of(0)), v)
-			d.Mul(d, new(big.Int).Div(CommonDenominator(one), new(big.Int).GCD(nil, nil, d, CommonDenominator(one))))
+			d.Mul(d, new(big.Int).Div(commonDenominator(one), new(big.Int).GCD(nil, nil, d, commonDenominator(one))))
 		}
 		bound.Mul(bound, new(big.Rat).SetInt(d))
 		limit := new(big.Rat).SetInt64(int64(len(seq)))
@@ -108,11 +108,11 @@ func TestProofSequenceOnMatroidRanks(t *testing.T) {
 	}
 	for trial := 0; trial < 25; trial++ {
 		h := setfunc.RandomMatroidRank(rng, 4)
-		if !HoldsOn(lam, del, h) {
+		if !holdsOn(lam, del, h) {
 			t.Fatal("inequality fails on matroid rank")
 		}
 		for _, s := range seq {
-			if s.EvalDrop(h).Sign() < 0 {
+			if evalDrop(s, h).Sign() < 0 {
 				t.Fatalf("step %v increases the bound on a matroid rank", s)
 			}
 		}

@@ -27,34 +27,22 @@ type DC struct {
 // MaximinResult is the output of the Lemma 5.2 / Proposition 5.4 pipeline:
 // the polymatroid bound value, the λ of the linearized objective, the dual δ
 // merged by conditional pair and the witness (σ,µ) — what a plan is built
-// from. The per-constraint δ and the optimal polymatroid h* are read off the
-// retained LP solution on demand (DeltaByCon, HStar).
+// from. The optimal polymatroid h* is read off the retained LP solution on
+// demand (HStar).
 type MaximinResult struct {
 	Bound   *big.Rat // LogSizeBound_{Γn∩HDC} = max_h min_B h(B)
 	Lambda  Vec      // ‖λ‖₁ = 1, support on targets
 	Delta   Vec      // merged by (X,Y); Σ n·δ ≤ Bound with equality pre-scaling
 	Witness *Witness
 
-	n, numDCs int
-	sol       *lp.Solution // nil when an ∅ target made the bound 0 without an LP
-	scale     *big.Rat     // the 1/‖z‖₁ applied to the solution's δ, σ, µ, z
-}
-
-// DeltaByCon returns δ per input constraint, aligned with the dcs given to
-// MaximinBound.
-func (r *MaximinResult) DeltaByCon() []*big.Rat {
-	out := make([]*big.Rat, r.numDCs)
-	for k := range out {
-		out[k] = new(big.Rat)
-		if r.sol != nil {
-			out[k].Mul(r.sol.X[k], r.scale)
-		}
-	}
-	return out
+	n   int
+	sol *lp.Solution // nil when an ∅ target made the bound 0 without an LP
 }
 
 // HStar returns the optimal polymatroid achieving the bound, from the exact
-// LP duals.
+// LP duals. Nothing outside the tests reads it: it is the oracle of
+// TestMaximinExample14 and TestHStarAchievesMinimum, which check the LP's
+// primal side against the bound its dual certifies.
 func (r *MaximinResult) HStar() *setfunc.Func {
 	if r.sol == nil {
 		return setfunc.New(r.n)
@@ -91,7 +79,6 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 				Delta:   NewVec(),
 				Witness: NewWitness(),
 				n:       n,
-				numDCs:  len(dcs),
 			}, nil
 		}
 	}
@@ -158,9 +145,7 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 		Delta:   NewVec(),
 		Witness: sk.witness(sol.X[offSig:], scale),
 		n:       n,
-		numDCs:  len(dcs),
 		sol:     sol,
-		scale:   scale,
 	}
 	for t, b := range tlist {
 		v := new(big.Rat).Mul(sol.X[offZ+t], scale)
@@ -214,7 +199,9 @@ func hStar(n int, sol *lp.Solution) *setfunc.Func {
 
 // LinearBound solves max Σ_B c_B·h(B) over Γn ∩ HDC exactly — the
 // right-hand side of Lemma 5.2's Eq. (68) for a fixed λ = c. Returns the
-// optimum and the optimal polymatroid.
+// optimum and the optimal polymatroid. Nothing outside the tests calls it:
+// it is the oracle of bounds' TestModularization (Lemma 3.1) and of
+// TestLinearBoundMatchesMaximinSingle.
 func LinearBound(n int, dcs []DC, objective map[bitset.Set]*big.Rat) (*big.Rat, *setfunc.Func, error) {
 	full := bitset.Full(n)
 	if err := validateDCs(full, dcs); err != nil {

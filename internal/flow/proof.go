@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"panda/internal/bitset"
-	"panda/internal/setfunc"
 )
 
 // StepKind enumerates the four proof-step rules (13)–(16) of the paper.
@@ -140,22 +139,6 @@ func (s Step) Apply(delta Vec) error {
 	return nil
 }
 
-// EvalDrop computes the amount by which the step decreases 〈δ,h〉 on an
-// exact set function (must be ≥ 0 for every polymatroid by inequalities
-// (77)–(80)).
-func (s Step) EvalDrop(h *setfunc.Func) *big.Rat {
-	consumed, produced := s.Moves()
-	drop := new(big.Rat)
-	for _, p := range consumed {
-		drop.Add(drop, h.Cond(p.Y, p.X))
-	}
-	for _, p := range produced {
-		drop.Sub(drop, h.Cond(p.Y, p.X))
-	}
-	drop.Mul(drop, s.W)
-	return drop
-}
-
 // ProofSequence is a sequence of weighted steps (Definition 5.7).
 type ProofSequence []Step
 
@@ -199,20 +182,4 @@ func ValidateProof(lambda, delta Vec, seq ProofSequence) (zeroed []uint8, err er
 		return nil, fmt.Errorf("flow: final δ_ℓ = %v does not dominate λ = %v", cur, lambda)
 	}
 	return zeroed, nil
-}
-
-// Eval computes 〈v, h〉 = Σ_p v_p·h(Y_p|X_p) exactly.
-func Eval(v Vec, h *setfunc.Func) *big.Rat {
-	s := new(big.Rat)
-	tmp := new(big.Rat)
-	for p, w := range v {
-		s.Add(s, tmp.Mul(w, h.Cond(p.Y, p.X)))
-	}
-	return s
-}
-
-// HoldsOn reports whether 〈λ,h〉 ≤ 〈δ,h〉 holds on the given set function
-// (used by property tests with sampled polymatroids).
-func HoldsOn(lambda, delta Vec, h *setfunc.Func) bool {
-	return Eval(lambda, h).Cmp(Eval(delta, h)) <= 0
 }

@@ -27,6 +27,13 @@ type TruncateResult struct {
 // as in the paper's proof, with batched chunk sizes. Inputs are not
 // modified.
 //
+// An iteration costs one scan of the deficit worklist, to pop the least Z,
+// then a scan each of µ, δ and σ, in that order, until one holds a positive
+// term on Z; it sorts nothing. The term is the least in ConstructProof's
+// orders — µ_{X,Z} by X, δ_{Y'|Z} by (|Y'|, Y'), σ_{I,J} by (I, J) — which
+// the scans must reproduce, so that the truncation, and the child proof
+// built from it, are functions of the inputs.
+//
 // Any valid witness will do, over general pairs σ_{I,J} and µ_{X,Y}, not only
 // elemental ones, and it is checked on the way in and on the way out. The
 // engine's Case-4b restart supplies WitnessOfProof of its remaining steps;
@@ -90,72 +97,41 @@ func Truncate(lambda, delta Vec, w *Witness, y bitset.Set, amount *big.Rat) (*Tr
 			return nil, fmt.Errorf("flow: truncation exceeded %d iterations", maxIter)
 		}
 		// (0) absorb into λ_Z.
-		if lz := lam.Get(Marginal(z)); lz.Sign() > 0 {
+		if lz := lam[Marginal(z)]; lz != nil && lz.Sign() > 0 {
 			t := minRat(d, lz)
 			lam.Sub(Marginal(z), t)
 			d.Sub(d, t)
 			continue
 		}
 		// (1) reduce µ_{X,Z}, moving the deficit to X.
-		handled := false
-		for _, p := range pairKeysSorted(wit.Mu) {
-			if p.Y != z || wit.Mu[p].Sign() <= 0 {
-				continue
-			}
+		if p, ok := leastMu(wit.Mu, z); ok {
 			t := minRat(d, wit.Mu[p])
 			wit.Mu[p].Sub(wit.Mu[p], t)
 			d.Sub(d, t)
 			push(p.X, t)
-			handled = true
-			break
-		}
-		if handled {
 			continue
 		}
 		// (2) reduce δ_{Y'|Z}, moving the deficit to Y'.
-		for _, p := range del.Pairs() {
-			if p.X != z || del.Get(p).Sign() <= 0 {
-				continue
-			}
-			t := minRat(d, del.Get(p))
+		if p, ok := leastCond(del, z); ok {
+			t := minRat(d, del[p])
 			del.Sub(p, t)
 			d.Sub(d, t)
 			push(p.Y, t)
-			handled = true
-			break
-		}
-		if handled {
 			continue
 		}
 		// (3) reduce σ_{Z,J}, raise µ_{Z∩J,J}, move the deficit to Z∪J.
-		for _, sp := range sigKeysSorted(wit.Sigma) {
-			v := wit.Sigma[sp]
-			if v.Sign() <= 0 {
-				continue
-			}
-			var j bitset.Set
-			switch z {
-			case sp.I:
-				j = sp.J
-			case sp.J:
-				j = sp.I
-			default:
-				continue
-			}
-			t := minRat(d, v)
-			v.Sub(v, t)
-			d.Sub(d, t)
-			x := z.Intersect(j)
-			if x != j { // µ_{X,J} needs X ⊂ J; X = Z∩J ⊂ J since Z ⊥ J
-				addTo(wit.Mu, Pair{X: x, Y: j}, t)
-			}
-			push(z.Union(j), t)
-			handled = true
-			break
-		}
-		if !handled {
+		sp, j, ok := leastSigma(wit.Sigma, z)
+		if !ok {
 			return nil, fmt.Errorf("flow: truncation stuck at %v with deficit %v", z, d)
 		}
+		v := wit.Sigma[sp]
+		t := minRat(d, v)
+		v.Sub(v, t)
+		d.Sub(d, t)
+		if x := z.Intersect(j); x != j { // µ_{X,J} needs X ⊂ J; X = Z∩J ⊂ J since Z ⊥ J
+			addTo(wit.Mu, Pair{X: x, Y: j}, t)
+		}
+		push(z.Union(j), t)
 	}
 	res := &TruncateResult{Lambda: lam, Delta: del, Witness: wit}
 	if err := CheckWitness(lam, del, wit); err != nil {

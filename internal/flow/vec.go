@@ -152,19 +152,3 @@ func (v Vec) String() string {
 	}
 	return strings.Join(parts, " + ")
 }
-
-// CommonDenominator returns the least common multiple of the denominators
-// of all coordinates of the given vectors (the paper's D).
-func CommonDenominator(vs ...Vec) *big.Int {
-	d := big.NewInt(1)
-	g := new(big.Int)
-	for _, v := range vs {
-		for _, r := range v {
-			den := r.Denom()
-			g.GCD(nil, nil, d, den)
-			d.Div(d, g)
-			d.Mul(d, den)
-		}
-	}
-	return d
-}

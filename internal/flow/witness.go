@@ -200,9 +200,10 @@ func WitnessOfProof(delta Vec, seq ProofSequence) (*Witness, error) {
 // witness exists iff the inequality is valid (Farkas / Proposition 5.4); it
 // is obtained by exact LP, minimizing ‖σ‖₁ + ‖µ‖₁. Returns an error when the
 // inequality is not valid. This is the paper's decision procedure and the
-// reference WitnessOfProof is tested against; nothing on the planning or
-// execution path calls it — the planner's witness is the dual of its bound
-// LP (MaximinBound) and a restart's is read off its remaining proof steps.
+// reference WitnessOfProof is tested against (core's
+// TestRestartWitnessAgainstLP); nothing on the planning or execution path
+// calls it — the planner's witness is the dual of its bound LP
+// (MaximinBound) and a restart's is read off its remaining proof steps.
 func FindWitness(n int, lambda, delta Vec) (*Witness, error) {
 	full := bitset.Full(n)
 	// Row per Z: inflow(Z) ≥ λ_Z, with the δ part moved to the RHS.

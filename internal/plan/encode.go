@@ -163,18 +163,21 @@ func shareRat(r *big.Rat) *big.Rat {
 	return r
 }
 
-func ratIn(s, field string) (*big.Rat, error) {
+// ratIn parses a wire rational; ok is false when s is not one. Only then
+// does the caller name the field (notRational): a decode formats no field
+// name for a well-formed plan.
+func ratIn(s string) (r *big.Rat, ok bool) {
 	switch s {
 	case "1":
-		return ratOne, nil
+		return ratOne, true
 	case "1/2":
-		return ratHalf, nil
+		return ratHalf, true
 	}
-	r, ok := new(big.Rat).SetString(s)
-	if !ok {
-		return nil, fmt.Errorf("plan: decode: %s is not a rational: %q", field, s)
-	}
-	return r, nil
+	return new(big.Rat).SetString(s)
+}
+
+func notRational(field, s string) error {
+	return fmt.Errorf("plan: decode: %s is not a rational: %q", field, s)
 }
 
 func setsOut(sets []bitset.Set) []uint32 {
@@ -215,19 +218,20 @@ func vecOut(v flow.Vec) ([]wireCoord, error) {
 	return out, nil
 }
 
-func vecIn(coords []wireCoord, field string) (flow.Vec, error) {
+// vecIn reads the vector rules[idx].name.
+func vecIn(coords []wireCoord, idx int, name string) (flow.Vec, error) {
 	if coords == nil {
 		return nil, nil
 	}
 	v := flow.NewVec()
 	for i, c := range coords {
-		w, err := ratIn(c.W, fmt.Sprintf("%s[%d]", field, i))
-		if err != nil {
-			return nil, err
+		w, ok := ratIn(c.W)
+		if !ok {
+			return nil, notRational(fmt.Sprintf("rules[%d].%s[%d]", idx, name, i), c.W)
 		}
 		p := flow.Pair{X: bitset.Set(c.X), Y: bitset.Set(c.Y)}
 		if _, dup := v[p]; dup {
-			return nil, fmt.Errorf("plan: decode: duplicate %s coordinate %v", field, p)
+			return nil, fmt.Errorf("plan: decode: duplicate rules[%d].%s coordinate %v", idx, name, p)
 		}
 		v[p] = w
 	}
@@ -261,23 +265,24 @@ func ruleOut(pr *PreparedRule) (wireRule, error) {
 
 func ruleIn(wr wireRule, idx int) (*PreparedRule, error) {
 	pr := &PreparedRule{Targets: setsIn(wr.Targets), Trivial: wr.Trivial}
+	var ok bool
+	if pr.Bound, ok = ratIn(wr.Bound); !ok {
+		return nil, notRational(fmt.Sprintf("rules[%d].bound", idx), wr.Bound)
+	}
 	var err error
-	if pr.Bound, err = ratIn(wr.Bound, fmt.Sprintf("rules[%d].bound", idx)); err != nil {
+	if pr.Lambda, err = vecIn(wr.Lambda, idx, "lambda"); err != nil {
 		return nil, err
 	}
-	if pr.Lambda, err = vecIn(wr.Lambda, fmt.Sprintf("rules[%d].lambda", idx)); err != nil {
-		return nil, err
-	}
-	if pr.Delta, err = vecIn(wr.Delta, fmt.Sprintf("rules[%d].delta", idx)); err != nil {
+	if pr.Delta, err = vecIn(wr.Delta, idx, "delta"); err != nil {
 		return nil, err
 	}
 	for i, s := range wr.Seq {
 		if s.Kind < int(flow.Submodularity) || s.Kind > int(flow.Decomposition) {
 			return nil, fmt.Errorf("plan: decode: rules[%d].seq[%d] has unknown step kind %d", idx, i, s.Kind)
 		}
-		w, err := ratIn(s.W, fmt.Sprintf("rules[%d].seq[%d].w", idx, i))
-		if err != nil {
-			return nil, err
+		w, ok := ratIn(s.W)
+		if !ok {
+			return nil, notRational(fmt.Sprintf("rules[%d].seq[%d].w", idx, i), s.W)
 		}
 		pr.Seq = append(pr.Seq, flow.Step{Kind: flow.StepKind(s.Kind), W: w, A: bitset.Set(s.A), B: bitset.Set(s.B)})
 	}
@@ -342,9 +347,9 @@ func planIn(wp *wirePlan) (*Plan, error) {
 		p.Schema.Atoms = append(p.Schema.Atoms, query.Atom{Name: a.Name, Vars: bitset.Set(a.Vars), Args: a.Args})
 	}
 	for i, c := range wp.Cons {
-		logN, err := ratIn(c.LogN, fmt.Sprintf("cons[%d].log_n", i))
-		if err != nil {
-			return nil, err
+		logN, ok := ratIn(c.LogN)
+		if !ok {
+			return nil, notRational(fmt.Sprintf("cons[%d].log_n", i), c.LogN)
 		}
 		p.Cons = append(p.Cons, query.DegreeConstraint{
 			X: bitset.Set(c.X), Y: bitset.Set(c.Y), N: c.N, LogN: logN, Guard: c.Guard,
@@ -360,9 +365,9 @@ func planIn(wp *wirePlan) (*Plan, error) {
 		}
 		p.Rules = append(p.Rules, r)
 	}
-	var err error
-	if p.Width, err = ratIn(wp.Width, "width"); err != nil {
-		return nil, err
+	var ok bool
+	if p.Width, ok = ratIn(wp.Width); !ok {
+		return nil, notRational("width", wp.Width)
 	}
 	if err := validateDecoded(p); err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"panda/internal/bitset"
 	"panda/internal/flow"
 	"panda/internal/query"
 )
@@ -461,5 +462,43 @@ func TestLoadCacheRespectsCapacity(t *testing.T) {
 	}
 	if small.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", small.Stats().Evictions)
+	}
+}
+
+// TestDecodeNamesTheBadField: a value that is not a rational, or a repeated
+// coordinate, is refused naming its field in the text the decoder has always
+// used — the names are formatted only on this path.
+func TestDecodeNamesTheBadField(t *testing.T) {
+	q, cons := cycleQuery(4, nil, nil, 100)
+	p, _, err := Prepare(q, cons, ModeSubw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := func() *wirePlan {
+		wp, err := planOut(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wp
+	}
+	first := wire().Rules[1].Delta[0]
+	for _, bad := range []struct {
+		edit func(wp *wirePlan)
+		want string
+	}{
+		{func(wp *wirePlan) { wp.Width = "w" }, `plan: decode: width is not a rational: "w"`},
+		{func(wp *wirePlan) { wp.Cons[2].LogN = "x" }, `plan: decode: cons[2].log_n is not a rational: "x"`},
+		{func(wp *wirePlan) { wp.Rules[1].Bound = "" }, `plan: decode: rules[1].bound is not a rational: ""`},
+		{func(wp *wirePlan) { wp.Rules[1].Lambda[0].W = "1/0" }, `plan: decode: rules[1].lambda[0] is not a rational: "1/0"`},
+		{func(wp *wirePlan) { wp.Rules[0].Delta[1].W = "-" }, `plan: decode: rules[0].delta[1] is not a rational: "-"`},
+		{func(wp *wirePlan) { wp.Rules[1].Seq[2].W = "½" }, `plan: decode: rules[1].seq[2].w is not a rational: "½"`},
+		{func(wp *wirePlan) { wp.Rules[1].Delta[1] = first },
+			fmt.Sprintf("plan: decode: duplicate rules[1].delta coordinate %v", flow.Pair{X: bitset.Set(first.X), Y: bitset.Set(first.Y)})},
+	} {
+		wp := wire()
+		bad.edit(wp)
+		if _, err := planIn(wp); err == nil || err.Error() != bad.want {
+			t.Errorf("err = %v, want %s", err, bad.want)
+		}
 	}
 }
