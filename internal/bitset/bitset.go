@@ -6,7 +6,7 @@ package bitset
 import (
 	"math/bits"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Set is a subset of [n] for n ≤ 16, encoded as a bitmask.
@@ -69,46 +69,32 @@ func (s Set) Vars() []int {
 	return out
 }
 
-// Min returns the smallest element of s, or -1 if s is empty.
-func (s Set) Min() int {
-	if s == 0 {
-		return -1
-	}
-	return bits.TrailingZeros32(uint32(s))
-}
-
 // String renders s using the default variable names A0, A1, ….
 func (s Set) String() string { return s.Label(nil) }
 
 // Label renders s using the given variable names (falling back to Ai).
 // The empty set renders as "∅".
 func (s Set) Label(names []string) string {
-	if s == 0 {
-		return "∅"
-	}
-	var parts []string
-	for _, v := range s.Vars() {
-		if v < len(names) {
-			parts = append(parts, names[v])
-		} else {
-			parts = append(parts, "A"+itoa(v))
-		}
-	}
-	return strings.Join(parts, "")
+	var buf [48]byte
+	return string(s.AppendLabel(buf[:0], names))
 }
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+// AppendLabel appends Label(names) to dst and returns the extended slice, so
+// a caller building a longer name around the label writes it in place
+// instead of allocating it first.
+func (s Set) AppendLabel(dst []byte, names []string) []byte {
+	if s == 0 {
+		return append(dst, "∅"...)
 	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
+	for m := s; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros32(uint32(m))
+		if v < len(names) {
+			dst = append(dst, names[v]...)
+		} else {
+			dst = strconv.AppendInt(append(dst, 'A'), int64(v), 10)
+		}
 	}
-	return string(b[i:])
+	return dst
 }
 
 // Sorted returns the sets sorted by (cardinality, mask value); useful for

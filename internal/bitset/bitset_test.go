@@ -84,15 +84,6 @@ func TestAddRemoveContains(t *testing.T) {
 	}
 }
 
-func TestMin(t *testing.T) {
-	if Set(0).Min() != -1 {
-		t.Errorf("Min(∅) = %d", Set(0).Min())
-	}
-	if Of(3, 5).Min() != 3 {
-		t.Errorf("Min = %d, want 3", Of(3, 5).Min())
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := Of(0, 1).Label([]string{"X", "Y"}); got != "XY" {
 		t.Errorf("Label = %q", got)
@@ -102,6 +93,23 @@ func TestString(t *testing.T) {
 	}
 	if got := Of(10).String(); got != "A10" {
 		t.Errorf("String = %q", got)
+	}
+	// AppendLabel writes after what dst holds; names run out into Ai.
+	for _, c := range []struct {
+		s     Set
+		names []string
+		want  string
+	}{
+		{0, nil, "pre∅"},
+		{Of(0, 3, 12, 31), nil, "preA0A3A12A31"},
+		{Of(0, 1, 2, 11), []string{"X", "Yy", "%d"}, "preXYy%dA11"},
+	} {
+		if got := string(c.s.AppendLabel([]byte("pre"), c.names)); got != c.want {
+			t.Errorf("AppendLabel(%#x) = %q, want %q", uint32(c.s), got, c.want)
+		}
+		if got := c.s.Label(c.names); "pre"+got != c.want {
+			t.Errorf("Label(%#x) = %q, want %q", uint32(c.s), got, c.want[3:])
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"panda/internal/plan"
+	"panda/internal/query"
 	"panda/internal/workload"
 )
 
@@ -99,6 +100,48 @@ func BenchmarkExecuteTriFull(b *testing.B) {
 		}
 		if res.Tables != nil || res.Out.Size() != want {
 			b.Fatalf("tables = %v, |out| = %d; want none, %d", res.Tables != nil, res.Out.Size(), want)
+		}
+	}
+}
+
+// BenchmarkExecuteSmall executes, per op, the 4-cycle's full, fhtw and subw
+// plans and the triangle's full plan, each over 8-row relations on a
+// 16-value domain — the size of bench's plan-cold first sightings. The
+// relations are too small for the kernels to matter, so what it counts is
+// the engine's fixed cost per operator: frames, bounds, the fold and each
+// derived relation's header and name. It carries CI's allocs/op ceiling for
+// that cost.
+func BenchmarkExecuteSmall(b *testing.B) {
+	type run struct {
+		p   *plan.Plan
+		ins *query.Instance
+	}
+	rng := rand.New(rand.NewSource(1))
+	var runs []run
+	for _, c := range []struct {
+		q    *query.Conjunctive
+		mode plan.Mode
+	}{
+		{workload.FourCycleQuery(), plan.ModeFull},
+		{workload.FourCycleQuery(), plan.ModeFhtw},
+		{workload.FourCycleQuery(), plan.ModeSubw},
+		{workload.TriangleQuery(), plan.ModeFull},
+	} {
+		ins := workload.RandomBinary(rng, &c.q.Schema, 8, 16)
+		p, _, err := plan.Prepare(c.q, CompleteConstraints(&c.q.Schema, ins, nil), c.mode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs = append(runs, run{p, ins})
+	}
+	ctx := context.Background()
+	ex := &Executor{}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, r := range runs {
+			if _, err := ex.Execute(ctx, r.p, r.ins); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -149,7 +149,9 @@ func (ex *Executor) runRule(ctx context.Context, s *query.Schema, pr *plan.Prepa
 	}
 	for _, b := range e.targets {
 		if _, ok := fold[b]; !ok {
-			fold[b] = []*relation.Relation{relation.New(fmt.Sprintf("T_%s", s.VarLabel(b)), b)}
+			var label [48]byte
+			name := "T_" + string(b.AppendLabel(label[:0], s.VarNames))
+			fold[b] = []*relation.Relation{relation.New(name, b)}
 		}
 	}
 	return fold, stats, timings, nil

@@ -1,6 +1,6 @@
 // Package entropy implements the information-theoretic substrate of
 // Section 4: finite joint distributions with exact marginal-entropy
-// queries, empirical (uniform) distributions of relations, and the
+// queries, uniform distributions over tuple lists, and the
 // Chan–Yeung group-characterizable database construction (Definition 4.2,
 // Lemma 4.3) used to prove the asymptotic tightness of the entropic bound
 // (Lemma 4.4). Entropies are float64 (they involve logarithms); everything
@@ -32,16 +32,6 @@ func Uniform(n int, rows [][]int64) *Distribution {
 	return d
 }
 
-// FromRelation builds the uniform distribution over a relation's tuples,
-// with variable i of the distribution = attribute cols[i].
-func FromRelation(r *relation.Relation) *Distribution {
-	rows := make([][]int64, 0, r.Size())
-	for t := range r.All() {
-		rows = append(rows, append([]int64(nil), t...))
-	}
-	return Uniform(len(r.Cols()), rows)
-}
-
 // Marginal returns the marginal entropy H(A_S) in bits. Variables are
 // positions 0..N−1.
 func (d *Distribution) Marginal(s bitset.Set) float64 {
@@ -67,43 +57,6 @@ func (d *Distribution) Marginal(s bitset.Set) float64 {
 		}
 	}
 	return h
-}
-
-// Vector returns the full entropy vector indexed by subset mask — an
-// entropic function (a point of Γ*_n, up to float error).
-func (d *Distribution) Vector() []float64 {
-	full := bitset.Full(d.N)
-	out := make([]float64, int(full)+1)
-	for s := bitset.Set(1); s <= full; s++ {
-		out[s] = d.Marginal(s)
-	}
-	return out
-}
-
-// IsApproxPolymatroid checks the elemental Shannon inequalities on a float
-// entropy vector within tolerance — every entropic vector must pass
-// (Proposition 2.3).
-func IsApproxPolymatroid(v []float64, n int, tol float64) bool {
-	full := bitset.Full(n)
-	for s := bitset.Set(0); s <= full; s++ {
-		for i := 0; i < n; i++ {
-			if s.Contains(i) {
-				continue
-			}
-			if v[s.Add(i)] < v[s]-tol {
-				return false
-			}
-			for j := i + 1; j < n; j++ {
-				if s.Contains(j) {
-					continue
-				}
-				if v[s.Add(i)]+v[s.Add(j)] < v[s.Add(i).Add(j)]+v[s]-tol {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 // GroupSystem is the Chan–Yeung construction: the symmetric group S_m

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"panda/internal/bitset"
-	"panda/internal/relation"
 )
 
 func TestUniformEntropy(t *testing.T) {
@@ -33,27 +32,50 @@ func TestPerfectlyCorrelated(t *testing.T) {
 	}
 }
 
+// vector returns d's full entropy vector indexed by subset mask — an
+// entropic function (a point of Γ*_n, up to float error).
+func vector(d *Distribution) []float64 {
+	full := bitset.Full(d.N)
+	out := make([]float64, int(full)+1)
+	for s := bitset.Set(1); s <= full; s++ {
+		out[s] = d.Marginal(s)
+	}
+	return out
+}
+
+// isApproxPolymatroid checks the elemental Shannon inequalities on a float
+// entropy vector within tolerance — every entropic vector must pass
+// (Proposition 2.3).
+func isApproxPolymatroid(v []float64, n int, tol float64) bool {
+	full := bitset.Full(n)
+	for s := bitset.Set(0); s <= full; s++ {
+		for i := 0; i < n; i++ {
+			if s.Contains(i) {
+				continue
+			}
+			if v[s.Add(i)] < v[s]-tol {
+				return false
+			}
+			for j := i + 1; j < n; j++ {
+				if s.Contains(j) {
+					continue
+				}
+				if v[s.Add(i)]+v[s.Add(j)] < v[s.Add(i).Add(j)]+v[s]-tol {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 func TestVectorIsPolymatroid(t *testing.T) {
 	// An arbitrary correlated distribution must produce a (float)
 	// polymatroid — Proposition 2.3's Γ*n ⊆ Γn, checked numerically.
 	d := Uniform(3, [][]int64{{0, 0, 1}, {0, 1, 1}, {1, 0, 0}, {1, 1, 1}, {2, 0, 0}})
-	v := d.Vector()
-	if !IsApproxPolymatroid(v, 3, 1e-9) {
+	v := vector(d)
+	if !isApproxPolymatroid(v, 3, 1e-9) {
 		t.Fatal("entropy vector violates Shannon inequalities")
-	}
-}
-
-func TestFromRelation(t *testing.T) {
-	r := relation.New("R", bitset.Of(0, 2))
-	r.Insert([]relation.Value{1, 5})
-	r.Insert([]relation.Value{2, 5})
-	d := FromRelation(r)
-	if d.N != 2 || len(d.Rows) != 2 {
-		t.Fatalf("distribution %+v", d)
-	}
-	// Second column is constant: H = 0.
-	if h := d.Marginal(bitset.Of(1)); math.Abs(h) > 1e-12 {
-		t.Fatalf("H(const) = %v", h)
 	}
 }
 

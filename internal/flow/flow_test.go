@@ -363,7 +363,7 @@ func TestProofSequenceRandom(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			e := dcs[0].Y
 			if e.Card() >= 2 {
-				x := bitset.Singleton(e.Min())
+				x := bitset.Singleton(e.Vars()[0])
 				dcs = append(dcs, DC{X: x, Y: e, LogN: rat(1, 2)})
 			}
 		}

@@ -502,3 +502,42 @@ func TestDecodeNamesTheBadField(t *testing.T) {
 		}
 	}
 }
+
+// TestReimportOfHeldSnapshotDecodesNothing: a re-shipped plan is counted as
+// a duplicate off its key once its digest checks out, without the JSON
+// decode, planIn and proof replay a first import pays — so re-importing a
+// snapshot the cache holds allocates a small fraction of importing it.
+func TestReimportOfHeldSnapshotDecodesNothing(t *testing.T) {
+	src := NewPlanner(8)
+	for _, k := range []int{3, 4, 5} {
+		q, cons := cycleQuery(k, nil, nil, 100)
+		if _, err := src.Prepare(q, cons, ModeSubw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.SaveCache(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	load := func(pl *Planner) CacheLoadStats {
+		stats, err := pl.LoadCache(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	held := NewPlanner(8)
+	if stats := load(held); stats.Loaded != 3 || stats.Duplicates != 0 || stats.Skipped != 0 {
+		t.Fatalf("first import: %v, want loaded=3", stats)
+	}
+	if stats := load(held); stats.Loaded != 0 || stats.Duplicates != 3 || stats.Skipped != 0 {
+		t.Fatalf("re-import: %v, want duplicates=3", stats)
+	}
+	first := testing.AllocsPerRun(20, func() { load(NewPlanner(8)) })
+	again := testing.AllocsPerRun(20, func() { load(held) })
+	t.Logf("allocs: first import %.0f, re-import %.0f", first, again)
+	if again*10 > first {
+		t.Fatalf("re-import allocates %.0f, more than a tenth of the first import's %.0f", again, first)
+	}
+}

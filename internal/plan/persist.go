@@ -47,7 +47,9 @@ type CacheLoadStats struct {
 	Skipped int
 	// Duplicates counts entries whose key the cache already held — benign
 	// (the live plan is identical by construction) and therefore not a
-	// rejection.
+	// rejection. Such an entry's digest is checked, but its plan is not
+	// decoded, so a payload that would not decode is counted here and not
+	// under Skipped.
 	Duplicates int
 	// FirstErr is the rejection reason of the first skipped entry.
 	FirstErr error
@@ -132,8 +134,10 @@ func writeCache(w io.Writer, ents []*entry) error {
 // skipped — with the reason recorded in the returned stats — on a version
 // or digest mismatch, a malformed or inconsistent plan, or a key that
 // disagrees with its plan's recorded signature. A key the cache already
-// holds counts as a (benign) duplicate: live entries are never clobbered
-// by an import. An import is a use: the new entries go in above the live
+// holds counts as a (benign) duplicate once its entry's digest checks out,
+// and its plan is not decoded: live entries are never clobbered by an
+// import, so a re-shipped plan costs a digest and a map lookup. An import is
+// a use: the new entries go in above the live
 // ones, in snapshot order, so a load past capacity drops the cache's own
 // least recently used plans first and then the snapshot's tail — a replica
 // at capacity keeps the plan it was just sent.
@@ -171,6 +175,10 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 			skip(fmt.Errorf("%w (entry %d)", ErrCodecDigest, i))
 			continue
 		}
+		if pl.holds(ent.Key) {
+			stats.Duplicates++
+			continue
+		}
 		var wp wirePlan
 		if err := json.Unmarshal(ent.Plan, &wp); err != nil {
 			skip(fmt.Errorf("plan: load cache entry %d: malformed payload: %w", i, err))
@@ -191,7 +199,7 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	for _, ent := range slices.Backward(ents) {
-		if _, dup := pl.index[ent.key]; dup {
+		if _, dup := pl.index[ent.key]; dup { // installed while this import decoded, or twice in it
 			stats.Duplicates++
 			continue
 		}
@@ -200,4 +208,12 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 	}
 	pl.evictOverCap()
 	return stats, nil
+}
+
+// holds reports whether the cache holds key, without counting a use.
+func (pl *Planner) holds(key string) bool {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	_, ok := pl.index[key]
+	return ok
 }

@@ -98,9 +98,6 @@ type DegreeConstraint struct {
 // IsCardinality reports whether the constraint is (∅, Y, N).
 func (c DegreeConstraint) IsCardinality() bool { return c.X == 0 }
 
-// IsFD reports whether the constraint is a functional dependency (N = 1).
-func (c DegreeConstraint) IsFD() bool { return c.LogN.Sign() == 0 }
-
 // Validate checks the shape X ⊂ Y and a non-negative log bound.
 func (c DegreeConstraint) Validate(n int) error {
 	if !c.X.ProperSubsetOf(c.Y) {
@@ -167,7 +164,9 @@ func NewInstance(s *Schema) *Instance {
 	return ins
 }
 
-// MaxSize returns N = max over relations of |R_F| (Eq. 27).
+// MaxSize returns N = max over relations of |R_F| (Eq. 27). Tests only:
+// core's TestPandaExample18, TestEvalFullTriangle and TestPandaWithFDs check
+// the bound against 3/2·log N with it.
 func (ins *Instance) MaxSize() int {
 	best := 0
 	for _, r := range ins.Relations {

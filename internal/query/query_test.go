@@ -85,11 +85,11 @@ func TestLogOfIsTheRationalFormula(t *testing.T) {
 
 func TestConstraintConstructors(t *testing.T) {
 	c := Cardinality(bitset.Of(0, 1), 100, 0)
-	if !c.IsCardinality() || c.IsFD() {
+	if !c.IsCardinality() || c.LogN.Sign() == 0 {
 		t.Fatal("cardinality flags wrong")
 	}
 	f := FD(bitset.Of(0), bitset.Of(1), 0)
-	if !f.IsFD() || f.IsCardinality() {
+	if f.LogN.Sign() != 0 || f.IsCardinality() {
 		t.Fatal("fd flags wrong")
 	}
 	if f.Y != bitset.Of(0, 1) {
@@ -193,7 +193,7 @@ fd(R23: A2 -> A3)
 	if c.X != bitset.Of(0) || c.Y != bitset.Of(0, 1) || c.N != 5 {
 		t.Fatalf("deg constraint %+v", c)
 	}
-	if !res.Constraints[2].IsFD() {
+	if res.Constraints[2].LogN.Sign() != 0 {
 		t.Fatalf("fd constraint %+v", res.Constraints[2])
 	}
 }

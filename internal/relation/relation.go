@@ -36,6 +36,15 @@
 // caps the intern table at 2³²−1 distinct values; a batch that might pass it
 // fails with ErrTooManyValues.
 //
+// Every operator names its output after its inputs — ΠA0A1(r), (r⋈s),
+// r[b3], ((r∪s)⋉t) — so a name spells out the expression that built the
+// relation. Only traces, panics, errors and String read a name, but the
+// executor's trace digest hashes the trace byte for byte, so names are built
+// eagerly and never change shape. A name costs one allocation and no fmt:
+// one string concatenation, with a set's label appended into a stack buffer
+// first and numbers below 100 from strconv.Itoa, which does not allocate
+// for them; Reduce writes its name into a builder sized first.
+//
 // Interning stays (ablation at PR 19: an identity interner over []int64
 // columns, every test and the executor digest golden green, read exec-large
 // alloc_kb_per_op 1007.4 → 1312.5 (+30%), live_heap_mb 1.05 → 1.22 and
@@ -49,6 +58,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -66,6 +76,10 @@ type Value = int64
 // state on first use — the memoized indexes and partitions, the dedup table
 // under Contains and Equal — doing so under the memo mutex.
 type Relation struct {
+	// Name is what the relation was built as: the base name given to New,
+	// or an operator's expression over its inputs' names (see the package
+	// doc). Traces, panics, errors and String read it; no operator depends
+	// on it.
 	Name  string
 	attrs bitset.Set
 	cols  []int // sorted variable ids; tuple positions follow this order
@@ -579,11 +593,13 @@ func (r *Relation) allPositions() []int {
 	return pos
 }
 
-// Project returns Π_X(r) for X ⊆ schema, rows in first-appearance order. A
-// projection onto the whole schema drops nothing, so it shares r's column
-// storage like Snapshot instead of hashing every row.
+// Project returns Π_X(r) for X ⊆ schema, rows in first-appearance order,
+// named "Π<X>(<r>)" with X's default label (A0A3…, or ∅). A projection onto
+// the whole schema drops nothing, so it shares r's column storage like
+// Snapshot instead of hashing every row.
 func (r *Relation) Project(x bitset.Set) *Relation {
-	name := fmt.Sprintf("Π%v(%s)", x, r.Name)
+	var label [48]byte
+	name := "Π" + string(x.AppendLabel(label[:0], nil)) + "(" + r.Name + ")"
 	pos := r.positions(x)
 	if x == r.attrs {
 		return r.Snapshot(name)
@@ -630,10 +646,11 @@ func (r *Relation) matchOn(i int, rPos []int, s *Relation, j int, sPos []int) bo
 	return true
 }
 
-// Join returns the natural join r ⋈ s: for each row of the larger side in
-// order, its matches on the smaller side in order. Both sides being sets,
-// so is the output — a joined tuple determines the pair it came from — and
-// it is written once, at its exact size, without a dedup pass.
+// Join returns the natural join r ⋈ s, named "(<r>⋈<s>)": for each row of
+// the larger side in order, its matches on the smaller side in order. Both
+// sides being sets, so is the output — a joined tuple determines the pair it
+// came from — and it is written once, at its exact size, without a dedup
+// pass.
 //
 // It makes two passes over the probe side. The first looks each row's chain
 // up in the build side's index once, keeps the chain's ends and counts the
@@ -644,7 +661,7 @@ func (r *Relation) matchOn(i int, rPos []int, s *Relation, j int, sPos []int) bo
 func (r *Relation) Join(s *Relation) *Relation {
 	sameInterner(r, s)
 	common := r.attrs.Intersect(s.attrs)
-	out := New(fmt.Sprintf("(%s⋈%s)", r.Name, s.Name), r.attrs.Union(s.attrs))
+	out := New("("+r.Name+"⋈"+s.Name+")", r.attrs.Union(s.attrs))
 	// Build on the smaller side.
 	build, probe := s, r
 	if r.Size() < s.Size() {
@@ -754,12 +771,12 @@ func Reduce(attrs bitset.Set, parts []*Relation, sides ...*Relation) *Relation {
 		}
 		sameInterner(parts[0], p)
 	}
-	name := reducedName(parts, sides)
-	switch {
-	case len(parts) == 0:
-		return New(name, attrs)
-	case len(parts) == 1 && len(sides) == 0:
+	if len(parts) == 1 && len(sides) == 0 {
 		return parts[0]
+	}
+	name := reducedName(parts, sides)
+	if len(parts) == 0 {
+		return New(name, attrs)
 	}
 	// keep[k] lists the rows of part k every side matches; nil keep (no side)
 	// keeps every row.
@@ -813,30 +830,48 @@ func Reduce(attrs bitset.Set, parts []*Relation, sides ...*Relation) *Relation {
 
 // reducedName names Reduce's result the way a chain of binary operators
 // would be named: the union of the parts (named after its first two), then
-// one ⋉ per side, the sides in name order.
+// one ⋉ per side, the sides in name order. It is sized first and written
+// once, and the sides are sorted in a stack buffer, so a reduction's name
+// costs one allocation.
 func reducedName(parts, sides []*Relation) string {
+	var buf [8]*Relation
+	byName := append(buf[:0], sides...)
+	slices.SortFunc(byName, func(a, b *Relation) int { return strings.Compare(a.Name, b.Name) })
+	n := len(sides) * len("(⋉)")
+	for _, s := range sides {
+		n += len(s.Name)
+	}
+	switch len(parts) {
+	case 0:
+		n += len("∅")
+	case 1:
+		n += len(parts[0].Name)
+	default:
+		n += len("(∪∪…)") + len(parts[0].Name) + len(parts[1].Name)
+	}
 	var b strings.Builder
-	b.WriteString(strings.Repeat("(", len(sides)))
+	b.Grow(n)
+	for range sides {
+		b.WriteByte('(')
+	}
 	switch len(parts) {
 	case 0:
 		b.WriteString("∅")
 	case 1:
 		b.WriteString(parts[0].Name)
 	default:
-		b.WriteString("(" + parts[0].Name + "∪" + parts[1].Name)
+		b.WriteString("(")
+		b.WriteString(parts[0].Name)
+		b.WriteString("∪")
+		b.WriteString(parts[1].Name)
 		if len(parts) > 2 {
 			b.WriteString("∪…")
 		}
 		b.WriteString(")")
 	}
-	names := make([]string, len(sides))
-	for k, s := range sides {
-		names[k] = s.Name
-	}
-	slices.Sort(names)
-	for _, n := range names {
+	for _, s := range byName {
 		b.WriteString("⋉")
-		b.WriteString(n)
+		b.WriteString(s.Name)
 		b.WriteString(")")
 	}
 	return b.String()
@@ -899,6 +934,7 @@ rows:
 // of insertion order, id assignment or capacity — so two relations
 // partitioned with the same k and the same shared attributes are
 // co-partitioned: rows agreeing on `on` land in the same bucket index.
+// Bucket j is named "<r>[p<j>/<k>]".
 // Bucket relations are memoized per (k, on) against the mutation tick;
 // callers must treat them as read-only.
 func (r *Relation) Partition(k int, on bitset.Set) []*Relation {
@@ -916,7 +952,9 @@ func (r *Relation) Partition(k int, on bitset.Set) []*Relation {
 	for i := range dest {
 		dest[i] = int32(r.bucketOf(i, pos, k))
 	}
-	parts := r.scatter(dest, k, func(j int) string { return fmt.Sprintf("%s[p%d/%d]", r.Name, j, k) })
+	parts := r.scatter(dest, k, func(j int) string {
+		return r.Name + "[p" + strconv.Itoa(j) + "/" + strconv.Itoa(k) + "]"
+	})
 	if r.memo.parts == nil {
 		r.memo.parts = map[partMemoKey]*memoParts{}
 	}
@@ -1054,14 +1092,14 @@ func degreeClasses(deg []int32) (dest []int32, buckets []DegreeBucket) {
 // row order) are split by the degree bucket their X-value gets in Π_Y(r), so
 // each part can go on guarding everything r guarded. With T = Π_Y(r), in
 // every bucket Keys · Degree ≤ |T|, and there are at most 2·log₂|T|+2
-// buckets.
+// buckets. Bucket b's relation is named "<r>[b<b>]".
 func (r *Relation) SplitByDegree(y, x bitset.Set) []DegreeBucket {
 	of, deg := r.degrees(r.positions(y), r.positions(x))
 	dest, buckets := degreeClasses(deg)
 	for i, g := range of {
 		of[i] = dest[g]
 	}
-	parts := r.scatter(of, len(buckets), func(b int) string { return fmt.Sprintf("%s[b%d]", r.Name, b) })
+	parts := r.scatter(of, len(buckets), func(b int) string { return r.Name + "[b" + strconv.Itoa(b) + "]" })
 	for b := range buckets {
 		buckets[b].Rel = parts[b]
 	}
@@ -1074,6 +1112,7 @@ func (r *Relation) SplitByDegree(y, x bitset.Set) []DegreeBucket {
 // Bucket j collects X-tuples whose degree lies in [2^j, 2^{j+1}), halved
 // again by X-value so that the product bound holds. Within a bucket the
 // rows of one X-value stay together, X-values in first-appearance order.
+// The bucket of class j's half h is named "<r>[deg2^<j>.<h>]".
 func (r *Relation) PartitionByDegree(y, x bitset.Set) []*Relation {
 	t := r.Project(y)
 	pos := t.allPositions()
@@ -1097,7 +1136,8 @@ func (r *Relation) PartitionByDegree(y, x bitset.Set) []*Relation {
 	}
 	out := make([]*Relation, len(buckets))
 	for b, bk := range buckets {
-		out[b] = t.gather(fmt.Sprintf("%s[deg2^%d.%d]", r.Name, bk.class, bk.half), y, pos, rows[b])
+		name := r.Name + "[deg2^" + strconv.Itoa(bk.class) + "." + strconv.Itoa(bk.half) + "]"
+		out[b] = t.gather(name, y, pos, rows[b])
 	}
 	return out
 }

@@ -492,7 +492,8 @@ func (r *Router) catchUp() {
 // relation the shape does not read drops the router's shape memo but leaves
 // the plan's key unchanged. Traced serve-mixed, 10 s: 4 of 32 ensures,
 // router.push_entries 56 → 64, each extra push one 2.6 kB PUT per replica
-// answered as a duplicate.
+// answered as a duplicate. A replica checks such an entry's digest and finds
+// its key held, and does not decode the plan (plan.LoadCache).
 func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 	ctx, cancel := context.WithTimeout(ctx, r.timeout)
 	defer cancel()

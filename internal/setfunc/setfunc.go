@@ -52,15 +52,6 @@ func (h *Func) Cond(y, x bitset.Set) *big.Rat {
 	return new(big.Rat).Sub(h.V[y], h.V[x])
 }
 
-// Scale returns s·h.
-func (h *Func) Scale(s *big.Rat) *Func {
-	g := New(h.N)
-	for i, v := range h.V {
-		g.V[i].Mul(v, s)
-	}
-	return g
-}
-
 // IsNonNegative reports whether h(S) ≥ 0 for all S and h(∅) = 0.
 func (h *Func) IsNonNegative() bool {
 	if h.V[0].Sign() != 0 {
@@ -150,29 +141,6 @@ func (h *Func) IsSubadditive() bool {
 			if h.V[x|y].Cmp(sum) > 0 {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// EdgeDominated reports whether h(F) ≤ bound for every F in edges — the
-// paper's ED set (Definition 2.4) with an explicit bound (1 for the
-// normalized version, log N for the scaled version).
-func (h *Func) EdgeDominated(edges []bitset.Set, bound *big.Rat) bool {
-	for _, f := range edges {
-		if h.V[f].Cmp(bound) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// VertexDominated reports whether h({v}) ≤ bound for every v ∈ [n] — the
-// paper's VD set (Definition 2.4).
-func (h *Func) VertexDominated(bound *big.Rat) bool {
-	for v := 0; v < h.N; v++ {
-		if h.V[bitset.Singleton(v)].Cmp(bound) > 0 {
-			return false
 		}
 	}
 	return true
@@ -275,6 +243,8 @@ func Figure6() *Func {
 // k weighted items, each variable owning a random subset of items, with
 // h(S) = total weight covered by S. Coverage functions are polymatroids
 // with rational values, making them ideal for exact property tests.
+// Tests only: flow's TestExample18ProofSequence, TestProofFromMaximin and
+// TestProofSequenceRandom draw their polymatroids from it.
 func RandomCoverage(rng *rand.Rand, n, k int) *Func {
 	weights := make([]*big.Rat, k)
 	owner := make([]bitset.Set, k) // owner[item] = set of variables covering it
@@ -301,6 +271,8 @@ func RandomCoverage(rng *rand.Rand, n, k int) *Func {
 
 // RandomMatroidRank samples the rank function of a random uniform-ish
 // matroid: h(S) = min(|S|, k) scaled by a positive rational.
+// Tests only: flow's TestProofSequenceOnMatroidRanks draws its polymatroids
+// from it.
 func RandomMatroidRank(rng *rand.Rand, n int) *Func {
 	k := 1 + rng.Intn(n)
 	scale := big.NewRat(int64(1+rng.Intn(4)), int64(1+rng.Intn(3)))

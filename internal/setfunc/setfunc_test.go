@@ -31,10 +31,6 @@ func TestCondAndScale(t *testing.T) {
 	if got := h.Cond(bitset.Of(0, 1), bitset.Of(0)); got.Cmp(rat(3, 1)) != 0 {
 		t.Fatalf("h(01|0) = %v, want 3", got)
 	}
-	g := h.Scale(rat(2, 1))
-	if got := g.At(bitset.Of(0, 1)); got.Cmp(rat(8, 1)) != 0 {
-		t.Fatalf("scaled h(01) = %v, want 8", got)
-	}
 }
 
 func TestNonPolymatroidDetected(t *testing.T) {
@@ -233,22 +229,5 @@ func TestHierarchyStrict(t *testing.T) {
 	}
 	if !h.IsPolymatroid() || h.IsModular() {
 		t.Fatal("U(2,4) rank should be a non-modular polymatroid")
-	}
-}
-
-func TestEdgeVertexDominated(t *testing.T) {
-	h := Modular([]*big.Rat{rat(1, 2), rat(1, 2), rat(1, 2)})
-	edges := []bitset.Set{bitset.Of(0, 1), bitset.Of(1, 2)}
-	if !h.EdgeDominated(edges, rat(1, 1)) {
-		t.Fatal("h(edge) = 1 should be edge-dominated by 1")
-	}
-	if h.EdgeDominated(edges, rat(1, 2)) {
-		t.Fatal("bound 1/2 should fail")
-	}
-	if !h.VertexDominated(rat(1, 2)) {
-		t.Fatal("vertex domination should hold")
-	}
-	if h.VertexDominated(rat(1, 3)) {
-		t.Fatal("vertex bound 1/3 should fail")
 	}
 }
