@@ -3,6 +3,8 @@ package plan
 import (
 	"bytes"
 	"testing"
+
+	"panda/internal/query"
 )
 
 // BenchmarkPlanDecodeVsPrepare quantifies what plan shipping is worth: a
@@ -71,6 +73,37 @@ func BenchmarkCanonicalize(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Canonicalize(q, cons, ModeSubw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPrepareAuto is the planning phase under ModeAuto, 8-row
+// cardinalities: the triangle's Boolean query (one bag, so its one
+// transversal reuses the bag LP: 1 LP), the Boolean 5-cycle (subw commits,
+// so every bag and transversal LP runs: 31) and the 6-variable path with
+// free ends (α-acyclic, one decomposition: its 5 bag LPs settle fhtw and no
+// transversal LP runs, where comparing both certificates solved 10).
+func BenchmarkPrepareAuto(b *testing.B) {
+	for _, bc := range []struct{ name, src string }{
+		{"tri-bool", "Q() :- R(A,B), S(B,C), T(A,C)."},
+		{"c5-bool", "Q() :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A)."},
+		{"path6-ends", "Q(A,F) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,F)."},
+	} {
+		pr, err := query.Parse(bc.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cons := pr.Constraints
+		for i, a := range pr.Conj.Atoms {
+			cons = append(cons, query.Cardinality(a.Vars, 8, i))
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Prepare(pr.Conj, cons, ModeAuto); err != nil {
 					b.Fatal(err)
 				}
 			}

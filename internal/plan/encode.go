@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
 	"panda/internal/hypergraph"
 	"panda/internal/query"
+	"panda/internal/widths"
 )
 
 // Plan serialization: a committed Plan is a closed value — bitsets, exact
@@ -420,24 +422,32 @@ func validateDecoded(p *Plan) error {
 			}
 		}
 	}
+	// Rule i answers one structure of the plan — the full variable set
+	// (ModeFull), bag i of the chosen decomposition (ModeFhtw), the bags of
+	// transversal i (ModeSubw) — and a rule that proves another structure's
+	// inequality replays fine, yet loses that structure's tuples (Lemma 7.12
+	// needs every minimal transversal's rule). A ModeRule plan's one rule
+	// answers its own targets.
+	n, want := 1, func(int) []bitset.Set { return nil }
 	switch p.Mode {
-	case ModeFull, ModeRule:
-		if len(p.Rules) != 1 {
-			return fmt.Errorf("plan: decode: %v plan carries %d rules, want 1", p.Mode, len(p.Rules))
-		}
+	case ModeFull:
+		want = func(int) []bitset.Set { return []bitset.Set{full} }
 	case ModeFhtw:
 		if p.Chosen < 0 {
 			return errors.New("plan: decode: ModeFhtw plan has no chosen decomposition")
 		}
-		if len(p.Rules) != len(p.TDs[p.Chosen].Bags) {
-			return fmt.Errorf("plan: decode: %d rules for %d chosen bags", len(p.Rules), len(p.TDs[p.Chosen].Bags))
-		}
+		bags := p.TDs[p.Chosen].Bags
+		n, want = len(bags), func(i int) []bitset.Set { return bags[i : i+1] }
 	case ModeSubw:
-		if len(p.Rules) != len(p.Transversals) {
-			return fmt.Errorf("plan: decode: %d rules for %d transversals", len(p.Rules), len(p.Transversals))
-		}
+		n, want = len(p.Transversals), func(i int) []bitset.Set { return widths.Targets(p.Bags, p.Transversals[i]) }
+	}
+	if len(p.Rules) != n {
+		return fmt.Errorf("plan: decode: %v plan carries %d rules, want %d", p.Mode, len(p.Rules), n)
 	}
 	for i, r := range p.Rules {
+		if w := want(i); w != nil && !slices.Equal(r.Targets, w) {
+			return fmt.Errorf("plan: decode: rules[%d] targets %v, want %v", i, r.Targets, w)
+		}
 		if err := validateDecodedRule(r, i, full); err != nil {
 			return fmt.Errorf("plan: decode: %w", err)
 		}

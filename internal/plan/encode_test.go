@@ -233,6 +233,31 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 			}
 		})
 	}
+	// A digest-valid plan whose rule i answers another structure: each rule
+	// still proves its own inequality, so only its targets give it away.
+	for _, c := range []struct {
+		name     string
+		mode     Mode
+		dst, src int
+	}{{"subw-duplicated-rule", ModeSubw, 3, 2}, {"fhtw-duplicated-rule", ModeFhtw, 1, 0}, {"full-bag-rule", ModeFull, 0, -1}} {
+		t.Run(c.name, func(t *testing.T) {
+			good, _, err := Prepare(q, cons, c.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := *good
+			bad.Rules = slices.Clone(good.Rules)
+			if c.src >= 0 {
+				bad.Rules[c.dst] = good.Rules[c.src]
+			} else {
+				bad.Rules[c.dst] = p.Rules[0] // the fhtw plan's first bag
+			}
+			want := fmt.Sprintf("rules[%d] targets", c.dst)
+			if _, err := DecodePlan(bytes.NewReader(encodePlan(t, &bad))); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want one naming %q", err, want)
+			}
+		})
+	}
 	t.Run("inconsistent-plan", func(t *testing.T) {
 		// A digest-valid payload describing an out-of-range chosen
 		// decomposition must fail semantic validation.

@@ -35,16 +35,18 @@ import (
 	"panda/internal/flow"
 	"panda/internal/hypergraph"
 	"panda/internal/query"
+	"panda/internal/widths"
 )
 
 // Mode selects which of the paper's evaluation strategies a Plan encodes.
 type Mode int
 
 const (
-	// ModeAuto picks ModeFull for full queries; for every other query the
-	// planner builds both the fhtw and subw candidates and keeps the one
-	// whose exact width certificate is smaller (ties go to ModeFhtw, whose
-	// single-decomposition execution does strictly less work).
+	// ModeAuto picks ModeFull for full queries; for every other query it
+	// commits ModeSubw exactly when da-subw is strictly below da-fhtw (ties
+	// go to ModeFhtw, whose single-decomposition execution does strictly
+	// less work). It solves the fhtw bag LPs, then walks the transversal
+	// LPs only until one reaches da-fhtw, which settles on fhtw.
 	ModeAuto Mode = iota
 	// ModeFull is PANDA + semijoin reduction (Corollary 7.10); full
 	// queries only.
@@ -177,7 +179,7 @@ type Plan struct {
 // BuildStats reports the planning work a Prepare call performed; the plan
 // cache uses it to prove that hits skip the LP entirely.
 type BuildStats struct {
-	LPSolves   int // exact simplex solves (maximin bounds + cover LPs)
+	LPSolves   int // exact simplex solves (bag and transversal bound LPs; Covers is not counted)
 	ProofSteps int // total proof-sequence length across rules
 }
 
@@ -408,8 +410,6 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 		p.Width = pr.Bound
 		return p, bs, nil
 	case ModeFhtw, ModeSubw, ModeAuto:
-		// fall through to the tree-decomposition machinery below; ModeAuto
-		// builds both candidates and keeps the smaller certificate.
 	default:
 		return nil, bs, fmt.Errorf("plan: unknown mode %d", int(mode))
 	}
@@ -417,129 +417,78 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 	if !h.CoversAll() {
 		return nil, bs, fmt.Errorf("plan: query body does not cover all variables")
 	}
-	tds, err := h.AllDecompositions()
+	e, err := widths.NewEngine(h)
 	if err != nil {
 		return nil, bs, err
 	}
-	p.TDs = tds
-	bagIdx := map[bitset.Set]int{}
-	for _, d := range tds {
-		var idxs []int
-		for _, b := range d.Bags {
-			i, ok := bagIdx[b]
-			if !ok {
-				i = len(p.Bags)
-				bagIdx[b] = i
-				p.Bags = append(p.Bags, b)
-			}
-			idxs = append(idxs, i)
-		}
-		p.TDBags = append(p.TDBags, idxs)
-	}
+	p.TDs, p.Bags, p.TDBags = e.TDs, e.Bags, e.TDBags
 	fdcs, err := FlowDCs(&q.Schema, cons)
 	if err != nil {
 		return nil, bs, err
 	}
+	solve := func(targets []bitset.Set) (*flow.MaximinResult, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		bs.LPSolves++
+		return flow.MaximinBound(q.NumVars, fdcs, targets)
+	}
+	bound := func(r *flow.MaximinResult) *big.Rat { return r.Bound }
 
 	// fhtw candidate: one LP per distinct bag; the results double as the
-	// rule plans of the chosen decomposition (the simplex is deterministic,
-	// so the reuse is behavior-preserving). Proof sequences are constructed
-	// only if the candidate is committed.
+	// rule plans of the chosen decomposition and as the bounds of the subw
+	// walk (the simplex is deterministic, so the reuse is
+	// behavior-preserving). Proof sequences are constructed only for the
+	// committed candidate.
 	var bagRes []*flow.MaximinResult
-	fhtwChosen := -1
-	var fhtwWidth *big.Rat
-	if mode == ModeFhtw || mode == ModeAuto {
-		bagRes = make([]*flow.MaximinResult, len(p.Bags))
-		for i, b := range p.Bags {
-			if err := ctx.Err(); err != nil {
-				return nil, bs, err
-			}
-			bs.LPSolves++
-			r, err := flow.MaximinBound(q.NumVars, fdcs, []bitset.Set{b})
-			if err != nil {
-				return nil, bs, err
-			}
-			bagRes[i] = r
+	if mode != ModeSubw {
+		if bagRes, err = widths.SolveBags(e, solve); err != nil {
+			return nil, bs, err
 		}
-		for ti := range p.TDs {
-			worst := new(big.Rat)
-			for _, bi := range p.TDBags[ti] {
-				if bagRes[bi].Bound.Cmp(worst) > 0 {
-					worst = bagRes[bi].Bound
-				}
-			}
-			if fhtwChosen == -1 || worst.Cmp(fhtwWidth) < 0 {
-				fhtwChosen, fhtwWidth = ti, worst
-			}
-		}
+		p.Chosen, p.Width = widths.Minimax(e, bagRes, bound)
 	}
 
 	// subw candidate: one rule per inclusion-minimal bag transversal
 	// (Lemma 7.12); the width certificate is the worst rule bound, which is
-	// exactly the degree-aware submodular width. Only the bound LPs run
-	// here — proof sequences, like the fhtw candidate's, are constructed
-	// only if the candidate is committed.
-	var trs [][]int
-	var trTargets [][]bitset.Set
-	var trRes []*flow.MaximinResult
-	var subwWidth *big.Rat
-	if mode == ModeSubw || mode == ModeAuto {
-		trs, err = hypergraph.MinimalTransversals(p.Bags, p.TDBags)
+	// exactly the degree-aware submodular width. da-subw ≤ da-fhtw always, so
+	// under ModeAuto subw wins exactly when it is strictly smaller (on ties
+	// the fhtw plan executes strictly less work: one decomposition, a single
+	// Yannakakis pass), and the walk, by decreasing bound, stops at the
+	// first transversal whose LP reaches da-fhtw: no further LP runs.
+	if mode != ModeFhtw {
+		trs, err := e.Transversals()
 		if err != nil {
 			return nil, bs, err
 		}
-		subwWidth = new(big.Rat)
-		for _, tr := range trs {
-			if err := ctx.Err(); err != nil {
-				return nil, bs, err
-			}
-			targets := make([]bitset.Set, len(tr))
-			for i, bi := range tr {
-				targets[i] = p.Bags[bi]
-			}
-			bs.LPSolves++
-			r, err := flow.MaximinBound(q.NumVars, fdcs, targets)
-			if err != nil {
-				return nil, bs, err
-			}
-			trTargets = append(trTargets, targets)
-			trRes = append(trRes, r)
+		trRes := make([]*flow.MaximinResult, len(trs))
+		subwWidth := new(big.Rat)
+		wins := func() bool { return mode == ModeSubw || subwWidth.Cmp(p.Width) < 0 }
+		err = widths.Walk(e, trs, bagRes, bound, solve, func(ti int, r *flow.MaximinResult, _ *big.Rat) bool {
+			trRes[ti] = r
 			if r.Bound.Cmp(subwWidth) > 0 {
 				subwWidth = r.Bound
 			}
+			return wins()
+		})
+		if err != nil {
+			return nil, bs, err
 		}
-	}
-
-	if mode == ModeAuto {
-		// Cost-based choice from the exact certificates: da-subw ≤ da-fhtw
-		// always, so subw wins exactly when it is strictly smaller; on ties
-		// the fhtw plan executes strictly less work (one decomposition, one
-		// rule per bag, a single Yannakakis pass).
-		if subwWidth.Cmp(fhtwWidth) < 0 {
-			mode = ModeSubw
-		} else {
-			mode = ModeFhtw
-		}
-		p.Mode = mode
-	}
-
-	if mode == ModeSubw {
-		p.Transversals = trs
-		p.Width = subwWidth
-		for ti, r := range trRes {
-			pr, err := newPreparedRule(trTargets[ti], r, bs)
-			if err != nil {
-				return nil, bs, err
+		if wins() {
+			p.Mode, p.Chosen, p.Transversals, p.Width = ModeSubw, -1, trs, subwWidth
+			for ti, r := range trRes {
+				pr, err := newPreparedRule(widths.Targets(p.Bags, trs[ti]), r, bs)
+				if err != nil {
+					return nil, bs, err
+				}
+				p.Rules = append(p.Rules, pr)
 			}
-			p.Rules = append(p.Rules, pr)
+			return p, bs, nil
 		}
-		return p, bs, nil
 	}
 
-	p.Chosen = fhtwChosen
-	p.Width = fhtwWidth
-	for i, b := range p.TDs[fhtwChosen].Bags {
-		pr, err := newPreparedRule([]bitset.Set{b}, bagRes[p.TDBags[fhtwChosen][i]], bs)
+	p.Mode = ModeFhtw
+	for i, b := range p.TDs[p.Chosen].Bags {
+		pr, err := newPreparedRule([]bitset.Set{b}, bagRes[p.TDBags[p.Chosen][i]], bs)
 		if err != nil {
 			return nil, bs, err
 		}

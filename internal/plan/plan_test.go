@@ -1,8 +1,12 @@
 package plan
 
 import (
+	"bytes"
+	"fmt"
 	"math/big"
+	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"panda/internal/bitset"
@@ -194,6 +198,129 @@ func TestModeAutoCostBased(t *testing.T) {
 	q5, cons5 := cycleQuery(5, nil, nil, 2)
 	q5.Free = 0
 	check("boolean 5-cycle", q5, cons5)
+}
+
+// TestModeAutoMatchesTheCheaperCertificate is ModeAuto's differential: on
+// every shape of TestPlanBytesGolden's corpus, on k-cycles and on paths with
+// seeded cardinalities and one degree constraint, Prepare(ModeAuto) encodes
+// byte for byte as the plan of the mode that comparing both full
+// certificates picks (subw iff its width is strictly smaller; ModeFull for a
+// full query), though the auto walk stops at the first transversal whose LP
+// reaches da-fhtw. It pins ModeAuto's LP solves where that stop or the
+// one-bag transversals save some, and that the explicit modes solve one LP
+// per bag (fhtw) and one per transversal (subw).
+func TestModeAutoMatchesTheCheaperCertificate(t *testing.T) {
+	const (
+		tri  = "R(A,B), S(B,C), T(A,C)."
+		c4   = "R(A,B), S(B,C), T(C,D), U(D,A)."
+		path = "R(A,B), S(B,C), T(C,D)."
+	)
+	vars := "ABCDEF"
+	// chain is the body R0(A,B), R1(B,C), … over n variables, closed back
+	// to A when cyclic.
+	chain := func(n int, cyclic bool) string {
+		var atoms []string
+		for i := 0; i+1 < n || (cyclic && i < n); i++ {
+			atoms = append(atoms, fmt.Sprintf("R%d(%c,%c)", i, vars[i], vars[(i+1)%n]))
+		}
+		return strings.Join(atoms, ", ") + "."
+	}
+	type shape struct {
+		name, src string
+		cards     []int64 // per atom; a single entry applies to every atom
+		lps       int     // ModeAuto's LP solves, where pinned
+	}
+	rows := func(n int64) []int64 { return []int64{n} }
+	shapes := []shape{
+		{"tri-full", "Q(A,B,C) :- " + tri, rows(8), 0},
+		{"tri-bool", "Q() :- " + tri, rows(8), 1},
+		{"c4-full", "Q(A,B,C,D) :- " + c4, rows(8), 0},
+		{"c4-bool", "Q() :- " + c4, rows(8), 8},
+		{"path3-proj", "Q(A,D) :- " + path, rows(8), 3},
+		{"c4-deg", "Q(A,B,C,D) :- " + c4 + "\ndeg(R: A,B | A) <= 8", rows(8), 0},
+		{"path2-proj", "Q(A,C) :- R(A,B), S(B,C).", rows(8), 2},
+		{"c4-full-100", "Q(A,B,C,D) :- " + c4, rows(100), 0},
+		{"tri-full-7", "Q(A,B,C) :- " + tri, rows(7), 0},
+		{"c4-bool-100", "Q() :- " + c4, rows(100), 0},
+		{"c4-full-1000", "Q(A,B,C,D) :- " + c4, rows(1000), 0},
+		{"c4-full-12345", "Q(A,B,C,D) :- " + c4, rows(12345), 0},
+		{"c4-bool-12345", "Q() :- " + c4, rows(12345), 0},
+		{"c5-bool", "Q() :- " + chain(5, true), rows(8), 31},
+		{"path6-ends", "Q(A,F) :- " + chain(6, false), rows(8), 5},
+		// R is a bijection: the certificates tie, and the walk stops after
+		// one two-bag transversal where the full comparison solved four.
+		{"c4-bool-fd", "Q() :- " + c4 + "\ndeg(R: A,B | A) <= 1\ndeg(R: A,B | B) <= 1", rows(8), 5},
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := func(name, head string, n int, cyclic bool) shape {
+		atoms := n - 1
+		if cyclic {
+			atoms = n
+		}
+		cards := make([]int64, atoms)
+		for i := range cards {
+			cards[i] = 2 + rng.Int63n(199)
+		}
+		i := rng.Intn(atoms)
+		deg := fmt.Sprintf("\ndeg(R%d: %c,%c | %c) <= %d", i, vars[i], vars[(i+1)%n], vars[i], 1+rng.Int63n(cards[i]))
+		return shape{name, head + " :- " + chain(n, cyclic) + deg, cards, 0}
+	}
+	for k := 3; k <= 5; k++ {
+		shapes = append(shapes,
+			random(fmt.Sprintf("c%d-bool-rand", k), "Q()", k, true),
+			random(fmt.Sprintf("c%d-proj-rand", k), "Q(A,C)", k, true))
+	}
+	for n := 3; n <= 6; n++ {
+		shapes = append(shapes,
+			random(fmt.Sprintf("path%d-bool-rand", n), "Q()", n, false),
+			random(fmt.Sprintf("path%d-ends-rand", n), fmt.Sprintf("Q(A,%c)", vars[n-1]), n, false))
+	}
+
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			pr, err := query.Parse(sh.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, cons := pr.Conj, pr.Constraints
+			for i, a := range q.Atoms {
+				cons = append(cons, query.Cardinality(a.Vars, sh.cards[min(i, len(sh.cards)-1)], i))
+			}
+			auto, bs, err := Prepare(q, cons, ModeAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *Plan
+			if q.IsFull() {
+				if want, _, err = Prepare(q, cons, ModeFull); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fh, fbs, err := Prepare(q, cons, ModeFhtw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sw, sbs, err := Prepare(q, cons, ModeSubw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fbs.LPSolves != len(fh.Bags) || sbs.LPSolves != len(sw.Transversals) {
+					t.Errorf("fhtw solved %d LPs for %d bags, subw %d for %d transversals",
+						fbs.LPSolves, len(fh.Bags), sbs.LPSolves, len(sw.Transversals))
+				}
+				want = fh
+				if sw.Width.Cmp(fh.Width) < 0 {
+					want = sw
+				}
+			}
+			if got, w := encodePlan(t, auto), encodePlan(t, want); !bytes.Equal(got, w) {
+				t.Errorf("auto plan (%v, width %v) differs from the %v plan (width %v)", auto.Mode, auto.Width, want.Mode, want.Width)
+			}
+			if sh.lps != 0 && bs.LPSolves != sh.lps {
+				t.Errorf("auto solved %d LPs, want %d", bs.LPSolves, sh.lps)
+			}
+		})
+	}
 }
 
 // TestPrepareErrors: malformed inputs are rejected before any LP runs.

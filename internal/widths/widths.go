@@ -11,6 +11,11 @@
 // da-subw), where the inner optimization is the exact polymatroid LP of
 // internal/flow. Maximin widths use Lemma 7.12: the min over tree
 // decompositions becomes a max over inclusion-minimal bag transversals.
+//
+// Engine is that framework, once: the indexed decompositions, the min-max,
+// the minimal transversals and the one transversal walk. Every width here
+// runs on it, and so does the planner (internal/plan), whose fhtw and subw
+// plans are the same min-max and walk with a proof sequence kept per LP.
 package widths
 
 import (
@@ -25,27 +30,20 @@ import (
 	"panda/internal/lp"
 )
 
-// edDCs builds the normalized edge-domination constraints h(F) ≤ 1 of
-// Definition 2.4, the Y-axis level "ED" of Figure 9.
-func edDCs(h *hypergraph.Hypergraph) []flow.DC {
-	one := big.NewRat(1, 1)
-	out := make([]flow.DC, 0, len(h.Edges))
-	for _, e := range h.Edges {
-		out = append(out, flow.DC{X: 0, Y: e, LogN: one})
-	}
-	return out
+// Engine is the decomposition machinery of Definition 7.1 over one
+// hypergraph: its tree decompositions and the distinct bags among them.
+type Engine struct {
+	h *hypergraph.Hypergraph
+	// TDs are h's tree decompositions; Bags the distinct bags among them in
+	// first-appearance order; TDBags[t][i] is the index of TDs[t].Bags[i]
+	// in Bags.
+	TDs    []*hypergraph.Decomposition
+	Bags   []bitset.Set
+	TDBags [][]int
 }
 
-// plan bundles the decomposition machinery shared by all widths.
-type plan struct {
-	h      *hypergraph.Hypergraph
-	tds    []*hypergraph.Decomposition
-	bags   []bitset.Set
-	bagIdx map[bitset.Set]int
-	tdBags [][]int
-}
-
-func newPlan(h *hypergraph.Hypergraph) (*plan, error) {
+// NewEngine enumerates h's tree decompositions and indexes their bags.
+func NewEngine(h *hypergraph.Hypergraph) (*Engine, error) {
 	tds, err := h.AllDecompositions()
 	if err != nil {
 		return nil, err
@@ -53,183 +51,164 @@ func newPlan(h *hypergraph.Hypergraph) (*plan, error) {
 	if len(tds) == 0 {
 		return nil, fmt.Errorf("widths: no tree decompositions")
 	}
-	p := &plan{h: h, tds: tds, bagIdx: map[bitset.Set]int{}}
+	e := &Engine{h: h, TDs: tds}
+	bagIdx := map[bitset.Set]int{}
 	for _, d := range tds {
 		var idxs []int
 		for _, b := range d.Bags {
-			i, ok := p.bagIdx[b]
+			i, ok := bagIdx[b]
 			if !ok {
-				i = len(p.bags)
-				p.bagIdx[b] = i
-				p.bags = append(p.bags, b)
+				i = len(e.Bags)
+				bagIdx[b] = i
+				e.Bags = append(e.Bags, b)
 			}
 			idxs = append(idxs, i)
 		}
-		p.tdBags = append(p.tdBags, idxs)
+		e.TDBags = append(e.TDBags, idxs)
 	}
-	return p, nil
+	return e, nil
 }
 
-// over computes one width of h: f over a fresh enumeration of h's tree
-// decompositions. Summarize shares one enumeration between all of them.
-func over[T any](h *hypergraph.Hypergraph, f func(*plan) (T, error)) (T, error) {
-	p, err := newPlan(h)
+// Targets returns the bags a transversal tr names, as indices into bags.
+func Targets(bags []bitset.Set, tr []int) []bitset.Set {
+	out := make([]bitset.Set, len(tr))
+	for i, bi := range tr {
+		out[i] = bags[bi]
+	}
+	return out
+}
+
+// SolveBags solves every bag on its own, as the one-target problem
+// solve([]bitset.Set{bag}): the per-bag costs of a min-max and the bounds of
+// a transversal walk.
+func SolveBags[R any](e *Engine, solve func([]bitset.Set) (R, error)) ([]R, error) {
+	out := make([]R, len(e.Bags))
+	for i, b := range e.Bags {
+		r, err := solve([]bitset.Set{b})
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+// Minimax is the min over decompositions of the max over their bags of
+// value(bags[i]), bags aligned with e.Bags. It returns the first
+// decomposition that reaches the minimum, and the minimum.
+func Minimax[R any](e *Engine, bags []R, value func(R) *big.Rat) (int, *big.Rat) {
+	chosen, best := -1, (*big.Rat)(nil)
+	for ti, idxs := range e.TDBags {
+		worst := new(big.Rat)
+		for _, bi := range idxs {
+			if v := value(bags[bi]); v.Cmp(worst) > 0 {
+				worst = v
+			}
+		}
+		if chosen == -1 || worst.Cmp(best) < 0 {
+			chosen, best = ti, worst
+		}
+	}
+	return chosen, best
+}
+
+// Transversals enumerates the inclusion-minimal bag transversals of
+// Lemma 7.12, as indices into Bags.
+func (e *Engine) Transversals() ([][]int, error) {
+	return hypergraph.MinimalTransversals(e.Bags, e.TDBags)
+}
+
+// Walk visits the transversals trs and hands visit each one's solve r, with
+// its index ti. bags, aligned with e.Bags, is each bag solved on its own
+// (SolveBags) or nil. With bags, the walk goes in decreasing order of upper
+// bound, a transversal's bound being the smallest value among its bags
+// (max_h min_B h(B) ≤ min_B max_h h(B)); a one-bag transversal's solve is its
+// bag's, so it is never solved a second time; and rest, the next
+// transversal's bound, bounds every one not yet visited (nil when none is
+// left). Without bags, trs are visited in their own order, each solved, and
+// rest is nil. The walk ends when visit returns false.
+func Walk[R any](e *Engine, trs [][]int, bags []R, value func(R) *big.Rat,
+	solve func([]bitset.Set) (R, error), visit func(ti int, r R, rest *big.Rat) bool) error {
+	order := make([]int, len(trs))
+	ub := make([]*big.Rat, len(trs))
+	for ti := range order {
+		order[ti] = ti
+	}
+	if bags != nil {
+		for ti, tr := range trs {
+			for _, bi := range tr {
+				if v := value(bags[bi]); ub[ti] == nil || v.Cmp(ub[ti]) < 0 {
+					ub[ti] = v
+				}
+			}
+		}
+		sort.SliceStable(order, func(a, b int) bool { return ub[order[a]].Cmp(ub[order[b]]) > 0 })
+	}
+	for k, ti := range order {
+		var r R
+		if tr := trs[ti]; bags != nil && len(tr) == 1 {
+			r = bags[tr[0]]
+		} else {
+			var err error
+			if r, err = solve(Targets(e.Bags, tr)); err != nil {
+				return err
+			}
+		}
+		var rest *big.Rat
+		if k+1 < len(order) {
+			rest = ub[order[k+1]]
+		}
+		if !visit(ti, r, rest) {
+			return nil
+		}
+	}
+	return nil
+}
+
+func identity(v *big.Rat) *big.Rat { return v }
+
+// over computes one width of h on a fresh engine. Summarize shares one
+// engine between all of them.
+func over[T any](h *hypergraph.Hypergraph, f func(*Engine) (T, error)) (T, error) {
+	e, err := NewEngine(h)
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return f(p)
+	return f(e)
 }
 
-// minimax computes min over decompositions of max over bags of cost.
-func (p *plan) minimax(cost func(bitset.Set) (*big.Rat, error)) (*big.Rat, error) {
-	cache := make([]*big.Rat, len(p.bags))
-	for i, b := range p.bags {
-		c, err := cost(b)
-		if err != nil {
-			return nil, err
-		}
-		cache[i] = c
-	}
-	var best *big.Rat
-	for ti := range p.tds {
-		worst := new(big.Rat)
-		for _, bi := range p.tdBags[ti] {
-			if cache[bi].Cmp(worst) > 0 {
-				worst = cache[bi]
-			}
-		}
-		if best == nil || worst.Cmp(best) < 0 {
-			best = worst
-		}
-	}
-	return best, nil
-}
-
-// Treewidth returns tw(H) (the classic value: max bag size − 1, minimized
-// over decompositions).
-func Treewidth(h *hypergraph.Hypergraph) (int, error) { return over(h, (*plan).treewidth) }
-
-func (p *plan) treewidth() (int, error) {
-	v, err := p.minimax(func(b bitset.Set) (*big.Rat, error) {
-		return big.NewRat(int64(b.Card()), 1), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return int(v.Num().Int64()) - 1, nil
-}
-
-// integralCover computes ρ(H_B): the minimum number of edges whose
-// restrictions to B cover B.
-func integralCover(h *hypergraph.Hypergraph, b bitset.Set) (*big.Rat, error) {
-	return bounds.IntegralCover(h, b, nil)
-}
-
-// GHTW returns the generalized hypertree width: min over decompositions of
-// max over bags of ρ(H_bag).
-func GHTW(h *hypergraph.Hypergraph) (int, error) { return over(h, (*plan).ghtw) }
-
-func (p *plan) ghtw() (int, error) {
-	v, err := p.minimax(func(b bitset.Set) (*big.Rat, error) { return integralCover(p.h, b) })
-	if err != nil {
-		return 0, err
-	}
-	return int(v.Num().Int64()), nil
-}
-
-// FractionalCover computes ρ*(H_B) exactly: the fractional edge cover LP of
-// Eq. (33) restricted to B.
-func FractionalCover(h *hypergraph.Hypergraph, b bitset.Set) (*big.Rat, error) {
-	v, _, err := bounds.FractionalCover(h, b, nil)
-	return v, err
-}
-
-// FHTW returns the fractional hypertree width fhtw(H) exactly.
-func FHTW(h *hypergraph.Hypergraph) (*big.Rat, error) { return over(h, (*plan).fhtw) }
-
-func (p *plan) fhtw() (*big.Rat, error) {
-	return p.minimax(func(b bitset.Set) (*big.Rat, error) { return FractionalCover(p.h, b) })
-}
-
-// DaFhtw returns the degree-aware fractional hypertree width of
-// Definition 7.6: min over decompositions of max over bags of the exact
-// polymatroid bound max{h(B) | h ∈ Γn ∩ HDC}.
-func DaFhtw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
-	return over(h, func(p *plan) (*big.Rat, error) {
-		return p.minimax(func(b bitset.Set) (*big.Rat, error) {
-			r, err := flow.MaximinBound(h.N, dcs, []bitset.Set{b})
-			if err != nil {
-				return nil, err
-			}
-			return r.Bound, nil
-		})
-	})
-}
-
-// maximin computes max over inclusion-minimal bag transversals of
-// inner(targets) — the Lemma 7.12 reformulation shared by subw, adw and
-// da-subw. When bagUB is non-nil it must return an upper bound on
-// inner(targets) for the single-bag transversal {b}; since
-// max_h min_B h(B) ≤ min_B max_h h(B), the minimum of bagUB over a
-// transversal's bags bounds its value, letting dominated transversals be
-// skipped without solving their LP.
-func (p *plan) maximin(inner func([]bitset.Set) (*big.Rat, error), bagUB func(bitset.Set) (*big.Rat, error)) (*big.Rat, error) {
-	trs, err := hypergraph.MinimalTransversals(p.bags, p.tdBags)
+// minimax is the minimax width of a per-bag cost.
+func (e *Engine) minimax(cost func([]bitset.Set) (*big.Rat, error)) (*big.Rat, error) {
+	costs, err := SolveBags(e, cost)
 	if err != nil {
 		return nil, err
 	}
-	var ubs []*big.Rat
-	if bagUB != nil {
-		ubs = make([]*big.Rat, len(p.bags))
-		for i, b := range p.bags {
-			if ubs[i], err = bagUB(b); err != nil {
-				return nil, err
-			}
-		}
+	_, w := Minimax(e, costs, identity)
+	return w, nil
+}
+
+// maximin is the Lemma 7.12 maximin width of inner, shared by subw, adw and
+// da-subw: the walk, bounded by inner on each bag alone, stops once no
+// transversal left can raise the max.
+func (e *Engine) maximin(inner func([]bitset.Set) (*big.Rat, error)) (*big.Rat, error) {
+	trs, err := e.Transversals()
+	if err != nil {
+		return nil, err
 	}
-	trUB := func(tr []int) *big.Rat {
-		if ubs == nil {
-			return nil
-		}
-		var m *big.Rat
-		for _, bi := range tr {
-			if m == nil || ubs[bi].Cmp(m) < 0 {
-				m = ubs[bi]
-			}
-		}
-		return m
-	}
-	// Visit transversals in decreasing upper-bound order so pruning bites
-	// early.
-	order := make([]int, len(trs))
-	for i := range order {
-		order[i] = i
-	}
-	if ubs != nil {
-		sort.Slice(order, func(a, b int) bool {
-			return trUB(trs[order[a]]).Cmp(trUB(trs[order[b]])) > 0
-		})
+	ubs, err := SolveBags(e, inner)
+	if err != nil {
+		return nil, err
 	}
 	var best *big.Rat
-	for _, oi := range order {
-		tr := trs[oi]
-		if best != nil {
-			if ub := trUB(tr); ub != nil && ub.Cmp(best) <= 0 {
-				continue
-			}
-		}
-		targets := make([]bitset.Set, len(tr))
-		for i, bi := range tr {
-			targets[i] = p.bags[bi]
-		}
-		v, err := inner(targets)
-		if err != nil {
-			return nil, err
-		}
+	err = Walk(e, trs, ubs, identity, inner, func(_ int, v, rest *big.Rat) bool {
 		if best == nil || v.Cmp(best) > 0 {
 			best = v
 		}
+		return rest != nil && rest.Cmp(best) > 0
+	})
+	if err != nil {
+		return nil, err
 	}
 	if best == nil {
 		return nil, fmt.Errorf("widths: no transversals")
@@ -237,40 +216,93 @@ func (p *plan) maximin(inner func([]bitset.Set) (*big.Rat, error), bagUB func(bi
 	return best, nil
 }
 
-// Subw returns the submodular width subw(H) exactly (Definition 2.8 via
-// Lemma 7.12 and the exact polymatroid LP).
-func Subw(h *hypergraph.Hypergraph) (*big.Rat, error) {
-	return DaSubw(h, edDCs(h))
+// Treewidth returns tw(H) (the classic value: max bag size − 1, minimized
+// over decompositions).
+func Treewidth(h *hypergraph.Hypergraph) (int, error) { return over(h, (*Engine).treewidth) }
+
+func (e *Engine) treewidth() (int, error) {
+	v, err := e.minimax(func(b []bitset.Set) (*big.Rat, error) {
+		return big.NewRat(int64(b[0].Card()), 1), nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return int(v.Num().Int64()) - 1, nil
 }
 
-// DaSubw returns the degree-aware submodular width of Definition 7.6.
-func DaSubw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
-	return over(h, func(p *plan) (*big.Rat, error) { return p.daSubw(dcs) })
+// GHTW returns the generalized hypertree width: min over decompositions of
+// max over bags of ρ(H_bag), the minimum number of edges whose restrictions
+// to the bag cover it.
+func GHTW(h *hypergraph.Hypergraph) (int, error) { return over(h, (*Engine).ghtw) }
+
+func (e *Engine) ghtw() (int, error) {
+	v, err := e.minimax(func(b []bitset.Set) (*big.Rat, error) { return bounds.IntegralCover(e.h, b[0], nil) })
+	if err != nil {
+		return 0, err
+	}
+	return int(v.Num().Int64()), nil
 }
 
-func (p *plan) daSubw(dcs []flow.DC) (*big.Rat, error) {
-	inner := func(targets []bitset.Set) (*big.Rat, error) {
-		r, err := flow.MaximinBound(p.h.N, dcs, targets)
+// FHTW returns the fractional hypertree width fhtw(H) exactly: min over
+// decompositions of max over bags of ρ*(H_bag), the fractional edge cover
+// LP of Eq. (33) restricted to the bag.
+func FHTW(h *hypergraph.Hypergraph) (*big.Rat, error) { return over(h, (*Engine).fhtw) }
+
+func (e *Engine) fhtw() (*big.Rat, error) {
+	return e.minimax(func(b []bitset.Set) (*big.Rat, error) {
+		v, _, err := bounds.FractionalCover(e.h, b[0], nil)
+		return v, err
+	})
+}
+
+// polymatroid is the exact polymatroid bound max{min_B h(B) | h ∈ Γn ∩ HDC}
+// over dcs, the inner problem of the degree-aware widths.
+func polymatroid(n int, dcs []flow.DC) func([]bitset.Set) (*big.Rat, error) {
+	return func(targets []bitset.Set) (*big.Rat, error) {
+		r, err := flow.MaximinBound(n, dcs, targets)
 		if err != nil {
 			return nil, err
 		}
 		return r.Bound, nil
 	}
-	return p.maximin(inner, func(b bitset.Set) (*big.Rat, error) {
-		return inner([]bitset.Set{b})
-	})
+}
+
+// DaFhtw returns the degree-aware fractional hypertree width of
+// Definition 7.6: min over decompositions of max over bags of the exact
+// polymatroid bound max{h(B) | h ∈ Γn ∩ HDC}.
+func DaFhtw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
+	return over(h, func(e *Engine) (*big.Rat, error) { return e.minimax(polymatroid(h.N, dcs)) })
+}
+
+// Subw returns the submodular width subw(H) exactly (Definition 2.8 via
+// Lemma 7.12 and the exact polymatroid LP), under the normalized
+// edge-domination constraints h(F) ≤ 1 of Definition 2.4.
+func Subw(h *hypergraph.Hypergraph) (*big.Rat, error) { return over(h, (*Engine).subw) }
+
+func (e *Engine) subw() (*big.Rat, error) {
+	one := big.NewRat(1, 1)
+	ed := make([]flow.DC, 0, len(e.h.Edges))
+	for _, f := range e.h.Edges {
+		ed = append(ed, flow.DC{X: 0, Y: f, LogN: one})
+	}
+	return e.maximin(polymatroid(e.h.N, ed))
+}
+
+// DaSubw returns the degree-aware submodular width of Definition 7.6.
+func DaSubw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
+	return over(h, func(e *Engine) (*big.Rat, error) { return e.maximin(polymatroid(h.N, dcs)) })
 }
 
 // Adw returns the adaptive width adw(H): the maximin width over modular
 // edge-dominated functions (Definition 2.8). For a fixed transversal the
 // inner problem is the small LP
 // max w s.t. w ≤ Σ_{v∈B} x_v (per target), Σ_{v∈F} x_v ≤ 1 (per edge).
-func Adw(h *hypergraph.Hypergraph) (*big.Rat, error) { return over(h, (*plan).adw) }
+func Adw(h *hypergraph.Hypergraph) (*big.Rat, error) { return over(h, (*Engine).adw) }
 
-func (p *plan) adw() (*big.Rat, error) {
-	h := p.h
+func (e *Engine) adw() (*big.Rat, error) {
+	h := e.h
 	one := big.NewRat(1, 1)
-	inner := func(targets []bitset.Set) (*big.Rat, error) {
+	return e.maximin(func(targets []bitset.Set) (*big.Rat, error) {
 		// Variables: x_0..x_{n−1}, w at index n.
 		prob := lp.NewProblem(h.N+1, true)
 		prob.SetObj(h.N, one)
@@ -281,9 +313,9 @@ func (p *plan) adw() (*big.Rat, error) {
 			}
 			prob.AddConstraint(row, lp.Le, new(big.Rat))
 		}
-		for _, e := range h.Edges {
+		for _, f := range h.Edges {
 			row := map[int]*big.Rat{}
-			for _, v := range e.Vars() {
+			for _, v := range f.Vars() {
 				row[v] = one
 			}
 			prob.AddConstraint(row, lp.Le, one)
@@ -296,9 +328,6 @@ func (p *plan) adw() (*big.Rat, error) {
 			return nil, fmt.Errorf("widths: adw LP %v", sol.Status)
 		}
 		return sol.Objective, nil
-	}
-	return p.maximin(inner, func(b bitset.Set) (*big.Rat, error) {
-		return inner([]bitset.Set{b})
 	})
 }
 
@@ -314,27 +343,26 @@ type Summary struct {
 	NumBags int
 }
 
-// Summarize computes all classic widths of h over one enumeration of its
-// tree decompositions.
+// Summarize computes all classic widths of h on one engine.
 func Summarize(h *hypergraph.Hypergraph) (*Summary, error) {
-	p, err := newPlan(h)
+	e, err := NewEngine(h)
 	if err != nil {
 		return nil, err
 	}
-	s := &Summary{NumTDs: len(p.tds), NumBags: len(p.bags)}
-	if s.TW, err = p.treewidth(); err != nil {
+	s := &Summary{NumTDs: len(e.TDs), NumBags: len(e.Bags)}
+	if s.TW, err = e.treewidth(); err != nil {
 		return nil, err
 	}
-	if s.GHTW, err = p.ghtw(); err != nil {
+	if s.GHTW, err = e.ghtw(); err != nil {
 		return nil, err
 	}
-	if s.FHTW, err = p.fhtw(); err != nil {
+	if s.FHTW, err = e.fhtw(); err != nil {
 		return nil, err
 	}
-	if s.Subw, err = p.daSubw(edDCs(h)); err != nil {
+	if s.Subw, err = e.subw(); err != nil {
 		return nil, err
 	}
-	if s.Adw, err = p.adw(); err != nil {
+	if s.Adw, err = e.adw(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -195,12 +195,14 @@ func TestDaSubwWithFDs(t *testing.T) {
 	}
 }
 
+// TestIntegralCoverErrors: a vertex no edge covers leaves every bag that
+// holds it uncoverable, and the cover widths say so rather than answer.
 func TestIntegralCoverErrors(t *testing.T) {
 	h := hypergraph.New(3, bitset.Of(0, 1))
-	if _, err := integralCover(h, bitset.Of(0, 2)); err == nil {
+	if _, err := GHTW(h); err == nil {
 		t.Fatal("uncoverable bag accepted")
 	}
-	if _, err := FractionalCover(h, bitset.Of(2)); err == nil {
+	if _, err := FHTW(h); err == nil {
 		t.Fatal("uncovered vertex accepted")
 	}
 }
