@@ -41,15 +41,37 @@ type Decomposition struct {
 	Parent []int
 }
 
-// Validate checks the two tree-decomposition properties of Definition 2.5:
-// every edge is contained in some bag, and for every vertex the set of bags
-// containing it forms a connected subtree.
+// Validate checks that Parent is one rooted tree over the bags, then the two
+// tree-decomposition properties of Definition 2.5: every edge is contained
+// in some bag, and for every vertex the set of bags containing it forms a
+// connected subtree.
 func (d *Decomposition) Validate(h *Hypergraph) error {
 	if len(d.Bags) == 0 {
 		return fmt.Errorf("hypergraph: decomposition has no bags")
 	}
 	if len(d.Parent) != len(d.Bags) {
 		return fmt.Errorf("hypergraph: %d bags but %d parent entries", len(d.Bags), len(d.Parent))
+	}
+	roots := 0
+	for i, p := range d.Parent {
+		if p < -1 || p >= len(d.Parent) {
+			return fmt.Errorf("hypergraph: bag %d has parent %d out of range", i, p)
+		}
+		if p == -1 {
+			roots++
+		}
+	}
+	if roots != 1 {
+		return fmt.Errorf("hypergraph: decomposition has %d roots, want 1", roots)
+	}
+	for i := range d.Parent {
+		// A walk up from bag i that takes more steps than there are bags
+		// is caught in a cycle.
+		for j, steps := i, 0; d.Parent[j] != -1; j = d.Parent[j] {
+			if steps++; steps == len(d.Parent) {
+				return fmt.Errorf("hypergraph: bag %d does not reach the root", i)
+			}
+		}
 	}
 	for _, e := range h.Edges {
 		ok := false

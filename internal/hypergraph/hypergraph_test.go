@@ -27,6 +27,33 @@ func TestFromOrderingValid(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsParentsThatAreNotOneTree: a Parent array with an entry
+// out of range, no root, two roots or a cycle is refused before any bag is
+// read through it.
+func TestValidateRejectsParentsThatAreNotOneTree(t *testing.T) {
+	h := New(4, bitset.Of(0, 1), bitset.Of(1, 2), bitset.Of(2, 3))
+	bags := []bitset.Set{bitset.Of(0, 1), bitset.Of(1, 2), bitset.Of(2, 3)}
+	if err := (&Decomposition{Bags: bags, Parent: []int{-1, 0, 1}}).Validate(h); err != nil {
+		t.Fatalf("a path of bags: %v", err)
+	}
+	for _, c := range []struct {
+		parent []int
+		want   string
+	}{
+		{[]int{-1, 0, 99}, "hypergraph: bag 2 has parent 99 out of range"},
+		{[]int{-1, 0, -2}, "hypergraph: bag 2 has parent -2 out of range"},
+		{[]int{1, 2, 0}, "hypergraph: decomposition has 0 roots, want 1"},
+		{[]int{-1, -1, 1}, "hypergraph: decomposition has 2 roots, want 1"},
+		{[]int{-1, 2, 1}, "hypergraph: bag 1 does not reach the root"},
+		{[]int{2, 1, -1}, "hypergraph: bag 1 does not reach the root"},
+	} {
+		d := &Decomposition{Bags: bags, Parent: c.parent}
+		if err := d.Validate(h); err == nil || err.Error() != c.want {
+			t.Errorf("parents %v: err = %v, want %s", c.parent, err, c.want)
+		}
+	}
+}
+
 // TestFourCycleTreeDecompositions reproduces Figure 2: the 4-cycle has
 // exactly two non-dominated tree decompositions, with bag sets
 // {A1A2A3, A3A4A1} and {A2A3A4, A4A1A2}.

@@ -36,6 +36,12 @@ import (
 // Exact rationals travel as big.Rat.RatString ("p/q" or "p"); variable sets
 // travel as their bitmask. Nothing is lost: a decoded plan executes
 // byte-identically to the freshly prepared one.
+//
+// Bound and width are redundant on the wire; decode re-prices them. Each is
+// the certificate priced at the plan's constraints (price.go), so Decode
+// recomputes both and refuses a plan whose stored value differs, naming the
+// field; the codec keeps writing them so that plan bytes stay what they
+// were.
 
 // FormatVersion is the wire-format version stamped into every encoded plan
 // and cache snapshot. Bump it on any incompatible change to the payload
@@ -265,12 +271,9 @@ func ruleOut(pr *PreparedRule) (wireRule, error) {
 	return wr, nil
 }
 
+// ruleIn reads rule idx's certificate; validateDecodedRule prices it.
 func ruleIn(wr wireRule, idx int) (*PreparedRule, error) {
 	pr := &PreparedRule{Targets: setsIn(wr.Targets), Trivial: wr.Trivial}
-	var ok bool
-	if pr.Bound, ok = ratIn(wr.Bound); !ok {
-		return nil, notRational(fmt.Sprintf("rules[%d].bound", idx), wr.Bound)
-	}
 	var err error
 	if pr.Lambda, err = vecIn(wr.Lambda, idx, "lambda"); err != nil {
 		return nil, err
@@ -367,11 +370,7 @@ func planIn(wp *wirePlan) (*Plan, error) {
 		}
 		p.Rules = append(p.Rules, r)
 	}
-	var ok bool
-	if p.Width, ok = ratIn(wp.Width); !ok {
-		return nil, notRational("width", wp.Width)
-	}
-	if err := validateDecoded(p); err != nil {
+	if err := validateDecoded(p, wp); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -380,8 +379,13 @@ func planIn(wp *wirePlan) (*Plan, error) {
 // validateDecoded re-checks every internal invariant the executor assumes,
 // so a decoded plan is exactly as trustworthy as a freshly prepared one.
 // The digest catches accidental corruption; this catches a well-formed file
-// describing an inconsistent plan (it is a checksum, not a proof).
-func validateDecoded(p *Plan) error {
+// describing an inconsistent plan (it is a checksum, not a proof). Each tree
+// decomposition must be one over the plan's hypergraph, a ModeSubw plan's
+// transversals the minimal transversals of its decompositions' bags, and each
+// rule a proof of the inequality its structure needs. What the wire stores
+// beside the certificate — every rule's bound and the width — decode prices
+// again (priceRule, priceWidth) and compares with wp's.
+func validateDecoded(p *Plan, wp *wirePlan) error {
 	switch p.Mode {
 	case ModeRule, ModeFull, ModeFhtw, ModeSubw:
 	default:
@@ -399,9 +403,13 @@ func validateDecoded(p *Plan) error {
 	if len(p.TDBags) != len(p.TDs) {
 		return fmt.Errorf("plan: decode: %d bag-index rows for %d decompositions", len(p.TDBags), len(p.TDs))
 	}
+	h := p.Schema.Hypergraph()
 	for ti, td := range p.TDs {
-		if len(td.Parent) != len(td.Bags) || len(p.TDBags[ti]) != len(td.Bags) {
+		if len(p.TDBags[ti]) != len(td.Bags) {
 			return fmt.Errorf("plan: decode: decomposition %d has inconsistent shapes", ti)
+		}
+		if err := td.Validate(h); err != nil {
+			return fmt.Errorf("plan: decode: decomposition %d: %w", ti, err)
 		}
 		for bi, idx := range p.TDBags[ti] {
 			if idx < 0 || idx >= len(p.Bags) {
@@ -415,12 +423,16 @@ func validateDecoded(p *Plan) error {
 	if p.Chosen < -1 || p.Chosen >= len(p.TDs) {
 		return fmt.Errorf("plan: decode: chosen decomposition %d out of range", p.Chosen)
 	}
-	for ti, tr := range p.Transversals {
-		for _, idx := range tr {
-			if idx < 0 || idx >= len(p.Bags) {
-				return fmt.Errorf("plan: decode: transversal %d bag index %d out of range", ti, idx)
-			}
+	if p.Mode == ModeSubw {
+		trs, err := hypergraph.MinimalTransversals(p.Bags, p.TDBags)
+		if err != nil {
+			return fmt.Errorf("plan: decode: %w", err)
 		}
+		if !slices.EqualFunc(p.Transversals, trs, slices.Equal) {
+			return fmt.Errorf("plan: decode: transversals %v, want the minimal transversals %v", p.Transversals, trs)
+		}
+	} else if len(p.Transversals) > 0 {
+		return fmt.Errorf("plan: decode: %v plan carries transversals", p.Mode)
 	}
 	// Rule i answers one structure of the plan — the full variable set
 	// (ModeFull), bag i of the chosen decomposition (ModeFhtw), the bags of
@@ -448,19 +460,36 @@ func validateDecoded(p *Plan) error {
 		if w := want(i); w != nil && !slices.Equal(r.Targets, w) {
 			return fmt.Errorf("plan: decode: rules[%d] targets %v, want %v", i, r.Targets, w)
 		}
-		if err := validateDecodedRule(r, i, full); err != nil {
+		if err := validateDecodedRule(r, i, full, p.Cons); err != nil {
 			return fmt.Errorf("plan: decode: %w", err)
 		}
+		if err := checkPrice(wp.Rules[i].Bound, r.Bound, func() string { return fmt.Sprintf("rules[%d].bound", i) }); err != nil {
+			return err
+		}
+	}
+	p.priceWidth()
+	return checkPrice(wp.Width, p.Width, func() string { return "width" })
+}
+
+// checkPrice compares the stored text of a priced field with the price decode
+// computed for it. field names it, and is formatted only on failure.
+func checkPrice(stored string, priced *big.Rat, field func() string) error {
+	r, ok := ratIn(stored)
+	if !ok {
+		return notRational(field(), stored)
+	}
+	if r.Cmp(priced) != 0 {
+		return fmt.Errorf("plan: decode: %s is %s, but the certificate prices it at %s", field(), stored, priced.RatString())
 	}
 	return nil
 }
 
-// validateDecodedRule checks decoded rule i and fills in its Zeroed masks.
-// They come from replaying the proof sequence from δ, so a rule whose steps
-// are malformed, overdraw δ or end short of λ — anything that is not a proof
-// of its own inequality — is refused here, naming the step, rather than
-// failing mid-execution.
-func validateDecodedRule(pr *PreparedRule, i int, full bitset.Set) error {
+// validateDecodedRule checks decoded rule i, prices it at cons and fills in
+// its Zeroed masks. They come from replaying the proof sequence from δ, so a
+// rule whose steps are malformed, overdraw δ or end short of λ — anything
+// that is not a proof of its own inequality — is refused here, naming the
+// step, rather than failing mid-execution.
+func validateDecodedRule(pr *PreparedRule, i int, full bitset.Set, cons []query.DegreeConstraint) error {
 	if len(pr.Targets) == 0 {
 		return fmt.Errorf("rules[%d]: no targets", i)
 	}
@@ -469,8 +498,8 @@ func validateDecodedRule(pr *PreparedRule, i int, full bitset.Set) error {
 			return fmt.Errorf("rules[%d]: target %v outside the universe", i, t)
 		}
 	}
-	if pr.Bound == nil {
-		return fmt.Errorf("rules[%d]: missing bound", i)
+	if err := priceRule(pr, cons); err != nil {
+		return fmt.Errorf("rules[%d]: %w", i, err)
 	}
 	if pr.Trivial {
 		return nil

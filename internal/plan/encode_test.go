@@ -258,6 +258,81 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 			}
 		})
 	}
+	// A digest-valid plan whose stored prices are not its certificate's, or
+	// whose decompositions or transversals are not the plan's: each rule
+	// still proves its own inequality, so the executor would run it and
+	// report a wrong width, drop a transversal's tuples or fail mid-run.
+	sub, _, err := Prepare(q, cons, ModeSubw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathPr, err := query.Parse("Q(A,E) :- R(A,B), S(B,C), T(C,D), U(D,E).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathQ, pathCons := pathPr.Conj, pathPr.Constraints
+	for i, a := range pathQ.Atoms {
+		pathCons = append(pathCons, query.Cardinality(a.Vars, 8, i))
+	}
+	path, _, err := Prepare(pathQ, pathCons, ModeFhtw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withParents is base with the last decomposition's parents edited.
+	withParents := func(base *Plan, edit func(parent []int)) *Plan {
+		bad := *base
+		bad.TDs = slices.Clone(base.TDs)
+		last := *bad.TDs[len(bad.TDs)-1]
+		last.Parent = slices.Clone(last.Parent)
+		edit(last.Parent)
+		bad.TDs[len(bad.TDs)-1] = &last
+		return &bad
+	}
+	for _, c := range []struct {
+		name string
+		bad  func() *Plan
+		want string
+	}{
+		{"edited-width", func() *Plan {
+			bad := *p
+			bad.Width = big.NewRat(1, 7)
+			return &bad
+		}, "width is 1/7"},
+		{"edited-bound", func() *Plan {
+			r := *p.Rules[0]
+			r.Bound = big.NewRat(1, 7)
+			bad := *p
+			bad.Rules = append([]*PreparedRule{&r}, p.Rules[1:]...)
+			return &bad
+		}, "rules[0].bound is 1/7"},
+		{"dropped-transversal", func() *Plan {
+			bad := *sub
+			bad.Transversals = sub.Transversals[:len(sub.Transversals)-1]
+			bad.Rules = sub.Rules[:len(sub.Rules)-1]
+			return &bad
+		}, "want the minimal transversals"},
+		{"parent-99", func() *Plan {
+			return withParents(sub, func(parent []int) { parent[len(parent)-1] = 99 })
+		}, "parent 99 out of range"},
+		{"parent-cycle", func() *Plan {
+			// One root, and two other bags each other's parent.
+			return withParents(path, func(parent []int) {
+				if len(parent) < 3 {
+					t.Fatalf("the path's last decomposition has %d bags, want 3 or more", len(parent))
+				}
+				for i := range parent {
+					parent[i] = 0
+				}
+				parent[0], parent[1], parent[2] = -1, 2, 1
+			})
+		}, "does not reach the root"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := DecodePlan(bytes.NewReader(encodePlan(t, c.bad()))); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one naming %q", err, c.want)
+			}
+		})
+	}
 	t.Run("inconsistent-plan", func(t *testing.T) {
 		// A digest-valid payload describing an out-of-range chosen
 		// decomposition must fail semantic validation.

@@ -114,7 +114,9 @@ type PreparedRule struct {
 	// Trivial marks a rule with an ∅ target, answered by the unit table
 	// with no planning at all (Section 1.3).
 	Trivial bool
-	// Bound is LogSizeBound_{Γn∩HDC}(P) in log₂ units.
+	// Bound is LogSizeBound_{Γn∩HDC}(P) in log₂ units: δ priced at the
+	// plan's constraints (priceRule), which is the bound LP's optimum.
+	// Prepare and decode both price it; the wire's copy is only checked.
 	Bound *big.Rat
 	// Lambda, Delta are the scaled witness vectors (‖λ‖₁ = 1).
 	Lambda, Delta flow.Vec
@@ -169,10 +171,10 @@ type Plan struct {
 	// rule (ModeFull), the disjunctive rule itself (ModeRule), one per
 	// chosen-decomposition bag (ModeFhtw), or one per transversal (ModeSubw).
 	Rules []*PreparedRule
-	// Width is the plan's width certificate in log₂ units: the polymatroid
-	// bound (ModeFull, ModeRule), the worst-bag bound of the chosen
-	// decomposition (da-fhtw, ModeFhtw), or the worst rule bound (da-subw,
-	// ModeSubw).
+	// Width is the plan's width certificate in log₂ units, the largest rule
+	// bound (priceWidth): the polymatroid bound (ModeFull, ModeRule), the
+	// worst-bag bound of the chosen decomposition (da-fhtw, ModeFhtw), or the
+	// worst transversal bound (da-subw, ModeSubw).
 	Width *big.Rat
 }
 
@@ -296,22 +298,24 @@ func buildPlan(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []
 // NewRulePlan wraps a prepared disjunctive rule over s, planned against the
 // complete constraint set cons, as its one-rule ModeRule plan: Width is the
 // rule's polymatroid bound. It is the one way a rule becomes a Plan, for the
-// planner and core.Executor.ExecuteRule alike.
+// planner and core.Executor.ExecuteRule alike. pr is shared, not written.
 func NewRulePlan(s *query.Schema, cons []query.DegreeConstraint, pr *PreparedRule) *Plan {
-	return &Plan{
+	p := &Plan{
 		Mode:   ModeRule,
 		Schema: copySchema(s),
 		Cons:   append([]query.DegreeConstraint(nil), cons...),
 		Chosen: -1,
 		Rules:  []*PreparedRule{pr},
-		Width:  pr.Bound,
 	}
+	p.priceWidth()
+	return p
 }
 
 func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstraint, targets []bitset.Set, bs *BuildStats) (*PreparedRule, error) {
 	for _, b := range targets {
 		if b == 0 {
-			return &PreparedRule{Targets: targets, Trivial: true, Bound: new(big.Rat)}, nil
+			pr := &PreparedRule{Targets: targets, Trivial: true}
+			return pr, priceRule(pr, cons)
 		}
 	}
 	fdcs, err := FlowDCs(s, cons)
@@ -326,14 +330,15 @@ func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstr
 	if err != nil {
 		return nil, err
 	}
-	return newPreparedRule(targets, res, bs)
+	return newPreparedRule(targets, res, cons, bs)
 }
 
-// newPreparedRule turns a solved bound LP into an executable rule: the proof
-// sequence of Theorem 5.9 is constructed from the LP's witness and replayed
-// once for the path δ takes along it. The rule's 1s and 1/2s become the
-// shared values a decoded plan holds (shareRat).
-func newPreparedRule(targets []bitset.Set, res *flow.MaximinResult, bs *BuildStats) (*PreparedRule, error) {
+// newPreparedRule turns a bound LP solved over cons into an executable rule:
+// the proof sequence of Theorem 5.9 is constructed from the LP's witness and
+// replayed once for the path δ takes along it, and δ is priced at cons. The
+// rule's 1s and 1/2s become the shared values a decoded plan holds
+// (shareRat).
+func newPreparedRule(targets []bitset.Set, res *flow.MaximinResult, cons []query.DegreeConstraint, bs *BuildStats) (*PreparedRule, error) {
 	seq, err := flow.ConstructProof(res.Lambda, res.Delta, res.Witness)
 	if err != nil {
 		return nil, err
@@ -351,14 +356,17 @@ func newPreparedRule(targets []bitset.Set, res *flow.MaximinResult, bs *BuildSta
 		}
 	}
 	bs.ProofSteps += len(seq)
-	return &PreparedRule{
+	pr := &PreparedRule{
 		Targets: targets,
-		Bound:   res.Bound,
 		Lambda:  res.Lambda,
 		Delta:   res.Delta,
 		Seq:     seq,
 		Zeroed:  zeroed,
-	}, nil
+	}
+	if err := priceRule(pr, cons); err != nil {
+		return nil, err
+	}
+	return pr, nil
 }
 
 // Prepare runs the complete data-independent planning phase for q under the
@@ -407,7 +415,7 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 			return nil, bs, err
 		}
 		p.Rules = []*PreparedRule{pr}
-		p.Width = pr.Bound
+		p.priceWidth()
 		return p, bs, nil
 	case ModeFhtw, ModeSubw, ModeAuto:
 	default:
@@ -438,14 +446,15 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 	// fhtw candidate: one LP per distinct bag; the results double as the
 	// rule plans of the chosen decomposition and as the bounds of the subw
 	// walk (the simplex is deterministic, so the reuse is
-	// behavior-preserving). Proof sequences are constructed only for the
-	// committed candidate.
+	// behavior-preserving). Proof sequences are constructed, and priced, only
+	// for the committed candidate; the comparison reads the LP optima.
 	var bagRes []*flow.MaximinResult
+	var fhtwWidth *big.Rat
 	if mode != ModeSubw {
 		if bagRes, err = widths.SolveBags(e, solve); err != nil {
 			return nil, bs, err
 		}
-		p.Chosen, p.Width = widths.Minimax(e, bagRes, bound)
+		p.Chosen, fhtwWidth = widths.Minimax(e, bagRes, bound)
 	}
 
 	// subw candidate: one rule per inclusion-minimal bag transversal
@@ -462,7 +471,7 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 		}
 		trRes := make([]*flow.MaximinResult, len(trs))
 		subwWidth := new(big.Rat)
-		wins := func() bool { return mode == ModeSubw || subwWidth.Cmp(p.Width) < 0 }
+		wins := func() bool { return mode == ModeSubw || subwWidth.Cmp(fhtwWidth) < 0 }
 		err = widths.Walk(e, trs, bagRes, bound, solve, func(ti int, r *flow.MaximinResult, _ *big.Rat) bool {
 			trRes[ti] = r
 			if r.Bound.Cmp(subwWidth) > 0 {
@@ -474,26 +483,28 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 			return nil, bs, err
 		}
 		if wins() {
-			p.Mode, p.Chosen, p.Transversals, p.Width = ModeSubw, -1, trs, subwWidth
+			p.Mode, p.Chosen, p.Transversals = ModeSubw, -1, trs
 			for ti, r := range trRes {
-				pr, err := newPreparedRule(widths.Targets(p.Bags, trs[ti]), r, bs)
+				pr, err := newPreparedRule(widths.Targets(p.Bags, trs[ti]), r, cons, bs)
 				if err != nil {
 					return nil, bs, err
 				}
 				p.Rules = append(p.Rules, pr)
 			}
-			return p, bs, nil
 		}
 	}
 
-	p.Mode = ModeFhtw
-	for i, b := range p.TDs[p.Chosen].Bags {
-		pr, err := newPreparedRule([]bitset.Set{b}, bagRes[p.TDBags[p.Chosen][i]], bs)
-		if err != nil {
-			return nil, bs, err
+	if p.Mode != ModeSubw {
+		p.Mode = ModeFhtw
+		for i, b := range p.TDs[p.Chosen].Bags {
+			pr, err := newPreparedRule([]bitset.Set{b}, bagRes[p.TDBags[p.Chosen][i]], cons, bs)
+			if err != nil {
+				return nil, bs, err
+			}
+			p.Rules = append(p.Rules, pr)
 		}
-		p.Rules = append(p.Rules, pr)
 	}
+	p.priceWidth()
 	return p, bs, nil
 }
 
@@ -517,8 +528,9 @@ func (p *Plan) EvalTDs() []*hypergraph.Decomposition {
 }
 
 // Bound is the polymatroid bound, in log₂ units, of a plan that is one rule
-// over the whole query — ModeRule and ModeFull, where it equals Width — and
-// nil for a plan that answers from several rules.
+// over the whole query — ModeRule and ModeFull: its one rule's priced bound,
+// which is also its Width — and nil for a plan that answers from several
+// rules.
 func (p *Plan) Bound() *big.Rat {
 	if p.Mode == ModeRule || p.Mode == ModeFull {
 		return p.Rules[0].Bound

@@ -1,0 +1,283 @@
+package plan
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"os"
+	"strings"
+	"testing"
+
+	"panda/internal/bitset"
+	"panda/internal/flow"
+	"panda/internal/query"
+	"panda/internal/widths"
+)
+
+// TestPricedCertificatesMatchTheLP: a plan's bounds and width are its
+// certificate priced at its constraints (price.go), not copies of the LP's
+// objective, so they must be the LP's values. On the shapes of
+// TestPlanBytesGolden, on 5-variable paths and cycles under every mode (seeded
+// cardinalities, a second cardinality on one atom, a degree constraint) and on
+// the plans of testdata/pr12-plans.json, every rule's bound equals the bound
+// LP of its targets, and the width equals da-fhtw's min-max over the bag LPs
+// (ModeFhtw, which must also pick Chosen), the largest transversal LP
+// (ModeSubw) or the one rule's LP. A renamed spelling's plan, a planner hit
+// rebound by fromCanonical, prices to the same bounds and width, and decodes.
+func TestPricedCertificatesMatchTheLP(t *testing.T) {
+	const (
+		tri  = "R(A,B), S(B,C), T(A,C)."
+		c4   = "R(A,B), S(B,C), T(C,D), U(D,A)."
+		path = "R(A,B), S(B,C), T(C,D)."
+	)
+	type shape struct {
+		name, src string
+		mode      Mode
+		cards     []int64 // per atom; a single entry applies to every atom
+		extra     func(s *query.Schema) []query.DegreeConstraint
+	}
+	rows := func(n int64) []int64 { return []int64{n} }
+	shapes := []shape{
+		{"tri-full", "Q(A,B,C) :- " + tri, ModeAuto, rows(8), nil},
+		{"tri-bool", "Q() :- " + tri, ModeAuto, rows(8), nil},
+		{"c4-full", "Q(A,B,C,D) :- " + c4, ModeFull, rows(8), nil},
+		{"c4-fhtw", "Q(A,B,C,D) :- " + c4, ModeFhtw, rows(8), nil},
+		{"c4-subw", "Q(A,B,C,D) :- " + c4, ModeSubw, rows(8), nil},
+		{"c4-bool", "Q() :- " + c4, ModeSubw, rows(8), nil},
+		{"path3-proj", "Q(A,D) :- " + path, ModeFhtw, rows(8), nil},
+		{"rule", "T1(A,B,C) v T2(B,C,D) :- " + path, ModeRule, rows(8), nil},
+		{"c4-deg", "Q(A,B,C,D) :- " + c4 + "\ndeg(R: A,B | A) <= 8", ModeAuto, rows(8), nil},
+		{"path2-proj", "Q(A,C) :- R(A,B), S(B,C).", ModeAuto, rows(8), nil},
+		{"pr12-c4-fhtw", "Q(A,B,C,D) :- " + c4, ModeFhtw, rows(100), nil},
+		{"pr12-tri-full", "Q(A,B,C) :- " + tri, ModeFull, rows(7), nil},
+		{"pr12-c4-bool", "Q() :- " + c4, ModeAuto, rows(100), nil},
+		{"c4-subw-1000", "Q(A,B,C,D) :- " + c4, ModeSubw, rows(1000), nil},
+		{"c4-subw-12345", "Q(A,B,C,D) :- " + c4, ModeSubw, rows(12345), nil},
+		{"c4-bool-12345", "Q() :- " + c4, ModeSubw, rows(12345), nil},
+	}
+	rng := rand.New(rand.NewSource(43))
+	for _, cyclic := range []bool{false, true} {
+		var atoms []string
+		for i := 0; i < 4 || (cyclic && i < 5); i++ {
+			atoms = append(atoms, fmt.Sprintf("R%d(%c,%c)", i, 'A'+i, 'A'+(i+1)%5))
+		}
+		cards := make([]int64, len(atoms))
+		for i := range cards {
+			cards[i] = 2 + rng.Int63n(199)
+		}
+		d := rng.Intn(len(atoms))
+		deg := fmt.Sprintf("\ndeg(R%d: %c,%c | %c) <= %d", d, 'A'+d, 'A'+(d+1)%5, 'A'+d, 1+rng.Int63n(cards[d]))
+		// A second cardinality on one atom's pair: the smaller prices it.
+		a, n := rng.Intn(len(atoms)), 2+rng.Int63n(199)
+		second := func(s *query.Schema) []query.DegreeConstraint {
+			return []query.DegreeConstraint{query.Cardinality(s.Atoms[a].Vars, n, a)}
+		}
+		body := strings.Join(atoms, ", ") + "." + deg
+		kind := map[bool]string{false: "path5", true: "c5"}[cyclic]
+		for _, head := range []string{"Q(A,B,C,D,E)", "Q()", "Q(A,E)"} {
+			modes := []Mode{ModeFhtw, ModeSubw, ModeAuto}
+			if head == "Q(A,B,C,D,E)" {
+				modes = append(modes, ModeFull)
+			}
+			for _, m := range modes {
+				shapes = append(shapes, shape{fmt.Sprintf("%s-%s-%v", kind, head, m), head + " :- " + body, m, cards, second})
+			}
+		}
+	}
+
+	ctx := context.Background()
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			pr, err := query.Parse(sh.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, heads := &pr.Rule.Schema, pr.Rule.Targets
+			if pr.Conj != nil {
+				s, heads = &pr.Conj.Schema, []bitset.Set{pr.Conj.Free}
+			}
+			cons := pr.Constraints
+			for i, a := range s.Atoms {
+				cons = append(cons, query.Cardinality(a.Vars, sh.cards[min(i, len(sh.cards)-1)], i))
+			}
+			if sh.extra != nil {
+				cons = append(cons, sh.extra(s)...)
+			}
+			p, _, err := buildPlan(ctx, s, heads, cons, sh.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPricesAgainstLP(t, p)
+
+			pl := NewPlanner(2)
+			if _, err := pl.prepare(ctx, s, heads, cons, sh.mode); err != nil {
+				t.Fatal(err)
+			}
+			rs, rheads, rcons := renameInput(s, heads, cons)
+			rp, err := pl.prepare(ctx, rs, rheads, rcons, sh.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := pl.Stats(); st.Hits != 1 {
+				t.Fatalf("the renamed spelling missed the planner: %v", st)
+			}
+			for i, r := range rp.Rules {
+				c := *r
+				if err := priceRule(&c, rp.Cons); err != nil {
+					t.Fatal(err)
+				}
+				if c.Bound.Cmp(p.Rules[i].Bound) != 0 || r.Bound.Cmp(p.Rules[i].Bound) != 0 {
+					t.Errorf("renamed rule %d: bound %v, priced %v, want %v", i, r.Bound, c.Bound, p.Rules[i].Bound)
+				}
+			}
+			if rp.Width.Cmp(p.Width) != 0 {
+				t.Errorf("renamed plan: width %v, want %v", rp.Width, p.Width)
+			}
+			var buf bytes.Buffer
+			if err := EncodePlan(&buf, rp); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodePlan(&buf); err != nil {
+				t.Errorf("renamed plan does not decode: %v", err)
+			}
+		})
+	}
+
+	t.Run("pr12-plans", func(t *testing.T) {
+		data, err := os.ReadFile("testdata/pr12-plans.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env cacheEnvelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range env.Entries {
+			var wp wirePlan
+			if err := json.Unmarshal(ent.Plan, &wp); err != nil {
+				t.Fatal(err)
+			}
+			p, err := planIn(&wp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPricesAgainstLP(t, p)
+		}
+	})
+}
+
+// checkPricesAgainstLP holds p's priced bounds and width to fresh LP solves
+// over p's constraints.
+func checkPricesAgainstLP(t *testing.T, p *Plan) {
+	t.Helper()
+	fdcs, err := FlowDCs(&p.Schema, p.Cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := func(targets []bitset.Set) (*big.Rat, error) {
+		res, err := flow.MaximinBound(p.Schema.NumVars, fdcs, targets)
+		if err != nil {
+			return nil, err
+		}
+		return res.Bound, nil
+	}
+	for i, r := range p.Rules {
+		want, err := lp(r.Targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Bound.Cmp(want) != 0 {
+			t.Errorf("%v rule %d: priced bound %v, LP bound %v", p.Mode, i, r.Bound, want)
+		}
+	}
+	var want *big.Rat
+	switch p.Mode {
+	case ModeFull, ModeRule:
+		want, err = lp(p.Rules[0].Targets)
+	case ModeFhtw:
+		var e *widths.Engine
+		if e, err = widths.NewEngine(p.Schema.Hypergraph()); err != nil {
+			break
+		}
+		var bags []*big.Rat
+		if bags, err = widths.SolveBags(e, lp); err != nil {
+			break
+		}
+		var chosen int
+		chosen, want = widths.Minimax(e, bags, func(v *big.Rat) *big.Rat { return v })
+		if chosen != p.Chosen {
+			t.Errorf("fhtw plan chose decomposition %d, the min-max %d", p.Chosen, chosen)
+		}
+	case ModeSubw:
+		want = new(big.Rat)
+		for _, tr := range p.Transversals {
+			b, err := lp(widths.Targets(p.Bags, tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Cmp(want) > 0 {
+				want = b
+			}
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Width.Cmp(want) != 0 {
+		t.Errorf("%v plan: width %v, want %v", p.Mode, p.Width, want)
+	}
+}
+
+// renameInput is a spelling of a planner input under another variable
+// numbering, with atoms and constraints in reverse order.
+func renameInput(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint) (*query.Schema, []bitset.Set, []query.DegreeConstraint) {
+	n, k := s.NumVars, len(s.Atoms)
+	perm := make([]int, n)
+	for v := range perm {
+		perm[v] = (n + 1 - v) % n
+	}
+	rs := &query.Schema{NumVars: n, VarNames: make([]string, len(s.VarNames))}
+	for v, name := range s.VarNames {
+		rs.VarNames[perm[v]] = name
+	}
+	for j := k - 1; j >= 0; j-- {
+		rs.Atoms = append(rs.Atoms, query.Atom{Name: s.Atoms[j].Name, Vars: mapSet(s.Atoms[j].Vars, perm)})
+	}
+	rheads := make([]bitset.Set, len(heads))
+	for i, h := range heads {
+		rheads[i] = mapSet(h, perm)
+	}
+	var rcons []query.DegreeConstraint
+	for j := len(cons) - 1; j >= 0; j-- {
+		c := cons[j]
+		c.X, c.Y, c.Guard = mapSet(c.X, perm), mapSet(c.Y, perm), k-1-c.Guard
+		rcons = append(rcons, c)
+	}
+	return rs, rheads, rcons
+}
+
+// TestPriceRuleNeedsAConstraintPerPair: a trivial rule prices at 0 whatever
+// it carries, and a δ pair that no constraint bounds is refused by name.
+func TestPriceRuleNeedsAConstraintPerPair(t *testing.T) {
+	q, cons := cycleQuery(4, nil, nil, 100)
+	p, _, err := Prepare(q, cons, ModeFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := *p.Rules[0]
+	r.Trivial = true
+	if err := priceRule(&r, cons); err != nil || r.Bound.Sign() != 0 {
+		t.Fatalf("trivial rule priced at %v (err %v), want 0", r.Bound, err)
+	}
+	r = *p.Rules[0]
+	pair := flow.Pair{X: bitset.Of(0), Y: bitset.Of(0, 2)}
+	r.Delta = r.Delta.Clone()
+	r.Delta[pair] = big.NewRat(1, 2)
+	want := fmt.Sprintf("no constraint prices δ's pair %v", pair)
+	if err := priceRule(&r, cons); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+}
