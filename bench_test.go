@@ -1,14 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper (the same
-// experiments cmd/experiments prints, whose usage line is the index). Each
-// benchmark is self-contained; shapes
-// (who wins, by what factor) are the reproduction target, not absolute
-// times.
+// Benchmarks of the engine, the planner and the facade: proof
+// construction, prepared vs unprepared execution, statement and watch reads
+// after an insert, parallel execution and the evaluator comparisons. The
+// paper's tables and figures are benchmarked where they are defined, by
+// BenchmarkExperiments in cmd/experiments. Shapes (who wins, by what factor)
+// are the reproduction target, not absolute times.
 package panda
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -16,303 +16,12 @@ import (
 
 	"panda/internal/baseline"
 	"panda/internal/bitset"
-	"panda/internal/bounds"
 	"panda/internal/core"
-	"panda/internal/entropy"
 	"panda/internal/flow"
 	"panda/internal/plan"
-	"panda/internal/query"
-	"panda/internal/setfunc"
 	"panda/internal/wcoj"
-	"panda/internal/widths"
 	"panda/internal/workload"
 )
-
-// BenchmarkTable1Bounds computes the Table 1 bound values for the
-// representative query of each row (C4 under CC, Zhang–Yeung under CC+FD,
-// Example 1.4's rule).
-func BenchmarkTable1Bounds(b *testing.B) {
-	q := workload.FourCycleQuery()
-	ins := workload.AppendixABoundA(q, 32)
-	dcs := ins.CardinalityConstraints(&q.Schema)
-	p := workload.PathRule()
-	pdcs := []flow.DC{
-		{X: 0, Y: bitset.Of(0, 1), LogN: big.NewRat(1, 1)},
-		{X: 0, Y: bitset.Of(1, 2), LogN: big.NewRat(1, 1)},
-		{X: 0, Y: bitset.Of(2, 3), LogN: big.NewRat(1, 1)},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Bounds(q, dcs); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := bounds.Theorem13Gap(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := flow.MaximinBound(4, pdcs, p.Targets); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure1ProofSequence builds and validates the Example 1.8 proof
-// sequence (LP → witness → Theorem 5.9 construction).
-func BenchmarkFigure1ProofSequence(b *testing.B) {
-	dcs := []flow.DC{
-		{X: 0, Y: bitset.Of(0, 1), LogN: big.NewRat(1, 1)},
-		{X: 0, Y: bitset.Of(1, 2), LogN: big.NewRat(1, 1)},
-		{X: 0, Y: bitset.Of(2, 3), LogN: big.NewRat(1, 1)},
-	}
-	targets := []bitset.Set{bitset.Of(0, 1, 2), bitset.Of(1, 2, 3)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := flow.MaximinBound(4, dcs, targets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seq, err := flow.ConstructProof(res.Lambda, res.Delta, res.Witness)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := flow.ValidateProof(res.Lambda, res.Delta, seq); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure3Hierarchy checks the function-class hierarchy witnesses.
-func BenchmarkFigure3Hierarchy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h5 := setfunc.Figure5()
-		if !h5.IsPolymatroid() {
-			b.Fatal("fig5")
-		}
-		h6 := setfunc.Figure6()
-		if !h6.IsPolymatroid() {
-			b.Fatal("fig6")
-		}
-	}
-}
-
-// BenchmarkFigure4Widths computes the classic width hierarchy for the
-// Figure 4 graph family.
-func BenchmarkFigure4Widths(b *testing.B) {
-	graphs := []*query.Conjunctive{
-		workload.TriangleQuery(),
-		workload.FourCycleQuery(),
-		workload.CycleQuery(5),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range graphs {
-			if _, err := widths.Summarize(q.Hypergraph()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure9Grid evaluates the 3-axis bound grid on the 4-cycle.
-func BenchmarkFigure9Grid(b *testing.B) {
-	q := workload.FourCycleQuery()
-	h := q.Hypergraph()
-	one := big.NewRat(1, 1)
-	var cc []flow.DC
-	logs := make([]*big.Rat, len(h.Edges))
-	for i, e := range h.Edges {
-		cc = append(cc, flow.DC{X: 0, Y: e, LogN: one})
-		logs[i] = one
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bounds.IntegralCoverBound(h, logs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bounds.AGM(h, logs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bounds.Subadditive(4, cc); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bounds.Polymatroid(4, cc); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := widths.FHTW(h); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := widths.Subw(h); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExample12Bounds measures the tight-instance constructions of
-// Appendix A (output sizes match the three bounds).
-func BenchmarkExample12Bounds(b *testing.B) {
-	q := workload.FourCycleQuery()
-	for i := 0; i < b.N; i++ {
-		insA := workload.AppendixABoundA(q, 32)
-		if insA.FullJoin().Size() != 32*32 {
-			b.Fatal("(a) not tight")
-		}
-		insC := workload.AppendixABoundC(q, 8)
-		if insC.FullJoin().Size() != 8*8*8 {
-			b.Fatal("(c) not tight")
-		}
-	}
-}
-
-// BenchmarkExample18PANDA runs PANDA on Example 1.4's rule over worst-case
-// inputs of growing size; the work should scale like N^{3/2}.
-func BenchmarkExample18PANDA(b *testing.B) {
-	p := workload.PathRule()
-	for _, m := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
-			ins := workload.PathWorstCase(p, m)
-			db := Open()
-			defer db.Close()
-			b.ResetTimer()
-			var maxInt int
-			for i := 0; i < b.N; i++ {
-				res, err := db.EvalRule(p, ins, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				maxInt = res.Stats.MaxIntermediate
-			}
-			b.ReportMetric(float64(maxInt), "max-intermediate")
-			b.ReportMetric(math.Pow(float64(m), 1.5), "N^1.5")
-		})
-	}
-}
-
-// BenchmarkExample110SubwVsTree is the headline comparison: Boolean 4-cycle
-// on adversarial inputs, PANDA's submodular-width plan vs the fixed
-// tree-decomposition plan (N^{3/2} vs N²).
-func BenchmarkExample110SubwVsTree(b *testing.B) {
-	q := workload.BooleanFourCycle()
-	db := Open()
-	defer db.Close()
-	for _, m := range []int{64, 128, 256} {
-		ins := workload.CycleWorstCase(q, m)
-		b.Run(fmt.Sprintf("panda-subw/m=%d", m), func(b *testing.B) {
-			var maxInt int
-			for i := 0; i < b.N; i++ {
-				res, err := db.Eval(q, ins, nil, WithMode(ModeSubw))
-				if err != nil || !res.OK {
-					b.Fatalf("res=%v err=%v", res, err)
-				}
-				maxInt = res.Stats.MaxIntermediate
-			}
-			b.ReportMetric(float64(maxInt), "max-intermediate")
-		})
-		b.Run(fmt.Sprintf("tree-plan/m=%d", m), func(b *testing.B) {
-			var maxInt int
-			for i := 0; i < b.N; i++ {
-				_, ans, st, err := baseline.EvalTreePlan(q, ins, nil)
-				if err != nil || !ans {
-					b.Fatalf("ans=%v err=%v", ans, err)
-				}
-				maxInt = st.MaxIntermediate
-			}
-			b.ReportMetric(float64(maxInt), "max-intermediate")
-		})
-	}
-}
-
-// BenchmarkExample74Gap computes the fhtw/subw gap for the m=1, k=2 member
-// of the Example 7.4 family (the 4-cycle; the k=3 member runs in
-// cmd/experiments ex74).
-func BenchmarkExample74Gap(b *testing.B) {
-	h := workload.Example74Graph(1, 2)
-	for i := 0; i < b.N; i++ {
-		f, err := widths.FHTW(h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := widths.Subw(h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if f.Cmp(big.NewRat(2, 1)) != 0 || s.Cmp(big.NewRat(3, 2)) != 0 {
-			b.Fatalf("fhtw=%v subw=%v", f, s)
-		}
-	}
-}
-
-// BenchmarkExample78DegreeAwareWidths computes da-fhtw and da-subw of the
-// 4-cycle.
-func BenchmarkExample78DegreeAwareWidths(b *testing.B) {
-	q := workload.FourCycleQuery()
-	var dcs []Constraint
-	for i, a := range q.Atoms {
-		dcs = append(dcs, Cardinality(a.Vars, 2, i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DaFhtw(q, dcs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DaSubw(q, dcs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTheorem13ZhangYeung certifies the polymatroid/entropic gap.
-func BenchmarkTheorem13ZhangYeung(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		poly, ent, err := bounds.Theorem13Gap()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if poly.Cmp(ent) <= 0 {
-			b.Fatal("no gap")
-		}
-	}
-}
-
-// BenchmarkLemma44GroupSystem materializes a Chan–Yeung group instance
-// (r = 6) and validates Lemma 4.3's degree formula.
-func BenchmarkLemma44GroupSystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := entropy.NewGroupSystem([][]int64{
-			{0, 0, 1, 1, 2, 2},
-			{0, 1, 0, 1, 0, 1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rels, err := g.Instance([]bitset.Set{bitset.Of(0, 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		want, err := g.DegreeFormula(bitset.Of(0, 1), bitset.Of(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := rels[0].Degree(bitset.Of(0, 1), bitset.Of(0)); big.NewInt(int64(got)).Cmp(want) != 0 {
-			b.Fatalf("degree %d ≠ %v", got, want)
-		}
-	}
-}
-
-// BenchmarkLemma45 computes the disjunctive-rule gaps of Lemma 4.5.
-func BenchmarkLemma45(b *testing.B) {
-	n, dcs, targets := bounds.Lemma45Rule5()
-	for i := 0; i < b.N; i++ {
-		res, err := flow.MaximinBound(n, dcs, targets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Bound.Cmp(big.NewRat(4, 1)) != 0 {
-			b.Fatalf("bound %v", res.Bound)
-		}
-		if err := bounds.Verify64Identity(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkTheorem59ProofConstruction measures proof-sequence construction
 // on the triangle, 4-cycle and Example 1.4 inequalities.

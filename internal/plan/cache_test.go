@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"panda/internal/bitset"
 	"panda/internal/flow"
 	"panda/internal/query"
 )
@@ -119,6 +120,71 @@ func TestPlannerRenamedHit(t *testing.T) {
 			t.Fatalf("rebound schema atom %d is %+v, want %+v", i, a, q2.Atoms[i])
 		}
 	}
+}
+
+// TestEqualKeysEqualCertificates pins what one key promises. Two planners
+// fed renamed spellings of a shape, with cardinality 8+3j on atom j, cache
+// their plans under one key, and the cached canonical plans certify one
+// width. They need not be one plan: each planner builds in its caller's
+// variable space, so bag, rule and proof order may differ, and fhtw's
+// min-max takes the first decomposition of least width in that space (on
+// the 4-cycle the two planners pick different ones, with different bag
+// bounds). Outside fhtw the rule bounds agree as a multiset.
+func TestEqualKeysEqualCertificates(t *testing.T) {
+	ctx := context.Background()
+	for _, src := range []string{
+		"Q(A,B,C) :- R(A,B), S(B,C), T(A,C).",
+		"Q() :- R(A,B), S(B,C), T(A,C).",
+		"Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A).",
+		"Q() :- R(A,B), S(B,C), T(C,D), U(D,A).",
+		"Q(A,D) :- R(A,B), S(B,C), T(C,D).",
+		"T1(A,B,C) v T2(B,C,D) :- R(A,B), S(B,C), T(C,D).",
+	} {
+		pr, err := query.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, heads, modes := &pr.Rule.Schema, pr.Rule.Targets, []Mode{ModeRule}
+		if pr.Conj != nil {
+			s, heads, modes = &pr.Conj.Schema, []bitset.Set{pr.Conj.Free}, []Mode{ModeAuto, ModeFhtw, ModeSubw}
+		}
+		var cons []query.DegreeConstraint
+		for j, a := range s.Atoms {
+			cons = append(cons, query.Cardinality(a.Vars, int64(8+3*j), j))
+		}
+		rs, rheads, rcons := renameInput(s, heads, cons)
+		for _, mode := range modes {
+			pa, pb := NewPlanner(2), NewPlanner(2)
+			a, err := pa.prepare(ctx, s, heads, cons, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := pb.prepare(ctx, rs, rheads, rcons, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Key != b.Key {
+				t.Fatalf("%s under %v: renamed spellings keyed %q and %q", src, mode, a.Key, b.Key)
+			}
+			ca, cb := pa.index[a.Key].Value.(*entry).plan, pb.index[b.Key].Value.(*entry).plan
+			if ca.Width.Cmp(cb.Width) != 0 {
+				t.Errorf("%s under %v: one key, widths %v and %v", src, mode, ca.Width, cb.Width)
+			}
+			if ba, bb := ruleBounds(ca), ruleBounds(cb); mode != ModeFhtw && !slices.Equal(ba, bb) {
+				t.Errorf("%s under %v: one key, rule bounds %v and %v", src, mode, ba, bb)
+			}
+		}
+	}
+}
+
+// ruleBounds is the sorted multiset of p's rule bounds.
+func ruleBounds(p *Plan) []string {
+	var out []string
+	for _, r := range p.Rules {
+		out = append(out, r.Bound.RatString())
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestPlannerRuleHit: a disjunctive rule goes through the same cache as a

@@ -46,7 +46,8 @@ type CacheLoadStats struct {
 	// mismatch, a malformed payload, or a key/signature disagreement.
 	Skipped int
 	// Duplicates counts entries whose key the cache already held — benign
-	// (the live plan is identical by construction) and therefore not a
+	// (the live plan certifies the same width, though it need not be the
+	// same plan: see TestEqualKeysEqualCertificates) and therefore not a
 	// rejection. Such an entry's digest is checked, but its plan is not
 	// decoded, so a payload that would not decode is counted here and not
 	// under Skipped.

@@ -122,7 +122,7 @@ func TestCorollary75Hierarchy(t *testing.T) {
 
 // TestExample74CycleGap instantiates Example 7.4 with m = 1 (independent
 // sets of size 1), where the construction degenerates to the 2k-cycle:
-// fhtw = 2m = 2 while subw ≤ m(2 − 1/k). For C6 (k = 3): subw ≤ 5/3.
+// fhtw = 2m = 2 while subw = m(2 − 1/k). For C6 (k = 3): subw = 5/3.
 func TestExample74CycleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("C6 submodular width solves ~174 exact LPs; skipped in -short")
@@ -139,8 +139,8 @@ func TestExample74CycleGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cmp(rat(5, 3)) > 0 {
-		t.Fatalf("subw(C6) = %v, want ≤ 5/3 (Example 7.4 with m=1, k=3)", s)
+	if s.Cmp(rat(5, 3)) != 0 {
+		t.Fatalf("subw(C6) = %v, want 5/3 (Example 7.4 with m=1, k=3)", s)
 	}
 	if s.Cmp(f) >= 0 {
 		t.Fatalf("subw(C6) = %v should be strictly below fhtw = %v", s, f)
