@@ -67,7 +67,7 @@ func TestEvalGolden(t *testing.T) {
 		t.Errorf("eval boolean:\n got %q\nwant %q", got, want)
 	}
 	if got, want := runCLI(t, "eval", q("rule.q"), dir),
-		"# T_AB: 2 tuples\n# T_BC: 0 tuples\n"; got != want {
+		"# T_AB: 0 tuples\n# T_BC: 1 tuples\n"; got != want {
 		t.Errorf("eval rule:\n got %q\nwant %q", got, want)
 	}
 }

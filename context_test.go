@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -175,24 +176,69 @@ func TestParallelGoldenParity(t *testing.T) {
 
 // TestParallelCancellation: a cancelled context aborts the worker pool and
 // surfaces ctx.Err() from a parallel run as well. The fixture is the full
-// 4-cycle worst case under ModeFhtw — each bag rule materializes an
-// m²-tuple intermediate, so the run cannot finish before the cancel (the
-// Boolean subw variant is exactly the query the paper makes fast, and
-// completes too quickly to race a timer against).
+// 4-cycle worst case under ModeFhtw, whose two bag rules run on the pool.
 func TestParallelCancellation(t *testing.T) {
 	q := FourCycleQuery()
-	ins := CycleWorstCase(q, 400)
 	db := Open()
 	defer db.Close()
-	loadCatalog(t, db, &q.Schema, ins)
+	loadCatalog(t, db, &q.Schema, CycleWorstCase(q, 64))
+	testCancellationAtEveryCheck(t, db, fourCycleSrc, WithParallelism(4), WithMode(ModeFhtw))
+}
+
+// cancelAtLook is a context that its own k-th look cancels: the k-th call of
+// Err or Done, from any goroutine, cancels it before it answers (k = 0
+// never does). Runs look at their context only at their checks, so the
+// cancel lands at a run's k-th check by construction, with no timer to race.
+type cancelAtLook struct {
+	context.Context
+	cancel context.CancelFunc
+	k      int64
+	looks  atomic.Int64
+}
+
+func newCancelAtLook(k int64) *cancelAtLook {
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(3 * time.Millisecond)
-		cancel()
-	}()
-	_, err := db.QueryContext(ctx, fourCycleSrc, WithParallelism(4), WithMode(ModeFhtw))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel cancel: got %v, want context.Canceled", err)
+	return &cancelAtLook{Context: ctx, cancel: cancel, k: k}
+}
+
+func (c *cancelAtLook) look() {
+	if c.looks.Add(1) == c.k {
+		c.cancel()
+	}
+}
+
+func (c *cancelAtLook) Err() error            { c.look(); return c.Context.Err() }
+func (c *cancelAtLook) Done() <-chan struct{} { c.look(); return c.Context.Done() }
+
+// testCancellationAtEveryCheck counts the checks one run of src makes of its
+// context (a first run has cached the plan), then cancels a run at each of
+// them in turn. Each must surface context.Canceled, and must stop within
+// three checks of the cancel instead of running on through its later stages:
+// a cancel at a parallel stage's start is one no task of that stage sees
+// unless the pool checks for it.
+func testCancellationAtEveryCheck(t *testing.T, db *DB, src string, opts ...Option) {
+	t.Helper()
+	if _, err := db.Query(src, opts...); err != nil {
+		t.Fatal(err)
+	}
+	count := newCancelAtLook(0)
+	defer count.cancel()
+	if _, err := db.QueryContext(count, src, opts...); err != nil {
+		t.Fatal(err)
+	}
+	n := count.looks.Load()
+	if n < 8 {
+		t.Fatalf("a run checks its context %d times; the sweep needs its stages", n)
+	}
+	for k := int64(1); k <= n; k++ {
+		ctx := newCancelAtLook(k)
+		_, err := db.QueryContext(ctx, src, opts...)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at check %d of %d: got %v, want context.Canceled", k, n, err)
+		}
+		if after := ctx.looks.Load() - k; after > 3 {
+			t.Fatalf("cancelled at check %d of %d, the run went on for %d more checks", k, n, after)
+		}
 	}
 }
 

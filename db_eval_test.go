@@ -255,7 +255,7 @@ func TestDBEvalRule(t *testing.T) {
 // TestAblationBudgetMatters shows that PANDA's Case-4b budget/truncation
 // mechanism is what keeps intermediates at N^{3/2} on Example 1.8's
 // worst-case inputs: with the budget disabled the run still produces a
-// correct model (TestDBEvalRule), but materializes the quadratic join.
+// correct model (TestDBEvalRule), but materializes a quadratic intermediate.
 func TestAblationBudgetMatters(t *testing.T) {
 	p := PathRule()
 	ins := workload.PathWorstCase(p, 64)

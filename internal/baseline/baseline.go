@@ -7,6 +7,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 
 	"panda/internal/bitset"
@@ -30,7 +31,7 @@ type Stats struct {
 func EvalTreePlan(q *query.Conjunctive, ins *query.Instance, td *hypergraph.Decomposition) (*relation.Relation, bool, *Stats, error) {
 	h := q.Hypergraph()
 	if td == nil {
-		tds, err := h.AllDecompositions()
+		tds, err := h.AllDecompositions(context.Background())
 		if err != nil {
 			return nil, false, nil, err
 		}

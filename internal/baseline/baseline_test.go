@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestTreePlanWorstCaseQuadratic(t *testing.T) {
 		insB.Relations[3].Insert([]relation.Value{0, v}) // R41 = [m]×[1] (cols A1,A4)
 	}
 	h := q.Hypergraph()
-	tds, err := h.AllDecompositions()
+	tds, err := h.AllDecompositions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,12 @@ import (
 )
 
 // TestPlanProofsMatchReference: every rule of the plans pinned by plan's
-// TestPlanBytesGolden and core's digestMatrix is rebuilt from its bound LP's
-// witness, must reproduce the sequence the plan holds, and goes through
-// flow.DiffAgainstReference — the construction, the witness of every suffix
-// and the truncation at every composition step against the reference copies.
+// TestPlanBytesGolden and core's digestMatrix is rebuilt from its own bound
+// LP's witness — solved in the variable space the plan was built in, the
+// canonical one for a planner's plan — must reproduce the sequence the plan
+// holds, and goes through flow.DiffAgainstReference — the construction, the
+// witness of every suffix and the truncation at every composition step
+// against the reference copies.
 func TestPlanProofsMatchReference(t *testing.T) {
 	plans := append(goldenPlans(t), digestMatrixPlans(t)...)
 	rules, compared := 0, 0
@@ -32,18 +34,35 @@ func TestPlanProofsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", np.name, err)
 		}
+		to, back := identity(p.Schema.NumVars), identity(p.Schema.NumVars)
+		if np.perm != nil {
+			to, back = np.perm, make([]int, len(np.perm))
+			for v, c := range np.perm {
+				back[c] = v
+			}
+		}
+		for i := range fdcs {
+			fdcs[i].X, fdcs[i].Y = mapSet(fdcs[i].X, to), mapSet(fdcs[i].Y, to)
+		}
 		for ri, r := range p.Rules {
 			if r.Trivial {
 				continue
 			}
 			name := fmt.Sprintf("%s rule %d", np.name, ri)
-			res, err := flow.MaximinBound(p.Schema.NumVars, fdcs, r.Targets)
+			targets := make([]bitset.Set, len(r.Targets))
+			for i, b := range r.Targets {
+				targets[i] = mapSet(b, to)
+			}
+			res, err := flow.MaximinBound(p.Schema.NumVars, fdcs, targets)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			seq, err := flow.ConstructProof(res.Lambda, res.Delta, res.Witness)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			for i := range seq {
+				seq[i].A, seq[i].B = mapSet(seq[i].A, back), mapSet(seq[i].B, back)
 			}
 			if fmt.Sprint(seq) != fmt.Sprint(r.Seq) {
 				t.Fatalf("%s: the plan's sequence was not built from this witness:\n got %v\nplan %v", name, seq, r.Seq)
@@ -61,6 +80,27 @@ func TestPlanProofsMatchReference(t *testing.T) {
 type namedPlan struct {
 	name string
 	p    *plan.Plan
+	// perm maps p's variables into the space it was planned in (a planner
+	// plans the canonical spelling: its Signature's VarPerm); nil when that
+	// is p's own.
+	perm []int
+}
+
+func identity(n int) []int {
+	perm := make([]int, n)
+	for v := range perm {
+		perm[v] = v
+	}
+	return perm
+}
+
+// mapSet renames every element of s through perm.
+func mapSet(s bitset.Set, perm []int) bitset.Set {
+	var out bitset.Set
+	for _, v := range s.Vars() {
+		out = out.Add(perm[v])
+	}
+	return out
 }
 
 // goldenPlans prepares the shapes of plan's TestPlanBytesGolden: the query
@@ -114,7 +154,7 @@ func goldenPlans(t *testing.T) []namedPlan {
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
-		out = append(out, namedPlan{"golden/" + sh.name, p})
+		out = append(out, namedPlan{"golden/" + sh.name, p, nil})
 	}
 	return out
 }
@@ -137,14 +177,19 @@ func digestMatrixPlans(t *testing.T) []namedPlan {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out = append(out, namedPlan{"digest/" + name, p})
+		out = append(out, namedPlan{"digest/" + name, p, nil})
 	}
 	ruleOn := func(name string, ins *query.Instance) {
-		p, err := plan.NewPlanner(1).PrepareRuleContext(ctx, rule, core.CompleteConstraints(&rule.Schema, ins, nil))
+		cons := core.CompleteConstraints(&rule.Schema, ins, nil)
+		p, err := plan.NewPlanner(1).PrepareRuleContext(ctx, rule, cons)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out = append(out, namedPlan{"digest/" + name, p})
+		sig, err := plan.CanonicalizeRule(rule, cons)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, namedPlan{"digest/" + name, p, sig.VarPerm})
 	}
 	for _, m := range []int{16, 64, 256} {
 		worst := workload.CycleWorstCase(c4, m)

@@ -8,6 +8,7 @@
 package hypergraph
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -247,8 +248,9 @@ const maxOrderings = 500000
 // keeping only the refinement-minimal ones (a decomposition is dropped when
 // a strictly finer one exists, i.e. one dominated by it in the sense of the
 // paper; dropped decompositions are never preferable under any monotone
-// cost, so minimax/maximin widths are unaffected).
-func (h *Hypergraph) AllDecompositions() ([]*Decomposition, error) {
+// cost, so minimax/maximin widths are unaffected). It checks ctx as the
+// enumeration branches and returns ctx.Err() once it is done.
+func (h *Hypergraph) AllDecompositions(ctx context.Context) ([]*Decomposition, error) {
 	n := h.N
 	count := 1
 	for i := 2; i <= n; i++ {
@@ -262,20 +264,26 @@ func (h *Hypergraph) AllDecompositions() ([]*Decomposition, error) {
 	for i := range order {
 		order[i] = i
 	}
+	var err error
 	var rec func(k int)
 	rec = func(k int) {
+		if err = ctx.Err(); err != nil {
+			return
+		}
 		if k == n {
 			d := h.FromOrdering(order)
 			seen[d.key()] = d
 			return
 		}
-		for i := k; i < n; i++ {
+		for i := k; i < n && err == nil; i++ {
 			order[k], order[i] = order[i], order[k]
 			rec(k + 1)
 			order[k], order[i] = order[i], order[k]
 		}
 	}
-	rec(0)
+	if rec(0); err != nil {
+		return nil, err
+	}
 
 	all := make([]*Decomposition, 0, len(seen))
 	for _, d := range seen {
@@ -303,6 +311,9 @@ func (h *Hypergraph) AllDecompositions() ([]*Decomposition, error) {
 	}
 	var out []*Decomposition
 	for i, d := range all {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		minimal := true
 		for j, d2 := range all {
 			if i == j {
@@ -328,13 +339,17 @@ const maxTransversals = 20000
 // every family member. Elements are identified by position in universe.
 // This realizes the inclusion-minimal images of the bag-selector maps β of
 // Lemma 7.12: picking one bag per tree decomposition, minimized, which is
-// exactly the collection B over which the submodular width maximizes.
-func MinimalTransversals(universe []bitset.Set, family [][]int) ([][]int, error) {
+// exactly the collection B over which the submodular width maximizes. It
+// checks ctx as the search branches and returns ctx.Err() once it is done.
+func MinimalTransversals(ctx context.Context, universe []bitset.Set, family [][]int) ([][]int, error) {
 	var out [][]int
 	cur := []int{}
 	covered := make([]bool, len(family))
 	var rec func(fi int) error
 	rec = func(fi int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		for fi < len(family) && covered[fi] {
 			fi++
 		}

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -59,7 +60,7 @@ func TestValidateRejectsParentsThatAreNotOneTree(t *testing.T) {
 // {A1A2A3, A3A4A1} and {A2A3A4, A4A1A2}.
 func TestFourCycleTreeDecompositions(t *testing.T) {
 	h := fourCycle()
-	tds, err := h.AllDecompositions()
+	tds, err := h.AllDecompositions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestFourCycleTreeDecompositions(t *testing.T) {
 
 func TestTriangleDecompositions(t *testing.T) {
 	h := triangle()
-	tds, err := h.AllDecompositions()
+	tds, err := h.AllDecompositions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSixCycleDecompositionCount(t *testing.T) {
 	h := New(6,
 		bitset.Of(0, 1), bitset.Of(1, 2), bitset.Of(2, 3),
 		bitset.Of(3, 4), bitset.Of(4, 5), bitset.Of(5, 0))
-	tds, err := h.AllDecompositions()
+	tds, err := h.AllDecompositions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestMinimalTransversalsFourCycle(t *testing.T) {
 		bitset.Of(0, 1, 2), bitset.Of(0, 2, 3), bitset.Of(1, 2, 3), bitset.Of(0, 1, 3),
 	}
 	family := [][]int{{0, 1}, {2, 3}} // one bag from each decomposition
-	ts, err := MinimalTransversals(universe, family)
+	ts, err := MinimalTransversals(context.Background(), universe, family)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestMinimalTransversalsSharedBag(t *testing.T) {
 	// When one element hits every family member, it is the unique minimal
 	// transversal of size 1 (and supersets are pruned).
 	family := [][]int{{0, 1}, {0, 2}}
-	ts, err := MinimalTransversals(nil, family)
+	ts, err := MinimalTransversals(context.Background(), nil, family)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,9 +105,11 @@ func (pl *Planner) evictOverCap() {
 	}
 }
 
-// Prepare returns a plan for q under cons, reusing a cached plan when one
-// exists for the canonical signature. The returned plan is always in the
-// caller's variable space and safe for concurrent Execute calls.
+// Prepare returns a plan for q under cons: the cached plan of q's canonical
+// signature, built from the canonical spelling on the first sighting of the
+// shape, so every spelling of one shape runs one plan. The returned plan is
+// always in the caller's variable space and safe for concurrent Execute
+// calls.
 func (pl *Planner) Prepare(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
 	return pl.PrepareContext(context.Background(), q, cons, mode)
 }
@@ -186,9 +188,10 @@ func (pl *Planner) hit(el *list.Element) *Plan {
 	return ent.plan
 }
 
-// lead runs the planning phase as the elected leader of b and installs the
-// plan. However it ends — installed, failed, cancelled, or a panic unwinding
-// through it — the claim is released and the waiters are woken.
+// lead runs the planning phase on the canonical input of sig as the elected
+// leader of b, installs the plan and returns it rebound by fromCanonical, as
+// a hit would. However it ends — installed, failed, cancelled, or a panic
+// unwinding through it — the claim is released and the waiters are woken.
 func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
 	defer func() {
 		pl.mu.Lock()
@@ -199,15 +202,15 @@ func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, s *query.
 	if pl.buildStarted != nil {
 		pl.buildStarted(sig.Key)
 	}
-	p, bs, err := buildPlan(ctx, s, heads, cons, mode)
+	cs, cheads, ccons := canonicalInput(sig, s, heads, cons)
+	canon, bs, err := buildPlan(ctx, cs, cheads, ccons, mode)
 	if err != nil {
 		if ctx.Err() == nil {
 			b.err = err
 		}
 		return nil, err
 	}
-	p.Key = sig.Key
-	canon := p.toCanonical(sig)
+	canon.Key = sig.Key
 	cost := uint64(bs.LPSolves)
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -218,7 +221,7 @@ func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, s *query.
 		pl.index[sig.Key] = pl.ll.PushFront(&entry{key: sig.Key, plan: canon, lpCost: cost})
 	}
 	pl.evictOverCap()
-	return p, nil
+	return canon.fromCanonical(sig, s), nil
 }
 
 // Stats returns a snapshot of the planner's counters.

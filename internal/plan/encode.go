@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -424,7 +425,7 @@ func validateDecoded(p *Plan, wp *wirePlan) error {
 		return fmt.Errorf("plan: decode: chosen decomposition %d out of range", p.Chosen)
 	}
 	if p.Mode == ModeSubw {
-		trs, err := hypergraph.MinimalTransversals(p.Bags, p.TDBags)
+		trs, err := hypergraph.MinimalTransversals(context.Background(), p.Bags, p.TDBags)
 		if err != nil {
 			return fmt.Errorf("plan: decode: %w", err)
 		}

@@ -471,6 +471,66 @@ func TestLoadCacheSkipsBadEntries(t *testing.T) {
 	}
 }
 
+// TestLoadCacheRefusesAPlanUnderAnotherShapesKey: an entry whose plan is
+// well formed and records the entry's key, but is the plan of another shape
+// (a triangle's under the 3-path's key), is skipped: the key must be the
+// key of the plan's own shape. Installed, every query of the path would run
+// the triangle's decompositions. The donor's own snapshot, whose ModeAuto
+// key holds the fhtw or subw plan auto chose, loads whole.
+func TestLoadCacheRefusesAPlanUnderAnotherShapesKey(t *testing.T) {
+	donor := NewPlanner(8)
+	var keys []string
+	for _, src := range []string{
+		"Q(A,B,C) :- R(A,B), S(B,C), T(A,C).",
+		"Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).",
+		"Q() :- R(A,B), S(B,C), T(C,D), U(D,A).",
+	} {
+		pr, err := query.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cons []query.DegreeConstraint
+		for j, a := range pr.Conj.Atoms {
+			cons = append(cons, query.Cardinality(a.Vars, 16, j))
+		}
+		p, err := donor.Prepare(pr.Conj, cons, ModeAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, p.Key)
+	}
+	var buf bytes.Buffer
+	if err := donor.SaveCache(&buf, keys...); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := NewPlanner(8).LoadCache(bytes.NewReader(buf.Bytes())); err != nil || stats.Loaded != 3 || stats.Skipped != 0 {
+		t.Fatalf("the donor's own snapshot: %v (%v), want loaded=3", stats, err)
+	}
+
+	swapped := tamperCache(t, buf.Bytes(), func(env *cacheEnvelope) {
+		tri := &env.Entries[0]
+		var wp wirePlan
+		if err := json.Unmarshal(tri.Plan, &wp); err != nil {
+			t.Fatal(err)
+		}
+		wp.Key = keys[1]
+		payload, err := json.Marshal(&wp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tri.Key, tri.Plan, tri.Digest = keys[1], payload, digestOf(payload)
+		env.Entries = env.Entries[:1]
+	})
+	fresh := NewPlanner(8)
+	stats, err := fresh.LoadCache(bytes.NewReader(swapped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Loaded != 0 || stats.Skipped != 1 || fresh.Len() != 0 {
+		t.Fatalf("a triangle plan under the path's key: %v, %d plans held; want loaded=0 skipped=1", stats, fresh.Len())
+	}
+}
+
 // TestLoadCacheSkipsWholeSnapshotOnVersionMismatch: a snapshot from a
 // different format version loads nothing, fails nothing.
 func TestLoadCacheSkipsWholeSnapshotOnVersionMismatch(t *testing.T) {

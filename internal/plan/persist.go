@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+
+	"panda/internal/bitset"
 )
 
 // Cache persistence: a Planner's contents — canonical-space plans keyed by
@@ -43,11 +45,10 @@ type CacheLoadStats struct {
 	// Loaded counts entries installed into the cache.
 	Loaded int
 	// Skipped counts entries rejected for cause: a version or digest
-	// mismatch, a malformed payload, or a key/signature disagreement.
+	// mismatch, a malformed payload, or a key that does not name the plan.
 	Skipped int
 	// Duplicates counts entries whose key the cache already held — benign
-	// (the live plan certifies the same width, though it need not be the
-	// same plan: see TestEqualKeysEqualCertificates) and therefore not a
+	// (the live plan is identical by construction) and therefore not a
 	// rejection. Such an entry's digest is checked, but its plan is not
 	// decoded, so a payload that would not decode is counted here and not
 	// under Skipped.
@@ -133,8 +134,11 @@ func writeCache(w io.Writer, ents []*entry) error {
 // entries. It returns an error only when the container itself is unreadable
 // (I/O failure, malformed JSON, wrong format tag); individual entries are
 // skipped — with the reason recorded in the returned stats — on a version
-// or digest mismatch, a malformed or inconsistent plan, or a key that
-// disagrees with its plan's recorded signature. A key the cache already
+// or digest mismatch, a malformed or inconsistent plan, or a key that does
+// not name its plan: the plan's recorded Key must be it, and so must the key
+// of the plan's own shape under the key's mode (keyOf; a ModeAuto key holds
+// the fhtw or subw plan auto chose), so a plan cannot be installed under
+// another shape's key. A key the cache already
 // holds counts as a (benign) duplicate once its entry's digest checks out,
 // and its plan is not decoded: live entries are never clobbered by an
 // import, so a re-shipped plan costs a digest and a map lookup. An import is
@@ -190,8 +194,14 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 			skip(fmt.Errorf("plan: load cache entry %d: %w", i, err))
 			continue
 		}
-		if p.Key != ent.Key || ent.Key == "" {
-			skip(fmt.Errorf("plan: load cache entry %d: key disagrees with the plan's signature", i))
+		heads := []bitset.Set{p.Free}
+		if p.Mode == ModeRule {
+			heads = p.Rules[0].Targets
+		}
+		var mode Mode
+		_, _ = fmt.Sscanf(ent.Key, "m%d;", &mode) // a key naming no mode fails below: keyOf writes one
+		if p.Key != ent.Key || keyOf(&p.Schema, heads, p.Cons, mode) != ent.Key {
+			skip(fmt.Errorf("plan: load cache entry %d: key does not name the plan's shape", i))
 			continue
 		}
 		ents = append(ents, &entry{key: ent.Key, plan: p, lpCost: ent.LPCost})

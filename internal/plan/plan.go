@@ -425,7 +425,7 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 	if !h.CoversAll() {
 		return nil, bs, fmt.Errorf("plan: query body does not cover all variables")
 	}
-	e, err := widths.NewEngine(h)
+	e, err := widths.NewEngine(ctx, h)
 	if err != nil {
 		return nil, bs, err
 	}
@@ -465,7 +465,7 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 	// Yannakakis pass), and the walk, by decreasing bound, stops at the
 	// first transversal whose LP reaches da-fhtw: no further LP runs.
 	if mode != ModeFhtw {
-		trs, err := e.Transversals()
+		trs, err := e.Transversals(ctx)
 		if err != nil {
 			return nil, bs, err
 		}

@@ -2,12 +2,15 @@ package plan
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
@@ -365,8 +368,12 @@ func TestPrepareErrors(t *testing.T) {
 	}
 }
 
-// TestRebindRoundTrip: caller → canonical → caller must be the identity on
-// everything the executor consumes.
+// TestRebindRoundTrip: the planner caches the plan of the canonical
+// spelling; fromCanonical of it, the plan every Prepare returns, must be a
+// valid plan in the caller's space — it decodes, which checks every
+// decomposition, transversal, guard and proof against the caller's schema —
+// with the width, bag set, constraint multiset and rules of planning the
+// caller's spelling directly.
 func TestRebindRoundTrip(t *testing.T) {
 	q, cons := cycleQuery(4, []int{1, 3, 0, 2}, []int{3, 1, 0, 2}, 32)
 	p, _, err := Prepare(q, cons, ModeSubw)
@@ -377,13 +384,28 @@ func TestRebindRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Key = sig.Key
-	rt := p.toCanonical(sig).fromCanonical(sig, &q.Schema)
-	if rt.Key != p.Key || rt.Mode != p.Mode || rt.Free != p.Free {
-		t.Fatal("round trip changed identity fields")
+	pl := NewPlanner(2)
+	if _, err := pl.Prepare(q, cons, ModeSubw); err != nil {
+		t.Fatal(err)
+	}
+	rt := pl.index[sig.Key].Value.(*entry).plan.fromCanonical(sig, &q.Schema)
+	if rt.Key != sig.Key || rt.Mode != p.Mode || rt.Free != p.Free {
+		t.Fatal("rebinding changed identity fields")
 	}
 	if rt.Width.Cmp(p.Width) != 0 {
-		t.Fatalf("round trip changed width: %v → %v", p.Width, rt.Width)
+		t.Fatalf("rebound width %v, direct %v", rt.Width, p.Width)
+	}
+	for i, a := range rt.Schema.Atoms {
+		if a.Name != q.Atoms[i].Name || a.Vars != q.Atoms[i].Vars {
+			t.Fatalf("rebound schema atom %d is %+v, want %+v", i, a, q.Atoms[i])
+		}
+	}
+	var buf bytes.Buffer
+	if err := EncodePlan(&buf, rt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePlan(&buf); err != nil {
+		t.Fatalf("the rebound plan is not valid in the caller's space: %v", err)
 	}
 	// The bag universe must be preserved as a set.
 	bags := map[bitset.Set]bool{}
@@ -392,11 +414,11 @@ func TestRebindRoundTrip(t *testing.T) {
 	}
 	for _, b := range rt.Bags {
 		if !bags[b] {
-			t.Fatalf("round trip invented bag %v", b)
+			t.Fatalf("rebinding invented bag %v", b)
 		}
 	}
 	if len(rt.Bags) != len(p.Bags) {
-		t.Fatalf("round trip changed bag count %d → %d", len(p.Bags), len(rt.Bags))
+		t.Fatalf("rebinding changed bag count %d → %d", len(p.Bags), len(rt.Bags))
 	}
 	// Constraints must be preserved as a multiset, with valid guards.
 	type key struct {
@@ -413,24 +435,25 @@ func TestRebindRoundTrip(t *testing.T) {
 	}
 	for k, v := range count {
 		if v != 0 {
-			t.Fatalf("round trip changed constraint multiset at %+v (%+d)", k, v)
+			t.Fatalf("rebinding changed constraint multiset at %+v (%+d)", k, v)
 		}
 	}
-	// Every rule's proof sequence must survive with targets intact.
+	// Every rule must answer the targets of a rule of the direct plan, with
+	// a proof sequence as long.
 	if len(rt.Rules) != len(p.Rules) {
-		t.Fatal("round trip changed rule count")
+		t.Fatal("rebinding changed rule count")
 	}
-	for i := range p.Rules {
-		if len(rt.Rules[i].Seq) != len(p.Rules[i].Seq) {
-			t.Fatalf("rule %d proof length changed", i)
+	steps := map[string]int{}
+	for _, r := range p.Rules {
+		steps[fmt.Sprint(bitset.Sorted(r.Targets))] = len(r.Seq)
+	}
+	for i, r := range rt.Rules {
+		n, ok := steps[fmt.Sprint(bitset.Sorted(r.Targets))]
+		if !ok {
+			t.Fatalf("rebound rule %d answers %v, no rule of the direct plan", i, r.Targets)
 		}
-		if len(rt.Rules[i].Targets) != len(p.Rules[i].Targets) {
-			t.Fatalf("rule %d target count changed", i)
-		}
-		for j, b := range p.Rules[i].Targets {
-			if rt.Rules[i].Targets[j] != b {
-				t.Fatalf("rule %d target %d changed: %v → %v", i, j, b, rt.Rules[i].Targets[j])
-			}
+		if len(r.Seq) != n {
+			t.Fatalf("rebound rule %d: %d proof steps, the direct plan's %d", i, len(r.Seq), n)
 		}
 	}
 }
@@ -487,5 +510,22 @@ func TestPreparedRulesShareCommonRationals(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatal("no prepared rational is 1 or 1/2: the check needs some")
+	}
+}
+
+// TestPrepareHonoursItsDeadline: a subw plan of the Boolean 7-cycle waits on
+// a minimal-transversal search that takes minutes; planning under a 50 ms
+// deadline returns the deadline's error promptly instead.
+func TestPrepareHonoursItsDeadline(t *testing.T) {
+	q, cons := cycleQuery(7, nil, nil, 100)
+	q.Free = 0
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, _, err := PrepareContext(ctx, q, cons, ModeSubw); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline's", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("planning ran %v past a 50ms deadline", d)
 	}
 }

@@ -124,14 +124,41 @@ func TestPricedCertificatesMatchTheLP(t *testing.T) {
 			if st := pl.Stats(); st.Hits != 1 {
 				t.Fatalf("the renamed spelling missed the planner: %v", st)
 			}
+			// The planner plans the canonical spelling, so its rules come in
+			// canonical order: pair them with p's by their targets. Under fhtw
+			// the canonical spelling may choose another decomposition of the
+			// same width; a bag of it no rule of p answers is held to its LP.
+			byTargets := map[string]*big.Rat{}
+			for _, r := range p.Rules {
+				byTargets[fmt.Sprint(bitset.Sorted(r.Targets))] = r.Bound
+			}
+			back := invert(renamePerm(s.NumVars))
+			rdcs, err := FlowDCs(&rp.Schema, rp.Cons)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, r := range rp.Rules {
+				want := byTargets[fmt.Sprint(bitset.Sorted(remapSets(r.Targets, back)))]
+				if want == nil && rp.Mode != ModeFhtw {
+					t.Fatalf("renamed rule %d: targets %v are no rule's of the direct plan", i, r.Targets)
+				}
+				if want == nil {
+					res, err := flow.MaximinBound(rp.Schema.NumVars, rdcs, r.Targets)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = res.Bound
+				}
 				c := *r
 				if err := priceRule(&c, rp.Cons); err != nil {
 					t.Fatal(err)
 				}
-				if c.Bound.Cmp(p.Rules[i].Bound) != 0 || r.Bound.Cmp(p.Rules[i].Bound) != 0 {
-					t.Errorf("renamed rule %d: bound %v, priced %v, want %v", i, r.Bound, c.Bound, p.Rules[i].Bound)
+				if c.Bound.Cmp(want) != 0 || r.Bound.Cmp(want) != 0 {
+					t.Errorf("renamed rule %d: bound %v, priced %v, want %v", i, r.Bound, c.Bound, want)
 				}
+			}
+			if len(rp.Rules) != len(p.Rules) {
+				t.Errorf("renamed plan has %d rules, the direct plan %d", len(rp.Rules), len(p.Rules))
 			}
 			if rp.Width.Cmp(p.Width) != 0 {
 				t.Errorf("renamed plan: width %v, want %v", rp.Width, p.Width)
@@ -199,7 +226,7 @@ func checkPricesAgainstLP(t *testing.T, p *Plan) {
 		want, err = lp(p.Rules[0].Targets)
 	case ModeFhtw:
 		var e *widths.Engine
-		if e, err = widths.NewEngine(p.Schema.Hypergraph()); err != nil {
+		if e, err = widths.NewEngine(context.Background(), p.Schema.Hypergraph()); err != nil {
 			break
 		}
 		var bags []*big.Rat
@@ -235,10 +262,7 @@ func checkPricesAgainstLP(t *testing.T, p *Plan) {
 // numbering, with atoms and constraints in reverse order.
 func renameInput(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint) (*query.Schema, []bitset.Set, []query.DegreeConstraint) {
 	n, k := s.NumVars, len(s.Atoms)
-	perm := make([]int, n)
-	for v := range perm {
-		perm[v] = (n + 1 - v) % n
-	}
+	perm := renamePerm(n)
 	rs := &query.Schema{NumVars: n, VarNames: make([]string, len(s.VarNames))}
 	for v, name := range s.VarNames {
 		rs.VarNames[perm[v]] = name
@@ -257,6 +281,15 @@ func renameInput(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstra
 		rcons = append(rcons, c)
 	}
 	return rs, rheads, rcons
+}
+
+// renamePerm is renameInput's variable renaming over n variables.
+func renamePerm(n int) []int {
+	perm := make([]int, n)
+	for v := range perm {
+		perm[v] = (n + 1 - v) % n
+	}
+	return perm
 }
 
 // TestPriceRuleNeedsAConstraintPerPair: a trivial rule prices at 0 whatever

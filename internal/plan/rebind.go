@@ -1,7 +1,8 @@
 package plan
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
@@ -9,12 +10,14 @@ import (
 	"panda/internal/query"
 )
 
-// The plan cache stores plans in canonical variable space so that a query
-// that is a renaming of a cached one can reuse its plan. toCanonical and
-// fromCanonical translate a Plan across the permutations recorded in a
-// Signature. Immutable leaves (*big.Rat values, Parent slices, a rule's
-// per-step Zeroed masks) are shared; everything carrying variable or atom
-// identity is rebuilt.
+// The plan cache holds one plan per key: the plan of the canonical input,
+// which canonicalInput moves into canonical space through the permutations
+// a Signature records, so the plan follows from the key and not from the
+// spelling that was seen first. fromCanonical is the one translation back:
+// a hit and a miss alike rebind the cached plan into the caller's space.
+// Immutable leaves (*big.Rat values, Parent slices, a rule's per-step Zeroed
+// masks) are shared; everything carrying variable or atom identity is
+// rebuilt.
 
 func invert(perm []int) []int {
 	out := make([]int, len(perm))
@@ -35,31 +38,6 @@ func remapVec(v flow.Vec, m []int) flow.Vec {
 	return out
 }
 
-func remapSeq(seq flow.ProofSequence, m []int) flow.ProofSequence {
-	out := make(flow.ProofSequence, len(seq))
-	for i, s := range seq {
-		s.A, s.B = mapSet(s.A, m), mapSet(s.B, m)
-		out[i] = s
-	}
-	return out
-}
-
-func remapRule(pr *PreparedRule, m []int) *PreparedRule {
-	targets := make([]bitset.Set, len(pr.Targets))
-	for i, t := range pr.Targets {
-		targets[i] = mapSet(t, m)
-	}
-	return &PreparedRule{
-		Targets: targets,
-		Trivial: pr.Trivial,
-		Bound:   pr.Bound,
-		Lambda:  remapVec(pr.Lambda, m),
-		Delta:   remapVec(pr.Delta, m),
-		Seq:     remapSeq(pr.Seq, m),
-		Zeroed:  pr.Zeroed,
-	}
-}
-
 func remapSets(sets []bitset.Set, m []int) []bitset.Set {
 	out := make([]bitset.Set, len(sets))
 	for i, s := range sets {
@@ -68,76 +46,69 @@ func remapSets(sets []bitset.Set, m []int) []bitset.Set {
 	return out
 }
 
-func remapTDs(tds []*hypergraph.Decomposition, m []int) []*hypergraph.Decomposition {
-	out := make([]*hypergraph.Decomposition, len(tds))
-	for i, d := range tds {
-		out[i] = &hypergraph.Decomposition{Bags: remapSets(d.Bags, m), Parent: d.Parent}
-	}
-	return out
-}
-
-// shared copies the index-structured fields that are invariant under
-// renaming (they index into Bags/TDs, not into the variable universe).
-func (p *Plan) shell() *Plan {
-	return &Plan{
-		Mode:         p.Mode,
-		Key:          p.Key,
-		Chosen:       p.Chosen,
-		TDBags:       p.TDBags,
-		Transversals: p.Transversals,
-		Width:        p.Width,
-	}
-}
-
-// toCanonical rewrites a caller-space plan into the canonical space of sig.
-func (p *Plan) toCanonical(sig *Signature) *Plan {
-	m := sig.VarPerm
-	invAtom := invert(sig.AtomPerm)
-	out := p.shell()
-	atoms := make([]query.Atom, len(p.Schema.Atoms))
+// canonicalInput moves a planner input into the canonical space of sig:
+// atom j is the caller's atom AtomPerm[j], named R<j>, constraint k is the
+// caller's constraint ConsPerm[k], and the heads are sorted as the key sorts
+// them. The planner plans this input, so the plan a key names follows from
+// the key alone.
+func canonicalInput(sig *Signature, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint) (*query.Schema, []bitset.Set, []query.DegreeConstraint) {
+	m, invAtom := sig.VarPerm, invert(sig.AtomPerm)
+	cs := &query.Schema{NumVars: s.NumVars, Atoms: make([]query.Atom, len(s.Atoms))}
 	for j, ci := range sig.AtomPerm {
-		atoms[j] = query.Atom{Name: fmt.Sprintf("R%d", j), Vars: mapSet(p.Schema.Atoms[ci].Vars, m)}
+		cs.Atoms[j] = query.Atom{Name: "R" + strconv.Itoa(j), Vars: mapSet(s.Atoms[ci].Vars, m)}
 	}
-	out.Schema = query.Schema{NumVars: p.Schema.NumVars, Atoms: atoms}
-	out.Free = mapSet(p.Free, m)
-	out.Cons = make([]query.DegreeConstraint, len(p.Cons))
+	ch := remapSets(heads, m)
+	slices.Sort(ch)
+	cc := make([]query.DegreeConstraint, len(cons))
 	for k, ci := range sig.ConsPerm {
-		c := p.Cons[ci]
-		c.X, c.Y = mapSet(c.X, m), mapSet(c.Y, m)
-		if c.Guard >= 0 {
-			c.Guard = invAtom[c.Guard]
-		}
-		out.Cons[k] = c
+		c := cons[ci]
+		c.X, c.Y, c.Guard = mapSet(c.X, m), mapSet(c.Y, m), invAtom[c.Guard]
+		cc[k] = c
 	}
-	out.Bags = remapSets(p.Bags, m)
-	out.TDs = remapTDs(p.TDs, m)
-	out.Rules = make([]*PreparedRule, len(p.Rules))
-	for i, r := range p.Rules {
-		out.Rules[i] = remapRule(r, m)
-	}
-	return out
+	return cs, ch, cc
 }
 
 // fromCanonical rewrites a canonical-space plan into the caller space of
 // sig, adopting the caller's schema (atom names and order, variable names).
+// The fields that index Bags and TDs rather than variables are shared.
 func (p *Plan) fromCanonical(sig *Signature, s *query.Schema) *Plan {
 	m := invert(sig.VarPerm)
-	out := p.shell()
-	out.Schema = copySchema(s)
-	out.Free = mapSet(p.Free, m)
-	out.Cons = make([]query.DegreeConstraint, len(p.Cons))
+	out := &Plan{
+		Mode:         p.Mode,
+		Key:          p.Key,
+		Schema:       copySchema(s),
+		Free:         mapSet(p.Free, m),
+		Cons:         make([]query.DegreeConstraint, len(p.Cons)),
+		Bags:         remapSets(p.Bags, m),
+		TDs:          make([]*hypergraph.Decomposition, len(p.TDs)),
+		TDBags:       p.TDBags,
+		Chosen:       p.Chosen,
+		Transversals: p.Transversals,
+		Rules:        make([]*PreparedRule, len(p.Rules)),
+		Width:        p.Width,
+	}
 	for k, c := range p.Cons {
-		c.X, c.Y = mapSet(c.X, m), mapSet(c.Y, m)
-		if c.Guard >= 0 {
-			c.Guard = sig.AtomPerm[c.Guard]
-		}
+		c.X, c.Y, c.Guard = mapSet(c.X, m), mapSet(c.Y, m), sig.AtomPerm[c.Guard]
 		out.Cons[k] = c
 	}
-	out.Bags = remapSets(p.Bags, m)
-	out.TDs = remapTDs(p.TDs, m)
-	out.Rules = make([]*PreparedRule, len(p.Rules))
+	for i, d := range p.TDs {
+		out.TDs[i] = &hypergraph.Decomposition{Bags: remapSets(d.Bags, m), Parent: d.Parent}
+	}
 	for i, r := range p.Rules {
-		out.Rules[i] = remapRule(r, m)
+		seq := make(flow.ProofSequence, len(r.Seq))
+		for j, st := range r.Seq {
+			st.A, st.B = mapSet(st.A, m), mapSet(st.B, m)
+			seq[j] = st
+		}
+		out.Rules[i] = &PreparedRule{
+			Targets: remapSets(r.Targets, m),
+			Trivial: r.Trivial,
+			Bound:   r.Bound,
+			Lambda:  remapVec(r.Lambda, m),
+			Delta:   remapVec(r.Delta, m),
+			Seq:     seq,
+			Zeroed:  r.Zeroed,
+		}
 	}
 	return out
 }

@@ -65,12 +65,8 @@ func canonicalize(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstr
 	if n > 32 {
 		return nil, fmt.Errorf("plan: %d variables exceed the bitset universe", n)
 	}
-	logNs := make([]string, len(cons))
-	for k, c := range cons {
-		logNs[k] = c.LogN.RatString()
-	}
-	classes := varClasses(s, heads, cons, logNs)
-	sr := newSearch(s, heads, cons, logNs, mode)
+	sr := newSearch(s, heads, cons, mode)
+	classes := varClasses(s, heads, cons, sr.logNs)
 	if countPerms(classes) > permLimit {
 		perm := make([]int, n)
 		pos := 0
@@ -92,6 +88,19 @@ func canonicalize(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstr
 		AtomPerm: best.atomPerm,
 		ConsPerm: best.consPerm,
 	}, nil
+}
+
+// keyOf is the key of (s, heads, cons) under mode with the variables in
+// the order s numbers them: one ordering scored, no search. A plan the
+// planner built is of the canonical input, whose own key is its signature's.
+func keyOf(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) string {
+	perm := make([]int, s.NumVars)
+	for v := range perm {
+		perm[v] = v
+	}
+	sr := newSearch(s, heads, cons, mode)
+	sr.try(perm)
+	return string(sr.best.key)
 }
 
 // varClasses partitions variables into equivalence classes by an iterated
@@ -285,10 +294,10 @@ type tieBreak struct {
 	order       []int
 }
 
-func newSearch(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, logNs []string, mode Mode) search {
+func newSearch(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) search {
 	n, na, nc := s.NumVars, len(s.Atoms), len(cons)
 	sr := search{
-		s: s, heads: heads, cons: cons, logNs: logNs,
+		s: s, heads: heads, cons: cons, logNs: make([]string, nc),
 		head:    fmt.Appendf(nil, "m%d;n%d;F", int(mode), n),
 		atoms:   make([]atomRef, na),
 		invAtom: make([]int, na),
@@ -297,8 +306,9 @@ func newSearch(s *query.Schema, heads []bitset.Set, cons []query.DegreeConstrain
 	// 21 bytes around logN and the guard (given three digits; a longer one
 	// grows the buffer).
 	consLen := 0
-	for _, logN := range logNs {
-		consLen += 24 + len(logN)
+	for k, c := range cons {
+		sr.logNs[k] = c.LogN.RatString()
+		consLen += 24 + len(sr.logNs[k])
 	}
 	sr.enc = rows{buf: make([]byte, 0, consLen), end: make([]int, 0, nc)}
 	keyLen := len(sr.head) + 9*(len(heads)+na) + len(";A;C") + consLen

@@ -18,8 +18,8 @@
 // answers with a snapshot holding that one plan, and PUTs the snapshot to
 // every routable replica at once (PUT /v1/plans) before forwarding the
 // query, so replicas never plan: their lp_solves_total stays 0 while
-// lp_solves_saved_total climbs. A plan is named by its shape's key (plans
-// under one key certify one width, though their bytes may differ), so
+// lp_solves_saved_total climbs. A plan is named by its content: its shape's
+// key names one plan, the plan of the canonical spelling, so
 // the router keeps no record of what it shipped: a replica a shipment could
 // not reach — down, quarantined, a failed push, or any replica when the
 // router starts — is marked behind, and the push loop sends each behind

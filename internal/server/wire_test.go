@@ -236,8 +236,10 @@ func TestQueryClientHangsUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for j := 0; j < 7; j++ {
-		if err := db.Insert("S", []panda.Value{panda.Value(j), panda.Value(j)}, []panda.Value{panda.Value(j), panda.Value(j + 100)}); err != nil {
+	// S is the larger side, so the rule's model is T1 = R: the plan answers
+	// from the atom with fewer rows.
+	for j := 0; j < 6*rowsPerWireBuf; j++ {
+		if err := db.Insert("S", []panda.Value{panda.Value(j % 7), panda.Value(j)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@
 package widths
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sort"
@@ -42,9 +43,10 @@ type Engine struct {
 	TDBags [][]int
 }
 
-// NewEngine enumerates h's tree decompositions and indexes their bags.
-func NewEngine(h *hypergraph.Hypergraph) (*Engine, error) {
-	tds, err := h.AllDecompositions()
+// NewEngine enumerates h's tree decompositions and indexes their bags. The
+// enumeration honours ctx: it returns ctx.Err() once ctx is done.
+func NewEngine(ctx context.Context, h *hypergraph.Hypergraph) (*Engine, error) {
+	tds, err := h.AllDecompositions(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -113,9 +115,9 @@ func Minimax[R any](e *Engine, bags []R, value func(R) *big.Rat) (int, *big.Rat)
 }
 
 // Transversals enumerates the inclusion-minimal bag transversals of
-// Lemma 7.12, as indices into Bags.
-func (e *Engine) Transversals() ([][]int, error) {
-	return hypergraph.MinimalTransversals(e.Bags, e.TDBags)
+// Lemma 7.12, as indices into Bags, until ctx is done.
+func (e *Engine) Transversals(ctx context.Context) ([][]int, error) {
+	return hypergraph.MinimalTransversals(ctx, e.Bags, e.TDBags)
 }
 
 // Walk visits the transversals trs and hands visit each one's solve r, with
@@ -170,7 +172,7 @@ func identity(v *big.Rat) *big.Rat { return v }
 // over computes one width of h on a fresh engine. Summarize shares one
 // engine between all of them.
 func over[T any](h *hypergraph.Hypergraph, f func(*Engine) (T, error)) (T, error) {
-	e, err := NewEngine(h)
+	e, err := NewEngine(context.Background(), h)
 	if err != nil {
 		var zero T
 		return zero, err
@@ -192,7 +194,7 @@ func (e *Engine) minimax(cost func([]bitset.Set) (*big.Rat, error)) (*big.Rat, e
 // da-subw: the walk, bounded by inner on each bag alone, stops once no
 // transversal left can raise the max.
 func (e *Engine) maximin(inner func([]bitset.Set) (*big.Rat, error)) (*big.Rat, error) {
-	trs, err := e.Transversals()
+	trs, err := e.Transversals(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +347,7 @@ type Summary struct {
 
 // Summarize computes all classic widths of h on one engine.
 func Summarize(h *hypergraph.Hypergraph) (*Summary, error) {
-	e, err := NewEngine(h)
+	e, err := NewEngine(context.Background(), h)
 	if err != nil {
 		return nil, err
 	}

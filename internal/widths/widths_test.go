@@ -1,8 +1,11 @@
 package widths
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"testing"
+	"time"
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
@@ -204,5 +207,43 @@ func TestIntegralCoverErrors(t *testing.T) {
 	}
 	if _, err := FHTW(h); err == nil {
 		t.Fatal("uncovered vertex accepted")
+	}
+}
+
+// TestEnumerationHonoursItsContext: the 7-cycle's decompositions and
+// transversals are the enumerations a plan of it waits on (its minimal
+// transversals take minutes). Under a context already cancelled each returns
+// context.Canceled at once, and under one whose deadline passes mid-search
+// the transversal search stops with context.DeadlineExceeded.
+func TestEnumerationHonoursItsContext(t *testing.T) {
+	h := cycle(7)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if _, err := NewEngine(done, h); !errors.Is(err, context.Canceled) {
+		t.Fatalf("decompositions under a cancelled context: %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Fatalf("the cancelled decompositions took %v", d)
+	}
+	e, err := NewEngine(context.Background(), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if _, err := e.Transversals(done); !errors.Is(err, context.Canceled) {
+		t.Fatalf("transversals under a cancelled context: %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Fatalf("the cancelled transversals took %v", d)
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer stop()
+	start = time.Now()
+	if _, err := e.Transversals(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("transversals past a deadline: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("the transversal search ran %v past a 20ms deadline", d)
 	}
 }

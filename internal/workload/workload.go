@@ -69,13 +69,17 @@ func CycleWorstCase(q *query.Conjunctive, m int) *query.Instance {
 	return ins
 }
 
-// PathWorstCase restricts CycleWorstCase to the three path atoms of
-// Example 1.4/1.8.
+// PathWorstCase is Example 1.8's adversarial input for the path rule of
+// Example 1.4: R12 = R23 = [1]×[m], R34 = [m]×[1]. The join holds only the m
+// tuples (0, 0, a3, 0), yet either orientation of the rule's proof sequence,
+// from R12's end or from R34's, composes a quadratic intermediate unless the
+// budget truncates it, so the input is worst case for whichever one a plan
+// runs.
 func PathWorstCase(p *query.Disjunctive, m int) *query.Instance {
 	ins := query.NewInstance(&p.Schema)
 	for i := 0; i < m; i++ {
 		v := relation.Value(i)
-		ins.Relations[0].Insert([]relation.Value{v, 0})
+		ins.Relations[0].Insert([]relation.Value{0, v})
 		ins.Relations[1].Insert([]relation.Value{0, v})
 		ins.Relations[2].Insert([]relation.Value{v, 0})
 	}

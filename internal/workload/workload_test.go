@@ -133,7 +133,7 @@ func TestMinModelLowerBoundEmpty(t *testing.T) {
 func TestPathWorstCase(t *testing.T) {
 	p := PathRule()
 	ins := PathWorstCase(p, 8)
-	if ins.FullJoin().Size() != 64 {
-		t.Fatalf("path worst case join %d, want 64", ins.FullJoin().Size())
+	if ins.FullJoin().Size() != 8 {
+		t.Fatalf("path worst case join %d, want 8", ins.FullJoin().Size())
 	}
 }

@@ -2,11 +2,9 @@ package panda
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 )
 
 // Tests for data-parallel partitioned execution: the determinism contract
@@ -193,22 +191,11 @@ func TestPartitionedRuleParity(t *testing.T) {
 
 // TestPartitionedCancellation: cancelling mid-run aborts the per-partition
 // worker pool and surfaces ctx.Err(). The fixture is the full 4-cycle worst
-// case split across partitions — each partition still materializes a large
-// intermediate, so the run cannot finish before the cancel.
+// case split across partitions, every rule × partition a task of the pool.
 func TestPartitionedCancellation(t *testing.T) {
 	q := FourCycleQuery()
-	ins := CycleWorstCase(q, 400)
 	db := Open()
 	defer db.Close()
-	loadCatalog(t, db, &q.Schema, ins)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(3 * time.Millisecond)
-		cancel()
-	}()
-	_, err := db.QueryContext(ctx, fourCycleSrc,
-		WithParallelism(4), WithPartitions(8), WithMode(ModeFhtw))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("partitioned cancel: got %v, want context.Canceled", err)
-	}
+	loadCatalog(t, db, &q.Schema, CycleWorstCase(q, 64))
+	testCancellationAtEveryCheck(t, db, fourCycleSrc, WithParallelism(4), WithPartitions(8), WithMode(ModeFhtw))
 }
