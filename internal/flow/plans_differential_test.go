@@ -144,17 +144,23 @@ func goldenPlans(t *testing.T) []namedPlan {
 			cons = append(cons, query.Cardinality(a.Vars, sh.card, i))
 		}
 		var p *plan.Plan
+		var perm []int
 		if pr.Conj != nil {
 			p, _, err = plan.Prepare(pr.Conj, cons, sh.mode)
 		} else {
+			// A rule is planned in the canonical spelling of its key.
 			var r *plan.PreparedRule
 			r, _, err = plan.PrepareRule(&pr.Rule.Schema, cons, pr.Rule.Targets)
 			p = plan.NewRulePlan(&pr.Rule.Schema, cons, r)
+			var sig *plan.Signature
+			if sig, err = plan.CanonicalizeRule(pr.Rule, cons); err == nil {
+				perm = sig.VarPerm
+			}
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
-		out = append(out, namedPlan{"golden/" + sh.name, p, nil})
+		out = append(out, namedPlan{"golden/" + sh.name, p, perm})
 	}
 	return out
 }

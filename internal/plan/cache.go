@@ -202,8 +202,7 @@ func (pl *Planner) lead(ctx context.Context, b *build, sig *Signature, s *query.
 	if pl.buildStarted != nil {
 		pl.buildStarted(sig.Key)
 	}
-	cs, cheads, ccons := canonicalInput(sig, s, heads, cons)
-	canon, bs, err := buildPlan(ctx, cs, cheads, ccons, mode)
+	canon, bs, err := planCanonical(ctx, sig, s, heads, cons, mode)
 	if err != nil {
 		if ctx.Err() == nil {
 			b.err = err

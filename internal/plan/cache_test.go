@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -244,6 +245,11 @@ func TestPlannerRuleHit(t *testing.T) {
 	if first.Mode != ModeRule || len(first.Rules) != 1 || first.Key == "" || first.Width.Cmp(direct.Bound) != 0 {
 		t.Fatalf("rule plan: mode %v, %d rules, key %q, width %v (direct bound %v)", first.Mode, len(first.Rules), first.Key, first.Width, direct.Bound)
 	}
+	// A rule planned directly is the planner's rule: a rule's model follows
+	// its proof sequence, so both plan the canonical spelling.
+	if !reflect.DeepEqual(direct, first.Rules[0]) {
+		t.Fatalf("direct rule %v differs from the planner's %v", direct.Seq, first.Rules[0].Seq)
+	}
 	if _, err := pl.PrepareRuleContext(ctx, r, cons); err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +260,9 @@ func TestPlannerRuleHit(t *testing.T) {
 	}
 	if st := pl.Stats(); st.Hits != 2 || st.PlansBuilt != 1 || st.LPSolves != 1 || st.LPSolvesSaved != 2 {
 		t.Fatalf("repeat and renamed rule were not free hits: %v", st)
+	}
+	if rdirect, _, err := PrepareRule(&rr.Schema, rcons, rr.Targets); err != nil || !reflect.DeepEqual(rdirect, renamed.Rules[0]) {
+		t.Fatalf("renamed rule planned directly differs from the planner's hit (%v)", err)
 	}
 	// The hit is in the renamed caller's space: its targets (as a set — the
 	// cached plan holds them in the key's sorted order), its atoms, its guards.

@@ -545,10 +545,6 @@ func decodeEnvelope(data []byte, format string) ([]byte, error) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("plan: decode: malformed envelope: %w", err)
 	}
-	return verifyEnvelope(&env, format)
-}
-
-func verifyEnvelope(env *envelope, format string) ([]byte, error) {
 	if env.Format != format {
 		return nil, fmt.Errorf("plan: decode: format %q, want %q", env.Format, format)
 	}

@@ -198,9 +198,9 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 		if p.Mode == ModeRule {
 			heads = p.Rules[0].Targets
 		}
-		var mode Mode
-		_, _ = fmt.Sscanf(ent.Key, "m%d;", &mode) // a key naming no mode fails below: keyOf writes one
-		if p.Key != ent.Key || keyOf(&p.Schema, heads, p.Cons, mode) != ent.Key {
+		// The key names the plan's own shape under the plan's mode, or under
+		// ModeAuto, whose key holds an fhtw or subw plan.
+		if p.Key != ent.Key || keyOf(&p.Schema, heads, p.Cons, p.Mode) != ent.Key && keyOf(&p.Schema, heads, p.Cons, ModeAuto) != ent.Key {
 			skip(fmt.Errorf("plan: load cache entry %d: key does not name the plan's shape", i))
 			continue
 		}

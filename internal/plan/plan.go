@@ -270,29 +270,38 @@ func PrepareRule(s *query.Schema, cons []query.DegreeConstraint, targets []bitse
 }
 
 // PrepareRuleContext is PrepareRule honoring ctx: cancellation is checked
-// before the LP solve, so an expired context aborts planning promptly.
+// before the LP solve, so an expired context aborts planning promptly. A
+// rule's model follows its proof sequence, so the rule is planned as the
+// Planner plans it: from the canonical spelling of its key.
 func PrepareRuleContext(ctx context.Context, s *query.Schema, cons []query.DegreeConstraint, targets []bitset.Set) (*PreparedRule, *BuildStats, error) {
-	bs := &BuildStats{}
 	if err := validate(s, targets, cons); err != nil {
-		return nil, bs, err
+		return nil, &BuildStats{}, err
 	}
-	pr, err := prepareRule(ctx, s, cons, targets, bs)
-	return pr, bs, err
-}
-
-// buildPlan runs the planning phase for one planner input: PrepareContext
-// for a conjunctive query (heads is its free set), PrepareRuleContext
-// wrapped as the one-rule ModeRule plan for a disjunctive rule (heads are
-// its targets).
-func buildPlan(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, *BuildStats, error) {
-	if mode != ModeRule {
-		return PrepareContext(ctx, &query.Conjunctive{Schema: *s, Free: heads[0]}, cons, mode)
+	sig, err := canonicalize(s, targets, cons, ModeRule)
+	if err != nil {
+		return nil, &BuildStats{}, err
 	}
-	pr, bs, err := PrepareRuleContext(ctx, s, cons, heads)
+	p, bs, err := planCanonical(ctx, sig, s, targets, cons, ModeRule)
 	if err != nil {
 		return nil, bs, err
 	}
-	return NewRulePlan(s, cons, pr), bs, nil
+	return p.fromCanonical(sig, s).Rules[0], bs, nil
+}
+
+// planCanonical runs the planning phase on the canonical input of sig:
+// PrepareContext for a conjunctive query (heads is its free set), the
+// one-rule ModeRule plan for a disjunctive rule (heads are its targets).
+func planCanonical(ctx context.Context, sig *Signature, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, *BuildStats, error) {
+	cs, heads, cons := canonicalInput(sig, s, heads, cons)
+	if mode != ModeRule {
+		return PrepareContext(ctx, &query.Conjunctive{Schema: *cs, Free: heads[0]}, cons, mode)
+	}
+	bs := &BuildStats{}
+	pr, err := prepareRule(ctx, cs, cons, heads, bs)
+	if err != nil {
+		return nil, bs, err
+	}
+	return NewRulePlan(cs, cons, pr), bs, nil
 }
 
 // NewRulePlan wraps a prepared disjunctive rule over s, planned against the

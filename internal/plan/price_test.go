@@ -106,7 +106,15 @@ func TestPricedCertificatesMatchTheLP(t *testing.T) {
 			if sh.extra != nil {
 				cons = append(cons, sh.extra(s)...)
 			}
-			p, _, err := buildPlan(ctx, s, heads, cons, sh.mode)
+			var p *Plan
+			if pr.Conj != nil {
+				p, _, err = PrepareContext(ctx, pr.Conj, cons, sh.mode)
+			} else {
+				var r *PreparedRule
+				if r, _, err = PrepareRuleContext(ctx, s, cons, heads); err == nil {
+					p = NewRulePlan(s, cons, r)
+				}
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

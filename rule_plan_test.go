@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"panda/internal/core"
-	"panda/internal/flow"
 	"panda/internal/plan"
 	"panda/internal/query"
 )
@@ -60,8 +58,8 @@ func TestRulesTakeThePlanningPath(t *testing.T) {
 			`U1(X,Y,Z) v U0() :- S(Y,Z), R(X,Y).`},
 	}
 	ctx := context.Background()
-	// direct plans the canonical spelling of src and executes it over src's
-	// variables, with no planner in between.
+	// direct plans src (plan.PrepareRule plans its canonical spelling) and
+	// executes it over src's variables, with no planner in between.
 	direct := func(t *testing.T, src string) (*Rule, *Instance, *core.ExecResult) {
 		t.Helper()
 		pr, err := query.Parse(src)
@@ -74,7 +72,11 @@ func TestRulesTakeThePlanningPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		ins := b.ins
-		rule, cons := planCanonically(t, pr.Rule, core.CompleteConstraints(s, ins, pr.Constraints))
+		cons := core.CompleteConstraints(s, ins, pr.Constraints)
+		rule, _, err := plan.PrepareRule(s, cons, pr.Rule.Targets)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := (&core.Executor{}).ExecuteRule(ctx, s, rule, cons, ins)
 		if err != nil {
 			t.Fatal(err)
@@ -121,74 +123,4 @@ func TestRulesTakeThePlanningPath(t *testing.T) {
 			}
 		})
 	}
-}
-
-// planCanonically plans the canonical spelling of r under cons — atoms,
-// constraints and targets in the order its Signature gives them, variables
-// renamed by VarPerm — as plan.PrepareRule does with no planner, and returns
-// that rule moved back into r's variables together with cons in the order the
-// planner's plan holds them.
-func planCanonically(t *testing.T, r *Rule, cons []query.DegreeConstraint) (*plan.PreparedRule, []query.DegreeConstraint) {
-	t.Helper()
-	sig, err := plan.CanonicalizeRule(r, cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	to, back := sig.VarPerm, make([]int, len(sig.VarPerm))
-	for v, c := range to {
-		back[c] = v
-	}
-	mapSet := func(s Set, perm []int) Set {
-		var out Set
-		for _, v := range s.Vars() {
-			out = out.Add(perm[v])
-		}
-		return out
-	}
-	mapSets := func(sets []Set, perm []int) []Set {
-		out := make([]Set, len(sets))
-		for i, s := range sets {
-			out[i] = mapSet(s, perm)
-		}
-		return out
-	}
-	atomAt := make([]int, len(sig.AtomPerm))
-	cs := &query.Schema{NumVars: r.NumVars}
-	for j, a := range sig.AtomPerm {
-		atomAt[a] = j
-		cs.Atoms = append(cs.Atoms, query.Atom{Name: r.Atoms[a].Name, Vars: mapSet(r.Atoms[a].Vars, to)})
-	}
-	var ordered, ccons []query.DegreeConstraint
-	for _, k := range sig.ConsPerm {
-		c := cons[k]
-		ordered = append(ordered, c)
-		c.X, c.Y, c.Guard = mapSet(c.X, to), mapSet(c.Y, to), atomAt[c.Guard]
-		ccons = append(ccons, c)
-	}
-	targets := mapSets(r.Targets, to)
-	slices.Sort(targets)
-	pr, _, err := plan.PrepareRule(cs, ccons, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec := func(v flow.Vec) flow.Vec {
-		out := flow.Vec{}
-		for p, w := range v {
-			out[flow.Pair{X: mapSet(p.X, back), Y: mapSet(p.Y, back)}] = w
-		}
-		return out
-	}
-	seq := slices.Clone(pr.Seq)
-	for i := range seq {
-		seq[i].A, seq[i].B = mapSet(seq[i].A, back), mapSet(seq[i].B, back)
-	}
-	return &plan.PreparedRule{
-		Targets: mapSets(pr.Targets, back),
-		Trivial: pr.Trivial,
-		Bound:   pr.Bound,
-		Lambda:  vec(pr.Lambda),
-		Delta:   vec(pr.Delta),
-		Seq:     seq,
-		Zeroed:  pr.Zeroed,
-	}, ordered
 }

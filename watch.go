@@ -22,7 +22,11 @@ import (
 // (emitted with Resync set). Disjunctive rules are not monotone under inserts
 // — a new body tuple may shift which target covers existing tuples — so a
 // rule watch asks for no delta, re-executes its pinned plan in full every
-// round, and every emission carries the complete model with Resync set.
+// round, and every emission carries the complete model with Resync set. A
+// rule's model follows its plan, and the plan of a key is planned from the
+// canonical spelling, whose orientation the sizes decide: once they move, a
+// fresh Query may run the mirrored proof sequence of a symmetric rule and
+// answer with another model than the watch's.
 // Between rounds a watch holds its materialization, its pinned plan and the
 // creation tick of the relation each atom read — no copy of what it reads.
 //

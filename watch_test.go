@@ -128,6 +128,7 @@ func testWatchParity(t *testing.T, src string, seed int64, opts ...Option) {
 	}
 	defer w.Close()
 	applier := newDeltaApplier(w.Result())
+	sameBatches := 0 // rule watches: batches whose fresh query ran the pinned proof sequence
 
 	for batch := 0; batch < 6; batch++ {
 		insertRandomBatch(t, db, res, rng, 4+rng.Intn(6), 5)
@@ -151,10 +152,14 @@ func testWatchParity(t *testing.T, src string, seed int64, opts ...Option) {
 		if !reflect.DeepEqual(got.Columns, fresh.Columns) {
 			t.Fatalf("batch %d: watch columns %v, fresh %v", batch, got.Columns, fresh.Columns)
 		}
-		// Rule watches: the complete model tables must match too — those of
-		// the plan the watch pinned, executed afresh. A fresh db.Query plans
-		// the catalog's cardinalities of now, which key another plan once they
-		// moved, and that plan may answer with another model of the rule.
+		// Rule watches: the complete model tables must match too. The watch
+		// runs the plan it pinned at open; a fresh db.Query runs the plan of
+		// the catalog's cardinalities of now: the canonical plan of another
+		// key, which for a rule with a symmetry (the path's reversal) may be
+		// the mirrored proof sequence, answering with another model. So the
+		// watch's tables are a model of the rule over the catalog, equal the
+		// pinned plan's executed afresh, and equal the fresh query's whenever
+		// it runs the pinned proof sequence.
 		if fresh.Mode == ModeRule {
 			w.mu.Lock()
 			pinned := w.memo
@@ -163,13 +168,33 @@ func testWatchParity(t *testing.T, src string, seed int64, opts ...Option) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			b, err := w.st.bind(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := db.prepare(context.Background(), nil, w.st.res.Rule, b.ins, w.st.res.Constraints, db.defaults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, pr := *fp.Rules[0], *pinned.plan.Rules[0]
+			fr.Bound, pr.Bound = nil, nil // a price of the sizes, not a step of the plan
+			samePlan := reflect.DeepEqual(fr, pr)
+			if samePlan {
+				sameBatches++
+			}
 			if len(got.Tables) != len(fresh.Tables) || len(got.Tables) != len(again.res.Tables) {
 				t.Fatalf("batch %d: watch has %d tables, fresh %d, the pinned plan afresh %d", batch, len(got.Tables), len(fresh.Tables), len(again.res.Tables))
 			}
-			for b, ft := range again.res.Tables {
-				gt := got.Tables[b]
-				if gt == nil || !gt.Equal(ft) {
-					t.Fatalf("batch %d: table %v diverges", batch, b)
+			if ok, err := b.ins.IsModel(w.st.res.Rule, got.Tables); err != nil || !ok {
+				t.Fatalf("batch %d: watch tables are not a model: %v %v", batch, ok, err)
+			}
+			for bs, at := range again.res.Tables {
+				gt := got.Tables[bs]
+				if gt == nil || !gt.Equal(at) {
+					t.Fatalf("batch %d: table %v diverges from the pinned plan's", batch, bs)
+				}
+				if samePlan && !gt.Equal(fresh.Tables[bs]) {
+					t.Fatalf("batch %d: table %v diverges from the fresh query's, which ran the pinned proof sequence", batch, bs)
 				}
 			}
 		}
@@ -195,6 +220,9 @@ func testWatchParity(t *testing.T, src string, seed int64, opts ...Option) {
 	}
 	if st := w.Stats(); st.IncrRounds+st.FullRounds == 0 {
 		t.Fatal("watch performed no maintenance rounds")
+	}
+	if w.Result().Mode == ModeRule && sameBatches == 0 {
+		t.Fatal("no batch compared the watch's tables with a fresh query's")
 	}
 }
 
