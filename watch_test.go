@@ -193,7 +193,7 @@ func testWatchParity(t *testing.T, src string, seed int64, opts ...Option) {
 				if gt == nil || !gt.Equal(at) {
 					t.Fatalf("batch %d: table %v diverges from the pinned plan's", batch, bs)
 				}
-				if samePlan && !gt.Equal(fresh.Tables[bs]) {
+				if ft := fresh.Tables[bs]; samePlan && (ft == nil || !gt.Equal(ft)) {
 					t.Fatalf("batch %d: table %v diverges from the fresh query's, which ran the pinned proof sequence", batch, bs)
 				}
 			}
