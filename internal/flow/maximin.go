@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -57,6 +58,12 @@ func (r *MaximinResult) HStar() *setfunc.Func {
 // Proposition 5.4 — and the optimal polymatroid h* (from the LP duals).
 // The returned vectors are scaled so ‖λ‖₁ = 1 (invariant (84)).
 func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error) {
+	return MaximinBoundContext(context.Background(), n, dcs, targets)
+}
+
+// MaximinBoundContext is MaximinBound with an LP that returns ctx.Err() once
+// ctx is done.
+func MaximinBoundContext(ctx context.Context, n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("flow: no targets")
 	}
@@ -115,7 +122,7 @@ func MaximinBound(n int, dcs []DC, targets []bitset.Set) (*MaximinResult, error)
 	}
 	prob.AddIntConstraint(row, lp.Ge, one) // 1ᵀz ≥ 1 (Lemma 5.3's dual row)
 
-	sol, err := prob.Solve()
+	sol, err := prob.SolveContext(ctx)
 	if err != nil {
 		return nil, err
 	}

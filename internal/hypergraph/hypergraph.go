@@ -10,6 +10,9 @@ package hypergraph
 import (
 	"context"
 	"fmt"
+	"iter"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"panda/internal/bitset"
@@ -331,119 +334,114 @@ func (h *Hypergraph) AllDecompositions(ctx context.Context) ([]*Decomposition, e
 	return out, nil
 }
 
-// maxTransversals bounds the output of MinimalTransversals.
+// maxTransversals bounds every list MinimalTransversals keeps.
 const maxTransversals = 20000
 
-// MinimalTransversals enumerates the inclusion-minimal transversals of the
-// given set family: sets (of element indices into universe) intersecting
-// every family member. Elements are identified by position in universe.
-// This realizes the inclusion-minimal images of the bag-selector maps β of
-// Lemma 7.12: picking one bag per tree decomposition, minimized, which is
-// exactly the collection B over which the submodular width maximizes. It
-// checks ctx as the search branches and returns ctx.Err() once it is done.
-func MinimalTransversals(ctx context.Context, universe []bitset.Set, family [][]int) ([][]int, error) {
-	var out [][]int
-	cur := []int{}
-	covered := make([]bool, len(family))
-	var rec func(fi int) error
-	rec = func(fi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
+// MinimalTransversals enumerates the inclusion-minimal transversals of a set
+// family: the sets of elements (non-negative ints) meeting every member. With
+// tree decompositions as the members, each naming its bags by index, these
+// are the inclusion-minimal images of the bag-selector maps β of Lemma 7.12,
+// the collection B over which the submodular width maximizes.
+//
+// It is Berge's sequential dualisation: the minimal transversals of the
+// members so far, each one that misses the next member extended by every
+// element of it, less the extensions that hold a kept set meeting it. Each
+// comes out ascending, and the list in discovery-path order — for each member
+// the path does not yet meet, the position of its first element in the
+// transversal — the order a depth-first search over the members' elements
+// first finds them in. It fails once a list passes maxTransversals, and
+// checks ctx for each extension.
+func MinimalTransversals(ctx context.Context, family [][]int) ([][]int, error) {
+	words := slices.Max(append(slices.Concat(family...), 0))/64 + 1
+	members := make([][]uint64, len(family))
+	for i, m := range family {
+		members[i] = make([]uint64, words)
+		for _, e := range m {
+			members[i][e/64] |= bit(e)
 		}
-		for fi < len(family) && covered[fi] {
-			fi++
-		}
-		if fi == len(family) {
-			// Minimality check: every chosen element must uniquely cover
-			// some family member.
-			sel := map[int]bool{}
-			for _, e := range cur {
-				sel[e] = true
-			}
-			for _, e := range cur {
-				unique := false
-				for _, members := range family {
-					cnt, hasE := 0, false
-					for _, m := range members {
-						if sel[m] {
-							cnt++
-							if m == e {
-								hasE = true
-							}
-						}
-					}
-					if hasE && cnt == 1 {
-						unique = true
-						break
-					}
-				}
-				if !unique {
-					return nil // non-minimal
-				}
-			}
-			key := append([]int(nil), cur...)
-			sort.Ints(key)
-			for _, prev := range out {
-				if equalInts(prev, key) {
-					return nil
-				}
-			}
-			out = append(out, key)
-			if len(out) > maxTransversals {
-				return fmt.Errorf("hypergraph: more than %d minimal transversals", maxTransversals)
-			}
-			return nil
-		}
-		for _, e := range family[fi] {
-			already := false
-			for _, c := range cur {
-				if c == e {
-					already = true
-					break
-				}
-			}
-			if already {
-				continue
-			}
-			cur = append(cur, e)
-			// Mark family members newly covered by e.
-			var marked []int
-			for gi := fi; gi < len(family); gi++ {
-				if covered[gi] {
-					continue
-				}
-				for _, m := range family[gi] {
-					if m == e {
-						covered[gi] = true
-						marked = append(marked, gi)
-						break
-					}
-				}
-			}
-			if err := rec(fi + 1); err != nil {
-				return err
-			}
-			for _, gi := range marked {
-				covered[gi] = false
-			}
-			cur = cur[:len(cur)-1]
-		}
-		return nil
 	}
-	if err := rec(0); err != nil {
-		return nil, err
+	trs := [][]uint64{make([]uint64, words)}
+	x := make([]uint64, words)
+	for _, m := range members {
+		var next, missed [][]uint64
+		for _, t := range trs {
+			if meets(t, m) {
+				next = append(next, t)
+			} else {
+				missed = append(missed, t)
+			}
+		}
+		met := len(next)
+		for e := range elements(m) {
+			// A kept set inside t ∪ {e} meets m at e alone.
+			withE := slices.DeleteFunc(slices.Clone(next[:met]), func(k []uint64) bool { return k[e/64]&bit(e) == 0 })
+			for _, t := range missed {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				copy(x, t)
+				x[e/64] |= bit(e)
+				if !slices.ContainsFunc(withE, func(k []uint64) bool { return subset(k, x) }) {
+					next = append(next, slices.Clone(x))
+				}
+			}
+		}
+		if len(next) > maxTransversals {
+			return nil, fmt.Errorf("hypergraph: more than %d minimal transversals", maxTransversals)
+		}
+		trs = next
+	}
+	type found struct{ path, elems []int }
+	fs := make([]found, len(trs))
+	on := make([]uint64, words)
+	for i, t := range trs {
+		fs[i].elems = slices.Collect(elements(t))
+		clear(on)
+		for mi, m := range members {
+			if !meets(on, m) {
+				j := slices.IndexFunc(family[mi], func(e int) bool { return t[e/64]&bit(e) != 0 })
+				on[family[mi][j]/64] |= bit(family[mi][j])
+				fs[i].path = append(fs[i].path, j)
+			}
+		}
+	}
+	slices.SortFunc(fs, func(a, b found) int { return slices.Compare(a.path, b.path) })
+	out := make([][]int, len(fs))
+	for i, f := range fs {
+		out[i] = f.elems
 	}
 	return out, nil
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
+func bit(e int) uint64 { return 1 << (e % 64) }
+
+func meets(a, b []uint64) bool {
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i]&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func subset(a, b []uint64) bool {
+	for i := range a {
+		if a[i]&^b[i] != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// elements yields the members of the bit vector v in ascending order.
+func elements(v []uint64) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for w, word := range v {
+			for ; word != 0; word &= word - 1 {
+				if !yield(64*w + bits.TrailingZeros64(word)) {
+					return
+				}
+			}
+		}
+	}
 }

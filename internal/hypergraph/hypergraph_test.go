@@ -134,12 +134,9 @@ func TestSixCycleDecompositionCount(t *testing.T) {
 // Example 1.10: the minimal transversals of the two tree decompositions'
 // bag sets are the four pairs {123,341}×{234,412}.
 func TestMinimalTransversalsFourCycle(t *testing.T) {
-	// Universe: bag 0 = A1A2A3, 1 = A3A4A1, 2 = A2A3A4, 3 = A4A1A2.
-	universe := []bitset.Set{
-		bitset.Of(0, 1, 2), bitset.Of(0, 2, 3), bitset.Of(1, 2, 3), bitset.Of(0, 1, 3),
-	}
+	// Bag 0 = A1A2A3, 1 = A3A4A1, 2 = A2A3A4, 3 = A4A1A2.
 	family := [][]int{{0, 1}, {2, 3}} // one bag from each decomposition
-	ts, err := MinimalTransversals(context.Background(), universe, family)
+	ts, err := MinimalTransversals(context.Background(), family)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +154,7 @@ func TestMinimalTransversalsSharedBag(t *testing.T) {
 	// When one element hits every family member, it is the unique minimal
 	// transversal of size 1 (and supersets are pruned).
 	family := [][]int{{0, 1}, {0, 2}}
-	ts, err := MinimalTransversals(context.Background(), nil, family)
+	ts, err := MinimalTransversals(context.Background(), family)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +167,15 @@ func TestMinimalTransversalsSharedBag(t *testing.T) {
 		if !want[s] {
 			t.Fatalf("unexpected transversal %v", tr)
 		}
+	}
+}
+
+// TestMinimalTransversalsRepeatedElement: a member that names an element
+// twice is the set it names, so each of its elements is a transversal.
+func TestMinimalTransversalsRepeatedElement(t *testing.T) {
+	ts, err := MinimalTransversals(context.Background(), [][]int{{0, 1, 0}})
+	if err != nil || len(ts) != 2 || intsKey(ts[0]) != "[0]" || intsKey(ts[1]) != "[1]" {
+		t.Fatalf("transversals = %v, %v; want [0] and [1]", ts, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -16,7 +17,7 @@ import (
 // the solution and how many results left the word path.
 func diffSolve(t *testing.T, name string, p *Problem) (*Solution, int) {
 	t.Helper()
-	got, promoted, err := p.solve()
+	got, promoted, err := p.solve(context.Background())
 	if err != nil {
 		t.Fatalf("%s: Solve: %v", name, err)
 	}

@@ -39,6 +39,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 )
@@ -185,13 +186,20 @@ func (t *tableau) row(i int) []rat { return t.a[i*(t.cols+1) : (i+1)*(t.cols+1)]
 // problem — a variable index out of range, a nil coefficient or right-hand
 // side — is an error naming the row and the index.
 func (p *Problem) Solve() (*Solution, error) {
-	sol, _, err := p.solve()
+	return p.SolveContext(context.Background())
+}
+
+// SolveContext is Solve, checking ctx at every pivot and returning ctx.Err()
+// once it is done: one LP over seven variables runs for seconds.
+func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
+	sol, _, err := p.solve(ctx)
 	return sol, err
 }
 
-// solve is Solve, also reporting how many results left the word path (the
-// differential tests assert that their forced-promotion cases really do).
-func (p *Problem) solve() (*Solution, int, error) {
+// solve is SolveContext, also reporting how many results left the word path
+// (the differential tests assert that their forced-promotion cases really
+// do).
+func (p *Problem) solve(ctx context.Context) (*Solution, int, error) {
 	t, err := p.build()
 	if err != nil {
 		return nil, 0, err
@@ -210,7 +218,7 @@ func (p *Problem) solve() (*Solution, int, error) {
 			r[j] = ratOne
 		}
 		t.priceOut(r)
-		if err := t.iterate(r, t.cols, nil); err != nil {
+		if err := t.iterate(ctx, r, t.cols, nil); err != nil {
 			return nil, 0, err
 		}
 		if r[t.cols].sign() < 0 {
@@ -229,7 +237,7 @@ func (p *Problem) solve() (*Solution, int, error) {
 	}
 	t.priceOut(r)
 	unbounded := false
-	if err := t.iterate(r, t.artStart, func() { unbounded = true }); err != nil {
+	if err := t.iterate(ctx, r, t.artStart, func() { unbounded = true }); err != nil {
 		return nil, 0, err
 	}
 	if unbounded {
@@ -436,13 +444,16 @@ func (t *tableau) priceOut(r []rat) {
 // unbounded. The reduced-cost row r (objective value in its last cell) is
 // updated in place. Only columns below limit may enter the basis (phase 2
 // bars the artificials). onUnbounded, if non-nil, is invoked instead of
-// returning an error.
-func (t *tableau) iterate(r []rat, limit int, onUnbounded func()) error {
+// returning an error. It returns ctx.Err() once ctx is done.
+func (t *tableau) iterate(ctx context.Context, r []rat, limit int, onUnbounded func()) error {
 	maxIter := 50000 + 200*(t.m+t.cols)
 	ratio, best := ratZero, ratZero // swapped, never copied: each may own a slot
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
 			return fmt.Errorf("lp: simplex exceeded %d iterations (cycling?)", maxIter)
+		}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		// Bland's rule: entering = smallest index with negative reduced
 		// cost (see the package comment for why not Dantzig's).

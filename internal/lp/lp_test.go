@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -137,6 +139,19 @@ func TestSimpleMax(t *testing.T) {
 		t.Fatalf("X = %v", sol.X)
 	}
 	checkAll(t, p, sol)
+}
+
+// TestSolveContextStopsAtAPivot: under a cancelled context the simplex
+// stops at its first pivot with the context's error.
+func TestSolveContextStopsAtAPivot(t *testing.T) {
+	p := NewProblem(2, true)
+	p.SetObj(0, r(3, 1))
+	p.AddConstraint(coef(0, r(1, 1), 1, r(1, 1)), Le, r(4, 1))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if sol, err := p.SolveContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveContext under a cancelled context = %v, %v", sol, err)
+	}
 }
 
 func TestSimpleMin(t *testing.T) {

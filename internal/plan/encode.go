@@ -424,13 +424,11 @@ func validateDecoded(p *Plan, wp *wirePlan) error {
 	if p.Chosen < -1 || p.Chosen >= len(p.TDs) {
 		return fmt.Errorf("plan: decode: chosen decomposition %d out of range", p.Chosen)
 	}
+	var trs [][]int
 	if p.Mode == ModeSubw {
-		trs, err := hypergraph.MinimalTransversals(context.Background(), p.Bags, p.TDBags)
-		if err != nil {
+		var err error
+		if trs, err = hypergraph.MinimalTransversals(context.Background(), p.TDBags); err != nil {
 			return fmt.Errorf("plan: decode: %w", err)
-		}
-		if !slices.EqualFunc(p.Transversals, trs, slices.Equal) {
-			return fmt.Errorf("plan: decode: transversals %v, want the minimal transversals %v", p.Transversals, trs)
 		}
 	} else if len(p.Transversals) > 0 {
 		return fmt.Errorf("plan: decode: %v plan carries transversals", p.Mode)
@@ -452,10 +450,15 @@ func validateDecoded(p *Plan, wp *wirePlan) error {
 		bags := p.TDs[p.Chosen].Bags
 		n, want = len(bags), func(i int) []bitset.Set { return bags[i : i+1] }
 	case ModeSubw:
-		n, want = len(p.Transversals), func(i int) []bitset.Set { return widths.Targets(p.Bags, p.Transversals[i]) }
+		n, want = len(trs), func(i int) []bitset.Set { return widths.Targets(p.Bags, trs[i]) }
 	}
+	// The rule count goes first: it is short to report even where the
+	// transversals run to thousands.
 	if len(p.Rules) != n {
 		return fmt.Errorf("plan: decode: %v plan carries %d rules, want %d", p.Mode, len(p.Rules), n)
+	}
+	if !slices.EqualFunc(p.Transversals, trs, slices.Equal) {
+		return fmt.Errorf("plan: decode: transversals %v, want the minimal transversals %v", p.Transversals, trs)
 	}
 	for i, r := range p.Rules {
 		if w := want(i); w != nil && !slices.Equal(r.Targets, w) {

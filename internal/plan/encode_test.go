@@ -12,10 +12,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
 	"panda/internal/query"
+	"panda/internal/widths"
 )
 
 // encodePlan round-trips through the wire format, failing the test on any
@@ -310,6 +312,16 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 			bad.Transversals = sub.Transversals[:len(sub.Transversals)-1]
 			bad.Rules = sub.Rules[:len(sub.Rules)-1]
 			return &bad
+		}, fmt.Sprintf("carries %d rules, want %d", len(sub.Rules)-1, len(sub.Rules))},
+		{"swapped-transversals", func() *Plan {
+			// Rule i still answers transversal i; only the order is not
+			// the minimal transversals' own.
+			bad := *sub
+			bad.Transversals = slices.Clone(sub.Transversals)
+			bad.Rules = slices.Clone(sub.Rules)
+			bad.Transversals[0], bad.Transversals[1] = sub.Transversals[1], sub.Transversals[0]
+			bad.Rules[0], bad.Rules[1] = sub.Rules[1], sub.Rules[0]
+			return &bad
 		}, "want the minimal transversals"},
 		{"parent-99", func() *Plan {
 			return withParents(sub, func(parent []int) { parent[len(parent)-1] = 99 })
@@ -346,6 +358,28 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 			t.Fatal("inconsistent plan decoded without error")
 		}
 	})
+}
+
+// TestDecodeCountsSevenCycleRulesPromptly: a digest-valid ModeSubw plan of
+// the Boolean 7-cycle carries its 42 decompositions and 35 bags, and neither
+// transversals nor rules. Decode derives the cycle's 2,725 minimal
+// transversals to count the rules against, and refuses it within a second.
+func TestDecodeCountsSevenCycleRulesPromptly(t *testing.T) {
+	q, cons := cycleQuery(7, nil, nil, 100)
+	e, err := widths.NewEngine(context.Background(), q.Schema.Hypergraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := encodePlan(t, &Plan{Mode: ModeSubw, Schema: q.Schema, Cons: cons,
+		Bags: e.Bags, TDs: e.TDs, TDBags: e.TDBags, Chosen: -1, Width: new(big.Rat)})
+	start := time.Now()
+	_, err = DecodePlan(bytes.NewReader(data))
+	if want := "plan: decode: subw plan carries 0 rules, want 2725"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("decoding a %d-byte plan took %v", len(data), d)
+	}
 }
 
 // TestSaveLoadCacheWarmHit is the tentpole property: a planner re-seeded

@@ -448,7 +448,7 @@ func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.Degr
 			return nil, err
 		}
 		bs.LPSolves++
-		return flow.MaximinBound(q.NumVars, fdcs, targets)
+		return flow.MaximinBoundContext(ctx, q.NumVars, fdcs, targets)
 	}
 	bound := func(r *flow.MaximinResult) *big.Rat { return r.Bound }
 

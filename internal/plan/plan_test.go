@@ -513,8 +513,8 @@ func TestPreparedRulesShareCommonRationals(t *testing.T) {
 	}
 }
 
-// TestPrepareHonoursItsDeadline: a subw plan of the Boolean 7-cycle waits on
-// a minimal-transversal search that takes minutes; planning under a 50 ms
+// TestPrepareHonoursItsDeadline: a subw plan of the Boolean 7-cycle solves
+// an LP for each of its 2,725 minimal transversals; planning under a 50 ms
 // deadline returns the deadline's error promptly instead.
 func TestPrepareHonoursItsDeadline(t *testing.T) {
 	q, cons := cycleQuery(7, nil, nil, 100)

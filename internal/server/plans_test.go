@@ -1,14 +1,21 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/big"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"panda"
+	"panda/internal/plan"
+	"panda/internal/query"
+	"panda/internal/widths"
 )
 
 // putPlans PUTs a plan-cache snapshot body to /v1/plans.
@@ -156,4 +163,47 @@ func TestServerImportPlansRejects(t *testing.T) {
 			t.Fatalf("got %d %s, want 400", code, body)
 		}
 	})
+}
+
+// TestServerImportPlansCountsSevenCycleRulesPromptly: the snapshot's one
+// entry is a digest-valid subw plan of the Boolean 7-cycle that carries its
+// decompositions and bags but no rules. Decode derives the cycle's 2,725
+// minimal transversals to count the rules against, so the import is answered
+// 422 within a second.
+func TestServerImportPlansCountsSevenCycleRulesPromptly(t *testing.T) {
+	pr, err := query.Parse("Q() :- R0(A,B), R1(B,C), R2(C,D), R3(D,E), R4(E,F), R5(F,G), R6(G,A).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, cons := pr.Conj, pr.Constraints
+	for i, a := range q.Atoms {
+		cons = append(cons, query.Cardinality(a.Vars, 100, i))
+	}
+	e, err := widths.NewEngine(context.Background(), q.Schema.Hypergraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := plan.EncodePlan(&enc, &plan.Plan{Mode: plan.ModeSubw, Schema: q.Schema, Cons: cons,
+		Bags: e.Bags, TDs: e.TDs, TDBags: e.TDBags, Chosen: -1, Width: new(big.Rat)}); err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Digest string          `json:"digest"`
+		Plan   json.RawMessage `json:"plan"`
+	}
+	if err := json.Unmarshal(enc.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := fmt.Sprintf(`{"format":"panda-plan-cache","version":%d,"entries":[{"key":"c7","digest":%q,"plan":%s}]}`,
+		panda.PlanFormatVersion, env.Digest, env.Plan)
+	_, ts, _ := newTestServer(t, Config{})
+	start := time.Now()
+	code, body := putPlans(t, ts.URL, snapshot)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(body, "subw plan carries 0 rules, want 2725") {
+		t.Fatalf("got %d %s, want 422 naming the rule count", code, body)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("importing a %d-byte plan took %v", len(env.Plan), d)
+	}
 }

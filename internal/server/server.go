@@ -286,8 +286,14 @@ var errorTable = []struct {
 	{panda.ErrPlanDigest, http.StatusBadRequest, "plan_digest"},
 }
 
-// classify looks err up in errorTable.
+// classify looks err up in errorTable, after the one error it matches by
+// type: a body past maxBodyBytes is 413 "body_too_large", the router's code
+// for the same refusal.
 func classify(err error) (status int, code string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, "body_too_large"
+	}
 	for _, e := range errorTable {
 		if errors.Is(err, e.is) {
 			return e.status, e.code
@@ -344,7 +350,7 @@ type queryRequest struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -779,18 +785,13 @@ func (s *Server) handleExportPlans(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// maxPlansImportBytes bounds a PUT /v1/plans body; the import buffers the
-// snapshot before validating, so an unbounded read would let one request
-// balloon the process. Plans are small (a few KB each), so this is roomy.
-const maxPlansImportBytes = 64 << 20
-
 // handleImportPlans installs a snapshot into the session planner. The load
 // itself is skip-don't-fail, but an importing operator needs to know when
 // entries were dropped, so any skip surfaces as 422 (with the loaded/
 // skipped split and the first rejection reason); a malformed container is
 // a plain 400.
 func (s *Server) handleImportPlans(w http.ResponseWriter, r *http.Request) {
-	stats, err := s.db.LoadPlans(http.MaxBytesReader(w, r.Body, maxPlansImportBytes))
+	stats, err := s.db.LoadPlans(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -863,7 +864,7 @@ func (s *Server) handleCreateRelation(w http.ResponseWriter, r *http.Request) {
 		Name  string `json:"name"`
 		Arity int    `json:"arity"`
 	}
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -890,7 +891,7 @@ func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Rows [][]panda.Value `json:"rows"`
 	}
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -910,10 +911,18 @@ func (s *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 	metrics.WriteJSON(w, http.StatusOK, map[string]any{"rows": n})
 }
 
-// decodeJSON reads one JSON value, rejecting trailing garbage and unknown
-// fields so malformed bodies fail loudly instead of half-parsing.
-func decodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+// maxBodyBytes bounds every request body pandad buffers: a JSON body
+// (decodeJSON) and a PUT /v1/plans snapshot, each read whole before it is
+// validated, so an unbounded read would let one request balloon the
+// process. Queries, rows batches and plans (a few KB each) fit in it with
+// room to spare; a CSV load streams, and is not bounded.
+const maxBodyBytes = 64 << 20
+
+// decodeJSON reads r's body as one JSON value of at most maxBodyBytes,
+// rejecting trailing garbage and unknown fields so malformed bodies fail
+// loudly instead of half-parsing.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("malformed JSON body: %w", err)

@@ -530,6 +530,7 @@ func TestErrorTable(t *testing.T) {
 		{panda.ErrPlanDigest, http.StatusBadRequest, "plan_digest"},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded"},
 		{context.Canceled, 499, "canceled"},
+		{&http.MaxBytesError{Limit: maxBodyBytes}, http.StatusRequestEntityTooLarge, "body_too_large"},
 		{errors.New("no sentinel"), http.StatusBadRequest, "bad_request"},
 	} {
 		err := fmt.Errorf("wrapped: %w", tc.err)
@@ -544,6 +545,48 @@ func TestErrorTable(t *testing.T) {
 	both := fmt.Errorf("%w: %w", panda.ErrUnknownRelation, context.DeadlineExceeded)
 	if status, code := classify(both); status != http.StatusGatewayTimeout || code != "deadline_exceeded" {
 		t.Errorf("classify(%v) = %d %q: the table is ordered, context errors first", both, status, code)
+	}
+}
+
+// repeated reads unit over and over, without end.
+type repeated struct {
+	unit string
+	off  int
+}
+
+func (r *repeated) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = r.unit[r.off]
+		r.off = (r.off + 1) % len(r.unit)
+	}
+	return len(p), nil
+}
+
+// TestServerRefusesAnOversizedBody: a rows batch whose JSON body runs past
+// maxBodyBytes is answered 413 body_too_large, as the router answers an
+// oversized body, and inserts nothing.
+func TestServerRefusesAnOversizedBody(t *testing.T) {
+	_, ts, db := newTestServer(t, Config{})
+	if code, b := post(t, ts.URL+"/v1/relations", `{"name":"R","arity":2}`); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, b)
+	}
+	body := io.MultiReader(strings.NewReader(`{"rows":[`),
+		io.LimitReader(&repeated{unit: "[1,2],"}, maxBodyBytes), strings.NewReader(`[1,2]]}`))
+	resp, err := http.Post(ts.URL+"/v1/relations/R/rows", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(b), `"code":"body_too_large"`) {
+		t.Fatalf("oversized rows body: %d %s, want 413 body_too_large", resp.StatusCode, b)
+	}
+	infos, err := db.Relations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].Size != 0 {
+		t.Fatalf("relations after the refused batch: %+v, want R empty", infos)
 	}
 }
 

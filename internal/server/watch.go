@@ -36,14 +36,21 @@ type watchRequest struct {
 	// disjunctive datalog rule, with optional constraint lines.
 	Query string `json:"query"`
 	// Queue sizes the watch's bounded delta queue; 0 selects the session
-	// default. A slow subscriber that overflows it receives a resync line
-	// instead of unbounded buffering.
+	// default, and more than maxWatchQueue is refused. A slow subscriber
+	// that overflows it receives a resync line instead of unbounded
+	// buffering.
 	Queue int `json:"queue,omitempty"`
 }
 
+// maxWatchQueue bounds a requested delta queue. The queue is a channel
+// allocated whole when the watch opens, so an unchecked size asks the
+// runtime for whatever memory the request names, and failing that
+// allocation kills the process.
+const maxWatchQueue = 1 << 16
+
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	var req watchRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -51,8 +58,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, errors.New("missing query text"))
 		return
 	}
-	if req.Queue < 0 {
-		s.fail(w, errors.New("queue must be non-negative"))
+	if req.Queue < 0 || req.Queue > maxWatchQueue {
+		s.fail(w, fmt.Errorf("queue must be between 0 and %d", maxWatchQueue))
 		return
 	}
 	st, err := s.stmt(req.Query)

@@ -363,6 +363,11 @@ func TestServerWatchErrors(t *testing.T) {
 		{"missing query", `{}`, http.StatusBadRequest, "bad_request"},
 		{"unknown relation", `{"query":"Q(A,B) :- Missing(A,B)."}`, http.StatusNotFound, "unknown_relation"},
 		{"negative queue", `{"query":"Q(A,B) :- R(A,B).","queue":-1}`, http.StatusBadRequest, "bad_request"},
+		// A channel of 1<<40 deltas is about 48 TiB, and failing to make
+		// it is fatal. R is not in this catalog, so the size must be
+		// refused before the query is bound: a check that came later
+		// would answer 404, and still allocate nothing.
+		{"oversized queue", `{"query":"Q(A,B) :- R(A,B).","queue":1099511627776}`, http.StatusBadRequest, "bad_request"},
 		{"unknown field", `{"query":"Q(A,B) :- R(A,B).","mode":"subw"}`, http.StatusBadRequest, "bad_request"},
 	} {
 		code, b := post(t, ts.URL+"/v1/watch", tc.body)

@@ -117,7 +117,7 @@ func Minimax[R any](e *Engine, bags []R, value func(R) *big.Rat) (int, *big.Rat)
 // Transversals enumerates the inclusion-minimal bag transversals of
 // Lemma 7.12, as indices into Bags, until ctx is done.
 func (e *Engine) Transversals(ctx context.Context) ([][]int, error) {
-	return hypergraph.MinimalTransversals(ctx, e.Bags, e.TDBags)
+	return hypergraph.MinimalTransversals(ctx, e.TDBags)
 }
 
 // Walk visits the transversals trs and hands visit each one's solve r, with

@@ -211,10 +211,11 @@ func TestIntegralCoverErrors(t *testing.T) {
 }
 
 // TestEnumerationHonoursItsContext: the 7-cycle's decompositions and
-// transversals are the enumerations a plan of it waits on (its minimal
-// transversals take minutes). Under a context already cancelled each returns
-// context.Canceled at once, and under one whose deadline passes mid-search
-// the transversal search stops with context.DeadlineExceeded.
+// transversals are the enumerations a plan of it waits on (its 2,725 minimal
+// transversals take about 40 ms on a 2-vCPU Xeon). Under a context already
+// cancelled each returns context.Canceled at once, and under one whose
+// deadline passes mid-search the transversal search stops with
+// context.DeadlineExceeded.
 func TestEnumerationHonoursItsContext(t *testing.T) {
 	h := cycle(7)
 	done, cancel := context.WithCancel(context.Background())
