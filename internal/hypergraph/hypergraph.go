@@ -10,8 +10,6 @@ package hypergraph
 import (
 	"context"
 	"fmt"
-	"iter"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -345,62 +343,69 @@ const maxTransversals = 20000
 //
 // It is Berge's sequential dualisation: the minimal transversals of the
 // members so far, each one that misses the next member extended by every
-// element of it, less the extensions that hold a kept set meeting it. Each
-// comes out ascending, and the list in discovery-path order — for each member
-// the path does not yet meet, the position of its first element in the
-// transversal — the order a depth-first search over the members' elements
-// first finds them in. It fails once a list passes maxTransversals, and
-// checks ctx for each extension.
+// element of it, less the extensions that hold a kept set meeting it. A kept
+// set is its ascending elements, one per member at most, so memory follows
+// the family, not the size of its elements. Each comes out ascending, and the
+// list in discovery-path order — for each member the path does not yet meet,
+// the position of its first element in the transversal — the order a
+// depth-first search over the members' elements first finds them in. It
+// fails as soon as a list passes maxTransversals, and checks ctx for each
+// extension.
 func MinimalTransversals(ctx context.Context, family [][]int) ([][]int, error) {
-	words := slices.Max(append(slices.Concat(family...), 0))/64 + 1
-	members := make([][]uint64, len(family))
+	sorted := make([][]int, len(family))
 	for i, m := range family {
-		members[i] = make([]uint64, words)
-		for _, e := range m {
-			members[i][e/64] |= bit(e)
-		}
+		sorted[i] = slices.Compact(slices.Sorted(slices.Values(m)))
 	}
-	trs := [][]uint64{make([]uint64, words)}
-	x := make([]uint64, words)
-	for _, m := range members {
-		var next, missed [][]uint64
+	trs := []keptSet{{}}
+	var x []int
+	for _, m := range sorted {
+		// A kept set inside t ∪ {e} meets m at e alone: alone[j] lists the
+		// kept sets meeting m at m[j] alone.
+		var next, missed []keptSet
+		alone := make([][]keptSet, len(m))
 		for _, t := range trs {
-			if meets(t, m) {
-				next = append(next, t)
-			} else {
-				missed = append(missed, t)
+			hit, hits := 0, 0
+			for _, r := range t.elems {
+				if j, ok := slices.BinarySearch(m, r); ok {
+					hit, hits = j, hits+1
+				}
 			}
+			if hits == 0 {
+				missed = append(missed, t)
+				continue
+			}
+			if hits == 1 {
+				alone[hit] = append(alone[hit], t)
+			}
+			next = append(next, t)
 		}
-		met := len(next)
-		for e := range elements(m) {
-			// A kept set inside t ∪ {e} meets m at e alone.
-			withE := slices.DeleteFunc(slices.Clone(next[:met]), func(k []uint64) bool { return k[e/64]&bit(e) == 0 })
+		for j, e := range m {
 			for _, t := range missed {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				copy(x, t)
-				x[e/64] |= bit(e)
-				if !slices.ContainsFunc(withE, func(k []uint64) bool { return subset(k, x) }) {
-					next = append(next, slices.Clone(x))
+				x = append(append(x[:0], t.elems...), e)
+				slices.Sort(x)
+				sig := t.sig | 1<<(e%64)
+				if slices.ContainsFunc(alone[j], func(k keptSet) bool { return k.sig&^sig == 0 && subset(k.elems, x) }) {
+					continue
+				}
+				if next = append(next, keptSet{slices.Clone(x), sig}); len(next) > maxTransversals {
+					return nil, fmt.Errorf("hypergraph: more than %d minimal transversals", maxTransversals)
 				}
 			}
-		}
-		if len(next) > maxTransversals {
-			return nil, fmt.Errorf("hypergraph: more than %d minimal transversals", maxTransversals)
 		}
 		trs = next
 	}
 	type found struct{ path, elems []int }
 	fs := make([]found, len(trs))
-	on := make([]uint64, words)
 	for i, t := range trs {
-		fs[i].elems = slices.Collect(elements(t))
-		clear(on)
-		for mi, m := range members {
-			if !meets(on, m) {
-				j := slices.IndexFunc(family[mi], func(e int) bool { return t[e/64]&bit(e) != 0 })
-				on[family[mi][j]/64] |= bit(family[mi][j])
+		fs[i].elems = t.elems
+		var on []int
+		for mi, m := range family {
+			if !slices.ContainsFunc(on, func(e int) bool { return has(sorted[mi], e) }) {
+				j := slices.IndexFunc(m, func(e int) bool { return has(t.elems, e) })
+				on = append(on, m[j])
 				fs[i].path = append(fs[i].path, j)
 			}
 		}
@@ -413,35 +418,29 @@ func MinimalTransversals(ctx context.Context, family [][]int) ([][]int, error) {
 	return out, nil
 }
 
-func bit(e int) uint64 { return 1 << (e % 64) }
-
-func meets(a, b []uint64) bool {
-	for i := range a {
-		if a[i]&b[i] != 0 {
-			return true
-		}
-	}
-	return false
+// A keptSet is a set MinimalTransversals keeps: its ascending elements, and a
+// word with bit e%64 set for each element e, to rule out most non-subsets.
+type keptSet struct {
+	elems []int
+	sig   uint64
 }
 
-func subset(a, b []uint64) bool {
-	for i := range a {
-		if a[i]&^b[i] != 0 {
+// has reports whether the ascending s holds e.
+func has(s []int, e int) bool {
+	_, ok := slices.BinarySearch(s, e)
+	return ok
+}
+
+// subset reports whether the ascending a lies inside the ascending b.
+func subset(a, b []int) bool {
+	for _, e := range a {
+		for len(b) > 0 && b[0] < e {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0] != e {
 			return false
 		}
+		b = b[1:]
 	}
 	return true
-}
-
-// elements yields the members of the bit vector v in ascending order.
-func elements(v []uint64) iter.Seq[int] {
-	return func(yield func(int) bool) {
-		for w, word := range v {
-			for ; word != 0; word &= word - 1 {
-				if !yield(64*w + bits.TrailingZeros64(word)) {
-					return
-				}
-			}
-		}
-	}
 }

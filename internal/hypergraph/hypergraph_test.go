@@ -2,7 +2,9 @@ package hypergraph
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -176,6 +178,47 @@ func TestMinimalTransversalsRepeatedElement(t *testing.T) {
 	ts, err := MinimalTransversals(context.Background(), [][]int{{0, 1, 0}})
 	if err != nil || len(ts) != 2 || intsKey(ts[0]) != "[0]" || intsKey(ts[1]) != "[1]" {
 		t.Fatalf("transversals = %v, %v; want [0] and [1]", ts, err)
+	}
+}
+
+// TestMinimalTransversalsMemoryFollowsTheFamily: what the enumeration
+// allocates grows with the family, not with its largest element nor with a
+// member's length once a list passes the cap. 200,000 copies of {199,999}
+// (a bit vector per kept set, sized to that element, would take 5 GB), an
+// element near 2^62, and one member of 500,000 elements (as many
+// singletons before the cap) each stay far below 64 MiB.
+func TestMinimalTransversalsMemoryFollowsTheFamily(t *testing.T) {
+	const n = 200000
+	copies := make([][]int, n)
+	for i := range copies {
+		copies[i] = []int{n - 1}
+	}
+	wide := make([]int, 500000)
+	for i := range wide {
+		wide[i] = i
+	}
+	for _, c := range []struct {
+		name    string
+		family  [][]int
+		want    string
+		wantErr bool
+	}{
+		{"copies", copies, fmt.Sprint([][]int{{n - 1}}), false},
+		{"large-element", [][]int{{1 << 62}, {0, 1 << 62}}, fmt.Sprint([][]int{{1 << 62}}), false},
+		{"wide-member", [][]int{wide}, "", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			trs, err := MinimalTransversals(context.Background(), c.family)
+			runtime.ReadMemStats(&after)
+			if (err != nil) != c.wantErr || !c.wantErr && fmt.Sprint(trs) != c.want {
+				t.Fatalf("transversals = %v, %v; want %s (an error: %v)", trs, err, c.want, c.wantErr)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b > 64<<20 {
+				t.Fatalf("allocated %d MiB", b>>20)
+			}
+		})
 	}
 }
 

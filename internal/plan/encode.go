@@ -396,10 +396,15 @@ func validateDecoded(p *Plan, wp *wirePlan) error {
 		return fmt.Errorf("plan: decode: %w", err)
 	}
 	full := bitset.Full(p.Schema.NumVars)
+	seen := make(map[bitset.Set]bool, len(p.Bags))
 	for _, b := range p.Bags {
 		if !b.SubsetOf(full) {
 			return fmt.Errorf("plan: decode: bag %v outside the universe [%d]", b, p.Schema.NumVars)
 		}
+		if seen[b] {
+			return fmt.Errorf("plan: decode: bag %v appears twice in the bag universe", b)
+		}
+		seen[b] = true
 	}
 	if len(p.TDBags) != len(p.TDs) {
 		return fmt.Errorf("plan: decode: %d bag-index rows for %d decompositions", len(p.TDBags), len(p.TDs))

@@ -16,6 +16,7 @@ import (
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
+	"panda/internal/hypergraph"
 	"panda/internal/query"
 	"panda/internal/widths"
 )
@@ -375,6 +376,31 @@ func TestDecodeCountsSevenCycleRulesPromptly(t *testing.T) {
 	start := time.Now()
 	_, err = DecodePlan(bytes.NewReader(data))
 	if want := "plan: decode: subw plan carries 0 rules, want 2725"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("decoding a %d-byte plan took %v", len(data), d)
+	}
+}
+
+// TestDecodeRefusesRepeatedBagsPromptly: a digest-valid ModeSubw plan of the
+// Boolean 4-cycle whose bag universe is 10,000 copies of the full set, each
+// of its 10,000 one-bag decompositions naming the last copy. The engine
+// never repeats a bag, and decode refuses the plan within a second.
+func TestDecodeRefusesRepeatedBagsPromptly(t *testing.T) {
+	const n = 10000
+	q, cons := cycleQuery(4, nil, nil, 100)
+	full := bitset.Full(q.Schema.NumVars)
+	p := &Plan{Mode: ModeSubw, Schema: q.Schema, Cons: cons, Chosen: -1, Width: new(big.Rat)}
+	for range n {
+		p.Bags = append(p.Bags, full)
+		p.TDs = append(p.TDs, &hypergraph.Decomposition{Bags: []bitset.Set{full}, Parent: []int{-1}})
+		p.TDBags = append(p.TDBags, []int{n - 1})
+	}
+	data := encodePlan(t, p)
+	start := time.Now()
+	_, err := DecodePlan(bytes.NewReader(data))
+	if want := fmt.Sprintf("plan: decode: bag %v appears twice in the bag universe", full); err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %s", err, want)
 	}
 	if d := time.Since(start); d > time.Second {

@@ -270,7 +270,8 @@ func PrepareRule(s *query.Schema, cons []query.DegreeConstraint, targets []bitse
 }
 
 // PrepareRuleContext is PrepareRule honoring ctx: cancellation is checked
-// before the LP solve, so an expired context aborts planning promptly. A
+// before the LP solve and at each of its pivots, so an expired context aborts
+// planning promptly. A
 // rule's model follows its proof sequence, so the rule is planned as the
 // Planner plans it: from the canonical spelling of its key.
 func PrepareRuleContext(ctx context.Context, s *query.Schema, cons []query.DegreeConstraint, targets []bitset.Set) (*PreparedRule, *BuildStats, error) {
@@ -335,7 +336,7 @@ func prepareRule(ctx context.Context, s *query.Schema, cons []query.DegreeConstr
 		return nil, err
 	}
 	bs.LPSolves++
-	res, err := flow.MaximinBound(s.NumVars, fdcs, targets)
+	res, err := flow.MaximinBoundContext(ctx, s.NumVars, fdcs, targets)
 	if err != nil {
 		return nil, err
 	}

@@ -529,3 +529,26 @@ func TestPrepareHonoursItsDeadline(t *testing.T) {
 		t.Fatalf("planning ran %v past a 50ms deadline", d)
 	}
 }
+
+// TestPrepareRuleHonoursItsDeadline: the rule of the Boolean 7-cycle's first
+// bag transversal solves an LP of seconds, and a 50 ms deadline stops it.
+func TestPrepareRuleHonoursItsDeadline(t *testing.T) {
+	q, cons := cycleQuery(7, nil, nil, 100)
+	e, err := widths.NewEngine(context.Background(), q.Schema.Hypergraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs, err := e.Transversals(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, _, err := PrepareRuleContext(ctx, &q.Schema, cons, widths.Targets(e.Bags, trs[0])); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline's", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("planning ran %v past a 50ms deadline", d)
+	}
+}
