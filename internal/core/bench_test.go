@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkRestartC4BoolWorst executes the Boolean 4-cycle at its submodular
-// width on Example 1.10's adversarial input (m = 256): five Case-4b restarts
+// width on Example 1.10's adversarial input (m = 256): eight Case-4b restarts
 // per execution, each a witness read off the remaining proof steps, a
 // truncation and a rebuilt sequence, compiled once per rule run for every
 // sibling that restarts at the same step. It carries CI's allocs/op ceiling —
@@ -33,8 +33,8 @@ func BenchmarkRestartC4BoolWorst(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Stats.Restarts != 5 || !res.NonEmpty {
-			b.Fatalf("restarts = %d, non-empty = %v; want 5, true", res.Stats.Restarts, res.NonEmpty)
+		if res.Stats.Restarts != 8 || !res.NonEmpty {
+			b.Fatalf("restarts = %d, non-empty = %v; want 8, true", res.Stats.Restarts, res.NonEmpty)
 		}
 	}
 }
@@ -109,8 +109,9 @@ func BenchmarkExecuteTriFull(b *testing.B) {
 // 16-value domain — the size of bench's plan-cold first sightings. The
 // relations are too small for the kernels to matter, so what it counts is
 // the engine's fixed cost per operator: frames, bounds, the fold and each
-// derived relation's header and name. It carries CI's allocs/op ceiling for
-// that cost.
+// derived relation's header and name. Its plans are the ones those first
+// sightings run, planned from the canonical spelling. It carries CI's
+// allocs/op ceiling for that cost.
 func BenchmarkExecuteSmall(b *testing.B) {
 	type run struct {
 		p   *plan.Plan

@@ -205,21 +205,15 @@ func execDigest(ex *ExecResult) string {
 // inequality and rebuilt proof sequence decide every later join, partition
 // and table, so a restart that took a different (even if valid) route would
 // change Stats, the trace or the physical row order and show up here, where
-// an answer-only oracle would not see it.
+// an answer-only oracle would not see it. The conjunctive rows were
+// rewritten when plan.Prepare began planning the canonical spelling, from
+// the commit before with each case planned by a Planner.
 func TestExecDigestGolden(t *testing.T) {
 	ctx := context.Background()
 	var got strings.Builder
 	restarts := 0
 	for _, tc := range digestMatrix() {
-		var p *plan.Plan
-		var err error
-		if tc.rule != nil {
-			cons := CompleteConstraints(&tc.rule.Schema, tc.ins, nil)
-			p, err = plan.NewPlanner(1).PrepareRuleContext(ctx, tc.rule, cons)
-		} else {
-			cons := CompleteConstraints(&tc.q.Schema, tc.ins, nil)
-			p, _, err = plan.Prepare(tc.q, cons, tc.mode)
-		}
+		p, err := tc.prepare(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -18,10 +18,10 @@ import (
 // TestPlanProofsMatchReference: every rule of the plans pinned by plan's
 // TestPlanBytesGolden and core's digestMatrix is rebuilt from its own bound
 // LP's witness — solved in the variable space the plan was built in, the
-// canonical one for a planner's plan — must reproduce the sequence the plan
-// holds, and goes through flow.DiffAgainstReference — the construction, the
-// witness of every suffix and the truncation at every composition step
-// against the reference copies.
+// canonical one of its key — must reproduce the sequence the plan holds, and
+// goes through flow.DiffAgainstReference — the construction, the witness of
+// every suffix and the truncation at every composition step against the
+// reference copies.
 func TestPlanProofsMatchReference(t *testing.T) {
 	plans := append(goldenPlans(t), digestMatrixPlans(t)...)
 	rules, compared := 0, 0
@@ -34,12 +34,9 @@ func TestPlanProofsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", np.name, err)
 		}
-		to, back := identity(p.Schema.NumVars), identity(p.Schema.NumVars)
-		if np.perm != nil {
-			to, back = np.perm, make([]int, len(np.perm))
-			for v, c := range np.perm {
-				back[c] = v
-			}
+		to, back := np.perm, make([]int, len(np.perm))
+		for v, c := range np.perm {
+			back[c] = v
 		}
 		for i := range fdcs {
 			fdcs[i].X, fdcs[i].Y = mapSet(fdcs[i].X, to), mapSet(fdcs[i].Y, to)
@@ -80,18 +77,9 @@ func TestPlanProofsMatchReference(t *testing.T) {
 type namedPlan struct {
 	name string
 	p    *plan.Plan
-	// perm maps p's variables into the space it was planned in (a planner
-	// plans the canonical spelling: its Signature's VarPerm); nil when that
-	// is p's own.
+	// perm maps p's variables into the space it was planned in, the
+	// canonical spelling's: its Signature's VarPerm.
 	perm []int
-}
-
-func identity(n int) []int {
-	perm := make([]int, n)
-	for v := range perm {
-		perm[v] = v
-	}
-	return perm
 }
 
 // mapSet renames every element of s through perm.
@@ -144,23 +132,22 @@ func goldenPlans(t *testing.T) []namedPlan {
 			cons = append(cons, query.Cardinality(a.Vars, sh.card, i))
 		}
 		var p *plan.Plan
-		var perm []int
+		var sig *plan.Signature
 		if pr.Conj != nil {
-			p, _, err = plan.Prepare(pr.Conj, cons, sh.mode)
+			if p, _, err = plan.Prepare(pr.Conj, cons, sh.mode); err == nil {
+				sig, err = plan.Canonicalize(pr.Conj, cons, sh.mode)
+			}
 		} else {
-			// A rule is planned in the canonical spelling of its key.
 			var r *plan.PreparedRule
-			r, _, err = plan.PrepareRule(&pr.Rule.Schema, cons, pr.Rule.Targets)
-			p = plan.NewRulePlan(&pr.Rule.Schema, cons, r)
-			var sig *plan.Signature
-			if sig, err = plan.CanonicalizeRule(pr.Rule, cons); err == nil {
-				perm = sig.VarPerm
+			if r, _, err = plan.PrepareRule(&pr.Rule.Schema, cons, pr.Rule.Targets); err == nil {
+				p = plan.NewRulePlan(&pr.Rule.Schema, cons, r)
+				sig, err = plan.CanonicalizeRule(pr.Rule, cons)
 			}
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
-		out = append(out, namedPlan{"golden/" + sh.name, p, perm})
+		out = append(out, namedPlan{"golden/" + sh.name, p, sig.VarPerm})
 	}
 	return out
 }
@@ -179,11 +166,16 @@ func digestMatrixPlans(t *testing.T) []namedPlan {
 
 	var out []namedPlan
 	conj := func(name string, q *query.Conjunctive, ins *query.Instance, mode plan.Mode) {
-		p, _, err := plan.Prepare(q, core.CompleteConstraints(&q.Schema, ins, nil), mode)
+		cons := core.CompleteConstraints(&q.Schema, ins, nil)
+		p, _, err := plan.Prepare(q, cons, mode)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out = append(out, namedPlan{"digest/" + name, p, nil})
+		sig, err := plan.Canonicalize(q, cons, mode)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, namedPlan{"digest/" + name, p, sig.VarPerm})
 	}
 	ruleOn := func(name string, ins *query.Instance) {
 		cons := core.CompleteConstraints(&rule.Schema, ins, nil)

@@ -10,7 +10,10 @@ import (
 // BenchmarkPlanDecodeVsPrepare quantifies what plan shipping is worth: a
 // warm restart (or an imported snapshot) pays DecodePlan where a cold boot
 // pays the full planning phase — exact simplex solves plus proof-sequence
-// construction. The 4-cycle subw plan is the headline workload. Since the
+// construction. Prepare is a Planner miss without the cache (canonicalize,
+// plan the canonical spelling, rebind), so cold-prepare is what a replica's
+// first sighting pays and the decoded plan is the one a planner ships. The
+// 4-cycle subw plan is the headline workload. Since the
 // simplex moved to word-sized rationals a cold prepare is about 0.7 ms (it
 // was 5.1 ms) against a 0.13 ms decode: shipping now saves a replica a
 // factor of five per plan, not forty, and what it still buys outright is

@@ -129,21 +129,11 @@ func (pl *Planner) PrepareRuleContext(ctx context.Context, r *query.Disjunctive,
 	return pl.prepare(ctx, &r.Schema, r.Targets, cons, ModeRule)
 }
 
-// prepare is the one planning body. heads is the free set of a conjunctive
-// query or the targets of a rule (mode == ModeRule); mode is resolved.
+// prepare is prepareDirect through the cache. heads is the free set of a
+// conjunctive query or the targets of a rule (mode == ModeRule); mode is
+// resolved.
 func (pl *Planner) prepare(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Validate before encoding so cache keys only ever describe
-	// well-formed inputs.
-	if err := validate(s, heads, cons); err != nil {
-		return nil, err
-	}
-	sig, err := canonicalize(s, heads, cons, mode)
+	ctx, sig, err := front(ctx, s, heads, cons, mode)
 	if err != nil {
 		return nil, err
 	}

@@ -144,8 +144,8 @@ type Cover struct {
 type Plan struct {
 	Mode Mode
 	// Key is the canonical signature the plan cache indexes by; set only
-	// on plans that went through a Planner (direct Prepare skips
-	// canonicalization — the one-shot eval paths never need it).
+	// on a Planner's plans. A direct Prepare plans the same canonical
+	// input and leaves it empty.
 	Key string
 	// Schema and Free identify the query in the caller's variable space
 	// (Free is ∅ for a ModeRule plan: its heads are Rules[0].Targets).
@@ -269,33 +269,55 @@ func PrepareRule(s *query.Schema, cons []query.DegreeConstraint, targets []bitse
 	return PrepareRuleContext(context.Background(), s, cons, targets)
 }
 
-// PrepareRuleContext is PrepareRule honoring ctx: cancellation is checked
-// before the LP solve and at each of its pivots, so an expired context aborts
-// planning promptly. A
-// rule's model follows its proof sequence, so the rule is planned as the
-// Planner plans it: from the canonical spelling of its key.
+// PrepareRuleContext is PrepareRule honoring ctx, checked before the LP solve
+// and at each of its pivots. A rule's model follows its proof sequence, so the
+// rule is the Planner's: Rules[0] of its plan.
 func PrepareRuleContext(ctx context.Context, s *query.Schema, cons []query.DegreeConstraint, targets []bitset.Set) (*PreparedRule, *BuildStats, error) {
-	if err := validate(s, targets, cons); err != nil {
-		return nil, &BuildStats{}, err
-	}
-	sig, err := canonicalize(s, targets, cons, ModeRule)
-	if err != nil {
-		return nil, &BuildStats{}, err
-	}
-	p, bs, err := planCanonical(ctx, sig, s, targets, cons, ModeRule)
+	p, bs, err := prepareDirect(ctx, s, targets, cons, ModeRule)
 	if err != nil {
 		return nil, bs, err
 	}
-	return p.fromCanonical(sig, s).Rules[0], bs, nil
+	return p.Rules[0], bs, nil
+}
+
+// front opens every planning entry: it checks ctx (nil reads as Background),
+// validates the input, so a key only describes a well-formed one, and
+// canonicalizes it. heads and mode are as Planner.prepare takes them.
+func front(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (context.Context, *Signature, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return ctx, nil, err
+	}
+	if err := validate(s, heads, cons); err != nil {
+		return ctx, nil, err
+	}
+	sig, err := canonicalize(s, heads, cons, mode)
+	return ctx, sig, err
+}
+
+// prepareDirect is a Planner miss without the cache. Key stays empty: only a
+// Planner, which indexes by it, writes it.
+func prepareDirect(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, *BuildStats, error) {
+	ctx, sig, err := front(ctx, s, heads, cons, mode)
+	if err != nil {
+		return nil, &BuildStats{}, err
+	}
+	p, bs, err := planCanonical(ctx, sig, s, heads, cons, mode)
+	if err != nil {
+		return nil, bs, err
+	}
+	return p.fromCanonical(sig, s), bs, nil
 }
 
 // planCanonical runs the planning phase on the canonical input of sig:
-// PrepareContext for a conjunctive query (heads is its free set), the
-// one-rule ModeRule plan for a disjunctive rule (heads are its targets).
+// planQuery for a conjunctive query (heads is its free set), the one-rule
+// ModeRule plan for a disjunctive rule (heads are its targets).
 func planCanonical(ctx context.Context, sig *Signature, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (*Plan, *BuildStats, error) {
 	cs, heads, cons := canonicalInput(sig, s, heads, cons)
 	if mode != ModeRule {
-		return PrepareContext(ctx, &query.Conjunctive{Schema: *cs, Free: heads[0]}, cons, mode)
+		return planQuery(ctx, &query.Conjunctive{Schema: *cs, Free: heads[0]}, cons, mode)
 	}
 	bs := &BuildStats{}
 	pr, err := prepareRule(ctx, cs, cons, heads, bs)
@@ -386,7 +408,7 @@ func newPreparedRule(targets []bitset.Set, res *flow.MaximinResult, cons []query
 // core.CompleteConstraints derives the latter from an instance.
 //
 // No instance is consulted: everything here can be cached and amortized
-// across executions.
+// across executions. The plan is a Planner's plan of q, with Key empty.
 func Prepare(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, *BuildStats, error) {
 	return PrepareContext(context.Background(), q, cons, mode)
 }
@@ -395,17 +417,12 @@ func Prepare(q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*P
 // the per-bag and per-transversal LP solves, so an expired context aborts a
 // long planning phase between solves rather than after the whole batch.
 func PrepareContext(ctx context.Context, q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, *BuildStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	mode = ResolveMode(q, mode)
+	return prepareDirect(ctx, &q.Schema, []bitset.Set{q.Free}, cons, ResolveMode(q, mode))
+}
+
+// planQuery plans a validated, canonical query under a resolved mode.
+func planQuery(ctx context.Context, q *query.Conjunctive, cons []query.DegreeConstraint, mode Mode) (*Plan, *BuildStats, error) {
 	bs := &BuildStats{}
-	if err := ctx.Err(); err != nil {
-		return nil, bs, err
-	}
-	if err := validate(&q.Schema, []bitset.Set{q.Free}, cons); err != nil {
-		return nil, bs, err
-	}
 	p := &Plan{
 		Mode:   mode,
 		Schema: copySchema(&q.Schema),

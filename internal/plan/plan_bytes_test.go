@@ -2,36 +2,43 @@ package plan
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"panda/internal/query"
 )
 
-// TestPlanBytesGolden pins the encoded bytes of every plan in the bench
-// plan-cold corpus (ten shapes over 8-row relations), of the three plans in
-// testdata/pr12-plans.json, and of the subw 4-cycle at sizes whose logs put
-// 2³⁰-scale denominators into the bound LP's objective. The golden was
-// written by the commit before internal/lp moved to machine-word rationals:
-// λ, δ, the witness and the proof sequence all come out of the LP's optimal
-// vertex and dual, so a solver that reached an equal objective through a
-// different pivot order would change these bytes.
-func TestPlanBytesGolden(t *testing.T) {
+// goldenShape is one shape of TestPlanBytesGolden: the parsed query or
+// rule, the mode, and the constraint set core.CompleteConstraints derives
+// from its card-row relations.
+type goldenShape struct {
+	name string
+	pr   *query.ParseResult
+	mode Mode
+	cons []query.DegreeConstraint
+}
+
+// goldenShapes are the bench plan-cold corpus (ten shapes over 8-row
+// relations), the three plans of testdata/pr12-plans.json, and the subw
+// 4-cycle at sizes whose logs put 2³⁰-scale denominators into the bound LP's
+// objective.
+func goldenShapes(t *testing.T) []goldenShape {
 	const (
 		tri  = "R(A,B), S(B,C), T(A,C)."
 		c4   = "R(A,B), S(B,C), T(C,D), U(D,A)."
 		path = "R(A,B), S(B,C), T(C,D)."
 	)
-	type shape struct {
+	shapes := []struct {
 		name, src string
 		mode      Mode
 		card      int64
-	}
-	shapes := []shape{
+	}{
 		{"tri-full", "Q(A,B,C) :- " + tri, ModeAuto, 8},
 		{"tri-bool", "Q() :- " + tri, ModeAuto, 8},
 		{"c4-full", "Q(A,B,C,D) :- " + c4, ModeFull, 8},
@@ -49,20 +56,35 @@ func TestPlanBytesGolden(t *testing.T) {
 		{"c4-subw-12345", "Q(A,B,C,D) :- " + c4, ModeSubw, 12345},
 		{"c4-bool-12345", "Q() :- " + c4, ModeSubw, 12345},
 	}
-	var got strings.Builder
-	for _, sh := range shapes {
+	out := make([]goldenShape, len(shapes))
+	for i, sh := range shapes {
 		pr, err := query.Parse(sh.src)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
-		// What core.CompleteConstraints derives from sh.card-row relations.
 		cons := pr.Constraints
 		for i, a := range pr.Rule.Atoms {
 			cons = append(cons, query.Cardinality(a.Vars, sh.card, i))
 		}
+		out[i] = goldenShape{sh.name, pr, sh.mode, cons}
+	}
+	return out
+}
+
+// TestPlanBytesGolden pins the encoded bytes of the plan of every
+// goldenShape. The golden's rows were first written by the commit before
+// internal/lp moved to machine-word rationals: λ, δ, the witness and the
+// proof sequence all come out of the LP's optimal vertex and dual, so a
+// solver that reached an equal objective through a different pivot order
+// would change these bytes. The query rows were rewritten when Prepare
+// began planning the canonical spelling, from the planner's encodings of the
+// commit before, Key cleared.
+func TestPlanBytesGolden(t *testing.T) {
+	var got strings.Builder
+	for _, sh := range goldenShapes(t) {
 		var buf bytes.Buffer
-		if pr.Conj != nil {
-			p, _, err := Prepare(pr.Conj, cons, sh.mode)
+		if sh.pr.Conj != nil {
+			p, _, err := Prepare(sh.pr.Conj, sh.cons, sh.mode)
 			if err != nil {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
@@ -71,7 +93,7 @@ func TestPlanBytesGolden(t *testing.T) {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
 		} else {
-			r, _, err := PrepareRule(&pr.Rule.Schema, cons, pr.Rule.Targets)
+			r, _, err := PrepareRule(&sh.pr.Rule.Schema, sh.cons, sh.pr.Rule.Targets)
 			if err != nil {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
@@ -98,5 +120,41 @@ func TestPlanBytesGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("encoded plans differ from testdata/pr15-plan-bytes.golden (name, length, sha256); got:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// TestDirectPlanIsThePlannersPlan: a direct Prepare is a Planner miss
+// without the cache, so on every goldenShape its plan is the Planner's plan
+// with Key cleared, and a directly prepared rule is the Planner's Rules[0].
+func TestDirectPlanIsThePlannersPlan(t *testing.T) {
+	ctx := context.Background()
+	pl := NewPlanner(8)
+	for _, sh := range goldenShapes(t) {
+		var direct, served any
+		if sh.pr.Conj != nil {
+			p, _, err := Prepare(sh.pr.Conj, sh.cons, sh.mode)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			sp, err := pl.Prepare(sh.pr.Conj, sh.cons, sh.mode)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			sp.Key = ""
+			direct, served = p, sp
+		} else {
+			r, _, err := PrepareRule(&sh.pr.Rule.Schema, sh.cons, sh.pr.Rule.Targets)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			sp, err := pl.PrepareRuleContext(ctx, sh.pr.Rule, sh.cons)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			direct, served = r, sp.Rules[0]
+		}
+		if !reflect.DeepEqual(direct, served) {
+			t.Errorf("%s: the direct plan is not the planner's", sh.name)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -372,8 +373,7 @@ func TestPrepareErrors(t *testing.T) {
 // spelling; fromCanonical of it, the plan every Prepare returns, must be a
 // valid plan in the caller's space — it decodes, which checks every
 // decomposition, transversal, guard and proof against the caller's schema —
-// with the width, bag set, constraint multiset and rules of planning the
-// caller's spelling directly.
+// and, Key aside, the plan Prepare returns without a planner.
 func TestRebindRoundTrip(t *testing.T) {
 	q, cons := cycleQuery(4, []int{1, 3, 0, 2}, []int{3, 1, 0, 2}, 32)
 	p, _, err := Prepare(q, cons, ModeSubw)
@@ -389,11 +389,8 @@ func TestRebindRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := pl.index[sig.Key].Value.(*entry).plan.fromCanonical(sig, &q.Schema)
-	if rt.Key != sig.Key || rt.Mode != p.Mode || rt.Free != p.Free {
-		t.Fatal("rebinding changed identity fields")
-	}
-	if rt.Width.Cmp(p.Width) != 0 {
-		t.Fatalf("rebound width %v, direct %v", rt.Width, p.Width)
+	if rt.Key != sig.Key {
+		t.Fatal("rebinding lost the key")
 	}
 	for i, a := range rt.Schema.Atoms {
 		if a.Name != q.Atoms[i].Name || a.Vars != q.Atoms[i].Vars {
@@ -407,54 +404,9 @@ func TestRebindRoundTrip(t *testing.T) {
 	if _, err := DecodePlan(&buf); err != nil {
 		t.Fatalf("the rebound plan is not valid in the caller's space: %v", err)
 	}
-	// The bag universe must be preserved as a set.
-	bags := map[bitset.Set]bool{}
-	for _, b := range p.Bags {
-		bags[b] = true
-	}
-	for _, b := range rt.Bags {
-		if !bags[b] {
-			t.Fatalf("rebinding invented bag %v", b)
-		}
-	}
-	if len(rt.Bags) != len(p.Bags) {
-		t.Fatalf("rebinding changed bag count %d → %d", len(p.Bags), len(rt.Bags))
-	}
-	// Constraints must be preserved as a multiset, with valid guards.
-	type key struct {
-		x, y  bitset.Set
-		logN  string
-		guard bitset.Set
-	}
-	count := map[key]int{}
-	for _, c := range p.Cons {
-		count[key{c.X, c.Y, c.LogN.RatString(), q.Atoms[c.Guard].Vars}]++
-	}
-	for _, c := range rt.Cons {
-		count[key{c.X, c.Y, c.LogN.RatString(), rt.Schema.Atoms[c.Guard].Vars}]--
-	}
-	for k, v := range count {
-		if v != 0 {
-			t.Fatalf("rebinding changed constraint multiset at %+v (%+d)", k, v)
-		}
-	}
-	// Every rule must answer the targets of a rule of the direct plan, with
-	// a proof sequence as long.
-	if len(rt.Rules) != len(p.Rules) {
-		t.Fatal("rebinding changed rule count")
-	}
-	steps := map[string]int{}
-	for _, r := range p.Rules {
-		steps[fmt.Sprint(bitset.Sorted(r.Targets))] = len(r.Seq)
-	}
-	for i, r := range rt.Rules {
-		n, ok := steps[fmt.Sprint(bitset.Sorted(r.Targets))]
-		if !ok {
-			t.Fatalf("rebound rule %d answers %v, no rule of the direct plan", i, r.Targets)
-		}
-		if len(r.Seq) != n {
-			t.Fatalf("rebound rule %d: %d proof steps, the direct plan's %d", i, len(r.Seq), n)
-		}
+	rt.Key = ""
+	if !reflect.DeepEqual(rt, p) {
+		t.Fatal("the rebound plan is not the direct plan")
 	}
 }
 

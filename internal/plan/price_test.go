@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,53 +121,48 @@ func TestPricedCertificatesMatchTheLP(t *testing.T) {
 			}
 			checkPricesAgainstLP(t, p)
 
+			mode := sh.mode
+			if pr.Conj != nil {
+				mode = ResolveMode(pr.Conj, mode)
+			}
 			pl := NewPlanner(2)
-			if _, err := pl.prepare(ctx, s, heads, cons, sh.mode); err != nil {
+			if _, err := pl.prepare(ctx, s, heads, cons, mode); err != nil {
 				t.Fatal(err)
 			}
 			rs, rheads, rcons := renameInput(s, heads, cons)
-			rp, err := pl.prepare(ctx, rs, rheads, rcons, sh.mode)
+			rp, err := pl.prepare(ctx, rs, rheads, rcons, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st := pl.Stats(); st.Hits != 1 {
 				t.Fatalf("the renamed spelling missed the planner: %v", st)
 			}
-			// The planner plans the canonical spelling, so its rules come in
-			// canonical order: pair them with p's by their targets. Under fhtw
-			// the canonical spelling may choose another decomposition of the
-			// same width; a bag of it no rule of p answers is held to its LP.
-			byTargets := map[string]*big.Rat{}
-			for _, r := range p.Rules {
-				byTargets[fmt.Sprint(bitset.Sorted(r.Targets))] = r.Bound
+			// Both spellings run the key's one plan: rule i of each is its
+			// rule i rebound through that spelling's signature, so in
+			// canonical space the two answer one target set, at one bound.
+			if len(rp.Rules) != len(p.Rules) {
+				t.Fatalf("renamed plan has %d rules, the direct plan %d", len(rp.Rules), len(p.Rules))
 			}
-			back := invert(renamePerm(s.NumVars))
-			rdcs, err := FlowDCs(&rp.Schema, rp.Cons)
+			sig, err := canonicalize(s, heads, cons, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rsig, err := canonicalize(rs, rheads, rcons, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, r := range rp.Rules {
-				want := byTargets[fmt.Sprint(bitset.Sorted(remapSets(r.Targets, back)))]
-				if want == nil && rp.Mode != ModeFhtw {
-					t.Fatalf("renamed rule %d: targets %v are no rule's of the direct plan", i, r.Targets)
-				}
-				if want == nil {
-					res, err := flow.MaximinBound(rp.Schema.NumVars, rdcs, r.Targets)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = res.Bound
+				want := p.Rules[i]
+				if got, canon := remapSets(r.Targets, rsig.VarPerm), remapSets(want.Targets, sig.VarPerm); !slices.Equal(got, canon) {
+					t.Fatalf("renamed rule %d answers %v in canonical space, the direct plan's %v", i, got, canon)
 				}
 				c := *r
 				if err := priceRule(&c, rp.Cons); err != nil {
 					t.Fatal(err)
 				}
-				if c.Bound.Cmp(want) != 0 || r.Bound.Cmp(want) != 0 {
-					t.Errorf("renamed rule %d: bound %v, priced %v, want %v", i, r.Bound, c.Bound, want)
+				if c.Bound.Cmp(want.Bound) != 0 || r.Bound.Cmp(want.Bound) != 0 {
+					t.Errorf("renamed rule %d: bound %v, priced %v, want %v", i, r.Bound, c.Bound, want.Bound)
 				}
-			}
-			if len(rp.Rules) != len(p.Rules) {
-				t.Errorf("renamed plan has %d rules, the direct plan %d", len(rp.Rules), len(p.Rules))
 			}
 			if rp.Width.Cmp(p.Width) != 0 {
 				t.Errorf("renamed plan: width %v, want %v", rp.Width, p.Width)
@@ -233,10 +229,10 @@ func checkPricesAgainstLP(t *testing.T, p *Plan) {
 	case ModeFull, ModeRule:
 		want, err = lp(p.Rules[0].Targets)
 	case ModeFhtw:
-		var e *widths.Engine
-		if e, err = widths.NewEngine(context.Background(), p.Schema.Hypergraph()); err != nil {
-			break
-		}
+		// Chosen indexes the plan's decompositions, in the order they were
+		// enumerated for the canonical spelling; the width is the min-max
+		// over all of them in any order.
+		e := &widths.Engine{TDs: p.TDs, Bags: p.Bags, TDBags: p.TDBags}
 		var bags []*big.Rat
 		if bags, err = widths.SolveBags(e, lp); err != nil {
 			break
@@ -245,6 +241,10 @@ func checkPricesAgainstLP(t *testing.T, p *Plan) {
 		chosen, want = widths.Minimax(e, bags, func(v *big.Rat) *big.Rat { return v })
 		if chosen != p.Chosen {
 			t.Errorf("fhtw plan chose decomposition %d, the min-max %d", p.Chosen, chosen)
+		}
+		var fresh *big.Rat
+		if fresh, err = widths.DaFhtw(p.Schema.Hypergraph(), fdcs); err == nil && fresh.Cmp(want) != 0 {
+			t.Errorf("fhtw plan's decompositions reach %v, da-fhtw is %v", want, fresh)
 		}
 	case ModeSubw:
 		want = new(big.Rat)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/big"
 	"testing"
-	"time"
 
 	"panda/internal/bitset"
 	"panda/internal/flow"
@@ -212,39 +211,54 @@ func TestIntegralCoverErrors(t *testing.T) {
 
 // TestEnumerationHonoursItsContext: the 7-cycle's decompositions and
 // transversals are the enumerations a plan of it waits on (its 2,725 minimal
-// transversals take about 40 ms on a 2-vCPU Xeon). Under a context already
-// cancelled each returns context.Canceled at once, and under one whose
-// deadline passes mid-search the transversal search stops with
-// context.DeadlineExceeded.
+// transversals). Each stops at the first check of a cancelled context, and a
+// transversal search cancelled at its middle check stops at that check with
+// context.Canceled: checks are counted, not timed, so no machine is too fast
+// or too slow for the cancel to land mid-search.
 func TestEnumerationHonoursItsContext(t *testing.T) {
 	h := cycle(7)
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	if _, err := NewEngine(done, h); !errors.Is(err, context.Canceled) {
-		t.Fatalf("decompositions under a cancelled context: %v", err)
-	}
-	if d := time.Since(start); d > 10*time.Millisecond {
-		t.Fatalf("the cancelled decompositions took %v", d)
+	done := newCancelAtCheck(1)
+	if _, err := NewEngine(done, h); !errors.Is(err, context.Canceled) || done.checks != 1 {
+		t.Fatalf("decompositions under a cancelled context: %v after %d checks", err, done.checks)
 	}
 	e, err := NewEngine(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start = time.Now()
-	if _, err := e.Transversals(done); !errors.Is(err, context.Canceled) {
-		t.Fatalf("transversals under a cancelled context: %v", err)
+	done = newCancelAtCheck(1)
+	if _, err := e.Transversals(done); !errors.Is(err, context.Canceled) || done.checks != 1 {
+		t.Fatalf("transversals under a cancelled context: %v after %d checks", err, done.checks)
 	}
-	if d := time.Since(start); d > 10*time.Millisecond {
-		t.Fatalf("the cancelled transversals took %v", d)
+	count := newCancelAtCheck(0)
+	if _, err := e.Transversals(count); err != nil {
+		t.Fatal(err)
 	}
-	ctx, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer stop()
-	start = time.Now()
-	if _, err := e.Transversals(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("transversals past a deadline: %v", err)
+	if count.checks < 100 {
+		t.Fatalf("the transversal search checks its context %d times", count.checks)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("the transversal search ran %v past a 20ms deadline", d)
+	mid := newCancelAtCheck(count.checks / 2)
+	if _, err := e.Transversals(mid); !errors.Is(err, context.Canceled) || mid.checks != mid.k {
+		t.Fatalf("transversals cancelled at check %d of %d: %v after %d checks", mid.k, count.checks, err, mid.checks)
 	}
+}
+
+// cancelAtCheck is a context that its own k-th Err check cancels (k = 0
+// never does). The enumerations look at their context only through Err, on
+// one goroutine.
+type cancelAtCheck struct {
+	context.Context
+	cancel    context.CancelFunc
+	k, checks int
+}
+
+func newCancelAtCheck(k int) *cancelAtCheck {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelAtCheck{Context: ctx, cancel: cancel, k: k}
+}
+
+func (c *cancelAtCheck) Err() error {
+	if c.checks++; c.checks == c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
