@@ -92,7 +92,9 @@ func mapSet(s bitset.Set, perm []int) bitset.Set {
 }
 
 // goldenPlans prepares the shapes of plan's TestPlanBytesGolden: the query
-// text, the mode and the cardinality every atom gets.
+// text, the mode and the cardinality every atom gets. The list mirrors
+// goldenShapes in internal/plan/plan_bytes_test.go, which a test of this
+// package cannot import; a shape added there belongs here too.
 func goldenPlans(t *testing.T) []namedPlan {
 	const (
 		tri  = "R(A,B), S(B,C), T(A,C)."

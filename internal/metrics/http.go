@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -27,6 +28,17 @@ func (w *StatusWriter) WriteHeader(code int) {
 // Unwrap lets http.ResponseController reach Flusher on the underlying
 // writer through the wrapper.
 func (w *StatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// ReadFrom hands an io.Copy into the wrapper to the wrapped writer's own
+// ReadFrom, which the embedded interface hides: net/http's copies through a
+// pooled buffer, where io.Copy would allocate 32 KiB per call (the router
+// copies every proxied answer this way).
+func (w *StatusWriter) ReadFrom(src io.Reader) (int64, error) {
+	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(src)
+	}
+	return io.Copy(w.ResponseWriter, src)
+}
 
 // WriteJSON answers with status and v as the JSON body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -141,5 +142,45 @@ func TestWrapCountsWhatTheHandlerAnswered(t *testing.T) {
 		if !strings.Contains(got.String(), line+"\n") {
 			t.Errorf("missing %q in:\n%s", line, got.String())
 		}
+	}
+}
+
+// readerFromWriter is a ResponseWriter whose ReadFrom records that it ran.
+type readerFromWriter struct {
+	*httptest.ResponseRecorder
+	readFrom int
+}
+
+func (w *readerFromWriter) ReadFrom(src io.Reader) (int64, error) {
+	w.readFrom++
+	return io.Copy(w.ResponseRecorder, src)
+}
+
+// TestStatusWriterForwardsReadFrom: io.Copy into a StatusWriter reaches the
+// wrapped writer's ReadFrom (net/http's pooled copy), and over a writer
+// without one still copies every byte.
+func TestStatusWriterForwardsReadFrom(t *testing.T) {
+	const body = "a proxied answer"
+	// Like a client's response body, src is no io.WriterTo, which io.Copy
+	// would try first.
+	src := func() io.Reader { return struct{ io.Reader }{strings.NewReader(body)} }
+	inner := &readerFromWriter{ResponseRecorder: httptest.NewRecorder()}
+	sw := NewStatusWriter(inner)
+	if n, err := io.Copy(sw, src()); err != nil || n != int64(len(body)) {
+		t.Fatalf("io.Copy = %d, %v", n, err)
+	}
+	if inner.readFrom != 1 {
+		t.Fatalf("the wrapped ReadFrom ran %d times, want 1", inner.readFrom)
+	}
+	if got := inner.Body.String(); got != body {
+		t.Fatalf("body %q, want %q", got, body)
+	}
+
+	rec := httptest.NewRecorder()
+	if _, err := io.Copy(NewStatusWriter(rec), src()); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Body.String(); got != body {
+		t.Fatalf("body over a plain writer %q, want %q", got, body)
 	}
 }

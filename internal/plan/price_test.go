@@ -21,44 +21,16 @@ import (
 // TestPricedCertificatesMatchTheLP: a plan's bounds and width are its
 // certificate priced at its constraints (price.go), not copies of the LP's
 // objective, so they must be the LP's values. On the shapes of
-// TestPlanBytesGolden, on 5-variable paths and cycles under every mode (seeded
-// cardinalities, a second cardinality on one atom, a degree constraint) and on
-// the plans of testdata/pr12-plans.json, every rule's bound equals the bound
-// LP of its targets, and the width equals da-fhtw's min-max over the bag LPs
-// (ModeFhtw, which must also pick Chosen), the largest transversal LP
-// (ModeSubw) or the one rule's LP. A renamed spelling's plan, a planner hit
-// rebound by fromCanonical, prices to the same bounds and width, and decodes.
+// TestPlanBytesGolden (goldenShapes), on 5-variable paths and cycles under
+// every mode (seeded cardinalities, a second cardinality on one atom, a
+// degree constraint) and on the plans of testdata/pr12-plans.json, every
+// rule's bound equals the bound LP of its targets, and the width equals
+// da-fhtw's min-max over the bag LPs (ModeFhtw, which must also pick
+// Chosen), the largest transversal LP (ModeSubw) or the one rule's LP. A
+// renamed spelling's plan, a planner hit rebound by fromCanonical, prices to
+// the same bounds and width, and decodes.
 func TestPricedCertificatesMatchTheLP(t *testing.T) {
-	const (
-		tri  = "R(A,B), S(B,C), T(A,C)."
-		c4   = "R(A,B), S(B,C), T(C,D), U(D,A)."
-		path = "R(A,B), S(B,C), T(C,D)."
-	)
-	type shape struct {
-		name, src string
-		mode      Mode
-		cards     []int64 // per atom; a single entry applies to every atom
-		extra     func(s *query.Schema) []query.DegreeConstraint
-	}
-	rows := func(n int64) []int64 { return []int64{n} }
-	shapes := []shape{
-		{"tri-full", "Q(A,B,C) :- " + tri, ModeAuto, rows(8), nil},
-		{"tri-bool", "Q() :- " + tri, ModeAuto, rows(8), nil},
-		{"c4-full", "Q(A,B,C,D) :- " + c4, ModeFull, rows(8), nil},
-		{"c4-fhtw", "Q(A,B,C,D) :- " + c4, ModeFhtw, rows(8), nil},
-		{"c4-subw", "Q(A,B,C,D) :- " + c4, ModeSubw, rows(8), nil},
-		{"c4-bool", "Q() :- " + c4, ModeSubw, rows(8), nil},
-		{"path3-proj", "Q(A,D) :- " + path, ModeFhtw, rows(8), nil},
-		{"rule", "T1(A,B,C) v T2(B,C,D) :- " + path, ModeRule, rows(8), nil},
-		{"c4-deg", "Q(A,B,C,D) :- " + c4 + "\ndeg(R: A,B | A) <= 8", ModeAuto, rows(8), nil},
-		{"path2-proj", "Q(A,C) :- R(A,B), S(B,C).", ModeAuto, rows(8), nil},
-		{"pr12-c4-fhtw", "Q(A,B,C,D) :- " + c4, ModeFhtw, rows(100), nil},
-		{"pr12-tri-full", "Q(A,B,C) :- " + tri, ModeFull, rows(7), nil},
-		{"pr12-c4-bool", "Q() :- " + c4, ModeAuto, rows(100), nil},
-		{"c4-subw-1000", "Q(A,B,C,D) :- " + c4, ModeSubw, rows(1000), nil},
-		{"c4-subw-12345", "Q(A,B,C,D) :- " + c4, ModeSubw, rows(12345), nil},
-		{"c4-bool-12345", "Q() :- " + c4, ModeSubw, rows(12345), nil},
-	}
+	shapes := goldenShapes(t)
 	rng := rand.New(rand.NewSource(43))
 	for _, cyclic := range []bool{false, true} {
 		var atoms []string
@@ -73,18 +45,24 @@ func TestPricedCertificatesMatchTheLP(t *testing.T) {
 		deg := fmt.Sprintf("\ndeg(R%d: %c,%c | %c) <= %d", d, 'A'+d, 'A'+(d+1)%5, 'A'+d, 1+rng.Int63n(cards[d]))
 		// A second cardinality on one atom's pair: the smaller prices it.
 		a, n := rng.Intn(len(atoms)), 2+rng.Int63n(199)
-		second := func(s *query.Schema) []query.DegreeConstraint {
-			return []query.DegreeConstraint{query.Cardinality(s.Atoms[a].Vars, n, a)}
-		}
 		body := strings.Join(atoms, ", ") + "." + deg
 		kind := map[bool]string{false: "path5", true: "c5"}[cyclic]
 		for _, head := range []string{"Q(A,B,C,D,E)", "Q()", "Q(A,E)"} {
+			pr, err := query.Parse(head + " :- " + body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cons := pr.Constraints
+			for i, at := range pr.Rule.Atoms {
+				cons = append(cons, query.Cardinality(at.Vars, cards[i], i))
+			}
+			cons = append(cons, query.Cardinality(pr.Rule.Atoms[a].Vars, n, a))
 			modes := []Mode{ModeFhtw, ModeSubw, ModeAuto}
 			if head == "Q(A,B,C,D,E)" {
 				modes = append(modes, ModeFull)
 			}
 			for _, m := range modes {
-				shapes = append(shapes, shape{fmt.Sprintf("%s-%s-%v", kind, head, m), head + " :- " + body, m, cards, second})
+				shapes = append(shapes, goldenShape{fmt.Sprintf("%s-%s-%v", kind, head, m), pr, m, cons})
 			}
 		}
 	}
@@ -92,21 +70,12 @@ func TestPricedCertificatesMatchTheLP(t *testing.T) {
 	ctx := context.Background()
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			pr, err := query.Parse(sh.src)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pr, cons := sh.pr, sh.cons
 			s, heads := &pr.Rule.Schema, pr.Rule.Targets
 			if pr.Conj != nil {
 				s, heads = &pr.Conj.Schema, []bitset.Set{pr.Conj.Free}
 			}
-			cons := pr.Constraints
-			for i, a := range s.Atoms {
-				cons = append(cons, query.Cardinality(a.Vars, sh.cards[min(i, len(sh.cards)-1)], i))
-			}
-			if sh.extra != nil {
-				cons = append(cons, sh.extra(s)...)
-			}
+			var err error
 			var p *Plan
 			if pr.Conj != nil {
 				p, _, err = PrepareContext(ctx, pr.Conj, cons, sh.mode)
@@ -121,9 +90,11 @@ func TestPricedCertificatesMatchTheLP(t *testing.T) {
 			}
 			checkPricesAgainstLP(t, p)
 
-			mode := sh.mode
+			// The planner takes a rule under ModeRule; the direct path above
+			// ignores the mode goldenShapes names for it.
+			mode := ModeRule
 			if pr.Conj != nil {
-				mode = ResolveMode(pr.Conj, mode)
+				mode = ResolveMode(pr.Conj, sh.mode)
 			}
 			pl := NewPlanner(2)
 			if _, err := pl.prepare(ctx, s, heads, cons, mode); err != nil {

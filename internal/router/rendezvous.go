@@ -1,10 +1,5 @@
 package router
 
-import (
-	"hash/fnv"
-	"sort"
-)
-
 // Rendezvous (highest-random-weight) hashing assigns each routing key an
 // ordered preference list over the replica set: every (replica, key) pair
 // gets an independent pseudo-random score and the replicas are ranked by
@@ -20,37 +15,56 @@ import (
 //   - Balance: scores are i.i.d. across keys, so shards even out over a
 //     query-shape corpus without any coordination or ring maintenance.
 
-// score hashes a (replica, key) pair with FNV-1a 64. The NUL separator
-// keeps ("ab","c") and ("a","bc") from colliding.
+// score hashes a (replica, key) pair with FNV-1a 64 (hash/fnv's New64a,
+// written out so a ranking allocates no hasher). The NUL separator keeps
+// ("ab","c") and ("a","bc") from colliding.
 func score(replica, key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(replica))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(replica); i++ {
+		h = (h ^ uint64(replica[i])) * prime64
+	}
+	h *= prime64 // the NUL: h ^ 0 is h
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime64
+	}
+	return h
 }
 
-// Rank orders replicas by descending rendezvous score for key, breaking
-// (astronomically unlikely) score ties by name so the order is total. The
-// returned slice is freshly allocated; replicas is not modified.
-func Rank(replicas []string, key string) []string {
-	type scored struct {
-		name string
-		s    uint64
-	}
-	ranked := make([]scored, len(replicas))
-	for i, r := range replicas {
-		ranked[i] = scored{name: r, s: score(r, key)}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].s != ranked[j].s {
-			return ranked[i].s > ranked[j].s
+// scored is one replica's place in a ranking: its index among the replicas
+// ranked and its score.
+type scored struct {
+	i int
+	s uint64
+}
+
+// rank appends to into the index and score for key of each of n replicas,
+// name(i) being replica i's name, and returns it in rendezvous order:
+// descending score, (astronomically unlikely) score ties broken by name so
+// the order is total. It allocates only when into has no room for n.
+func rank(into []scored, n int, name func(int) string, key string) []scored {
+	for i := 0; i < n; i++ {
+		into = append(into, scored{i, score(name(i), key)})
+		// Insertion sort: a fleet is a handful of replicas.
+		for j := len(into) - 1; j > 0; j-- {
+			a, b := into[j], into[j-1]
+			if a.s < b.s || a.s == b.s && name(a.i) > name(b.i) {
+				break
+			}
+			into[j], into[j-1] = b, a
 		}
-		return ranked[i].name < ranked[j].name
-	})
-	out := make([]string, len(ranked))
-	for i, r := range ranked {
-		out[i] = r.name
+	}
+	return into
+}
+
+// Rank orders replica names by rendezvous score for key: rank over a list of
+// names, the form the ordering's properties are tested in. The returned
+// slice is freshly allocated; replicas is not modified.
+func Rank(replicas []string, key string) []string {
+	order := rank(make([]scored, 0, len(replicas)), len(replicas), func(i int) string { return replicas[i] }, key)
+	out := make([]string, len(order))
+	for i, o := range order {
+		out[i] = replicas[o.i]
 	}
 	return out
 }

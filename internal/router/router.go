@@ -434,15 +434,6 @@ func (r *Router) routableReplicas() []*backend {
 	return out
 }
 
-func (r *Router) backendByName(name string) *backend {
-	for _, b := range r.replicas {
-		if b.name == name {
-			return b
-		}
-	}
-	return nil
-}
-
 // ---- Plan shipping ----
 
 // catchUp is one round of the push loop: the replicas that are behind and
@@ -496,15 +487,21 @@ func (r *Router) catchUp() {
 // answered as a duplicate. A replica checks such an entry's digest and finds
 // its key held, and does not decode the plan (plan.LoadCache).
 func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
-	ctx, cancel := context.WithTimeout(ctx, r.timeout)
-	defer cancel()
 	r.plannedMu.Lock()
 	if _, ok := r.planned[shape]; ok {
 		r.plannedMu.Unlock()
 		return
 	}
-	if ch, ok := r.warming[shape]; ok {
-		r.plannedMu.Unlock()
+	ch, waiting := r.warming[shape]
+	if !waiting {
+		ch = make(chan struct{})
+		r.warming[shape] = ch
+	}
+	r.plannedMu.Unlock()
+	// Armed only past the memo: a read of a memoized shape starts no timer.
+	ctx, cancel := context.WithTimeout(ctx, r.timeout)
+	defer cancel()
+	if waiting {
 		// Another request is warming this exact shape; wait for it (so the
 		// plan reaches the replica before our query does) but no longer
 		// than our own deadline. Either way the query then routes: if the
@@ -515,9 +512,6 @@ func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 		}
 		return
 	}
-	ch := make(chan struct{})
-	r.warming[shape] = ch
-	r.plannedMu.Unlock()
 	defer func() {
 		r.plannedMu.Lock()
 		delete(r.warming, shape)
@@ -679,13 +673,11 @@ func (r *Router) plannedShape(ctx context.Context, src, mode string) string {
 // is tried (each downed replica costs exactly one bounded retry). When no
 // healthy replica remains the answer is 502 "no_healthy_replica".
 func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, shape string, body []byte) {
-	names := make([]string, len(r.replicas))
-	for i, b := range r.replicas {
-		names[i] = b.name
-	}
+	var room [8]scored // a fleet of up to eight replicas ranks without allocating
 	attempts := 0
-	for _, name := range Rank(names, shape) {
-		b := r.backendByName(name)
+	name := func(i int) string { return r.replicas[i].name }
+	for _, o := range rank(room[:0], len(r.replicas), name, shape) {
+		b := r.replicas[o.i]
 		if !b.isRoutable() {
 			continue
 		}

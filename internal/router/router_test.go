@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -183,6 +184,54 @@ func newTestRouter(t *testing.T, planner string, replicas ...*fakeReplica) *Rout
 	}
 	t.Cleanup(r.Close)
 	return r
+}
+
+// backendByName is the router's backend for a replica name; nil for none.
+func (r *Router) backendByName(name string) *backend {
+	for _, b := range r.replicas {
+		if b.name == name {
+			return b
+		}
+	}
+	return nil
+}
+
+// TestRouteRanksAsRankWithoutAllocating: the ranking a routed request walks
+// is Rank's order over the replica names, score is FNV-1a 64 of the name,
+// a NUL and the key, and a ranking of a small fleet allocates nothing.
+func TestRouteRanksAsRankWithoutAllocating(t *testing.T) {
+	var names []string
+	for i := 0; i < 5; i++ {
+		names = append(names, fmt.Sprintf("http://127.0.0.1:%d", 8200+i))
+	}
+	r, err := New(Config{Replicas: names, Planner: "http://127.0.0.1:8100", PushEvery: time.Hour, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	name := func(i int) string { return r.replicas[i].name }
+	for _, key := range corpusShapes(t, 50) {
+		h := fnv.New64a()
+		h.Write([]byte(names[0] + "\x00" + key))
+		if got := score(names[0], key); got != h.Sum64() {
+			t.Fatalf("score(%q, %q) = %x, FNV-1a 64 %x", names[0], key, got, h.Sum64())
+		}
+		var room [8]scored
+		var got []string
+		for _, o := range rank(room[:0], len(r.replicas), name, key) {
+			got = append(got, r.replicas[o.i].name)
+		}
+		if want := Rank(names, key); !slices.Equal(got, want) {
+			t.Fatalf("route order for %q:\n %v\nRank:\n %v", key, got, want)
+		}
+	}
+	key := corpusShapes(t, 1)[0]
+	if n := testing.AllocsPerRun(100, func() {
+		var room [8]scored
+		rank(room[:0], len(r.replicas), name, key)
+	}); n != 0 {
+		t.Fatalf("ranking five replicas allocates %v times", n)
+	}
 }
 
 func postQuery(t *testing.T, base, src string) (int, string) {

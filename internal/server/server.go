@@ -320,9 +320,9 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 // on a miss. A statement binds the catalog on every run that its result memo
 // (keyed by the referenced relations' ticks) does not answer, so a hit can
 // never serve stale data.
-func (s *Server) stmt(src string) (*panda.Stmt, error) {
-	if st, ok := s.stmts.get(src); ok {
-		return st, nil
+func (s *Server) stmt(src string) (*stmtEntry, error) {
+	if e, ok := s.stmts.get(src); ok {
+		return e, nil
 	}
 	st, err := s.db.Prepare(src)
 	if err != nil {
@@ -367,7 +367,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	st, err := s.stmt(req.Query)
+	e, err := s.stmt(req.Query)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -383,7 +383,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.queryStarted()
 	}
 	start := time.Now()
-	res, err := st.QueryContext(r.Context(), opts...)
+	res, err := e.stmt.QueryContext(r.Context(), opts...)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.fail(w, err)
@@ -395,8 +395,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Rules carry per-target tables, not one row stream; they keep the
 		// buffered JSON shape regardless of the Accept header.
 		rows, truncated = s.writeResultNDJSON(w, res, req.MaxRows)
+		// A wire encoded for a Result the memo has moved past would keep
+		// that Result's rows alive beside the memo's.
+		if rw := e.wire.Load(); rw != nil && rw.res != res {
+			e.wire.CompareAndSwap(rw, nil)
+		}
 	} else {
-		rows, truncated = s.writeResult(w, st, res, req.MaxRows)
+		rows, truncated = s.writeResult(w, e, res, req.MaxRows)
 	}
 	s.metrics.observeQuery(res.Signature, res.Mode.String(), rows, elapsed, truncated)
 	if s.slowThreshold > 0 && elapsed >= s.slowThreshold {
@@ -455,26 +460,23 @@ func (s *Server) logSlowQuery(res *panda.Result, rows int, elapsed time.Duration
 // telemetry. A client that hangs up mid-answer ends the encode at the
 // buffer in hand: the remaining rows, tables and the tail are skipped.
 //
-// Stats and the sorted target list are pure functions of a memoized Result
-// that are still worked out per request: keeping them would take a field on
-// Result or Stmt.
-func (s *Server) writeResult(w http.ResponseWriter, st *panda.Stmt, res *panda.Result, maxRows int) (rows int, truncated bool) {
+// What res fixes around the rows — the head through "rows" and the tail from
+// stats on — is encoded once per memoised Result and kept on e (resultWire),
+// so a memo hit encodes only its rows; a rule's sorted target list is still
+// worked out per request.
+func (s *Server) writeResult(w http.ResponseWriter, e *stmtEntry, res *panda.Result, maxRows int) (rows int, truncated bool) {
 	w.Header().Set("Content-Type", "application/json")
 	// ResponseController reaches Flush through the StatusWriter's Unwrap;
 	// a direct type assertion would miss it.
 	b := newWireBuf(w, http.NewResponseController(w))
 	defer b.close()
-	b.buf = fmt.Appendf(b.buf, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
-	if res.Width != nil {
-		b.buf = fmt.Appendf(b.buf, `,"width":%q`, res.Width.RatString())
-	}
+	rw := e.wireOf(res)
+	b.buf = append(b.buf, rw.head...)
 	if res.Rel != nil {
-		cols, _ := json.Marshal(res.Columns)
-		b.buf = fmt.Appendf(b.buf, `,"columns":%s,"rows":`, cols)
 		rows, truncated = streamRows(b, res.Iter(), maxRows)
 	}
 	if res.Mode == panda.ModeRule {
-		n, cut := writeTables(b, st, res.Tables, maxRows)
+		n, cut := writeTables(b, e.stmt, res.Tables, maxRows)
 		rows += n
 		truncated = truncated || cut
 	}
@@ -484,10 +486,38 @@ func (s *Server) writeResult(w http.ResponseWriter, st *panda.Stmt, res *panda.R
 	if truncated {
 		b.buf = append(b.buf, `,"truncated":true`...)
 	}
+	b.buf = append(b.buf, rw.tail...)
+	return rows, truncated
+}
+
+// resultWire is writeResult's JSON around the rows of one Result: head opens
+// the object through `"rows":` (mode, ok, width, columns), tail closes it
+// from stats on (stats, signature, timings).
+type resultWire struct {
+	res        *panda.Result
+	head, tail []byte
+}
+
+// wireOf returns res's resultWire, encoding it when e holds another
+// Result's: a write that advanced or replaced the statement's memo handed
+// back a new Result.
+func (e *stmtEntry) wireOf(res *panda.Result) *resultWire {
+	if rw := e.wire.Load(); rw != nil && rw.res == res {
+		return rw
+	}
+	rw := &resultWire{res: res}
+	rw.head = fmt.Appendf(nil, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
+	if res.Width != nil {
+		rw.head = fmt.Appendf(rw.head, `,"width":%q`, res.Width.RatString())
+	}
+	if res.Rel != nil {
+		cols, _ := json.Marshal(res.Columns)
+		rw.head = fmt.Appendf(rw.head, `,"columns":%s,"rows":`, cols)
+	}
 	if res.Stats != nil {
 		stats, err := json.Marshal(res.Stats)
 		if err == nil {
-			b.buf = append(append(b.buf, `,"stats":`...), stats...)
+			rw.tail = append(append(rw.tail, `,"stats":`...), stats...)
 		}
 	}
 	// Shape identity and wall-clock stage timings land after stats. Mode,
@@ -498,15 +528,16 @@ func (s *Server) writeResult(w http.ResponseWriter, st *panda.Stmt, res *panda.R
 	// another replica. Over one history of calls everything through stats is
 	// byte-stable across runs, while the timings tail is allowed to vary.
 	if res.Signature != "" {
-		b.buf = fmt.Appendf(b.buf, `,"signature":%q`, res.Signature)
+		rw.tail = fmt.Appendf(rw.tail, `,"signature":%q`, res.Signature)
 	}
 	if res.Timings != nil {
 		if t, err := json.Marshal(res.Timings.Seconds()); err == nil {
-			b.buf = append(append(b.buf, `,"timings":`...), t...)
+			rw.tail = append(append(rw.tail, `,"timings":`...), t...)
 		}
 	}
-	b.buf = append(b.buf, "}\n"...)
-	return rows, truncated
+	rw.tail = append(rw.tail, "}\n"...)
+	e.wire.Store(rw)
+	return rw
 }
 
 // wireBufSize is how much of a body is encoded before net/http sees any of
@@ -668,7 +699,7 @@ func (s *Server) explain(r *http.Request) (*panda.PlanInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := s.stmt(src)
+	e, err := s.stmt(src)
 	if err != nil {
 		return nil, err
 	}
@@ -676,7 +707,7 @@ func (s *Server) explain(r *http.Request) (*panda.PlanInfo, error) {
 	if explicit {
 		opts = append(opts, panda.WithMode(mode))
 	}
-	return st.ExplainContext(r.Context(), opts...)
+	return e.stmt.ExplainContext(r.Context(), opts...)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {

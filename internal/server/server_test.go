@@ -694,3 +694,87 @@ func TestServerParallelismParity(t *testing.T) {
 		t.Fatalf("parallel body diverges:\n%s\nvs\n%s", seq, par)
 	}
 }
+
+// TestServerMemoHitsAnswerTheirResult: two memo hits of one statement answer
+// byte for byte alike, timings included — what a Result fixes around its rows
+// is encoded once for it — and after an insert the statement's memo advances
+// and the next answer carries the new Result's rows, stats and timings, not
+// the head and tail encoded for the old one.
+func TestServerMemoHitsAnswerTheirResult(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	q := panda.TriangleQuery()
+	loadOverHTTP(t, ts.URL, &q.Schema, panda.RandomInstance(11, &q.Schema, 40, 10))
+	body := fmt.Sprintf(`{"query":%q}`, triangleSrc)
+	query := func() (string, map[string]json.RawMessage) {
+		t.Helper()
+		code, raw := post(t, ts.URL+"/v1/query", body)
+		if code != http.StatusOK {
+			t.Fatalf("query: %d %s", code, raw)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(raw), &fields); err != nil {
+			t.Fatalf("%v: %s", err, raw)
+		}
+		return raw, fields
+	}
+	first, old := query()
+	if second, _ := query(); second != first {
+		t.Fatalf("two memo hits answered differently:\n%s\n%s", first, second)
+	}
+
+	for _, ins := range []struct{ rel, rows string }{{"R", "[[100,101]]"}, {"S", "[[101,102]]"}, {"T", "[[100,102]]"}} {
+		if code, raw := post(t, ts.URL+"/v1/relations/"+ins.rel+"/rows", `{"rows":`+ins.rows+`}`); code != http.StatusOK {
+			t.Fatalf("insert into %s: %d %s", ins.rel, code, raw)
+		}
+	}
+	third, got := query()
+	if !strings.Contains(third, "[100,101,102]") {
+		t.Fatalf("the answer after the insert lacks its new triangle:\n%s", third)
+	}
+	e, ok := s.stmts.get(triangleSrc)
+	if !ok {
+		t.Fatal("the statement left the cache")
+	}
+	res, err := e.stmt.Query(panda.WithStageTimings(true)) // the memo's Result
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := json.Marshal(res.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timings, err := json.Marshal(res.Timings.Seconds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got["stats"]) != string(stats) || string(got["timings"]) != string(timings) {
+		t.Fatalf("after the insert: stats %s, timings %s; the memo's Result has %s, %s",
+			got["stats"], got["timings"], stats, timings)
+	}
+	if string(got["stats"]) == string(old["stats"]) {
+		t.Fatalf("the advanced memo reports the stats of the execution it replaced: %s", got["stats"])
+	}
+
+	// An NDJSON answer of a memo moved on by another insert drops the wire
+	// of the Result before it, which would keep that Result alive.
+	if code, raw := post(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[200,201]]}`); code != http.StatusOK {
+		t.Fatalf("insert into R: %d %s", code, raw)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/x-ndjson")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ndjson query: %d", resp.StatusCode)
+	}
+	if rw := e.wire.Load(); rw != nil {
+		t.Fatal("an NDJSON answer of an advanced memo kept the wire of the Result before it")
+	}
+}

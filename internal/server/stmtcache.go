@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"panda"
 )
@@ -30,6 +31,11 @@ type stmtCache struct {
 type stmtEntry struct {
 	src  string
 	stmt *panda.Stmt
+	// wire is the JSON writeResult sends around the rows of the last Result
+	// the statement answered: the parts that Result fixes, encoded once. An
+	// answer in either framing replaces or drops a wire encoded for an older
+	// Result, so no superseded Result outlives the next answer.
+	wire atomic.Pointer[resultWire]
 }
 
 func newStmtCache(capacity int) *stmtCache {
@@ -39,8 +45,8 @@ func newStmtCache(capacity int) *stmtCache {
 	return &stmtCache{cap: capacity, ll: list.New(), index: map[string]*list.Element{}}
 }
 
-// get returns the cached statement for src, refreshing its recency.
-func (c *stmtCache) get(src string) (*panda.Stmt, bool) {
+// get returns the cached entry for src, refreshing its recency.
+func (c *stmtCache) get(src string) (*stmtEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[src]
@@ -50,28 +56,29 @@ func (c *stmtCache) get(src string) (*panda.Stmt, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return el.Value.(*stmtEntry).stmt, true
+	return el.Value.(*stmtEntry), true
 }
 
-// put caches a statement and returns the one the cache holds for src,
+// put caches a statement and returns the entry the cache holds for src,
 // evicting the least recently used entry beyond capacity. Concurrent misses
 // for the same text may both prepare and put; the first put wins and every
-// caller gets its statement, so one text has one result memo and one refresh
-// in flight.
-func (c *stmtCache) put(src string, st *panda.Stmt) *panda.Stmt {
+// caller gets its entry, so one text has one result memo and one refresh in
+// flight.
+func (c *stmtCache) put(src string, st *panda.Stmt) *stmtEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.index[src]; ok {
 		c.ll.MoveToFront(el)
-		return el.Value.(*stmtEntry).stmt
+		return el.Value.(*stmtEntry)
 	}
-	c.index[src] = c.ll.PushFront(&stmtEntry{src: src, stmt: st})
+	e := &stmtEntry{src: src, stmt: st}
+	c.index[src] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		delete(c.index, back.Value.(*stmtEntry).src)
 	}
-	return st
+	return e
 }
 
 // snapshot reports (entries, hits, misses) for the metrics endpoint.

@@ -25,14 +25,14 @@ func TestStmtCachePutKeepsFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newStmtCache(4)
-	if got := c.put(src, first); got != first {
+	if got := c.put(src, first).stmt; got != first {
 		t.Fatalf("first put returned %p, want the statement it was given %p", got, first)
 	}
-	if got := c.put(src, second); got != first {
+	if got := c.put(src, second).stmt; got != first {
 		t.Fatalf("second put returned %p, want the first statement %p", got, first)
 	}
-	if got, ok := c.get(src); !ok || got != first {
-		t.Fatalf("get after two puts = %p, %v; want the first statement %p", got, ok, first)
+	if got, ok := c.get(src); !ok || got.stmt != first {
+		t.Fatalf("get after two puts = %v, %v; want the first statement %p", got, ok, first)
 	}
 	if n, _, _ := c.snapshot(); n != 1 {
 		t.Fatalf("cache holds %d entries for one text", n)

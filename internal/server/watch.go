@@ -62,7 +62,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, fmt.Errorf("queue must be between 0 and %d", maxWatchQueue))
 		return
 	}
-	st, err := s.stmt(req.Query)
+	e, err := s.stmt(req.Query)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -71,6 +71,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if req.Queue > 0 {
 		opts = append(opts, panda.WithWatchQueue(req.Queue))
 	}
+	st := e.stmt
 	wch, err := st.Watch(opts...)
 	if err != nil {
 		s.fail(w, err)
