@@ -12,14 +12,16 @@
 // consistently lands on one replica and the fleet's plan/stmt caches stay
 // hot and disjoint. A new shape is planned once on the designated planning
 // tier, which answers with that one plan (GET /v1/plans?q=<text>), and the
-// plan is shipped to every replica at once (PUT /v1/plans) before the query
-// is forwarded — replicas serve with zero LP solves. A replica that missed
-// a shipment (down, quarantined, or there before this router started) is
-// behind until the catch-up loop has sent it the planner's whole cache.
+// plan is shipped only to the replica that serves the shape (PUT /v1/plans)
+// before the query is forwarded there — replicas serve with zero LP solves,
+// and their plan caches are shard-disjoint. A replica that was down or
+// quarantined, or refused a shipment, is behind until the catch-up loop has
+// sent it the planner's whole cache.
 // Replicas are probed on /healthz; a failed or draining replica is failed
 // over with one bounded retry per downed candidate, and its query shapes
 // move wholesale to their next-ranked replica (rendezvous hashing moves
-// nothing else).
+// nothing else); a failover read pays one warm-up, shipping its shape's
+// plan to the fallback replica first.
 //
 // Catalog mutations are broadcast to the planning tier, then to all
 // replicas at once.

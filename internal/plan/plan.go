@@ -282,13 +282,18 @@ func PrepareRuleContext(ctx context.Context, s *query.Schema, cons []query.Degre
 
 // front opens every planning entry: it checks ctx (nil reads as Background),
 // validates the input, so a key only describes a well-formed one, and
-// canonicalizes it. heads and mode are as Planner.prepare takes them.
+// canonicalizes it. heads and mode are as Planner.prepare takes them: a
+// rule's targets under ModeRule, else a conjunctive query's one free set.
 func front(ctx context.Context, s *query.Schema, heads []bitset.Set, cons []query.DegreeConstraint, mode Mode) (context.Context, *Signature, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return ctx, nil, err
+	}
+	if mode != ModeRule && len(heads) != 1 {
+		// planCanonical would plan the query of heads[0] alone.
+		return ctx, nil, fmt.Errorf("plan: mode %v plans a conjunctive query, one free set, not %d heads", mode, len(heads))
 	}
 	if err := validate(s, heads, cons); err != nil {
 		return ctx, nil, err

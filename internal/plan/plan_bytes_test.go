@@ -158,3 +158,43 @@ func TestDirectPlanIsThePlannersPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestSeveralHeadsPlanOnlyUnderModeRule: a rule's targets are several heads,
+// which only ModeRule plans. Under any other mode the Planner and the direct
+// entries refuse them, where planCanonical would plan the query of the first
+// target alone; under ModeRule the Planner's plan is PrepareRuleContext's.
+func TestSeveralHeadsPlanOnlyUnderModeRule(t *testing.T) {
+	ctx := context.Background()
+	for _, sh := range goldenShapes(t) {
+		if sh.pr.Conj != nil {
+			continue
+		}
+		r := sh.pr.Rule
+		if len(r.Targets) < 2 {
+			t.Fatalf("%s has %d targets; the check needs several", sh.name, len(r.Targets))
+		}
+		pl := NewPlanner(8)
+		for _, mode := range []Mode{ModeAuto, ModeFull, ModeFhtw, ModeSubw} {
+			if p, err := pl.prepare(ctx, &r.Schema, r.Targets, sh.cons, mode); err == nil {
+				t.Errorf("%s under %v: the Planner planned %d targets as a %d-rule plan", sh.name, mode, len(r.Targets), len(p.Rules))
+			}
+			if _, _, err := prepareDirect(ctx, &r.Schema, r.Targets, sh.cons, mode); err == nil {
+				t.Errorf("%s under %v: the direct entry planned %d targets", sh.name, mode, len(r.Targets))
+			}
+		}
+		if st := pl.Stats(); st.Misses != 0 || st.LPSolves != 0 {
+			t.Errorf("%s: refused inputs reached the planning phase: %+v", sh.name, st)
+		}
+		p, err := pl.prepare(ctx, &r.Schema, r.Targets, sh.cons, ModeRule)
+		if err != nil {
+			t.Fatalf("%s under ModeRule: %v", sh.name, err)
+		}
+		want, _, err := PrepareRuleContext(ctx, &r.Schema, sh.cons, r.Targets)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		if len(p.Rules) != 1 || !reflect.DeepEqual(p.Rules[0], want) {
+			t.Errorf("%s: the Planner's ModeRule plan (%d rules) is not PrepareRuleContext's rule", sh.name, len(p.Rules))
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -76,4 +77,65 @@ func BenchmarkRouterProxyOverhead(b *testing.B) {
 		defer front.Close()
 		drive(b, front.URL)
 	})
+}
+
+// BenchmarkRouterFirstSighting prices a first sighting through the fleet: a
+// router over a real planning tier and two real replicas, each iteration a
+// fresh row inserted through the router (broadcast to all three; the router
+// drops its planned-shape memo, and R's new cardinality gives the triangle a
+// new plan key) and then one triangle read, which the router warms on the
+// planner (LP solves included) and ships to the replica that serves it
+// before forwarding. The replicas run in this process, so B/op counts the
+// plan imports they decode.
+func BenchmarkRouterFirstSighting(b *testing.B) {
+	q := panda.TriangleQuery()
+	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
+	newNode := func() *httptest.Server {
+		db := panda.Open(panda.WithPlannerCapacity(64))
+		ts := httptest.NewServer(server.New(server.Config{DB: db}))
+		b.Cleanup(func() { ts.Close(); db.Close() })
+		return ts
+	}
+	planner, a, c := newNode(), newNode(), newNode()
+	r, err := New(Config{
+		Replicas:   []string{a.URL, c.URL},
+		Planner:    planner.URL,
+		PushEvery:  time.Hour,
+		ProbeEvery: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(r.Close)
+	front := httptest.NewServer(r)
+	b.Cleanup(front.Close)
+	client := &http.Client{}
+	post := func(path, body string) {
+		resp, err := client.Post(front.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			b.Fatalf("POST %s: %d", path, resp.StatusCode)
+		}
+	}
+	for i, at := range q.Schema.Atoms {
+		post("/v1/relations", fmt.Sprintf(`{"name":%q,"arity":%d}`, at.Name, at.Vars.Card()))
+		rows, err := json.Marshal(ins.Relations[i].Rows())
+		if err != nil {
+			b.Fatal(err)
+		}
+		post("/v1/relations/"+at.Name+"/rows", fmt.Sprintf(`{"rows":%s}`, rows))
+	}
+	read := fmt.Sprintf(`{"query":%q}`, triangleSrc)
+	post("/v1/query", read)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A row no triangle passes through: the answer stays put while the
+		// plan key moves.
+		post("/v1/relations/R/rows", fmt.Sprintf(`{"rows":[[%d,%d]]}`, 1_000_000+i, 2_000_000+i))
+		post("/v1/query", read)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -164,9 +165,13 @@ type replicaShapes struct {
 //  2. routing is shape-disjoint: each signature digest appears in exactly
 //     one replica's /v1/shapes table;
 //  3. rows match a direct single-process pandad on the same data;
-//  4. draining one replica mid-traffic loses ZERO requests — the drained
-//     replica's shard fails over to the survivor, which serves it from the
-//     pushed plans, still without planning.
+//  4. plans are shipped only to the replica that serves them: each
+//     replica's plan cache holds exactly the shapes routed to it, and every
+//     ensure imported its plan into one replica;
+//  5. draining one replica mid-traffic loses ZERO requests — the drained
+//     replica's shard fails over to the survivor, which is shipped each
+//     moved shape's plan before its first read there, still without
+//     planning.
 func TestFleetAmortizesPlanningAndSurvivesFailover(t *testing.T) {
 	f := newFleet(t)
 	q, ins := f.seed(t)
@@ -272,9 +277,53 @@ func TestFleetAmortizesPlanningAndSurvivesFailover(t *testing.T) {
 		}
 	}
 
-	// (4) Drain one replica (what SIGTERM does to pandad) and rerun the
+	// (4) Shard-disjoint plan caches: a replica holds the plans of the
+	// shapes ranked to it and no others, one ensure per shape, one import
+	// per ensure.
+	names := []string{f.replicas[0].ts.URL, f.replicas[1].ts.URL}
+	owned := map[string]int{}
+	distinct := map[string]bool{}
+	for _, src := range shapes {
+		shape, err := shapeOf(src, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !distinct[shape] {
+			distinct[shape] = true
+			owned[Rank(names, shape)[0]]++
+		}
+	}
+	for i, rep := range f.replicas {
+		if got, want := rep.db.PlanCacheLen(), owned[rep.ts.URL]; got != want {
+			t.Fatalf("replica %d holds %d plans, want the %d of the shapes routed to it", i, got, want)
+		}
+	}
+	wantShipped := func(when string, ensured int) {
+		t.Helper()
+		m := metricsText(t, f.front.URL)
+		if want := fmt.Sprintf("panda_router_shapes_ensured_total %d\n", ensured); !strings.Contains(m, want) {
+			t.Fatalf("%s: router metrics missing %q:\n%s", when, want, m)
+		}
+		var imported int
+		for _, line := range strings.Split(m, "\n") {
+			if series, ok := strings.CutPrefix(line, "panda_router_push_entries_total{"); ok {
+				_, v, _ := strings.Cut(series, "} ")
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("%s: bad sample %q", when, line)
+				}
+				imported += n
+			}
+		}
+		if imported != ensured {
+			t.Fatalf("%s: %d plan entries imported for %d ensures, want one replica per ensure", when, imported, ensured)
+		}
+	}
+	wantShipped("after the corpus", len(distinct))
+
+	// (5) Drain one replica (what SIGTERM does to pandad) and rerun the
 	// whole corpus: zero failed requests, and the survivor still plans
-	// nothing because it holds every pushed plan.
+	// nothing because each moved shape's plan is shipped to it first.
 	drained := f.replicas[0]
 	survivor := f.replicas[1]
 	if err := drained.srv.Shutdown(context.Background()); err != nil {
@@ -291,6 +340,11 @@ func TestFleetAmortizesPlanningAndSurvivesFailover(t *testing.T) {
 	if st.LPSolves != 0 || st.Misses != 0 {
 		t.Fatalf("survivor planned after failover: %+v", st)
 	}
+	if got := survivor.db.PlanCacheLen(); got != len(distinct) {
+		t.Fatalf("survivor holds %d plans after the failover, want all %d shapes'", got, len(distinct))
+	}
+	// Each shape that moved paid one warm-up on the survivor.
+	wantShipped("after the drain", len(distinct)+owned[drained.ts.URL])
 	m := metricsText(t, f.front.URL)
 	if !strings.Contains(m, fmt.Sprintf("panda_router_failovers_total{replica=%q} 1", drained.ts.URL)) {
 		t.Fatalf("router metrics missing the drain failover:\n%s", m)

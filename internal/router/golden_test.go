@@ -72,7 +72,7 @@ func TestMetricsGolden(t *testing.T) {
 	}
 
 	// The fake planner answers every pull with two plan entries, so each
-	// ensure ships two to every replica routable at the time.
+	// ensure ships two, to the replica about to serve the shape.
 	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{},{}]}`)
 	shapes := []string{
 		triangleSrc,

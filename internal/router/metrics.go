@@ -57,7 +57,7 @@ func newTelemetry(r *Router) *telemetry {
 	m.pushEntries = metrics.Counter[uint64](reg, "panda_router_push_entries_total", "Plan-cache entries pushed to each replica (a first sighting ships the plan the planner answered for the query text, catch-up a whole snapshot).", "replica")
 	m.retries = metrics.Counter[uint64](reg, "panda_router_retries_total", "Proxy attempts beyond the first, across all requests (bounded failover).")
 	m.noHealthy = metrics.Counter[uint64](reg, "panda_router_no_healthy_replica_total", "Requests answered 502 because no healthy replica remained.")
-	m.ensures = metrics.Counter[uint64](reg, "panda_router_shapes_ensured_total", "First-sighted shapes synchronously planned on the planning tier and shipped.")
+	m.ensures = metrics.Counter[uint64](reg, "panda_router_shapes_ensured_total", "Shape warm-ups: a shape planned on the planning tier and its plan shipped to the one replica about to serve it (on its first read, or on a failover to a replica the plan was not shipped to).")
 	m.pushes = metrics.Counter[uint64](reg, "panda_router_pushes_total", "Plan shipments that carried at least one entry.")
 	m.plannerErrors = metrics.Counter[uint64](reg, "panda_router_planner_errors_total", "Failed planner interactions (warm-ups and plan pulls).")
 	return m

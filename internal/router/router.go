@@ -12,18 +12,22 @@
 // Every /v1/query and /v1/plan — conjunctive query or disjunctive rule — is
 // routed by its canonical shape: the renaming-invariant signature computed
 // WITHOUT catalog access or LP work, so each shape consistently lands on one
-// replica and every replica's plan/stmt caches stay hot and disjoint. The
-// first time the router sees a shape it makes one request to the designated
-// planning tier, GET /v1/plans?q=<text>, which pays the LP solves and
-// answers with a snapshot holding that one plan, and PUTs the snapshot to
-// every routable replica at once (PUT /v1/plans) before forwarding the
-// query, so replicas never plan: their lp_solves_total stays 0 while
-// lp_solves_saved_total climbs. A plan is named by its content: its shape's
-// key names one plan, the plan of the canonical spelling, so
-// the router keeps no record of what it shipped: a replica a shipment could
-// not reach — down, quarantined, a failed push, or any replica when the
-// router starts — is marked behind, and the push loop sends each behind
-// replica the planner's whole cache once it is routable again.
+// replica and every replica's plan/stmt caches stay hot and disjoint. Before
+// the router forwards a read to a replica that does not hold its shape's
+// plan, it makes one request to the designated planning tier, GET
+// /v1/plans?q=<text>, which pays the LP solves and answers with a snapshot
+// holding that one plan, and PUTs the snapshot to that replica alone (PUT
+// /v1/plans), so replicas never plan: their lp_solves_total stays 0 while
+// lp_solves_saved_total climbs. Plans go only to the replica that serves
+// their shape, so the replicas' plan caches are as shard-disjoint as their
+// traffic; a failover read pays one such warm-up on its fallback replica
+// before it is forwarded there. The planned-shape memo records which replica
+// each shape's plan was shipped to. A plan is named by its content: its
+// shape's key names one plan, the plan of the canonical spelling. A replica
+// that was down or quarantined (it may have come back with an empty cache),
+// or that refused a shipment, is marked behind, and the push loop sends it
+// the planner's whole cache once it is routable again: the one shipment
+// that reaches a replica outside its shard.
 //
 // Replicas are health-checked (GET /healthz) and failed over: a transport
 // error or 503 marks the replica down and the request retries on the next-
@@ -107,10 +111,11 @@ type backend struct {
 	// planner's; at staleThreshold the replica is quarantined (live but
 	// unroutable: it missed a catalog mutation and needs a resync).
 	staleRounds int
-	// behind is set while the replica may lack a plan the fleet was shipped:
-	// from the start (the planner may hold plans from before this router),
+	// behind is set while the replica may lack a plan it was shipped:
 	// whenever it stops being routable, and when a push to it fails. The
-	// push loop clears it by sending the planner's whole cache.
+	// push loop clears it by sending the planner's whole cache. A router
+	// starts with no replica behind: its planned-shape memo starts empty, so
+	// each shape's first read ships its plan to the replica that serves it.
 	behind bool
 }
 
@@ -225,13 +230,14 @@ type Router struct {
 	// It is only ever held for map operations — memoized shapes check it
 	// and move on without waiting behind any HTTP work.
 	plannedMu sync.Mutex
-	// planned memoizes routing shapes known to be planned fleet-wide;
+	// planned maps each routing shape whose plan was shipped to the name of
+	// the replica it was shipped to (the one its reads were routed to);
 	// dropped wholesale on catalog mutations (signatures embed
 	// cardinalities) and when it outgrows plannedCap.
-	planned    map[string]struct{}
+	planned    map[string]string
 	plannedCap int
-	// warming single-flights planner warm-ups per shape: the first sighting
-	// runs the warm-up, concurrent sightings of the SAME shape wait on its
+	// warming single-flights planner warm-ups per shape: the first read
+	// that needs one runs it, concurrent reads of the SAME shape wait on its
 	// channel (bounded by their own deadline), other shapes proceed.
 	warming map[string]chan struct{}
 
@@ -286,7 +292,7 @@ func New(cfg Config) (*Router, error) {
 		logf:       cfg.Logf,
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
-		planned:    map[string]struct{}{},
+		planned:    map[string]string{},
 		plannedCap: defaultPlannedCap,
 		warming:    map[string]chan struct{}{},
 		stop:       make(chan struct{}),
@@ -297,7 +303,7 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: duplicate replica %q", name)
 		}
 		seen[name] = true
-		r.replicas = append(r.replicas, &backend{name: name, healthy: true, behind: true})
+		r.replicas = append(r.replicas, &backend{name: name, healthy: true})
 	}
 	r.metrics = newTelemetry(r)
 	r.routes()
@@ -461,56 +467,53 @@ func (r *Router) catchUp() {
 	r.push(ctx, to, cache.body, entries)
 }
 
-// ensurePlanned makes a first-sighted shape — query or rule — safe to route.
-// One request to the planning tier (GET /v1/plans?q=) plans the text there,
-// paying the LP solves on the planner's own cache miss, and answers with a
-// snapshot holding that plan; the snapshot goes to every routable replica
-// unchanged, and the shape is memoized. Replicas therefore see the plan
-// arrive BEFORE the query does and never plan themselves. Planner trouble
-// degrades gracefully: a failed request, a non-200 answer or a snapshot
-// without an entry counts as a planner error, the query still routes (the
-// replica would plan as a last resort) and the shape stays un-memoized so
-// the next sighting retries the warm-up.
+// ensurePlanned makes shape — query or rule — safe to route to replica b.
+// When the planned-shape memo records b as the holder of the shape's plan it
+// returns at once. Otherwise one request to the planning tier (GET
+// /v1/plans?q=) plans the text there, paying the LP solves on the planner's
+// own cache miss, and answers with a snapshot holding that plan; the
+// snapshot goes to b alone, and the memo records b. b therefore sees the
+// plan arrive BEFORE the query does and never plans itself, and no other
+// replica decodes a plan it will not serve. A failover read, sent to a
+// replica the memo does not name, pays one warm-up there first. Planner
+// trouble degrades gracefully: a failed request, a non-200 answer or a
+// snapshot without an entry counts as a planner error, the query still
+// routes (the replica would plan as a last resort) and the memo is left as
+// it was, so the next read retries the warm-up.
 //
 // Warm-ups are single-flighted PER SHAPE and every planner interaction
 // here runs under the router's proxy timeout, so a hung planner
 // connection can stall at most the queries of the one shape being warmed
 // — memoized shapes take the fast path without waiting behind any HTTP
-// work, and concurrent sightings of the warming shape give up at their
+// work, and concurrent reads of the warming shape give up at their
 // deadline instead of queueing behind the client's disconnect.
 //
-// Known cost of keeping no record of what was shipped: a first sighting
-// ships its plan even when the fleet already holds it — an insert into a
-// relation the shape does not read drops the router's shape memo but leaves
-// the plan's key unchanged. Traced serve-mixed, 10 s: 4 of 32 ensures,
-// router.push_entries 56 → 64, each extra push one 2.6 kB PUT per replica
-// answered as a duplicate. A replica checks such an entry's digest and finds
-// its key held, and does not decode the plan (plan.LoadCache).
-func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
-	r.plannedMu.Lock()
-	if _, ok := r.planned[shape]; ok {
-		r.plannedMu.Unlock()
+// Known cost of keeping no record of what a replica holds beyond the memo:
+// a read ships its plan even when the replica already holds it — an insert
+// into a relation the shape does not read drops the router's shape memo but
+// leaves the plan's key unchanged. A replica checks such an entry's digest,
+// finds its key held and does not decode the plan (plan.LoadCache).
+func (r *Router) ensurePlanned(ctx context.Context, b *backend, shape, src, mode string) {
+	ch, lead := r.claim(shape, b.name, false)
+	if ch == nil {
 		return
 	}
-	ch, waiting := r.warming[shape]
-	if !waiting {
-		ch = make(chan struct{})
-		r.warming[shape] = ch
-	}
-	r.plannedMu.Unlock()
 	// Armed only past the memo: a read of a memoized shape starts no timer.
 	ctx, cancel := context.WithTimeout(ctx, r.timeout)
 	defer cancel()
-	if waiting {
-		// Another request is warming this exact shape; wait for it (so the
-		// plan reaches the replica before our query does) but no longer
-		// than our own deadline. Either way the query then routes: if the
-		// warm-up failed, the replica plans as a last resort.
+	for !lead {
+		// Another request is warming this shape; wait for it (so the plan
+		// reaches the replica before our query does) but no longer than our
+		// own deadline. It may have shipped to another replica — a failover
+		// racing a read of the first choice — so claim again.
 		select {
 		case <-ch:
 		case <-ctx.Done():
+			return
 		}
-		return
+		if ch, lead = r.claim(shape, b.name, true); ch == nil {
+			return
+		}
 	}
 	defer func() {
 		r.plannedMu.Lock()
@@ -538,13 +541,33 @@ func (r *Router) ensurePlanned(ctx context.Context, shape, src, mode string) {
 		return
 	}
 	r.metrics.ensures.Add(1)
-	r.push(ctx, r.routableReplicas(), snapshot.body, entries)
+	r.push(ctx, []*backend{b}, snapshot.body, entries)
 	r.plannedMu.Lock()
 	if len(r.planned) >= r.plannedCap {
-		r.planned = map[string]struct{}{}
+		r.planned = map[string]string{}
 	}
-	r.planned[shape] = struct{}{}
+	r.planned[shape] = b.name
 	r.plannedMu.Unlock()
+}
+
+// claim is ensurePlanned's look at the memo. It returns a nil channel when
+// there is nothing to do: replica holds shape's plan, or — after a wait — the
+// warm-up waited on failed and left the shape unshipped. Otherwise it returns
+// the shape's warm-up channel, and lead when the caller opened it and owes
+// the warm-up.
+func (r *Router) claim(shape, replica string, waited bool) (ch chan struct{}, lead bool) {
+	r.plannedMu.Lock()
+	defer r.plannedMu.Unlock()
+	holder, held := r.planned[shape]
+	if held && holder == replica || waited && !held {
+		return nil, false
+	}
+	if ch, ok := r.warming[shape]; ok {
+		return ch, false
+	}
+	ch = make(chan struct{})
+	r.warming[shape] = ch
+	return ch, true
 }
 
 // pull GETs a plan-cache snapshot from the planning tier. The entries of a
@@ -564,10 +587,11 @@ func (r *Router) pull(ctx context.Context, target string) (*sentResponse, int, e
 }
 
 // push imports a snapshot into every replica of to at once and returns when
-// each has answered. Every replica of to either imports it or is left behind
-// for the push loop. Imports never clobber live entries and duplicates are
-// counted, not rejected, so over-delivery is harmless and the path keeps no
-// record of what was shipped.
+// each has answered: the one replica a warm-up ships to, or the replicas a
+// catch-up round owes the planner's whole cache. Every replica of to either
+// imports it or is left behind for the push loop. Imports never clobber live
+// entries and duplicates are counted, not rejected, so over-delivery is
+// harmless.
 func (r *Router) push(ctx context.Context, to []*backend, snapshot []byte, entries int) {
 	if len(to) == 0 || entries == 0 {
 		return
@@ -644,35 +668,29 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// replica stays the strict validator of the full body.
 	var qb queryBody
 	json.Unmarshal(body, &qb)
-	r.routeWithFailover(w, req, r.plannedShape(req.Context(), qb.Query, qb.Mode), body)
+	r.routeWithFailover(w, req, qb.Query, qb.Mode, body)
 }
 
 func (r *Router) handlePlan(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
-	r.routeWithFailover(w, req, r.plannedShape(req.Context(), q.Get("q"), q.Get("mode")), nil)
+	r.routeWithFailover(w, req, q.Get("q"), q.Get("mode"), nil)
 }
 
-// plannedShape names the routing shape of a query or rule text and makes it
-// safe to route (ensurePlanned). A text that does not parse routes by its
-// raw text, unplanned; the replica reports the real error.
-func (r *Router) plannedShape(ctx context.Context, src, mode string) string {
-	if src == "" {
-		return src
+// routeWithFailover forwards a query or plan request for the text src to
+// the routable replicas in rendezvous order for its shape: the first-ranked
+// one gets the request; a transport error or 503 marks it down and the
+// next-ranked one is tried (each downed replica costs exactly one bounded
+// retry). Each replica is made safe to serve the shape (ensurePlanned) just
+// before it is tried. A text that does not parse routes by its raw text,
+// unplanned; the replica reports the real error. When no routable replica
+// remains the answer is 502 "no_healthy_replica".
+func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, src, mode string, body []byte) {
+	shape, warm := src, false
+	if src != "" {
+		if s, err := shapeOf(src, mode); err == nil {
+			shape, warm = s, true
+		}
 	}
-	shape, err := shapeOf(src, mode)
-	if err != nil {
-		return src
-	}
-	r.ensurePlanned(ctx, shape, src, mode)
-	return shape
-}
-
-// routeWithFailover forwards the request to the healthy replicas in
-// rendezvous order for shape: the first-ranked healthy replica gets the
-// request; a transport error or 503 marks it down and the next-ranked one
-// is tried (each downed replica costs exactly one bounded retry). When no
-// healthy replica remains the answer is 502 "no_healthy_replica".
-func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, shape string, body []byte) {
 	var room [8]scored // a fleet of up to eight replicas ranks without allocating
 	attempts := 0
 	name := func(i int) string { return r.replicas[i].name }
@@ -685,8 +703,10 @@ func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, sha
 			r.metrics.retries.Add(1)
 		}
 		attempts++
-		ok := r.proxyOnce(w, req, b, shape, body)
-		if ok {
+		if warm {
+			r.ensurePlanned(req.Context(), b, shape, src, mode)
+		}
+		if r.proxyOnce(w, req, b, shape, body) {
 			return
 		}
 	}
@@ -779,7 +799,7 @@ func (r *Router) handleMutation(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.plannedMu.Lock()
-	r.planned = map[string]struct{}{}
+	r.planned = map[string]string{}
 	r.plannedMu.Unlock()
 }
 

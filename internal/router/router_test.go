@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -296,6 +297,10 @@ func TestRouterShapeAffinity(t *testing.T) {
 	if got := planner.warms.Load(); got != 1 {
 		t.Fatalf("planner warmed %d times, want 1", got)
 	}
+	// The plan went to the replica that serves the shape, and only there.
+	if ga, gb := ranked[0].plans.Load(), ranked[1].plans.Load(); ga != 1 || gb != 0 {
+		t.Fatalf("imports %d/%d, want the plan shipped to the first-ranked replica alone", ga, gb)
+	}
 }
 
 // TestRouterRuleShape: a disjunctive rule and an atom-reordered,
@@ -360,6 +365,15 @@ func TestRouterFailoverOn503(t *testing.T) {
 	}
 	if got := ranked[0].queries.Load(); got != before {
 		t.Fatalf("downed replica was tried again (%d → %d requests)", before, got)
+	}
+
+	// The survivor was shipped the plan before its first read of the shape,
+	// and once: the memo now names it.
+	if got := ranked[1].plans.Load(); got != 1 {
+		t.Fatalf("the survivor imported %d plans, want 1", got)
+	}
+	if got := planner.warms.Load(); got != 2 {
+		t.Fatalf("planner warmed %d times, want 2: the first choice's and the survivor's", got)
 	}
 
 	m := metricsText(t, ts.URL)
@@ -565,10 +579,11 @@ func TestRouterQuarantinesStaleRestartViaProbe(t *testing.T) {
 	}
 }
 
-// TestRouterBehindReplicaCatchesUp: a first sighting ships its one plan,
-// pulled by query text, to the routable replicas; a replica that is down for
-// it is behind, and once a probe round finds it again, one round of the push
-// loop sends it the planner's whole cache — once, and nothing to the
+// TestRouterBehindReplicaCatchesUp: a router starts with no replica behind,
+// so the push loop talks to nobody; a first sighting ships its one plan,
+// pulled by query text, to the replica that serves it; a replica that is
+// down is behind, and once a probe round finds it again, one round of the
+// push loop sends it the planner's whole cache — once, and nothing to the
 // replicas in sync.
 func TestRouterBehindReplicaCatchesUp(t *testing.T) {
 	planner := newFakePlanner(t)
@@ -584,26 +599,26 @@ func TestRouterBehindReplicaCatchesUp(t *testing.T) {
 		}
 	}
 
-	// A router starts with every replica behind: the planner may hold plans
-	// from before it. The first loop round clears that, the second is idle.
-	if !behind(a) || !behind(b) {
-		t.Fatal("a replica was not behind at start")
+	// A router starts with no replica behind: its shape memo is empty, so
+	// every shape's first read ships its own plan. A loop round is idle.
+	if behind(a) || behind(b) {
+		t.Fatal("a replica was behind at start")
 	}
 	r.catchUp()
-	r.catchUp()
-	wantImports("after the first loop rounds", 1, 1)
-	if got := planner.pulled(); len(got) != 1 || got[0] != "" {
-		t.Fatalf("pulls %q, want one pull of the whole cache", got)
+	wantImports("after a loop round", 0, 0)
+	if got := planner.pulled(); len(got) != 0 {
+		t.Fatalf("pulls %q, want none", got)
 	}
 
-	// a is down for a first sighting: the plan goes to b alone.
+	// a is down for a first sighting: the read goes to b, and so does the
+	// plan.
 	r.markDown(r.backendByName(a.ts.URL))
 	if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
 		t.Fatalf("first sighting: %d %s", code, body)
 	}
-	wantImports("after the first sighting", 1, 2)
-	if got := planner.pulled(); len(got) != 2 || got[1] != "q="+url.QueryEscape(triangleSrc) {
-		t.Fatalf("pulls %q, want the second to be the warm-up of the query's text", got)
+	wantImports("after the first sighting", 0, 1)
+	if got := planner.pulled(); len(got) != 1 || got[0] != "q="+url.QueryEscape(triangleSrc) {
+		t.Fatalf("pulls %q, want one, the warm-up of the query's text", got)
 	}
 	if !behind(a) || behind(b) {
 		t.Fatalf("behind: a=%t b=%t, want only the replica that missed the shipment", behind(a), behind(b))
@@ -613,24 +628,79 @@ func TestRouterBehindReplicaCatchesUp(t *testing.T) {
 		t.Fatalf("/v1/info %s, want it to report %s", info, want)
 	}
 	r.catchUp() // a is still down: nothing to send it yet
-	wantImports("while the replica is down", 1, 2)
+	wantImports("while the replica is down", 0, 1)
 
 	// A probe round finds a again; one loop round catches it up.
 	r.probeAll()
 	r.catchUp()
 	r.catchUp()
-	wantImports("after the catch-up", 2, 2)
-	if got := planner.pulled(); len(got) != 3 || got[2] != "" {
-		t.Fatalf("pulls %q, want the third to be the whole cache", got)
+	wantImports("after the catch-up", 1, 1)
+	if got := planner.pulled(); len(got) != 2 || got[1] != "" {
+		t.Fatalf("pulls %q, want the second to be the whole cache", got)
 	}
 	if behind(a) || behind(b) {
 		t.Fatal("a replica is still behind after the catch-up")
 	}
 	m := metricsText(t, ts.URL)
 	for _, f := range []*fakeReplica{a, b} {
-		if want := fmt.Sprintf("panda_router_push_entries_total{replica=%q} 2", f.ts.URL); !strings.Contains(m, want) {
+		if want := fmt.Sprintf("panda_router_push_entries_total{replica=%q} 1", f.ts.URL); !strings.Contains(m, want) {
 			t.Fatalf("metrics missing %s:\n%s", want, m)
 		}
+	}
+}
+
+// TestRouterWarmupWaiterShipsToItsOwnReplica: a read of a shape whose
+// warm-up is in flight for another replica (a failover racing a read of the
+// first choice) waits for it, finds its own replica still without the plan,
+// and ships it there: each replica imports the plan once before it serves.
+func TestRouterWarmupWaiterShipsToItsOwnReplica(t *testing.T) {
+	var warms atomic.Int64
+	arrived, release := make(chan struct{}, 2), make(chan struct{})
+	planner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/plans" {
+			warms.Add(1)
+			arrived <- struct{}{}
+			<-release
+		}
+		io.WriteString(w, `{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
+	}))
+	t.Cleanup(planner.Close)
+	a, b := newFakeReplica(t), newFakeReplica(t)
+	r := newTestRouter(t, planner.URL, a, b)
+	shape, err := shapeOf(triangleSrc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	ensure := func(f *fakeReplica) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.ensurePlanned(context.Background(), r.backendByName(f.ts.URL), shape, triangleSrc, "")
+		}()
+	}
+	ensure(a)
+	<-arrived // a's warm-up is at the planner
+	ensure(b)
+	time.Sleep(20 * time.Millisecond) // let b's read park behind it
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	release <- struct{}{}
+	select {
+	case <-arrived: // b's own warm-up
+		release <- struct{}{}
+		<-done
+	case <-done:
+	}
+	if got := warms.Load(); got != 2 {
+		t.Fatalf("planner warmed %d times, want 2", got)
+	}
+	if ga, gb := a.plans.Load(), b.plans.Load(); ga != 1 || gb != 1 {
+		t.Fatalf("imports %d/%d, want one on each replica", ga, gb)
 	}
 }
 
@@ -848,17 +918,18 @@ func TestRouterPlannerReads(t *testing.T) {
 	}
 }
 
-// TestRouterFailedShipmentLeavesReplicaBehind: a replica that refuses the
-// shipment of a first sighting is reported behind on /v1/info, while the one
-// that took it is not, until a round of the push loop sends it the planner's
-// whole cache.
+// TestRouterFailedShipmentLeavesReplicaBehind: the replica that serves a
+// first sighting and refuses its shipment is reported behind on /v1/info,
+// while the other replica, which was shipped nothing, is not, until a round
+// of the push loop sends the refusing one the planner's whole cache.
 func TestRouterFailedShipmentLeavesReplicaBehind(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	r := newTestRouter(t, planner.ts.URL, a, b)
 	ts := httptest.NewServer(r)
 	t.Cleanup(ts.Close)
-	r.catchUp() // a router starts with every replica behind
+	ranked := rankedFakes(t, a, b)
+	a, b = ranked[0], ranked[1] // a serves the triangle
 	info := func(f *fakeReplica, behind bool) string {
 		return fmt.Sprintf(`{"name":%q,"healthy":true,"quarantined":false,"catalog_epoch":0,"behind":%t}`, f.ts.URL, behind)
 	}
@@ -878,14 +949,14 @@ func TestRouterFailedShipmentLeavesReplicaBehind(t *testing.T) {
 		t.Fatalf("first sighting: %d %s", code, body)
 	}
 	wantInfo("after the refused shipment", info(a, true), info(b, false))
-	if a.plans.Load() != 1 || b.plans.Load() != 2 {
-		t.Fatalf("imports %d/%d, want only b's first-sighting one on top of the start", a.plans.Load(), b.plans.Load())
+	if a.plans.Load() != 0 || b.plans.Load() != 0 {
+		t.Fatalf("imports %d/%d, want none: the shipment went to a alone", a.plans.Load(), b.plans.Load())
 	}
 
 	a.mutMode.Store("ok")
 	r.catchUp()
 	wantInfo("after the catch-up", info(a, false), info(b, false))
-	if a.plans.Load() != 2 || b.plans.Load() != 2 {
+	if a.plans.Load() != 1 || b.plans.Load() != 0 {
 		t.Fatalf("imports %d/%d after the catch-up, want the whole cache sent to a alone", a.plans.Load(), b.plans.Load())
 	}
 }
@@ -998,11 +1069,12 @@ func (m *meeting) meet(bound time.Duration) bool {
 	}
 }
 
-// TestRouterFanOutsOverlap: the router sends a shipment's PUTs and a
+// TestRouterFanOutsOverlap: the router sends a catch-up round's PUTs and a
 // broadcast's replica legs to all replicas at once. Each of the two replicas
 // below holds its plan import and its row insert until the other replica's
 // request of the same kind has arrived, so a router that sent them one after
-// another would leave the first waiting out its bound.
+// another would leave the first waiting out its bound. (A first sighting
+// ships to one replica, so it has no legs to overlap.)
 func TestRouterFanOutsOverlap(t *testing.T) {
 	const bound = time.Second
 	planner := newFakePlanner(t)
@@ -1047,14 +1119,17 @@ func TestRouterFanOutsOverlap(t *testing.T) {
 	ts := httptest.NewServer(r)
 	t.Cleanup(ts.Close)
 
-	r.catchUp() // both replicas start behind: the whole cache to each
-	if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
-		t.Fatalf("first sighting: %d %s", code, body)
+	// Both replicas go down and come back: each is behind, and one loop
+	// round sends the whole cache to both.
+	for _, b := range r.replicas {
+		r.markDown(b)
 	}
+	r.probeAll()
+	r.catchUp()
 	if code, body := postRaw(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[1,2]]}`); code != http.StatusOK {
 		t.Fatalf("insert: %d %s", code, body)
 	}
-	if m, n := missed.Load(), met.Load(); m != 0 || n != 6 {
-		t.Fatalf("%d replica requests waited out their bound and %d met their pair, want 0 and 6: the fan-outs ran one replica at a time", m, n)
+	if m, n := missed.Load(), met.Load(); m != 0 || n != 4 {
+		t.Fatalf("%d replica requests waited out their bound and %d met their pair, want 0 and 4: the fan-outs ran one replica at a time", m, n)
 	}
 }

@@ -394,12 +394,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if res.Mode != panda.ModeRule && wantsNDJSON(r) {
 		// Rules carry per-target tables, not one row stream; they keep the
 		// buffered JSON shape regardless of the Accept header.
-		rows, truncated = s.writeResultNDJSON(w, res, req.MaxRows)
-		// A wire encoded for a Result the memo has moved past would keep
-		// that Result's rows alive beside the memo's.
-		if rw := e.wire.Load(); rw != nil && rw.res != res {
-			e.wire.CompareAndSwap(rw, nil)
-		}
+		rows, truncated = s.writeResultNDJSON(w, e, res, req.MaxRows)
 	} else {
 		rows, truncated = s.writeResult(w, e, res, req.MaxRows)
 	}
@@ -460,10 +455,10 @@ func (s *Server) logSlowQuery(res *panda.Result, rows int, elapsed time.Duration
 // telemetry. A client that hangs up mid-answer ends the encode at the
 // buffer in hand: the remaining rows, tables and the tail are skipped.
 //
-// What res fixes around the rows — the head through "rows" and the tail from
-// stats on — is encoded once per memoised Result and kept on e (resultWire),
-// so a memo hit encodes only its rows; a rule's sorted target list is still
-// worked out per request.
+// What res fixes around the rows — mode, ok, width and columns before them,
+// stats, signature and timings after — is encoded once per memoised Result
+// and kept on e (resultWire), so a memo hit encodes only its rows; a rule's
+// sorted target list is still worked out per request.
 func (s *Server) writeResult(w http.ResponseWriter, e *stmtEntry, res *panda.Result, maxRows int) (rows int, truncated bool) {
 	w.Header().Set("Content-Type", "application/json")
 	// ResponseController reaches Flush through the StatusWriter's Unwrap;
@@ -471,8 +466,9 @@ func (s *Server) writeResult(w http.ResponseWriter, e *stmtEntry, res *panda.Res
 	b := newWireBuf(w, http.NewResponseController(w))
 	defer b.close()
 	rw := e.wireOf(res)
-	b.buf = append(b.buf, rw.head...)
+	b.buf = append(b.buf, rw.open...)
 	if res.Rel != nil {
+		b.buf = append(b.buf, `,"rows":`...)
 		rows, truncated = streamRows(b, res.Iter(), maxRows)
 	}
 	if res.Mode == panda.ModeRule {
@@ -486,16 +482,19 @@ func (s *Server) writeResult(w http.ResponseWriter, e *stmtEntry, res *panda.Res
 	if truncated {
 		b.buf = append(b.buf, `,"truncated":true`...)
 	}
-	b.buf = append(b.buf, rw.tail...)
+	b.buf = append(append(append(b.buf, rw.stats...), rw.signature...), rw.timings...)
+	b.buf = append(b.buf, "}\n"...)
 	return rows, truncated
 }
 
-// resultWire is writeResult's JSON around the rows of one Result: head opens
-// the object through `"rows":` (mode, ok, width, columns), tail closes it
-// from stats on (stats, signature, timings).
+// resultWire is the JSON one Result fixes around its rows, for both
+// framings of an answer (writeResult and writeResultNDJSON): open starts the
+// object with mode, ok, width and columns; each other part is one `,"name":`
+// member, empty when res has none.
 type resultWire struct {
-	res        *panda.Result
-	head, tail []byte
+	res                       *panda.Result
+	open                      []byte
+	stats, signature, timings []byte
 }
 
 // wireOf returns res's resultWire, encoding it when e holds another
@@ -506,36 +505,33 @@ func (e *stmtEntry) wireOf(res *panda.Result) *resultWire {
 		return rw
 	}
 	rw := &resultWire{res: res}
-	rw.head = fmt.Appendf(nil, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
+	rw.open = fmt.Appendf(nil, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
 	if res.Width != nil {
-		rw.head = fmt.Appendf(rw.head, `,"width":%q`, res.Width.RatString())
+		rw.open = fmt.Appendf(rw.open, `,"width":%q`, res.Width.RatString())
 	}
 	if res.Rel != nil {
 		cols, _ := json.Marshal(res.Columns)
-		rw.head = fmt.Appendf(rw.head, `,"columns":%s,"rows":`, cols)
+		rw.open = fmt.Appendf(rw.open, `,"columns":%s`, cols)
 	}
-	if res.Stats != nil {
-		stats, err := json.Marshal(res.Stats)
-		if err == nil {
-			rw.tail = append(append(rw.tail, `,"stats":`...), stats...)
-		}
-	}
-	// Shape identity and wall-clock stage timings land after stats. Mode,
-	// ok, width, columns and rows are a function of the catalog; stats
-	// describe the work of the call that produced the answer — a full
+	// Stats describe the work of the call that produced the answer — a full
 	// execution, or a maintenance round when the statement's memo only grew
 	// — so the same query over the same catalog may report other stats on
-	// another replica. Over one history of calls everything through stats is
-	// byte-stable across runs, while the timings tail is allowed to vary.
+	// another replica, while mode, ok, width, columns and rows are a function
+	// of the catalog. Over one history of calls everything but the
+	// wall-clock timings is byte-stable across runs.
+	if res.Stats != nil {
+		if stats, err := json.Marshal(res.Stats); err == nil {
+			rw.stats = append([]byte(`,"stats":`), stats...)
+		}
+	}
 	if res.Signature != "" {
-		rw.tail = fmt.Appendf(rw.tail, `,"signature":%q`, res.Signature)
+		rw.signature = fmt.Appendf(nil, `,"signature":%q`, res.Signature)
 	}
 	if res.Timings != nil {
 		if t, err := json.Marshal(res.Timings.Seconds()); err == nil {
-			rw.tail = append(append(rw.tail, `,"timings":`...), t...)
+			rw.timings = append([]byte(`,"timings":`), t...)
 		}
 	}
-	rw.tail = append(rw.tail, "}\n"...)
 	e.wire.Store(rw)
 	return rw
 }

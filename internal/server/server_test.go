@@ -53,6 +53,27 @@ func post(t *testing.T, url, body string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
+// postNDJSON is post asking for the NDJSON framing of the answer.
+func postNDJSON(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -755,26 +776,76 @@ func TestServerMemoHitsAnswerTheirResult(t *testing.T) {
 		t.Fatalf("the advanced memo reports the stats of the execution it replaced: %s", got["stats"])
 	}
 
-	// An NDJSON answer of a memo moved on by another insert drops the wire
-	// of the Result before it, which would keep that Result alive.
+	// An NDJSON answer of a memo moved on by another insert replaces the
+	// wire of the Result before it, which would keep that Result alive.
 	if code, raw := post(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[200,201]]}`); code != http.StatusOK {
 		t.Fatalf("insert into R: %d %s", code, raw)
 	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", strings.NewReader(body))
+	if code, raw := postNDJSON(t, ts.URL+"/v1/query", body); code != http.StatusOK {
+		t.Fatalf("ndjson query: %d %s", code, raw)
+	}
+	res, err = e.stmt.Query(panda.WithStageTimings(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := http.DefaultClient.Do(req)
+	if rw := e.wire.Load(); rw == nil || rw.res != res {
+		t.Fatal("an NDJSON answer of an advanced memo left the wire of another Result")
+	}
+}
+
+// TestServerNDJSONMemoHitsAnswerTheirResult: the NDJSON framing reads the
+// same once-encoded resultWire as the JSON one. Two memo hits answer byte
+// for byte alike, and after query → insert → query the trailer carries the
+// stats and timings of the advanced memo's Result, not the first
+// execution's.
+func TestServerNDJSONMemoHitsAnswerTheirResult(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	q := panda.TriangleQuery()
+	loadOverHTTP(t, ts.URL, &q.Schema, panda.RandomInstance(11, &q.Schema, 40, 10))
+	body := fmt.Sprintf(`{"query":%q}`, triangleSrc)
+	trailer := func() (string, map[string]json.RawMessage) {
+		t.Helper()
+		code, raw := postNDJSON(t, ts.URL+"/v1/query", body)
+		if code != http.StatusOK {
+			t.Fatalf("ndjson query: %d %s", code, raw)
+		}
+		lines := strings.Split(strings.TrimSuffix(raw, "\n"), "\n")
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &fields); err != nil {
+			t.Fatalf("trailer: %v\n%s", err, raw)
+		}
+		return raw, fields
+	}
+	first, old := trailer()
+	if second, _ := trailer(); second != first {
+		t.Fatalf("two NDJSON memo hits answered differently:\n%s\n%s", first, second)
+	}
+
+	if code, raw := post(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[100,101]]}`); code != http.StatusOK {
+		t.Fatalf("insert into R: %d %s", code, raw)
+	}
+	_, got := trailer()
+	e, ok := s.stmts.get(triangleSrc)
+	if !ok {
+		t.Fatal("the statement left the cache")
+	}
+	res, err := e.stmt.Query(panda.WithStageTimings(true)) // the memo's Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ndjson query: %d", resp.StatusCode)
+	stats, err := json.Marshal(res.Stats)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rw := e.wire.Load(); rw != nil {
-		t.Fatal("an NDJSON answer of an advanced memo kept the wire of the Result before it")
+	timings, err := json.Marshal(res.Timings.Seconds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got["stats"]) != string(stats) || string(got["timings"]) != string(timings) {
+		t.Fatalf("after the insert: trailer stats %s, timings %s; the memo's Result has %s, %s",
+			got["stats"], got["timings"], stats, timings)
+	}
+	if string(got["stats"]) == string(old["stats"]) {
+		t.Fatalf("the advanced memo's trailer reports the stats of the execution it replaced: %s", got["stats"])
 	}
 }

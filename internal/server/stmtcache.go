@@ -31,10 +31,10 @@ type stmtCache struct {
 type stmtEntry struct {
 	src  string
 	stmt *panda.Stmt
-	// wire is the JSON writeResult sends around the rows of the last Result
-	// the statement answered: the parts that Result fixes, encoded once. An
-	// answer in either framing replaces or drops a wire encoded for an older
-	// Result, so no superseded Result outlives the next answer.
+	// wire is the JSON both framings of an answer send around the rows of
+	// the last Result the statement answered: the parts that Result fixes,
+	// encoded once. An answer in either framing replaces a wire encoded for
+	// an older Result, so no superseded Result outlives the next answer.
 	wire atomic.Pointer[resultWire]
 }
 

@@ -174,23 +174,14 @@ func wantsNDJSON(r *http.Request) bool {
 // JSON array), and a trailer line with the row count, truncation flag and
 // stats. Line-oriented output lets `curl -N … | jq` and log shippers
 // consume large results without buffering the whole body; lines leave a
-// wireBuf at a time, like writeResult's rows.
-func (s *Server) writeResultNDJSON(w http.ResponseWriter, res *panda.Result, maxRows int) (rows int, truncated bool) {
+// wireBuf at a time, like writeResult's rows. The fields res fixes come from
+// the same resultWire writeResult uses, encoded once per memoised Result.
+func (s *Server) writeResultNDJSON(w http.ResponseWriter, e *stmtEntry, res *panda.Result, maxRows int) (rows int, truncated bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	b := newWireBuf(w, http.NewResponseController(w))
 	defer b.close()
-	b.buf = fmt.Appendf(b.buf, `{"mode":%q,"ok":%t`, res.Mode.String(), res.OK)
-	if res.Width != nil {
-		b.buf = fmt.Appendf(b.buf, `,"width":%q`, res.Width.RatString())
-	}
-	if res.Rel != nil {
-		cols, _ := json.Marshal(res.Columns)
-		b.buf = fmt.Appendf(b.buf, `,"columns":%s`, cols)
-	}
-	if res.Signature != "" {
-		b.buf = fmt.Appendf(b.buf, `,"signature":%q`, res.Signature)
-	}
-	b.buf = append(b.buf, "}\n"...)
+	rw := e.wireOf(res)
+	b.buf = append(append(append(b.buf, rw.open...), rw.signature...), "}\n"...)
 	for row := range res.Iter() {
 		if maxRows > 0 && rows >= maxRows {
 			truncated = true
@@ -206,16 +197,6 @@ func (s *Server) writeResultNDJSON(w http.ResponseWriter, res *panda.Result, max
 	if truncated {
 		b.buf = append(b.buf, `,"truncated":true`...)
 	}
-	if res.Stats != nil {
-		if stats, err := json.Marshal(res.Stats); err == nil {
-			b.buf = append(append(b.buf, `,"stats":`...), stats...)
-		}
-	}
-	if res.Timings != nil {
-		if t, err := json.Marshal(res.Timings.Seconds()); err == nil {
-			b.buf = append(append(b.buf, `,"timings":`...), t...)
-		}
-	}
-	b.buf = append(b.buf, "}\n"...)
+	b.buf = append(append(append(b.buf, rw.stats...), rw.timings...), "}\n"...)
 	return rows, truncated
 }
