@@ -14,19 +14,19 @@
 // tier, which answers with that one plan (GET /v1/plans?q=<text>), and the
 // plan is shipped only to the replica that serves the shape (PUT /v1/plans)
 // before the query is forwarded there — replicas serve with zero LP solves,
-// and their plan caches are shard-disjoint. A replica that was down or
-// quarantined, or refused a shipment, is behind until the catch-up loop has
-// sent it the planner's whole cache.
+// and their plan caches are shard-disjoint.
 // Replicas are probed on /healthz; a failed or draining replica is failed
 // over with one bounded retry per downed candidate, and its query shapes
 // move wholesale to their next-ranked replica (rendezvous hashing moves
 // nothing else); a failover read pays one warm-up, shipping its shape's
-// plan to the fallback replica first.
+// plan to the fallback replica first. A replica that was down or
+// quarantined is shipped each of its shapes' plans again on that shape's
+// next read, one warm-up each.
 //
 // Catalog mutations are broadcast to the planning tier, then to all
 // replicas at once.
 // GET /metrics exposes per-replica and per-shape routing counters;
-// GET /v1/info reports each replica's health, quarantine and behind state.
+// GET /v1/info reports each replica's health, quarantine and catalog epoch.
 package main
 
 import (
@@ -51,7 +51,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs (required)")
 	planner := flag.String("planner", "", "planning-tier base URL (required)")
-	pushEvery := flag.Duration("push-every", 2*time.Second, "catch-up period: how often replicas that are behind are sent the planner's whole plan cache")
 	probeEvery := flag.Duration("probe-every", 500*time.Millisecond, "replica health probe period")
 	proxyTimeout := flag.Duration("proxy-timeout", 30*time.Second, "per-attempt proxy deadline")
 	drain := flag.Duration("drain", 15*time.Second, "how long shutdown waits for in-flight requests")
@@ -66,7 +65,6 @@ func main() {
 	rt, err := router.New(router.Config{
 		Replicas:     names,
 		Planner:      strings.TrimRight(*planner, "/"),
-		PushEvery:    *pushEvery,
 		ProbeEvery:   *probeEvery,
 		ProxyTimeout: *proxyTimeout,
 		Logf:         log.Printf,

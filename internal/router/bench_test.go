@@ -66,7 +66,6 @@ func BenchmarkRouterProxyOverhead(b *testing.B) {
 		r, err := New(Config{
 			Replicas:   []string{replica.URL},
 			Planner:    planner.URL,
-			PushEvery:  time.Hour,
 			ProbeEvery: time.Hour,
 		})
 		if err != nil {
@@ -100,7 +99,6 @@ func BenchmarkRouterFirstSighting(b *testing.B) {
 	r, err := New(Config{
 		Replicas:   []string{a.URL, c.URL},
 		Planner:    planner.URL,
-		PushEvery:  time.Hour,
 		ProbeEvery: time.Hour,
 	})
 	if err != nil {

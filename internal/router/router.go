@@ -22,12 +22,11 @@
 // their shape, so the replicas' plan caches are as shard-disjoint as their
 // traffic; a failover read pays one such warm-up on its fallback replica
 // before it is forwarded there. The planned-shape memo records which replica
-// each shape's plan was shipped to. A plan is named by its content: its
-// shape's key names one plan, the plan of the canonical spelling. A replica
-// that was down or quarantined (it may have come back with an empty cache),
-// or that refused a shipment, is marked behind, and the push loop sends it
-// the planner's whole cache once it is routable again: the one shipment
-// that reaches a replica outside its shard.
+// each shape's plan was shipped to, and at which of its generations: a
+// replica's generation advances whenever it stops being routable (it may come
+// back with an empty cache), so its memo entries lapse and each of its shapes
+// re-ships lazily, on that shape's next read. A plan is named by its content:
+// its shape's key names one plan, the plan of the canonical spelling.
 //
 // Replicas are health-checked (GET /healthz) and failed over: a transport
 // error or 503 marks the replica down and the request retries on the next-
@@ -77,8 +76,8 @@ type Config struct {
 	// Planner is the base URL of the designated planning tier (a pandad
 	// that pays the LP solves for new shapes); required.
 	Planner string
-	// PushEvery is the catch-up period: how often replicas that are behind
-	// are sent the planner's whole cache (default 2s).
+	// PushEvery is ignored; kept for existing callers. A replica that comes
+	// back is shipped each shape's plan on that shape's next read.
 	PushEvery time.Duration
 	// ProbeEvery is the replica health-probe period (default 500ms).
 	ProbeEvery time.Duration
@@ -92,11 +91,11 @@ type Config struct {
 }
 
 // staleThreshold is how many consecutive probe rounds must observe a
-// replica's catalog epoch behind the planner's before the replica is
+// replica's catalog epoch lagging the planner's before the replica is
 // quarantined. One round of grace absorbs the probe that lands between a
 // broadcast's planner leg and its replica legs (a real missed broadcast
-// stays behind forever and trips the threshold on the next round); a
-// broadcast failure skips the grace and quarantines immediately.
+// lags forever and trips the threshold on the next round); a broadcast
+// failure skips the grace and quarantines immediately.
 const staleThreshold = 2
 
 // backend is one replica: its rendezvous identity plus live health state.
@@ -107,16 +106,15 @@ type backend struct {
 	healthy bool
 	// epoch is the catalog epoch the replica reported on its last probe.
 	epoch uint64
-	// staleRounds counts consecutive probe rounds with epoch behind the
+	// staleRounds counts consecutive probe rounds with epoch lagging the
 	// planner's; at staleThreshold the replica is quarantined (live but
 	// unroutable: it missed a catalog mutation and needs a resync).
 	staleRounds int
-	// behind is set while the replica may lack a plan it was shipped:
-	// whenever it stops being routable, and when a push to it fails. The
-	// push loop clears it by sending the planner's whole cache. A router
-	// starts with no replica behind: its planned-shape memo starts empty, so
-	// each shape's first read ships its plan to the replica that serves it.
-	behind bool
+	// gen advances, under mu, on every transition out of routability: the
+	// replica may come back without the plans it was shipped, so a plan
+	// shipped at an older generation no longer counts as held. Read without
+	// mu on the memo-hit path.
+	gen atomic.Uint64
 }
 
 func (b *backend) isHealthy() bool {
@@ -139,7 +137,9 @@ func (b *backend) setHealthy(v bool) bool {
 	defer b.mu.Unlock()
 	changed := b.healthy != v
 	b.healthy = v
-	b.behind = b.behind || !v
+	if changed && !v {
+		b.gen.Add(1)
+	}
 	return changed
 }
 
@@ -159,7 +159,9 @@ func (b *backend) setProbed(epoch, plannerEpoch uint64) (quarantined, recovered 
 		b.staleRounds = 0
 	}
 	after := b.staleRounds >= staleThreshold
-	b.behind = b.behind || after
+	if !before && after {
+		b.gen.Add(1)
+	}
 	return !before && after, before && !after
 }
 
@@ -171,29 +173,10 @@ func (b *backend) forceStale() bool {
 	defer b.mu.Unlock()
 	changed := b.staleRounds < staleThreshold
 	b.staleRounds = staleThreshold
-	b.behind = true
-	return changed
-}
-
-// fallBehind records that a shipment did not reach the replica.
-func (b *backend) fallBehind() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.behind = true
-}
-
-// catchingUp reports whether the replica is behind and routable, and if so
-// clears the mark: the caller owes it the planner's whole cache. The mark is
-// cleared before the snapshot is pulled, not after it is pushed, so a
-// shipment the replica misses in between sets it again and is not lost.
-func (b *backend) catchingUp() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.behind || !b.healthy || b.staleRounds >= staleThreshold {
-		return false
+	if changed {
+		b.gen.Add(1)
 	}
-	b.behind = false
-	return true
+	return changed
 }
 
 // replicaInfo is one replica's entry in the router's /v1/info answer.
@@ -202,13 +185,12 @@ type replicaInfo struct {
 	Healthy      bool   `json:"healthy"`
 	Quarantined  bool   `json:"quarantined"`
 	CatalogEpoch uint64 `json:"catalog_epoch"`
-	Behind       bool   `json:"behind"`
 }
 
 func (b *backend) info() replicaInfo {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return replicaInfo{Name: b.name, Healthy: b.healthy, Quarantined: b.staleRounds >= staleThreshold, CatalogEpoch: b.epoch, Behind: b.behind}
+	return replicaInfo{Name: b.name, Healthy: b.healthy, Quarantined: b.staleRounds >= staleThreshold, CatalogEpoch: b.epoch}
 }
 
 // Router is the HTTP handler. Create one with New, stop it with Close.
@@ -228,13 +210,13 @@ type Router struct {
 
 	// plannedMu guards the planned memo and the in-flight warm-up table.
 	// It is only ever held for map operations — memoized shapes check it
-	// and move on without waiting behind any HTTP work.
+	// and move on without waiting on any HTTP work.
 	plannedMu sync.Mutex
-	// planned maps each routing shape whose plan was shipped to the name of
-	// the replica it was shipped to (the one its reads were routed to);
-	// dropped wholesale on catalog mutations (signatures embed
-	// cardinalities) and when it outgrows plannedCap.
-	planned    map[string]string
+	// planned maps each routing shape whose plan was shipped to the replica
+	// it was shipped to (the one its reads were routed to); dropped
+	// wholesale on catalog mutations (signatures embed cardinalities) and
+	// when it outgrows plannedCap.
+	planned    map[string]shipment
 	plannedCap int
 	// warming single-flights planner warm-ups per shape: the first read
 	// that needs one runs it, concurrent reads of the SAME shape wait on its
@@ -259,17 +241,24 @@ const maxIdleConnsPerTier = 64
 // defaultPlannedCap bounds the planned-shape memo.
 const defaultPlannedCap = 1 << 16
 
+// shipment is a planned-shape memo entry: the replica a shape's plan was
+// shipped to and the replica's generation when the shipment started. It
+// holds only while that generation stands.
+type shipment struct {
+	to  *backend
+	gen uint64
+}
+
+func (s shipment) holds() bool { return s.to != nil && s.to.gen.Load() == s.gen }
+
 // New builds the router, runs one synchronous probe round so the first
-// request already knows who is alive, and starts the probe and push loops.
+// request already knows who is alive, and starts the probe loop.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("router: at least one replica is required")
 	}
 	if cfg.Planner == "" {
 		return nil, errors.New("router: a planner URL is required")
-	}
-	if cfg.PushEvery <= 0 {
-		cfg.PushEvery = 2 * time.Second
 	}
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 500 * time.Millisecond
@@ -292,7 +281,7 @@ func New(cfg Config) (*Router, error) {
 		logf:       cfg.Logf,
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
-		planned:    map[string]string{},
+		planned:    map[string]shipment{},
 		plannedCap: defaultPlannedCap,
 		warming:    map[string]chan struct{}{},
 		stop:       make(chan struct{}),
@@ -308,14 +297,13 @@ func New(cfg Config) (*Router, error) {
 	r.metrics = newTelemetry(r)
 	r.routes()
 	r.probeAll()
-	r.wg.Add(2)
+	r.wg.Add(1)
 	go r.loop(cfg.ProbeEvery, r.probeAll)
-	go r.loop(cfg.PushEvery, r.catchUp)
 	return r, nil
 }
 
-// Close stops the probe and push loops. It does not drain in-flight
-// requests; the owning http.Server's Shutdown does that.
+// Close stops the probe loop. It does not drain in-flight requests; the
+// owning http.Server's Shutdown does that.
 func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.wg.Wait()
@@ -428,8 +416,8 @@ func (r *Router) markDown(b *backend) {
 	}
 }
 
-// routableReplicas are the replicas traffic, broadcasts and plan pushes go
-// to: live and not quarantined for a lagging catalog.
+// routableReplicas are the replicas broadcasts go to: live and not
+// quarantined for a lagging catalog.
 func (r *Router) routableReplicas() []*backend {
 	out := make([]*backend, 0, len(r.replicas))
 	for _, b := range r.replicas {
@@ -442,61 +430,42 @@ func (r *Router) routableReplicas() []*backend {
 
 // ---- Plan shipping ----
 
-// catchUp is one round of the push loop: the replicas that are behind and
-// routable again are sent the planner's whole cache. A round with nobody
-// behind talks to no one.
-func (r *Router) catchUp() {
-	var to []*backend
-	for _, b := range r.replicas {
-		if b.catchingUp() {
-			to = append(to, b)
-		}
-	}
-	if len(to) == 0 {
-		return
-	}
-	ctx := context.Background()
-	cache, entries, err := r.pull(ctx, r.planner+"/v1/plans")
-	if err != nil || cache.status != http.StatusOK {
-		r.metrics.plannerErrors.Add(1)
-		for _, b := range to {
-			b.fallBehind()
-		}
-		return
-	}
-	r.push(ctx, to, cache.body, entries)
-}
-
-// ensurePlanned makes shape — query or rule — safe to route to replica b.
-// When the planned-shape memo records b as the holder of the shape's plan it
-// returns at once. Otherwise one request to the planning tier (GET
-// /v1/plans?q=) plans the text there, paying the LP solves on the planner's
-// own cache miss, and answers with a snapshot holding that plan; the
-// snapshot goes to b alone, and the memo records b. b therefore sees the
-// plan arrive BEFORE the query does and never plans itself, and no other
-// replica decodes a plan it will not serve. A failover read, sent to a
-// replica the memo does not name, pays one warm-up there first. Planner
-// trouble degrades gracefully: a failed request, a non-200 answer or a
-// snapshot without an entry counts as a planner error, the query still
-// routes (the replica would plan as a last resort) and the memo is left as
-// it was, so the next read retries the warm-up.
+// ensurePlanned makes shape — query or rule — safe to route to replica b,
+// and reports whether the read may still be proxied there. When the
+// planned-shape memo records b as the holder of the shape's plan, at b's
+// current generation, it returns at once. Otherwise one request to the
+// planning tier (GET /v1/plans?q=) plans the text there, paying the LP solves
+// on the planner's own cache miss, and answers with a snapshot holding that
+// plan; the snapshot goes to b alone, and once b has accepted it the memo
+// records b at the generation read before the pull. b therefore sees the plan
+// arrive BEFORE the query does and never plans itself, and no other replica
+// decodes a plan it will not serve. A failover read, sent to a replica the
+// memo does not name, pays one warm-up there first; so does the next read of
+// each shape of a replica that was down or quarantined since its shipment,
+// because its generation has moved on. A shipment b refuses is not memoised,
+// so the next read ships again; one that finds b down (503 or a transport
+// error) marks it down and reports false, so the read moves on to the next
+// replica. Planner trouble degrades gracefully: a failed request, a non-200
+// answer or a snapshot without an entry counts as a planner error, the query
+// still routes (the replica would plan as a last resort) and the memo is left
+// as it was, so the next read retries the warm-up.
 //
 // Warm-ups are single-flighted PER SHAPE and every planner interaction
 // here runs under the router's proxy timeout, so a hung planner
 // connection can stall at most the queries of the one shape being warmed
-// — memoized shapes take the fast path without waiting behind any HTTP
-// work, and concurrent reads of the warming shape give up at their
-// deadline instead of queueing behind the client's disconnect.
+// — memoized shapes take the fast path without waiting on any HTTP work,
+// and concurrent reads of the warming shape give up at their deadline
+// instead of queueing until the client disconnects.
 //
 // Known cost of keeping no record of what a replica holds beyond the memo:
 // a read ships its plan even when the replica already holds it — an insert
 // into a relation the shape does not read drops the router's shape memo but
 // leaves the plan's key unchanged. A replica checks such an entry's digest,
 // finds its key held and does not decode the plan (plan.LoadCache).
-func (r *Router) ensurePlanned(ctx context.Context, b *backend, shape, src, mode string) {
-	ch, lead := r.claim(shape, b.name, false)
+func (r *Router) ensurePlanned(ctx context.Context, b *backend, shape, src, mode string) bool {
+	ch, lead := r.claim(shape, b, false)
 	if ch == nil {
-		return
+		return true
 	}
 	// Armed only past the memo: a read of a memoized shape starts no timer.
 	ctx, cancel := context.WithTimeout(ctx, r.timeout)
@@ -509,10 +478,10 @@ func (r *Router) ensurePlanned(ctx context.Context, b *backend, shape, src, mode
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return
+			return true
 		}
-		if ch, lead = r.claim(shape, b.name, true); ch == nil {
-			return
+		if ch, lead = r.claim(shape, b, true); ch == nil {
+			return true
 		}
 	}
 	defer func() {
@@ -522,6 +491,9 @@ func (r *Router) ensurePlanned(ctx context.Context, b *backend, shape, src, mode
 		close(ch)
 	}()
 
+	// Read before the pull: if b leaves rotation while its shipment is in
+	// flight, the entry recorded below has already lapsed.
+	gen := b.gen.Load()
 	q := url.Values{"q": {src}}
 	if mode != "" {
 		q.Set("mode", mode)
@@ -538,28 +510,33 @@ func (r *Router) ensurePlanned(ctx context.Context, b *backend, shape, src, mode
 		} else if snapshot.status == http.StatusOK {
 			r.logf("router: planner warm-up for shape %s answered a snapshot without its plan", shape)
 		}
-		return
+		return true
 	}
 	r.metrics.ensures.Add(1)
-	r.push(ctx, []*backend{b}, snapshot.body, entries)
+	if !r.ship(ctx, b, snapshot.body, entries) {
+		return b.isHealthy()
+	}
 	r.plannedMu.Lock()
 	if len(r.planned) >= r.plannedCap {
-		r.planned = map[string]string{}
+		r.planned = map[string]shipment{}
 	}
-	r.planned[shape] = b.name
+	r.planned[shape] = shipment{b, gen}
 	r.plannedMu.Unlock()
+	return true
 }
 
 // claim is ensurePlanned's look at the memo. It returns a nil channel when
-// there is nothing to do: replica holds shape's plan, or — after a wait — the
+// there is nothing to do: b holds shape's plan, or — after a wait — the
 // warm-up waited on failed and left the shape unshipped. Otherwise it returns
 // the shape's warm-up channel, and lead when the caller opened it and owes
-// the warm-up.
-func (r *Router) claim(shape, replica string, waited bool) (ch chan struct{}, lead bool) {
+// the warm-up. An entry whose replica has left rotation since counts as no
+// entry.
+func (r *Router) claim(shape string, b *backend, waited bool) (ch chan struct{}, lead bool) {
 	r.plannedMu.Lock()
 	defer r.plannedMu.Unlock()
-	holder, held := r.planned[shape]
-	if held && holder == replica || waited && !held {
+	s := r.planned[shape]
+	held := s.holds()
+	if held && s.to == b || waited && !held {
 		return nil, false
 	}
 	if ch, ok := r.warming[shape]; ok {
@@ -586,35 +563,28 @@ func (r *Router) pull(ctx context.Context, target string) (*sentResponse, int, e
 	return resp, len(env.Entries), nil
 }
 
-// push imports a snapshot into every replica of to at once and returns when
-// each has answered: the one replica a warm-up ships to, or the replicas a
-// catch-up round owes the planner's whole cache. Every replica of to either
-// imports it or is left behind for the push loop. Imports never clobber live
-// entries and duplicates are counted, not rejected, so over-delivery is
-// harmless.
-func (r *Router) push(ctx context.Context, to []*backend, snapshot []byte, entries int) {
-	if len(to) == 0 || entries == 0 {
-		return
-	}
+// ship imports a snapshot into replica b and reports whether b accepted it.
+// 200 (clean) and 422 (partial skip, reported loudly by the replica) both
+// mean the snapshot was processed, and sending it again would skip the same
+// entries. A replica that answers 503 (draining) or cannot be reached is
+// marked down. Imports never clobber live entries and duplicates are
+// counted, not rejected, so over-delivery is harmless.
+func (r *Router) ship(ctx context.Context, b *backend, snapshot []byte, entries int) bool {
 	r.metrics.pushes.Add(1)
-	fanOut(to, func(b *backend) {
-		resp, err := r.fetch(ctx, http.MethodPut, b.name+"/v1/plans", "application/json", snapshot)
-		if err != nil {
-			r.markDown(b)
-			return
-		}
-		// 200 (clean) and 422 (partial skip, reported loudly by the
-		// replica) both mean the snapshot was processed, and sending it
-		// again would skip the same entries.
-		if resp.status != http.StatusOK && resp.status != http.StatusUnprocessableEntity {
-			b.fallBehind()
-			return
-		}
-		r.metrics.pushEntries.Add(uint64(entries), b.name)
-		if resp.status == http.StatusUnprocessableEntity {
-			r.logf("router: replica %s imported the plans with skips", b.name)
-		}
-	})
+	resp, err := r.fetch(ctx, http.MethodPut, b.name+"/v1/plans", "application/json", snapshot)
+	if err != nil || resp.status == http.StatusServiceUnavailable {
+		r.markDown(b)
+		return false
+	}
+	if resp.status != http.StatusOK && resp.status != http.StatusUnprocessableEntity {
+		r.logf("router: replica %s refused the plans of a warm-up: %d", b.name, resp.status)
+		return false
+	}
+	r.metrics.pushEntries.Add(uint64(entries), b.name)
+	if resp.status == http.StatusUnprocessableEntity {
+		r.logf("router: replica %s imported the plans with skips", b.name)
+	}
+	return true
 }
 
 // fanOut runs leg for every replica of to at once, the first on the calling
@@ -681,7 +651,8 @@ func (r *Router) handlePlan(w http.ResponseWriter, req *http.Request) {
 // one gets the request; a transport error or 503 marks it down and the
 // next-ranked one is tried (each downed replica costs exactly one bounded
 // retry). Each replica is made safe to serve the shape (ensurePlanned) just
-// before it is tried. A text that does not parse routes by its raw text,
+// before it is tried; one whose shipment finds it down is skipped unasked. A
+// text that does not parse routes by its raw text,
 // unplanned; the replica reports the real error. When no routable replica
 // remains the answer is 502 "no_healthy_replica".
 func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, src, mode string, body []byte) {
@@ -703,8 +674,8 @@ func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, src
 			r.metrics.retries.Add(1)
 		}
 		attempts++
-		if warm {
-			r.ensurePlanned(req.Context(), b, shape, src, mode)
+		if warm && !r.ensurePlanned(req.Context(), b, shape, src, mode) {
+			continue
 		}
 		if r.proxyOnce(w, req, b, shape, body) {
 			return
@@ -799,7 +770,7 @@ func (r *Router) handleMutation(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.plannedMu.Lock()
-	r.planned = map[string]string{}
+	r.planned = map[string]shipment{}
 	r.plannedMu.Unlock()
 }
 
@@ -816,7 +787,7 @@ func (r *Router) handleImport(w http.ResponseWriter, req *http.Request) { r.broa
 // planner said 2xx and the replica did not — is serving a diverged catalog,
 // so it is quarantined ON THE SPOT: marked down AND forced stale, which
 // keeps the probe loop from auto-rejoining it on the next 200 /healthz. Its
-// epoch stays behind the planner's, so it remains quarantined until a
+// epoch still lags the planner's, so it remains quarantined until a
 // catalog resync brings the epochs back together.
 func (r *Router) broadcast(w http.ResponseWriter, req *http.Request) bool {
 	body, ok := readBody(w, req)

@@ -22,11 +22,11 @@ import (
 const triangleSrc = `Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`
 
 // fakePlanner answers the planner interactions the router performs:
-// GET /v1/plans warm-ups (?q=…; scriptably hangable) and catch-up pulls of
-// the whole cache, both answered with a scriptable body holding one opaque
-// entry by default — plan CONTENT is exercised by the in-process fleet test;
-// these unit tests isolate routing and failover — and catalog mutations,
-// which advance a catalog epoch reported on /healthz like the real pandad.
+// GET /v1/plans warm-ups (?q=…; scriptably hangable), answered with a
+// scriptable body holding one opaque entry by default — plan CONTENT is
+// exercised by the in-process fleet test; these unit tests isolate routing
+// and failover — plan imports, and catalog mutations, which advance a
+// catalog epoch reported on /healthz like the real pandad.
 type fakePlanner struct {
 	ts    *httptest.Server
 	warms atomic.Int64
@@ -68,6 +68,10 @@ func newFakePlanner(t *testing.T) *fakePlanner {
 		}
 		io.WriteString(w, f.plansBody.Load().(string))
 	})
+	mux.HandleFunc("PUT /v1/plans", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, `{"loaded":1,"skipped":0,"duplicates":0}`)
+	})
 	mux.HandleFunc("GET /v1/relations", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, `{"relations":[{"name":"R","arity":2,"size":0}]}`)
 	})
@@ -99,17 +103,20 @@ type fakeReplica struct {
 	plans   atomic.Int64  // PUT /v1/plans imports received
 	epoch   atomic.Uint64 // catalog epoch reported on /healthz
 	// mode: "ok" answers 200 with the replica's URL in the body, "busy"
-	// answers 503, "hang" sleeps past any proxy deadline.
+	// answers 503 to queries and plan imports alike (a draining pandad),
+	// "hang" sleeps past any proxy deadline.
 	mode atomic.Value
 	// mutMode: "ok" applies catalog mutations (epoch advances) and plan
 	// imports, "fail" answers 500 without applying — the replica misses the
-	// broadcast or the shipment.
-	mutMode atomic.Value
+	// broadcast or the shipment — and "hold" parks each plan import: it
+	// signals held, then waits for release before it applies.
+	mutMode       atomic.Value
+	held, release chan struct{}
 }
 
 func newFakeReplica(t *testing.T) *fakeReplica {
 	t.Helper()
-	f := &fakeReplica{}
+	f := &fakeReplica{held: make(chan struct{}), release: make(chan struct{})}
 	f.mode.Store("ok")
 	f.mutMode.Store("ok")
 	mux := http.NewServeMux()
@@ -118,10 +125,27 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 	})
 	mux.HandleFunc("PUT /v1/plans", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
-		if f.mutMode.Load() == "fail" {
+		if f.mode.Load() == "busy" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, `{"error":"server is shutting down","code":"shutting_down"}`)
+			return
+		}
+		switch f.mutMode.Load() {
+		case "fail":
 			w.WriteHeader(http.StatusInternalServerError)
 			io.WriteString(w, `{"error":"disk on fire","code":"internal"}`)
 			return
+		case "hold":
+			select {
+			case f.held <- struct{}{}:
+			case <-r.Context().Done():
+				return
+			}
+			select {
+			case <-f.release:
+			case <-r.Context().Done():
+				return
+			}
 		}
 		f.plans.Add(1)
 		io.WriteString(w, `{"loaded":0,"skipped":0,"duplicates":0}`)
@@ -165,8 +189,9 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 	return f
 }
 
-// newTestRouter builds a router over the fakes with the loops effectively
-// off (hour-long periods) so tests drive every transition explicitly.
+// newTestRouter builds a router over the fakes with the probe loop
+// effectively off (an hour-long period) so tests drive every transition
+// explicitly.
 func newTestRouter(t *testing.T, planner string, replicas ...*fakeReplica) *Router {
 	t.Helper()
 	names := make([]string, len(replicas))
@@ -176,7 +201,6 @@ func newTestRouter(t *testing.T, planner string, replicas ...*fakeReplica) *Rout
 	r, err := New(Config{
 		Replicas:     names,
 		Planner:      planner,
-		PushEvery:    time.Hour,
 		ProbeEvery:   time.Hour,
 		ProxyTimeout: 500 * time.Millisecond,
 	})
@@ -205,7 +229,7 @@ func TestRouteRanksAsRankWithoutAllocating(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		names = append(names, fmt.Sprintf("http://127.0.0.1:%d", 8200+i))
 	}
-	r, err := New(Config{Replicas: names, Planner: "http://127.0.0.1:8100", PushEvery: time.Hour, ProbeEvery: time.Hour})
+	r, err := New(Config{Replicas: names, Planner: "http://127.0.0.1:8100", ProbeEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +367,8 @@ func TestRouterRuleShape(t *testing.T) {
 
 // TestRouterFailoverOn503: the first-ranked replica answering 503 (a
 // draining pandad) is marked down and the request retries on the next-
-// ranked healthy replica — the client sees one clean 200.
+// ranked healthy replica — the client sees one clean 200. A draining pandad
+// answers the plan shipment 503 too, so the read is never sent to it.
 func TestRouterFailoverOn503(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
@@ -366,6 +391,9 @@ func TestRouterFailoverOn503(t *testing.T) {
 	if got := ranked[0].queries.Load(); got != before {
 		t.Fatalf("downed replica was tried again (%d → %d requests)", before, got)
 	}
+	if before != 0 {
+		t.Fatalf("the draining replica was sent %d queries after its shipment answered 503, want 0", before)
+	}
 
 	// The survivor was shipped the plan before its first read of the shape,
 	// and once: the memo now names it.
@@ -373,7 +401,7 @@ func TestRouterFailoverOn503(t *testing.T) {
 		t.Fatalf("the survivor imported %d plans, want 1", got)
 	}
 	if got := planner.warms.Load(); got != 2 {
-		t.Fatalf("planner warmed %d times, want 2: the first choice's and the survivor's", got)
+		t.Fatalf("planner warmed %d times, want 2: the first choice's, whose shipment found it draining, and the survivor's", got)
 	}
 
 	m := metricsText(t, ts.URL)
@@ -579,73 +607,70 @@ func TestRouterQuarantinesStaleRestartViaProbe(t *testing.T) {
 	}
 }
 
-// TestRouterBehindReplicaCatchesUp: a router starts with no replica behind,
-// so the push loop talks to nobody; a first sighting ships its one plan,
-// pulled by query text, to the replica that serves it; a replica that is
-// down is behind, and once a probe round finds it again, one round of the
-// push loop sends it the planner's whole cache — once, and nothing to the
-// replicas in sync.
-func TestRouterBehindReplicaCatchesUp(t *testing.T) {
+// TestRouterReturningReplicaGetsItsPlanOnNextRead: a replica that goes down,
+// or is quarantined, and is found again by a probe round may have come back
+// with an empty cache, so its memo entries lapse: the next read of its shape
+// ships that shape's one plan to it again, one warm-up, and it is sent
+// nothing else. The planner's whole cache is never pulled.
+func TestRouterReturningReplicaGetsItsPlanOnNextRead(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	r := newTestRouter(t, planner.ts.URL, a, b)
 	ts := httptest.NewServer(r)
 	t.Cleanup(ts.Close)
-	behind := func(f *fakeReplica) bool { return r.backendByName(f.ts.URL).info().Behind }
-	wantImports := func(when string, wantA, wantB int64) {
+	ranked := rankedFakes(t, a, b)
+	a, b = ranked[0], ranked[1] // a serves the triangle
+	read := func(when string, from *fakeReplica, wantA, wantB int64) {
 		t.Helper()
+		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK || !strings.Contains(body, from.ts.URL) {
+			t.Fatalf("%s: %d %s, want 200 from %s", when, code, body, from.ts.URL)
+		}
 		if ga, gb := a.plans.Load(), b.plans.Load(); ga != wantA || gb != wantB {
 			t.Fatalf("%s: %d/%d imports, want %d/%d", when, ga, gb, wantA, wantB)
 		}
 	}
 
-	// A router starts with no replica behind: its shape memo is empty, so
-	// every shape's first read ships its own plan. A loop round is idle.
-	if behind(a) || behind(b) {
-		t.Fatal("a replica was behind at start")
-	}
-	r.catchUp()
-	wantImports("after a loop round", 0, 0)
-	if got := planner.pulled(); len(got) != 0 {
-		t.Fatalf("pulls %q, want none", got)
-	}
+	read("first sighting", a, 1, 0)
+	read("memo hit", a, 1, 0)
 
-	// a is down for a first sighting: the read goes to b, and so does the
-	// plan.
+	// a goes down and a probe round finds it again, with no read between:
+	// the shape's next read ships it to a, once.
 	r.markDown(r.backendByName(a.ts.URL))
-	if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
-		t.Fatalf("first sighting: %d %s", code, body)
+	r.probeAll()
+	read("after a is back", a, 2, 0)
+	read("memo hit after a is back", a, 2, 0)
+
+	// a's catalog epoch lags the planner's for two probe rounds (quarantined),
+	// then catches up and the next round restores it.
+	planner.epoch.Store(1)
+	b.epoch.Store(1)
+	r.probeAll()
+	r.probeAll()
+	a.epoch.Store(1)
+	r.probeAll()
+	read("after a recovers", a, 3, 0)
+	read("memo hit after a recovers", a, 3, 0)
+
+	// a goes down again and its shard fails over to b, which is shipped the
+	// plan first; once a is back, the next read ships to a again.
+	r.markDown(r.backendByName(a.ts.URL))
+	read("while a is down", b, 3, 1)
+	r.probeAll()
+	read("after a is back again", a, 4, 1)
+	read("memo hit after a is back again", a, 4, 1)
+
+	pulls := planner.pulled()
+	if len(pulls) != 5 {
+		t.Fatalf("pulls %q, want five, one per shipment", pulls)
 	}
-	wantImports("after the first sighting", 0, 1)
-	if got := planner.pulled(); len(got) != 1 || got[0] != "q="+url.QueryEscape(triangleSrc) {
-		t.Fatalf("pulls %q, want one, the warm-up of the query's text", got)
+	for _, q := range pulls {
+		if q != "q="+url.QueryEscape(triangleSrc) {
+			t.Fatalf("pulls %q, want every one the warm-up of the query's text", pulls)
+		}
 	}
-	if !behind(a) || behind(b) {
-		t.Fatalf("behind: a=%t b=%t, want only the replica that missed the shipment", behind(a), behind(b))
-	}
-	want := fmt.Sprintf(`{"name":%q,"healthy":false,"quarantined":false,"catalog_epoch":0,"behind":true}`, a.ts.URL)
+	want := fmt.Sprintf(`{"name":%q,"healthy":true,"quarantined":false,"catalog_epoch":1}`, a.ts.URL)
 	if _, info := httpDo(t, http.MethodGet, ts.URL+"/v1/info", ""); !strings.Contains(info, want) {
 		t.Fatalf("/v1/info %s, want it to report %s", info, want)
-	}
-	r.catchUp() // a is still down: nothing to send it yet
-	wantImports("while the replica is down", 0, 1)
-
-	// A probe round finds a again; one loop round catches it up.
-	r.probeAll()
-	r.catchUp()
-	r.catchUp()
-	wantImports("after the catch-up", 1, 1)
-	if got := planner.pulled(); len(got) != 2 || got[1] != "" {
-		t.Fatalf("pulls %q, want the second to be the whole cache", got)
-	}
-	if behind(a) || behind(b) {
-		t.Fatal("a replica is still behind after the catch-up")
-	}
-	m := metricsText(t, ts.URL)
-	for _, f := range []*fakeReplica{a, b} {
-		if want := fmt.Sprintf("panda_router_push_entries_total{replica=%q} 1", f.ts.URL); !strings.Contains(m, want) {
-			t.Fatalf("metrics missing %s:\n%s", want, m)
-		}
 	}
 }
 
@@ -804,7 +829,6 @@ func TestRouterReusesReplicaConnections(t *testing.T) {
 	r, err := New(Config{
 		Replicas:   []string{replica.URL},
 		Planner:    planner.ts.URL,
-		PushEvery:  time.Hour,
 		ProbeEvery: time.Hour,
 	})
 	if err != nil {
@@ -918,46 +942,82 @@ func TestRouterPlannerReads(t *testing.T) {
 	}
 }
 
-// TestRouterFailedShipmentLeavesReplicaBehind: the replica that serves a
-// first sighting and refuses its shipment is reported behind on /v1/info,
-// while the other replica, which was shipped nothing, is not, until a round
-// of the push loop sends the refusing one the planner's whole cache.
-func TestRouterFailedShipmentLeavesReplicaBehind(t *testing.T) {
+// TestRouterRefusedShipmentIsNotMemoized: a first sighting whose shipment
+// the serving replica refuses (500) is still proxied there, but the shape is
+// not memoised: the next read warms and ships again. Once the replica
+// accepts, reads ship nothing more, and the other replica is shipped nothing.
+func TestRouterRefusedShipmentIsNotMemoized(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
-	r := newTestRouter(t, planner.ts.URL, a, b)
-	ts := httptest.NewServer(r)
+	ts := httptest.NewServer(newTestRouter(t, planner.ts.URL, a, b))
 	t.Cleanup(ts.Close)
 	ranked := rankedFakes(t, a, b)
 	a, b = ranked[0], ranked[1] // a serves the triangle
-	info := func(f *fakeReplica, behind bool) string {
-		return fmt.Sprintf(`{"name":%q,"healthy":true,"quarantined":false,"catalog_epoch":0,"behind":%t}`, f.ts.URL, behind)
-	}
-	wantInfo := func(when string, wants ...string) {
+	read := func(when string, warms, imports int64) {
 		t.Helper()
-		_, got := httpDo(t, http.MethodGet, ts.URL+"/v1/info", "")
-		for _, want := range wants {
-			if !strings.Contains(got, want) {
-				t.Fatalf("%s: /v1/info %s, want it to report %s", when, got, want)
-			}
+		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK || !strings.Contains(body, a.ts.URL) {
+			t.Fatalf("%s: %d %s, want 200 from %s", when, code, body, a.ts.URL)
+		}
+		if got := planner.warms.Load(); got != warms {
+			t.Fatalf("%s: planner warmed %d times, want %d", when, got, warms)
+		}
+		if ga, gb := a.plans.Load(), b.plans.Load(); ga != imports || gb != 0 {
+			t.Fatalf("%s: imports %d/%d, want %d/0", when, ga, gb, imports)
 		}
 	}
-	wantInfo("in sync", info(a, false), info(b, false))
 
 	a.mutMode.Store("fail")
-	if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
-		t.Fatalf("first sighting: %d %s", code, body)
+	read("first sighting, refused", 1, 0)
+	read("second read, refused again", 2, 0)
+	a.mutMode.Store("ok")
+	read("third read, accepted", 3, 1)
+	read("memo hit", 3, 1)
+}
+
+// TestRouterShipmentOverlappingOutageIsNotMemoized: a shipment whose PUT is
+// still in flight while its replica is marked down and probed back may have
+// landed before the replica lost its cache, so it does not count as held:
+// the next read warms and ships again. The read it was made for is still
+// served, by the replica that is routable again.
+func TestRouterShipmentOverlappingOutageIsNotMemoized(t *testing.T) {
+	planner := newFakePlanner(t)
+	a := newFakeReplica(t)
+	r, err := New(Config{Replicas: []string{a.ts.URL}, Planner: planner.ts.URL, ProbeEvery: time.Hour, ProxyTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantInfo("after the refused shipment", info(a, true), info(b, false))
-	if a.plans.Load() != 0 || b.plans.Load() != 0 {
-		t.Fatalf("imports %d/%d, want none: the shipment went to a alone", a.plans.Load(), b.plans.Load())
+	t.Cleanup(r.Close)
+	ts := httptest.NewServer(r)
+	t.Cleanup(ts.Close)
+
+	a.mutMode.Store("hold")
+	served := make(chan int)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(fmt.Sprintf(`{"query":%q}`, triangleSrc)))
+		if err != nil {
+			served <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		served <- resp.StatusCode
+	}()
+	<-a.held // the shipment's PUT has reached a
+	r.markDown(r.backendByName(a.ts.URL))
+	r.probeAll()
+	a.mutMode.Store("ok")
+	a.release <- struct{}{}
+	if code := <-served; code != http.StatusOK {
+		t.Fatalf("the read whose shipment overlapped the outage: %d, want 200", code)
 	}
 
-	a.mutMode.Store("ok")
-	r.catchUp()
-	wantInfo("after the catch-up", info(a, false), info(b, false))
-	if a.plans.Load() != 1 || b.plans.Load() != 0 {
-		t.Fatalf("imports %d/%d after the catch-up, want the whole cache sent to a alone", a.plans.Load(), b.plans.Load())
+	for i, want := range []int64{2, 2} {
+		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
+			t.Fatalf("read %d: %d %s", i, code, body)
+		}
+		if got, imports := planner.warms.Load(), a.plans.Load(); got != want || imports != want {
+			t.Fatalf("read %d: %d warm-ups and %d imports, want %d of each", i, got, imports, want)
+		}
 	}
 }
 
@@ -1069,12 +1129,12 @@ func (m *meeting) meet(bound time.Duration) bool {
 	}
 }
 
-// TestRouterFanOutsOverlap: the router sends a catch-up round's PUTs and a
-// broadcast's replica legs to all replicas at once. Each of the two replicas
-// below holds its plan import and its row insert until the other replica's
-// request of the same kind has arrived, so a router that sent them one after
-// another would leave the first waiting out its bound. (A first sighting
-// ships to one replica, so it has no legs to overlap.)
+// TestRouterFanOutsOverlap: the router sends a broadcast's replica legs — a
+// plan import's and a row insert's — to all replicas at once. Each of the two
+// replicas below holds its plan import and its row insert until the other
+// replica's request of the same kind has arrived, so a router that sent them
+// one after another would leave the first waiting out its bound. (A first
+// sighting ships to one replica, so it has no legs to overlap.)
 func TestRouterFanOutsOverlap(t *testing.T) {
 	const bound = time.Second
 	planner := newFakePlanner(t)
@@ -1108,7 +1168,6 @@ func TestRouterFanOutsOverlap(t *testing.T) {
 	r, err := New(Config{
 		Replicas:     []string{replica(), replica()},
 		Planner:      planner.ts.URL,
-		PushEvery:    time.Hour,
 		ProbeEvery:   time.Hour,
 		ProxyTimeout: 10 * bound,
 	})
@@ -1119,13 +1178,9 @@ func TestRouterFanOutsOverlap(t *testing.T) {
 	ts := httptest.NewServer(r)
 	t.Cleanup(ts.Close)
 
-	// Both replicas go down and come back: each is behind, and one loop
-	// round sends the whole cache to both.
-	for _, b := range r.replicas {
-		r.markDown(b)
+	if code, body := httpDo(t, http.MethodPut, ts.URL+"/v1/plans", planner.plansBody.Load().(string)); code != http.StatusOK {
+		t.Fatalf("plan import: %d %s", code, body)
 	}
-	r.probeAll()
-	r.catchUp()
 	if code, body := postRaw(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[1,2]]}`); code != http.StatusOK {
 		t.Fatalf("insert: %d %s", code, body)
 	}
