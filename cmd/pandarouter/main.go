@@ -10,18 +10,18 @@
 // (the renaming-invariant plan signature, computed on the router without
 // catalog access or LP work) via rendezvous hashing, so each query shape
 // consistently lands on one replica and the fleet's plan/stmt caches stay
-// hot and disjoint. A new shape is planned once on the designated planning
-// tier, which answers with that one plan (GET /v1/plans?q=<text>), and the
-// plan is shipped only to the replica that serves the shape (PUT /v1/plans)
-// before the query is forwarded there — replicas serve with zero LP solves,
-// and their plan caches are shard-disjoint.
+// hot and disjoint. Each read goes with the header Panda-Plan: shipped, so a
+// replica never plans: one that lacks the shape's plan answers 409
+// plan_required, the plan is planned once on the designated planning tier,
+// which answers with that one plan (GET /v1/plans?q=<text>), shipped to that
+// replica alone (PUT /v1/plans), and the read is asked again — replicas serve
+// with zero LP solves, and their plan caches are shard-disjoint. The router
+// keeps no record of which replica holds which plan: a replica says what it
+// lacks, whether after a failover, a restart, an eviction or a write.
 // Replicas are probed on /healthz; a failed or draining replica is failed
 // over with one bounded retry per downed candidate, and its query shapes
 // move wholesale to their next-ranked replica (rendezvous hashing moves
-// nothing else); a failover read pays one warm-up, shipping its shape's
-// plan to the fallback replica first. A replica that was down or
-// quarantined is shipped each of its shapes' plans again on that shape's
-// next read, one warm-up each.
+// nothing else).
 //
 // Catalog mutations are broadcast to the planning tier, then to all
 // replicas at once.

@@ -50,7 +50,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError answers with the {"error","code"} body every failure carries:
 // err's text for people, code as the stable token clients dispatch on.
 func WriteError(w http.ResponseWriter, status int, code string, err error) {
-	WriteJSON(w, status, map[string]string{"error": err.Error(), "code": code})
+	WriteJSON(w, status, errorBody{Code: code, Error: err.Error()})
+}
+
+// errorBody is WriteError's body; its fields encode in the order a map's
+// sorted keys would, without the map.
+type errorBody struct {
+	Code  string `json:"code"`
+	Error string `json:"error"`
 }
 
 type requestKey struct {

@@ -19,7 +19,7 @@ import (
 // factor of five per plan, not forty, and what it still buys outright is
 // that replicas solve no LP at all (the Boolean 5-cycle is 25 ms to plan)
 // and that every replica runs the same plan bytes. CI gates decode at
-// 0.25 ms absolute and below cold-prepare, and at 1,160 allocs/op: decode
+// 0.4x the same run's cold-prepare, and at 1,160 allocs/op: decode
 // re-prices every bound and the width, re-derives the transversals and
 // validates each decomposition (1,054 allocs; 974 when it trusted them).
 func BenchmarkPlanDecodeVsPrepare(b *testing.B) {

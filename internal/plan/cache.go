@@ -3,6 +3,7 @@ package plan
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -26,6 +27,19 @@ type Stats struct {
 // DefaultCacheSize is the plan capacity of NewPlanner(0).
 const DefaultCacheSize = 128
 
+// ErrPlanRequired reports a cache miss under a ShippedOnly context: the
+// caller lacks the plan and was told not to build it.
+var ErrPlanRequired = errors.New("plan: plan not held")
+
+type shippedOnlyKey struct{}
+
+// ShippedOnly marks ctx so that a Planner answers a cache miss under it with
+// ErrPlanRequired instead of planning: a fleet replica serves shipped plans
+// and says which one it lacks, so the planning tier builds each plan once.
+func ShippedOnly(ctx context.Context) context.Context {
+	return context.WithValue(ctx, shippedOnlyKey{}, true)
+}
+
 // Planner prepares plans — for conjunctive queries and for disjunctive
 // rules alike — through a concurrency-safe bounded cache keyed by the
 // canonical signature of (query shape, free variables or rule targets,
@@ -40,7 +54,9 @@ const DefaultCacheSize = 128
 // one shape elect a leader that pays the LP solves, the rest wait (each
 // under its own context) and are answered from the installed entry as
 // hits. A leader that is cancelled or fails hands the build to the next
-// waiter, so one plan is built per shape however the herd is scheduled.
+// waiter, so one plan is built per shape however the herd is scheduled. A
+// call under a ShippedOnly context elects no leader: its miss answers
+// ErrPlanRequired.
 //
 // Eviction is plain LRU: a hit, a fresh build or an import puts the entry at
 // the front of one list, and the entry at the back goes when the cache is
@@ -143,6 +159,10 @@ func (pl *Planner) prepare(ctx context.Context, s *query.Schema, heads []bitset.
 			cached := pl.hit(el)
 			pl.mu.Unlock()
 			return cached.fromCanonical(sig, s), nil
+		}
+		if ctx.Value(shippedOnlyKey{}) != nil {
+			pl.mu.Unlock()
+			return nil, ErrPlanRequired
 		}
 		b, inflight := pl.building[sig.Key]
 		if !inflight {

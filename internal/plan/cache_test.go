@@ -47,6 +47,29 @@ func TestPlannerHitSkipsLP(t *testing.T) {
 	}
 }
 
+// TestPlannerShippedOnlyRefusesMiss: under a ShippedOnly context a miss
+// answers ErrPlanRequired and builds nothing, while a hit is served as ever.
+func TestPlannerShippedOnlyRefusesMiss(t *testing.T) {
+	pl := NewPlanner(8)
+	q, cons := cycleQuery(4, nil, nil, 100)
+	ctx := ShippedOnly(context.Background())
+	if _, err := pl.PrepareContext(ctx, q, cons, ModeFhtw); !errors.Is(err, ErrPlanRequired) {
+		t.Fatalf("shipped-only miss: %v, want ErrPlanRequired", err)
+	}
+	if st := pl.Stats(); st.Misses != 0 || st.PlansBuilt != 0 || st.LPSolves != 0 || pl.Len() != 0 {
+		t.Fatalf("a shipped-only miss did planning work: %v, %d plans", st, pl.Len())
+	}
+	if _, err := pl.Prepare(q, cons, ModeFhtw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.PrepareContext(ctx, q, cons, ModeFhtw); err != nil {
+		t.Fatalf("shipped-only hit: %v", err)
+	}
+	if st := pl.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("after one build and one shipped-only hit: %v", st)
+	}
+}
+
 // TestLPSolvesSavedAccounting: every hit credits the LP cost the entry's
 // original build paid, so a server's ops surface can read off what the
 // cache is worth in solver work.

@@ -15,9 +15,9 @@ import (
 )
 
 // BenchmarkRouterProxyOverhead prices the routing tier: the same cache-hit
-// /v1/query against a pandad directly vs through pandarouter (shape memo
-// warm, so the router path adds one shape-cache lookup, one rendezvous
-// ranking, and one proxied HTTP hop — no planner round-trips).
+// /v1/query against a pandad directly vs through pandarouter (the replica
+// holds the plan, so the router path adds one shape canonicalization, one
+// rendezvous ranking, and one proxied HTTP hop — no planner round-trips).
 func BenchmarkRouterProxyOverhead(b *testing.B) {
 	newServer := func() (*httptest.Server, func()) {
 		db := panda.Open(panda.WithPlannerCapacity(64))
@@ -80,12 +80,12 @@ func BenchmarkRouterProxyOverhead(b *testing.B) {
 
 // BenchmarkRouterFirstSighting prices a first sighting through the fleet: a
 // router over a real planning tier and two real replicas, each iteration a
-// fresh row inserted through the router (broadcast to all three; the router
-// drops its planned-shape memo, and R's new cardinality gives the triangle a
-// new plan key) and then one triangle read, which the router warms on the
-// planner (LP solves included) and ships to the replica that serves it
-// before forwarding. The replicas run in this process, so B/op counts the
-// plan imports they decode.
+// fresh row inserted through the router (broadcast to all three; R's new
+// cardinality gives the triangle a new plan key) and then one triangle read,
+// which the serving replica refuses for lack of that plan; the router warms
+// it on the planner (LP solves included), ships it to that replica and asks
+// again. The replicas run in this process, so B/op counts the refused read
+// and the plan imports they decode.
 func BenchmarkRouterFirstSighting(b *testing.B) {
 	q := panda.TriangleQuery()
 	ins := panda.RandomInstance(11, &q.Schema, 40, 10)

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,19 +53,16 @@ func newNodeCap(t *testing.T, name string, plannerCap int) *node {
 
 func newFleet(t *testing.T) *fleet {
 	t.Helper()
-	return newFleetWithPlanner(t, newNode(t, "planner"))
+	return newFleetOf(t, newNode(t, "planner"), newNode(t, "replica-a"), newNode(t, "replica-b"))
 }
 
-func newFleetWithPlanner(t *testing.T, planner *node) *fleet {
+// newFleetOf puts the router in front of a planning tier and two replicas.
+func newFleetOf(t *testing.T, planner, a, b *node) *fleet {
 	t.Helper()
-	f := &fleet{
-		planner:  planner,
-		replicas: []*node{newNode(t, "replica-a"), newNode(t, "replica-b")},
-	}
+	f := &fleet{planner: planner, replicas: []*node{a, b}}
 	r, err := New(Config{
 		Replicas:   []string{f.replicas[0].ts.URL, f.replicas[1].ts.URL},
 		Planner:    f.planner.ts.URL,
-		PushEvery:  time.Hour, // plans must arrive via the synchronous ensure path
 		ProbeEvery: time.Hour, // health transitions are driven by the test
 	})
 	if err != nil {
@@ -169,8 +168,8 @@ type replicaShapes struct {
 //     replica's plan cache holds exactly the shapes routed to it, and every
 //     ensure imported its plan into one replica;
 //  5. draining one replica mid-traffic loses ZERO requests — the drained
-//     replica's shard fails over to the survivor, which is shipped each
-//     moved shape's plan before its first read there, still without
+//     replica's shard fails over to the survivor, which refuses each moved
+//     shape's first read there and is shipped its plan, still without
 //     planning.
 func TestFleetAmortizesPlanningAndSurvivesFailover(t *testing.T) {
 	f := newFleet(t)
@@ -323,7 +322,7 @@ func TestFleetAmortizesPlanningAndSurvivesFailover(t *testing.T) {
 
 	// (5) Drain one replica (what SIGTERM does to pandad) and rerun the
 	// whole corpus: zero failed requests, and the survivor still plans
-	// nothing because each moved shape's plan is shipped to it first.
+	// nothing because it refuses each moved shape until its plan is shipped.
 	drained := f.replicas[0]
 	survivor := f.replicas[1]
 	if err := drained.srv.Shutdown(context.Background()); err != nil {
@@ -355,9 +354,9 @@ func TestFleetAmortizesPlanningAndSurvivesFailover(t *testing.T) {
 }
 
 // TestFleetMutationInvalidatesShapes: a catalog mutation changes the
-// cardinality constraints embedded in plan signatures, so the router must
-// re-warm and re-ship every shape it sees afterwards — and replicas still
-// never plan.
+// cardinality constraints embedded in plan signatures, so a replica refuses
+// the next read of a shape whose key moved and the router re-warms and
+// re-ships it — and replicas still never plan.
 func TestFleetMutationInvalidatesShapes(t *testing.T) {
 	f := newFleet(t)
 	f.seed(t)
@@ -386,11 +385,12 @@ func TestFleetMutationInvalidatesShapes(t *testing.T) {
 
 // TestFleetForgetfulPlannerStillShips: the planning tier holds ONE plan, so
 // by the next shape it has forgotten the last. Shipping names a plan by its
-// signature, not by where the planner's cache has got to, so every first
-// sighting still reaches the replicas before its query does: they plan
-// nothing, through a second pass that the planner has to re-plan whole.
+// signature, not by where the planner's cache has got to, so every plan a
+// replica lacks still reaches it before the read is answered: the replicas
+// plan nothing, through a second pass after a write whose moved keys the
+// planner has to re-plan.
 func TestFleetForgetfulPlannerStillShips(t *testing.T) {
-	f := newFleetWithPlanner(t, newNodeCap(t, "planner", 1))
+	f := newFleetOf(t, newNodeCap(t, "planner", 1), newNode(t, "replica-a"), newNode(t, "replica-b"))
 	f.seed(t)
 	shapes := mixedShapes()
 	pass := func() {
@@ -402,16 +402,19 @@ func TestFleetForgetfulPlannerStillShips(t *testing.T) {
 		}
 	}
 	pass()
-	// A write to a relation every shape reads: new cardinalities, new keys,
-	// and the router's shape memo is dropped.
+	// A write to R: the keys that read R's size move. The fourteen bounded
+	// triangles declare |R|, so theirs hold still and their replicas keep
+	// serving them; the plain triangle, the path and the rule move.
 	if code, body := httpDo(t, http.MethodPost, f.front.URL+"/v1/relations/R/rows", `{"rows":[[997,998]]}`); code != http.StatusOK {
 		t.Fatalf("mutation: %d %s", code, body)
 	}
 	pass()
 
+	const moved = 3
+	ensured := len(shapes) + moved
 	st := f.planner.db.PlannerStats()
-	if st.Misses < uint64(2*len(shapes)) || st.Evictions < st.Misses-1 || f.planner.db.PlanCacheLen() != 1 {
-		t.Fatalf("planner stats %+v holding %d plans, want every first sighting planned and all but one forgotten", st, f.planner.db.PlanCacheLen())
+	if st.Misses != uint64(ensured) || st.Evictions != st.Misses-1 || f.planner.db.PlanCacheLen() != 1 {
+		t.Fatalf("planner stats %+v holding %d plans, want each of the %d shipped plans planned and all but one forgotten", st, f.planner.db.PlanCacheLen(), ensured)
 	}
 	var served uint64
 	for i, rep := range f.replicas {
@@ -425,7 +428,82 @@ func TestFleetForgetfulPlannerStillShips(t *testing.T) {
 		t.Fatalf("replicas served %d plan hits, want at least %d", served, 2*len(shapes))
 	}
 	m := metricsText(t, f.front.URL)
-	if want := fmt.Sprintf("panda_router_shapes_ensured_total %d", 2*len(shapes)); !strings.Contains(m, want) {
+	if want := fmt.Sprintf("panda_router_shapes_ensured_total %d\n", ensured); !strings.Contains(m, want) {
 		t.Fatalf("router metrics missing %q:\n%s", want, m)
+	}
+}
+
+// TestFleetEvictingReplicasNeverPlan: replicas whose plan caches hold ONE
+// plan evict almost every plan they are shipped. A read of an evicted plan
+// whose answer is not memoised (the second pass asks for another
+// parallelism) is refused, and the plan is shipped again: the replicas build
+// no plan and solve no LP, for queries and for GET /v1/plan alike.
+func TestFleetEvictingReplicasNeverPlan(t *testing.T) {
+	f := newFleetOf(t, newNode(t, "planner"), newNodeCap(t, "replica-a", 1), newNodeCap(t, "replica-b", 1))
+	f.seed(t)
+	shapes := mixedShapes()
+	for _, extra := range []string{"", `,"parallelism":2`} {
+		for _, src := range shapes {
+			if code, body := httpDo(t, http.MethodPost, f.front.URL+"/v1/query", fmt.Sprintf(`{"query":%q%s}`, src, extra)); code != http.StatusOK {
+				t.Fatalf("query %q%s: %d %s", src, extra, code, body)
+			}
+		}
+	}
+	for range 2 {
+		for _, src := range shapes {
+			if code, body := httpDo(t, http.MethodGet, f.front.URL+"/v1/plan?q="+url.QueryEscape(src), ""); code != http.StatusOK {
+				t.Fatalf("plan %q: %d %s", src, code, body)
+			}
+		}
+	}
+	var evicted uint64
+	for i, rep := range f.replicas {
+		st := rep.db.PlannerStats()
+		if st.LPSolves != 0 || st.PlansBuilt != 0 {
+			t.Fatalf("replica %d did planning work: %+v", i, st)
+		}
+		evicted += st.Evictions
+	}
+	if evicted == 0 {
+		t.Fatal("no replica evicted a plan; the test exercises nothing")
+	}
+}
+
+// TestFleetConcurrentFirstSightings: a herd of concurrent first reads of
+// each shape is refused by its replica as often as the reads overlap, and
+// every refusal pulls the plan; the planner's own single-flight builds each
+// plan once, the replica counts the duplicate imports, and no replica plans.
+func TestFleetConcurrentFirstSightings(t *testing.T) {
+	const readers = 6
+	f := newFleet(t)
+	f.seed(t)
+	shapes := mixedShapes()[:4]
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		for _, src := range shapes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(f.front.URL+"/v1/query", "application/json", strings.NewReader(fmt.Sprintf(`{"query":%q}`, src)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("query %q: %d", src, resp.StatusCode)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if st := f.planner.db.PlannerStats(); st.PlansBuilt != uint64(len(shapes)) {
+		t.Fatalf("planner %v, want one build per shape (%d)", st, len(shapes))
+	}
+	for i, rep := range f.replicas {
+		if st := rep.db.PlannerStats(); st.LPSolves != 0 || st.PlansBuilt != 0 {
+			t.Fatalf("replica %d did planning work: %+v", i, st)
+		}
 	}
 }

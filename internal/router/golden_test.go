@@ -49,7 +49,6 @@ func TestMetricsGolden(t *testing.T) {
 	r, err := New(Config{
 		Replicas:     []string{"http://replica-a", "http://replica-b"},
 		Planner:      "http://planner",
-		PushEvery:    time.Hour,
 		ProbeEvery:   time.Hour,
 		ProxyTimeout: 500 * time.Millisecond,
 		Client: &http.Client{Transport: aliasTransport{
@@ -72,8 +71,8 @@ func TestMetricsGolden(t *testing.T) {
 	}
 
 	// The fake planner answers every pull with two plan entries, so each
-	// ensure ships two, to the replica about to serve the shape.
-	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{},{}]}`)
+	// ensure ships two, to the replica that refused the read for lack of them.
+	planner.entries.Store(2)
 	shapes := []string{
 		triangleSrc,
 		`P(X,Y,Z) :- R(X,Y), S(Y,Z), T(X,Z).`, // a renaming: same shape

@@ -54,10 +54,10 @@ func newTelemetry(r *Router) *telemetry {
 	perReplica("panda_router_replica_routable", "Whether traffic may be routed to the replica (1 = live and catalog in sync with the planner, 0 = down or quarantined).", (*backend).isRoutable)
 	m.failovers = metrics.Counter[uint64](reg, "panda_router_failovers_total", "Times a replica was marked down (probe failure or in-request error).", "replica")
 	m.quarantines = metrics.Counter[uint64](reg, "panda_router_quarantines_total", "Times a replica was quarantined for a catalog that lags the planning tier (missed mutation broadcast or stale restart).", "replica")
-	m.pushEntries = metrics.Counter[uint64](reg, "panda_router_push_entries_total", "Plan-cache entries pushed to each replica (a warm-up ships the plan the planner answered for the query text).", "replica")
+	m.pushEntries = metrics.Counter[uint64](reg, "panda_router_push_entries_total", "Plan-cache entries pushed to each replica (a warm-up ships the plan the planner answered for the query text to the replica that refused a read for lack of it).", "replica")
 	m.retries = metrics.Counter[uint64](reg, "panda_router_retries_total", "Proxy attempts beyond the first, across all requests (bounded failover).")
 	m.noHealthy = metrics.Counter[uint64](reg, "panda_router_no_healthy_replica_total", "Requests answered 502 because no healthy replica remained.")
-	m.ensures = metrics.Counter[uint64](reg, "panda_router_shapes_ensured_total", "Shape warm-ups: a shape planned on the planning tier and its plan shipped to the one replica about to serve it (on its first read, or on a failover to a replica the plan was not shipped to).")
+	m.ensures = metrics.Counter[uint64](reg, "panda_router_shapes_ensured_total", "Shape warm-ups: a shape planned on the planning tier and its plan shipped to the one replica that refused a read of it for lack of the plan (409 plan_required).")
 	m.pushes = metrics.Counter[uint64](reg, "panda_router_pushes_total", "Plan shipments that carried at least one entry.")
 	m.plannerErrors = metrics.Counter[uint64](reg, "panda_router_planner_errors_total", "Failed planner interactions (warm-ups and plan pulls).")
 	return m

@@ -12,21 +12,24 @@
 // Every /v1/query and /v1/plan — conjunctive query or disjunctive rule — is
 // routed by its canonical shape: the renaming-invariant signature computed
 // WITHOUT catalog access or LP work, so each shape consistently lands on one
-// replica and every replica's plan/stmt caches stay hot and disjoint. Before
-// the router forwards a read to a replica that does not hold its shape's
-// plan, it makes one request to the designated planning tier, GET
-// /v1/plans?q=<text>, which pays the LP solves and answers with a snapshot
-// holding that one plan, and PUTs the snapshot to that replica alone (PUT
-// /v1/plans), so replicas never plan: their lp_solves_total stays 0 while
-// lp_solves_saved_total climbs. Plans go only to the replica that serves
-// their shape, so the replicas' plan caches are as shard-disjoint as their
-// traffic; a failover read pays one such warm-up on its fallback replica
-// before it is forwarded there. The planned-shape memo records which replica
-// each shape's plan was shipped to, and at which of its generations: a
-// replica's generation advances whenever it stops being routable (it may come
-// back with an empty cache), so its memo entries lapse and each of its shapes
-// re-ships lazily, on that shape's next read. A plan is named by its content:
-// its shape's key names one plan, the plan of the canonical spelling.
+// replica and every replica's plan/stmt caches stay hot and disjoint. A read
+// of a parsed shape is forwarded with the request header Panda-Plan: shipped,
+// under which a replica never plans: one that lacks the plan answers 409
+// plan_required. On that refusal the router makes one request to the
+// designated planning tier, GET /v1/plans?q=<text>, which pays the LP solves
+// and answers with a snapshot holding that one plan, PUTs the snapshot to that
+// replica alone (PUT /v1/plans) and asks again. So replicas never plan: their
+// lp_solves_total stays 0 while lp_solves_saved_total climbs. A plan goes only
+// to a replica that serves its shape and lacks it, so the replicas' plan
+// caches are as shard-disjoint as their traffic. Which replica holds which
+// plan is the replica's to say, not the router's to remember: a failover
+// read, a replica that comes back with an empty cache, an evicted plan and a
+// mutation that moves plan keys all ship what the serving replica lacks, one
+// warm-up each, and nothing else. If the warm-up fails — the planner cannot
+// answer with the plan, or the replica refuses it or the read again — the
+// read goes once more without the header and the replica plans as a last
+// resort. A plan is named by its content: its shape's key names one plan, the
+// plan of the canonical spelling.
 //
 // Replicas are health-checked (GET /healthz) and failed over: a transport
 // error or 503 marks the replica down and the request retries on the next-
@@ -37,11 +40,10 @@
 //
 // Catalog mutations (relation create/drop, row/CSV ingest) are broadcast —
 // planning tier first, then every replica at once — because plan signatures
-// embed catalog cardinalities: after a mutation the planner applied, the
-// planned-shape memo is dropped and the next query per shape re-warms and
-// re-ships. A replica that misses a broadcast (down at the time, transport
-// error, or a non-planner answer) has a diverged catalog and MUST NOT
-// silently rejoin: every pandad counts its applied mutations as a catalog
+// embed catalog cardinalities: after a mutation, each shape whose key moved
+// is refused once by its replica and re-shipped. A replica that misses a
+// broadcast (down at the time, transport error, or a non-planner answer) has
+// a diverged catalog and MUST NOT silently rejoin: every pandad counts its applied mutations as a catalog
 // epoch reported on /healthz, and the probe loop quarantines any live
 // replica whose epoch lags the planning tier's until it catches up (i.e.
 // until an operator resyncs it — the resync mechanism itself is a recorded
@@ -110,11 +112,6 @@ type backend struct {
 	// planner's; at staleThreshold the replica is quarantined (live but
 	// unroutable: it missed a catalog mutation and needs a resync).
 	staleRounds int
-	// gen advances, under mu, on every transition out of routability: the
-	// replica may come back without the plans it was shipped, so a plan
-	// shipped at an older generation no longer counts as held. Read without
-	// mu on the memo-hit path.
-	gen atomic.Uint64
 }
 
 func (b *backend) isHealthy() bool {
@@ -137,9 +134,6 @@ func (b *backend) setHealthy(v bool) bool {
 	defer b.mu.Unlock()
 	changed := b.healthy != v
 	b.healthy = v
-	if changed && !v {
-		b.gen.Add(1)
-	}
 	return changed
 }
 
@@ -159,9 +153,6 @@ func (b *backend) setProbed(epoch, plannerEpoch uint64) (quarantined, recovered 
 		b.staleRounds = 0
 	}
 	after := b.staleRounds >= staleThreshold
-	if !before && after {
-		b.gen.Add(1)
-	}
 	return !before && after, before && !after
 }
 
@@ -173,9 +164,6 @@ func (b *backend) forceStale() bool {
 	defer b.mu.Unlock()
 	changed := b.staleRounds < staleThreshold
 	b.staleRounds = staleThreshold
-	if changed {
-		b.gen.Add(1)
-	}
 	return changed
 }
 
@@ -208,21 +196,6 @@ type Router struct {
 	// replicas whose epoch lags it are quarantined.
 	plannerEpoch atomic.Uint64
 
-	// plannedMu guards the planned memo and the in-flight warm-up table.
-	// It is only ever held for map operations — memoized shapes check it
-	// and move on without waiting on any HTTP work.
-	plannedMu sync.Mutex
-	// planned maps each routing shape whose plan was shipped to the replica
-	// it was shipped to (the one its reads were routed to); dropped
-	// wholesale on catalog mutations (signatures embed cardinalities) and
-	// when it outgrows plannedCap.
-	planned    map[string]shipment
-	plannedCap int
-	// warming single-flights planner warm-ups per shape: the first read
-	// that needs one runs it, concurrent reads of the SAME shape wait on its
-	// channel (bounded by their own deadline), other shapes proceed.
-	warming map[string]chan struct{}
-
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -238,18 +211,10 @@ const maxProxyBodyBytes = 64 << 20
 // connection and close it afterwards.
 const maxIdleConnsPerTier = 64
 
-// defaultPlannedCap bounds the planned-shape memo.
-const defaultPlannedCap = 1 << 16
-
-// shipment is a planned-shape memo entry: the replica a shape's plan was
-// shipped to and the replica's generation when the shipment started. It
-// holds only while that generation stands.
-type shipment struct {
-	to  *backend
-	gen uint64
-}
-
-func (s shipment) holds() bool { return s.to != nil && s.to.gen.Load() == s.gen }
+// shippedOnly is the Panda-Plan header of a proxied read of a parsed shape:
+// the replica answers from the plans it holds or refuses with 409
+// plan_required. A package-level slice, so setting it allocates nothing.
+var shippedOnly = []string{"shipped"}
 
 // New builds the router, runs one synchronous probe round so the first
 // request already knows who is alive, and starts the probe loop.
@@ -275,16 +240,13 @@ func New(cfg Config) (*Router, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	r := &Router{
-		planner:    cfg.Planner,
-		client:     cfg.Client,
-		timeout:    cfg.ProxyTimeout,
-		logf:       cfg.Logf,
-		mux:        http.NewServeMux(),
-		start:      time.Now(),
-		planned:    map[string]shipment{},
-		plannedCap: defaultPlannedCap,
-		warming:    map[string]chan struct{}{},
-		stop:       make(chan struct{}),
+		planner: cfg.Planner,
+		client:  cfg.Client,
+		timeout: cfg.ProxyTimeout,
+		logf:    cfg.Logf,
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		stop:    make(chan struct{}),
 	}
 	seen := map[string]bool{}
 	for _, name := range cfg.Replicas {
@@ -315,13 +277,13 @@ func (r *Router) routes() {
 	r.mux.HandleFunc("POST /v1/query", observed("query", r.handleQuery))
 	r.mux.HandleFunc("GET /v1/plan", observed("plan", r.handlePlan))
 	r.mux.HandleFunc("GET /v1/plans", observed("plans", r.proxyPlannerRead))
-	r.mux.HandleFunc("PUT /v1/plans", observed("plans", r.handleImport))
+	r.mux.HandleFunc("PUT /v1/plans", observed("plans", r.broadcast))
 	r.mux.HandleFunc("GET /v1/relations", observed("relations", r.proxyPlannerRead))
 	r.mux.HandleFunc("GET /v1/shapes", observed("shapes", r.handleShapes))
-	r.mux.HandleFunc("POST /v1/relations", observed("relations", r.handleMutation))
-	r.mux.HandleFunc("DELETE /v1/relations/{name}", observed("relations", r.handleMutation))
-	r.mux.HandleFunc("POST /v1/relations/{name}/rows", observed("rows", r.handleMutation))
-	r.mux.HandleFunc("POST /v1/relations/{name}/csv", observed("csv", r.handleMutation))
+	r.mux.HandleFunc("POST /v1/relations", observed("relations", r.broadcast))
+	r.mux.HandleFunc("DELETE /v1/relations/{name}", observed("relations", r.broadcast))
+	r.mux.HandleFunc("POST /v1/relations/{name}/rows", observed("rows", r.broadcast))
+	r.mux.HandleFunc("POST /v1/relations/{name}/csv", observed("csv", r.broadcast))
 	r.mux.HandleFunc("GET /metrics", observed("metrics", r.metrics.reg.ServeHTTP))
 	r.mux.HandleFunc("GET /healthz", observed("healthz", r.handleHealthz))
 	r.mux.HandleFunc("GET /v1/info", observed("info", r.handleInfo))
@@ -430,70 +392,17 @@ func (r *Router) routableReplicas() []*backend {
 
 // ---- Plan shipping ----
 
-// ensurePlanned makes shape — query or rule — safe to route to replica b,
-// and reports whether the read may still be proxied there. When the
-// planned-shape memo records b as the holder of the shape's plan, at b's
-// current generation, it returns at once. Otherwise one request to the
-// planning tier (GET /v1/plans?q=) plans the text there, paying the LP solves
-// on the planner's own cache miss, and answers with a snapshot holding that
-// plan; the snapshot goes to b alone, and once b has accepted it the memo
-// records b at the generation read before the pull. b therefore sees the plan
-// arrive BEFORE the query does and never plans itself, and no other replica
-// decodes a plan it will not serve. A failover read, sent to a replica the
-// memo does not name, pays one warm-up there first; so does the next read of
-// each shape of a replica that was down or quarantined since its shipment,
-// because its generation has moved on. A shipment b refuses is not memoised,
-// so the next read ships again; one that finds b down (503 or a transport
-// error) marks it down and reports false, so the read moves on to the next
-// replica. Planner trouble degrades gracefully: a failed request, a non-200
-// answer or a snapshot without an entry counts as a planner error, the query
-// still routes (the replica would plan as a last resort) and the memo is left
-// as it was, so the next read retries the warm-up.
-//
-// Warm-ups are single-flighted PER SHAPE and every planner interaction
-// here runs under the router's proxy timeout, so a hung planner
-// connection can stall at most the queries of the one shape being warmed
-// — memoized shapes take the fast path without waiting on any HTTP work,
-// and concurrent reads of the warming shape give up at their deadline
-// instead of queueing until the client disconnects.
-//
-// Known cost of keeping no record of what a replica holds beyond the memo:
-// a read ships its plan even when the replica already holds it — an insert
-// into a relation the shape does not read drops the router's shape memo but
-// leaves the plan's key unchanged. A replica checks such an entry's digest,
-// finds its key held and does not decode the plan (plan.LoadCache).
+// ensurePlanned ships shape's plan — query or rule — to replica b, which
+// refused a read of it for lack of the plan, and reports whether b accepted
+// it. One request to the planning tier (GET /v1/plans?q=) plans the text
+// there, paying the LP solves on the planner's own cache miss, and answers
+// with a snapshot holding that plan; the snapshot goes to b alone, so no other
+// replica decodes a plan it will not serve. Concurrent refusals of one shape
+// each pull: the planner builds the plan once (its own single-flight) and b
+// counts and skips a duplicate import. Planner trouble degrades gracefully: a
+// failed request, a non-200 answer or a snapshot without an entry counts as a
+// planner error and reports false, and the read goes on without the plan.
 func (r *Router) ensurePlanned(ctx context.Context, b *backend, shape, src, mode string) bool {
-	ch, lead := r.claim(shape, b, false)
-	if ch == nil {
-		return true
-	}
-	// Armed only past the memo: a read of a memoized shape starts no timer.
-	ctx, cancel := context.WithTimeout(ctx, r.timeout)
-	defer cancel()
-	for !lead {
-		// Another request is warming this shape; wait for it (so the plan
-		// reaches the replica before our query does) but no longer than our
-		// own deadline. It may have shipped to another replica — a failover
-		// racing a read of the first choice — so claim again.
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return true
-		}
-		if ch, lead = r.claim(shape, b, true); ch == nil {
-			return true
-		}
-	}
-	defer func() {
-		r.plannedMu.Lock()
-		delete(r.warming, shape)
-		r.plannedMu.Unlock()
-		close(ch)
-	}()
-
-	// Read before the pull: if b leaves rotation while its shipment is in
-	// flight, the entry recorded below has already lapsed.
-	gen := b.gen.Load()
 	q := url.Values{"q": {src}}
 	if mode != "" {
 		q.Set("mode", mode)
@@ -502,49 +411,17 @@ func (r *Router) ensurePlanned(ctx context.Context, b *backend, shape, src, mode
 	if err != nil || snapshot.status != http.StatusOK || entries == 0 {
 		// A rejection (parse error, unknown relation, unbounded LP, …) is
 		// the client's to see: the replica will reject the query
-		// identically. Anything else is logged. Either way memoize nothing
-		// and let the query through.
+		// identically. Anything else is logged.
 		r.metrics.plannerErrors.Add(1)
 		if err != nil {
 			r.logf("router: planner warm-up for shape %s failed: %v", shape, err)
 		} else if snapshot.status == http.StatusOK {
 			r.logf("router: planner warm-up for shape %s answered a snapshot without its plan", shape)
 		}
-		return true
+		return false
 	}
 	r.metrics.ensures.Add(1)
-	if !r.ship(ctx, b, snapshot.body, entries) {
-		return b.isHealthy()
-	}
-	r.plannedMu.Lock()
-	if len(r.planned) >= r.plannedCap {
-		r.planned = map[string]shipment{}
-	}
-	r.planned[shape] = shipment{b, gen}
-	r.plannedMu.Unlock()
-	return true
-}
-
-// claim is ensurePlanned's look at the memo. It returns a nil channel when
-// there is nothing to do: b holds shape's plan, or — after a wait — the
-// warm-up waited on failed and left the shape unshipped. Otherwise it returns
-// the shape's warm-up channel, and lead when the caller opened it and owes
-// the warm-up. An entry whose replica has left rotation since counts as no
-// entry.
-func (r *Router) claim(shape string, b *backend, waited bool) (ch chan struct{}, lead bool) {
-	r.plannedMu.Lock()
-	defer r.plannedMu.Unlock()
-	s := r.planned[shape]
-	held := s.holds()
-	if held && s.to == b || waited && !held {
-		return nil, false
-	}
-	if ch, ok := r.warming[shape]; ok {
-		return ch, false
-	}
-	ch = make(chan struct{})
-	r.warming[shape] = ch
-	return ch, true
+	return r.ship(ctx, b, snapshot.body, entries)
 }
 
 // pull GETs a plan-cache snapshot from the planning tier. The entries of a
@@ -565,10 +442,9 @@ func (r *Router) pull(ctx context.Context, target string) (*sentResponse, int, e
 
 // ship imports a snapshot into replica b and reports whether b accepted it.
 // 200 (clean) and 422 (partial skip, reported loudly by the replica) both
-// mean the snapshot was processed, and sending it again would skip the same
-// entries. A replica that answers 503 (draining) or cannot be reached is
-// marked down. Imports never clobber live entries and duplicates are
-// counted, not rejected, so over-delivery is harmless.
+// mean the snapshot was processed. A replica that answers 503 (draining) or
+// cannot be reached is marked down. Imports never clobber live entries and
+// duplicates are counted, not rejected, so over-delivery is harmless.
 func (r *Router) ship(ctx context.Context, b *backend, snapshot []byte, entries int) bool {
 	r.metrics.pushes.Add(1)
 	resp, err := r.fetch(ctx, http.MethodPut, b.name+"/v1/plans", "application/json", snapshot)
@@ -650,16 +526,18 @@ func (r *Router) handlePlan(w http.ResponseWriter, req *http.Request) {
 // the routable replicas in rendezvous order for its shape: the first-ranked
 // one gets the request; a transport error or 503 marks it down and the
 // next-ranked one is tried (each downed replica costs exactly one bounded
-// retry). Each replica is made safe to serve the shape (ensurePlanned) just
-// before it is tried; one whose shipment finds it down is skipped unasked. A
-// text that does not parse routes by its raw text,
-// unplanned; the replica reports the real error. When no routable replica
-// remains the answer is 502 "no_healthy_replica".
+// retry). A read of a parsed shape goes with Panda-Plan: shipped; a replica
+// that refuses it for lack of the plan is shipped the plan (ensurePlanned)
+// and asked again, and when that fails it is asked once without the header
+// and plans as a last resort. A shipment that finds the replica down moves the
+// read on to the next replica. A text that does not parse routes by its raw
+// text, unmarked; the replica reports the real error. When no routable
+// replica remains the answer is 502 "no_healthy_replica".
 func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, src, mode string, body []byte) {
-	shape, warm := src, false
+	shape, parsed := src, false
 	if src != "" {
 		if s, err := shapeOf(src, mode); err == nil {
-			shape, warm = s, true
+			shape, parsed = s, true
 		}
 	}
 	var room [8]scored // a fleet of up to eight replicas ranks without allocating
@@ -674,10 +552,16 @@ func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, src
 			r.metrics.retries.Add(1)
 		}
 		attempts++
-		if warm && !r.ensurePlanned(req.Context(), b, shape, src, mode) {
-			continue
+		out := r.proxyOnce(w, req, b, shape, body, parsed)
+		if out == refused {
+			if r.ensurePlanned(req.Context(), b, shape, src, mode) {
+				out = r.proxyOnce(w, req, b, shape, body, true)
+			}
+			if out == refused && b.isHealthy() {
+				out = r.proxyOnce(w, req, b, shape, body, false)
+			}
 		}
-		if r.proxyOnce(w, req, b, shape, body) {
+		if out == served {
 			return
 		}
 	}
@@ -686,22 +570,36 @@ func (r *Router) routeWithFailover(w http.ResponseWriter, req *http.Request, src
 		fmt.Errorf("no healthy replica for shape %s (%d attempted)", shape, attempts))
 }
 
-// proxyOnce sends the request to one replica. It reports false — without
-// having written to w — when the replica should be failed over (transport
-// error, or 503: the replica is draining or closed); any other response,
-// success or error, is streamed through verbatim as the request's outcome
-// (an answer can be hundreds of kilobytes; it is never buffered here).
-func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, b *backend, shape string, body []byte) bool {
-	resp, err := r.call(req.Context(), req.Method, tierURL(b.name, req), req.Header.Get("Content-Type"), body)
+// outcome is what one proxied attempt came to.
+type outcome int
+
+const (
+	failed  outcome = iota // transport error or 503: the replica is marked down
+	served                 // the replica's answer was relayed to the client
+	refused                // 409 to a shipped-only read: the replica lacks the plan
+)
+
+// proxyOnce sends the request to one replica, marked Panda-Plan: shipped when
+// shipped is set. A transport error or 503 (the replica is draining or
+// closed) marks the replica down, and a 409 to a shipped-only read is the
+// replica's plan_required refusal; neither writes to w. Any other response,
+// success or error, is streamed through verbatim as the request's outcome (an
+// answer can be hundreds of kilobytes; it is never buffered here).
+func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, b *backend, shape string, body []byte, shipped bool) outcome {
+	resp, err := r.call(req.Context(), req.Method, tierURL(b.name, req), req.Header.Get("Content-Type"), body, shipped)
 	if err != nil {
 		r.markDown(b)
-		return false
+		return failed
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
+	switch {
+	case resp.StatusCode == http.StatusServiceUnavailable:
 		io.Copy(io.Discard, resp.Body)
 		r.markDown(b)
-		return false
+		return failed
+	case resp.StatusCode == http.StatusConflict && shipped:
+		io.Copy(io.Discard, resp.Body)
+		return refused
 	}
 	r.metrics.addRouted(shape, b.name)
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -709,7 +607,7 @@ func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, b *backend,
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	return true
+	return served
 }
 
 // ---- Plan export/import and catalog passthrough ----
@@ -761,43 +659,25 @@ func (r *Router) handleShapes(w http.ResponseWriter, req *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// handleMutation broadcasts a catalog mutation and, when the planning tier
-// applied it, invalidates the planned-shape memo: signatures embed catalog
-// cardinalities, so plans for the new catalog state must be re-shipped shape
-// by shape. A mutation the planner rejected changed nothing.
-func (r *Router) handleMutation(w http.ResponseWriter, req *http.Request) {
-	if !r.broadcast(w, req) {
-		return
-	}
-	r.plannedMu.Lock()
-	r.planned = map[string]shipment{}
-	r.plannedMu.Unlock()
-}
-
-// handleImport broadcasts an external plan snapshot. It changes no catalog,
-// so the planned-shape memo stays.
-func (r *Router) handleImport(w http.ResponseWriter, req *http.Request) { r.broadcast(w, req) }
-
 // broadcast applies the request — a catalog mutation, or an external plan
 // snapshot (PUT /v1/plans) — to the planning tier first (it must know the
 // catalog before it can plan for it), then to every routable replica at
-// once, relays the planner's response once every replica has answered, and
-// reports whether the planner applied it (a 2xx). A replica that misses a
+// once, and relays the planner's response once every replica has answered. A replica that misses a
 // mutation the planner applied — transport error, or any answer when the
 // planner said 2xx and the replica did not — is serving a diverged catalog,
 // so it is quarantined ON THE SPOT: marked down AND forced stale, which
 // keeps the probe loop from auto-rejoining it on the next 200 /healthz. Its
 // epoch still lags the planner's, so it remains quarantined until a
 // catalog resync brings the epochs back together.
-func (r *Router) broadcast(w http.ResponseWriter, req *http.Request) bool {
+func (r *Router) broadcast(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
-		return false
+		return
 	}
 	plannerResp, err := r.send(req, r.planner, body)
 	if err != nil {
 		metrics.WriteError(w, http.StatusBadGateway, "planner_unreachable", err)
-		return false
+		return
 	}
 	plannerApplied := plannerResp.status < 300
 	fanOut(r.routableReplicas(), func(b *backend) {
@@ -815,7 +695,6 @@ func (r *Router) broadcast(w http.ResponseWriter, req *http.Request) bool {
 		}
 	})
 	plannerResp.relay(w)
-	return plannerApplied
 }
 
 // quarantine forces a replica out of rotation after a missed broadcast.
@@ -844,10 +723,11 @@ func tierURL(base string, req *http.Request) string {
 }
 
 // call is the one way the router sends a request to the planner or a
-// replica: method, URL, optional content type and body, under the proxy
-// timeout on top of whatever deadline ctx carries. Closing the response body
+// replica: method, URL, optional content type and body, Panda-Plan: shipped
+// when shipped is set, under the proxy timeout on top of whatever deadline
+// ctx carries. Closing the response body
 // releases the timeout.
-func (r *Router) call(ctx context.Context, method, target, contentType string, body []byte) (*http.Response, error) {
+func (r *Router) call(ctx context.Context, method, target, contentType string, body []byte, shipped bool) (*http.Response, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.timeout)
 	var rd io.Reader
 	if body != nil {
@@ -860,6 +740,9 @@ func (r *Router) call(ctx context.Context, method, target, contentType string, b
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
+	}
+	if shipped {
+		req.Header["Panda-Plan"] = shippedOnly
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
@@ -898,7 +781,7 @@ func (s *sentResponse) relay(w http.ResponseWriter) {
 
 // fetch is call plus a bounded read of the whole answer.
 func (r *Router) fetch(ctx context.Context, method, target, contentType string, body []byte) (*sentResponse, error) {
-	resp, err := r.call(ctx, method, target, contentType, body)
+	resp, err := r.call(ctx, method, target, contentType, body, false)
 	if err != nil {
 		return nil, err
 	}
@@ -922,9 +805,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleInfo(w http.ResponseWriter, req *http.Request) {
-	r.plannedMu.Lock()
-	planned := len(r.planned)
-	r.plannedMu.Unlock()
 	reps := make([]replicaInfo, len(r.replicas))
 	for i, b := range r.replicas {
 		reps[i] = b.info()
@@ -935,7 +815,6 @@ func (r *Router) handleInfo(w http.ResponseWriter, req *http.Request) {
 		"planner":               r.planner,
 		"planner_catalog_epoch": r.plannerEpoch.Load(),
 		"replicas":              reps,
-		"planned_shapes":        planned,
 		"uptime_seconds":        time.Since(r.start).Seconds(),
 	})
 }

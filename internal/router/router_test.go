@@ -2,7 +2,6 @@ package router
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -23,10 +22,10 @@ const triangleSrc = `Q(A,B,C) :- R(A,B), S(B,C), T(A,C).`
 
 // fakePlanner answers the planner interactions the router performs:
 // GET /v1/plans warm-ups (?q=…; scriptably hangable), answered with a
-// scriptable body holding one opaque entry by default — plan CONTENT is
-// exercised by the in-process fleet test; these unit tests isolate routing
-// and failover — plan imports, and catalog mutations, which advance a
-// catalog epoch reported on /healthz like the real pandad.
+// snapshot of scriptably many opaque entries, each named by the text's routing
+// shape — plan CONTENT is exercised by the in-process fleet test; these unit
+// tests isolate routing and failover — plan imports, and catalog mutations,
+// which advance a catalog epoch reported on /healthz like the real pandad.
 type fakePlanner struct {
 	ts    *httptest.Server
 	warms atomic.Int64
@@ -34,8 +33,8 @@ type fakePlanner struct {
 	// planMode: "ok" answers warm-ups immediately, "hang" sleeps past the
 	// router's proxy deadline.
 	planMode atomic.Value
-	// plansBody is the GET /v1/plans response, whatever is asked for.
-	plansBody atomic.Value
+	// entries is how many entries a GET /v1/plans answer holds (default 1).
+	entries atomic.Int64
 	// pulls records the raw query string of every GET /v1/plans.
 	pullMu sync.Mutex
 	pulls  []string
@@ -47,11 +46,20 @@ func (f *fakePlanner) pulled() []string {
 	return slices.Clone(f.pulls)
 }
 
+// snapshotOf is a plan-cache snapshot of n opaque entries, each naming key.
+func snapshotOf(key string, n int) string {
+	entries := make([]string, n)
+	for i := range entries {
+		entries[i] = fmt.Sprintf(`{"key":%q}`, key)
+	}
+	return `{"format":"panda-plan-cache","version":1,"entries":[` + strings.Join(entries, ",") + `]}`
+}
+
 func newFakePlanner(t *testing.T) *fakePlanner {
 	t.Helper()
 	f := &fakePlanner{}
 	f.planMode.Store("ok")
-	f.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
+	f.entries.Store(1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","catalog_epoch":%d}`, f.epoch.Load())
@@ -60,13 +68,16 @@ func newFakePlanner(t *testing.T) *fakePlanner {
 		f.pullMu.Lock()
 		f.pulls = append(f.pulls, r.URL.RawQuery)
 		f.pullMu.Unlock()
-		if r.URL.Query().Has("q") {
+		params := r.URL.Query()
+		key := params.Get("key")
+		if params.Has("q") {
 			if f.planMode.Load() == "hang" {
 				time.Sleep(2 * time.Second)
 			}
 			f.warms.Add(1)
+			key, _ = shapeOf(params.Get("q"), params.Get("mode"))
 		}
-		io.WriteString(w, f.plansBody.Load().(string))
+		io.WriteString(w, snapshotOf(key, int(f.entries.Load())))
 	})
 	mux.HandleFunc("PUT /v1/plans", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -96,12 +107,17 @@ func newFakePlanner(t *testing.T) *fakePlanner {
 	return f
 }
 
-// fakeReplica is a stub backend whose /v1/query behaviour is scripted.
+// fakeReplica is a stub backend whose /v1/query behaviour is scripted. Like
+// a pandad it holds the plans it was shipped — here the routing shapes their
+// snapshot entries name — and answers a read marked Panda-Plan: shipped of a
+// shape it holds no plan for with 409 plan_required. An applied catalog
+// mutation moves every plan key, so it forgets them all; so does a restart.
 type fakeReplica struct {
-	ts      *httptest.Server
-	queries atomic.Int64
-	plans   atomic.Int64  // PUT /v1/plans imports received
-	epoch   atomic.Uint64 // catalog epoch reported on /healthz
+	ts       *httptest.Server
+	queries  atomic.Int64 // /v1/query requests past the plan check
+	refusals atomic.Int64 // /v1/query requests answered 409 plan_required
+	plans    atomic.Int64 // PUT /v1/plans imports received
+	epoch    atomic.Uint64
 	// mode: "ok" answers 200 with the replica's URL in the body, "busy"
 	// answers 503 to queries and plan imports alike (a draining pandad),
 	// "hang" sleeps past any proxy deadline.
@@ -112,11 +128,28 @@ type fakeReplica struct {
 	// signals held, then waits for release before it applies.
 	mutMode       atomic.Value
 	held, release chan struct{}
+
+	mu     sync.Mutex
+	shapes map[string]bool // the shapes whose plans the replica holds
+}
+
+// restart forgets every plan, as a pandad that restarts without a plan
+// directory does.
+func (f *fakeReplica) restart() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	clear(f.shapes)
+}
+
+func (f *fakeReplica) holds(shape string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.shapes[shape]
 }
 
 func newFakeReplica(t *testing.T) *fakeReplica {
 	t.Helper()
-	f := &fakeReplica{held: make(chan struct{}), release: make(chan struct{})}
+	f := &fakeReplica{held: make(chan struct{}), release: make(chan struct{}), shapes: map[string]bool{}}
 	f.mode.Store("ok")
 	f.mutMode.Store("ok")
 	mux := http.NewServeMux()
@@ -124,7 +157,12 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 		fmt.Fprintf(w, `{"status":"ok","catalog_epoch":%d}`, f.epoch.Load())
 	})
 	mux.HandleFunc("PUT /v1/plans", func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
+		var snapshot struct {
+			Entries []struct {
+				Key string `json:"key"`
+			} `json:"entries"`
+		}
+		json.NewDecoder(r.Body).Decode(&snapshot)
 		if f.mode.Load() == "busy" {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			io.WriteString(w, `{"error":"server is shutting down","code":"shutting_down"}`)
@@ -148,6 +186,11 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 			}
 		}
 		f.plans.Add(1)
+		f.mu.Lock()
+		for _, e := range snapshot.Entries {
+			f.shapes[e.Key] = true
+		}
+		f.mu.Unlock()
 		io.WriteString(w, `{"loaded":0,"skipped":0,"duplicates":0}`)
 	})
 	mux.HandleFunc("GET /v1/shapes", func(w http.ResponseWriter, r *http.Request) {
@@ -161,6 +204,7 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 			return
 		}
 		f.epoch.Add(1)
+		f.restart()
 		if created {
 			w.WriteHeader(http.StatusCreated)
 		}
@@ -170,11 +214,27 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 		mutation(w, r, true)
 	})
 	mux.HandleFunc("POST /v1/relations/{name}/rows", func(w http.ResponseWriter, r *http.Request) {
+		if r.PathValue("name") != "R" { // the catalog holds R alone
+			w.WriteHeader(http.StatusNotFound)
+			io.WriteString(w, `{"error":"unknown relation","code":"unknown_relation"}`)
+			return
+		}
 		mutation(w, r, false)
 	})
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
+		var qb queryBody
+		json.NewDecoder(r.Body).Decode(&qb)
+		mode := f.mode.Load()
+		if mode != "busy" && r.Header.Get("Panda-Plan") == "shipped" {
+			if shape, _ := shapeOf(qb.Query, qb.Mode); !f.holds(shape) {
+				f.refusals.Add(1)
+				w.WriteHeader(http.StatusConflict)
+				io.WriteString(w, `{"error":"plan: plan not held","code":"plan_required"}`)
+				return
+			}
+		}
 		f.queries.Add(1)
-		switch f.mode.Load() {
+		switch mode {
 		case "busy":
 			w.WriteHeader(http.StatusServiceUnavailable)
 			io.WriteString(w, `{"error":"server is shutting down","code":"shutting_down"}`)
@@ -296,7 +356,8 @@ func rankedFakes(t *testing.T, fakes ...*fakeReplica) []*fakeReplica {
 }
 
 // TestRouterShapeAffinity: repeated queries for one shape land on one
-// replica; the other replica never sees them.
+// replica; the other replica never sees them. The first is refused for lack
+// of the plan, which is shipped there and nowhere else.
 func TestRouterShapeAffinity(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
@@ -317,9 +378,13 @@ func TestRouterShapeAffinity(t *testing.T) {
 	if got := ranked[1].queries.Load(); got != 0 {
 		t.Fatalf("second-ranked replica served %d queries, want 0", got)
 	}
-	// The planner was warmed exactly once: the shape memo absorbs repeats.
+	// The planner was warmed exactly once: the replica holds the plan from
+	// the first read on and answers the repeats at once.
 	if got := planner.warms.Load(); got != 1 {
 		t.Fatalf("planner warmed %d times, want 1", got)
+	}
+	if ra, rb := ranked[0].refusals.Load(), ranked[1].refusals.Load(); ra != 1 || rb != 0 {
+		t.Fatalf("refusals %d/%d, want the first read's alone", ra, rb)
 	}
 	// The plan went to the replica that serves the shape, and only there.
 	if ga, gb := ranked[0].plans.Load(), ranked[1].plans.Load(); ga != 1 || gb != 0 {
@@ -329,8 +394,8 @@ func TestRouterShapeAffinity(t *testing.T) {
 
 // TestRouterRuleShape: a disjunctive rule and an atom-reordered,
 // variable-renamed, target-swapped spelling of it are one shape — routed to
-// one replica, warmed on the planner once — distinct from the conjunctive
-// query over the same body.
+// one replica, warmed on the planner once (the replica's plan serves both
+// spellings) — distinct from the conjunctive query over the same body.
 func TestRouterRuleShape(t *testing.T) {
 	const (
 		rule    = `T1(A,B,C) v T2(B,C,D) :- R(A,B), S(B,C), T(C,D).`
@@ -367,8 +432,9 @@ func TestRouterRuleShape(t *testing.T) {
 
 // TestRouterFailoverOn503: the first-ranked replica answering 503 (a
 // draining pandad) is marked down and the request retries on the next-
-// ranked healthy replica — the client sees one clean 200. A draining pandad
-// answers the plan shipment 503 too, so the read is never sent to it.
+// ranked healthy replica — the client sees one clean 200. The draining
+// replica answers the read itself 503, before anything is shipped to it, so
+// only the survivor is shipped the plan and the planner is warmed once.
 func TestRouterFailoverOn503(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
@@ -391,17 +457,17 @@ func TestRouterFailoverOn503(t *testing.T) {
 	if got := ranked[0].queries.Load(); got != before {
 		t.Fatalf("downed replica was tried again (%d → %d requests)", before, got)
 	}
-	if before != 0 {
-		t.Fatalf("the draining replica was sent %d queries after its shipment answered 503, want 0", before)
+	if before != 1 {
+		t.Fatalf("the draining replica was sent %d queries, want the one it answered 503", before)
 	}
 
-	// The survivor was shipped the plan before its first read of the shape,
-	// and once: the memo now names it.
-	if got := ranked[1].plans.Load(); got != 1 {
-		t.Fatalf("the survivor imported %d plans, want 1", got)
+	// The survivor refused its first read of the shape, was shipped the plan
+	// once and served the read; the draining replica was shipped nothing.
+	if ga, gb := ranked[0].plans.Load(), ranked[1].plans.Load(); ga != 0 || gb != 1 {
+		t.Fatalf("imports %d/%d, want the survivor's one", ga, gb)
 	}
-	if got := planner.warms.Load(); got != 2 {
-		t.Fatalf("planner warmed %d times, want 2: the first choice's, whose shipment found it draining, and the survivor's", got)
+	if got := planner.warms.Load(); got != 1 {
+		t.Fatalf("planner warmed %d times, want 1: the survivor's", got)
 	}
 
 	m := metricsText(t, ts.URL)
@@ -608,10 +674,10 @@ func TestRouterQuarantinesStaleRestartViaProbe(t *testing.T) {
 }
 
 // TestRouterReturningReplicaGetsItsPlanOnNextRead: a replica that goes down,
-// or is quarantined, and is found again by a probe round may have come back
-// with an empty cache, so its memo entries lapse: the next read of its shape
-// ships that shape's one plan to it again, one warm-up, and it is sent
-// nothing else. The planner's whole cache is never pulled.
+// or is quarantined, and is found again by a probe round is shipped a shape's
+// plan on that shape's next read when it came back without it (a restart),
+// one warm-up, and nothing when it kept it. It is sent nothing else, and the
+// planner's whole cache is never pulled.
 func TestRouterReturningReplicaGetsItsPlanOnNextRead(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
@@ -631,37 +697,43 @@ func TestRouterReturningReplicaGetsItsPlanOnNextRead(t *testing.T) {
 	}
 
 	read("first sighting", a, 1, 0)
-	read("memo hit", a, 1, 0)
+	read("held", a, 1, 0)
 
-	// a goes down and a probe round finds it again, with no read between:
-	// the shape's next read ships it to a, once.
+	// a restarts without its plans and a probe round finds it again, with no
+	// read between: the shape's next read ships it to a, once.
+	a.restart()
 	r.markDown(r.backendByName(a.ts.URL))
 	r.probeAll()
 	read("after a is back", a, 2, 0)
-	read("memo hit after a is back", a, 2, 0)
+	read("held after a is back", a, 2, 0)
 
-	// a's catalog epoch lags the planner's for two probe rounds (quarantined),
-	// then catches up and the next round restores it.
+	// a is marked down and found again with its cache intact: nothing ships.
+	r.markDown(r.backendByName(a.ts.URL))
+	r.probeAll()
+	read("after a is back with its plans", a, 2, 0)
+
+	// a restarts with a catalog epoch that lags the planner's for two probe
+	// rounds (quarantined), then catches up and the next round restores it.
 	planner.epoch.Store(1)
 	b.epoch.Store(1)
+	a.restart()
 	r.probeAll()
 	r.probeAll()
 	a.epoch.Store(1)
 	r.probeAll()
 	read("after a recovers", a, 3, 0)
-	read("memo hit after a recovers", a, 3, 0)
+	read("held after a recovers", a, 3, 0)
 
 	// a goes down again and its shard fails over to b, which is shipped the
-	// plan first; once a is back, the next read ships to a again.
+	// plan first; a comes back with its plan and is shipped nothing.
 	r.markDown(r.backendByName(a.ts.URL))
 	read("while a is down", b, 3, 1)
 	r.probeAll()
-	read("after a is back again", a, 4, 1)
-	read("memo hit after a is back again", a, 4, 1)
+	read("after a is back again", a, 3, 1)
 
 	pulls := planner.pulled()
-	if len(pulls) != 5 {
-		t.Fatalf("pulls %q, want five, one per shipment", pulls)
+	if len(pulls) != 4 {
+		t.Fatalf("pulls %q, want four, one per shipment", pulls)
 	}
 	for _, q := range pulls {
 		if q != "q="+url.QueryEscape(triangleSrc) {
@@ -674,58 +746,36 @@ func TestRouterReturningReplicaGetsItsPlanOnNextRead(t *testing.T) {
 	}
 }
 
-// TestRouterWarmupWaiterShipsToItsOwnReplica: a read of a shape whose
-// warm-up is in flight for another replica (a failover racing a read of the
-// first choice) waits for it, finds its own replica still without the plan,
-// and ships it there: each replica imports the plan once before it serves.
-func TestRouterWarmupWaiterShipsToItsOwnReplica(t *testing.T) {
-	var warms atomic.Int64
-	arrived, release := make(chan struct{}, 2), make(chan struct{})
-	planner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/plans" {
-			warms.Add(1)
-			arrived <- struct{}{}
-			<-release
-		}
-		io.WriteString(w, `{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
-	}))
-	t.Cleanup(planner.Close)
+// TestRouterShardFlipShipsOnce: a shape whose shard moves from replica b to
+// a and back to b is shipped to each replica once: b still holds the plan when
+// the shape returns to it, so it imports nothing more.
+func TestRouterShardFlipShipsOnce(t *testing.T) {
+	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
-	r := newTestRouter(t, planner.URL, a, b)
-	shape, err := shapeOf(triangleSrc, "")
-	if err != nil {
-		t.Fatal(err)
+	r := newTestRouter(t, planner.ts.URL, a, b)
+	ts := httptest.NewServer(r)
+	t.Cleanup(ts.Close)
+	ranked := rankedFakes(t, a, b)
+	a, b = ranked[0], ranked[1]
+	read := func(when string, from *fakeReplica) {
+		t.Helper()
+		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK || !strings.Contains(body, from.ts.URL) {
+			t.Fatalf("%s: %d %s, want 200 from %s", when, code, body, from.ts.URL)
+		}
 	}
 
-	var wg sync.WaitGroup
-	ensure := func(f *fakeReplica) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.ensurePlanned(context.Background(), r.backendByName(f.ts.URL), shape, triangleSrc, "")
-		}()
-	}
-	ensure(a)
-	<-arrived // a's warm-up is at the planner
-	ensure(b)
-	time.Sleep(20 * time.Millisecond) // let b's read park behind it
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	release <- struct{}{}
-	select {
-	case <-arrived: // b's own warm-up
-		release <- struct{}{}
-		<-done
-	case <-done:
-	}
-	if got := warms.Load(); got != 2 {
-		t.Fatalf("planner warmed %d times, want 2", got)
-	}
+	r.markDown(r.backendByName(a.ts.URL)) // the shard starts on b
+	read("on b", b)
+	r.probeAll()
+	read("back on a", a)
+	r.markDown(r.backendByName(a.ts.URL))
+	read("on b again", b)
+	read("on b, held", b)
 	if ga, gb := a.plans.Load(), b.plans.Load(); ga != 1 || gb != 1 {
 		t.Fatalf("imports %d/%d, want one on each replica", ga, gb)
+	}
+	if got := planner.warms.Load(); got != 2 {
+		t.Fatalf("planner warmed %d times, want 2", got)
 	}
 }
 
@@ -760,8 +810,8 @@ func TestRouterOversizedBody413(t *testing.T) {
 
 // TestRouterMemoizedShapeUnaffectedByHungWarmup: a hung planner connection
 // during a first-sighting warm-up must not head-of-line block queries for
-// shapes that are already memoized — warm-ups are single-flighted per
-// shape, not serialized behind one global lock.
+// shapes whose plans the replica already holds — a warm-up holds up the read
+// it was made for and nothing else.
 func TestRouterMemoizedShapeUnaffectedByHungWarmup(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
@@ -769,9 +819,9 @@ func TestRouterMemoizedShapeUnaffectedByHungWarmup(t *testing.T) {
 	ts := httptest.NewServer(r)
 	t.Cleanup(ts.Close)
 
-	// Memoize the triangle while the planner is responsive.
+	// Ship the triangle's plan while the planner is responsive.
 	if code, _ := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
-		t.Fatal("memoizing query failed")
+		t.Fatal("first triangle query failed")
 	}
 
 	// Now the planner hangs on warm-ups, and a NEW shape arrives: its
@@ -789,16 +839,16 @@ func TestRouterMemoizedShapeUnaffectedByHungWarmup(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond) // let the warm-up get in flight
 
-	// The memoized shape must answer promptly regardless.
+	// The shipped shape must answer promptly regardless.
 	client := &http.Client{Timeout: 250 * time.Millisecond}
 	resp, err := client.Post(ts.URL+"/v1/query", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"query":%q}`, triangleSrc)))
 	if err != nil {
-		t.Fatalf("memoized query blocked behind the hung warm-up: %v", err)
+		t.Fatalf("held shape's query blocked behind the hung warm-up: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("memoized query during warm-up: %d", resp.StatusCode)
+		t.Fatalf("held shape's query during warm-up: %d", resp.StatusCode)
 	}
 	<-stalled
 }
@@ -924,7 +974,7 @@ func TestRouterPlannerReads(t *testing.T) {
 		t.Fatalf("/v1/relations: %d %s, want the planner's catalog", code, body)
 	}
 	pulls := len(planner.pulled())
-	if code, body := httpDo(t, http.MethodGet, ts.URL+"/v1/plans?key=k1", ""); code != http.StatusOK || body != planner.plansBody.Load().(string) {
+	if code, body := httpDo(t, http.MethodGet, ts.URL+"/v1/plans?key=k1", ""); code != http.StatusOK || body != snapshotOf("k1", 1) {
 		t.Fatalf("/v1/plans: %d %s, want the planner's snapshot", code, body)
 	}
 	if got := planner.pulled(); len(got) != pulls+1 || got[pulls] != "key=k1" {
@@ -943,9 +993,10 @@ func TestRouterPlannerReads(t *testing.T) {
 }
 
 // TestRouterRefusedShipmentIsNotMemoized: a first sighting whose shipment
-// the serving replica refuses (500) is still proxied there, but the shape is
-// not memoised: the next read warms and ships again. Once the replica
-// accepts, reads ship nothing more, and the other replica is shipped nothing.
+// the serving replica refuses (500) is still proxied there, unmarked, to plan
+// as a last resort; the replica still lacks the plan, so it refuses the next
+// read and the router warms and ships again. Once the replica accepts, reads
+// ship nothing more, and the other replica is shipped nothing.
 func TestRouterRefusedShipmentIsNotMemoized(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
@@ -971,14 +1022,14 @@ func TestRouterRefusedShipmentIsNotMemoized(t *testing.T) {
 	read("second read, refused again", 2, 0)
 	a.mutMode.Store("ok")
 	read("third read, accepted", 3, 1)
-	read("memo hit", 3, 1)
+	read("held", 3, 1)
 }
 
 // TestRouterShipmentOverlappingOutageIsNotMemoized: a shipment whose PUT is
-// still in flight while its replica is marked down and probed back may have
-// landed before the replica lost its cache, so it does not count as held:
-// the next read warms and ships again. The read it was made for is still
-// served, by the replica that is routable again.
+// still in flight while its replica is marked down and probed back is judged
+// by what the replica holds, not by when the outage fell: the PUT landed, so
+// the read it was made for is served marked, and the next reads ship nothing.
+// Once the replica restarts without its plans, the next read ships again.
 func TestRouterShipmentOverlappingOutageIsNotMemoized(t *testing.T) {
 	planner := newFakePlanner(t)
 	a := newFakeReplica(t)
@@ -1010,24 +1061,34 @@ func TestRouterShipmentOverlappingOutageIsNotMemoized(t *testing.T) {
 	if code := <-served; code != http.StatusOK {
 		t.Fatalf("the read whose shipment overlapped the outage: %d, want 200", code)
 	}
+	if got := a.refusals.Load(); got != 1 {
+		t.Fatalf("a refused %d reads, want 1: the retry after the shipment was answered", got)
+	}
 
-	for i, want := range []int64{2, 2} {
+	read := func(when string, want int64) {
+		t.Helper()
 		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
-			t.Fatalf("read %d: %d %s", i, code, body)
+			t.Fatalf("%s: %d %s", when, code, body)
 		}
 		if got, imports := planner.warms.Load(), a.plans.Load(); got != want || imports != want {
-			t.Fatalf("read %d: %d warm-ups and %d imports, want %d of each", i, got, imports, want)
+			t.Fatalf("%s: %d warm-ups and %d imports, want %d of each", when, got, imports, want)
 		}
 	}
+	read("after the outage", 1)
+	read("held", 1)
+	a.restart()
+	read("after a restart", 2)
+	read("held after the restart", 2)
 }
 
 // TestRouterEntrylessWarmupIsNotMemoized: a warm-up answered 200 with a
 // snapshot that holds no plan ships nothing. It counts as a planner error and
-// leaves the shape un-memoized, so the next sighting warms it again; once the
-// planner answers with the plan, the shape is ensured and memoized.
+// the read goes unmarked; the replica still lacks the plan, so the next
+// sighting warms it again. Once the planner answers with the plan, the shape
+// is ensured once and the replica answers the reads after it.
 func TestRouterEntrylessWarmupIsNotMemoized(t *testing.T) {
 	planner := newFakePlanner(t)
-	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[]}`)
+	planner.entries.Store(0)
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	ts := httptest.NewServer(newTestRouter(t, planner.ts.URL, a, b))
 	t.Cleanup(ts.Close)
@@ -1057,7 +1118,7 @@ func TestRouterEntrylessWarmupIsNotMemoized(t *testing.T) {
 		t.Fatalf("an entry-less snapshot was pushed (%d/%d imports)", ga, gb)
 	}
 
-	planner.plansBody.Store(`{"format":"panda-plan-cache","version":1,"entries":[{}]}`)
+	planner.entries.Store(1)
 	for i := 0; i < 2; i++ {
 		if code, body := postQuery(t, ts.URL, triangleSrc); code != http.StatusOK {
 			t.Fatalf("query %d with the plan: %d %s", i, code, body)
@@ -1066,10 +1127,10 @@ func TestRouterEntrylessWarmupIsNotMemoized(t *testing.T) {
 	wantCounts("once the planner answers with the plan", 3, 1, 2)
 }
 
-// TestRouterRejectedMutationKeepsShapes: a mutation the planning tier
-// rejects changed no catalog and no plan key, so the planned-shape memo
-// stays and the next read of a memoized shape ships nothing; a mutation the
-// planner applied drops the memo.
+// TestRouterRejectedMutationKeepsShapes: a mutation the fleet rejects
+// changed no catalog and no plan key, so the replica still holds the shape's
+// plan and the next read ships nothing; after a mutation the fleet applied,
+// the replica lacks the plan of the moved key and the next read ships it.
 func TestRouterRejectedMutationKeepsShapes(t *testing.T) {
 	planner := newFakePlanner(t)
 	a, b := newFakeReplica(t), newFakeReplica(t)
@@ -1178,7 +1239,7 @@ func TestRouterFanOutsOverlap(t *testing.T) {
 	ts := httptest.NewServer(r)
 	t.Cleanup(ts.Close)
 
-	if code, body := httpDo(t, http.MethodPut, ts.URL+"/v1/plans", planner.plansBody.Load().(string)); code != http.StatusOK {
+	if code, body := httpDo(t, http.MethodPut, ts.URL+"/v1/plans", snapshotOf("k", 1)); code != http.StatusOK {
 		t.Fatalf("plan import: %d %s", code, body)
 	}
 	if code, body := postRaw(t, ts.URL+"/v1/relations/R/rows", `{"rows":[[1,2]]}`); code != http.StatusOK {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/big"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +109,63 @@ func TestServerPlanShipping(t *testing.T) {
 	code, body = putPlans(t, tsB.URL, snapshot)
 	if code != http.StatusOK || !strings.Contains(body, `"duplicates":`) {
 		t.Fatalf("re-import: %d %s", code, body)
+	}
+}
+
+// TestServerShippedOnlyReads: a query or dry run sent with Panda-Plan:
+// shipped plans nothing: a miss answers 409 plan_required, and once the plan
+// is imported the same read is answered from it. The replica solves no LP.
+func TestServerShippedOnlyReads(t *testing.T) {
+	q := panda.TriangleQuery()
+	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
+	_, planner, _ := newTestServer(t, Config{})
+	loadOverHTTP(t, planner.URL, &q.Schema, ins)
+	_, replica, db := newTestServer(t, Config{})
+	loadOverHTTP(t, replica.URL, &q.Schema, ins)
+
+	shipped := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, replica.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Panda-Plan", "shipped")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	query := func() (int, string) {
+		return shipped(http.MethodPost, "/v1/query", fmt.Sprintf(`{"query":%q}`, triangleSrc))
+	}
+	explain := func() (int, string) {
+		return shipped(http.MethodGet, "/v1/plan?q="+url.QueryEscape(triangleSrc), "")
+	}
+	for _, read := range []func() (int, string){query, explain} {
+		if code, body := read(); code != http.StatusConflict || !strings.Contains(body, `"code":"plan_required"`) {
+			t.Fatalf("shipped-only read of an unshipped plan: %d %s, want 409 plan_required", code, body)
+		}
+	}
+	code, snapshot := get(t, planner.URL+"/v1/plans?q="+url.QueryEscape(triangleSrc))
+	if code != http.StatusOK {
+		t.Fatalf("export: %d %s", code, snapshot)
+	}
+	if code, body := putPlans(t, replica.URL, snapshot); code != http.StatusOK {
+		t.Fatalf("import: %d %s", code, body)
+	}
+	for _, read := range []func() (int, string){query, explain} {
+		if code, body := read(); code != http.StatusOK {
+			t.Fatalf("shipped-only read of a shipped plan: %d %s", code, body)
+		}
+	}
+	if st := db.PlannerStats(); st.LPSolves != 0 || st.PlansBuilt != 0 || st.Hits != 2 {
+		t.Fatalf("replica planner %v, want two hits and no planning", st)
 	}
 }
 

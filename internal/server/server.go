@@ -26,7 +26,10 @@
 // pays the LP solves, exports its cache with GET /v1/plans, and a fleet of
 // replicas imports it with PUT /v1/plans — every replica then answers the
 // covered query shapes with zero planning work, exactly as a pandad
-// -plan-dir warm restart does from disk.
+// -plan-dir warm restart does from disk. A query or dry run sent with the
+// request header Panda-Plan: shipped — as a pandarouter sends every read —
+// never plans: when the plan cache misses it answers 409 plan_required, and
+// the router ships the plan and asks again.
 //
 // Every request runs under its own context (bound straight to
 // db.QueryContext), optionally capped by the configured per-request
@@ -284,6 +287,9 @@ var errorTable = []struct {
 	{panda.ErrClosed, http.StatusServiceUnavailable, "closed"},
 	{panda.ErrPlanVersion, http.StatusBadRequest, "plan_version"},
 	{panda.ErrPlanDigest, http.StatusBadRequest, "plan_digest"},
+	// 409: a read the router marked Panda-Plan: shipped missed the plan
+	// cache; the router ships the plan and asks again.
+	{plan.ErrPlanRequired, http.StatusConflict, "plan_required"},
 }
 
 // classify looks err up in errorTable, after the one error it matches by
@@ -383,7 +389,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.queryStarted()
 	}
 	start := time.Now()
-	res, err := e.stmt.QueryContext(r.Context(), opts...)
+	res, err := e.stmt.QueryContext(planContext(r), opts...)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.fail(w, err)
@@ -681,11 +687,20 @@ func rowSeq(rows [][]panda.Value) iter.Seq[[]panda.Value] {
 
 // ---- /v1/plan ----
 
+// planContext is r's context, marked plan.ShippedOnly when the request
+// carries Panda-Plan: shipped.
+func planContext(r *http.Request) context.Context {
+	if r.Header.Get("Panda-Plan") == "shipped" {
+		return plan.ShippedOnly(r.Context())
+	}
+	return r.Context()
+}
+
 // explain plans the ?q=…[&mode=…] text of a request through the statement
-// cache, exactly as a query of it would plan: GET /v1/plan answers with the
-// outcome and GET /v1/plans?q= with the plan itself, so the two name the
-// same plan and fail with the same statuses.
-func (s *Server) explain(r *http.Request) (*panda.PlanInfo, error) {
+// cache under ctx, exactly as a query of it would plan: GET /v1/plan answers
+// with the outcome and GET /v1/plans?q= with the plan itself, so the two name
+// the same plan and fail with the same statuses.
+func (s *Server) explain(ctx context.Context, r *http.Request) (*panda.PlanInfo, error) {
 	params := r.URL.Query()
 	src := params.Get("q")
 	if strings.TrimSpace(src) == "" {
@@ -703,11 +718,11 @@ func (s *Server) explain(r *http.Request) (*panda.PlanInfo, error) {
 	if explicit {
 		opts = append(opts, panda.WithMode(mode))
 	}
-	return e.stmt.ExplainContext(r.Context(), opts...)
+	return e.stmt.ExplainContext(ctx, opts...)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	info, err := s.explain(r)
+	info, err := s.explain(planContext(r), r)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -795,7 +810,7 @@ func (s *Server) handleExportPlans(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, errors.New("q and key cannot be combined: export a query's plan or named entries"))
 		return
 	}
-	info, err := s.explain(r)
+	info, err := s.explain(r.Context(), r)
 	if err != nil {
 		s.fail(w, err)
 		return
