@@ -467,17 +467,15 @@ func (db *DB) LoadCSVDir(dir string) error {
 // warm-load reads) inside the WithPlanDir directory.
 const PlanSnapshotFile = "plans.json"
 
-// SavePlans writes the session planner's cached plans to w in the
-// versioned panda-plan-cache format: the whole cache, or — given keys —
-// exactly the plans under those canonical signature keys (PlanInfo.Key;
-// an unknown key exports nothing). Another session — a restarted server, or
-// a replica fed from a planning tier — re-seeds from it with LoadPlans and
-// answers the covered queries with zero LP solves.
-func (db *DB) SavePlans(w io.Writer, keys ...string) error {
+// SavePlans writes the session planner's whole plan cache to w in the
+// versioned panda-plan-cache format. Another session — a restarted server,
+// or a replica fed from a planning tier — re-seeds from it with LoadPlans
+// and answers the covered queries with zero LP solves.
+func (db *DB) SavePlans(w io.Writer) error {
 	if db.isClosed() {
 		return ErrClosed
 	}
-	return db.planner.SaveCache(w, keys...)
+	return db.planner.SaveCache(w)
 }
 
 // SavePlan writes a snapshot holding the one plan under key, which is how

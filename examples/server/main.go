@@ -32,7 +32,8 @@
 //
 // The fleet report shows each replica answering with zero LP solves —
 // plans were built once on the planning tier and shipped over PUT
-// /v1/plans before the queries arrived.
+// /v1/plans: a replica refuses the first read of a shape it lacks the plan
+// for, the router ships it that plan, and asks again.
 package main
 
 import (

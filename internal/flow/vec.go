@@ -33,9 +33,6 @@ type Pair struct {
 	X, Y bitset.Set
 }
 
-// Valid reports whether X ⊂ Y.
-func (p Pair) Valid() bool { return p.X.ProperSubsetOf(p.Y) }
-
 func (p Pair) String() string {
 	if p.X == 0 {
 		return fmt.Sprintf("h(%v)", p.Y)

@@ -62,7 +62,7 @@ func ShippedOnly(ctx context.Context) context.Context {
 // the front of one list, and the entry at the back goes when the cache is
 // over capacity. One map, no clocks: the planner counts no installs and ages
 // no entries, because a plan's signature is its only name — in the cache, in
-// a snapshot and on the wire (SaveCache and SavePlan export by key).
+// a snapshot and on the wire (SavePlan ships the entry under a key).
 type Planner struct {
 	mu    sync.Mutex
 	cap   int

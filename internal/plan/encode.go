@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -21,18 +20,17 @@ import (
 
 // Plan serialization: a committed Plan is a closed value — bitsets, exact
 // rationals, proof steps, tree decompositions — so it can outlive the
-// process that paid its LP solves. The wire format is a JSON envelope
-//
-//	{"format": "panda-plan", "version": V, "digest": "<sha256 hex>", "plan": {…}}
-//
-// whose payload is digested byte-for-byte: Decode rejects a payload whose
-// SHA-256 disagrees with the recorded digest (ErrCodecDigest) or whose
-// format version is not this package's FormatVersion (ErrCodecVersion), and
-// re-validates the decoded plan's internal indices so a corrupted-but-
-// consistent file can never panic the execution engine. Encoding is
-// deterministic (vector coordinates are sorted), so encoding the same plan
-// twice yields identical bytes — the property the digest, the cache
-// snapshot diffing and the round-trip tests all rely on.
+// process that paid its LP solves. A plan has one wire format, the
+// panda-plan-cache snapshot (persist.go): EncodePlan writes a snapshot of
+// one entry, and DecodePlan reads one through the reader LoadCache uses.
+// An entry's payload is digested byte-for-byte: decoding rejects a payload
+// whose SHA-256 disagrees with the recorded digest (ErrCodecDigest) or a
+// snapshot whose format version is not this package's FormatVersion
+// (ErrCodecVersion), and re-validates the decoded plan's internal indices so
+// a corrupted-but-consistent file can never panic the execution engine.
+// Encoding is deterministic (vector coordinates are sorted), so encoding the
+// same plan twice yields identical bytes — the property the digest, the
+// cache snapshot diffing and the round-trip tests all rely on.
 //
 // Exact rationals travel as big.Rat.RatString ("p/q" or "p"); variable sets
 // travel as their bitmask. Nothing is lost: a decoded plan executes
@@ -50,10 +48,7 @@ import (
 // guessing.
 const FormatVersion = 1
 
-const (
-	planFormat  = "panda-plan"
-	cacheFormat = "panda-plan-cache"
-)
+const cacheFormat = "panda-plan-cache"
 
 // Codec sentinels: callers dispatch with errors.Is. Both mean "this payload
 // is not trustworthy as written", never "the plan inside is semantically
@@ -126,14 +121,6 @@ type wirePlan struct {
 	Transversals [][]int    `json:"transversals,omitempty"`
 	Rules        []wireRule `json:"rules"`
 	Width        string     `json:"width"`
-}
-
-// envelope frames every top-level artifact of the codec.
-type envelope struct {
-	Format  string          `json:"format"`
-	Version int             `json:"version"`
-	Digest  string          `json:"digest"`
-	Payload json.RawMessage `json:"plan"`
 }
 
 // ---- Rat / set / vec helpers ----
@@ -533,69 +520,42 @@ func validateDecodedRule(pr *PreparedRule, i int, full bitset.Set, cons []query.
 	return nil
 }
 
-// ---- Envelope I/O ----
+// ---- Plan I/O ----
 
 func digestOf(payload []byte) string {
 	sum := sha256.Sum256(payload)
 	return hex.EncodeToString(sum[:])
 }
 
-func encodeEnvelope(w io.Writer, format string, payload []byte) error {
-	env := envelope{Format: format, Version: FormatVersion, Digest: digestOf(payload), Payload: payload}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&env)
+// EncodePlan writes p to w as a panda-plan-cache snapshot of one entry, keyed
+// by p.Key with no LP cost. The encoding is deterministic: the same plan
+// always yields the same bytes.
+func EncodePlan(w io.Writer, p *Plan) error {
+	return writeCache(w, []*entry{{key: p.Key, plan: p}})
 }
 
-// decodeEnvelope parses and verifies one envelope of the expected format,
-// returning its raw payload bytes.
-func decodeEnvelope(data []byte, format string) ([]byte, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("plan: decode: malformed envelope: %w", err)
-	}
-	if env.Format != format {
-		return nil, fmt.Errorf("plan: decode: format %q, want %q", env.Format, format)
+// DecodePlan reads a snapshot of exactly one entry from r, verifying the
+// format version (ErrCodecVersion on mismatch), the payload digest
+// (ErrCodecDigest) and every internal invariant the executor assumes. It does
+// not check that the entry's key names the plan's shape: that is a rule for
+// installing a plan into a cache (LoadCache), and a plan handed out in a
+// caller's spelling carries the canonical Key without the canonical
+// spelling. The returned plan is immutable and safe for concurrent Execute
+// calls, exactly like the plan Prepare returned to the encoder.
+func DecodePlan(r io.Reader) (*Plan, error) {
+	env, err := readCache(r)
+	if err != nil {
+		return nil, err
 	}
 	if env.Version != FormatVersion {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrCodecVersion, env.Version, FormatVersion)
 	}
-	if digestOf(env.Payload) != env.Digest {
+	if len(env.Entries) != 1 {
+		return nil, fmt.Errorf("plan: decode: snapshot holds %d entries, want 1", len(env.Entries))
+	}
+	ent := &env.Entries[0]
+	if digestOf(ent.Plan) != ent.Digest {
 		return nil, ErrCodecDigest
 	}
-	return env.Payload, nil
-}
-
-// EncodePlan writes p to w in the versioned, digested wire format. The
-// encoding is deterministic: the same plan always yields the same bytes.
-func EncodePlan(w io.Writer, p *Plan) error {
-	wp, err := planOut(p)
-	if err != nil {
-		return err
-	}
-	payload, err := json.Marshal(wp)
-	if err != nil {
-		return err
-	}
-	return encodeEnvelope(w, planFormat, payload)
-}
-
-// DecodePlan reads one encoded plan from r, verifying the format version
-// (ErrCodecVersion on mismatch), the payload digest (ErrCodecDigest) and
-// every internal invariant the executor assumes. The returned plan is
-// immutable and safe for concurrent Execute calls, exactly like the plan
-// Prepare returned to the encoder.
-func DecodePlan(r io.Reader) (*Plan, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := decodeEnvelope(data, planFormat)
-	if err != nil {
-		return nil, err
-	}
-	var wp wirePlan
-	if err := json.Unmarshal(payload, &wp); err != nil {
-		return nil, fmt.Errorf("plan: decode: malformed plan payload: %w", err)
-	}
-	return planIn(&wp)
+	return ent.decode()
 }

@@ -73,63 +73,90 @@ func TestEncodeDecodePlanFields(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: decode: %v", mode, err)
 		}
-		if got.Mode != p.Mode || got.Key != p.Key || got.Free != p.Free || got.Chosen != p.Chosen {
-			t.Fatalf("%v: header fields differ: %+v vs %+v", mode, got, p)
+		samePlan(t, mode.String(), got, p)
+	}
+}
+
+// TestDecodePlanReadsWhatThePlannerShips: DecodePlan reads the snapshot a
+// planning tier ships (SavePlan) into the plan its cache holds, and
+// EncodePlan of that plan is a snapshot a replica's LoadCache installs.
+func TestDecodePlanReadsWhatThePlannerShips(t *testing.T) {
+	pl := NewPlanner(8)
+	q, cons := cycleQuery(4, nil, nil, 100)
+	for _, mode := range []Mode{ModeFull, ModeFhtw, ModeSubw} {
+		if _, err := pl.Prepare(q, cons, mode); err != nil {
+			t.Fatalf("%v: %v", mode, err)
 		}
-		if got.Width.Cmp(p.Width) != 0 {
-			t.Fatalf("%v: width %v ≠ %v", mode, got.Width, p.Width)
+	}
+	r, rcons := pathRule(nil, nil, false, 100)
+	if _, err := pl.PrepareRuleContext(context.Background(), r, rcons); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range pl.Keys() {
+		cached := pl.index[key].Value.(*entry).plan
+		var shipped bytes.Buffer
+		if saved, err := pl.SavePlan(&shipped, key); err != nil || !saved {
+			t.Fatalf("%s: SavePlan: %t, %v", key, saved, err)
 		}
-		if len(got.Rules) != len(p.Rules) {
-			t.Fatalf("%v: %d rules ≠ %d", mode, len(got.Rules), len(p.Rules))
+		got, err := DecodePlan(&shipped)
+		if err != nil {
+			t.Fatalf("%s: decode of the shipped snapshot: %v", key, err)
 		}
-		for i, r := range p.Rules {
-			g := got.Rules[i]
-			if !slices.Equal(g.Targets, r.Targets) || g.Bound.Cmp(r.Bound) != 0 || len(g.Seq) != len(r.Seq) ||
-				len(g.Lambda) != len(r.Lambda) || len(g.Delta) != len(r.Delta) || !slices.Equal(g.Zeroed, r.Zeroed) {
-				t.Fatalf("%v: rule %d differs after round trip", mode, i)
-			}
-			for p0, w := range r.Lambda {
-				if g.Lambda.Get(p0).Cmp(w) != 0 {
-					t.Fatalf("%v: rule %d λ%v differs", mode, i, p0)
-				}
-			}
-			for p0, w := range r.Delta {
-				if g.Delta.Get(p0).Cmp(w) != 0 {
-					t.Fatalf("%v: rule %d δ%v differs", mode, i, p0)
-				}
-			}
-			for j, s := range r.Seq {
-				gs := g.Seq[j]
-				if gs.Kind != s.Kind || gs.A != s.A || gs.B != s.B || gs.W.Cmp(s.W) != 0 {
-					t.Fatalf("%v: rule %d step %d differs", mode, i, j)
-				}
-			}
-		}
-		// The re-encoding of the decoded plan must be byte-identical.
-		if !bytes.Equal(encodePlan(t, got), encodePlan(t, p)) {
-			t.Fatalf("%v: re-encoding the decoded plan changed the bytes", mode)
+		samePlan(t, key, got, cached)
+
+		stats, err := NewPlanner(8).LoadCache(bytes.NewReader(encodePlan(t, cached)))
+		if err != nil || stats.Loaded != 1 || stats.Skipped != 0 {
+			t.Fatalf("%s: LoadCache of EncodePlan's bytes: %v (%v), want loaded=1", key, stats, err)
 		}
 	}
 }
 
-// tamper unmarshals an envelope, applies fn, and re-marshals it.
-func tamper(t *testing.T, data []byte, fn func(env map[string]any)) []byte {
+// samePlan fails the test unless got carries every field of p, exactly, and
+// re-encodes to p's bytes.
+func samePlan(t *testing.T, what string, got, p *Plan) {
 	t.Helper()
-	var env map[string]any
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
+	if got.Mode != p.Mode || got.Key != p.Key || got.Free != p.Free || got.Chosen != p.Chosen {
+		t.Fatalf("%s: header fields differ: %+v vs %+v", what, got, p)
 	}
-	fn(env)
-	out, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
+	if got.Width.Cmp(p.Width) != 0 {
+		t.Fatalf("%s: width %v ≠ %v", what, got.Width, p.Width)
 	}
-	return out
+	if len(got.Rules) != len(p.Rules) {
+		t.Fatalf("%s: %d rules ≠ %d", what, len(got.Rules), len(p.Rules))
+	}
+	for i, r := range p.Rules {
+		g := got.Rules[i]
+		if !slices.Equal(g.Targets, r.Targets) || g.Bound.Cmp(r.Bound) != 0 || len(g.Seq) != len(r.Seq) ||
+			len(g.Lambda) != len(r.Lambda) || len(g.Delta) != len(r.Delta) || !slices.Equal(g.Zeroed, r.Zeroed) {
+			t.Fatalf("%s: rule %d differs after round trip", what, i)
+		}
+		for p0, w := range r.Lambda {
+			if g.Lambda.Get(p0).Cmp(w) != 0 {
+				t.Fatalf("%s: rule %d λ%v differs", what, i, p0)
+			}
+		}
+		for p0, w := range r.Delta {
+			if g.Delta.Get(p0).Cmp(w) != 0 {
+				t.Fatalf("%s: rule %d δ%v differs", what, i, p0)
+			}
+		}
+		for j, s := range r.Seq {
+			gs := g.Seq[j]
+			if gs.Kind != s.Kind || gs.A != s.A || gs.B != s.B || gs.W.Cmp(s.W) != 0 {
+				t.Fatalf("%s: rule %d step %d differs", what, i, j)
+			}
+		}
+	}
+	// The re-encoding of the decoded plan must be byte-identical.
+	if !bytes.Equal(encodePlan(t, got), encodePlan(t, p)) {
+		t.Fatalf("%s: re-encoding the decoded plan changed the bytes", what)
+	}
 }
 
-// tamperCache edits a cache snapshot through the typed envelope, so the
-// untouched entries' raw payload bytes (and digests) survive re-marshaling.
-func tamperCache(t *testing.T, data []byte, fn func(env *cacheEnvelope)) []byte {
+// tamper edits a snapshot through the typed envelope and re-marshals it. The
+// raw payload bytes of every entry fn leaves alone, and so their digests,
+// survive the round trip, so a case fails because of its own edit.
+func tamper(t *testing.T, data []byte, fn func(env *cacheEnvelope)) []byte {
 	t.Helper()
 	var env cacheEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -154,20 +181,37 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 	}
 	enc := encodePlan(t, p)
 
+	t.Run("untouched", func(t *testing.T) {
+		// The control: the helper alone breaks nothing.
+		if _, err := DecodePlan(bytes.NewReader(tamper(t, enc, func(*cacheEnvelope) {}))); err != nil {
+			t.Fatalf("an untouched snapshot through tamper: %v", err)
+		}
+	})
 	t.Run("wrong-version", func(t *testing.T) {
-		bad := tamper(t, enc, func(env map[string]any) { env["version"] = FormatVersion + 1 })
+		bad := tamper(t, enc, func(env *cacheEnvelope) { env.Version = FormatVersion + 1 })
 		if _, err := DecodePlan(bytes.NewReader(bad)); !errors.Is(err, ErrCodecVersion) {
 			t.Fatalf("err = %v, want ErrCodecVersion", err)
 		}
 	})
 	t.Run("digest-mismatch", func(t *testing.T) {
-		bad := tamper(t, enc, func(env map[string]any) {
-			env["plan"] = json.RawMessage(`{"mode":1,"num_vars":1,"atoms":[{"name":"R","vars":1}],"free":1,"rules":[],"width":"0","chosen":-1}`)
+		bad := tamper(t, enc, func(env *cacheEnvelope) {
+			env.Entries[0].Plan = json.RawMessage(`{"mode":1,"num_vars":1,"atoms":[{"name":"R","vars":1}],"free":1,"rules":[],"width":"0","chosen":-1}`)
 		})
 		if _, err := DecodePlan(bytes.NewReader(bad)); !errors.Is(err, ErrCodecDigest) {
 			t.Fatalf("err = %v, want ErrCodecDigest", err)
 		}
 	})
+	for _, n := range []int{0, 2} {
+		t.Run(fmt.Sprintf("%d-entries", n), func(t *testing.T) {
+			bad := tamper(t, enc, func(env *cacheEnvelope) {
+				env.Entries = slices.Repeat(env.Entries, n)
+			})
+			want := fmt.Sprintf("snapshot holds %d entries, want 1", n)
+			if _, err := DecodePlan(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want one naming %q", err, want)
+			}
+		})
+	}
 	t.Run("truncated", func(t *testing.T) {
 		if _, err := DecodePlan(bytes.NewReader(enc[:len(enc)/2])); err == nil {
 			t.Fatal("truncated input decoded without error")
@@ -179,7 +223,7 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 		}
 	})
 	t.Run("wrong-format-tag", func(t *testing.T) {
-		bad := tamper(t, enc, func(env map[string]any) { env["format"] = "panda-rule" })
+		bad := tamper(t, enc, func(env *cacheEnvelope) { env.Format = "panda-plan" })
 		if _, err := DecodePlan(bytes.NewReader(bad)); err == nil {
 			t.Fatal("format-tag mismatch decoded without error")
 		}
@@ -512,7 +556,7 @@ func TestLoadCacheSkipsBadEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := tamperCache(t, buf.Bytes(), func(env *cacheEnvelope) {
+	bad := tamper(t, buf.Bytes(), func(env *cacheEnvelope) {
 		env.Entries[0].Digest = strings.Repeat("0", 64)
 	})
 	fresh := NewPlanner(8)
@@ -560,15 +604,16 @@ func TestLoadCacheRefusesAPlanUnderAnotherShapesKey(t *testing.T) {
 		keys = append(keys, p.Key)
 	}
 	var buf bytes.Buffer
-	if err := donor.SaveCache(&buf, keys...); err != nil {
+	if err := donor.SaveCache(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if stats, err := NewPlanner(8).LoadCache(bytes.NewReader(buf.Bytes())); err != nil || stats.Loaded != 3 || stats.Skipped != 0 {
 		t.Fatalf("the donor's own snapshot: %v (%v), want loaded=3", stats, err)
 	}
 
-	swapped := tamperCache(t, buf.Bytes(), func(env *cacheEnvelope) {
-		tri := &env.Entries[0]
+	swapped := tamper(t, buf.Bytes(), func(env *cacheEnvelope) {
+		i := slices.IndexFunc(env.Entries, func(e cacheEntry) bool { return e.Key == keys[0] })
+		tri := &env.Entries[i]
 		var wp wirePlan
 		if err := json.Unmarshal(tri.Plan, &wp); err != nil {
 			t.Fatal(err)
@@ -579,7 +624,7 @@ func TestLoadCacheRefusesAPlanUnderAnotherShapesKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		tri.Key, tri.Plan, tri.Digest = keys[1], payload, digestOf(payload)
-		env.Entries = env.Entries[:1]
+		env.Entries = env.Entries[i : i+1]
 	})
 	fresh := NewPlanner(8)
 	stats, err := fresh.LoadCache(bytes.NewReader(swapped))
@@ -603,7 +648,7 @@ func TestLoadCacheSkipsWholeSnapshotOnVersionMismatch(t *testing.T) {
 	if err := donor.SaveCache(&buf); err != nil {
 		t.Fatal(err)
 	}
-	bad := tamperCache(t, buf.Bytes(), func(env *cacheEnvelope) { env.Version = FormatVersion + 1 })
+	bad := tamper(t, buf.Bytes(), func(env *cacheEnvelope) { env.Version = FormatVersion + 1 })
 	fresh := NewPlanner(8)
 	stats, err := fresh.LoadCache(bytes.NewReader(bad))
 	if err != nil {

@@ -18,6 +18,9 @@ import (
 //	{"format": "panda-plan-cache", "version": V, "entries": [
 //	  {"key": "<canonical signature>", "lp_cost": N, "digest": "…", "plan": {…}}, …]}
 //
+// It is the one wire format of a plan: a snapshot of one entry is what
+// SavePlan ships to a replica and what EncodePlan/DecodePlan write and read.
+//
 // LoadCache is deliberately forgiving: an entry with a version or digest
 // mismatch, a malformed payload, or an inconsistent plan is skipped — never
 // fatal — so one stale or corrupted entry cannot keep a server from warm-
@@ -64,36 +67,25 @@ func (s CacheLoadStats) String() string {
 	return fmt.Sprintf("loaded=%d skipped=%d duplicates=%d", s.Loaded, s.Skipped, s.Duplicates)
 }
 
-// SaveCache writes cached plans to w in the versioned panda-plan-cache
-// format: every plan, most recently used first, or — given keys — exactly
-// the entries under those canonical signature keys, in the order asked (a
-// key the cache does not hold exports nothing). The selection is taken
-// atomically with respect to concurrent Prepare calls; the (immutable)
-// entries are then encoded outside the planner lock. An export does not
-// count as a use.
-func (pl *Planner) SaveCache(w io.Writer, keys ...string) error {
+// SaveCache writes every cached plan to w in the versioned panda-plan-cache
+// format, most recently used first. The selection is taken atomically with
+// respect to concurrent Prepare calls; the (immutable) entries are then
+// encoded outside the planner lock. An export does not count as a use.
+func (pl *Planner) SaveCache(w io.Writer) error {
 	pl.mu.Lock()
-	var ents []*entry
-	if len(keys) == 0 {
-		ents = make([]*entry, 0, pl.ll.Len())
-		for el := pl.ll.Front(); el != nil; el = el.Next() {
-			ents = append(ents, el.Value.(*entry))
-		}
-	}
-	for _, k := range keys {
-		if el, ok := pl.index[k]; ok {
-			ents = append(ents, el.Value.(*entry))
-		}
+	ents := make([]*entry, 0, pl.ll.Len())
+	for el := pl.ll.Front(); el != nil; el = el.Next() {
+		ents = append(ents, el.Value.(*entry))
 	}
 	pl.mu.Unlock()
 	return writeCache(w, ents)
 }
 
-// SavePlan is SaveCache of the one entry under key, for a caller that must
-// not send a snapshot without it: when the cache does not hold key (it was
-// evicted since the caller planned it) SavePlan writes nothing and reports
-// false. This is how the fleet ships a plan: the planning tier plans a
-// first-sighted query and answers with its entry alone.
+// SavePlan writes a snapshot of the one entry under key. When the cache
+// does not hold key (it was evicted since the caller planned it) SavePlan
+// writes nothing and reports false, so a caller never sends a snapshot
+// without the plan it asked for. This is how the fleet ships a plan: the
+// planning tier plans a first-sighted query and answers with its entry alone.
 func (pl *Planner) SavePlan(w io.Writer, key string) (bool, error) {
 	pl.mu.Lock()
 	el, ok := pl.index[key]
@@ -148,16 +140,9 @@ func writeCache(w io.Writer, ents []*entry) error {
 // at capacity keeps the plan it was just sent.
 func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 	var stats CacheLoadStats
-	data, err := io.ReadAll(r)
+	env, err := readCache(r)
 	if err != nil {
 		return stats, err
-	}
-	var env cacheEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return stats, fmt.Errorf("plan: load cache: malformed envelope: %w", err)
-	}
-	if env.Format != cacheFormat {
-		return stats, fmt.Errorf("plan: load cache: format %q, want %q", env.Format, cacheFormat)
 	}
 	skip := func(err error) {
 		stats.Skipped++
@@ -175,7 +160,8 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 		return stats, nil
 	}
 	var ents []*entry
-	for i, ent := range env.Entries {
+	for i := range env.Entries {
+		ent := &env.Entries[i]
 		if digestOf(ent.Plan) != ent.Digest {
 			skip(fmt.Errorf("%w (entry %d)", ErrCodecDigest, i))
 			continue
@@ -184,12 +170,7 @@ func (pl *Planner) LoadCache(r io.Reader) (CacheLoadStats, error) {
 			stats.Duplicates++
 			continue
 		}
-		var wp wirePlan
-		if err := json.Unmarshal(ent.Plan, &wp); err != nil {
-			skip(fmt.Errorf("plan: load cache entry %d: malformed payload: %w", i, err))
-			continue
-		}
-		p, err := planIn(&wp)
+		p, err := ent.decode()
 		if err != nil {
 			skip(fmt.Errorf("plan: load cache entry %d: %w", i, err))
 			continue
@@ -227,4 +208,31 @@ func (pl *Planner) holds(key string) bool {
 	defer pl.mu.Unlock()
 	_, ok := pl.index[key]
 	return ok
+}
+
+// readCache reads a whole panda-plan-cache snapshot from r and checks its
+// format tag; the caller checks the version, then each entry's digest, and
+// decodes the entries it keeps.
+func readCache(r io.Reader) (*cacheEnvelope, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	var env cacheEnvelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, fmt.Errorf("plan: malformed snapshot: %w", err)
+	}
+	if env.Format != cacheFormat {
+		return nil, fmt.Errorf("plan: snapshot format %q, want %q", env.Format, cacheFormat)
+	}
+	return &env, nil
+}
+
+// decode decodes the entry's payload into a validated plan.
+func (ent *cacheEntry) decode() (*Plan, error) {
+	var wp wirePlan
+	if err := json.Unmarshal(ent.Plan, &wp); err != nil {
+		return nil, fmt.Errorf("plan: decode: malformed plan payload: %w", err)
+	}
+	return planIn(&wp)
 }

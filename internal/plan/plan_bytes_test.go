@@ -83,12 +83,18 @@ func TestPlanBytesGolden(t *testing.T) {
 	var got strings.Builder
 	for _, sh := range goldenShapes(t) {
 		var buf bytes.Buffer
+		var payload []byte
+		format := "panda-plan"
 		if sh.pr.Conj != nil {
 			p, _, err := Prepare(sh.pr.Conj, sh.cons, sh.mode)
 			if err != nil {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
-			err = EncodePlan(&buf, p)
+			wp, err := planOut(p)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			payload, err = json.Marshal(wp)
 			if err != nil {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
@@ -97,20 +103,28 @@ func TestPlanBytesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
-			// The golden's rule rows were written by the stand-alone rule
-			// envelope this tree once had; the bytes pin the planning phase,
-			// so the test keeps writing that envelope.
 			wr, err := ruleOut(r)
 			if err != nil {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
-			payload, err := json.Marshal(&wr)
+			payload, err = json.Marshal(&wr)
 			if err != nil {
 				t.Fatalf("%s: %v", sh.name, err)
 			}
-			if err := encodeEnvelope(&buf, "panda-rule", payload); err != nil {
-				t.Fatalf("%s: %v", sh.name, err)
-			}
+			format = "panda-rule"
+		}
+		// The golden's rows were written in the single-plan frames this
+		// tree once had (panda-plan for a query, panda-rule for a rule).
+		// The bytes pin the planning payload, so the test keeps writing
+		// those frames.
+		frame := struct {
+			Format  string          `json:"format"`
+			Version int             `json:"version"`
+			Digest  string          `json:"digest"`
+			Payload json.RawMessage `json:"plan"`
+		}{format, FormatVersion, digestOf(payload), payload}
+		if err := json.NewEncoder(&buf).Encode(&frame); err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
 		}
 		fmt.Fprintf(&got, "%s %d %x\n", sh.name, buf.Len(), sha256.Sum256(buf.Bytes()))
 	}

@@ -16,12 +16,13 @@ func decodeSnapEnv(t *testing.T, data []byte) *cacheEnvelope {
 	return &env
 }
 
-// TestSaveCacheByKey: SaveCache with keys exports exactly the named entries
-// (an unknown key exports none), with no key the whole cache; and a replica
-// that imported one plan by key and is then sent the full snapshot counts
-// that plan as a duplicate and loads the rest — nothing live is clobbered —
-// and sent it again, counts every entry as a duplicate.
-func TestSaveCacheByKey(t *testing.T) {
+// TestSavePlanThenFullSnapshot: SaveCache exports the whole cache, most
+// recently used first, and SavePlan the one entry asked for; neither export
+// reorders the cache. A replica that imported one plan from SavePlan and is
+// then sent the full snapshot counts that plan as a duplicate and loads the
+// rest — nothing live is clobbered — and sent it again, counts every entry
+// as a duplicate.
+func TestSavePlanThenFullSnapshot(t *testing.T) {
 	pl := NewPlanner(8)
 	qa, ca := cycleQuery(4, nil, nil, 100)
 	qb, cb := cycleQuery(3, nil, nil, 50)
@@ -35,18 +36,12 @@ func TestSaveCacheByKey(t *testing.T) {
 	}
 	order := pl.Keys()
 
-	var full, one, none, both bytes.Buffer
+	var full, one bytes.Buffer
 	if err := pl.SaveCache(&full); err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.SaveCache(&one, pa.Key); err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.SaveCache(&none, "no such key"); err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.SaveCache(&both, pa.Key, "no such key", pb.Key); err != nil {
-		t.Fatal(err)
+	if saved, err := pl.SavePlan(&one, pa.Key); err != nil || !saved {
+		t.Fatalf("SavePlan of a cached key: %t, %v", saved, err)
 	}
 	keysOf := func(buf *bytes.Buffer) []string {
 		var keys []string
@@ -59,13 +54,7 @@ func TestSaveCacheByKey(t *testing.T) {
 		t.Fatalf("full snapshot exported %q, want both plans, most recently used first", got)
 	}
 	if got := keysOf(&one); len(got) != 1 || got[0] != pa.Key {
-		t.Fatalf("export of %q carried %q", pa.Key, got)
-	}
-	if got := keysOf(&none); len(got) != 0 {
-		t.Fatalf("an unknown key exported %q", got)
-	}
-	if got := keysOf(&both); len(got) != 2 || got[0] != pa.Key || got[1] != pb.Key {
-		t.Fatalf("export of two keys carried %q, want them in the order asked", got)
+		t.Fatalf("SavePlan of %q carried %q", pa.Key, got)
 	}
 	if got := pl.Keys(); got[0] != order[0] || got[1] != order[1] {
 		t.Fatalf("an export reordered the cache: %q → %q", order, got)
@@ -74,12 +63,12 @@ func TestSaveCacheByKey(t *testing.T) {
 	replica := NewPlanner(8)
 	stats, err := replica.LoadCache(bytes.NewReader(one.Bytes()))
 	if err != nil || stats.Loaded != 1 || stats.Skipped != 0 {
-		t.Fatalf("by-key import: %v (%v), want loaded=1", stats, err)
+		t.Fatalf("one-plan import: %v (%v), want loaded=1", stats, err)
 	}
 	live := replica.index[pa.Key].Value.(*entry)
 	stats, err = replica.LoadCache(bytes.NewReader(full.Bytes()))
 	if err != nil || stats.Loaded != 1 || stats.Duplicates != 1 || stats.Skipped != 0 {
-		t.Fatalf("full snapshot over a by-key import: %v (%v), want loaded=1 duplicates=1", stats, err)
+		t.Fatalf("full snapshot over a one-plan import: %v (%v), want loaded=1 duplicates=1", stats, err)
 	}
 	if replica.Len() != 2 || replica.index[pa.Key].Value.(*entry) != live {
 		t.Fatal("the full snapshot clobbered the entry the replica already held")
@@ -111,8 +100,8 @@ func TestLoadCacheIsAUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shipped bytes.Buffer
-	if err := donor.SaveCache(&shipped, pc.Key); err != nil {
-		t.Fatal(err)
+	if saved, err := donor.SavePlan(&shipped, pc.Key); err != nil || !saved {
+		t.Fatalf("SavePlan of a cached key: %t, %v", saved, err)
 	}
 
 	full := NewPlanner(2)
@@ -136,10 +125,11 @@ func TestLoadCacheIsAUse(t *testing.T) {
 	}
 }
 
-// TestSavePlanReportsEviction: SavePlan writes exactly what SaveCache writes
-// for the one key while the cache holds it; once the key is evicted it
-// writes nothing and reports false, so a caller never sends a snapshot that
-// lacks the plan it asked for.
+// TestSavePlanReportsEviction: while the cache holds the key, SavePlan
+// writes the snapshot of its one entry — for a one-plan cache, byte for byte
+// what SaveCache writes; once the key is evicted it writes nothing and
+// reports false, so a caller never sends a snapshot that lacks the plan it
+// asked for.
 func TestSavePlanReportsEviction(t *testing.T) {
 	pl := NewPlanner(1)
 	qa, ca := cycleQuery(4, nil, nil, 100)
@@ -147,15 +137,15 @@ func TestSavePlanReportsEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var one, byKey bytes.Buffer
+	var one, full bytes.Buffer
 	if saved, err := pl.SavePlan(&one, pa.Key); err != nil || !saved {
 		t.Fatalf("SavePlan of a cached key: %t, %v", saved, err)
 	}
-	if err := pl.SaveCache(&byKey, pa.Key); err != nil {
+	if err := pl.SaveCache(&full); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(one.Bytes(), byKey.Bytes()) {
-		t.Fatalf("SavePlan wrote\n%s\nSaveCache by key wrote\n%s", one.Bytes(), byKey.Bytes())
+	if !bytes.Equal(one.Bytes(), full.Bytes()) {
+		t.Fatalf("SavePlan wrote\n%s\nSaveCache of the one-plan cache wrote\n%s", one.Bytes(), full.Bytes())
 	}
 
 	qb, cb := cycleQuery(3, nil, nil, 50)

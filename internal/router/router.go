@@ -5,9 +5,9 @@
 // and cacheable; PRs 1-6 made one process amortize it across repeated
 // traffic. This tier amortizes it across a FLEET:
 //
-//	client ──▶ pandarouter ──rendezvous(shape)──▶ replica A  (plans: pushed, LP solves: 0)
-//	                 │                        └─▶ replica B  (plans: pushed, LP solves: 0)
-//	                 └──new shapes──▶ planning tier (pays every LP solve once)
+//	client ──▶ pandarouter ──rendezvous(shape)──▶ replica A  (plans: shipped on its 409, LP solves: 0)
+//	                 │                        └─▶ replica B  (plans: shipped on its 409, LP solves: 0)
+//	                 └──refused shapes──▶ planning tier (pays every LP solve once)
 //
 // Every /v1/query and /v1/plan — conjunctive query or disjunctive rule — is
 // routed by its canonical shape: the renaming-invariant signature computed

@@ -69,7 +69,7 @@ func newFakePlanner(t *testing.T) *fakePlanner {
 		f.pulls = append(f.pulls, r.URL.RawQuery)
 		f.pullMu.Unlock()
 		params := r.URL.Query()
-		key := params.Get("key")
+		var key string
 		if params.Has("q") {
 			if f.planMode.Load() == "hang" {
 				time.Sleep(2 * time.Second)
@@ -974,11 +974,16 @@ func TestRouterPlannerReads(t *testing.T) {
 		t.Fatalf("/v1/relations: %d %s, want the planner's catalog", code, body)
 	}
 	pulls := len(planner.pulled())
-	if code, body := httpDo(t, http.MethodGet, ts.URL+"/v1/plans?key=k1", ""); code != http.StatusOK || body != snapshotOf("k1", 1) {
+	key, err := shapeOf(triangleSrc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := url.Values{"q": {triangleSrc}}.Encode()
+	if code, body := httpDo(t, http.MethodGet, ts.URL+"/v1/plans?"+query, ""); code != http.StatusOK || body != snapshotOf(key, 1) {
 		t.Fatalf("/v1/plans: %d %s, want the planner's snapshot", code, body)
 	}
-	if got := planner.pulled(); len(got) != pulls+1 || got[pulls] != "key=k1" {
-		t.Fatalf("planner pulls %q, want one more, for key=k1", got)
+	if got := planner.pulled(); len(got) != pulls+1 || got[pulls] != query {
+		t.Fatalf("planner pulls %q, want one more, for %s", got, query)
 	}
 
 	planner.ts.Close()

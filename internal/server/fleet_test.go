@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -170,91 +171,13 @@ func TestDuplicateInsertStillAdvancesEpoch(t *testing.T) {
 	}
 }
 
-// TestExportPlansByKey: the "key" of a /v1/plan answer names one entry of
-// GET /v1/plans — ?key=<key> exports exactly that plan, repeated parameters
-// export several, an unknown key exports none — and another server that
-// imports the by-key export answers the shape with zero LP solves.
-func TestExportPlansByKey(t *testing.T) {
-	q := panda.TriangleQuery()
-	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
-	_, ts, _ := newTestServer(t, Config{})
-	loadOverHTTP(t, ts.URL, &q.Schema, ins)
-
-	const pathSrc = `Q(X,Z) :- R(X,Y), S(Y,Z).`
-	keyOf := func(src string) string {
-		t.Helper()
-		code, body := get(t, ts.URL+"/v1/plan?q="+url.QueryEscape(src))
-		if code != http.StatusOK {
-			t.Fatalf("plan %q: %d %s", src, code, body)
-		}
-		var info struct {
-			Key       string `json:"key"`
-			Signature string `json:"signature"`
-		}
-		if err := json.Unmarshal([]byte(body), &info); err != nil || info.Key == "" {
-			t.Fatalf("plan %q answered no key: %v\n%s", src, err, body)
-		}
-		if info.Signature != panda.SignatureDigest(info.Key) {
-			t.Fatalf("signature %q is not the digest of key %q", info.Signature, info.Key)
-		}
-		return info.Key
-	}
-	triangleKey, pathKey := keyOf(triangleSrc), keyOf(pathSrc)
-
-	export := func(query string) (string, []string) {
-		t.Helper()
-		code, body := get(t, ts.URL+"/v1/plans"+query)
-		if code != http.StatusOK {
-			t.Fatalf("export %s: %d %s", query, code, body)
-		}
-		var env struct {
-			Entries []struct {
-				Key string `json:"key"`
-			} `json:"entries"`
-		}
-		if err := json.Unmarshal([]byte(body), &env); err != nil {
-			t.Fatal(err)
-		}
-		keys := []string{}
-		for _, ent := range env.Entries {
-			keys = append(keys, ent.Key)
-		}
-		return body, keys
-	}
-	if _, keys := export(""); len(keys) != 2 {
-		t.Fatalf("full export carried %q, want both plans", keys)
-	}
-	snapshot, keys := export("?key=" + url.QueryEscape(triangleKey))
-	if len(keys) != 1 || keys[0] != triangleKey {
-		t.Fatalf("export by key %q carried %q", triangleKey, keys)
-	}
-	if _, keys := export("?" + url.Values{"key": {pathKey, triangleKey}}.Encode()); len(keys) != 2 || keys[0] != pathKey || keys[1] != triangleKey {
-		t.Fatalf("export of two keys carried %q", keys)
-	}
-	if _, keys := export("?key=nope"); len(keys) != 0 {
-		t.Fatalf("an unknown key exported %q", keys)
-	}
-
-	_, tsB, dbB := newTestServer(t, Config{})
-	loadOverHTTP(t, tsB.URL, &q.Schema, ins)
-	if code, body := putPlans(t, tsB.URL, snapshot); code != http.StatusOK || !strings.Contains(body, `"loaded":1`) {
-		t.Fatalf("import of the by-key export: %d %s", code, body)
-	}
-	if code, raw := post(t, tsB.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, triangleSrc)); code != http.StatusOK {
-		t.Fatalf("query on the importer: %d %s", code, raw)
-	}
-	if st := dbB.PlannerStats(); st.LPSolves != 0 || st.Hits != 1 {
-		t.Fatalf("the importer planned the shipped shape: %v", st)
-	}
-}
-
 // TestExportPlansByQuery: GET /v1/plans?q=<text>[&mode=…] plans the text as
 // GET /v1/plan does and answers with a snapshot of that one plan — the key
 // /v1/plan names, for a query, a rule and a forced mode — and fails with the
 // same statuses: 400 for a parse error or a bad mode, 404 for an unknown
-// relation, and 400 for q together with key. Another server that imports
-// the answer runs the query as a zero-LP hit. This is the one request of the
-// router's warm-up.
+// relation. Without q it exports every plan; a request naming key answers
+// 400. Another server that imports the answer runs the query as a zero-LP
+// hit. This is the one request of the router's warm-up.
 func TestExportPlansByQuery(t *testing.T) {
 	q := panda.TriangleQuery()
 	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
@@ -263,6 +186,7 @@ func TestExportPlansByQuery(t *testing.T) {
 
 	const ruleSrc = `T1(A,B) v T2(B,C) :- R(A,B), S(B,C).`
 	var triangleSnapshot string
+	var planned []string
 	for _, c := range []struct{ src, mode string }{{triangleSrc, ""}, {ruleSrc, ""}, {triangleSrc, "subw"}} {
 		params := url.Values{"q": {c.src}}
 		if c.mode != "" {
@@ -273,11 +197,16 @@ func TestExportPlansByQuery(t *testing.T) {
 			t.Fatalf("plan %q mode %q: %d %s", c.src, c.mode, code, body)
 		}
 		var info struct {
-			Key string `json:"key"`
+			Key       string `json:"key"`
+			Signature string `json:"signature"`
 		}
 		if err := json.Unmarshal([]byte(body), &info); err != nil || info.Key == "" {
 			t.Fatalf("plan %q mode %q answered no key: %v\n%s", c.src, c.mode, err, body)
 		}
+		if info.Signature != panda.SignatureDigest(info.Key) {
+			t.Fatalf("signature %q is not the digest of key %q", info.Signature, info.Key)
+		}
+		planned = append(planned, info.Key)
 		code, body = get(t, ts.URL+"/v1/plans?"+params.Encode())
 		if code != http.StatusOK {
 			t.Fatalf("export %q mode %q: %d %s", c.src, c.mode, code, body)
@@ -293,6 +222,20 @@ func TestExportPlansByQuery(t *testing.T) {
 			triangleSnapshot = body
 		}
 	}
+	code, body := get(t, ts.URL+"/v1/plans")
+	var full cacheSnapshotJSON
+	if err := json.Unmarshal([]byte(body), &full); code != http.StatusOK || err != nil {
+		t.Fatalf("full export: %d %v\n%s", code, err, body)
+	}
+	var exported []string
+	for _, ent := range full.Entries {
+		exported = append(exported, ent.Key)
+	}
+	slices.Sort(planned)
+	slices.Sort(exported)
+	if !slices.Equal(exported, planned) {
+		t.Fatalf("full export carried %q, want every planned key %q", exported, planned)
+	}
 
 	for _, c := range []struct {
 		query string
@@ -300,6 +243,7 @@ func TestExportPlansByQuery(t *testing.T) {
 	}{
 		{"?" + url.Values{"q": {"not a query"}}.Encode(), http.StatusBadRequest},
 		{"?" + url.Values{"q": {triangleSrc}, "mode": {"bogus"}}.Encode(), http.StatusBadRequest},
+		{"?" + url.Values{"key": {planned[0]}}.Encode(), http.StatusBadRequest},
 		{"?" + url.Values{"q": {triangleSrc}, "key": {"k"}}.Encode(), http.StatusBadRequest},
 		{"?q=", http.StatusBadRequest},
 		{"?" + url.Values{"q": {`Q(A,B) :- Nope(A,B).`}}.Encode(), http.StatusNotFound},

@@ -11,7 +11,7 @@
 //	POST   /v1/query                 run a query; rows stream as JSON (NDJSON with Accept: application/x-ndjson)
 //	POST   /v1/watch                 open a standing query; NDJSON stream of snapshot + deltas
 //	GET    /v1/plan?q=…[&mode=…]     dry-run prepare: committed mode + width certificate + plan key
-//	GET    /v1/plans[?key=…|?q=…]    export the plan cache, the named entries, or the plan of a query text (panda-plan-cache snapshot)
+//	GET    /v1/plans[?q=…]           export the plan cache, or the plan of a query text (panda-plan-cache snapshot)
 //	PUT    /v1/plans                 import a snapshot; 422 on version/digest mismatch
 //	GET    /v1/relations             list the catalog
 //	POST   /v1/relations             create a relation {"name","arity"}
@@ -790,24 +790,24 @@ func (s *Server) handleShapes(w http.ResponseWriter, r *http.Request) {
 // handleExportPlans streams plans as one panda-plan-cache snapshot — the
 // same bytes a pandad -plan-dir snapshot writes to disk, so routers and
 // replicas need exactly one format. With no parameter it exports the whole
-// cache. ?key=<signature key> parameters (the "key" of a /v1/plan answer;
-// repeat for several) export exactly those entries; a key the cache does not
-// hold exports nothing. ?q=<text>[&mode=…] plans the text as GET /v1/plan
-// does and exports that plan's entry: the router warms and ships a
-// first-sighted shape with this one request. A 200 answer always holds the
-// entry; one evicted between planning and export answers 503.
+// cache. ?q=<text>[&mode=…] plans the text as GET /v1/plan does and exports
+// that plan's entry alone: the router warms and ships a first-sighted shape
+// with this one request. A 200 answer always holds the entry; one evicted
+// between planning and export answers 503. A request naming key answers 400,
+// so a router that still pulls by signature key fails loudly instead of
+// shipping the whole cache to one replica.
 func (s *Server) handleExportPlans(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
+	if params.Has("key") {
+		s.fail(w, errors.New("GET /v1/plans takes no key: it exports the whole cache, or with q the plan of a query text"))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	if !params.Has("q") {
-		if err := s.db.SavePlans(w, params["key"]...); err != nil {
+		if err := s.db.SavePlans(w); err != nil {
 			// Headers are already out; all we can do is log through the status.
 			s.fail(w, err)
 		}
-		return
-	}
-	if params.Has("key") {
-		s.fail(w, errors.New("q and key cannot be combined: export a query's plan or named entries"))
 		return
 	}
 	info, err := s.explain(r.Context(), r)
