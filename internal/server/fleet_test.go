@@ -171,13 +171,87 @@ func TestDuplicateInsertStillAdvancesEpoch(t *testing.T) {
 	}
 }
 
+// TestExportPlansByKey: the "key" of a /v1/plan answer, whose "signature" is
+// its digest, names one entry of the full GET /v1/plans export, which holds
+// every planned key and nothing else. Plans are not exported by key: a
+// request naming key — one, several, an unknown one, or with q — answers
+// 400. Another server that imports the full export answers every planned
+// shape with zero LP solves.
+func TestExportPlansByKey(t *testing.T) {
+	q := panda.TriangleQuery()
+	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
+	_, ts, _ := newTestServer(t, Config{})
+	loadOverHTTP(t, ts.URL, &q.Schema, ins)
+
+	const pathSrc = `Q(X,Z) :- R(X,Y), S(Y,Z).`
+	keyOf := func(src string) string {
+		t.Helper()
+		code, body := get(t, ts.URL+"/v1/plan?q="+url.QueryEscape(src))
+		if code != http.StatusOK {
+			t.Fatalf("plan %q: %d %s", src, code, body)
+		}
+		var info struct {
+			Key       string `json:"key"`
+			Signature string `json:"signature"`
+		}
+		if err := json.Unmarshal([]byte(body), &info); err != nil || info.Key == "" {
+			t.Fatalf("plan %q answered no key: %v\n%s", src, err, body)
+		}
+		if info.Signature != panda.SignatureDigest(info.Key) {
+			t.Fatalf("signature %q is not the digest of key %q", info.Signature, info.Key)
+		}
+		return info.Key
+	}
+	triangleKey, pathKey := keyOf(triangleSrc), keyOf(pathSrc)
+
+	code, snapshot := get(t, ts.URL+"/v1/plans")
+	var full cacheSnapshotJSON
+	if err := json.Unmarshal([]byte(snapshot), &full); code != http.StatusOK || err != nil {
+		t.Fatalf("full export: %d %v\n%s", code, err, snapshot)
+	}
+	var exported []string
+	for _, ent := range full.Entries {
+		exported = append(exported, ent.Key)
+	}
+	planned := []string{triangleKey, pathKey}
+	slices.Sort(planned)
+	slices.Sort(exported)
+	if !slices.Equal(exported, planned) {
+		t.Fatalf("full export carried %q, want every planned key %q", exported, planned)
+	}
+
+	for _, params := range []url.Values{
+		{"key": {triangleKey}},
+		{"key": {pathKey, triangleKey}},
+		{"key": {"nope"}},
+		{"q": {triangleSrc}, "key": {triangleKey}},
+	} {
+		if code, body := get(t, ts.URL+"/v1/plans?"+params.Encode()); code != http.StatusBadRequest {
+			t.Fatalf("export ?%s: %d %s, want 400", params.Encode(), code, body)
+		}
+	}
+
+	_, tsB, dbB := newTestServer(t, Config{})
+	loadOverHTTP(t, tsB.URL, &q.Schema, ins)
+	if code, body := putPlans(t, tsB.URL, snapshot); code != http.StatusOK || !strings.Contains(body, `"loaded":2`) {
+		t.Fatalf("import of the full export: %d %s", code, body)
+	}
+	for _, src := range []string{triangleSrc, pathSrc} {
+		if code, raw := post(t, tsB.URL+"/v1/query", fmt.Sprintf(`{"query":%q}`, src)); code != http.StatusOK {
+			t.Fatalf("query %q on the importer: %d %s", src, code, raw)
+		}
+	}
+	if st := dbB.PlannerStats(); st.LPSolves != 0 || st.Misses != 0 || st.Hits != 2 {
+		t.Fatalf("the importer planned a shipped shape: %v", st)
+	}
+}
+
 // TestExportPlansByQuery: GET /v1/plans?q=<text>[&mode=…] plans the text as
 // GET /v1/plan does and answers with a snapshot of that one plan — the key
 // /v1/plan names, for a query, a rule and a forced mode — and fails with the
 // same statuses: 400 for a parse error or a bad mode, 404 for an unknown
-// relation. Without q it exports every plan; a request naming key answers
-// 400. Another server that imports the answer runs the query as a zero-LP
-// hit. This is the one request of the router's warm-up.
+// relation. Another server that imports the answer runs the query as a
+// zero-LP hit. This is the one request of the router's warm-up.
 func TestExportPlansByQuery(t *testing.T) {
 	q := panda.TriangleQuery()
 	ins := panda.RandomInstance(11, &q.Schema, 40, 10)
@@ -186,7 +260,6 @@ func TestExportPlansByQuery(t *testing.T) {
 
 	const ruleSrc = `T1(A,B) v T2(B,C) :- R(A,B), S(B,C).`
 	var triangleSnapshot string
-	var planned []string
 	for _, c := range []struct{ src, mode string }{{triangleSrc, ""}, {ruleSrc, ""}, {triangleSrc, "subw"}} {
 		params := url.Values{"q": {c.src}}
 		if c.mode != "" {
@@ -197,16 +270,11 @@ func TestExportPlansByQuery(t *testing.T) {
 			t.Fatalf("plan %q mode %q: %d %s", c.src, c.mode, code, body)
 		}
 		var info struct {
-			Key       string `json:"key"`
-			Signature string `json:"signature"`
+			Key string `json:"key"`
 		}
 		if err := json.Unmarshal([]byte(body), &info); err != nil || info.Key == "" {
 			t.Fatalf("plan %q mode %q answered no key: %v\n%s", c.src, c.mode, err, body)
 		}
-		if info.Signature != panda.SignatureDigest(info.Key) {
-			t.Fatalf("signature %q is not the digest of key %q", info.Signature, info.Key)
-		}
-		planned = append(planned, info.Key)
 		code, body = get(t, ts.URL+"/v1/plans?"+params.Encode())
 		if code != http.StatusOK {
 			t.Fatalf("export %q mode %q: %d %s", c.src, c.mode, code, body)
@@ -222,29 +290,12 @@ func TestExportPlansByQuery(t *testing.T) {
 			triangleSnapshot = body
 		}
 	}
-	code, body := get(t, ts.URL+"/v1/plans")
-	var full cacheSnapshotJSON
-	if err := json.Unmarshal([]byte(body), &full); code != http.StatusOK || err != nil {
-		t.Fatalf("full export: %d %v\n%s", code, err, body)
-	}
-	var exported []string
-	for _, ent := range full.Entries {
-		exported = append(exported, ent.Key)
-	}
-	slices.Sort(planned)
-	slices.Sort(exported)
-	if !slices.Equal(exported, planned) {
-		t.Fatalf("full export carried %q, want every planned key %q", exported, planned)
-	}
-
 	for _, c := range []struct {
 		query string
 		code  int
 	}{
 		{"?" + url.Values{"q": {"not a query"}}.Encode(), http.StatusBadRequest},
 		{"?" + url.Values{"q": {triangleSrc}, "mode": {"bogus"}}.Encode(), http.StatusBadRequest},
-		{"?" + url.Values{"key": {planned[0]}}.Encode(), http.StatusBadRequest},
-		{"?" + url.Values{"q": {triangleSrc}, "key": {"k"}}.Encode(), http.StatusBadRequest},
 		{"?q=", http.StatusBadRequest},
 		{"?" + url.Values{"q": {`Q(A,B) :- Nope(A,B).`}}.Encode(), http.StatusNotFound},
 	} {
