@@ -2,6 +2,7 @@ package plan
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"panda/internal/query"
@@ -85,12 +86,35 @@ func BenchmarkCanonicalize(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepareFhtw is the planning phase under ModeFhtw, 8-row
+// cardinalities, on the 5-cycle and the 6-cycle (10 and 20 distinct bags).
+// With cardinalities only, every bag is valued by its fractional cover and
+// only the chosen decomposition's bags solve a polymatroid LP: 3 and 4 LPs,
+// where valuing every bag by its LP solved 10 and 20 (c6: about 0.12 s,
+// against 0.8–0.9 s). CI holds c6's allocs/op under a ceiling between the
+// two.
+func BenchmarkPrepareFhtw(b *testing.B) {
+	for _, k := range []int{5, 6} {
+		q, cons := cycleQuery(k, nil, nil, 8)
+		b.Run(fmt.Sprintf("c%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Prepare(q, cons, ModeFhtw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPrepareAuto is the planning phase under ModeAuto, 8-row
 // cardinalities: the triangle's Boolean query (one bag, so its one
-// transversal reuses the bag LP: 1 LP), the Boolean 5-cycle (subw commits,
-// so every bag and transversal LP runs: 31) and the 6-variable path with
-// free ends (α-acyclic, one decomposition: its 5 bag LPs settle fhtw and no
-// transversal LP runs, where comparing both certificates solved 10).
+// transversal reuses the bag's value: 1 LP), the Boolean 5-cycle (subw
+// commits: its 21 transversal LPs run, and no bag LP, since every bag is
+// valued by its fractional cover; 31 when each bag solved its own LP) and
+// the 6-variable path with free ends (α-acyclic, one decomposition: its 5
+// bags settle fhtw and no transversal LP runs, where comparing both
+// certificates solved 10).
 func BenchmarkPrepareAuto(b *testing.B) {
 	for _, bc := range []struct{ name, src string }{
 		{"tri-bool", "Q() :- R(A,B), S(B,C), T(A,C)."},

@@ -45,8 +45,9 @@ const (
 	// ModeAuto picks ModeFull for full queries; for every other query it
 	// commits ModeSubw exactly when da-subw is strictly below da-fhtw (ties
 	// go to ModeFhtw, whose single-decomposition execution does strictly
-	// less work). It solves the fhtw bag LPs, then walks the transversal
-	// LPs only until one reaches da-fhtw, which settles on fhtw.
+	// less work). It values the bags (widths.BagBounds: covers under
+	// cardinalities only, else LPs), then walks the transversal LPs only
+	// until one reaches da-fhtw, which settles on fhtw.
 	ModeAuto Mode = iota
 	// ModeFull is PANDA + semijoin reduction (Corollary 7.10); full
 	// queries only.
@@ -181,7 +182,10 @@ type Plan struct {
 // BuildStats reports the planning work a Prepare call performed; the plan
 // cache uses it to prove that hits skip the LP entirely.
 type BuildStats struct {
-	LPSolves   int // exact simplex solves (bag and transversal bound LPs; Covers is not counted)
+	// LPSolves counts polymatroid bound LPs (bags' and transversals'). Cover
+	// LPs are not counted: neither a bag valued by its fractional cover
+	// (widths.BagBounds) nor Covers.
+	LPSolves   int
 	ProofSteps int // total proof-sequence length across rules
 }
 
@@ -473,17 +477,32 @@ func planQuery(ctx context.Context, q *query.Conjunctive, cons []query.DegreeCon
 		bs.LPSolves++
 		return flow.MaximinBoundContext(ctx, q.NumVars, fdcs, targets)
 	}
-	bound := func(r *flow.MaximinResult) *big.Rat { return r.Bound }
+	bound := func(r widths.BagBound) *big.Rat { return r.Bound }
+	// ruleLP is the LP a rule is built from: r's own, or, for a bag valued
+	// by its cover, the LP solved now over targets and kept on r, so no bag
+	// is solved twice.
+	ruleLP := func(r *widths.BagBound, targets []bitset.Set) (*flow.MaximinResult, error) {
+		if r.LP == nil {
+			res, err := solve(targets)
+			if err != nil {
+				return nil, err
+			}
+			r.LP = res
+		}
+		return r.LP, nil
+	}
 
-	// fhtw candidate: one LP per distinct bag; the results double as the
-	// rule plans of the chosen decomposition and as the bounds of the subw
-	// walk (the simplex is deterministic, so the reuse is
-	// behavior-preserving). Proof sequences are constructed, and priced, only
-	// for the committed candidate; the comparison reads the LP optima.
-	var bagRes []*flow.MaximinResult
+	// fhtw candidate: every distinct bag valued on its own (widths.BagBounds:
+	// the bag's fractional cover when every constraint is a cardinality, else
+	// its polymatroid LP). The values, exact either way, pick the
+	// decomposition and bound the subw walk; only the bags that become rules
+	// get an LP (the simplex is deterministic, so solving it late or reusing
+	// it is behavior-preserving). Proof sequences are constructed, and
+	// priced, only for the committed candidate.
+	var bagRes []widths.BagBound
 	var fhtwWidth *big.Rat
 	if mode != ModeSubw {
-		if bagRes, err = widths.SolveBags(e, solve); err != nil {
+		if bagRes, err = widths.BagBounds(ctx, e, q.NumVars, fdcs, solve); err != nil {
 			return nil, bs, err
 		}
 		p.Chosen, fhtwWidth = widths.Minimax(e, bagRes, bound)
@@ -501,10 +520,10 @@ func planQuery(ctx context.Context, q *query.Conjunctive, cons []query.DegreeCon
 		if err != nil {
 			return nil, bs, err
 		}
-		trRes := make([]*flow.MaximinResult, len(trs))
+		trRes := make([]widths.BagBound, len(trs))
 		subwWidth := new(big.Rat)
 		wins := func() bool { return mode == ModeSubw || subwWidth.Cmp(fhtwWidth) < 0 }
-		err = widths.Walk(e, trs, bagRes, bound, solve, func(ti int, r *flow.MaximinResult, _ *big.Rat) bool {
+		err = widths.Walk(e, trs, bagRes, bound, widths.LPBound(solve), func(ti int, r widths.BagBound, _ *big.Rat) bool {
 			trRes[ti] = r
 			if r.Bound.Cmp(subwWidth) > 0 {
 				subwWidth = r.Bound
@@ -516,8 +535,13 @@ func planQuery(ctx context.Context, q *query.Conjunctive, cons []query.DegreeCon
 		}
 		if wins() {
 			p.Mode, p.Chosen, p.Transversals = ModeSubw, -1, trs
-			for ti, r := range trRes {
-				pr, err := newPreparedRule(widths.Targets(p.Bags, trs[ti]), r, cons, bs)
+			for ti := range trRes {
+				targets := widths.Targets(p.Bags, trs[ti])
+				r, err := ruleLP(&trRes[ti], targets)
+				if err != nil {
+					return nil, bs, err
+				}
+				pr, err := newPreparedRule(targets, r, cons, bs)
 				if err != nil {
 					return nil, bs, err
 				}
@@ -529,7 +553,12 @@ func planQuery(ctx context.Context, q *query.Conjunctive, cons []query.DegreeCon
 	if p.Mode != ModeSubw {
 		p.Mode = ModeFhtw
 		for i, b := range p.TDs[p.Chosen].Bags {
-			pr, err := newPreparedRule([]bitset.Set{b}, bagRes[p.TDBags[p.Chosen][i]], cons, bs)
+			targets := []bitset.Set{b}
+			r, err := ruleLP(&bagRes[p.TDBags[p.Chosen][i]], targets)
+			if err != nil {
+				return nil, bs, err
+			}
+			pr, err := newPreparedRule(targets, r, cons, bs)
 			if err != nil {
 				return nil, bs, err
 			}

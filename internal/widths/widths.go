@@ -9,8 +9,10 @@
 //
 // and their degree-aware generalizations of Definition 7.6 (da-fhtw,
 // da-subw), where the inner optimization is the exact polymatroid LP of
-// internal/flow. Maximin widths use Lemma 7.12: the min over tree
-// decompositions becomes a max over inclusion-minimal bag transversals.
+// internal/flow — for one bag under cardinality constraints only, the
+// fractional edge cover that equals it (BagBounds). Maximin widths use
+// Lemma 7.12: the min over tree decompositions becomes a max over
+// inclusion-minimal bag transversals.
 //
 // Engine is that framework, once: the indexed decompositions, the min-max,
 // the minimal transversals and the one transversal walk. Every width here
@@ -95,6 +97,59 @@ func SolveBags[R any](e *Engine, solve func([]bitset.Set) (R, error)) ([]R, erro
 	return out, nil
 }
 
+// BagBound is one bag's polymatroid bound max{h(B) | h ∈ Γn ∩ HDC}, the bag
+// on its own. LP is the polymatroid LP that found it, or nil when none ran.
+type BagBound struct {
+	Bound *big.Rat
+	LP    *flow.MaximinResult
+}
+
+// BagBounds values every bag of e on its own under dcs over n variables.
+// When every constraint is a cardinality (X = ∅) a bag's polymatroid bound is
+// its AGM bound (Proposition 3.2): the fractional edge cover of the bag by the
+// constraints' Y ∩ B, each priced at its log N — a cover LP over the
+// constraints, not a polymatroid LP over 2ⁿ sets, so LP stays nil. A bag with
+// a variable no constraint covers is unbounded: flow.ErrUnbounded. Otherwise,
+// and for constraints flow would refuse, each bag is solve's LP, which must
+// be flow's polymatroid LP over dcs. The bound is the same exact rational
+// either way. Cancellation is checked between the cover LPs.
+func BagBounds(ctx context.Context, e *Engine, n int, dcs []flow.DC,
+	solve func([]bitset.Set) (*flow.MaximinResult, error)) ([]BagBound, error) {
+	full := bitset.Full(n)
+	ys := make([]bitset.Set, len(dcs))
+	costs := make([]*big.Rat, len(dcs))
+	covered := bitset.Set(0)
+	for k, dc := range dcs {
+		if dc.X != 0 || dc.Y == 0 || !dc.Y.SubsetOf(full) || dc.LogN == nil || dc.LogN.Sign() < 0 {
+			return SolveBags(e, LPBound(solve))
+		}
+		ys[k], costs[k] = dc.Y, dc.LogN
+		covered = covered.Union(dc.Y)
+	}
+	h := hypergraph.New(n, ys...)
+	return SolveBags(e, func(b []bitset.Set) (BagBound, error) {
+		if err := ctx.Err(); err != nil {
+			return BagBound{}, err
+		}
+		if !b[0].SubsetOf(covered) {
+			return BagBound{}, fmt.Errorf("%w: no constraint covers %v", flow.ErrUnbounded, b[0].Minus(covered))
+		}
+		v, _, err := bounds.FractionalCover(h, b[0], costs)
+		return BagBound{Bound: v}, err
+	})
+}
+
+// LPBound values targets by solve's polymatroid LP, kept on the BagBound.
+func LPBound(solve func([]bitset.Set) (*flow.MaximinResult, error)) func([]bitset.Set) (BagBound, error) {
+	return func(targets []bitset.Set) (BagBound, error) {
+		r, err := solve(targets)
+		if err != nil {
+			return BagBound{}, err
+		}
+		return BagBound{Bound: r.Bound, LP: r}, nil
+	}
+}
+
 // Minimax is the min over decompositions of the max over their bags of
 // value(bags[i]), bags aligned with e.Bags. It returns the first
 // decomposition that reaches the minimum, and the minimum.
@@ -121,11 +176,12 @@ func (e *Engine) Transversals(ctx context.Context) ([][]int, error) {
 }
 
 // Walk visits the transversals trs and hands visit each one's solve r, with
-// its index ti. bags, aligned with e.Bags, is each bag solved on its own
-// (SolveBags) or nil. With bags, the walk goes in decreasing order of upper
-// bound, a transversal's bound being the smallest value among its bags
-// (max_h min_B h(B) ≤ min_B max_h h(B)); a one-bag transversal's solve is its
-// bag's, so it is never solved a second time; and rest, the next
+// its index ti. bags, aligned with e.Bags, is each bag valued on its own
+// (SolveBags, BagBounds) or nil. With bags, the walk goes in decreasing order
+// of upper bound, a transversal's bound being the smallest value among its
+// bags (max_h min_B h(B) ≤ min_B max_h h(B)); a one-bag transversal is handed
+// its bag's value and never solved — a BagBound valued by its cover carries
+// no LP, which a caller that needs one solves itself; and rest, the next
 // transversal's bound, bounds every one not yet visited (nil when none is
 // left). Without bags, trs are visited in their own order, each solved, and
 // rest is nil. The walk ends when visit returns false.
@@ -191,14 +247,10 @@ func (e *Engine) minimax(cost func([]bitset.Set) (*big.Rat, error)) (*big.Rat, e
 }
 
 // maximin is the Lemma 7.12 maximin width of inner, shared by subw, adw and
-// da-subw: the walk, bounded by inner on each bag alone, stops once no
-// transversal left can raise the max.
-func (e *Engine) maximin(inner func([]bitset.Set) (*big.Rat, error)) (*big.Rat, error) {
+// da-subw: the walk, bounded by ubs (inner on each bag alone, aligned with
+// e.Bags), stops once no transversal left can raise the max.
+func (e *Engine) maximin(ubs []*big.Rat, inner func([]bitset.Set) (*big.Rat, error)) (*big.Rat, error) {
 	trs, err := e.Transversals(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	ubs, err := SolveBags(e, inner)
 	if err != nil {
 		return nil, err
 	}
@@ -269,11 +321,34 @@ func polymatroid(n int, dcs []flow.DC) func([]bitset.Set) (*big.Rat, error) {
 	}
 }
 
+// polymatroidBags is every bag's polymatroid bound over dcs (BagBounds).
+func (e *Engine) polymatroidBags(dcs []flow.DC) ([]*big.Rat, error) {
+	n := e.h.N
+	bbs, err := BagBounds(context.Background(), e, n, dcs, func(b []bitset.Set) (*flow.MaximinResult, error) {
+		return flow.MaximinBound(n, dcs, b)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*big.Rat, len(bbs))
+	for i, bb := range bbs {
+		out[i] = bb.Bound
+	}
+	return out, nil
+}
+
 // DaFhtw returns the degree-aware fractional hypertree width of
 // Definition 7.6: min over decompositions of max over bags of the exact
-// polymatroid bound max{h(B) | h ∈ Γn ∩ HDC}.
+// polymatroid bound max{h(B) | h ∈ Γn ∩ HDC}, each bag valued by BagBounds.
 func DaFhtw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
-	return over(h, func(e *Engine) (*big.Rat, error) { return e.minimax(polymatroid(h.N, dcs)) })
+	return over(h, func(e *Engine) (*big.Rat, error) {
+		ubs, err := e.polymatroidBags(dcs)
+		if err != nil {
+			return nil, err
+		}
+		_, w := Minimax(e, ubs, identity)
+		return w, nil
+	})
 }
 
 // Subw returns the submodular width subw(H) exactly (Definition 2.8 via
@@ -287,12 +362,20 @@ func (e *Engine) subw() (*big.Rat, error) {
 	for _, f := range e.h.Edges {
 		ed = append(ed, flow.DC{X: 0, Y: f, LogN: one})
 	}
-	return e.maximin(polymatroid(e.h.N, ed))
+	return e.daSubw(ed)
 }
 
 // DaSubw returns the degree-aware submodular width of Definition 7.6.
 func DaSubw(h *hypergraph.Hypergraph, dcs []flow.DC) (*big.Rat, error) {
-	return over(h, func(e *Engine) (*big.Rat, error) { return e.maximin(polymatroid(h.N, dcs)) })
+	return over(h, func(e *Engine) (*big.Rat, error) { return e.daSubw(dcs) })
+}
+
+func (e *Engine) daSubw(dcs []flow.DC) (*big.Rat, error) {
+	ubs, err := e.polymatroidBags(dcs)
+	if err != nil {
+		return nil, err
+	}
+	return e.maximin(ubs, polymatroid(e.h.N, dcs))
 }
 
 // Adw returns the adaptive width adw(H): the maximin width over modular
@@ -304,7 +387,7 @@ func Adw(h *hypergraph.Hypergraph) (*big.Rat, error) { return over(h, (*Engine).
 func (e *Engine) adw() (*big.Rat, error) {
 	h := e.h
 	one := big.NewRat(1, 1)
-	return e.maximin(func(targets []bitset.Set) (*big.Rat, error) {
+	inner := func(targets []bitset.Set) (*big.Rat, error) {
 		// Variables: x_0..x_{n−1}, w at index n.
 		prob := lp.NewProblem(h.N+1, true)
 		prob.SetObj(h.N, one)
@@ -330,7 +413,12 @@ func (e *Engine) adw() (*big.Rat, error) {
 			return nil, fmt.Errorf("widths: adw LP %v", sol.Status)
 		}
 		return sol.Objective, nil
-	})
+	}
+	ubs, err := SolveBags(e, inner)
+	if err != nil {
+		return nil, err
+	}
+	return e.maximin(ubs, inner)
 }
 
 // Summary computes the whole classic hierarchy for a hypergraph; used by
